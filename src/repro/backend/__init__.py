@@ -1,7 +1,7 @@
 """Pluggable array-module backend for the batched spectral kernels.
 
 The parameter-batched spectral pipeline performs all of its heavy array
-math — ``einsum`` contractions, batched LU solves, eigendecompositions —
+math — ``matmul`` contractions, batched LU solves, eigendecompositions —
 through the module object returned by :func:`array_module` instead of a
 hard ``import numpy`` at each call site.  Today the only registered
 backend is numpy, and it is selected by default, so every existing
@@ -14,7 +14,7 @@ slotted in later by registering it here, without touching the kernel
 math in :mod:`repro.mft.spectral`.  The contract a backend must satisfy
 is the numpy API surface actually used by the kernels:
 
-- ``xp.einsum``, ``xp.moveaxis``, ``xp.eye``, ``xp.zeros``, ``xp.ones``,
+- ``xp.matmul``, ``xp.moveaxis``, ``xp.eye``, ``xp.zeros``, ``xp.ones``,
   ``xp.abs``, ``xp.exp``, ``xp.real``, ``xp.conj``, ``xp.where``,
   ``xp.isfinite``,
 - ``xp.linalg.solve``, ``xp.linalg.eig``, ``xp.linalg.cond``,
@@ -55,7 +55,7 @@ def register_backend(name: str, module: types.ModuleType) -> None:
     """
     if not name:
         raise ValueError("backend name must be non-empty")
-    for attr in ("einsum", "eye", "moveaxis", "linalg"):
+    for attr in ("matmul", "eye", "moveaxis", "linalg"):
         if not hasattr(module, attr):
             raise TypeError(
                 f"backend {name!r} lacks required attribute {attr!r}"

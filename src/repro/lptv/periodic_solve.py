@@ -34,7 +34,7 @@ from ..linalg.lyapunov import (
     solve_regularized_fixed_point,
 )
 from ..linalg.phi import affine_step_integrals
-from ..tolerances import FIXED_POINT_RIDGE
+from ..tolerances import FIXED_POINT_RIDGE, RESOLVENT_NORM_THRESHOLD
 
 logger = logging.getLogger(__name__)
 
@@ -238,7 +238,7 @@ def periodic_steady_state(disc, omega, segment_forcing, solver="direct",
         pre[k + 1] = v
         dpre[k + 1] = a_shifted @ v + forcing[k, 1]
         f_int = 0.5 * h * (forcing[k, 0] + forcing[k, 1])
-        if np.linalg.norm(a_shifted, 1) * h > 0.5:
+        if np.linalg.norm(a_shifted, 1) * h > RESOLVENT_NORM_THRESHOLD:
             try:
                 integral = integral + checked_solve(
                     a_shifted, v - v_start - f_int,

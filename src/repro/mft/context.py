@@ -62,13 +62,9 @@ from ..linalg.phi import affine_step_integrals
 from ..linalg.vanloan import vanloan_gramian
 from ..lptv.periodic_solve import PeriodicSolution, forcing_from_samples
 from ..noise.covariance import periodic_covariance
-from ..tolerances import FIXED_POINT_RIDGE
+from ..tolerances import FIXED_POINT_RIDGE, RESOLVENT_NORM_THRESHOLD
 
 logger = logging.getLogger(__name__)
-
-#: ``‖A_ω‖₁ h`` above which the period integral uses the resolvent solve
-#: (mirrors the threshold in :mod:`repro.lptv.periodic_solve`).
-_RESOLVENT_NORM_THRESHOLD = 0.5
 
 #: Frequencies whose shifted step integrals are kept per context; a sweep
 #: revisits frequencies only through the fallback chain, so this stays
@@ -600,7 +596,7 @@ class SweepContext:
             trapezoid = np.sum(
                 0.5 * h * (post[idx] + pre[idx + 1])
                 + h * h / 12.0 * (dpost[idx] - dpre[idx + 1]), axis=0)
-            if norm_h > _RESOLVENT_NORM_THRESHOLD:
+            if norm_h > RESOLVENT_NORM_THRESHOLD:
                 rhs = np.sum(pre[idx + 1] - post[idx] - f_int, axis=0)
                 try:
                     integral = integral + checked_solve(

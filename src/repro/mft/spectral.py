@@ -25,9 +25,12 @@ one-period fixed point uses the scalar identity ``M_ω = e^{-jωT} M₀``
 (see :mod:`repro.mft.context`), so the solve becomes one batched
 ``repro.linalg.checked.batched_solve`` over the ``(n_freq, n, n)`` stack
 ``I − e^{-jωT} M₀``.  Per-ω cost drops from O(n³) Python-looped work to
-O(n³)-once plus O(n²)-per-ω vectorized einsum kernels, and — just as
+O(n³)-once plus O(n²)-per-ω vectorized matmul kernels, and — just as
 important at SC-circuit sizes — the Python interpreter overhead of the
-per-segment recursion amortizes over the whole frequency block.
+per-segment recursion amortizes over the whole frequency block.  The
+period integral is linear in the trace, so the recursion stores no
+states: it sums them per segment group, and each group's integral is
+one evaluation on those sums (:func:`group_period_integral`).
 
 Numerics: round-tripping through the eigenbasis amplifies rounding by
 ~``cond(V)``, so each group's basis is gated on
@@ -58,7 +61,10 @@ from ..linalg.checked import (
     eigensystem,
 )
 from ..linalg.phi import SERIES_THRESHOLD, affine_step_integrals
-from ..tolerances import SPECTRAL_EIGENBASIS_COND_LIMIT
+from ..tolerances import (
+    RESOLVENT_NORM_THRESHOLD,
+    SPECTRAL_EIGENBASIS_COND_LIMIT,
+)
 from ..typing import ComplexArray, FloatArray
 
 logger = logging.getLogger(__name__)
@@ -68,6 +74,7 @@ __all__ = [
     "BatchedSolveResult",
     "ParamBatchedSolveResult",
     "build_group_bases",
+    "group_period_integral",
     "phi_scalar_integrals",
     "solve_spectral_batch",
     "solve_param_batched",
@@ -256,6 +263,59 @@ def _reference_group_integrals(group, omegas, forcing, g_seg):
         g_seg[:, fi, idx] = f0 @ i1.T + slope @ i2.T
 
 
+def group_period_integral(a_matrix, duration, omegas, start_sum, end_sum,
+                          f0_sum, f1_sum, norm_h) -> ComplexArray:
+    """Period integral of the trace over one segment group, from sums.
+
+    ``start_sum``/``end_sum`` (complex, ``(R, n_freq, n)``) are the
+    group's states summed over its segments at segment start (after the
+    previous jump) and at segment end (before its own jump);
+    ``f0_sum``/``f1_sum`` (``(R, n)``) the summed forcing endpoints and
+    ``norm_h`` (``(n_freq,)``) the per-ω ``‖A_ω‖₁ h``.  Both per-segment
+    formulas of the reference are linear in the segment's end states and
+    every member shares ``(A, h)``, so the group needs one evaluation on
+    the sums instead of one per segment:
+
+    - above :data:`~repro.tolerances.RESOLVENT_NORM_THRESHOLD`, the
+      resolvent ``A_ω⁻¹ (Q − P − h/2 (F0 + F1))`` through the same LU the
+      reference uses (``A_ω`` is ill-conditioned exactly when this branch
+      triggers, so eigenbasis division would round differently);
+    - otherwise, or where that solve fails, the derivative-corrected
+      trapezoid ``h/2 (P + Q) + h²/12 (A_ω (P − Q) + F0 − F1)``.
+
+    One factorization per frequency serves every forcing row as a
+    stacked right-hand-side column.  Returns ``(R, n_freq, n)`` complex.
+    """
+    xp = array_module()
+    h = duration
+    n = a_matrix.shape[0]
+    out = np.empty(np.shape(start_sum), dtype=complex)
+    use_resolvent = norm_h > RESOLVENT_NORM_THRESHOLD
+    trapezoid = ~use_resolvent
+    if use_resolvent.any():
+        rows = (slice(None) if use_resolvent.all()
+                else np.nonzero(use_resolvent)[0])
+        a_shifted = (a_matrix.astype(complex)[None, :, :]
+                     - 1j * omegas[rows, None, None]
+                     * xp.eye(n, dtype=complex)[None, :, :])
+        rhs = (end_sum[:, rows] - start_sum[:, rows]
+               - (0.5 * h * (f0_sum + f1_sum))[:, None, :])
+        cols, solve_ok = batched_solve(a_shifted, rhs.transpose(1, 2, 0),
+                                       context="segment integral resolvent")
+        out[:, rows] = cols.transpose(2, 0, 1)
+        trapezoid[rows] = ~solve_ok
+    if trapezoid.any():
+        rows = np.nonzero(trapezoid)[0]
+        start = start_sum[:, rows]
+        end = end_sum[:, rows]
+        diff = start - end
+        a_diff = diff @ a_matrix.T - 1j * omegas[None, rows, None] * diff
+        out[:, rows] = (0.5 * h * (start + end)
+                        + h * h / 12.0 * (a_diff
+                                          + (f0_sum - f1_sum)[:, None, :]))
+    return out
+
+
 def solve_spectral_batch(context, omegas, segment_forcing,
                          condition_limit=None,
                          recorder=None) -> BatchedSolveResult:
@@ -362,9 +422,11 @@ def solve_spectral_batch(context, omegas, segment_forcing,
             if not np.all(small):
                 rows = np.nonzero(~small)[0]
                 i1, i2 = _lu_step_integrals(group, omegas[rows], eye_c)
+                # g[r, f, s] = I1[f] f0[r, s] + I2[f] slope[r, s], as one
+                # (s, n) × (n, n) product per (row, ω).
                 g_seg[:, rows[:, None], idx[None, :]] = (
-                    xp.einsum("fij,rsj->rfsi", i1, f0)
-                    + xp.einsum("fij,rsj->rfsi", i2, slope))
+                    xp.matmul(f0[:, None], i1.transpose(0, 2, 1)[None])
+                    + xp.matmul(slope[:, None], i2.transpose(0, 2, 1)[None]))
 
     # One-period affine map, all frequencies at once:
     # M_ω = e^{-jωT} M₀ and g_ω = Σ_k e^{-jω(T − t_end_k)} R_k g_k.
@@ -377,8 +439,14 @@ def solve_spectral_batch(context, omegas, segment_forcing,
         conditions = batched_condition_number(m_stack)
         tail_phase = xp.exp(-1j * omegas[:, None]
                             * (period - struct.t_end)[None, :])
-        g_acc = xp.einsum("kij,rfkj->rfi", struct.suffix,
-                          tail_phase[None, :, :, None] * g_seg)
+        # g_acc[r, f] = Σ_k R_k (tail_phase[f, k] g_seg[r, f, k]): one
+        # (1, S·n) × (S·n, n) product per (row, ω) against the suffix
+        # products flattened to suffix_flat[(k, j), i] = R_k[i, j].
+        weighted = (tail_phase[None, :, :, None] * g_seg).reshape(
+            n_rows, n_freq, 1, n_seg * n)
+        suffix_flat = struct.suffix.transpose(0, 2, 1).reshape(
+            n_seg * n, n)
+        g_acc = xp.matmul(weighted, suffix_flat)[:, :, 0]
         # One LU per frequency, all forcing rows as stacked RHS columns.
         v0_cols, ok = batched_solve(m_stack, xp.moveaxis(g_acc, 0, -1),
                                     context="batched fixed-point solve")
@@ -387,67 +455,41 @@ def solve_spectral_batch(context, omegas, segment_forcing,
             ok = ok & ~(conditions > condition_limit)
 
     # One sequential pass through the period (inherently ordered),
-    # vectorized across the whole frequency block.
+    # vectorized across the whole frequency block.  The period integral
+    # is linear in the segment-end states, so the pass keeps no trace:
+    # per group it only sums the states at segment starts (post-jump)
+    # and at segment ends (pre-jump), next to the summed forcing
+    # endpoint pairs.  Every sum is an elementwise add in segment order,
+    # so row 0 of a stacked solve stays bit-identical to the unstacked
+    # solve.
     with recorder.span("spectral.trace", n_segments=int(n_seg)):
         seg_phase = xp.exp(-1j * omegas[:, None]
-                           * struct.durations[None, :])
-        pre = np.empty((n_rows, n_freq, n_seg + 1, n), dtype=complex)
-        post = np.empty((n_rows, n_freq, n_seg + 1, n), dtype=complex)
-        pre[:, :, 0] = v0
-        post[:, :, 0] = v0
+                           * struct.durations[None, :]).T[:, :, None]
+        phi_t = struct.phi_stack.transpose(0, 2, 1)
+        group_of = struct.group_of.tolist()
+        has_jump = struct.has_jump.tolist()
+        n_groups = len(struct.groups)
+        start_sums = np.zeros((n_groups, n_rows, n_freq, n), dtype=complex)
+        end_sums = np.zeros((n_groups, n_rows, n_freq, n), dtype=complex)
+        forcing_sums = np.zeros((n_groups, n_rows, 2, n), dtype=complex)
+        np.add.at(forcing_sums, struct.group_of,
+                  forcing.transpose(1, 0, 2, 3))
         v = v0
         for k in range(n_seg):
-            v = seg_phase[None, :, k, None] * (v @ struct.phi_stack[k].T) \
-                + g_seg[:, :, k]
-            pre[:, :, k + 1] = v
-            if struct.has_jump[k]:
+            g = group_of[k]
+            start_sums[g] += v
+            v = seg_phase[k] * (v @ phi_t[k]) + g_seg[:, :, k]
+            end_sums[g] += v
+            if has_jump[k]:
                 v = v @ struct.jumps[k].T
-            post[:, :, k + 1] = v
 
-    # Period integral per group: resolvent solve (in the eigenbasis for
-    # diagonalizable groups) above the stiffness threshold, derivative-
-    # corrected trapezoid below it — per (group, ω), exactly mirroring
-    # the per-frequency reference decision.
-    from .context import _RESOLVENT_NORM_THRESHOLD
     with recorder.span("spectral.period-integral"):
         integral = np.zeros((n_rows, n_freq, n), dtype=complex)
         for g, group in enumerate(struct.groups):
-            idx = group.indices
-            h = group.duration
-            a = group.a_matrix
-            post_g = post[:, :, idx]
-            pre_g = pre[:, :, idx + 1]
-            dpost_g = (post_g @ a.T
-                       - 1j * omegas[None, :, None, None] * post_g
-                       + forcing[:, None, idx, 0])
-            dpre_g = (pre_g @ a.T
-                      - 1j * omegas[None, :, None, None] * pre_g
-                      + forcing[:, None, idx, 1])
-            trapezoid = np.sum(
-                0.5 * h * (post_g + pre_g)
-                + h * h / 12.0 * (dpost_g - dpre_g), axis=2)
-            use_resolvent = norm_h_groups[g] > _RESOLVENT_NORM_THRESHOLD
-            if not np.any(use_resolvent):
-                integral += trapezoid
-                continue
-            f_int = 0.5 * h * (forcing[:, idx, 0] + forcing[:, idx, 1])
-            rhs = np.sum(pre_g - post_g - f_int[:, None, :, :], axis=2)
-            # Resolvent A_ω⁻¹ rhs through the same LAPACK LU the
-            # reference path uses (not eigenbasis division): A_ω is
-            # ill-conditioned exactly when the resolvent branch triggers
-            # (stiff segment, ‖A‖h large, |μ_min| ~ ω), and a
-            # cond(A_ω)·eps-sized solver difference would eat the 1e-9
-            # equivalence budget.  One factorization per frequency
-            # serves every forcing row as a stacked RHS column.
-            a_shifted_stack = (a.astype(complex)[None, :, :]
-                               - 1j * omegas[:, None, None]
-                               * xp.eye(n, dtype=complex)[None, :, :])
-            resolvent_cols, solve_ok = batched_solve(
-                a_shifted_stack, xp.moveaxis(rhs, 0, -1),
-                context="segment integral resolvent")
-            resolvent = xp.moveaxis(resolvent_cols, -1, 0)
-            good = use_resolvent & solve_ok
-            integral += xp.where(good[None, :, None], resolvent, trapezoid)
+            integral += group_period_integral(
+                group.a_matrix, group.duration, omegas,
+                start_sums[g], end_sums[g], forcing_sums[g, :, 0],
+                forcing_sums[g, :, 1], norm_h_groups[g])
 
     if not stacked:
         integral = integral[0]

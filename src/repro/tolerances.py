@@ -117,6 +117,20 @@ SWEEP_REFINE_DB: float = 0.5
 #: block returns numerically parallel eigenvectors with cond(V) ≫ this.
 SPECTRAL_EIGENBASIS_COND_LIMIT: float = 1e6
 
+#: ``‖A − jωI‖₁ · h`` of a segment above which its period integral is
+#: the exact resolvent solve ``A_ω⁻¹ (v(end) − v(start) − ∫f dt)``;
+#: at or below it, the derivative-corrected trapezoid.  Near 0 the
+#: resolvent is (near-)singular and loses digits to cancellation in
+#: ``v(end) − v(start)``, while v is smooth over the segment and the
+#: trapezoid's error falls as ``(‖A_ω‖h)⁴``; above it, the trapezoid
+#: loses accuracy on stiff boundary layers the resolvent integrates
+#: exactly.  The reference per-segment solve
+#: (:mod:`repro.lptv.periodic_solve`), the cached per-ω solve and the
+#: spectral-batch kernel all read this one constant: engines that split
+#: the regimes differently disagree by more than the 1e-9 equivalence
+#: gate.
+RESOLVENT_NORM_THRESHOLD: float = 0.5
+
 # ---------------------------------------------------------------------------
 # Metrics and attribution (repro.metrics)
 # ---------------------------------------------------------------------------
@@ -353,6 +367,7 @@ __all__ = [
     "PSD_CLIP_ATOL",
     "SWEEP_REFINE_DB",
     "SPECTRAL_EIGENBASIS_COND_LIMIT",
+    "RESOLVENT_NORM_THRESHOLD",
     "ATTRIBUTION_CONSERVATION_RTOL",
     "SCHEDULE_TILE_RTOL",
     "GRID_SNAP_RTOL",

@@ -26,17 +26,17 @@ from repro.mft.engine import MftNoiseAnalyzer
 
 
 def _counting_numpy_proxy(counts):
-    """A module delegating to numpy, counting ``einsum`` calls."""
+    """A module delegating to numpy, counting ``matmul`` calls."""
     proxy = types.ModuleType("counting_numpy")
     proxy.__dict__.update(
         {name: getattr(np, name) for name in dir(np)
          if not name.startswith("_")})
 
-    def einsum(*args, **kwargs):
-        counts["einsum"] += 1
-        return np.einsum(*args, **kwargs)
+    def matmul(*args, **kwargs):
+        counts["matmul"] += 1
+        return np.matmul(*args, **kwargs)
 
-    proxy.einsum = einsum
+    proxy.matmul = matmul
     return proxy
 
 
@@ -53,7 +53,7 @@ class TestSelection:
             use_backend("does-not-exist")
 
     def test_context_manager_restores_previous_backend(self):
-        counts = {"einsum": 0}
+        counts = {"matmul": 0}
         register_backend("counting", _counting_numpy_proxy(counts))
         with use_backend("counting") as xp:
             assert backend_name() == "counting"
@@ -62,7 +62,7 @@ class TestSelection:
         assert array_module() is np
 
     def test_plain_call_switches_until_restored(self):
-        counts = {"einsum": 0}
+        counts = {"matmul": 0}
         register_backend("counting", _counting_numpy_proxy(counts))
         selection = use_backend("counting")
         try:
@@ -79,12 +79,12 @@ class TestRegistration:
 
     def test_module_missing_required_surface_rejected(self):
         stub = types.ModuleType("stub")
-        stub.einsum = np.einsum
+        stub.matmul = np.matmul
         with pytest.raises(TypeError, match="eye"):
             register_backend("stub", stub)
 
     def test_reregistering_replaces(self):
-        counts = {"einsum": 0}
+        counts = {"matmul": 0}
         register_backend("swap-test", _counting_numpy_proxy(counts))
         replacement = _counting_numpy_proxy(counts)
         register_backend("swap-test", replacement)
@@ -104,11 +104,11 @@ class TestKernelDispatch:
             self, rc_system):
         freqs = np.linspace(100.0, 4e4, 8)
         reference = self._sweep(rc_system, freqs)
-        counts = {"einsum": 0}
+        counts = {"matmul": 0}
         register_backend("counting", _counting_numpy_proxy(counts))
         with use_backend("counting"):
             candidate = self._sweep(rc_system, freqs)
-        assert counts["einsum"] > 0, (
+        assert counts["matmul"] > 0, (
             "the batched kernel never called the active backend")
         # The proxy delegates to the same numpy functions, so the shim
         # must cost nothing numerically: bit-identical values.

@@ -10,17 +10,35 @@ severity-tagged diagnostics finding.
 import numpy as np
 import pytest
 
+import repro.mft.spectral as spectral
+from repro.circuit.netlist import Netlist
+from repro.circuit.opamp import add_source_follower_opamp
+from repro.circuit.phases import ClockSchedule
+from repro.circuit.statespace import build_lptv_system
+from repro.circuits import (
+    sample_hold_system,
+    sc_bandpass_system,
+    sc_integrator_system,
+    sc_lowpass_system,
+    switched_rc_system,
+)
 from repro.errors import ReproError
+from repro.linalg.checked import batched_solve
 from repro.lptv.system import Phase, PiecewiseLTISystem
-from repro.mft.context import sweep_context_for
+from repro.mft.context import clear_sweep_contexts, sweep_context_for
 from repro.mft.engine import MftNoiseAnalyzer
 from repro.mft.spectral import (
     build_group_bases,
+    group_period_integral,
     phi_scalar_integrals,
     solve_spectral_batch,
 )
 from repro.diagnostics.fallback import FallbackPolicy
 from repro.linalg.phi import affine_step_integrals
+from repro.tolerances import RESOLVENT_NORM_THRESHOLD
+
+from conftest import random_stable_matrix
+from test_jumps_and_sampled_systems import ideal_sample_hold
 
 SPECTRAL_REL_TOL = 1e-9
 
@@ -218,3 +236,227 @@ class TestDefectiveEigenbasisFallback:
                     if f.code == "spectral-defective-basis"]
         assert findings, "defective fallback must be surfaced"
         assert all(f.severity.name == "WARNING" for f in findings)
+
+
+# -- widened parity battery ----------------------------------------------------
+
+def _sc_cascade(n_stages):
+    """``n_stages`` damped SC integrators in series, 4 states per stage.
+
+    Each stage is the SC low-pass topology with unity capacitor ratios
+    and a source-follower op-amp; stage ``k`` samples the output of
+    stage ``k - 1``.
+    """
+    netlist = Netlist(f"sc-cascade-{n_stages}")
+    netlist.add_voltage_source("Vin", "vin", "0", 0.0)
+    previous = "vin"
+    for k in range(n_stages):
+        a, c, vsum, vout = f"a{k}", f"c{k}", f"vsum{k}", f"vout{k}"
+        netlist.add_capacitor(f"C1_{k}", a, "0", 100e-12)
+        netlist.add_switch(f"S1_{k}", previous, a, ("phi1",), ron=80.0)
+        netlist.add_switch(f"S4_{k}", a, vsum, ("phi2",), ron=80.0)
+        netlist.add_capacitor(f"C3_{k}", c, "0", 100e-12)
+        netlist.add_switch(f"S5_{k}", c, vout, ("phi1",), ron=80.0)
+        netlist.add_switch(f"S6_{k}", c, vsum, ("phi2",), ron=80.0)
+        netlist.add_capacitor(f"C2_{k}", vsum, vout, 100e-12)
+        add_source_follower_opamp(netlist, f"op{k}", "0", vsum, vout,
+                                  unity_gain_radps=9.0e6 * np.pi,
+                                  input_noise_psd=7e-7)
+        previous = vout
+    schedule = ClockSchedule.two_phase(4e3, duty=0.5,
+                                       names=("phi1", "phi2"))
+    return build_lptv_system(netlist, schedule, outputs=[previous])
+
+
+#: Every built-in circuit, the charge-redistribution jump at three
+#: gains (0 wipes the state, 1 is the identity jump), and a 16-state
+#: cascade: builders of a ``PiecewiseLTISystem`` or a model carrying one.
+PARITY_SYSTEMS = {
+    "switched-rc": switched_rc_system,
+    "sc-lowpass": sc_lowpass_system,
+    "sc-bandpass": sc_bandpass_system,
+    "sc-integrator": sc_integrator_system,
+    "sample-hold": sample_hold_system,
+    "ideal-sh-0": lambda: ideal_sample_hold(c_ratio=0.0),
+    "ideal-sh-0.5": lambda: ideal_sample_hold(c_ratio=0.5),
+    "ideal-sh-1": lambda: ideal_sample_hold(c_ratio=1.0),
+    "sc-cascade-4": lambda: _sc_cascade(4),
+}
+
+
+def _parity_analyzer(name):
+    clear_sweep_contexts()
+    model = PARITY_SYSTEMS[name]()
+    system = getattr(model, "system", model)
+    return MftNoiseAnalyzer(system, segments_per_phase=16)
+
+
+def _parity_grid(analyzer, n=12):
+    """Points from near DC to beyond the clock, off the harmonics."""
+    period = analyzer.context.disc.period
+    return np.linspace(0.03, 2.4, n) / period
+
+
+class TestParityBattery:
+    """spectral-batch vs ``solver="mft"`` on every circuit shape."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_SYSTEMS))
+    def test_matches_mft(self, name):
+        analyzer = _parity_analyzer(name)
+        freqs = _parity_grid(analyzer)
+        _assert_spectral_equivalent(
+            analyzer.psd_sweep(freqs, solver="mft"),
+            analyzer.psd_sweep(freqs, solver="spectral-batch"))
+
+    @pytest.mark.parametrize("name", sorted(PARITY_SYSTEMS))
+    def test_attributed_rows_match_mft(self, name):
+        # 1 + n_sources stacked forcing rows through one kernel call.
+        analyzer = _parity_analyzer(name)
+        freqs = _parity_grid(analyzer, n=6)
+        reference = analyzer.psd_sweep(freqs, solver="mft",
+                                       attribute_sources=True)
+        stacked = analyzer.psd_sweep(freqs, solver="spectral-batch",
+                                     attribute_sources=True)
+        _assert_spectral_equivalent(reference, stacked)
+        rows = reference.budget.contributions
+        candidate = stacked.budget.contributions
+        assert np.array_equal(np.isnan(rows), np.isnan(candidate))
+        finite = np.isfinite(rows)
+        scale = np.max(np.abs(reference.psd[np.isfinite(reference.psd)]))
+        assert np.max(np.abs(candidate[finite] - rows[finite])) <= (
+            SPECTRAL_REL_TOL * scale)
+
+    @pytest.mark.parametrize("name", sorted(PARITY_SYSTEMS))
+    def test_stacked_row_zero_is_bit_identical(self, name):
+        analyzer = _parity_analyzer(name)
+        context = analyzer.context
+        omegas = 2.0 * np.pi * _parity_grid(analyzer)
+        forcing = analyzer._forcing_pairs()
+        rows = np.stack([forcing] + [
+            context.source_forcing_pairs(analyzer._l_row, s)
+            for s in range(context.n_sources)])
+        single = solve_spectral_batch(context, omegas, forcing)
+        stacked = solve_spectral_batch(context, omegas, rows)
+        assert stacked.integral[0].tobytes() == single.integral.tobytes()
+        assert stacked.v0[0].tobytes() == single.v0.tobytes()
+        assert np.array_equal(stacked.ok, single.ok)
+
+
+# -- the group-sum period integral ---------------------------------------------
+
+def _per_segment_integral(a, h, omega, post, pre, f0, f1, resolvent):
+    """Reference: the per-segment period integral, summed over a group.
+
+    ``post``/``pre``/``f0``/``f1`` are ``(S, R, n)`` segment-start and
+    segment-end states and forcing endpoints; one frequency.
+    """
+    a_w = a.astype(complex) - 1j * omega * np.eye(a.shape[0])
+    total = np.zeros(post.shape[1:], dtype=complex)
+    for k in range(post.shape[0]):
+        if resolvent:
+            rhs = pre[k] - post[k] - 0.5 * h * (f0[k] + f1[k])
+            total += np.linalg.solve(a_w, rhs.T).T
+        else:
+            d_start = post[k] @ a_w.T + f0[k]
+            d_end = pre[k] @ a_w.T + f1[k]
+            total += (0.5 * h * (post[k] + pre[k])
+                      + h * h / 12.0 * (d_start - d_end))
+    return total
+
+
+class TestGroupPeriodIntegral:
+    """One evaluation on per-group sums ≡ the per-segment formula."""
+
+    N_SEG, N_ROWS, N = 9, 3, 4
+
+    def _group(self, rng, h, n_freq):
+        a = random_stable_matrix(rng, self.N) / h
+        shape = (self.N_SEG, self.N_ROWS, n_freq, self.N)
+        post = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        pre = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        f0 = rng.standard_normal((self.N_SEG, self.N_ROWS, self.N))
+        f1 = rng.standard_normal((self.N_SEG, self.N_ROWS, self.N))
+        return a, post, pre, f0, f1
+
+    def _norm_h(self, a, h, omegas):
+        eye = np.eye(a.shape[0])
+        return np.array([np.linalg.norm(a - 1j * w * eye, 1) * h
+                         for w in omegas])
+
+    def _reference(self, a, h, omegas, post, pre, f0, f1, resolvent):
+        out = np.empty(post.shape[1:], dtype=complex)
+        for fi, omega in enumerate(omegas):
+            out[:, fi] = _per_segment_integral(
+                a, h, omega, post[:, :, fi], pre[:, :, fi], f0, f1,
+                resolvent[fi])
+        return out
+
+    def _from_sums(self, a, h, omegas, post, pre, f0, f1):
+        return group_period_integral(
+            a, h, omegas, post.sum(axis=0), pre.sum(axis=0),
+            f0.sum(axis=0), f1.sum(axis=0), self._norm_h(a, h, omegas))
+
+    def _assert_close(self, got, want):
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_resolvent_branch(self, seed):
+        rng = np.random.default_rng(seed)
+        h = 1e-4
+        omegas = 2.0 * np.pi * np.array([10.0, 3e3, 4e4])
+        a, post, pre, f0, f1 = self._group(rng, h, omegas.size)
+        norm_h = self._norm_h(a, h, omegas)
+        assert np.all(norm_h > RESOLVENT_NORM_THRESHOLD)
+        self._assert_close(
+            self._from_sums(a, h, omegas, post, pre, f0, f1),
+            self._reference(a, h, omegas, post, pre, f0, f1,
+                            np.ones(omegas.size, dtype=bool)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_trapezoid_branch(self, seed):
+        rng = np.random.default_rng(seed)
+        h = 1e-4
+        a, post, pre, f0, f1 = self._group(rng, h, 3)
+        a = a * (0.05 / (np.linalg.norm(a, 1) * h))
+        omegas = 2.0 * np.pi * np.array([1.0, 20.0, 100.0])
+        assert np.all(self._norm_h(a, h, omegas)
+                      <= RESOLVENT_NORM_THRESHOLD)
+        self._assert_close(
+            self._from_sums(a, h, omegas, post, pre, f0, f1),
+            self._reference(a, h, omegas, post, pre, f0, f1,
+                            np.zeros(omegas.size, dtype=bool)))
+
+    def test_failed_resolvent_takes_trapezoid(self, monkeypatch):
+        # A mixed block: two frequencies below the threshold, four above
+        # it of which the resolvent solve NaN-fails two.  Exactly the
+        # below-threshold and the failed frequencies take the trapezoid.
+        rng = np.random.default_rng(11)
+        h = 1e-4
+        a, post, pre, f0, f1 = self._group(rng, h, 6)
+        a = a * (0.3 / (np.linalg.norm(a, 1) * h))
+        omegas = 2.0 * np.pi * np.array([1.0, 50.0, 2e3, 3e3, 5e3, 8e3])
+        norm_h = self._norm_h(a, h, omegas)
+        assert list(norm_h > RESOLVENT_NORM_THRESHOLD) == [
+            False, False, True, True, True, True]
+        failing = {omegas[2], omegas[4]}
+
+        def failing_solve(stack, rhs, *, context=""):
+            x, ok = batched_solve(stack, rhs, context=context)
+            # The stack is A − jωI with A real: recover ω per member.
+            bad = np.isin(-stack[:, 0, 0].imag, list(failing))
+            x[bad] = np.nan
+            return x, ok & ~bad
+
+        monkeypatch.setattr(spectral, "batched_solve", failing_solve)
+        got = self._from_sums(a, h, omegas, post, pre, f0, f1)
+        trapezoid = [True, True, True, False, True, False]
+        trapezoid_ref = self._reference(a, h, omegas, post, pre, f0, f1,
+                                        np.zeros(6, dtype=bool))
+        resolvent_ref = self._reference(a, h, omegas, post, pre, f0, f1,
+                                        np.ones(6, dtype=bool))
+        for fi, use_trapezoid in enumerate(trapezoid):
+            want = trapezoid_ref if use_trapezoid else resolvent_ref
+            other = resolvent_ref if use_trapezoid else trapezoid_ref
+            self._assert_close(got[:, fi], want[:, fi])
+            assert not np.allclose(got[:, fi], other[:, fi])
