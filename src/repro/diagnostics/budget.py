@@ -1,8 +1,9 @@
 """Wall-clock and work budgets for PSD sweeps.
 
 A pathological frequency must not be able to hang an entire sweep: every
-engine accepts a :class:`SweepBudget` and checks it between frequencies
-(and, for the transient engines, between clock periods). When the budget
+engine accepts a :class:`SweepBudget` and checks it between units of
+work — before each chunk dispatch for the MFT sweeps, between
+frequencies and clock periods for the transient engines. When the budget
 runs out the remaining work is recorded as per-frequency failures instead
 of looping forever.
 """

@@ -26,7 +26,6 @@ import numpy as np
 
 from ..errors import ReproError
 from ..io.tables import format_table
-from ..results.protocol import deprecated_export_alias
 from ..tolerances import ATTRIBUTION_CONSERVATION_RTOL
 from ..typing import BoolArray, FloatArray
 
@@ -216,8 +215,6 @@ class ContributionBudget:
         return format_table(
             ["rank", "source", "band power [V^2]", "share"], rows,
             title=title)
-
-    table = deprecated_export_alias("table", "to_table")
 
     # -- export --------------------------------------------------------------
 

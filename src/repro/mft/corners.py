@@ -34,25 +34,26 @@ holds one forcing row, and the kernel computes bit-for-bit what
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from ..circuits.corners import ParameterGrid
-from ..diagnostics.fallback import FallbackExhausted, run_fallback_chain
 from ..diagnostics.report import DiagnosticsReport, FrequencyFailure
 from ..errors import ReproError
 from ..noise.result import PsdResult
 from ..resilience.faults import fire as _inject_fault
-from ..results.protocol import deprecated_export_alias
 from ..typing import FloatArray
 from .context import SweepContext, sweep_context_for
-from .engine import MftNoiseAnalyzer, _record_budget_failures
+from .engine import (
+    MftNoiseAnalyzer,
+    forcing_rows,
+    kernel_values,
+    report_defective_bases,
+    sweep_chunk,
+)
 from .spectral import solve_param_batched
-
-logger = logging.getLogger(__name__)
 
 __all__ = ["CornerBatchAnalyzer", "CornerSweepResult", "corner_psd_sweep"]
 
@@ -74,13 +75,13 @@ class CornerBatchAnalyzer:
 
     Wraps one :class:`~repro.mft.engine.MftNoiseAnalyzer` per corner
     (the *members*, sharing dynamics work through their contexts) and
-    exposes the sweep-callable surface the
+    exposes the analyzer surface the
     :class:`~repro.mft.executor.SweepExecutor` drives — ``warm_up``,
-    ``_sweep_batched(freqs, …, start=)``, ``value_width``, checkpoint
-    identity — so every executor feature applies to corner sweeps
-    without executor changes.  The ``frequencies`` the executor passes
-    are the flat grid ``np.repeat(freqs, M)``; ``start`` recovers which
-    ``(corner, frequency)`` cells a chunk covers.
+    ``_attribution_request``, ``_sweep_chunk(freqs, …, start)``,
+    checkpoint identity — so every executor feature applies to corner
+    sweeps without executor changes.  The ``frequencies`` the executor
+    passes are the flat grid ``np.repeat(freqs, M)``; ``start``
+    recovers which ``(corner, frequency)`` cells a chunk covers.
 
     Not constructed directly — :func:`corner_psd_sweep` builds the
     members, shares preflights across derived corners, and maps the
@@ -114,8 +115,6 @@ class CornerBatchAnalyzer:
             seen.add(id(member.preflight))
             merged.merge(member.preflight)
         self.preflight = merged
-        self._attribution = False
-        self._source_labels: "list[str] | None" = None
 
     # -- executor duck-type surface -----------------------------------------
 
@@ -139,177 +138,76 @@ class CornerBatchAnalyzer:
         """Parameter-family hash salting the executor checkpoint key."""
         return self.grid.family_hash()
 
-    @property
-    def value_width(self) -> int:
-        if not self._attribution:
-            return 1
-        context = self.members[0].context
-        assert context is not None
-        return 1 + context.n_sources
-
     def _output_name(self) -> str:
         return self.members[0]._output_name()
 
-    def warm_up(self) -> "CornerBatchAnalyzer":
+    def _attribution_request(self, attribute_sources: Any
+                               ) -> "tuple[str, ...] | None":
+        """The attribution request, resolved on the first member."""
+        return self.members[0]._attribution_request(attribute_sources)
+
+    def warm_up(self, sources: bool = False) -> "CornerBatchAnalyzer":
         """Warm every member (roots first — derivations draw on them)."""
         for member in self.members:
-            member._attribution = self._attribution
-            member._source_labels = self._source_labels
-            member.warm_up()
-            context = member.context
-            if context is None:
-                raise ReproError(
-                    "corner sweep members must be cache-backed "
-                    "(cache=True or an explicit context=)")
-            context.spectral_bases
+            member.warm_up(sources=sources)
+            member.context.spectral_bases
         return self
 
-    # -- flat-axis geometry --------------------------------------------------
+    # -- the chunk hooks -----------------------------------------------------
 
-    def _cells(self, n_local: int, start: int
-               ) -> "tuple[np.ndarray, np.ndarray]":
-        """``(corner, freq)`` indices of a chunk's flat cells.
+    def _sweep_chunk(self, freqs: FloatArray, on_failure: str,
+                     report: DiagnosticsReport,
+                     labels: "tuple[str, ...] | None", solver: Any,
+                     start: int) -> Any:
+        """One flat chunk through the engine's chunk loop (``param-batch``).
 
-        Flat cell ``g`` (global) is frequency ``g // M``, corner
+        The batch step is :meth:`_solve_chunk_groups`; each cell it
+        rejects is rescued through its corner's per-frequency fallback
+        chain.  Flat cell ``g`` (global) is frequency ``g // M``, corner
         ``g % M`` — frequency-major, so corner ``m``'s values are the
-        stride-``M`` slice of the flat sweep values.
+        stride-``M`` slice of the flat sweep values.  Failure records
+        carry chunk-local flat indices that the executor offsets to
+        global flat indices, which :func:`corner_psd_sweep` maps back
+        to per-corner ``(frequency, corner)`` identities.
         """
-        flat = start + np.arange(n_local)
-        m = len(self.members)
-        return flat % m, flat // m
+        del solver  # always "param-batch"
+        corners = (start + np.arange(len(freqs))) % len(self.members)
 
-    # -- sweep callables -----------------------------------------------------
+        def batch_step(finite_idx: np.ndarray,
+                       values: FloatArray) -> "list[int]":
+            _inject_fault("mft.batch",
+                          first_frequency=float(freqs[finite_idx[0]]),
+                          n=int(finite_idx.size))
+            return self._solve_chunk_groups(freqs, corners, finite_idx,
+                                            values, report, labels)
 
-    def _member_forcing(self, member: MftNoiseAnalyzer) -> FloatArray:
-        """Forcing rows for one member: plain or attribution-stacked."""
-        context = member.context
-        assert context is not None
-        forcing = context.forcing_pairs(member._l_row)
-        if self.value_width == 1:
-            return forcing
-        return np.stack(
-            [forcing]
-            + [context.source_forcing_pairs(member._l_row, s)
-               for s in range(self.value_width - 1)])
+        def point_step(idx: int, frequency: float) -> Any:
+            m = int(corners[idx])
+            return (self.members[m]._strategies(frequency, labels),
+                    {"corner": self.grid.names[m], "rescued": True})
 
-    def _sweep_raw(self, freqs: FloatArray, on_failure: str, budget: Any,
-                   report: DiagnosticsReport, start: int = 0) -> Any:
-        """Per-cell reference loop over a flat chunk (no batching).
+        return sweep_chunk(freqs, on_failure, report, labels, self.recorder,
+                           batch_step, point_step)
 
-        Kept for debugging and as the semantic reference of the batched
-        path: each cell runs its corner's own fallback chain.
-        """
-        corners, _freq_idx = self._cells(len(freqs), start)
-        width = self.value_width
-        values = np.full(freqs.shape if width == 1
-                         else (freqs.size, width), np.nan)
-        failures: "list[FrequencyFailure]" = []
-        attempts_log: "list[Any]" = []
-        for local, (f, m) in enumerate(zip(freqs, corners)):
-            reason = budget.exceeded()
-            if reason is not None:
-                _record_budget_failures(freqs, int(local), reason,
-                                        failures, report)
-                break
-            self._solve_cell(int(local), float(f), int(m), values,
-                             failures, attempts_log, on_failure, budget,
-                             report)
-        failures.sort(key=lambda failure: failure.index)
-        return values, failures, attempts_log
-
-    def _solve_cell(self, local: int, f: float, m: int,
-                    values: FloatArray,
-                    failures: "list[FrequencyFailure]",
-                    attempts_log: "list[Any]", on_failure: str,
-                    budget: Any, report: DiagnosticsReport) -> None:
-        """One cell through its corner's per-frequency fallback chain."""
-        member = self.members[m]
-        rec = self.recorder
-        try:
-            with rec.span("mft.solve", frequency=f,
-                          corner=self.grid.names[m], rescued=True) as span:
-                value, attempts = run_fallback_chain(
-                    member._strategies(f, budget), f, report, recorder=rec)
-            attempts_log.extend(attempts)
-            values[local] = value
-            if rec.enabled:
-                rec.observe("mft.solve_seconds", span.duration)
-        except FallbackExhausted as exc:
-            attempts_log.extend(exc.attempts)
-            failures.append(FrequencyFailure(
-                frequency=f, index=local, stage="solve",
-                error=type(exc).__name__, message=str(exc)))
-            if on_failure == "raise":
-                raise exc.attach_diagnostics(report)
-            logger.warning("corner %s: recording NaN at %.6g Hz: %s",
-                           self.grid.names[m], f, exc)
-
-    def _sweep_batched(self, freqs: FloatArray, on_failure: str,
-                       budget: Any, report: DiagnosticsReport,
-                       start: int = 0) -> Any:
-        """One flat chunk through the parameter-batched spectral kernel.
+    def _solve_chunk_groups(self, freqs: FloatArray, corners: np.ndarray,
+                            finite_idx: np.ndarray, values: FloatArray,
+                            report: DiagnosticsReport,
+                            labels: "tuple[str, ...] | None"
+                            ) -> "list[int]":
+        """Stacked kernel calls per dynamics group; returns rescue cells.
 
         Cells are partitioned by the dynamics group of their corner;
         each group solves its members' forcing rows against the union
         of the group's chunk frequencies in **one** stacked kernel call
         (``solve_param_batched`` degenerates to exactly the PR-4 call
-        for a lone member).  Rejected cells are rescued per cell
-        through their corner's fallback chain; failure records carry
-        chunk-local flat indices that the executor offsets to global
-        flat indices, which :func:`corner_psd_sweep` maps back to
-        per-corner ``(frequency, corner)`` identities.
-        """
-        rec = self.recorder
-        width = self.value_width
-        values = np.full(freqs.shape if width == 1
-                         else (freqs.size, width), np.nan)
-        failures: "list[FrequencyFailure]" = []
-        attempts_log: "list[Any]" = []
-        reason = budget.exceeded()
-        if reason is not None:
-            _record_budget_failures(freqs, 0, reason, failures, report)
-            return values, failures, attempts_log
-        corners, _freq_idx = self._cells(len(freqs), start)
-        finite_mask = np.isfinite(freqs)
-        for idx in np.nonzero(~finite_mask)[0]:
-            exc = ReproError(
-                f"analysis frequency must be finite, got {freqs[idx]!r}")
-            if on_failure == "raise":
-                raise exc.attach_diagnostics(report)
-            failures.append(FrequencyFailure(
-                frequency=float(freqs[idx]), index=int(idx), stage="input",
-                error=type(exc).__name__, message=str(exc)))
-            report.error("non-finite-frequency", str(exc), index=int(idx))
-        finite_idx = np.nonzero(finite_mask)[0]
-        rescue: "list[tuple[int, float, int]]" = []
-        if finite_idx.size:
-            rec.count("sweep.frequencies", int(finite_idx.size))
-            _inject_fault("mft.batch",
-                          first_frequency=float(freqs[finite_idx[0]]),
-                          n=int(finite_idx.size))
-            rescue = self._solve_chunk_groups(freqs, corners, finite_idx,
-                                              values, report)
-        for local, f, m in rescue:
-            self._solve_cell(local, f, m, values, failures, attempts_log,
-                             on_failure, budget, report)
-        failures.sort(key=lambda failure: failure.index)
-        return values, failures, attempts_log
-
-    def _solve_chunk_groups(self, freqs: FloatArray, corners: np.ndarray,
-                            finite_idx: np.ndarray, values: FloatArray,
-                            report: DiagnosticsReport
-                            ) -> "list[tuple[int, float, int]]":
-        """Stacked kernel calls per dynamics group; returns rescue cells.
-
-        Returns ``(local_index, frequency, corner)`` triples for every
-        cell the batched solve rejected.  ``values`` is filled in place
-        for the accepted cells.
+        for a lone member).  ``values`` is filled in place for the
+        accepted cells; the chunk-local indices of the cells the
+        batched solve rejected are returned, group by group.
         """
         rec = self.recorder
         policy = self.members[0].fallback
         condition_limit = (policy.condition_limit
                            if policy is not None else None)
-        width = self.value_width
 
         # Partition the chunk's finite cells by dynamics group, keeping
         # per-(group, corner) locals in chunk order.
@@ -326,7 +224,7 @@ class CornerBatchAnalyzer:
                 cells[m] = []
             cells[m].append(int(local))
 
-        rescue: "list[tuple[int, float, int]]" = []
+        rescue: "list[int]" = []
         for key, members in group_corners.items():
             cells = cell_lists[key]
             # Union of the group's chunk frequencies, first-appearance
@@ -337,7 +235,7 @@ class CornerBatchAnalyzer:
                 for local in cells[m]))
             freq_pos = {f: i for i, f in enumerate(union)}
             omegas = 2.0 * np.pi * np.asarray(union)
-            plans = self._row_plan(members)
+            plans = self._row_plan(members, labels)
             contexts = [context for context, _forcing, _owners in plans]
             forcings = [forcing for _context, forcing, _owners in plans]
             with rec.span("spectral.param-batch", n_params=len(members),
@@ -356,31 +254,24 @@ class CornerBatchAnalyzer:
             n_solved = 0
             for slot, (context, _forcing, owners) in enumerate(plans):
                 result = batch.results[slot]
-                period = context.disc.period
                 if result.fallback_groups:
-                    self._defective_basis_finding(report, context, result)
+                    report_defective_bases(report, context,
+                                           result.fallback_groups)
                 for m, multiplier in owners:
-                    member = self.members[m]
-                    psd = (2.0 * np.real(result.integral @ member._l_row)
-                           / period)
                     # Uniform intensity corners share their dynamics
                     # root's kernel row: S(αQ) = α·S(Q) exactly, so the
                     # solved row is rescaled per corner (α = 1.0 for
                     # the row owner — a bit-exact multiply).
-                    psd = multiplier * psd
-                    if width > 1:
-                        # (R, F) -> (F, R) rows of [total, sources…].
-                        psd = psd.T
-                        ok = result.ok & np.all(np.isfinite(psd), axis=1)
-                    else:
-                        ok = result.ok & np.isfinite(psd)
+                    psd, ok = kernel_values(
+                        result, self.members[m]._l_row,
+                        context.disc.period, labels, multiplier)
                     for local in cells[m]:
                         fi = freq_pos[float(freqs[local])]
                         if ok[fi]:
                             values[local] = psd[fi]
                             n_solved += 1
                         else:
-                            rescue.append((local, float(freqs[local]), m))
+                            rescue.append(local)
             report.info(
                 "spectral-batch",
                 f"param-batched kernel solved {n_solved} of "
@@ -392,7 +283,8 @@ class CornerBatchAnalyzer:
                 n_params=len(members), n_rows=len(plans))
         return rescue
 
-    def _row_plan(self, members: "list[int]"
+    def _row_plan(self, members: "list[int]",
+                  labels: "tuple[str, ...] | None"
                   ) -> "list[tuple[SweepContext, FloatArray, list[tuple[int, float]]]]":
         """Kernel rows for one dynamics group: ``(context, forcing, owners)``.
 
@@ -417,43 +309,18 @@ class CornerBatchAnalyzer:
             if root is None and not hasattr(context, "_scales"):
                 root, uniform = context, 1.0  # the dynamics root itself
             if root is None or uniform is None:
-                plans.append((context, self._member_forcing(member),
+                plans.append((context,
+                              forcing_rows(context, member._l_row, labels),
                               [(m, 1.0)]))
                 continue
             slot = slot_of_root.get(id(root))
             if slot is None:
                 slot_of_root[id(root)] = len(plans)
-                plans.append((root, self._root_forcing(root, member),
+                plans.append((root, forcing_rows(root, member._l_row, labels),
                               [(m, float(uniform))]))
             else:
                 plans[slot][2].append((m, float(uniform)))
         return plans
-
-    def _root_forcing(self, root: SweepContext,
-                      member: MftNoiseAnalyzer) -> FloatArray:
-        """A shared row's forcing: the dynamics root's own stack."""
-        forcing = root.forcing_pairs(member._l_row)
-        if self.value_width == 1:
-            return forcing
-        return np.stack(
-            [forcing]
-            + [root.source_forcing_pairs(member._l_row, s)
-               for s in range(self.value_width - 1)])
-
-    def _defective_basis_finding(self, report: DiagnosticsReport,
-                                 context: SweepContext,
-                                 result: Any) -> None:
-        """Mirror the plain sweep's defective-eigenbasis warning."""
-        bases = context.spectral_bases
-        report.warning(
-            "spectral-defective-basis",
-            f"{len(result.fallback_groups)} of {len(bases)} segment "
-            "groups lack a usable eigenbasis; those groups used the "
-            "per-frequency reference integrals",
-            groups=list(result.fallback_groups),
-            conditions=[bases[g].condition
-                        for g in result.fallback_groups],
-            reasons=[bases[g].reason for g in result.fallback_groups])
 
 
 @dataclass
@@ -548,8 +415,6 @@ class CornerSweepResult:
         for name, value in ranked:
             lines.append(f"{name.ljust(name_width)}  {value:.6e}")
         return "\n".join(lines)
-
-    table = deprecated_export_alias("table", "to_table")
 
     def to_json(self) -> "dict[str, Any]":
         """JSON-ready payload; inverse is
@@ -700,31 +565,16 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
     analyzer = CornerBatchAnalyzer(members, grid, recorder=recorder,
                                    budget=budget)
 
-    if attribute_sources:
-        context = members[0].context
-        assert context is not None
-        labels = members[0]._resolve_source_labels(attribute_sources)
-        analyzer._attribution = True
-        analyzer._source_labels = labels
-        for member in members:
-            member._attribution = True
-            member._source_labels = labels
-    try:
-        per_corner_chunk = (min(int(freqs.size), CORNER_CHUNK_FREQUENCIES)
-                            if chunk_size is None else int(chunk_size))
-        executor = SweepExecutor(
-            backend=parallel or "serial", max_workers=max_workers,
-            chunk_size=max(1, per_corner_chunk) * n_corners,
-            solver="param-batch", retry=retry, faults=faults)
-        flat_freqs = np.repeat(freqs, n_corners)
-        flat = executor.run(analyzer, flat_freqs, budget=budget,
-                            on_failure=on_failure, checkpoint=checkpoint)
-    finally:
-        for member in members:
-            member._attribution = False
-            member._source_labels = None
-        analyzer._attribution = False
-        analyzer._source_labels = None
+    per_corner_chunk = (min(int(freqs.size), CORNER_CHUNK_FREQUENCIES)
+                        if chunk_size is None else int(chunk_size))
+    executor = SweepExecutor(
+        backend=parallel or "serial", max_workers=max_workers,
+        chunk_size=max(1, per_corner_chunk) * n_corners,
+        solver="param-batch", retry=retry, faults=faults)
+    flat = executor.run(analyzer, np.repeat(freqs, n_corners),
+                        budget=budget, on_failure=on_failure,
+                        checkpoint=checkpoint,
+                        attribute_sources=attribute_sources)
 
     # Reshape the flat result to corner shape: flat cell i is frequency
     # i // M, corner i % M, so corner m's sweep is the stride-M slice.

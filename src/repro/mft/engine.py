@@ -25,9 +25,11 @@ quantity — discretization, periodic covariance, forcing, monodromy,
 suffix products — from a shared :class:`~repro.mft.context.SweepContext`
 and solves each frequency through its batched fast path (``cache=False``
 restores the uncached reference path; the two agree to rounding, see
-``tests/test_sweep_equivalence.py``). :meth:`MftNoiseAnalyzer.psd_sweep`
-additionally runs independent frequencies through a
-:class:`~repro.mft.executor.SweepExecutor` (thread or process backends).
+``tests/test_sweep_equivalence.py``). Every sweep — :meth:`MftNoiseAnalyzer.psd`
+is ``psd_sweep(parallel=None)`` — runs through a
+:class:`~repro.mft.executor.SweepExecutor` (serial, thread or process
+backends), whose chunks all go through the one chunk loop
+:func:`sweep_chunk`.
 
 Robustness: the analyzer preflight-validates the discretization at
 construction (Floquet margin, ``cond(I − M)``, schedule, NaN/Inf) and
@@ -41,12 +43,10 @@ frequency yields NaN plus a failure record instead of aborting the sweep.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..diagnostics.budget import as_budget
 from ..diagnostics.fallback import (
     FallbackExhausted,
     FallbackPolicy,
@@ -57,31 +57,14 @@ from ..diagnostics.report import DiagnosticsReport, FrequencyFailure
 from ..errors import ReproError
 from ..lptv.periodic_solve import forcing_from_samples, periodic_steady_state
 from ..noise.covariance import periodic_covariance
-from ..noise.result import PsdResult, clip_negative_psd, worst_negative_psd
 from ..noise.solvers import resolve_solver
-from ..obs import NULL_RECORDER, format_trace, span_summary
+from ..obs import NULL_RECORDER, format_trace
 from ..resilience.faults import fire as _inject_fault
 from ..tolerances import FIXED_POINT_RIDGE
-from .context import CacheStats, SweepContext, sweep_context_for
+from ..typing import FloatArray
+from .context import SweepContext, sweep_context_for
 
 logger = logging.getLogger(__name__)
-
-def fold_cache_delta(recorder, before, after):
-    """Fold a cache-stats delta into a recorder's counters.
-
-    Emits ``cache.<kind>`` aggregates plus ``cache.<kind>.<category>``
-    per-category counters so serial and parallel sweeps over the same
-    grid report identical metric counts.
-    """
-    delta = CacheStats.delta(before, after)
-    for kind in ("hits", "misses", "evictions"):
-        diffs = delta[kind]
-        total = sum(diffs.values())
-        if total:
-            recorder.count(f"cache.{kind}", total)
-        for category, n in diffs.items():
-            recorder.count(f"cache.{kind}.{category}", n)
-
 
 @dataclass
 class InstantaneousPsd:
@@ -181,11 +164,6 @@ class MftNoiseAnalyzer:
         self._covariance = None
         self._forcing = None
         self._refined = {}
-        # Per-source attribution mode: set by psd()/psd_sweep() around a
-        # sweep (attribute_sources=), consumed by the inner sweep loops
-        # and the executor (value_width, checkpoint key).
-        self._attribution = False
-        self._source_labels = None
         if fallback is True or fallback is None:
             self.fallback = FallbackPolicy()
         elif fallback is False:
@@ -218,76 +196,47 @@ class MftNoiseAnalyzer:
             return None
         return self._context.stats
 
-    def warm_up(self):
+    def warm_up(self, sources=False):
         """Materialise every frequency-independent cached quantity.
 
         Called by the sweep executor before parallel dispatch so thread
         workers never race on lazy initialisation and forked process
         workers inherit the precomputed work instead of redoing it.
-        In attribution mode the per-source covariances and forcing
-        pairs are included — they are frequency-independent too.
+        For an attributed sweep (``sources=True``) the per-source
+        covariances and forcing pairs are included — they are
+        frequency-independent too.
         """
         self._forcing_pairs()
         if self._context is not None:
-            self._context.warm_up(self._l_row, sources=self._attribution)
+            self._context.warm_up(self._l_row, sources=sources)
         return self
 
     # -- per-source attribution ---------------------------------------------
 
-    @property
-    def value_width(self):
-        """Columns per frequency the sweep loops produce (1 + n_sources).
+    def _attribution_request(self, attribute_sources):
+        """The attribution request: a tuple of row labels, or ``None``.
 
-        The executor reads this to size its merge buffer and key its
-        checkpoints; outside attribution mode it is 1 and the sweep
-        values stay plain 1-D arrays.
+        ``attribute_sources`` falsy means no attribution; ``True`` falls
+        back to positional ``source<k>`` names; a sequence must name
+        every noise column of the system.  Attribution needs the shared
+        sweep context for the per-source covariances.
         """
-        if not self._attribution:
-            return 1
-        return 1 + self._context.n_sources
-
-    def _resolve_source_labels(self, attribute_sources):
-        """Labels for the budget rows from ``attribute_sources``.
-
-        ``True`` falls back to positional ``source<k>`` names; a
-        sequence must name every noise column of the system.
-        """
+        if not attribute_sources:
+            return None
+        if self._context is None:
+            raise ReproError(
+                "attribute_sources= needs the shared sweep context for "
+                "the per-source covariances; construct the analyzer with "
+                "cache=True (the default) or an explicit context=")
         n_src = self._context.n_sources
         if attribute_sources is True:
-            return [f"source{k}" for k in range(n_src)]
-        labels = [str(label) for label in attribute_sources]
+            return tuple(f"source{k}" for k in range(n_src))
+        labels = tuple(str(label) for label in attribute_sources)
         if len(labels) != n_src:
             raise ReproError(
                 f"attribute_sources names {len(labels)} sources but the "
                 f"system has {n_src} noise columns")
         return labels
-
-    class _AttributionMode:
-        """Arm/disarm the analyzer's attribution state around a sweep."""
-
-        def __init__(self, analyzer, attribute_sources):
-            self.analyzer = analyzer
-            self.attribute_sources = attribute_sources
-
-        def __enter__(self):
-            analyzer = self.analyzer
-            if not self.attribute_sources:
-                return analyzer
-            if analyzer._context is None:
-                raise ReproError(
-                    "attribute_sources= needs the shared sweep context "
-                    "for the per-source covariances; construct the "
-                    "analyzer with cache=True (the default) or an "
-                    "explicit context=")
-            analyzer._source_labels = analyzer._resolve_source_labels(
-                self.attribute_sources)
-            analyzer._attribution = True
-            return analyzer
-
-        def __exit__(self, *exc_info):
-            self.analyzer._attribution = False
-            self.analyzer._source_labels = None
-            return False
 
     def _psd_vector_at(self, frequency, solver="direct",
                        ridge=FIXED_POINT_RIDGE, condition_limit=None):
@@ -373,184 +322,81 @@ class MftNoiseAnalyzer:
         with self.recorder.span("mft.solve", frequency=float(frequency)):
             return self._psd_at(frequency)
 
-    def _sweep_raw(self, freqs, on_failure, budget, report, start=0):
-        """Inner sweep loop shared by :meth:`psd` and the executor.
+    def _sweep_chunk(self, freqs, on_failure, report, labels, solver, start):
+        """Sweep one executor chunk through :func:`sweep_chunk`.
 
-        Mutates ``report`` with per-frequency findings and returns
-        ``(values, failures, attempts)`` with *unclipped* values, so the
-        caller decides where negative-PSD clipping is diagnosed (once
-        per sweep, not once per chunk).  ``start`` is the chunk's offset
-        into the full sweep grid — unused here (frequencies are
-        self-describing), but part of the sweep-callable signature so
-        flattened-axis analyzers can recover cell identities.
-        """
-        del start  # cell identity is not positional for this analyzer
-        rec = self.recorder
-        failures = []
-        attempts_log = []
-        width = self.value_width
-        values = np.full(freqs.shape if width == 1
-                         else (freqs.size, width), np.nan)
-        for idx, f in enumerate(freqs):
-            reason = budget.exceeded()
-            if reason is not None:
-                _record_budget_failures(freqs, idx, reason, failures,
-                                        report)
-                break
-            if not np.isfinite(f):
-                exc = ReproError(
-                    f"analysis frequency must be finite, got {f!r}")
-                if on_failure == "raise":
-                    raise exc.attach_diagnostics(report)
-                failures.append(FrequencyFailure(
-                    frequency=float(f), index=idx, stage="input",
-                    error=type(exc).__name__, message=str(exc)))
-                report.error("non-finite-frequency", str(exc),
-                             index=idx)
-                logger.warning("recording NaN at index %d: %s", idx, exc)
-                continue
-            rec.count("sweep.frequencies")
-            _inject_fault("mft.solve", frequency=float(f))
-            try:
-                with rec.span("mft.solve", frequency=float(f)) as span:
-                    value, attempts = run_fallback_chain(
-                        self._strategies(f, budget), f, report,
-                        recorder=rec)
-                attempts_log.extend(attempts)
-                values[idx] = value
-                if rec.enabled:
-                    rec.observe("mft.solve_seconds", span.duration)
-            except FallbackExhausted as exc:
-                attempts_log.extend(exc.attempts)
-                failures.append(FrequencyFailure(
-                    frequency=float(f), index=idx, stage="solve",
-                    error=type(exc).__name__, message=str(exc)))
-                if on_failure == "raise":
-                    raise exc.attach_diagnostics(report)
-                logger.warning("recording NaN at %.6g Hz: %s", f, exc)
-        return values, failures, attempts_log
-
-    def _sweep_batched(self, freqs, on_failure, budget, report, start=0):
-        """Frequency-batched sweep of one ω-block (``spectral-batch``).
-
-        Drop-in for :meth:`_sweep_raw` over one executor chunk: same
-        ``(values, failures, attempts)`` return, same per-frequency NaN
-        and failure-record semantics.  All finite frequencies of the
-        block are solved at once through
-        :meth:`~repro.mft.context.SweepContext.solve_batched`; the ones
-        the batched direct solve rejects (condition gate, singular
-        fixed point) are rerun individually through the reference
-        fallback chain, so their attempt records and failures are
-        exactly the per-ω path's.  The budget gates the block as a
-        whole (dispatch semantics, matching the executor's chunk gate).
-        ``start`` (the chunk offset) is accepted for sweep-callable
-        signature compatibility and unused here.
+        With ``solver=None`` (``"mft"``) nothing is batched: every finite
+        frequency runs its own fallback chain, behind the per-frequency
+        ``mft.solve`` fault seam.  With ``"spectral-batch"`` the chunk is
+        first solved as one ω-block (:meth:`_solve_spectral_block`) and
+        only the frequencies it rejects are rescued through the chain.
+        ``start`` (the chunk offset) is unused: frequencies are
+        self-describing for this analyzer.
         """
         del start
-        if self._context is None:
-            raise ReproError(
-                "solver='spectral-batch' needs the shared sweep context; "
-                "construct the analyzer with cache=True (the default) or "
-                "an explicit context=")
+        if solver is None:
+            def batch_step(finite_idx, values):
+                return finite_idx
+
+            def point_step(idx, frequency):
+                _inject_fault("mft.solve", frequency=frequency)
+                return self._strategies(frequency, labels), {}
+        else:
+            def batch_step(finite_idx, values):
+                return self._solve_spectral_block(freqs, finite_idx, values,
+                                                  report, labels)
+
+            def point_step(idx, frequency):
+                return (self._strategies(frequency, labels),
+                        {"rescued": True})
+        return sweep_chunk(freqs, on_failure, report, labels, self.recorder,
+                           batch_step, point_step)
+
+    def _solve_spectral_block(self, freqs, finite_idx, values, report,
+                              labels):
+        """``spectral-batch`` step: all finite frequencies in one ω-block.
+
+        Solves through
+        :meth:`~repro.mft.context.SweepContext.solve_batched` — stacked
+        over the per-source forcings when attributing, sharing one LU
+        per frequency — fills ``values`` where the batch succeeded and
+        returns the indices it rejected (condition gate, singular fixed
+        point, non-finite value) for the per-frequency rescue.
+        """
         rec = self.recorder
-        failures = []
-        attempts_log = []
-        width = self.value_width
-        values = np.full(freqs.shape if width == 1
-                         else (freqs.size, width), np.nan)
-        reason = budget.exceeded()
-        if reason is not None:
-            _record_budget_failures(freqs, 0, reason, failures, report)
-            return values, failures, attempts_log
-        finite_mask = np.isfinite(freqs)
-        for idx in np.nonzero(~finite_mask)[0]:
-            exc = ReproError(
-                f"analysis frequency must be finite, got {freqs[idx]!r}")
-            if on_failure == "raise":
-                raise exc.attach_diagnostics(report)
-            failures.append(FrequencyFailure(
-                frequency=float(freqs[idx]), index=int(idx), stage="input",
-                error=type(exc).__name__, message=str(exc)))
-            report.error("non-finite-frequency", str(exc), index=int(idx))
-            logger.warning("recording NaN at index %d: %s", idx, exc)
-        finite_idx = np.nonzero(finite_mask)[0]
-        rescue_idx = []
-        if finite_idx.size:
-            rec.count("sweep.frequencies", int(finite_idx.size))
-            _inject_fault("mft.batch",
-                          first_frequency=float(freqs[finite_idx[0]]),
-                          n=int(finite_idx.size))
-            policy = self.fallback
-            forcing = self._forcing_pairs()
-            if width > 1:
-                # Stacked solve: row 0 the total forcing, rows 1…n the
-                # per-source forcings, sharing one LU per frequency.
-                forcing = np.stack(
-                    [forcing]
-                    + [self._context.source_forcing_pairs(self._l_row, s)
-                       for s in range(width - 1)])
-            with rec.span("spectral.batch", n=int(finite_idx.size),
-                          rows=int(width)):
-                batch = self._context.solve_batched(
-                    2.0 * np.pi * freqs[finite_idx], forcing,
-                    condition_limit=(policy.condition_limit
-                                     if policy is not None else None),
-                    recorder=rec)
-            psd = (2.0 * np.real(batch.integral @ self._l_row)
-                   / self._disc.period)
-            if width > 1:
-                # (R, n_freq) → (n_freq, R) rows of [total, sources…].
-                psd = psd.T
-                ok = batch.ok & np.all(np.isfinite(psd), axis=1)
-            else:
-                ok = batch.ok & np.isfinite(psd)
-            values[finite_idx[ok]] = psd[ok]
-            rescue_idx = [int(i) for i in finite_idx[~ok]]
-            if batch.fallback_groups:
-                bases = self._context.spectral_bases
-                report.warning(
-                    "spectral-defective-basis",
-                    f"{len(batch.fallback_groups)} of {len(bases)} segment "
-                    "groups lack a usable eigenbasis; those groups used "
-                    "the per-frequency reference integrals",
-                    groups=list(batch.fallback_groups),
-                    conditions=[bases[g].condition
-                                for g in batch.fallback_groups],
-                    reasons=[bases[g].reason
-                             for g in batch.fallback_groups])
-            report.info(
-                "spectral-batch",
-                f"spectral kernel solved {int(np.sum(ok))} of "
-                f"{finite_idx.size} frequencies in one batch",
-                n_batched=int(np.sum(ok)), n_rescued=len(rescue_idx))
-        for idx in rescue_idx:
-            f = freqs[idx]
-            try:
-                with rec.span("mft.solve", frequency=float(f),
-                              rescued=True) as span:
-                    value, attempts = run_fallback_chain(
-                        self._strategies(f, budget), f, report,
-                        recorder=rec)
-                attempts_log.extend(attempts)
-                values[idx] = value
-                if rec.enabled:
-                    rec.observe("mft.solve_seconds", span.duration)
-            except FallbackExhausted as exc:
-                attempts_log.extend(exc.attempts)
-                failures.append(FrequencyFailure(
-                    frequency=float(f), index=idx, stage="solve",
-                    error=type(exc).__name__, message=str(exc)))
-                if on_failure == "raise":
-                    raise exc.attach_diagnostics(report)
-                logger.warning("recording NaN at %.6g Hz: %s", f, exc)
-        failures.sort(key=lambda failure: failure.index)
-        return values, failures, attempts_log
+        context = self._context
+        _inject_fault("mft.batch",
+                      first_frequency=float(freqs[finite_idx[0]]),
+                      n=int(finite_idx.size))
+        policy = self.fallback
+        forcing = forcing_rows(context, self._l_row, labels)
+        with rec.span("spectral.batch", n=int(finite_idx.size),
+                      rows=1 if labels is None else 1 + len(labels)):
+            batch = context.solve_batched(
+                2.0 * np.pi * freqs[finite_idx], forcing,
+                condition_limit=(policy.condition_limit
+                                 if policy is not None else None),
+                recorder=rec)
+        psd, ok = kernel_values(batch, self._l_row, self._disc.period,
+                                labels)
+        values[finite_idx[ok]] = psd[ok]
+        if batch.fallback_groups:
+            report_defective_bases(report, context, batch.fallback_groups)
+        n_ok = int(np.sum(ok))
+        report.info(
+            "spectral-batch",
+            f"spectral kernel solved {n_ok} of {finite_idx.size} "
+            "frequencies in one batch",
+            n_batched=n_ok, n_rescued=int(finite_idx.size) - n_ok)
+        return finite_idx[~ok]
 
     def psd(self, frequencies, on_failure="record", budget=None,
             solver=None, attribute_sources=False, **solver_options):
         """Averaged double-sided PSD (V²/Hz) over a frequency grid.
 
-        Returns a :class:`~repro.noise.result.PsdResult`.
+        Returns a :class:`~repro.noise.result.PsdResult`; this is
+        :meth:`psd_sweep` with ``parallel=None`` (the serial executor),
+        so results also carry ``info["executor"]``.
 
         ``attribute_sources`` — ``True`` or a sequence of per-source
         labels — additionally decomposes the PSD per noise-source
@@ -559,10 +405,14 @@ class MftNoiseAnalyzer:
         ``result.info["budget"]`` (also via ``result.budget``) whose
         per-source rows sum to the total PSD at every frequency (NaN
         where the total is NaN — never dropped from one side only).
-        Attribution reuses the shared sweep context, so the extra cost
-        is bounded by the shared matrix work, not ``n_sources×``;
-        supported for the ``mft``, ``spectral-batch``, and
-        ``brute-force`` solvers.
+        Attribution reuses the shared sweep context (covariance basis,
+        propagators); what the extra rows cost depends on the solver.
+        ``spectral-batch`` stacks the per-source forcings onto the
+        total's in one kernel call, sharing one LU per frequency, so
+        the extra cost is bounded by the shared matrix work, not
+        ``n_sources×``.  ``mft`` runs ``1 + n_sources`` periodic solves
+        per frequency, and ``brute-force`` one transient replay per
+        source.  Supported for those three solvers.
 
         Each frequency runs through the graceful-degradation chain (when
         :attr:`fallback` is enabled). With ``on_failure="record"`` (the
@@ -570,9 +420,11 @@ class MftNoiseAnalyzer:
         and a :class:`~repro.diagnostics.report.FrequencyFailure` in
         ``info["failures"]`` — the sweep itself always completes;
         ``on_failure="raise"`` aborts on the first exhausted chain. A
-        ``budget`` (or the analyzer default) bounds the sweep wall
-        clock: once spent, remaining frequencies are recorded as
-        ``budget``-stage failures.
+        ``budget`` (or the analyzer default) gates the *dispatch* of
+        each executor chunk: once spent, the remaining chunks become
+        ``budget``-stage failures, while a chunk already running
+        finishes (a brute-force fallback inside it is bounded by its
+        ``max_periods``, not by the sweep clock).
 
         ``solver`` picks the engine by name — one of
         :data:`repro.noise.solvers.SOLVERS` (``"mft"`` the default,
@@ -586,65 +438,10 @@ class MftNoiseAnalyzer:
             raise ReproError(
                 f"on_failure must be 'record' or 'raise', "
                 f"got {on_failure!r}")
-        solver = resolve_solver(solver)
-        if solver in ("brute-force", "monte-carlo"):
-            return self._delegate_solver(solver, frequencies,
-                                         budget=budget,
-                                         on_failure=on_failure,
-                                         attribute_sources=attribute_sources,
-                                         **solver_options)
-        if solver_options:
-            raise ReproError(
-                f"solver {solver!r} accepts no extra solver options, "
-                f"got {sorted(solver_options)}")
-        freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-        budget = as_budget(budget if budget is not None else self.budget)
-        budget.start()
-        report = DiagnosticsReport(context="mft sweep")
-        report.merge(self.preflight)
-        rec = self.recorder
-        mark = rec.mark()
-        stats = self.cache_stats
-        stats_before = stats.snapshot() if (rec.enabled
-                                            and stats is not None) else None
-        sweep = (self._sweep_batched if solver == "spectral-batch"
-                 else self._sweep_raw)
-        t0 = time.perf_counter()
-        with self._AttributionMode(self, attribute_sources):
-            with rec.span("mft.sweep", solver=solver, n=int(freqs.size),
-                          backend="inline"):
-                values, failures, attempts_log = sweep(
-                    freqs, on_failure, budget, report)
-                raw_total, clipped, contribution = finalize_sweep_values(
-                    self, freqs, values, report, solver=solver)
-        runtime = time.perf_counter() - t0
-        if rec.enabled:
-            if stats_before is not None:
-                fold_cache_delta(rec, stats_before, stats.snapshot())
-            report.timeline = span_summary(rec, since=mark)
-        n_fallback = sum(1 for a in attempts_log
-                         if a.success and a.trigger != "primary")
-        if n_fallback:
-            logger.info("mft sweep finished: %d/%d frequencies needed "
-                        "fallbacks, %d failed", n_fallback, freqs.size,
-                        len(failures))
-        return PsdResult(
-            frequencies=freqs, psd=clipped, method="mft",
-            output=self._output_name(),
-            info={
-                "runtime_seconds": runtime,
-                "solver": solver,
-                "segments": len(self._disc.segments),
-                "negative_clipped": int(np.sum(
-                    np.isfinite(raw_total) & (raw_total < 0.0))),
-                "worst_negative_psd": worst_negative_psd(raw_total),
-                "diagnostics": report,
-                "failures": failures,
-                "fallback_attempts": attempts_log,
-                "budget": contribution,
-                "cache_stats": (self.cache_stats.to_dict()
-                                if self.cache_stats is not None else None),
-            })
+        return self.psd_sweep(frequencies, parallel=None, budget=budget,
+                              on_failure=on_failure, solver=solver,
+                              attribute_sources=attribute_sources,
+                              **solver_options)
 
     def psd_sweep(self, frequencies, parallel=None, max_workers=None,
                   chunk_size=None, budget=None, on_failure="record",
@@ -656,9 +453,10 @@ class MftNoiseAnalyzer:
         ``parallel`` is ``None``/``"serial"`` for in-process execution,
         ``"thread"`` or ``"process"`` for concurrent chunks of
         independent frequencies. Per-frequency values, NaN semantics,
-        failure records, and diagnostics match :meth:`psd`; the sweep
-        ``budget`` gates the *dispatch* of new chunks (in-flight work is
-        never killed). See :mod:`repro.mft.executor`.
+        failure records, and diagnostics match :meth:`psd` (which is
+        this method with ``parallel=None``); the sweep ``budget`` gates
+        the *dispatch* of new chunks (in-flight work is never killed,
+        and runs unbudgeted). See :mod:`repro.mft.executor`.
 
         ``solver`` is the unified engine selector
         (:data:`repro.noise.solvers.SOLVERS`):
@@ -725,10 +523,9 @@ class MftNoiseAnalyzer:
                                  max_workers=max_workers,
                                  chunk_size=chunk_size, solver=solver,
                                  retry=retry, faults=faults, pool=pool)
-        with self._AttributionMode(self, attribute_sources):
-            return executor.run(self, frequencies, budget=budget,
-                                on_failure=on_failure,
-                                checkpoint=checkpoint)
+        return executor.run(self, frequencies, budget=budget,
+                            on_failure=on_failure, checkpoint=checkpoint,
+                            attribute_sources=attribute_sources)
 
     def _delegate_solver(self, solver, frequencies, budget=None,
                          on_failure="record", attribute_sources=False,
@@ -750,13 +547,14 @@ class MftNoiseAnalyzer:
             else:
                 kwargs.setdefault("segments_per_phase",
                                   self.segments_per_phase)
+            labels = self._attribution_request(attribute_sources)
             result = brute_force_psd(self.system, frequencies,
                                      output_row=self.output_row,
                                      on_failure=on_failure, budget=budget,
                                      recorder=self.recorder, **kwargs)
-            if attribute_sources:
-                self._attribute_brute_force(result, attribute_sources,
-                                            kwargs, on_failure, budget)
+            if labels is not None:
+                self._attribute_brute_force(result, labels, kwargs,
+                                            on_failure, budget)
             else:
                 result.info.setdefault("budget", None)
             return result
@@ -784,8 +582,8 @@ class MftNoiseAnalyzer:
         result.info["n_periods"] = mc.n_periods
         return result
 
-    def _attribute_brute_force(self, result, attribute_sources, kwargs,
-                               on_failure, budget):
+    def _attribute_brute_force(self, result, labels, kwargs, on_failure,
+                               budget):
         """Per-source transient replays onto a brute-force total sweep.
 
         The total run's converged horizon (periods per frequency) is
@@ -797,46 +595,44 @@ class MftNoiseAnalyzer:
         Mutates ``result`` in place: attaches ``info["budget"]``.
         """
         from ..noise.brute_force import brute_force_psd
-        with self._AttributionMode(self, attribute_sources):
-            context = self._context
-            rec = self.recorder
-            freqs = result.frequencies
-            details = result.info["details"]
-            periods = np.full(freqs.shape, np.nan)
-            for idx, detail in enumerate(details):
-                if detail is not None:
-                    periods[idx] = detail.periods
-            kwargs = dict(kwargs)
-            kwargs.pop("context", None)
-            kwargs.pop("segments_per_phase", None)
-            n_sources = context.n_sources
-            contributions = np.empty((n_sources, freqs.size))
-            with rec.span("attribution.replay", n_sources=int(n_sources),
-                          n=int(freqs.size)):
-                for s in range(n_sources):
-                    source = brute_force_psd(
-                        self.system, freqs, output_row=self.output_row,
-                        on_failure=on_failure, budget=budget,
-                        recorder=rec, disc=context.source_disc(s),
-                        fixed_periods=periods, **kwargs)
-                    contributions[s] = source.psd
-            # NaN union both ways: a frequency that failed anywhere is
-            # NaN in the total AND in every budget row.
-            nan_mask = ~np.isfinite(result.psd)
-            nan_mask |= np.any(~np.isfinite(contributions), axis=0)
-            result.psd[nan_mask] = np.nan
-            contributions[:, nan_mask] = np.nan
-            with rec.span("attribution.budget", n_sources=int(n_sources)):
-                from ..metrics import ContributionBudget
-                result.info["budget"] = ContributionBudget(
-                    frequencies=freqs,
-                    labels=list(self._source_labels),
-                    contributions=contributions,
-                    total=np.array(result.psd, dtype=float),
-                    output=result.output, method=result.method,
-                    solver="brute-force")
-            rec.count("attribution.sources", n_sources)
-            rec.count("attribution.sweeps")
+        context = self._context
+        rec = self.recorder
+        freqs = result.frequencies
+        details = result.info["details"]
+        periods = np.full(freqs.shape, np.nan)
+        for idx, detail in enumerate(details):
+            if detail is not None:
+                periods[idx] = detail.periods
+        kwargs = dict(kwargs)
+        kwargs.pop("context", None)
+        kwargs.pop("segments_per_phase", None)
+        n_sources = context.n_sources
+        contributions = np.empty((n_sources, freqs.size))
+        with rec.span("attribution.replay", n_sources=int(n_sources),
+                      n=int(freqs.size)):
+            for s in range(n_sources):
+                source = brute_force_psd(
+                    self.system, freqs, output_row=self.output_row,
+                    on_failure=on_failure, budget=budget,
+                    recorder=rec, disc=context.source_disc(s),
+                    fixed_periods=periods, **kwargs)
+                contributions[s] = source.psd
+        # NaN union both ways: a frequency that failed anywhere is
+        # NaN in the total AND in every budget row.
+        nan_mask = ~np.isfinite(result.psd)
+        nan_mask |= np.any(~np.isfinite(contributions), axis=0)
+        result.psd[nan_mask] = np.nan
+        contributions[:, nan_mask] = np.nan
+        with rec.span("attribution.budget", n_sources=int(n_sources)):
+            from ..metrics import ContributionBudget
+            result.info["budget"] = ContributionBudget(
+                frequencies=freqs, labels=list(labels),
+                contributions=contributions,
+                total=np.array(result.psd, dtype=float),
+                output=result.output, method=result.method,
+                solver="brute-force")
+        rec.count("attribution.sources", n_sources)
+        rec.count("attribution.sweeps")
 
     # -- tracing --------------------------------------------------------------
 
@@ -858,17 +654,17 @@ class MftNoiseAnalyzer:
 
     # -- fallback machinery -------------------------------------------------
 
-    def _strategies(self, frequency, budget):
+    def _strategies(self, frequency, labels=None):
         """Ordered (name, thunk) solve strategies for one frequency.
 
-        In attribution mode every strategy returns the
-        ``[total, source…]`` vector instead of a scalar — the whole
-        vector comes from one strategy at one discretization, so a
-        fallback never mixes solver settings between the total and the
-        budget rows (which would break conservation).
+        For an attribution request (``labels`` not ``None``) every
+        strategy returns the ``[total, source…]`` vector instead of a
+        scalar — the whole vector comes from one strategy at one
+        discretization, so a fallback never mixes solver settings
+        between the total and the budget rows (which would break
+        conservation).
         """
-        solve_at = (self._psd_vector_at if self._attribution
-                    else self._psd_at)
+        solve_at = self._psd_at if labels is None else self._psd_vector_at
         policy = self.fallback
         if policy is None:
             return [("mft-direct", lambda: solve_at(frequency))]
@@ -886,28 +682,22 @@ class MftNoiseAnalyzer:
                 strategies.append((
                     f"mft-refine-{refined}",
                     lambda r=refined: self._refined_solve(
-                        r, frequency, policy)))
+                        r, frequency, policy, labels)))
         if policy.enable_regularized:
             strategies.append(("mft-regularized", lambda: solve_at(
                 frequency, solver="lstsq",
                 ridge=policy.regularization)))
         if policy.enable_brute_force:
             strategies.append(("brute-force", lambda: self._brute_force_at(
-                frequency, policy, budget)))
+                frequency, policy, labels)))
         return strategies
 
-    def _refined_solve(self, segments, frequency, policy):
+    def _refined_solve(self, segments, frequency, policy, labels):
         """One refined-grid strategy call (scalar or attribution vector)."""
         refined = self._refined_analyzer(segments)
-        if not self._attribution:
-            return refined._psd_at(frequency,
-                                   condition_limit=policy.condition_limit)
-        if refined._context is None:
-            raise ReproError(
-                "refined attribution solve needs a cached sibling "
-                "analyzer (cache=True)")
-        return refined._psd_vector_at(
-            frequency, condition_limit=policy.condition_limit)
+        solve_at = (refined._psd_at if labels is None
+                    else refined._psd_vector_at)
+        return solve_at(frequency, condition_limit=policy.condition_limit)
 
     def _refined_analyzer(self, segments):
         """A sibling analyzer on a denser grid (built once, cached)."""
@@ -923,13 +713,15 @@ class MftNoiseAnalyzer:
             self._refined[segments] = analyzer
         return analyzer
 
-    def _brute_force_at(self, frequency, policy, budget):
+    def _brute_force_at(self, frequency, policy, labels):
         """Terminal fallback: the transient engine at one frequency.
 
-        In attribution mode the total run's convergence horizon is
-        replayed per source at fixed period count, so the per-source
-        transients sum to the total one by linearity of the integrated
-        ODEs (see :func:`repro.noise.brute_force.brute_force_psd`).
+        Runs unbudgeted — the sweep budget gates chunk dispatch, and
+        ``max_periods`` bounds the transient.  For an attribution
+        request the total run's convergence horizon is replayed per
+        source at fixed period count, so the per-source transients sum
+        to the total one by linearity of the integrated ODEs (see
+        :func:`repro.noise.brute_force.brute_force_psd`).
         """
         from ..noise.brute_force import brute_force_psd
         kwargs = dict(policy.brute_force_kwargs)
@@ -942,9 +734,8 @@ class MftNoiseAnalyzer:
             kwargs["context"] = self._context
         result = brute_force_psd(self.system, [frequency],
                                  output_row=self.output_row,
-                                 budget=budget, recorder=self.recorder,
-                                 **kwargs)
-        if not self._attribution:
+                                 recorder=self.recorder, **kwargs)
+        if labels is None:
             return float(result.psd[0])
         context = self._context
         periods = result.info["details"][0].periods
@@ -954,9 +745,8 @@ class MftNoiseAnalyzer:
         for s in range(context.n_sources):
             source = brute_force_psd(
                 self.system, [frequency], output_row=self.output_row,
-                budget=budget, recorder=self.recorder,
-                disc=context.source_disc(s), fixed_periods=periods,
-                **kwargs)
+                recorder=self.recorder, disc=context.source_disc(s),
+                fixed_periods=periods, **kwargs)
             out[1 + s] = float(source.psd[0])
         return out
 
@@ -992,57 +782,111 @@ class MftNoiseAnalyzer:
         return f"row{self.output_row}"
 
 
-def finalize_sweep_values(analyzer, freqs, values, report, solver=None):
-    """Clip the total PSD and split off the attribution budget.
+def sweep_chunk(freqs, on_failure, report, labels, recorder, batch_step,
+                point_step):
+    """The one chunk loop behind every sweep: plain, spectral, corner.
 
-    Shared tail of the inline (:meth:`MftNoiseAnalyzer.psd`) and
-    executor sweeps.  ``values`` is the raw sweep output: 1-D outside
-    attribution mode, ``(n_freq, 1 + n_sources)`` inside it (column 0
-    the total, columns 1… the per-source rows).  Returns
-    ``(raw_total, clipped_total, budget_or_none)``; the budget rows are
-    deliberately **unclipped** so they sum to the unclipped total
-    exactly, and a frequency that is NaN in the total is NaN in every
-    budget row (whole rows fail together — the NaN-union contract).
+    Non-finite frequencies become ``input``-stage failures.  The
+    analyzer's ``batch_step(finite_idx, values)`` then solves what it
+    can of the finite ones in place and returns the indices it left
+    unsolved (the plain ``mft`` sweep solves nothing there).  For each
+    of those, ``point_step(idx, frequency)`` gives ``(strategies,
+    span_tags)`` and the strategies run through the fallback chain
+    (:func:`repro.diagnostics.fallback.run_fallback_chain`) inside an
+    ``mft.solve`` span; an exhausted chain is a ``solve``-stage failure
+    — or, with ``on_failure="raise"``, aborts the chunk.
+
+    ``labels`` is the attribution request (``None`` or the budget row
+    labels).  Returns ``(values, failures, attempts)``: *unclipped*
+    values — 1-D, or ``(n, 1 + len(labels))`` rows of ``[total,
+    source…]`` — plus failure records with chunk-local indices, sorted.
+    The executor offsets the indices, merges chunks, and diagnoses
+    clipping once per sweep.
     """
-    rec = analyzer.recorder
-    if values.ndim == 1:
-        with rec.span("mft.clip"):
-            clipped = clip_negative_psd(freqs, values, report,
-                                        logger=logger)
-        return values, clipped, None
-    raw_total = np.ascontiguousarray(values[:, 0])
-    contributions = np.ascontiguousarray(values[:, 1:].T)
-    with rec.span("mft.clip"):
-        clipped = clip_negative_psd(freqs, raw_total, report,
-                                    logger=logger)
-    n_sources = contributions.shape[0]
-    with rec.span("attribution.budget", n_sources=int(n_sources)):
-        from ..metrics import ContributionBudget
-        contribution = ContributionBudget(
-            frequencies=freqs, labels=list(analyzer._source_labels),
-            contributions=contributions, total=raw_total,
-            output=analyzer._output_name(), method="mft",
-            solver=solver)
-    rec.count("attribution.sources", n_sources)
-    rec.count("attribution.sweeps")
-    return raw_total, clipped, contribution
-
-
-def _record_budget_failures(freqs, start_idx, reason, failures, report):
-    """Mark every frequency from ``start_idx`` on as budget-failed."""
-    # scn: ignore[SCN008] - this loop IS the budget-exhaustion
-    # bookkeeping: it only records the already-made budget decision
-    for k in range(start_idx, freqs.size):
+    width = 1 if labels is None else 1 + len(labels)
+    values = np.full(freqs.shape if width == 1
+                     else (freqs.size, width), np.nan)
+    failures = []
+    attempts_log = []
+    finite = np.isfinite(freqs)
+    for idx in np.nonzero(~finite)[0]:
+        exc = ReproError(
+            f"analysis frequency must be finite, got {freqs[idx]!r}")
+        if on_failure == "raise":
+            raise exc.attach_diagnostics(report)
         failures.append(FrequencyFailure(
-            frequency=float(freqs[k]), index=k, stage="budget",
-            error="BudgetExceededError", message=reason))
-    report.error(
-        "budget-exhausted",
-        f"sweep budget spent before {freqs.size - start_idx} of "
-        f"{freqs.size} frequencies: {reason}",
-        skipped=freqs.size - start_idx, reason=reason)
-    logger.warning("sweep budget spent: skipping %d frequencies (%s)",
-                   freqs.size - start_idx, reason)
+            frequency=float(freqs[idx]), index=int(idx), stage="input",
+            error=type(exc).__name__, message=str(exc)))
+        report.error("non-finite-frequency", str(exc), index=int(idx))
+        logger.warning("recording NaN at index %d: %s", idx, exc)
+    unsolved = np.nonzero(finite)[0]
+    if unsolved.size:
+        recorder.count("sweep.frequencies", int(unsolved.size))
+        unsolved = batch_step(unsolved, values)
+    for idx in unsolved:
+        f = float(freqs[idx])
+        strategies, tags = point_step(int(idx), f)
+        try:
+            with recorder.span("mft.solve", frequency=f, **tags) as span:
+                value, attempts = run_fallback_chain(
+                    strategies, f, report, recorder=recorder)
+            attempts_log.extend(attempts)
+            values[idx] = value
+            if recorder.enabled:
+                recorder.observe("mft.solve_seconds", span.duration)
+        except FallbackExhausted as exc:
+            attempts_log.extend(exc.attempts)
+            failures.append(FrequencyFailure(
+                frequency=f, index=int(idx), stage="solve",
+                error=type(exc).__name__, message=str(exc)))
+            if on_failure == "raise":
+                raise exc.attach_diagnostics(report)
+            logger.warning("recording NaN at %.6g Hz: %s", f, exc)
+    failures.sort(key=lambda failure: failure.index)
+    return values, failures, attempts_log
+
+
+def forcing_rows(context, l_row, labels) -> "FloatArray":
+    """Kernel forcing for one output row.
+
+    The total's ``(S, 2, n)`` endpoint pairs, or — for an attribution
+    request — the ``(1 + n_sources, S, 2, n)`` stack of the total over
+    the per-source rows (one shared LU per frequency serves them all).
+    """
+    forcing = context.forcing_pairs(l_row)
+    if labels is None:
+        return forcing
+    return np.stack(
+        [forcing] + [context.source_forcing_pairs(l_row, s)
+                     for s in range(len(labels))])
+
+
+def kernel_values(result, l_row, period, labels, multiplier=1.0):
+    """Sweep values and accept mask from one batched kernel result.
+
+    Values are ``multiplier · (2/T) Re(l · ∫q)``, transposed to rows of
+    ``[total, source…]`` for an attribution request; a frequency is
+    accepted when the kernel solved it and every value is finite.
+    """
+    psd = multiplier * (2.0 * np.real(result.integral @ l_row) / period)
+    if labels is None:
+        return psd, result.ok & np.isfinite(psd)
+    # (R, n_freq) → (n_freq, R) rows of [total, sources…].
+    psd = psd.T
+    return psd, result.ok & np.all(np.isfinite(psd), axis=1)
+
+
+def report_defective_bases(report, context, groups):
+    """Warn that ``groups`` fell back to the reference step integrals."""
+    bases = context.spectral_bases
+    report.warning(
+        "spectral-defective-basis",
+        f"{len(groups)} of {len(bases)} segment groups lack a usable "
+        "eigenbasis; those groups used the per-frequency reference "
+        "integrals",
+        groups=list(groups),
+        conditions=[bases[g].condition for g in groups],
+        reasons=[bases[g].reason for g in groups])
 
 
 def mft_psd(system, frequencies, segments_per_phase=64, output_row=0,

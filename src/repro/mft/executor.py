@@ -2,9 +2,9 @@
 
 The frequencies of a PSD sweep are independent — each is one periodic
 steady-state solve — so a sweep shards naturally into chunks that run
-concurrently. :class:`SweepExecutor` does exactly that while keeping the
-semantics of the serial :meth:`~repro.mft.engine.MftNoiseAnalyzer.psd`
-sweep:
+concurrently. :class:`SweepExecutor` does exactly that — every MFT sweep,
+:meth:`~repro.mft.engine.MftNoiseAnalyzer.psd` included (its ``serial``
+backend), runs through it — with the same semantics on every backend:
 
 * **Values**: identical per-frequency numerics (same analyzer, same
   solves), merged back in frequency order.
@@ -64,7 +64,7 @@ import numpy as np
 from ..diagnostics.budget import as_budget
 from ..diagnostics.report import DiagnosticsReport, FrequencyFailure
 from ..errors import ReproError
-from ..noise.result import PsdResult, worst_negative_psd
+from ..noise.result import PsdResult, clip_negative_psd, worst_negative_psd
 from ..obs import span_summary
 from ..resilience.checkpoint import SweepCheckpoint
 from ..resilience.faults import (
@@ -74,7 +74,7 @@ from ..resilience.faults import (
     fire,
 )
 from ..resilience.retry import resolve_retry
-from .engine import finalize_sweep_values, fold_cache_delta
+from .context import CacheStats
 
 logger = logging.getLogger(__name__)
 
@@ -97,9 +97,22 @@ _DEFAULT_SPECTRAL_CHUNK = 64
 #: solver registry.
 _SOLVERS = (None, "mft", "spectral-batch", "param-batch")
 
-#: Solvers whose chunks are evaluated as one batched block through the
-#: analyzer's ``_sweep_batched`` (vs the per-frequency ``_sweep_raw``).
-_BATCHED_SOLVERS = ("spectral-batch", "param-batch")
+
+def _fold_cache_delta(recorder, before, after):
+    """Fold a cache-stats delta into a recorder's counters.
+
+    Emits ``cache.<kind>`` aggregates plus ``cache.<kind>.<category>``
+    per-category counters so serial and parallel sweeps over the same
+    grid report identical metric counts.
+    """
+    delta = CacheStats.delta(before, after)
+    for kind in ("hits", "misses", "evictions"):
+        diffs = delta[kind]
+        total = sum(diffs.values())
+        if total:
+            recorder.count(f"cache.{kind}", total)
+        for category, n in diffs.items():
+            recorder.count(f"cache.{kind}.{category}", n)
 
 
 def _default_workers():
@@ -127,17 +140,20 @@ def _positive_int(name, value, default, minimum=1):
     return value
 
 
-def _run_chunk(analyzer, frequencies, on_failure, solver=None,
+def _run_chunk(analyzer, frequencies, on_failure, solver=None, labels=None,
                parent_span=None, export_obs=False, submitted_at=None,
                plan=None, attempt=0, chunk_start=0):
     """Worker body: sweep one chunk with a chunk-local report.
 
-    Runs unbudgeted (the budget gates dispatch, not execution) and
-    returns *unclipped* values — clipping is diagnosed once on the
-    merged sweep so the finding counts match the serial path.  With
-    ``solver="spectral-batch"`` the chunk is evaluated as one ω-block
-    through the frequency-batched spectral kernel instead of the per
-    -frequency loop.
+    Hands the chunk to the analyzer's ``_sweep_chunk`` — the engine's
+    one chunk loop (:func:`repro.mft.engine.sweep_chunk`) with the
+    analyzer's batch and per-point hooks for ``solver`` — together with
+    the attribution request ``labels`` and the chunk offset
+    ``chunk_start`` (flattened-axis analyzers recover cell identities
+    from it).  Runs unbudgeted (the budget gates dispatch, not
+    execution) and returns *unclipped* values — clipping is diagnosed
+    once on the merged sweep so the finding counts match the serial
+    path.
 
     Observability: the chunk runs inside an ``executor.chunk`` span
     attached under ``parent_span`` (the dispatcher's span — worker
@@ -167,28 +183,15 @@ def _run_chunk(analyzer, frequencies, on_failure, solver=None,
             rec.observe("executor.queue_seconds",
                         max(0.0, time.perf_counter() - submitted_at))
         report = DiagnosticsReport(context="mft sweep chunk")
-        budget = as_budget(None)
-        budget.start()
-        sweep = (analyzer._sweep_batched if solver in _BATCHED_SOLVERS
-                 else analyzer._sweep_raw)
         with rec.span("executor.chunk", _parent=parent_span,
                       n=int(len(frequencies)), pid=os.getpid()):
-            # ``start`` tells flattened-axis analyzers (param-batch)
-            # which (corner, frequency) cells this chunk covers; the
-            # plain batched sweep ignores it, and the raw path keeps
-            # its legacy signature (duck-typed analyzer overrides).
-            if solver in _BATCHED_SOLVERS:
-                values, failures, attempts = sweep(
-                    np.asarray(frequencies, dtype=float), on_failure,
-                    budget, report, start=int(chunk_start))
-            else:
-                values, failures, attempts = sweep(
-                    np.asarray(frequencies, dtype=float), on_failure,
-                    budget, report)
+            values, failures, attempts = analyzer._sweep_chunk(
+                np.asarray(frequencies, dtype=float), on_failure, report,
+                labels, solver, int(chunk_start))
         obs = None
         if collect:
             if stats_before is not None:
-                fold_cache_delta(rec, stats_before, stats.snapshot())
+                _fold_cache_delta(rec, stats_before, stats.snapshot())
             obs = rec.export_since(checkpoint)
         return values, failures, attempts, report.findings, obs
 
@@ -348,8 +351,8 @@ class SweepExecutor:
         solver = self.solver
         self.max_workers = _positive_int("max_workers", max_workers,
                                          _default_workers())
-        default_chunk = (_DEFAULT_SPECTRAL_CHUNK
-                         if solver in _BATCHED_SOLVERS else _DEFAULT_CHUNK)
+        default_chunk = (_DEFAULT_CHUNK if solver is None
+                         else _DEFAULT_SPECTRAL_CHUNK)
         self.chunk_size = _positive_int("chunk_size", chunk_size,
                                         default_chunk)
         self.retry = resolve_retry(retry)
@@ -375,12 +378,18 @@ class SweepExecutor:
     # -- public API ----------------------------------------------------------
 
     def run(self, analyzer, frequencies, budget=None, on_failure="record",
-            checkpoint=None):
+            checkpoint=None, attribute_sources=False):
         """Sweep ``frequencies`` with ``analyzer``; returns a PsdResult.
 
-        Matches :meth:`MftNoiseAnalyzer.psd` point for point — values,
-        NaN masks, failure records, diagnostics severity counts — and
-        additionally reports executor metadata in ``info["executor"]``.
+        The one result path of every MFT sweep (:meth:`MftNoiseAnalyzer.psd`
+        is ``psd_sweep(parallel=None)``): values, NaN masks, failure
+        records, diagnostics severity counts are the same on every
+        backend, and ``info["executor"]`` reports executor metadata.
+
+        ``attribute_sources`` is resolved once to the attribution
+        request — a tuple of budget-row labels, or ``None`` — which
+        travels with every chunk; the result then carries the
+        per-source :class:`~repro.metrics.ContributionBudget`.
 
         ``checkpoint`` is a directory path (or
         :class:`~repro.resilience.checkpoint.SweepCheckpoint`) to
@@ -392,6 +401,13 @@ class SweepExecutor:
             raise ReproError(
                 f"on_failure must be 'record' or 'raise', "
                 f"got {on_failure!r}")
+        if self.solver is not None and analyzer.context is None:
+            raise ReproError(
+                f"solver={self.solver!r} needs the shared sweep context; "
+                "construct the analyzer with cache=True (the default) or "
+                "an explicit context=")
+        labels = analyzer._attribution_request(attribute_sources)
+        width = 1 if labels is None else 1 + len(labels)
         freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
         budget = as_budget(budget if budget is not None
                            else analyzer.budget)
@@ -409,14 +425,8 @@ class SweepExecutor:
                       solver=self.solver or "mft",
                       n=int(freqs.size)):
             with rec.span("mft.warmup"):
-                analyzer.warm_up()
-                if self.solver in _BATCHED_SOLVERS:
-                    if analyzer.context is None:
-                        raise ReproError(
-                            f"solver={self.solver!r} needs the shared "
-                            "sweep context; construct the analyzer with "
-                            "cache=True (the default) or an explicit "
-                            "context=")
+                analyzer.warm_up(sources=labels is not None)
+                if self.solver is not None:
                     # Materialise group eigenbases before dispatch so
                     # thread workers never race on the lazy property.
                     analyzer.context.spectral_bases
@@ -427,15 +437,16 @@ class SweepExecutor:
             state = _DispatchState(chunks, rec, report, self.retry, store)
             if store is not None:
                 state.resume(store.open(self._checkpoint_key(
-                    analyzer, freqs, on_failure)))
+                    analyzer, freqs, on_failure, width)))
             with rec.span("executor.dispatch",
                           n_chunks=len(chunks)) as dispatch_span:
                 parent_span = (dispatch_span.span_id if rec.enabled
                                else None)
                 if self.backend == "serial" or len(chunks) <= 1:
-                    self._run_serial(analyzer, budget, on_failure, state)
+                    self._run_serial(analyzer, budget, on_failure, labels,
+                                     state)
                 else:
-                    self._run_pooled(analyzer, budget, on_failure,
+                    self._run_pooled(analyzer, budget, on_failure, labels,
                                      parent_span, state)
             with rec.span("executor.merge"):
                 for idx in sorted(state.outputs):
@@ -443,11 +454,10 @@ class SweepExecutor:
                     if output[4] is not None:
                         rec.merge(output[4], parent_id=parent_span)
                 values, failures, attempts = self._merge(
-                    freqs, state, budget, report,
-                    width=analyzer.value_width)
-            raw_total, clipped, contribution = finalize_sweep_values(
-                analyzer, freqs, values, report,
-                solver=self.solver or "mft")
+                    freqs, state, budget, report, width)
+            raw_total, clipped, contribution = _finalize(
+                analyzer, freqs, values, report, labels,
+                self.solver or "mft")
         runtime = time.perf_counter() - t0
         if rec.enabled:
             rec.count("executor.chunks_dispatched",
@@ -460,7 +470,7 @@ class SweepExecutor:
                 # merged exports, and the parent delta only adds the
                 # warm-up counts. Either way the totals match the
                 # serial sweep exactly.
-                fold_cache_delta(rec, stats_before,
+                _fold_cache_delta(rec, stats_before,
                                  cache_stats.snapshot())
             report.timeline = span_summary(rec, since=mark)
         stats = analyzer.cache_stats
@@ -469,6 +479,7 @@ class SweepExecutor:
             output=analyzer._output_name(),
             info={
                 "runtime_seconds": runtime,
+                "solver": self.solver or "mft",
                 "segments": len(analyzer._disc.segments),
                 "negative_clipped": int(np.sum(
                     np.isfinite(raw_total) & (raw_total < 0.0))),
@@ -508,12 +519,13 @@ class SweepExecutor:
             return checkpoint
         return SweepCheckpoint(checkpoint)
 
-    def _checkpoint_key(self, analyzer, freqs, on_failure):
+    def _checkpoint_key(self, analyzer, freqs, on_failure, width):
         """Identity of one sweep for checkpoint compatibility.
 
         Content fingerprint of the discretized system plus grid bytes,
-        output row, resolved solver, chunking, and failure mode — any
-        mismatch means stored chunks cannot be spliced into this sweep.
+        output row, resolved solver, chunking, failure mode, and value
+        width (``1 + n_sources`` when attributing) — any mismatch means
+        stored chunks cannot be spliced into this sweep.
         """
         from .context import discretization_fingerprint
         grid = hashlib.sha256(
@@ -531,7 +543,7 @@ class SweepExecutor:
             "solver": self.solver or "mft",
             "chunk_size": int(self.chunk_size),
             "on_failure": str(on_failure),
-            "value_width": int(analyzer.value_width),
+            "value_width": int(width),
             "family": getattr(analyzer, "family_hash", None),
         }
 
@@ -547,7 +559,7 @@ class SweepExecutor:
         if self.faults is not None:
             self.faults.fire("executor.dispatch", 0, chunk=int(start))
 
-    def _run_serial(self, analyzer, budget, on_failure, state):
+    def _run_serial(self, analyzer, budget, on_failure, labels, state):
         """In-process chunk loop; the reference dispatch semantics.
 
         Retries re-run the chunk inline; per-chunk timeouts are not
@@ -564,7 +576,7 @@ class SweepExecutor:
             while True:
                 try:
                     output = _run_chunk(
-                        analyzer, chunk, on_failure, self.solver,
+                        analyzer, chunk, on_failure, self.solver, labels,
                         plan=self.faults, attempt=attempt,
                         chunk_start=start)
                 except ReproError:
@@ -639,7 +651,7 @@ class SweepExecutor:
             return None
         return max(0.0, horizon - now)
 
-    def _run_pooled(self, analyzer, budget, on_failure, parent_span,
+    def _run_pooled(self, analyzer, budget, on_failure, labels, parent_span,
                     state):
         """Bounded-in-flight dispatch with budget gate, retry, timeout.
 
@@ -675,7 +687,7 @@ class SweepExecutor:
                                 else None)
                     future = pool.submit(
                         _run_chunk, analyzer, state.chunks[idx][1],
-                        on_failure, self.solver, parent_span,
+                        on_failure, self.solver, labels, parent_span,
                         self.backend == "process", time.perf_counter(),
                         self.faults, attempt, state.chunks[idx][0])
                     pending[future] = (idx, attempt, deadline)
@@ -745,7 +757,7 @@ class SweepExecutor:
     # -- merging -------------------------------------------------------------
 
     @staticmethod
-    def _merge(freqs, state, budget, report, width=1):
+    def _merge(freqs, state, budget, report, width):
         """Stitch chunk outputs back into one sweep, in index order.
 
         In attribution mode (``width > 1``) the merge buffer is
@@ -794,3 +806,37 @@ class SweepExecutor:
                 "(%d frequencies)", len(state.skipped), n_skipped)
         failures.sort(key=lambda failure: failure.index)
         return values, failures, attempts
+
+
+def _finalize(analyzer, freqs, values, report, labels, solver):
+    """Clip the total PSD and split off the attribution budget.
+
+    ``values`` is the merged sweep output: 1-D without attribution,
+    ``(n_freq, 1 + len(labels))`` with it (column 0 the total, columns
+    1… the per-source rows).  Returns ``(raw_total, clipped_total,
+    budget_or_none)``; the budget rows are deliberately **unclipped**
+    so they sum to the unclipped total exactly, and a frequency that is
+    NaN in the total is NaN in every budget row (whole rows fail
+    together — the NaN-union contract).
+    """
+    rec = analyzer.recorder
+    if labels is None:
+        with rec.span("mft.clip"):
+            clipped = clip_negative_psd(freqs, values, report,
+                                        logger=logger)
+        return values, clipped, None
+    raw_total = np.ascontiguousarray(values[:, 0])
+    contributions = np.ascontiguousarray(values[:, 1:].T)
+    with rec.span("mft.clip"):
+        clipped = clip_negative_psd(freqs, raw_total, report,
+                                    logger=logger)
+    with rec.span("attribution.budget", n_sources=len(labels)):
+        from ..metrics import ContributionBudget
+        contribution = ContributionBudget(
+            frequencies=freqs, labels=list(labels),
+            contributions=contributions, total=raw_total,
+            output=analyzer._output_name(), method="mft",
+            solver=solver)
+    rec.count("attribution.sources", len(labels))
+    rec.count("attribution.sweeps")
+    return raw_total, clipped, contribution

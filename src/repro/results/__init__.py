@@ -17,14 +17,9 @@ wire format of the service layer's persistent result store
 (:mod:`repro.service`): a stored job result is exactly one payload, and
 a store hit reconstructs the original result type bit-for-bit on the
 value arrays.
-
-Legacy method names (``CornerSweepResult.table()``,
-``ContributionBudget.table()``) alias the protocol for one release with
-a :class:`DeprecationWarning`; nothing is deprecated silently
-(DESIGN.md §9).
 """
 
-from .protocol import Exportable, deprecated_export_alias
+from .protocol import Exportable
 from .serialize import (
     PAYLOAD_KINDS,
     PAYLOAD_VERSION,
@@ -36,7 +31,6 @@ __all__ = [
     "Exportable",
     "PAYLOAD_KINDS",
     "PAYLOAD_VERSION",
-    "deprecated_export_alias",
     "from_payload",
     "to_payload",
 ]

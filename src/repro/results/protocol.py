@@ -1,11 +1,10 @@
-"""The :class:`Exportable` protocol and the one-release alias helper."""
+"""The :class:`Exportable` protocol every result type implements."""
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
-__all__ = ["Exportable", "deprecated_export_alias"]
+__all__ = ["Exportable"]
 
 
 @runtime_checkable
@@ -26,30 +25,3 @@ class Exportable(Protocol):
 
     def to_csv(self, path: Any) -> Any:
         """Write the result as CSV; returns the path written."""
-
-
-def deprecated_export_alias(old: str, new: str) -> Callable[..., Any]:
-    """Build a method aliasing ``old`` onto protocol method ``new``.
-
-    The alias forwards all arguments and warns with
-    :class:`DeprecationWarning` — the §9 deprecation policy: old names
-    keep working for one release, never silently.
-
-    Usage (inside a class body)::
-
-        table = deprecated_export_alias("table", "to_table")
-    """
-
-    def alias(self: Any, *args: Any, **kwargs: Any) -> Any:
-        warnings.warn(
-            f"{type(self).__name__}.{old}() is deprecated; use "
-            f"{type(self).__name__}.{new}() — the repro.results export "
-            "protocol (removed next release)",
-            DeprecationWarning, stacklevel=2)
-        return getattr(self, new)(*args, **kwargs)
-
-    alias.__name__ = old
-    alias.__qualname__ = old
-    alias.__doc__ = (f"Deprecated alias of :meth:`{new}` "
-                     "(one release, warns).")
-    return alias

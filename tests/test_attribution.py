@@ -234,6 +234,39 @@ class TestLabelsAndModes:
                          attribute_sources=True)
 
 
+class _NestedSweepAnalyzer(MftNoiseAnalyzer):
+    """Runs one plain ``psd`` from inside its own first solve."""
+
+    inner = None
+
+    def _strategies(self, frequency, *args):
+        if self.inner is None:
+            self.inner = False  # run the inner sweep once
+            self.inner = self.psd([frequency])
+        return super()._strategies(frequency, *args)
+
+
+class TestNestedSweeps:
+    """Regression: a sweep keeps its attribution request to itself.
+
+    A plain sweep nested inside an attributed one on the *same*
+    analyzer used to disarm the outer sweep's attribution state; the
+    request now travels with the call, so neither sees the other's.
+    """
+
+    @pytest.mark.parametrize("entry", ["psd", "psd_sweep"])
+    def test_inner_plain_sweep_keeps_outer_attribution(self, entry):
+        system = sc_lowpass_system().system
+        freqs = battery_grid(system, n=4)
+        analyzer = _NestedSweepAnalyzer(system, segments_per_phase=SPP)
+        outer = getattr(analyzer, entry)(freqs, attribute_sources=True)
+        plain = MftNoiseAnalyzer(system, segments_per_phase=SPP).psd(freqs)
+        outer.budget.check_conservation()
+        assert np.array_equal(outer.psd, plain.psd)
+        assert analyzer.inner.budget is None
+        assert np.isfinite(analyzer.inner.psd[0])
+
+
 class TestObservability:
     def test_attribution_spans_and_counters(self):
         clear_sweep_contexts()

@@ -428,11 +428,6 @@ class TestCornerSweepResultViews:
         assert len(result.to_table(limit=2).splitlines()) == 4
         assert "@ 1000" in result.to_table(frequency=1e3)
 
-    def test_legacy_table_aliases_to_table_with_warning(self, result):
-        with pytest.warns(DeprecationWarning, match="to_table"):
-            legacy = result.table(limit=2)
-        assert legacy == result.to_table(limit=2)
-
     def test_repr_mentions_shape(self, result):
         assert "4 corners x 8 frequencies" in repr(result)
 

@@ -328,12 +328,6 @@ class TestContributionBudget:
         assert "75.0%" in table and "25.0%" in table
         assert table.index(" b ") < table.index(" a ")
 
-    def test_legacy_table_aliases_to_table_with_warning(self):
-        budget = self.budget()
-        with pytest.warns(DeprecationWarning, match="to_table"):
-            legacy = budget.table()
-        assert legacy == budget.to_table()
-
     def test_to_dict_round_trip(self):
         data = self.budget().to_dict()
         assert data["labels"] == ["a", "b"]

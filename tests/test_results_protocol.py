@@ -165,16 +165,3 @@ class TestPayloadGates:
     def test_kind_registry_is_closed(self):
         assert set(PAYLOAD_KINDS) == {"psd", "corner-sweep",
                                       "attribution-budget"}
-
-
-class TestDeprecatedAliases:
-    def test_corner_table_alias_warns(self, corner_result):
-        with pytest.warns(DeprecationWarning, match="to_table"):
-            legacy = corner_result.table()
-        assert legacy == corner_result.to_table()
-
-    def test_budget_table_alias_warns(self, attributed_result):
-        budget = attributed_result.budget
-        with pytest.warns(DeprecationWarning, match="to_table"):
-            legacy = budget.table()
-        assert legacy == budget.to_table()

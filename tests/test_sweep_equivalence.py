@@ -136,10 +136,10 @@ class _SlowChunkAnalyzer(MftNoiseAnalyzer):
         super().__init__(system, **kwargs)
         self.delay = delay
 
-    def _sweep_raw(self, freqs, on_failure, budget, report):
+    def _sweep_chunk(self, *args):
         import time
         time.sleep(self.delay)
-        return super()._sweep_raw(freqs, on_failure, budget, report)
+        return super()._sweep_chunk(*args)
 
 
 class TestParallelBudget:
@@ -165,15 +165,23 @@ class TestParallelBudget:
         assert result.info["executor"]["n_chunks_skipped"] == 3
 
     def test_serial_backend_budget_matches_plain_sweep(self, rc_system):
-        grid = np.linspace(100.0, 4e4, 6)
-        analyzer = _SlowChunkAnalyzer(rc_system, delay=0.1)
-        serial = analyzer.psd_sweep(
-            grid, parallel=None, chunk_size=2,
-            budget=SweepBudget(wall_clock_seconds=0.05))
-        assert np.all(np.isfinite(serial.psd[:2]))
-        assert np.all(~np.isfinite(serial.psd[2:]))
-        stages = {f.stage for f in serial.failures}
-        assert stages == {"budget"}
+        # psd is psd_sweep(parallel=None) at the default chunk size (8
+        # frequencies), so it gets a grid spanning two of its chunks.
+        sweeps = [
+            (lambda analyzer, grid, budget: analyzer.psd_sweep(
+                grid, parallel=None, chunk_size=2, budget=budget), 6, 2),
+            (lambda analyzer, grid, budget: analyzer.psd(
+                grid, budget=budget), 16, 8),
+        ]
+        for sweep, n_points, first_chunk in sweeps:
+            grid = np.linspace(100.0, 4e4, n_points)
+            analyzer = _SlowChunkAnalyzer(rc_system, delay=0.1)
+            serial = sweep(analyzer, grid,
+                           SweepBudget(wall_clock_seconds=0.05))
+            assert np.all(np.isfinite(serial.psd[:first_chunk]))
+            assert np.all(~np.isfinite(serial.psd[first_chunk:]))
+            stages = {f.stage for f in serial.failures}
+            assert stages == {"budget"}
 
 
 class TestExecutorMetadata:
