@@ -48,20 +48,24 @@ class NoiseAnalysis:
     are strictly keyword-only (see DESIGN.md §9). Pass a
     :class:`~repro.obs.Recorder` as ``recorder=`` to trace every solve —
     the default is a shared no-op recorder costing one attribute check.
+    ``context=`` (e.g. a fresh :class:`~repro.mft.context.SweepContext`
+    for an analysis that shares nothing) fixes the discretization
+    density for every sweep of the analysis.
     """
 
     def __init__(self, model_or_system, *, segments_per_phase=64,
                  output_row=0, preflight=True, fallback=True,
-                 budget=None, cache=True, context=None,
-                 recorder=None):
+                 budget=None, context=None, recorder=None):
         self.system, self.model = _system_of(model_or_system)
-        self.segments_per_phase = segments_per_phase
         self.output_row = output_row
         self.engine = MftNoiseAnalyzer(
             self.system, segments_per_phase=segments_per_phase,
             output_row=output_row, preflight=preflight,
-            fallback=fallback, budget=budget, cache=cache,
-            context=context, recorder=recorder)
+            fallback=fallback, budget=budget, context=context,
+            recorder=recorder)
+        # An explicit context= fixes the density; every engine — MFT,
+        # corners, brute force — must sweep at the one the engine uses.
+        self.segments_per_phase = self.engine.segments_per_phase
         if self.engine.preflight.has_warnings:
             logger.warning("preflight: %s",
                            self.engine.preflight.summary())
@@ -239,11 +243,9 @@ class NoiseAnalysis:
         transient engine (slow).
 
         Shares the engine's cached discretization (propagators, Van Loan
-        Gramians) through its :class:`~repro.mft.context.SweepContext`
-        when one is active.
+        Gramians) through its :class:`~repro.mft.context.SweepContext`.
         """
-        if self.engine.context is not None:
-            kwargs.setdefault("context", self.engine.context)
+        kwargs.setdefault("context", self.engine.context)
         kwargs.setdefault("recorder", self.engine.recorder)
         return brute_force_psd(self.system, frequencies,
                                output_row=self.output_row,

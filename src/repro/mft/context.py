@@ -662,16 +662,6 @@ class SweepContext:
 
     # -- misc ---------------------------------------------------------------
 
-    @classmethod
-    def for_system(cls, system, segments_per_phase=64):
-        """Registry-backed context for ``(system, density)``.
-
-        Convenience front door to :func:`sweep_context_for` — the
-        thread-safe, LRU-bounded module registry keyed by the content
-        fingerprint of the system.
-        """
-        return sweep_context_for(system, segments_per_phase)
-
     def warm_up(self, l_row=None, sources=False):
         """Force every frequency-independent quantity to exist.
 

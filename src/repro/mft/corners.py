@@ -125,9 +125,7 @@ class CornerBatchAnalyzer:
     @property
     def context(self) -> SweepContext:
         """The first member's context (executor warm-up gate)."""
-        context = self.members[0].context
-        assert context is not None  # members are built cache-backed
-        return context
+        return self.members[0].context
 
     @property
     def cache_stats(self) -> Any:
@@ -215,9 +213,7 @@ class CornerBatchAnalyzer:
         cell_lists: "dict[int, dict[int, list[int]]]" = {}
         for local in finite_idx:
             m = int(corners[local])
-            context = self.members[m].context
-            assert context is not None
-            key = context.dynamics_key
+            key = self.members[m].context.dynamics_key
             cells = cell_lists.setdefault(key, {})
             if m not in cells:
                 group_corners.setdefault(key, []).append(m)
@@ -303,7 +299,6 @@ class CornerBatchAnalyzer:
         for m in members:
             member = self.members[m]
             context = member.context
-            assert context is not None
             root = getattr(context, "parent", None)
             uniform = getattr(context, "_uniform", None)
             if root is None and not hasattr(context, "_scales"):

@@ -14,19 +14,19 @@ with everything on the right T-periodic. The averaged PSD is then
 
 and the instantaneous PSD ``S(t, ω) = 2 Re(l^T q(t))``.
 
-This module wires those three steps to the shared machinery:
-:func:`repro.noise.covariance.periodic_covariance` for ``K``,
-:func:`repro.lptv.periodic_solve.periodic_steady_state` for ``q``, and a
-trapezoidal quadrature for the average. Runtime bookkeeping is kept so the
-speedup benchmarks can compare against the brute-force engine.
+This module wires those three steps to the shared machinery: a
+:class:`~repro.mft.context.SweepContext` supplies ``K`` and the forcing
+and solves for ``q``, and a trapezoidal quadrature gives the average.
+Runtime bookkeeping is kept so the speedup benchmarks can compare
+against the brute-force engine.
 
-Performance: by default the analyzer draws every frequency-independent
-quantity — discretization, periodic covariance, forcing, monodromy,
-suffix products — from a shared :class:`~repro.mft.context.SweepContext`
-and solves each frequency through its batched fast path (``cache=False``
-restores the uncached reference path; the two agree to rounding, see
-``tests/test_sweep_equivalence.py``). Every sweep — :meth:`MftNoiseAnalyzer.psd`
-is ``psd_sweep(parallel=None)`` — runs through a
+Performance: the context holds every frequency-independent quantity —
+discretization, periodic covariance, forcing, monodromy, suffix
+products — so each frequency costs one grouped periodic solve. The
+analyzer draws from the registry's context or an explicit
+``context=``; a fresh context gives an uncached analysis. Every sweep —
+:meth:`MftNoiseAnalyzer.psd` is ``psd_sweep(parallel=None)`` — runs
+through a
 :class:`~repro.mft.executor.SweepExecutor` (serial, thread or process
 backends), whose chunks all go through the one chunk loop
 :func:`sweep_chunk`.
@@ -55,8 +55,6 @@ from ..diagnostics.fallback import (
 from ..diagnostics.preflight import preflight_report, require_preflight
 from ..diagnostics.report import DiagnosticsReport, FrequencyFailure
 from ..errors import ReproError
-from ..lptv.periodic_solve import forcing_from_samples, periodic_steady_state
-from ..noise.covariance import periodic_covariance
 from ..noise.solvers import resolve_solver
 from ..obs import NULL_RECORDER, format_trace
 from ..resilience.faults import fire as _inject_fault
@@ -106,16 +104,15 @@ class MftNoiseAnalyzer:
     budget:
         Default :class:`~repro.diagnostics.budget.SweepBudget` (or
         wall-clock seconds) applied to every :meth:`psd` sweep.
-    cache:
-        ``True`` (default) draws the frequency-independent work from the
-        shared :class:`~repro.mft.context.SweepContext` registry and
-        solves through its fast path; ``False`` recomputes everything
-        locally through the reference solver (the pre-cache behaviour).
     context:
-        An explicit :class:`~repro.mft.context.SweepContext` to draw
-        from (its ``segments_per_phase`` takes precedence). Lets several
-        engines — MFT, brute force, Monte Carlo — share one set of
-        propagators and one covariance solve.
+        The :class:`~repro.mft.context.SweepContext` every solve draws
+        from (its ``segments_per_phase`` takes precedence). Defaults to
+        the registry's context for ``(system, segments_per_phase)``
+        (:func:`~repro.mft.context.sweep_context_for`); a fresh
+        ``SweepContext(system, segments_per_phase)`` shares nothing with
+        earlier analyses. Lets several engines — MFT, brute force,
+        Monte Carlo — share one set of propagators and one covariance
+        solve.
     recorder:
         An :class:`~repro.obs.Recorder` collecting spans and metrics
         from every stage of the analysis (default: the shared no-op
@@ -127,8 +124,7 @@ class MftNoiseAnalyzer:
 
     def __init__(self, system, *, segments_per_phase=64,
                  output_row=0, preflight=True, fallback=True,
-                 budget=None, cache=True, context=None,
-                 recorder=None):
+                 budget=None, context=None, recorder=None):
         if not hasattr(system, "discretize") or not hasattr(
                 system, "output_matrix"):
             raise ReproError(
@@ -145,24 +141,15 @@ class MftNoiseAnalyzer:
         self.recorder = recorder
         self._l_row = np.asarray(system.output_matrix)[output_row].astype(
             float)
-        if context is not None:
-            if not isinstance(context, SweepContext):
-                raise ReproError(
-                    "context must be a SweepContext, got "
-                    f"{type(context).__name__}")
-            self._context = context
-        elif cache:
-            self._context = sweep_context_for(system, segments_per_phase)
-        else:
-            self._context = None
-        if self._context is not None:
-            self.segments_per_phase = self._context.segments_per_phase
-            self._disc = self._context.disc
-        else:
-            self.segments_per_phase = segments_per_phase
-            self._disc = system.discretize(segments_per_phase)
-        self._covariance = None
-        self._forcing = None
+        if context is None:
+            context = sweep_context_for(system, segments_per_phase)
+        elif not isinstance(context, SweepContext):
+            raise ReproError(
+                "context must be a SweepContext, got "
+                f"{type(context).__name__}")
+        self._context = context
+        self.segments_per_phase = context.segments_per_phase
+        self._disc = context.disc
         self._refined = {}
         if fallback is True or fallback is None:
             self.fallback = FallbackPolicy()
@@ -186,14 +173,12 @@ class MftNoiseAnalyzer:
 
     @property
     def context(self):
-        """The shared :class:`SweepContext`, or ``None`` when uncached."""
+        """The :class:`SweepContext` every solve draws from."""
         return self._context
 
     @property
     def cache_stats(self):
-        """Hit/miss counters of the shared context (``None`` uncached)."""
-        if self._context is None:
-            return None
+        """Hit/miss counters of the sweep context."""
         return self._context.stats
 
     def warm_up(self, sources=False):
@@ -207,8 +192,7 @@ class MftNoiseAnalyzer:
         frequency-independent too.
         """
         self._forcing_pairs()
-        if self._context is not None:
-            self._context.warm_up(self._l_row, sources=sources)
+        self._context.warm_up(self._l_row, sources=sources)
         return self
 
     # -- per-source attribution ---------------------------------------------
@@ -218,16 +202,10 @@ class MftNoiseAnalyzer:
 
         ``attribute_sources`` falsy means no attribution; ``True`` falls
         back to positional ``source<k>`` names; a sequence must name
-        every noise column of the system.  Attribution needs the shared
-        sweep context for the per-source covariances.
+        every noise column of the system.
         """
         if not attribute_sources:
             return None
-        if self._context is None:
-            raise ReproError(
-                "attribute_sources= needs the shared sweep context for "
-                "the per-source covariances; construct the analyzer with "
-                "cache=True (the default) or an explicit context=")
         n_src = self._context.n_sources
         if attribute_sources is True:
             return tuple(f"source{k}" for k in range(n_src))
@@ -272,11 +250,7 @@ class MftNoiseAnalyzer:
     @property
     def covariance(self):
         """Periodic steady-state covariance (computed once, cached)."""
-        if self._context is not None:
-            return self._context.covariance
-        if self._covariance is None:
-            self._covariance = periodic_covariance(self._disc)
-        return self._covariance
+        return self._context.covariance
 
     def average_output_variance(self):
         """Period-averaged variance of the analysed output."""
@@ -285,23 +259,14 @@ class MftNoiseAnalyzer:
     # -- PSD ----------------------------------------------------------------
 
     def _forcing_pairs(self):
-        if self._context is not None:
-            return self._context.forcing_pairs(self._l_row)
-        if self._forcing is None:
-            post, pre = self.covariance.forcing_samples(self._l_row)
-            self._forcing = forcing_from_samples(self._disc, post, pre)
-        return self._forcing
+        return self._context.forcing_pairs(self._l_row)
 
     def _solve(self, omega, solver="direct", ridge=FIXED_POINT_RIDGE,
                condition_limit=None):
         """Periodic steady state of the shifted dynamics at one ω."""
-        if self._context is not None:
-            return self._context.solve_shifted(
-                omega, self._forcing_pairs(), solver=solver, ridge=ridge,
-                condition_limit=condition_limit)
-        return periodic_steady_state(
-            self._disc, omega, self._forcing_pairs(), solver=solver,
-            ridge=ridge, condition_limit=condition_limit)
+        return self._context.solve_shifted(
+            omega, self._forcing_pairs(), solver=solver, ridge=ridge,
+            condition_limit=condition_limit)
 
     def _psd_at(self, frequency, solver="direct",
                 ridge=FIXED_POINT_RIDGE, condition_limit=None):
@@ -434,10 +399,6 @@ class MftNoiseAnalyzer:
         Monte-Carlo solver defines its own Welch frequency grid, so it
         requires ``frequencies=None``.
         """
-        if on_failure not in ("record", "raise"):
-            raise ReproError(
-                f"on_failure must be 'record' or 'raise', "
-                f"got {on_failure!r}")
         return self.psd_sweep(frequencies, parallel=None, budget=budget,
                               on_failure=on_failure, solver=solver,
                               attribute_sources=attribute_sources,
@@ -468,8 +429,7 @@ class MftNoiseAnalyzer:
           (:mod:`repro.mft.spectral`): eigenbases once per segment
           group, all frequencies of the block at once.  Values agree
           with the per-ω path to ≤ 1e-9 relative with identical NaN
-          masks and failure records; requires the shared sweep context
-          (``cache=True`` or an explicit ``context=``);
+          masks and failure records;
         * ``"brute-force"`` / ``"monte-carlo"`` — delegate to the
           baseline engines (serial only; extra ``solver_options`` are
           forwarded).
@@ -496,6 +456,10 @@ class MftNoiseAnalyzer:
         warm workers instead of spawning a pool per call; requires a
         concurrent ``parallel=`` backend.
         """
+        if on_failure not in ("record", "raise"):
+            raise ReproError(
+                f"on_failure must be 'record' or 'raise', "
+                f"got {on_failure!r}")
         solver = resolve_solver(solver)
         if solver in ("brute-force", "monte-carlo"):
             if parallel not in (None, "serial"):
@@ -542,11 +506,7 @@ class MftNoiseAnalyzer:
         if solver == "brute-force":
             from ..noise.brute_force import brute_force_psd
             kwargs = dict(solver_options)
-            if self._context is not None:
-                kwargs.setdefault("context", self._context)
-            else:
-                kwargs.setdefault("segments_per_phase",
-                                  self.segments_per_phase)
+            kwargs.setdefault("context", self._context)
             labels = self._attribution_request(attribute_sources)
             result = brute_force_psd(self.system, frequencies,
                                      output_row=self.output_row,
@@ -708,8 +668,7 @@ class MftNoiseAnalyzer:
             analyzer = MftNoiseAnalyzer(
                 self.system, segments_per_phase=segments,
                 output_row=self.output_row, preflight=False,
-                fallback=False, cache=self._context is not None,
-                recorder=self.recorder)
+                fallback=False, recorder=self.recorder)
             self._refined[segments] = analyzer
         return analyzer
 
@@ -728,8 +687,7 @@ class MftNoiseAnalyzer:
         kwargs.setdefault("segments_per_phase",
                           self.segments_per_phase
                           if np.isscalar(self.segments_per_phase) else 64)
-        if (self._context is not None and "context" not in kwargs
-                and kwargs["segments_per_phase"]
+        if ("context" not in kwargs and kwargs["segments_per_phase"]
                 == self._context.segments_per_phase):
             kwargs["context"] = self._context
         result = brute_force_psd(self.system, [frequency],
@@ -896,7 +854,7 @@ def mft_psd(system, frequencies, segments_per_phase=64, output_row=0,
     Returns the averaged double-sided PSD in V²/Hz.
 
     Keyword arguments (``preflight``, ``fallback``, ``budget``,
-    ``cache``, ``context``, ``recorder``) are forwarded to the analyzer
+    ``context``, ``recorder``) are forwarded to the analyzer
     constructor.
     """
     analyzer = MftNoiseAnalyzer(system,

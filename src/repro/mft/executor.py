@@ -177,8 +177,7 @@ def _run_chunk(analyzer, frequencies, on_failure, solver=None, labels=None,
         collect = export_obs and rec.enabled
         checkpoint = rec.checkpoint() if collect else None
         stats = analyzer.cache_stats
-        stats_before = (stats.snapshot()
-                        if collect and stats is not None else None)
+        stats_before = stats.snapshot() if collect else None
         if rec.enabled and submitted_at is not None:
             rec.observe("executor.queue_seconds",
                         max(0.0, time.perf_counter() - submitted_at))
@@ -190,8 +189,7 @@ def _run_chunk(analyzer, frequencies, on_failure, solver=None, labels=None,
                 labels, solver, int(chunk_start))
         obs = None
         if collect:
-            if stats_before is not None:
-                _fold_cache_delta(rec, stats_before, stats.snapshot())
+            _fold_cache_delta(rec, stats_before, stats.snapshot())
             obs = rec.export_since(checkpoint)
         return values, failures, attempts, report.findings, obs
 
@@ -314,8 +312,7 @@ class SweepExecutor:
     solver:
         ``None`` (default) sweeps each chunk through the per-frequency
         fallback chain; ``"spectral-batch"`` evaluates each chunk as
-        one ω-block through :mod:`repro.mft.spectral` (requires the
-        analyzer's shared sweep context).
+        one ω-block through :mod:`repro.mft.spectral`.
     retry:
         Chunk-retry policy: ``None``/``True`` for the default
         :class:`~repro.resilience.retry.RetryPolicy`, ``False`` to
@@ -401,11 +398,6 @@ class SweepExecutor:
             raise ReproError(
                 f"on_failure must be 'record' or 'raise', "
                 f"got {on_failure!r}")
-        if self.solver is not None and analyzer.context is None:
-            raise ReproError(
-                f"solver={self.solver!r} needs the shared sweep context; "
-                "construct the analyzer with cache=True (the default) or "
-                "an explicit context=")
         labels = analyzer._attribution_request(attribute_sources)
         width = 1 if labels is None else 1 + len(labels)
         freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
@@ -417,9 +409,7 @@ class SweepExecutor:
         rec = analyzer.recorder
         mark = rec.mark()
         cache_stats = analyzer.cache_stats
-        stats_before = (cache_stats.snapshot()
-                        if rec.enabled and cache_stats is not None
-                        else None)
+        stats_before = cache_stats.snapshot() if rec.enabled else None
         t0 = time.perf_counter()
         with rec.span("mft.sweep", backend=self.backend,
                       solver=self.solver or "mft",
@@ -462,18 +452,15 @@ class SweepExecutor:
         if rec.enabled:
             rec.count("executor.chunks_dispatched",
                       len(state.outputs) - state.n_resumed)
-            if stats_before is not None:
-                # One parent-side delta. On the shared-context backends
-                # (serial/thread) it covers the whole sweep; on the
-                # process backend the workers mutate *private* context
-                # copies — their chunk-local deltas arrived through the
-                # merged exports, and the parent delta only adds the
-                # warm-up counts. Either way the totals match the
-                # serial sweep exactly.
-                _fold_cache_delta(rec, stats_before,
-                                 cache_stats.snapshot())
+            # One parent-side delta. On the shared-context backends
+            # (serial/thread) it covers the whole sweep; on the process
+            # backend the workers mutate *private* context copies —
+            # their chunk-local deltas arrived through the merged
+            # exports, and the parent delta only adds the warm-up
+            # counts. Either way the totals match the serial sweep
+            # exactly.
+            _fold_cache_delta(rec, stats_before, cache_stats.snapshot())
             report.timeline = span_summary(rec, since=mark)
-        stats = analyzer.cache_stats
         return PsdResult(
             frequencies=freqs, psd=clipped, method="mft",
             output=analyzer._output_name(),
@@ -488,8 +475,7 @@ class SweepExecutor:
                 "failures": failures,
                 "fallback_attempts": attempts,
                 "budget": contribution,
-                "cache_stats": (stats.to_dict()
-                                if stats is not None else None),
+                "cache_stats": cache_stats.to_dict(),
                 "executor": {
                     "backend": self.backend,
                     "solver": self.solver,

@@ -1,9 +1,9 @@
 """Performance benchmarking: workloads, timing harness, bench artifacts.
 
-``python -m repro.perf`` times the sweep workload suite (cache off/on ×
-serial/parallel) and writes ``BENCH_sweep.json``;
-``benchmarks/test_perf_regression.py`` asserts the recorded speedups and
-numerical equivalence, and the CI ``bench-smoke`` job validates the
+``python -m repro.perf`` times the sweep workload suite (serial/parallel
+× per-frequency/spectral-batch, every run from a cold context registry)
+and writes ``BENCH_sweep.json``; ``benchmarks/test_perf_regression.py``
+asserts the recorded speedups and numerical equivalence, and the CI ``bench-smoke`` job validates the
 artifact's schema on tiny workloads. See DESIGN.md §8.
 """
 

@@ -63,8 +63,7 @@ def run_chaos(workload: Workload, backend: str = "thread", seed: int = 0,
     grid = workload.frequencies()
     clear_sweep_contexts()
     analyzer = MftNoiseAnalyzer(
-        system, segments_per_phase=workload.segments_per_phase,
-        cache=True)
+        system, segments_per_phase=workload.segments_per_phase)
     n_chunks = -(-grid.size // chunk_size)
     crash_chunk = (n_chunks // 2) * chunk_size
     retry = RetryPolicy()

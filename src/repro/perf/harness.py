@@ -1,13 +1,16 @@
 """Benchmark harness: time the sweep workloads, emit ``BENCH_sweep.json``.
 
 For every workload the harness times a matrix of configurations —
-cache off/on × serial/parallel dispatch — always from a *cold* cache
-(the context registry is cleared first), so the recorded wall time of a
-cached variant honestly includes building the frequency-independent
-work. Each variant is compared numerically against the serial-uncached
-reference of the same workload; the worst relative deviation over the
-finite points is recorded next to the speedup, so the perf trajectory
-can never silently trade correctness for wall clock.
+serial/parallel dispatch × per-frequency/spectral-batch solver —
+always from a *cold* cache (the context registry is cleared first, so
+every analyzer starts from a fresh
+:class:`~repro.mft.context.SweepContext`), and the recorded wall time
+honestly includes building the frequency-independent work. Each
+variant is compared numerically against the serial-uncached reference
+(a cold serial ``mft`` sweep) of the same workload; the worst relative
+deviation over the finite points is recorded next to the speedup, so
+the perf trajectory can never silently trade correctness for wall
+clock.
 
 The JSON schema (validated by :func:`validate_bench`, checked in CI)::
 
@@ -26,13 +29,13 @@ The JSON schema (validated by :func:`validate_bench`, checked in CI)::
             {
               "variant": "serial-uncached",
               "backend": "serial",
-              "cache": false,
+              "cache": true,
               "solver": null,
               "attributed": false,
               "wall_seconds": 0.37,
               "n_points": 64,
               "points_per_second": 172.0,
-              "cache_stats": null,
+              "cache_stats": {"hits": {...}, "total_hits": ..., ...},
               "stages": {"mft.sweep": 0.36, "mft.solve": 0.34, ...},
               "speedup_vs_serial_uncached": 1.0,
               "max_rel_diff_vs_serial_uncached": 0.0
@@ -134,42 +137,37 @@ BENCH_FILENAME = "BENCH_sweep.json"
 #: Cap on retained history entries; the oldest are dropped first.
 BENCH_HISTORY_LIMIT = 200
 
-#: The timing matrix: (variant, cache enabled, executor backend, solver).
-SWEEP_VARIANTS: tuple[tuple[str, bool, str, str | None], ...] = (
-    ("serial-uncached", False, "serial", None),
-    ("serial-cached", True, "serial", None),
-    ("parallel-uncached", False, "thread", None),
-    ("parallel-cached", True, "thread", None),
-    ("serial-spectral", True, "serial", "spectral-batch"),
-    ("parallel-spectral", True, "thread", "spectral-batch"),
+#: The timing matrix: (variant, executor backend, solver).  Every run
+#: starts from a cleared registry, so "uncached" is a cold sweep on a
+#: fresh sweep context.
+SWEEP_VARIANTS: tuple[tuple[str, str, str | None], ...] = (
+    ("serial-uncached", "serial", None),
+    ("parallel-uncached", "thread", None),
+    ("serial-spectral", "serial", "spectral-batch"),
+    ("parallel-spectral", "thread", "spectral-batch"),
 )
 
 #: Adaptive refinement is inherently sequential (each bisection depends
-#: on the previous PSD values), so only the cache axis is timed.
-ADAPTIVE_VARIANTS: tuple[tuple[str, bool, str, str | None], ...] = (
-    ("serial-uncached", False, "serial", None),
-    ("serial-cached", True, "serial", None),
+#: on the previous PSD values), so only the cold serial sweep is timed.
+ADAPTIVE_VARIANTS: tuple[tuple[str, str, str | None], ...] = (
+    ("serial-uncached", "serial", None),
 )
 
-#: Attribution matrix: (variant, cache, backend, solver, attributed).
-#: Attribution needs the shared sweep context for the per-source
-#: covariances, so every attributed variant runs cache=True; the gate
-#: in ``benchmarks/test_perf_regression.py`` therefore compares
-#: ``spectral-attributed`` against the like-for-like
-#: ``serial-spectral`` baseline (the stacked multi-RHS kernel is the
+#: Attribution matrix: (variant, backend, solver, attributed).  The
+#: cost gate in ``benchmarks/test_perf_regression.py`` divides
+#: ``spectral-attributed`` by the unattributed ``serial-uncached``
+#: sweep of the same grid (the stacked multi-RHS kernel is the
 #: supported fast path for attribution — the per-frequency
-#: ``serial-attributed`` variant is recorded for the trajectory but
-#: pays one extra solve per source and is not gated).  The attributed
-#: variants' equivalence column doubles as a check that attribution
-#: leaves the total PSD bit-identical.
-ATTRIBUTION_VARIANTS: tuple[tuple[str, bool, str, str | None, bool],
-                            ...] = (
-    ("serial-uncached", False, "serial", None, False),
-    ("serial-cached", True, "serial", None, False),
-    ("serial-attributed", True, "serial", None, True),
-    ("serial-spectral", True, "serial", "spectral-batch", False),
-    ("spectral-attributed", True, "serial", "spectral-batch", True),
-    ("parallel-attributed", True, "thread", "spectral-batch", True),
+#: ``serial-attributed`` variant pays one extra solve per source and is
+#: only gated to be slower than ``spectral-attributed``).  The attributed variants' equivalence column
+#: doubles as a check that attribution leaves the total PSD
+#: bit-identical.
+ATTRIBUTION_VARIANTS: tuple[tuple[str, str, str | None, bool], ...] = (
+    ("serial-uncached", "serial", None, False),
+    ("serial-attributed", "serial", None, True),
+    ("serial-spectral", "serial", "spectral-batch", False),
+    ("spectral-attributed", "serial", "spectral-batch", True),
+    ("parallel-attributed", "thread", "spectral-batch", True),
 )
 
 #: Corners matrix: (variant, cache, backend, solver, attributed).
@@ -211,16 +209,23 @@ CORNER_VARIANTS: tuple[tuple[str, bool, str, str | None, bool], ...] = (
 #: ``cache_stats`` (cache flag True), and the equivalence column
 #: checks every store-served duplicate bit-identical to the cold
 #: recompute.
-SERVICE_VARIANTS: tuple[tuple[str, bool, str, str | None], ...] = (
-    ("serial-uncached", False, "serial", None),
-    ("serial-store", True, "serial", None),
-    ("pool-2", True, "process", None),
+SERVICE_VARIANTS: tuple[tuple[str, bool, str], ...] = (
+    ("serial-uncached", False, "serial"),
+    ("serial-store", True, "serial"),
+    ("pool-2", True, "process"),
 )
 
 
 @dataclass
 class VariantResult:
-    """Timing + equivalence record of one (workload, configuration)."""
+    """Timing + equivalence record of one (workload, configuration).
+
+    ``cache`` is the recorded ``"cache"`` flag: ``True`` for every
+    sweep, adaptive and attribution variant (each draws from a sweep
+    context, hence records ``cache_stats``); ``False`` only for the
+    corners and service references, which share no work across their
+    corners or submissions.
+    """
 
     variant: str
     backend: str
@@ -286,7 +291,7 @@ def max_relative_difference(reference: FloatArray,
                  / scale)
 
 
-def _time_sweep(workload: Workload, cache: bool, backend: str,
+def _time_sweep(workload: Workload, backend: str,
                 solver: str | None = None,
                 attributed: bool = False) -> VariantResult:
     """One cold timed run of a fixed-grid sweep workload.
@@ -303,7 +308,7 @@ def _time_sweep(workload: Workload, cache: bool, backend: str,
     t0 = time.perf_counter()
     analyzer = MftNoiseAnalyzer(
         system, segments_per_phase=workload.segments_per_phase,
-        cache=cache, recorder=recorder)
+        recorder=recorder)
     if solver is not None or attributed:
         result = analyzer.psd_sweep(
             freqs, parallel=None if backend == "serial" else backend,
@@ -313,11 +318,10 @@ def _time_sweep(workload: Workload, cache: bool, backend: str,
     else:
         result = analyzer.psd_sweep(freqs, parallel=backend)
     wall = time.perf_counter() - t0
-    stats = analyzer.cache_stats
     return VariantResult(
-        variant="", backend=backend, cache=cache, wall_seconds=wall,
+        variant="", backend=backend, cache=True, wall_seconds=wall,
         n_points=int(freqs.size), values=result.psd, solver=solver,
-        cache_stats=stats.to_dict() if stats is not None else None,
+        cache_stats=analyzer.cache_stats.to_dict(),
         stages=stage_totals(recorder), trace=recorder.export(),
         attributed=attributed)
 
@@ -364,9 +368,7 @@ def _time_corners(workload: Workload, variant: str, cache: bool,
                 for member in members]
         wall = time.perf_counter() - t0
         values = np.stack(rows)
-        member_stats = members[0].cache_stats
-        stats = (member_stats.to_dict()
-                 if member_stats is not None else None)
+        stats = members[0].cache_stats.to_dict()
     else:
         t0 = time.perf_counter()
         result = corner_psd_sweep(
@@ -477,7 +479,7 @@ def _time_service(workload: Workload, variant: str, long_lived: bool,
         service=service)
 
 
-def _time_adaptive(workload: Workload, cache: bool) -> VariantResult:
+def _time_adaptive(workload: Workload) -> VariantResult:
     """One cold timed run of an adaptive-grid workload."""
     spec = workload.adaptive
     assert spec is not None
@@ -487,17 +489,16 @@ def _time_adaptive(workload: Workload, cache: bool) -> VariantResult:
     t0 = time.perf_counter()
     analyzer = MftNoiseAnalyzer(
         system, segments_per_phase=workload.segments_per_phase,
-        cache=cache, recorder=recorder)
+        recorder=recorder)
     freqs, values = adaptive_frequency_grid(
         analyzer.psd_at, spec.f_start, spec.f_stop,
         n_initial=spec.n_initial, max_points=spec.max_points,
         tol_db=spec.tol_db)
     wall = time.perf_counter() - t0
-    stats = analyzer.cache_stats
     return VariantResult(
-        variant="", backend="serial", cache=cache, wall_seconds=wall,
+        variant="", backend="serial", cache=True, wall_seconds=wall,
         n_points=int(freqs.size), values=np.asarray(values, dtype=float),
-        cache_stats=stats.to_dict() if stats is not None else None,
+        cache_stats=analyzer.cache_stats.to_dict(),
         stages=stage_totals(recorder), trace=recorder.export())
 
 
@@ -523,18 +524,15 @@ def run_workload(workload: Workload,
         variants = ADAPTIVE_VARIANTS
     results: list[VariantResult] = []
     for spec in variants:
-        name, cache, backend, solver = spec[:4]
-        attributed = bool(spec[4]) if len(spec) > 4 else False
+        name = spec[0]
         if workload.kind == "service":
-            run = _time_service(workload, name, cache, backend)
+            run = _time_service(workload, *spec)
         elif workload.kind == "corners":
-            run = _time_corners(workload, name, cache, backend, solver,
-                                attributed=attributed)
+            run = _time_corners(workload, *spec)
         elif workload.kind == "adaptive":
-            run = _time_adaptive(workload, cache)
+            run = _time_adaptive(workload)
         else:
-            run = _time_sweep(workload, cache, backend, solver,
-                              attributed=attributed)
+            run = _time_sweep(workload, *spec[1:])
         run.variant = name
         results.append(run)
         if trace_sink is not None:

@@ -200,11 +200,11 @@ def _sc_lowpass_corner_family() -> ParameterGrid:
 
 
 def default_workloads() -> list[Workload]:
-    """The recorded benchmark set (≥ 3 workloads, see ISSUE/DESIGN §8).
+    """The recorded benchmark set (≥ 3 workloads, see DESIGN.md §8).
 
-    ``sc-lowpass-sweep-64`` is the headline workload: the acceptance
-    criterion (cached+parallel ≥ 2× the serial-uncached seed path at
-    ≤ 1e-12 relative) is asserted against it.
+    ``sc-lowpass-sweep-64`` is the reference sweep of the observability
+    and chaos gates; ``sc-lowpass-sweep-256`` carries the spectral-batch
+    speedup gate.
     """
     return [
         Workload(

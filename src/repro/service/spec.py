@@ -61,7 +61,7 @@ class JobSpec:
     checkpoint: Any = None
     #: Free-form display label (job listings, progress lines).
     label: str = ""
-    #: Extra engine-construction options (``preflight=``, ``cache=``...).
+    #: Extra engine-construction options (``preflight=``, ``fallback=``...).
     analysis_options: "dict[str, Any]" = field(default_factory=dict)
 
     def __post_init__(self) -> None:

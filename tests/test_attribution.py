@@ -209,7 +209,7 @@ class TestLabelsAndModes:
     def test_bare_system_falls_back_to_positional_labels(self):
         clear_sweep_contexts()
         analyzer = MftNoiseAnalyzer(switched_rc_system(),
-                                    segments_per_phase=SPP, cache=True)
+                                    segments_per_phase=SPP)
         result = analyzer.psd(battery_grid(analyzer.system),
                               attribute_sources=True)
         assert result.budget.labels == ["source0"]
@@ -219,13 +219,6 @@ class TestLabelsAndModes:
         with pytest.raises(ReproError, match="noise columns"):
             analysis.psd(battery_grid(analysis.system),
                          attribute_sources=["a", "b", "c"])
-
-    def test_uncached_analyzer_refuses_attribution(self):
-        analyzer = MftNoiseAnalyzer(switched_rc_system(),
-                                    segments_per_phase=SPP, cache=False)
-        with pytest.raises(ReproError, match="cache=True"):
-            analyzer.psd(battery_grid(analyzer.system),
-                         attribute_sources=True)
 
     def test_monte_carlo_refuses_attribution(self):
         analysis = build_analysis("switched-rc")
@@ -274,7 +267,7 @@ class TestObservability:
         recorder = Recorder()
         analyzer = MftNoiseAnalyzer(model.system,
                                     segments_per_phase=SPP,
-                                    cache=True, recorder=recorder)
+                                    recorder=recorder)
         freqs = battery_grid(analyzer.system)
         result = analyzer.psd(freqs, attribute_sources=True)
         assert result.budget is not None

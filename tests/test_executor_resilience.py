@@ -41,7 +41,7 @@ def grid():
 @pytest.fixture
 def analyzer(rc_system):
     clear_sweep_contexts()
-    return MftNoiseAnalyzer(rc_system, cache=True)
+    return MftNoiseAnalyzer(rc_system)
 
 
 def _sweep(analyzer, grid, backend, **kwargs):
@@ -207,8 +207,7 @@ class TestWorkerCrashRecovery:
         # it — after the retry recomputes, per-frequency counters must
         # equal the fault-free totals exactly.
         clear_sweep_contexts()
-        analyzer = MftNoiseAnalyzer(rc_system, cache=True,
-                                    recorder=Recorder())
+        analyzer = MftNoiseAnalyzer(rc_system, recorder=Recorder())
         plan = FaultPlan([FaultSpec("executor.chunk", "crash",
                                     match={"chunk": 4})])
         result = _sweep(analyzer, grid, "process", faults=plan)
@@ -225,8 +224,7 @@ class TestWorkerCrashRecovery:
         # recording into pickled private copies whose deltas merge
         # back under the dispatch span.
         clear_sweep_contexts()
-        analyzer = MftNoiseAnalyzer(rc_system, cache=True,
-                                    recorder=Recorder())
+        analyzer = MftNoiseAnalyzer(rc_system, recorder=Recorder())
         _sweep(analyzer, grid, "process")
         names = [span.name for span in analyzer.recorder.spans]
         assert names.count("executor.chunk") == N_FREQS // CHUNK

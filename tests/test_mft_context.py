@@ -85,7 +85,7 @@ class TestContextRegistry:
 
         def grab():
             barrier.wait()
-            results.append(SweepContext.for_system(rc_system, 16))
+            results.append(sweep_context_for(rc_system, 16))
 
         threads = [threading.Thread(target=grab) for _ in range(8)]
         for t in threads:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import NoiseAnalysis
 from repro.baselines.lti import lti_noise_psd, lti_output_variance
 from repro.baselines.rice import rice_switched_rc_psd
 from repro.errors import ReproError
@@ -125,3 +126,28 @@ class TestGridConvergence:
         errors = [abs(MftNoiseAnalyzer(system, segments_per_phase=spp).psd_at(7.5e3) - ref)
                   for spp in (16, 64, 256)]
         assert errors[0] > errors[1] > errors[2]
+
+
+class TestOneAnalyzerMode:
+    """Every analyzer draws from a sweep context; there is no cache flag."""
+
+    @pytest.mark.parametrize("build", [
+        lambda system: MftNoiseAnalyzer(system, cache=False),
+        lambda system: mft_psd(system, [1e3], cache=False),
+        lambda system: NoiseAnalysis(system, cache=False),
+    ], ids=["analyzer", "mft_psd", "facade"])
+    def test_cache_keyword_rejected(self, rc_system, build):
+        with pytest.raises(TypeError, match="cache"):
+            build(rc_system)
+
+    def test_fresh_context_matches_registry_context(self, rc_system):
+        from repro.mft.context import SweepContext, clear_sweep_contexts
+
+        freqs = np.linspace(100.0, 4e4, 6)
+        clear_sweep_contexts()
+        shared = MftNoiseAnalyzer(rc_system, segments_per_phase=16)
+        fresh = MftNoiseAnalyzer(rc_system,
+                                 context=SweepContext(rc_system, 16))
+        assert fresh.context is not shared.context
+        np.testing.assert_array_equal(fresh.psd(freqs).psd,
+                                      shared.psd(freqs).psd)

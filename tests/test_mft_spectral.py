@@ -136,12 +136,6 @@ class TestBatchedSolveEquivalence:
 
 
 class TestBatchedSolveValidation:
-    def test_requires_cache_or_context(self, rc_system):
-        analyzer = MftNoiseAnalyzer(rc_system, segments_per_phase=16,
-                                    cache=False)
-        with pytest.raises(ReproError, match="spectral-batch"):
-            analyzer.psd_sweep([1e3], solver="spectral-batch")
-
     def test_unknown_solver_rejected(self, rc_system):
         analyzer = MftNoiseAnalyzer(rc_system, segments_per_phase=16)
         with pytest.raises(ReproError, match="solver"):

@@ -177,6 +177,36 @@ class TestSharedKeywords:
         direct = analysis.psd(GRID[:2], solver="brute-force")
         assert np.isfinite(direct.psd).all()
 
+    def test_explicit_context_density_reaches_corner_sweeps(self):
+        # An explicit context= fixes the density for every sweep of the
+        # analysis; the corner sweep must not rebuild at the default.
+        from repro.circuits import (
+            ParameterGrid,
+            ScLowpassParams,
+            sc_lowpass_system,
+        )
+        from repro.mft.context import SweepContext
+
+        model = sc_lowpass_system()
+        analysis = NoiseAnalysis(model,
+                                 context=SweepContext(model.system, 8))
+        corners = ParameterGrid.mismatch(
+            fields=["c1"], sigma=0.05, n_corners=2, seed=1,
+            builder=sc_lowpass_system, base_params=ScLowpassParams())
+        freqs = GRID[:3]
+        plain = analysis.psd(freqs)
+        swept = analysis.psd_corners(corners, freqs)
+        assert swept.info["segments"] == plain.info["segments"]
+
+    @pytest.mark.parametrize("entry", ["psd", "psd_sweep"])
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_bad_on_failure_rejected_for_every_solver(self, analysis,
+                                                      entry, solver):
+        freqs = None if solver == "monte-carlo" else GRID[:2]
+        with pytest.raises(ReproError, match="on_failure"):
+            getattr(analysis, entry)(freqs, solver=solver,
+                                     on_failure="bogus")
+
     def test_facade_trace_report(self, rc_system):
         rec = Recorder()
         analysis = NoiseAnalysis(rc_system, segments_per_phase=16,

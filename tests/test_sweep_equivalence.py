@@ -3,28 +3,60 @@
 The performance layer (``SweepContext`` fast solves, ``SweepExecutor``
 parallel dispatch) reorders linear algebra and work scheduling but must
 never change results. For the switched-RC and SC low-pass circuits this
-suite pins, against the uncached serial reference:
+suite pins, against the serial per-frequency reference (every solve a
+plain ``periodic_steady_state`` on locally built forcing):
 
 * values equal to <= 1e-12 relative on every finite point,
 * identical NaN/failure masks (including deliberately injected
   non-finite frequencies),
 * identical ``DiagnosticsReport`` severity counts,
 
-for cache-on vs cache-off and for serial vs thread vs process backends,
-plus the headline acceptance check (64-point SC low-pass sweep,
-cached+parallel vs the seed serial-uncached path).
+for the sweep-context fast path vs that reference and for serial vs
+thread vs process backends, plus the headline acceptance check
+(64-point SC low-pass sweep, fast path + parallel vs the serial
+reference).
 """
+
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from repro.diagnostics.budget import SweepBudget
+from repro.lptv.periodic_solve import (
+    forcing_from_samples,
+    periodic_steady_state,
+)
 from repro.mft.context import clear_sweep_contexts
 from repro.mft.engine import MftNoiseAnalyzer
 from repro.mft.executor import SweepExecutor
+from repro.noise.covariance import periodic_covariance
+from repro.tolerances import FIXED_POINT_RIDGE
 
 REL_TOL = 1e-12
 BACKENDS = ["serial", "thread", "process"]
+
+
+class _ReferenceAnalyzer(MftNoiseAnalyzer):
+    """The per-frequency reference: no sweep-context fast path.
+
+    Each solve is :func:`periodic_steady_state` on forcing built from
+    this analyzer's own :func:`periodic_covariance` of the
+    discretization, so nothing but the discretization is shared with
+    the fast path under test.
+    """
+
+    @cached_property
+    def _reference_forcing(self):
+        post, pre = periodic_covariance(self._disc).forcing_samples(
+            self._l_row)
+        return forcing_from_samples(self._disc, post, pre)
+
+    def _solve(self, omega, solver="direct", ridge=FIXED_POINT_RIDGE,
+               condition_limit=None):
+        return periodic_steady_state(
+            self._disc, omega, self._reference_forcing, solver=solver,
+            ridge=ridge, condition_limit=condition_limit)
 
 
 def _severity_counts(report):
@@ -70,8 +102,8 @@ class TestCacheEquivalence:
     def test_cached_matches_uncached(self, swept_system):
         system, grid = swept_system
         clear_sweep_contexts()
-        reference = MftNoiseAnalyzer(system, cache=False).psd(grid)
-        cached = MftNoiseAnalyzer(system, cache=True).psd(grid)
+        reference = _ReferenceAnalyzer(system).psd(grid)
+        cached = MftNoiseAnalyzer(system).psd(grid)
         _assert_equivalent(reference, cached, "cache-on vs cache-off")
 
     def test_cached_solver_controls_match(self, swept_system):
@@ -80,8 +112,8 @@ class TestCacheEquivalence:
         system, grid = swept_system
         finite = grid[np.isfinite(grid)]
         clear_sweep_contexts()
-        ref = MftNoiseAnalyzer(system, cache=False)
-        fast = MftNoiseAnalyzer(system, cache=True)
+        ref = _ReferenceAnalyzer(system)
+        fast = MftNoiseAnalyzer(system)
         for f in finite[:4]:
             a = ref._psd_at(f, solver="lstsq")
             b = fast._psd_at(f, solver="lstsq")
@@ -118,13 +150,12 @@ class TestHeadlineAcceptance:
     def test_sc_lowpass_64pt_cached_parallel_matches_seed_serial(
             self, lowpass_model):
         # Acceptance criterion: on the 64-point SC low-pass sweep the
-        # cached+parallel path matches the serial-uncached seed path to
-        # <= 1e-12 relative on all finite points. (The >= 2x speedup
-        # half lives in benchmarks/test_perf_regression.py.)
+        # cached+parallel path matches the serial reference to
+        # <= 1e-12 relative on all finite points.
         grid = np.linspace(100.0, 12e3, 64)
         clear_sweep_contexts()
-        seed = MftNoiseAnalyzer(lowpass_model.system, cache=False).psd(grid)
-        fast = MftNoiseAnalyzer(lowpass_model.system, cache=True).psd_sweep(
+        seed = _ReferenceAnalyzer(lowpass_model.system).psd(grid)
+        fast = MftNoiseAnalyzer(lowpass_model.system).psd_sweep(
             grid, parallel="thread")
         _assert_equivalent(seed, fast, "cached+parallel vs seed serial")
 
