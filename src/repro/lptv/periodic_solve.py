@@ -91,6 +91,7 @@ class _SegmentStepper:
         self._cache = {}
 
     def integrals(self, seg):
+        # Exact (A, duration) key: independent of the kernel's shared-Φ groups.
         key = (id(seg.a_matrix), seg.duration)
         hit = self._cache.get(key)
         if hit is not None:

@@ -23,11 +23,15 @@ built on two identities of the frequency-shifted dynamics
   suffix products ``R_k`` with per-segment scalar phases, so it becomes
   one batched matrix-vector product instead of a Python loop.
 
-The per-segment forcing integrals ``(I1, I2)`` are grouped by the unique
-``(A, h)`` pairs of the discretization (a piecewise-LTI circuit with
-uniform segments has one per phase, not one per segment), and the
-period-integral resolvent solves are likewise grouped — one linear solve
-per unique segment matrix instead of one per segment.
+The per-segment forcing integrals ``(I1, I2)`` are grouped by segment
+matrix: segments sharing one ``A`` and one propagator object ``Φ`` form a
+group. The discretizer computes one ``(Φ, Gramian)`` per distinct step
+and shares those objects across the same-length segments of a phase, so
+a piecewise-LTI circuit with uniform segments has one group per phase,
+not one per segment. Keying on the shared ``Φ`` rather than on the float
+``t_end − t_start`` keeps ulp-different segment lengths of one phase in
+one group. The period-integral resolvent solves are likewise grouped —
+one linear solve per group instead of one per segment.
 
 Both paths compute the same quantities; the fast path reorders linear
 algebra (sums before solves, scalar scaling before products), so results
@@ -62,7 +66,11 @@ from ..linalg.phi import affine_step_integrals
 from ..linalg.vanloan import vanloan_gramian
 from ..lptv.periodic_solve import PeriodicSolution, forcing_from_samples
 from ..noise.covariance import periodic_covariance
-from ..tolerances import FIXED_POINT_RIDGE, RESOLVENT_NORM_THRESHOLD
+from ..tolerances import (
+    FIXED_POINT_RIDGE,
+    RESOLVENT_NORM_THRESHOLD,
+    SCHEDULE_TILE_RTOL,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -164,7 +172,13 @@ class CacheStats:
 
 @dataclass
 class _SegmentGroup:
-    """Segments sharing one ``(A, h)`` pair (usually: one clock phase)."""
+    """Segments sharing one ``A`` and one propagator ``Φ`` object.
+
+    Usually one clock phase: the discretizer shares ``Φ = e^{Ah}`` across
+    the same-length segments of a phase. ``duration`` is the first
+    member's; every member's lies within the schedule tiling tolerance
+    of it (checked by :func:`build_structure`).
+    """
 
     a_matrix: np.ndarray
     duration: float
@@ -189,7 +203,8 @@ class _SweepStructure:
     #: ``E_j = J_j Φ_j``: the map from segment k's forcing contribution
     #: to the end of the period, jumps folded in.
     suffix: np.ndarray
-    #: Segment groups by unique ``(A, h)``.
+    #: Segment groups by shared ``(A, Φ)`` objects, one per phase on a
+    #: uniform piecewise-LTI grid.
     groups: list
     #: For each segment, the index of its group.
     group_of: np.ndarray
@@ -213,6 +228,10 @@ def build_structure(disc):
         suffix[k] = acc @ jump if jump is not None else acc
         acc = suffix[k] @ phi_stack[k]
 
+    # Key on the objects the discretizer shares, not on the float
+    # durations: ``t_end − t_start`` differs by ulps across the segments
+    # of one uniform phase, which would split it into several groups.
+    tol = SCHEDULE_TILE_RTOL * max(disc.period, 1.0)
     group_index = {}
     groups = []
     group_of = np.empty(n_seg, dtype=int)
@@ -223,7 +242,7 @@ def build_structure(disc):
             raise ReproError(
                 "segment is missing its A matrix; rebuild the "
                 "discretization with a current version of the library")
-        key = (id(seg.a_matrix), seg.duration)
+        key = (id(seg.a_matrix), id(seg.phi))
         idx = group_index.get(key)
         if idx is None:
             idx = len(groups)
@@ -231,6 +250,12 @@ def build_structure(disc):
             groups.append(_SegmentGroup(
                 a_matrix=seg.a_matrix, duration=seg.duration,
                 indices=np.empty(0, dtype=int), phi=seg.phi))
+        elif abs(durations[k] - groups[idx].duration) > tol:
+            raise ReproError(
+                f"segment {k} shares its propagator with a segment of "
+                f"duration {groups[idx].duration:.6g} but lasts "
+                f"{durations[k]:.6g}; one propagator object must not "
+                "serve segments of different lengths")
         group_of[k] = idx
     for idx, group in enumerate(groups):
         group.indices = np.nonzero(group_of == idx)[0]
@@ -391,8 +416,9 @@ class SweepContext:
         weighted by each Gramian's trace (a ~1e-12 relative nudge),
         so every quantity the covariance solve consumes decomposes to
         summation rounding only.  All sources are built in one pass and
-        cached; segments sharing ``(A, B, h)`` (all segments of one
-        clock phase) share one Gramian computation.
+        cached; segments sharing ``A``, ``B`` and one total-Gramian
+        object (all segments of one uniform clock phase) share one
+        Gramian computation.
         """
         source = int(source)
         n_src = self.n_sources
@@ -409,7 +435,7 @@ class SweepContext:
         gram_cache = {}
         per_source = [[] for _ in range(n_src)]
         for seg in disc.segments:  # scn: ignore[SCN008] - frequency-independent one-time precompute, not a sweep loop
-            key = (id(seg.a_matrix), id(seg.b_matrix), seg.duration)
+            key = (id(seg.a_matrix), id(seg.b_matrix), id(seg.gramian))
             entry = gram_cache.get(key)
             if entry is None:
                 cols = [np.ascontiguousarray(seg.b_matrix[:, [s]])
@@ -465,7 +491,8 @@ class SweepContext:
     def shifted_integrals(self, omega):
         """Per-group ``(Φ_ω, I1, I2, A_ω, ‖A_ω‖₁h)`` at one frequency.
 
-        One entry per unique ``(A, h)`` group — the only genuinely
+        One entry per segment group (one per clock phase on a uniform
+        grid; see :func:`build_structure`) — the only genuinely
         per-frequency matrix work of a solve. Cached per ω so the
         fallback chain and the instantaneous/contribution observables
         revisit a frequency for free. The shifted norm decides the

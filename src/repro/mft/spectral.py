@@ -19,10 +19,12 @@ function collapses to elementwise scalar functions of ``z``:
     (A − jωI)⁻¹ r = V diag(1/μ) V⁻¹ r
 
 Eigendecompose each segment group **once** (frequency-independent, via
-:func:`repro.linalg.checked.eigensystem`), then evaluate the scalar
-φ-functions for *all* ω at once as stacked ``(n_freq, n)`` arrays.  The
-one-period fixed point uses the scalar identity ``M_ω = e^{-jωT} M₀``
-(see :mod:`repro.mft.context`), so the solve becomes one batched
+:func:`repro.linalg.checked.eigensystem`; one group per clock phase on a
+uniform grid, see :func:`repro.mft.context.build_structure`), then
+evaluate the scalar φ-functions for *all* ω at once as stacked
+``(n_freq, n)`` arrays.  The one-period fixed point uses the scalar
+identity ``M_ω = e^{-jωT} M₀`` (see :mod:`repro.mft.context`), so the
+solve becomes one batched
 ``repro.linalg.checked.batched_solve`` over the ``(n_freq, n, n)`` stack
 ``I − e^{-jωT} M₀``.  Per-ω cost drops from O(n³) Python-looped work to
 O(n³)-once plus O(n²)-per-ω vectorized matmul kernels, and — just as
@@ -273,8 +275,9 @@ def group_period_integral(a_matrix, duration, omegas, start_sum, end_sum,
     ``f0_sum``/``f1_sum`` (``(R, n)``) the summed forcing endpoints and
     ``norm_h`` (``(n_freq,)``) the per-ω ``‖A_ω‖₁ h``.  Both per-segment
     formulas of the reference are linear in the segment's end states and
-    every member shares ``(A, h)``, so the group needs one evaluation on
-    the sums instead of one per segment:
+    every member shares ``A`` and its propagator ``Φ = e^{Ah}`` (see
+    :func:`repro.mft.context.build_structure`), so the group needs one
+    evaluation on the sums instead of one per segment:
 
     - above :data:`~repro.tolerances.RESOLVENT_NORM_THRESHOLD`, the
       resolvent ``A_ω⁻¹ (Q − P − h/2 (F0 + F1))`` through the same LU the

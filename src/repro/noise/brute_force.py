@@ -230,6 +230,7 @@ def _shifted_step_integrals(disc, omega):
     n = disc.n_states
     eye = np.eye(n)
     for seg in disc.segments:
+        # Exact (A, duration) key: independent of the kernel's shared-Φ groups.
         key = (id(seg.a_matrix), seg.duration)
         if key not in cache:
             a_shifted = seg.a_matrix.astype(complex) - 1j * omega * eye

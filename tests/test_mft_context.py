@@ -5,6 +5,9 @@ shifted-integrals cache is a *true* LRU (hits refresh recency), the
 module registry is lock-guarded and LRU-bounded, and the less-travelled
 ``solve_shifted`` branches (``lstsq``, the condition-limit rejection,
 the resolvent-vs-trapezoid crossover) agree with the reference solver.
+It also pins the segment-group structure: groups are keyed on the
+propagator the discretizer shares, so a uniform clock phase is one
+group however its float segment lengths round.
 """
 
 import threading
@@ -12,16 +15,27 @@ import threading
 import numpy as np
 import pytest
 
-from repro.circuits import SwitchedRcParams, switched_rc_system
-from repro.errors import SingularMatrixError
+from repro.circuits import (
+    SwitchedRcParams,
+    sc_lowpass_system,
+    switched_rc_system,
+)
+from repro.errors import ReproError, SingularMatrixError
+from repro.lptv.discretization import PeriodDiscretization, Segment
 from repro.lptv.periodic_solve import periodic_steady_state
+from repro.lptv.system import SampledLPTVSystem
+from repro.mft import context as context_module
 from repro.mft.context import (
     SweepContext,
+    build_structure,
     clear_sweep_contexts,
     registry_stats,
     sweep_context_for,
 )
 from repro.mft.engine import MftNoiseAnalyzer
+from repro.tolerances import SCHEDULE_TILE_RTOL
+
+from test_mft_spectral import _sc_cascade
 
 
 @pytest.fixture()
@@ -181,3 +195,88 @@ class TestResolventTrapezoidCrossover:
             scale = np.max(np.abs(reference.integral)) or 1.0
             assert np.max(np.abs(fast.integral - reference.integral)) <= (
                 1e-9 * scale), f"duty={duty} f={freq}"
+
+
+# -- segment groups ------------------------------------------------------------
+
+#: Two-phase systems whose uniform segments have ulp-different float
+#: lengths at 64 segments per phase.
+GROUPED_SYSTEMS = {
+    "sc-lowpass": lambda: sc_lowpass_system().system,
+    "sc-cascade-4": lambda: _sc_cascade(4).system,
+}
+
+
+def _assert_members_within_tiling_tolerance(struct, disc):
+    tol = SCHEDULE_TILE_RTOL * max(disc.period, 1.0)
+    for group in struct.groups:
+        deviation = np.abs(struct.durations[group.indices] - group.duration)
+        assert np.max(deviation) <= tol
+
+
+class TestSegmentGroups:
+    @pytest.mark.parametrize("name", sorted(GROUPED_SYSTEMS))
+    def test_one_group_per_phase(self, name):
+        context = SweepContext(GROUPED_SYSTEMS[name](),
+                               segments_per_phase=64)
+        groups = context.structure.groups
+        assert len(groups) == 2
+        assert [len(g.indices) for g in groups] == [64, 64]
+        # Keying on the float durations splits the same phases (into 7
+        # groups on this grid): the regression the shared key removes.
+        segments = context.disc.segments
+        split = {(id(seg.a_matrix), seg.duration) for seg in segments}
+        assert len(split) > len(groups)
+
+    @pytest.mark.parametrize("name", sorted(GROUPED_SYSTEMS))
+    def test_member_durations_within_tiling_tolerance(self, name):
+        context = SweepContext(GROUPED_SYSTEMS[name](),
+                               segments_per_phase=64)
+        _assert_members_within_tiling_tolerance(context.structure,
+                                                context.disc)
+
+    def test_boundary_layer_grid_keeps_distinct_steps_apart(self):
+        system = sc_lowpass_system().system
+        disc = system.discretize(64, boundary_layer=True)
+        struct = build_structure(disc)
+        assert len(struct.groups) > len(system.phases)
+        _assert_members_within_tiling_tolerance(struct, disc)
+
+    def test_sampled_system_has_one_group_per_segment(self):
+        system = SampledLPTVSystem(
+            a_of_t=lambda t: np.array([[-1.0 - 0.5 * np.sin(t)]]),
+            b_of_t=lambda _t: np.array([[1.0]]),
+            period=2.0 * np.pi, n_states=1)
+        context = SweepContext(system, segments_per_phase=16)
+        assert len(context.structure.groups) == 16
+
+    def test_shared_propagator_of_different_lengths_rejected(self):
+        a = np.array([[-1.0]])
+        b = np.array([[1.0]])
+        phi = np.exp(a * 0.4)
+        gram = np.array([[0.1]])
+        segments = [
+            Segment(t_start=0.0, t_end=0.4, phi=phi, gramian=gram,
+                    b_matrix=b, jump=None, a_matrix=a),
+            Segment(t_start=0.4, t_end=1.0, phi=phi, gramian=gram,
+                    b_matrix=b, jump=None, a_matrix=a),
+        ]
+        disc = PeriodDiscretization(segments=segments, period=1.0,
+                                    n_states=1)
+        with pytest.raises(ReproError, match="shares its propagator"):
+            build_structure(disc)
+
+    def test_source_gramians_built_once_per_phase(self, monkeypatch):
+        calls = []
+        original = context_module.vanloan_gramian
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(context_module, "vanloan_gramian", counting)
+        context = SweepContext(sc_lowpass_system().system,
+                               segments_per_phase=64)
+        context.source_disc(0)
+        n_phases = len(context.system.phases)
+        assert len(calls) == n_phases * context.n_sources

@@ -24,6 +24,7 @@ from repro.circuits import (
 )
 from repro.errors import ReproError
 from repro.linalg.checked import batched_solve
+from repro.lptv.periodic_solve import periodic_steady_state
 from repro.lptv.system import Phase, PiecewiseLTISystem
 from repro.mft.context import clear_sweep_contexts, sweep_context_for
 from repro.mft.engine import MftNoiseAnalyzer
@@ -278,11 +279,11 @@ PARITY_SYSTEMS = {
 }
 
 
-def _parity_analyzer(name):
+def _parity_analyzer(name, segments_per_phase=16):
     clear_sweep_contexts()
     model = PARITY_SYSTEMS[name]()
     system = getattr(model, "system", model)
-    return MftNoiseAnalyzer(system, segments_per_phase=16)
+    return MftNoiseAnalyzer(system, segments_per_phase=segments_per_phase)
 
 
 def _parity_grid(analyzer, n=12):
@@ -334,6 +335,31 @@ class TestParityBattery:
         assert stacked.integral[0].tobytes() == single.integral.tobytes()
         assert stacked.v0[0].tobytes() == single.v0.tobytes()
         assert np.array_equal(stacked.ok, single.ok)
+
+    # At production density each clock phase is one segment group even
+    # though its float segment lengths differ by ulps.
+    @pytest.mark.parametrize("name", ["sc-cascade-4", "sc-lowpass"])
+    def test_matches_mft_at_production_density(self, name):
+        analyzer = _parity_analyzer(name, segments_per_phase=64)
+        freqs = _parity_grid(analyzer)
+        _assert_spectral_equivalent(
+            analyzer.psd_sweep(freqs, solver="mft"),
+            analyzer.psd_sweep(freqs, solver="spectral-batch"))
+
+    @pytest.mark.parametrize("name", ["sc-cascade-4", "sc-lowpass"])
+    def test_mft_matches_reference_at_production_density(self, name):
+        # The reference keys its step integrals on each segment's own
+        # duration, so it shares nothing with the grouped fast solve.
+        analyzer = _parity_analyzer(name, segments_per_phase=64)
+        context = analyzer.context
+        forcing = analyzer._forcing_pairs()
+        for omega in 2.0 * np.pi * _parity_grid(analyzer):
+            fast = context.solve_shifted(omega, forcing)
+            reference = periodic_steady_state(context.disc, omega, forcing)
+            for got, want in ((fast.integral, reference.integral),
+                              (fast.pre, reference.pre)):
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 # -- the group-sum period integral ---------------------------------------------

@@ -8,6 +8,7 @@ and backend-independent metric totals.
 
 import pickle
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -202,14 +203,16 @@ class TestPickleAndMerge:
 
 class TestRenderHelpers:
     def _sample(self):
+        # The leaf spans do ~1 ms of work so the children, not the
+        # root's own span bookkeeping, dominate the root's wall clock.
         rec = Recorder()
         with rec.span("sweep"):
             for _ in range(3):
                 with rec.span("solve"):
                     with rec.span("attempt"):
-                        pass
+                        time.sleep(1e-3)
             with rec.span("clip"):
-                pass
+                time.sleep(1e-3)
         return rec
 
     def test_stage_totals_sums_by_name(self):
