@@ -507,7 +507,7 @@ class TestObservabilityGates:
         workload = workload_by_name(SWEEP_WORKLOAD, pool)
         system = workload.build()
         freqs = workload.frequencies()
-        for parallel in (None, "thread"):
+        for parallel in (None, "process"):
             clear_sweep_contexts()
             rec = Recorder()
             analyzer = MftNoiseAnalyzer(
@@ -543,7 +543,7 @@ class TestChaosGates:
         pool = tiny_workloads() if TINY else default_workloads()
         return workload_by_name(SWEEP_WORKLOAD, pool)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_faulted_sweep_is_bit_identical(self, backend):
         from repro.perf.chaos import run_chaos
 

@@ -148,9 +148,10 @@ class NoiseAnalysis:
         Values are the same double-sided PSD samples in V²/Hz, merged
         back in frequency order.
 
-        ``parallel="thread"`` or ``"process"`` runs independent
-        frequency chunks concurrently (``max_workers`` workers) with the
-        same values, failure semantics, and diagnostics as :meth:`psd`.
+        ``parallel="process"`` runs independent frequency chunks on
+        ``max_workers`` worker processes with the same values, failure
+        semantics, and diagnostics as :meth:`psd`; it isolates worker
+        crashes, it does not speed a sweep up (:mod:`repro.mft.executor`).
         ``solver="spectral-batch"`` evaluates each chunk as one ω-block
         through the frequency-batched spectral kernel
         (:mod:`repro.mft.spectral`); the delegate solvers

@@ -34,10 +34,8 @@ from .executor import SweepExecutor
 from .spectral import (
     BatchedSolveResult,
     GroupBasis,
-    ParamBatchedSolveResult,
     build_group_bases,
     phi_scalar_integrals,
-    solve_param_batched,
     solve_spectral_batch,
 )
 from .sweep import (
@@ -60,11 +58,9 @@ __all__ = [
     "CornerBatchAnalyzer",
     "CornerSweepResult",
     "GroupBasis",
-    "ParamBatchedSolveResult",
     "build_group_bases",
     "corner_psd_sweep",
     "phi_scalar_integrals",
-    "solve_param_batched",
     "solve_spectral_batch",
     "sweep_context_for",
     "clear_sweep_contexts",

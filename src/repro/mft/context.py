@@ -87,10 +87,11 @@ class CacheStats:
     Counters are monotonic for the lifetime of their context — nothing
     (``warm_up`` included) ever resets them, so deltas between two
     :meth:`snapshot` calls are meaningful. Increments are lock-guarded:
-    the thread sweep backend mutates one shared instance from many
-    workers, and a lost update would break the serial-vs-parallel
-    metric-count equality the observability tests assert. The lock is
-    dropped on pickle (process workers get a private copy) and rebuilt.
+    a :class:`~repro.service.JobQueue` dispatcher thread and its caller
+    can share one registry context, and a lost update would break the
+    serial-vs-parallel metric-count equality the observability tests
+    assert. The lock is dropped on pickle (process workers get a
+    private copy) and rebuilt.
     """
 
     hits: dict = field(default_factory=dict)
@@ -638,23 +639,6 @@ class SweepContext:
                                 dpre=dpre, dpost=dpost, integral=integral,
                                 condition=condition, solver=solver)
 
-    def solve_batched(self, omegas, segment_forcing, condition_limit=None,
-                      recorder=None):
-        """Frequency-batched periodic steady state for a whole ω-block.
-
-        Evaluates every frequency of ``omegas`` (1-D, rad/s, finite)
-        through the spectral kernel of :mod:`repro.mft.spectral`:
-        eigenbases once per segment group, scalar φ-functions stacked
-        over all frequencies, one batched ``(I − e^{-jωT}M₀)`` solve.
-        Returns a :class:`~repro.mft.spectral.BatchedSolveResult`; the
-        ``ok`` mask (condition gate, solve failures) tells the engine
-        which frequencies to rerun through the per-ω fallback chain.
-        """
-        from .spectral import solve_spectral_batch
-        return solve_spectral_batch(self, omegas, segment_forcing,
-                                    condition_limit=condition_limit,
-                                    recorder=recorder)
-
     # -- parameter-family support (DESIGN.md §12) ---------------------------
 
     @property
@@ -663,10 +647,10 @@ class SweepContext:
 
         Two contexts with equal ``dynamics_key`` share the *same*
         ``A``-matrix structure object — propagators, suffix products,
-        spectral eigenbases, shifted-integral cache — so the
-        parameter-batched kernel can stack their forcing rows into one
-        solve.  Derived intensity-scaled contexts share their parent's
-        structure by reference and therefore its key.
+        spectral eigenbases, shifted-integral cache — so a corner sweep
+        can stack their forcing rows into one kernel solve.  Derived
+        intensity-scaled contexts share their parent's structure by
+        reference and therefore its key.
         """
         return id(self.structure)
 
@@ -692,12 +676,11 @@ class SweepContext:
     def warm_up(self, l_row=None, sources=False):
         """Force every frequency-independent quantity to exist.
 
-        Called before parallel dispatch so thread workers never race on
-        lazy initialisation and process workers inherit the cached work
-        through the fork/pickle instead of recomputing it. Idempotent
-        with respect to :attr:`stats`: repeated warm-ups only *add*
-        hit counts — the counters are never reset, so accumulated
-        hit/miss history survives any number of warm-ups. With
+        Called before dispatch so process workers inherit the cached
+        work through the fork/pickle instead of recomputing it.
+        Idempotent with respect to :attr:`stats`: repeated warm-ups
+        only *add* hit counts — the counters are never reset, so
+        accumulated hit/miss history survives any number of warm-ups. With
         ``sources=True`` the per-source covariances (and, given
         ``l_row``, forcing pairs) of an attribution run are included.
         """
@@ -893,8 +876,8 @@ class _DerivedIntensityContext(SweepContext):
 # -- registry ---------------------------------------------------------------
 
 #: Bounded LRU module registry of contexts, keyed by system fingerprint.
-#: Guarded by :data:`_REGISTRY_LOCK` — thread sweep backends and several
-#: analyzers constructed concurrently all pass through here.
+#: Guarded by :data:`_REGISTRY_LOCK` — a job-queue dispatcher thread and
+#: analyzers constructed concurrently by its callers all pass through here.
 _REGISTRY = OrderedDict()
 _REGISTRY_LIMIT = 32
 _REGISTRY_LOCK = threading.Lock()
@@ -945,7 +928,7 @@ def sweep_context_for(system, segments_per_phase=64, family=None,
     otherwise.  The registry is a bounded LRU — a hit refreshes the
     entry's recency and the least-recently-used context is evicted at
     the limit — and every access holds :data:`_REGISTRY_LOCK`, so
-    concurrent analyzers (thread sweep backends, parallel test workers)
+    concurrent analyzers (a job-queue dispatcher thread and its callers)
     always agree on one context per fingerprint.
 
     ``family`` salts the key with a parameter-family hash

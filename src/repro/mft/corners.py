@@ -10,17 +10,16 @@ LU of ``I − e^{-jωT}M₀`` can serve many forcing rows at once.  This
 module instead flattens the ``(corner, frequency)`` product into one
 frequency-major axis (flat cell ``i`` = frequency ``i // M``, corner
 ``i % M``) and drives it through the ordinary
-:class:`~repro.mft.executor.SweepExecutor` — chunking, thread/process
-backends, retry/fault seams, and checkpointing all work unchanged —
-with a :class:`CornerBatchAnalyzer` that evaluates each chunk through
-:func:`repro.mft.spectral.solve_param_batched`.
+:class:`~repro.mft.executor.SweepExecutor` — chunking, the process
+backend, retry/fault seams, and checkpointing all work unchanged —
+with a :class:`CornerBatchAnalyzer` that evaluates each chunk as one
+stacked :func:`repro.mft.spectral.solve_spectral_batch` call per
+dynamics group.
 
-The fallback lattice has three levels (DESIGN.md §12):
+The fallback lattice has two levels (DESIGN.md §12):
 
-* **param** — a stacked multi-corner kernel call that raises is retried
-  per corner through the single-parameter PR-4 spectral path;
 * **group** — a segment group without a usable eigenbasis uses the
-  per-frequency reference integrals inside the kernel (PR-4 semantics);
+  per-frequency reference integrals inside the kernel;
 * **cell** — a ``(corner, frequency)`` cell whose batched solve is
   rejected (condition gate, singular fixed point, non-finite value) is
   rescued through that corner's per-frequency fallback chain
@@ -34,7 +33,7 @@ holds one forcing row, and the kernel computes bit-for-bit what
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -53,7 +52,7 @@ from .engine import (
     report_defective_bases,
     sweep_chunk,
 )
-from .spectral import solve_param_batched
+from .spectral import solve_spectral_batch
 
 __all__ = ["CornerBatchAnalyzer", "CornerSweepResult", "corner_psd_sweep"]
 
@@ -192,14 +191,17 @@ class CornerBatchAnalyzer:
                             report: DiagnosticsReport,
                             labels: "tuple[str, ...] | None"
                             ) -> "list[int]":
-        """Stacked kernel calls per dynamics group; returns rescue cells.
+        """One stacked kernel call per dynamics group; returns rescue cells.
 
         Cells are partitioned by the dynamics group of their corner;
-        each group solves its members' forcing rows against the union
-        of the group's chunk frequencies in **one** stacked kernel call
-        (``solve_param_batched`` degenerates to exactly the PR-4 call
-        for a lone member).  ``values`` is filled in place for the
-        accepted cells; the chunk-local indices of the cells the
+        each group concatenates its kernel rows (:meth:`_row_plan`) and
+        solves them against the union of the group's chunk frequencies
+        in **one** :func:`solve_spectral_batch` call on the group's
+        first context — one eigenbasis, one LU per frequency serving
+        every row — then slices the rows back per plan.  Each row is
+        bit-identical to solving it alone, so a lone plan is exactly
+        the plain spectral-batch call.  ``values`` is filled in place
+        for the accepted cells; the chunk-local indices of the cells the
         batched solve rejected are returned, group by group.
         """
         rec = self.recorder
@@ -232,24 +234,21 @@ class CornerBatchAnalyzer:
             freq_pos = {f: i for i, f in enumerate(union)}
             omegas = 2.0 * np.pi * np.asarray(union)
             plans = self._row_plan(members, labels)
-            contexts = [context for context, _forcing, _owners in plans]
-            forcings = [forcing for _context, forcing, _owners in plans]
+            blocks = [forcing if forcing.ndim == 4 else forcing[None]
+                      for _context, forcing, _owners in plans]
+            bounds = np.cumsum([0] + [block.shape[0] for block in blocks])
             with rec.span("spectral.param-batch", n_params=len(members),
                           n_rows=len(plans), n=len(union)):
-                batch = solve_param_batched(
-                    contexts, omegas, forcings,
+                batch = solve_spectral_batch(
+                    plans[0][0], omegas, np.concatenate(blocks),
                     condition_limit=condition_limit, recorder=rec)
-            if batch.fallback_params:
-                report.warning(
-                    "param-batch-fallback",
-                    f"stacked solve over {len(plans)} kernel rows "
-                    f"({len(members)} corners) failed; "
-                    f"{len(batch.fallback_params)} rows recomputed "
-                    "through the single-parameter path",
-                    rows=list(batch.fallback_params))
             n_solved = 0
-            for slot, (context, _forcing, owners) in enumerate(plans):
-                result = batch.results[slot]
+            for slot, (context, forcing, owners) in enumerate(plans):
+                lo, hi = bounds[slot], bounds[slot + 1]
+                rows = slice(lo, hi) if forcing.ndim == 4 else lo
+                result = replace(
+                    batch, integral=batch.integral[rows],
+                    v0=batch.v0[rows])
                 if result.fallback_groups:
                     report_defective_bases(report, context,
                                            result.fallback_groups)
@@ -273,7 +272,7 @@ class CornerBatchAnalyzer:
                 f"param-batched kernel solved {n_solved} of "
                 f"{sum(len(cells[m]) for m in members)} cells across "
                 f"{len(members)} corners with {len(plans)} kernel rows "
-                f"in {batch.stacked_calls} stacked calls",
+                "in one stacked call",
                 n_batched=n_solved,
                 n_rescued=sum(len(cells[m]) for m in members) - n_solved,
                 n_params=len(members), n_rows=len(plans))

@@ -27,8 +27,8 @@ analyzer draws from the registry's context or an explicit
 ``context=``; a fresh context gives an uncached analysis. Every sweep —
 :meth:`MftNoiseAnalyzer.psd` is ``psd_sweep(parallel=None)`` — runs
 through a
-:class:`~repro.mft.executor.SweepExecutor` (serial, thread or process
-backends), whose chunks all go through the one chunk loop
+:class:`~repro.mft.executor.SweepExecutor` (serial or process
+backend), whose chunks all go through the one chunk loop
 :func:`sweep_chunk`.
 
 Robustness: the analyzer preflight-validates the discretization at
@@ -61,6 +61,7 @@ from ..resilience.faults import fire as _inject_fault
 from ..tolerances import FIXED_POINT_RIDGE
 from ..typing import FloatArray
 from .context import SweepContext, sweep_context_for
+from .spectral import solve_spectral_batch
 
 logger = logging.getLogger(__name__)
 
@@ -184,8 +185,7 @@ class MftNoiseAnalyzer:
     def warm_up(self, sources=False):
         """Materialise every frequency-independent cached quantity.
 
-        Called by the sweep executor before parallel dispatch so thread
-        workers never race on lazy initialisation and forked process
+        Called by the sweep executor before dispatch so forked process
         workers inherit the precomputed work instead of redoing it.
         For an attributed sweep (``sources=True``) the per-source
         covariances and forcing pairs are included — they are
@@ -321,12 +321,11 @@ class MftNoiseAnalyzer:
                               labels):
         """``spectral-batch`` step: all finite frequencies in one ω-block.
 
-        Solves through
-        :meth:`~repro.mft.context.SweepContext.solve_batched` — stacked
-        over the per-source forcings when attributing, sharing one LU
-        per frequency — fills ``values`` where the batch succeeded and
-        returns the indices it rejected (condition gate, singular fixed
-        point, non-finite value) for the per-frequency rescue.
+        Solves through :func:`~repro.mft.spectral.solve_spectral_batch`
+        — stacked over the per-source forcings when attributing, sharing
+        one LU per frequency — fills ``values`` where the batch succeeded
+        and returns the indices it rejected (condition gate, singular
+        fixed point, non-finite value) for the per-frequency rescue.
         """
         rec = self.recorder
         context = self._context
@@ -337,8 +336,8 @@ class MftNoiseAnalyzer:
         forcing = forcing_rows(context, self._l_row, labels)
         with rec.span("spectral.batch", n=int(finite_idx.size),
                       rows=1 if labels is None else 1 + len(labels)):
-            batch = context.solve_batched(
-                2.0 * np.pi * freqs[finite_idx], forcing,
+            batch = solve_spectral_batch(
+                context, 2.0 * np.pi * freqs[finite_idx], forcing,
                 condition_limit=(policy.condition_limit
                                  if policy is not None else None),
                 recorder=rec)
@@ -412,8 +411,9 @@ class MftNoiseAnalyzer:
         """Averaged double-sided PSD (V²/Hz) via a :class:`SweepExecutor`.
 
         ``parallel`` is ``None``/``"serial"`` for in-process execution,
-        ``"thread"`` or ``"process"`` for concurrent chunks of
-        independent frequencies. Per-frequency values, NaN semantics,
+        or ``"process"`` for chunks of independent frequencies on
+        worker processes (crash isolation, not a speedup — see
+        :mod:`repro.mft.executor`). Per-frequency values, NaN semantics,
         failure records, and diagnostics match :meth:`psd` (which is
         this method with ``parallel=None``); the sweep ``budget`` gates
         the *dispatch* of new chunks (in-flight work is never killed,
@@ -453,8 +453,8 @@ class MftNoiseAnalyzer:
 
         ``pool`` injects a shared pool provider (e.g.
         :class:`repro.service.WorkerPool`) so successive sweeps reuse
-        warm workers instead of spawning a pool per call; requires a
-        concurrent ``parallel=`` backend.
+        warm workers instead of spawning a pool per call; requires
+        ``parallel="process"``.
         """
         if on_failure not in ("record", "raise"):
             raise ReproError(

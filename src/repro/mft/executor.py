@@ -20,14 +20,15 @@ backend), runs through it — with the same semantics on every backend:
   failures — but in-flight chunks always run to completion; the
   executor never kills work it already started.
 
-Backends: ``"serial"`` (in-process loop, the default), ``"thread"``
-(cheap dispatch; the solves are NumPy/LAPACK-heavy so the GIL is partly
-released), and ``"process"`` (true multi-core; the analyzer and its
-warmed :class:`~repro.mft.context.SweepContext` are shipped to workers
-by fork when available, pickle otherwise). The analyzer is warmed up
+Backends: ``"serial"`` (in-process loop, the default) and
+``"process"`` (the analyzer and its warmed
+:class:`~repro.mft.context.SweepContext` are shipped to workers by fork
+when available, pickle otherwise).  ``"process"`` is crash isolation
+for :mod:`repro.resilience`, not a speedup: on a 2-CPU host it was
+slower than serial on every sweep measured (DESIGN.md §8).  The
+analyzer is warmed up
 (:meth:`~repro.mft.engine.MftNoiseAnalyzer.warm_up`) before dispatch so
-workers never race on lazy caches and forked workers inherit the
-precomputed frequency-independent work.
+forked workers inherit the precomputed frequency-independent work.
 
 Operational resilience (DESIGN.md §10): a chunk that fails for a
 *non-numerical* reason — a worker process dying (broken pool), a chunk
@@ -78,7 +79,7 @@ from .context import CacheStats
 
 logger = logging.getLogger(__name__)
 
-_BACKENDS = ("serial", "thread", "process")
+_BACKENDS = ("serial", "process")
 
 #: Default chunk size: large enough to amortise dispatch overhead,
 #: small enough that the budget gate has frequent decision points.
@@ -156,16 +157,16 @@ def _run_chunk(analyzer, frequencies, on_failure, solver=None, labels=None,
     path.
 
     Observability: the chunk runs inside an ``executor.chunk`` span
-    attached under ``parent_span`` (the dispatcher's span — worker
-    threads have an empty span stack of their own). With ``export_obs``
+    attached under ``parent_span`` (the dispatcher's span — a worker
+    process has an empty span stack of its own). With ``export_obs``
     (the process backend, where the worker records into a *private*
     pickled copy of the recorder) the spans and metrics recorded by
     this chunk — including the chunk-local cache-stats delta — are
     exported and returned as the fifth tuple element for the dispatcher
-    to merge; on the shared-recorder backends it is ``None`` and the
-    dispatcher folds one sweep-level delta instead.
+    to merge; on the serial backend it is ``None`` and the dispatcher
+    folds one sweep-level delta instead.
 
-    Fault injection: ``plan``/``attempt`` arm the worker's thread-local
+    Fault injection: ``plan``/``attempt`` arm the worker's
     :class:`~repro.resilience.faults.FaultPlan` for the duration of the
     chunk (no-op when ``plan`` is ``None``), firing the
     ``executor.chunk`` seam on entry and the per-frequency seams inside
@@ -301,9 +302,9 @@ class SweepExecutor:
     Parameters
     ----------
     backend:
-        ``"serial"``, ``"thread"``, or ``"process"``.
+        ``"serial"`` or ``"process"``.
     max_workers:
-        Worker count for the concurrent backends (default: CPU count).
+        Worker count for the process backend (default: CPU count).
     chunk_size:
         Frequencies per dispatched chunk (default 8, or 64 for the
         spectral-batch solver where each chunk is one ω-block). Smaller
@@ -368,8 +369,8 @@ class SweepExecutor:
                 f"{type(pool).__name__}")
         if pool is not None and backend == "serial":
             raise ReproError(
-                "a shared pool needs a concurrent backend; use "
-                "backend='thread' or backend='process'")
+                "a shared pool needs the process backend; use "
+                "backend='process'")
         self.pool = pool
 
     # -- public API ----------------------------------------------------------
@@ -418,7 +419,7 @@ class SweepExecutor:
                 analyzer.warm_up(sources=labels is not None)
                 if self.solver is not None:
                     # Materialise group eigenbases before dispatch so
-                    # thread workers never race on the lazy property.
+                    # forked workers inherit them.
                     analyzer.context.spectral_bases
             chunks = [(start, freqs[start:start + self.chunk_size])
                       for start in range(0, freqs.size, self.chunk_size)]
@@ -452,13 +453,12 @@ class SweepExecutor:
         if rec.enabled:
             rec.count("executor.chunks_dispatched",
                       len(state.outputs) - state.n_resumed)
-            # One parent-side delta. On the shared-context backends
-            # (serial/thread) it covers the whole sweep; on the process
-            # backend the workers mutate *private* context copies —
-            # their chunk-local deltas arrived through the merged
-            # exports, and the parent delta only adds the warm-up
-            # counts. Either way the totals match the serial sweep
-            # exactly.
+            # One parent-side delta. On the serial backend it covers
+            # the whole sweep; on the process backend the workers
+            # mutate *private* context copies — their chunk-local
+            # deltas arrived through the merged exports, and the parent
+            # delta only adds the warm-up counts. Either way the totals
+            # match the serial sweep exactly.
             _fold_cache_delta(rec, stats_before, cache_stats.snapshot())
             report.timeline = span_summary(rec, since=mark)
         return PsdResult(
@@ -590,8 +590,6 @@ class SweepExecutor:
     def _make_pool(self):
         if self.pool is not None:
             return self.pool.acquire()
-        if self.backend == "thread":
-            return cf.ThreadPoolExecutor(max_workers=self.max_workers)
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -674,8 +672,9 @@ class SweepExecutor:
                     future = pool.submit(
                         _run_chunk, analyzer, state.chunks[idx][1],
                         on_failure, self.solver, labels, parent_span,
-                        self.backend == "process", time.perf_counter(),
-                        self.faults, attempt, state.chunks[idx][0])
+                        export_obs=True, submitted_at=time.perf_counter(),
+                        plan=self.faults, attempt=attempt,
+                        chunk_start=state.chunks[idx][0])
                     pending[future] = (idx, attempt, deadline)
                 queue.extend(deferred)
                 if not pending:
@@ -701,11 +700,8 @@ class SweepExecutor:
                                              "worker-crash", exc)
                     except Exception as exc:  # scn: ignore[SCN002]
                         # Resilience boundary (see _run_serial).
-                        stage = ("worker-crash"
-                                 if isinstance(exc, InjectedWorkerCrash)
-                                 else "retry-exhausted")
                         self._handle_failure(state, queue, idx, attempt,
-                                             stage, exc)
+                                             "retry-exhausted", exc)
                     else:
                         state.complete(idx, output)
                 now = time.perf_counter()

@@ -74,12 +74,10 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "GroupBasis",
     "BatchedSolveResult",
-    "ParamBatchedSolveResult",
     "build_group_bases",
     "group_period_integral",
     "phi_scalar_integrals",
     "solve_spectral_batch",
-    "solve_param_batched",
 ]
 
 #: Mirrors ``_SERIES_TERMS`` of :mod:`repro.linalg.phi`: 12 terms give
@@ -500,125 +498,3 @@ def solve_spectral_batch(context, omegas, segment_forcing,
     return BatchedSolveResult(
         omegas=omegas, integral=integral, v0=v0, conditions=conditions,
         ok=ok, fallback_groups=fallback_groups)
-
-
-@dataclass
-class ParamBatchedSolveResult:
-    """Outcome of one parameter-batched solve across a corner family.
-
-    ``results[m]`` is the :class:`BatchedSolveResult` of parameter set
-    ``m`` in input order, shaped exactly as if ``solve_spectral_batch``
-    had been called for that parameter alone — the param batching is an
-    *execution* strategy, not a result-shape change.  ``param_groups``
-    lists the parameter indices that shared one stacked kernel call
-    (same ``dynamics_key``); ``stacked_calls`` counts those calls (the
-    speedup lever: 16 corners over 4 dynamics points → 4 calls).
-    ``fallback_params`` lists parameters whose stacked call failed and
-    were recomputed through the single-parameter PR-4 path.
-    """
-
-    omegas: FloatArray
-    results: list
-    param_groups: list
-    stacked_calls: int
-    fallback_params: list = field(default_factory=list)
-    solver: str = "param-batch"
-
-
-def solve_param_batched(contexts, omegas, forcings, condition_limit=None,
-                        recorder=None) -> ParamBatchedSolveResult:
-    """One batched periodic solve across M parameter sets × all ω.
-
-    ``contexts[m]`` and ``forcings[m]`` describe parameter set ``m``:
-    a :class:`~repro.mft.context.SweepContext` (possibly intensity-
-    derived) and its ``(S, 2, n)`` — or stacked ``(R, S, 2, n)`` —
-    forcing.  Parameter sets whose contexts share a ``dynamics_key``
-    (identical segment structure: dynamics roots with their derived
-    intensity corners) are concatenated along the forcing-row axis and
-    solved through **one** :func:`solve_spectral_batch` call — one
-    eigenbasis, one φ-integral stack, one LU per frequency serving every
-    member's rows — then sliced back into per-parameter results.  This
-    is the fallback lattice's outer level (param): a stacked call that
-    raises falls back per member to the single-parameter path
-    (recorded in ``fallback_params``); per-frequency failures inside a
-    call are reported through each member's ``ok`` mask exactly as in
-    the single-parameter kernel, for the engine's per-cell rescue.
-
-    A single-member group degenerates to a plain
-    ``solve_spectral_batch`` call with the member's own forcing, so
-    ``M=1`` is bit-identical to the PR-4 path by construction.
-    """
-    if recorder is None:
-        from ..obs import NULL_RECORDER
-        recorder = NULL_RECORDER
-    contexts = list(contexts)
-    forcings = [np.asarray(f) for f in forcings]
-    if len(contexts) != len(forcings):
-        raise ReproError(
-            f"{len(contexts)} contexts vs {len(forcings)} forcings")
-    if not contexts:
-        raise ReproError("param-batched solve needs at least one "
-                         "parameter set")
-    omegas = np.asarray(omegas, dtype=float).reshape(-1)
-
-    # Group members by shared dynamics, preserving first-appearance
-    # order on both the groups and their members.
-    group_members: "dict[int, list[int]]" = {}
-    for m, context in enumerate(contexts):
-        group_members.setdefault(context.dynamics_key, []).append(m)
-    param_groups = list(group_members.values())
-    recorder.count("param_batch.groups", len(param_groups))
-
-    results: list = [None] * len(contexts)
-    fallback_params: list = []
-    stacked_calls = 0
-    for members in param_groups:
-        stacked_calls += 1
-        if len(members) == 1:
-            m = members[0]
-            results[m] = solve_spectral_batch(
-                contexts[m], omegas, forcings[m],
-                condition_limit=condition_limit, recorder=recorder)
-            continue
-        row_slices = []
-        rows = []
-        offset = 0
-        for m in members:
-            forcing = forcings[m]
-            block = forcing if forcing.ndim == 4 else forcing[None]
-            rows.append(block)
-            row_slices.append((offset, offset + block.shape[0],
-                               forcing.ndim == 4))
-            offset += block.shape[0]
-        try:
-            with recorder.span("spectral.param-stack",
-                               n_params=len(members), n_rows=offset):
-                batch = solve_spectral_batch(
-                    contexts[members[0]], omegas,
-                    np.concatenate(rows, axis=0),
-                    condition_limit=condition_limit, recorder=recorder)
-        except ReproError:
-            # Param-level fallback: rerun each member alone through the
-            # single-parameter kernel (the PR-4 path).
-            logger.info(
-                "param-batched solve: stacked call over params %s "
-                "failed; retrying per parameter", members)
-            for m in members:
-                fallback_params.append(m)
-                results[m] = solve_spectral_batch(
-                    contexts[m], omegas, forcings[m],
-                    condition_limit=condition_limit, recorder=recorder)
-            continue
-        for m, (lo, hi, was_stacked) in zip(members, row_slices):
-            integral = batch.integral[lo:hi]
-            v0 = batch.v0[lo:hi]
-            if not was_stacked:
-                integral = integral[0]
-                v0 = v0[0]
-            results[m] = BatchedSolveResult(
-                omegas=batch.omegas, integral=integral, v0=v0,
-                conditions=batch.conditions, ok=batch.ok,
-                fallback_groups=batch.fallback_groups)
-    return ParamBatchedSolveResult(
-        omegas=omegas, results=results, param_groups=param_groups,
-        stacked_calls=stacked_calls, fallback_params=fallback_params)

@@ -16,8 +16,8 @@ overhead on a real sweep is far below the 2 % gate asserted in
 An enabled :class:`Recorder` is
 
 * **thread-safe** — span/counter/histogram mutation is lock-guarded and
-  the open-span stack is thread-local, so concurrent executor chunks
-  each build a correctly-parented subtree;
+  the open-span stack is thread-local, so a job-queue dispatcher thread
+  and its caller each build a correctly-parented subtree;
 * **process-safe** — recorders pickle (locks and thread-locals are
   dropped and rebuilt), a forked worker records into its private copy,
   and :meth:`Recorder.merge` folds a worker's :meth:`Recorder.export`
@@ -188,8 +188,8 @@ class Recorder:
     """In-memory trace + metrics sink (see the module docstring).
 
     Spans nest through a thread-local stack: a span opened while another
-    is open on the same thread records it as its parent, so each worker
-    thread builds its own correctly-parented subtree.
+    is open on the same thread records it as its parent, so each thread
+    builds its own correctly-parented subtree.
     """
 
     enabled: bool = True
@@ -229,9 +229,9 @@ class Recorder:
         """Open a span; use as a context manager so it always closes.
 
         The parent is the innermost open span of the *current thread*;
-        ``_parent`` overrides it explicitly — executor worker threads
-        use this to attach their chunk spans under the sweep root that
-        lives on the dispatching thread's stack.
+        ``_parent`` overrides it explicitly — executor chunks use this
+        to attach their spans under the dispatch span, which lives on
+        the dispatcher's stack, not the worker's.
         """
         stack = self._stack()
         parent = _parent if _parent is not None else (

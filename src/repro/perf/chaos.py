@@ -49,7 +49,7 @@ def _chaos_plan(seed: int, crash_chunk: int) -> FaultPlan:
     ], seed=seed)
 
 
-def run_chaos(workload: Workload, backend: str = "thread", seed: int = 0,
+def run_chaos(workload: Workload, backend: str = "process", seed: int = 0,
               chunk_size: int = 8, max_workers: int = 2,
               checkpoint_dir: "str | Path | None" = None
               ) -> dict[str, Any]:
@@ -134,8 +134,8 @@ def main(argv: "list[str] | None" = None) -> int:
         prog="python -m repro.perf.chaos",
         description="seeded fault-injection smoke run on one workload")
     parser.add_argument("--workload", default="sc-lowpass-sweep-64")
-    parser.add_argument("--backend", default="thread",
-                        choices=["serial", "thread", "process"])
+    parser.add_argument("--backend", default="process",
+                        choices=["serial", "process"])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--chunk-size", type=int, default=8)
     parser.add_argument("--max-workers", type=int, default=2)

@@ -142,9 +142,9 @@ BENCH_HISTORY_LIMIT = 200
 #: fresh sweep context.
 SWEEP_VARIANTS: tuple[tuple[str, str, str | None], ...] = (
     ("serial-uncached", "serial", None),
-    ("parallel-uncached", "thread", None),
+    ("parallel-uncached", "process", None),
     ("serial-spectral", "serial", "spectral-batch"),
-    ("parallel-spectral", "thread", "spectral-batch"),
+    ("parallel-spectral", "process", "spectral-batch"),
 )
 
 #: Adaptive refinement is inherently sequential (each bisection depends
@@ -167,7 +167,7 @@ ATTRIBUTION_VARIANTS: tuple[tuple[str, str, str | None, bool], ...] = (
     ("serial-attributed", "serial", None, True),
     ("serial-spectral", "serial", "spectral-batch", False),
     ("spectral-attributed", "serial", "spectral-batch", True),
-    ("parallel-attributed", "thread", "spectral-batch", True),
+    ("parallel-attributed", "process", "spectral-batch", True),
 )
 
 #: Corners matrix: (variant, cache, backend, solver, attributed).

@@ -18,7 +18,7 @@ site                      fired from
 A :class:`FaultPlan` is a list of :class:`FaultSpec` entries plus a
 seed.  Whether a spec fires at a given site is a *pure function* of
 ``(seed, site, key, attempt)`` — no mutable counters — so the decision
-reproduces identically across thread workers, forked process workers,
+reproduces identically in the serial loop, forked process workers,
 and respawned pools: the same plan injects the same faults every run,
 and a retried chunk (``attempt >= spec.attempts``) recomputes clean.
 
@@ -120,7 +120,7 @@ class FaultSpec:
     kind:
         ``"transient"`` raises :class:`InjectedTransientError`;
         ``"crash"`` hard-exits a forked process worker (raises
-        :class:`InjectedWorkerCrash` on thread/serial backends);
+        :class:`InjectedWorkerCrash` on the serial backend);
         ``"slow"`` sleeps ``seconds`` without raising;
         ``"pickle"`` raises :class:`InjectedPickleError`;
         ``"kill"`` raises :class:`InjectedSweepKill` (dispatch site).

@@ -13,7 +13,7 @@ The pieces (DESIGN.md §13):
   persistent content-addressed payloads
   (:mod:`repro.results`) with hit/miss/evict telemetry, so an
   identical resubmit is served without a single kernel solve;
-* :class:`WorkerPool` — one long-lived process/thread pool shared by
+* :class:`WorkerPool` — one long-lived process pool shared by
   every job's :class:`~repro.mft.executor.SweepExecutor`, keeping the
   retry/fault/budget/checkpoint machinery unchanged underneath.
 

@@ -20,40 +20,32 @@ from typing import Any
 
 from ..errors import ReproError
 
-_POOL_BACKENDS = ("thread", "process")
-
 
 class WorkerPool:
-    """Long-lived thread/process pool with crash respawn.
+    """Long-lived process pool with crash respawn.
+
+    Workers come from the fork context when available, so they inherit
+    warmed caches.  ``backend`` is always ``"process"``.
 
     Parameters
     ----------
     max_workers:
         Worker count (default 2 — the service smoke configuration).
-    backend:
-        ``"process"`` (default; fork context when available, so workers
-        inherit warmed caches) or ``"thread"``.
     """
 
-    def __init__(self, max_workers: int = 2,
-                 backend: str = "process") -> None:
-        if backend not in _POOL_BACKENDS:
-            raise ReproError(
-                f"unknown pool backend {backend!r}; expected one of "
-                f"{_POOL_BACKENDS}")
+    backend = "process"
+
+    def __init__(self, max_workers: int = 2) -> None:
         self.max_workers = int(max_workers)
         if self.max_workers < 1:
             raise ReproError(
                 f"max_workers must be >= 1, got {max_workers}")
-        self.backend = backend
         self._lock = threading.Lock()
         self._executor: "cf.Executor | None" = None
         self.n_respawns = 0
         self._closed = False
 
     def _spawn(self) -> cf.Executor:
-        if self.backend == "thread":
-            return cf.ThreadPoolExecutor(max_workers=self.max_workers)
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms

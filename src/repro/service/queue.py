@@ -35,7 +35,7 @@ from .pool import WorkerPool
 from .spec import JobSpec, job_key
 from .store import ResultStore, open_store
 
-_QUEUE_BACKENDS = ("serial", "thread", "process")
+_QUEUE_BACKENDS = ("serial", "process")
 
 
 class JobQueue:
@@ -48,15 +48,15 @@ class JobQueue:
         or ``.db``/``.sqlite`` file), or ``None`` for a fresh in-memory
         store.
     pool:
-        A shared :class:`~repro.service.pool.WorkerPool`; its backend
-        decides how sweeps parallelize.  The queue never shuts down a
+        A shared :class:`~repro.service.pool.WorkerPool`; sweeps then
+        run on its worker processes.  The queue never shuts down a
         pool it was given (construct-your-own lifetime); a pool the
         queue built itself (from ``backend=``/``max_workers=``) is torn
         down by :meth:`close`.
     backend:
         Used only when ``pool`` is ``None``: ``"serial"`` (default —
-        in-process sweeps), ``"thread"``, or ``"process"`` (the queue
-        then owns a :class:`WorkerPool` of ``max_workers``).
+        in-process sweeps) or ``"process"`` (the queue then owns a
+        :class:`WorkerPool` of ``max_workers``).
     """
 
     def __init__(self, store: Any = None, pool: "WorkerPool | None" = None,
@@ -77,8 +77,7 @@ class JobQueue:
                     f"unknown queue backend {backend!r}; expected one "
                     f"of {_QUEUE_BACKENDS}")
             if backend != "serial":
-                pool = WorkerPool(max_workers=max_workers or 2,
-                                  backend=backend)
+                pool = WorkerPool(max_workers=max_workers or 2)
                 self._own_pool = True
         self.pool = pool
         self.backend = "serial" if pool is None else pool.backend
@@ -175,9 +174,8 @@ class JobQueue:
         """Live per-chunk progress from the job's recorder.
 
         Chunks report as their ``executor.chunk`` spans close (on the
-        thread backend they stream during the sweep; on the process
-        backend workers' spans merge as each chunk's result lands), so
-        ``chunks_done`` ticks up while the job runs.
+        serial backend during the sweep; on the process backend the
+        workers' spans merge when the sweep's chunks are merged).
         """
         rec = handle.recorder
         since = self._marks.get(handle.id, 0)

@@ -131,7 +131,7 @@ class TestFaultedSweeps:
                                     faults=plan, retry=policy)
         return result
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_nan_union_through_chunk_failure(self, backend):
         result = self._faulted_sweep(backend)
         assert result.info["executor"]["n_chunks_failed"] == 1

@@ -271,14 +271,14 @@ class TestParityBattery:
         worst = np.max(np.abs(batched.values[1] - reference.psd))
         assert worst <= CORNER_INTENSITY_RESTACK_RTOL * scale
 
-    def test_thread_parallel_matches_serial_bitwise(
+    def test_process_parallel_matches_serial_bitwise(
             self, rc_system, mixed_grid, freqs):
         clear_sweep_contexts()
         serial = corner_psd_sweep(rc_system, mixed_grid, freqs,
                                   segments_per_phase=SPP, chunk_size=3)
         parallel = corner_psd_sweep(rc_system, mixed_grid, freqs,
                                     segments_per_phase=SPP, chunk_size=3,
-                                    parallel="thread", max_workers=2)
+                                    parallel="process", max_workers=2)
         assert (serial.values.tobytes() == parallel.values.tobytes())
         assert serial.failures == parallel.failures
 

@@ -1,11 +1,12 @@
 """Executor resilience: retry, crash recovery, checkpoint/resume.
 
 Integration suite for DESIGN.md §10 on the switched-RC circuit:
-injected transient failures, worker crashes (thread exceptions and
-hard ``os._exit`` process deaths), per-chunk timeouts, and dispatcher
-kills must either be recovered *bit-identically* to a fault-free sweep
-or degrade into the documented NaN + ``FrequencyFailure`` contract —
-never into silently wrong numbers.  Also pins the executor's argument
+injected transient failures, worker crashes (in-process exceptions on
+the serial backend and hard ``os._exit`` process deaths), per-chunk
+timeouts, and dispatcher kills must either be recovered
+*bit-identically* to a fault-free sweep or degrade into the documented
+NaN + ``FrequencyFailure`` contract — never into silently wrong
+numbers.  Also pins the executor's argument
 validation and the budget-spent-before-first-dispatch edge.
 """
 
@@ -26,7 +27,7 @@ from repro.resilience import (
     SweepCheckpoint,
 )
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "process"]
 
 #: Fast but non-trivial: 12 finite frequencies -> 3 chunks of 4.
 N_FREQS = 12
@@ -67,7 +68,7 @@ class TestArgumentValidation:
     @pytest.mark.parametrize("value", [0, -1, -8])
     def test_rejects_nonpositive_workers(self, value):
         with pytest.raises(ReproError, match="max_workers"):
-            SweepExecutor(backend="thread", max_workers=value)
+            SweepExecutor(backend="process", max_workers=value)
 
     @pytest.mark.parametrize("value", [0, -3])
     def test_rejects_nonpositive_chunk_size(self, value):
@@ -77,7 +78,7 @@ class TestArgumentValidation:
     @pytest.mark.parametrize("value", [True, False, 2.0, "4"])
     def test_rejects_non_integers(self, value):
         with pytest.raises(ReproError, match="max_workers"):
-            SweepExecutor(backend="thread", max_workers=value)
+            SweepExecutor(backend="process", max_workers=value)
         with pytest.raises(ReproError, match="chunk_size"):
             SweepExecutor(chunk_size=value)
 
@@ -92,6 +93,19 @@ class TestArgumentValidation:
     def test_rejects_non_policy_retry(self):
         with pytest.raises(ReproError, match="RetryPolicy"):
             SweepExecutor(retry=3)
+
+    def test_thread_backend_rejected_everywhere(self, analyzer, grid):
+        from repro.service import JobQueue, WorkerPool
+
+        allowed = r"expected one of \('serial', 'process'\)"
+        with pytest.raises(ReproError, match=allowed):
+            analyzer.psd_sweep(grid, parallel="thread")
+        with pytest.raises(ReproError, match=allowed):
+            SweepExecutor(backend="thread")
+        with pytest.raises(ReproError, match=allowed):
+            JobQueue(backend="thread")
+        with pytest.raises(TypeError, match="backend"):
+            WorkerPool(backend="process")
 
     def test_baseline_solvers_reject_resilience_knobs(self, analyzer,
                                                       grid):
@@ -174,7 +188,7 @@ class TestTransientRecovery:
 
 
 class TestWorkerCrashRecovery:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_in_process_crash_is_retried(self, analyzer, grid, backend):
         reference = _sweep(analyzer, grid, backend)
         plan = FaultPlan([FaultSpec("executor.chunk", "crash",
@@ -233,12 +247,12 @@ class TestWorkerCrashRecovery:
 
 class TestTimeouts:
     def test_slow_chunk_times_out_and_retries(self, analyzer, grid):
-        reference = _sweep(analyzer, grid, "thread")
+        reference = _sweep(analyzer, grid, "process")
         plan = FaultPlan([FaultSpec("executor.chunk", "slow",
                                     seconds=1.5, match={"chunk": 0})])
         policy = RetryPolicy(max_retries=2, backoff_seconds=0.001,
                              jitter=0.0, chunk_timeout_seconds=0.3)
-        faulted = _sweep(analyzer, grid, "thread", faults=plan,
+        faulted = _sweep(analyzer, grid, "process", faults=plan,
                          retry=policy)
         meta = faulted.info["executor"]
         assert meta["n_timeouts"] >= 1

@@ -130,10 +130,9 @@ class TestBatchedSolveEquivalence:
         freqs = np.linspace(100.0, 30e3, 40)
         serial = analyzer.psd_sweep(freqs, solver="spectral-batch",
                                     chunk_size=8)
-        threaded = analyzer.psd_sweep(freqs, parallel="thread",
-                                      solver="spectral-batch",
-                                      chunk_size=8)
-        np.testing.assert_array_equal(serial.psd, threaded.psd)
+        pooled = analyzer.psd_sweep(freqs, parallel="process",
+                                    solver="spectral-batch", chunk_size=8)
+        np.testing.assert_array_equal(serial.psd, pooled.psd)
 
 
 class TestBatchedSolveValidation:
@@ -211,8 +210,8 @@ class TestDefectiveEigenbasisFallback:
         analyzer = MftNoiseAnalyzer(system, segments_per_phase=8)
         freqs = np.linspace(1e3, 40e3, 16)
         omegas = 2.0 * np.pi * freqs
-        batch = analyzer.context.solve_batched(
-            omegas, analyzer._forcing_pairs())
+        batch = solve_spectral_batch(
+            analyzer.context, omegas, analyzer._forcing_pairs())
         bases = analyzer.context.spectral_bases
         assert batch.fallback_groups == [
             g for g, basis in enumerate(bases)
@@ -330,11 +329,16 @@ class TestParityBattery:
         rows = np.stack([forcing] + [
             context.source_forcing_pairs(analyzer._l_row, s)
             for s in range(context.n_sources)])
-        single = solve_spectral_batch(context, omegas, forcing)
         stacked = solve_spectral_batch(context, omegas, rows)
-        assert stacked.integral[0].tobytes() == single.integral.tobytes()
-        assert stacked.v0[0].tobytes() == single.v0.tobytes()
-        assert np.array_equal(stacked.ok, single.ok)
+        # Every row, not only row 0: corner sweeps stack the kernel rows
+        # of a whole dynamics group into one call and slice them back.
+        for k, row in enumerate(rows):
+            single = solve_spectral_batch(context, omegas, row)
+            assert stacked.integral[k].tobytes() == \
+                single.integral.tobytes(), f"row {k}"
+            assert stacked.v0[k].tobytes() == single.v0.tobytes(), (
+                f"row {k}")
+            assert np.array_equal(stacked.ok, single.ok)
 
     # At production density each clock phase is one segment group even
     # though its float segment lengths differ by ulps.

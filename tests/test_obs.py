@@ -256,7 +256,7 @@ class TestEngineInvariants:
             max_workers=2, chunk_size=3, **kwargs)
         return rec, result
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_span_tree_balances(self, rc_system, backend):
         rec, _ = self._sweep(rc_system, backend)
         assert rec.is_balanced()
@@ -264,7 +264,7 @@ class TestEngineInvariants:
         assert "mft.sweep" in names
         assert "executor.chunk" in names
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_chunks_attach_under_dispatch(self, rc_system, backend):
         rec, _ = self._sweep(rc_system, backend)
         spans = rec.spans
@@ -276,17 +276,16 @@ class TestEngineInvariants:
 
     def test_metric_totals_identical_across_backends(self, rc_system):
         counters = {}
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             rec, result = self._sweep(rc_system, backend)
             counters[backend] = rec.counters
             assert np.all(np.isfinite(result.psd))
         keys = {"sweep.frequencies", "fallback.attempts",
                 "executor.chunks_dispatched"}
         keys |= {k for k in counters["serial"] if k.startswith("cache.")}
-        for backend in ("thread", "process"):
-            for key in sorted(keys):
-                assert counters[backend].get(key) == \
-                    counters["serial"].get(key), (backend, key)
+        for key in sorted(keys):
+            assert counters["process"].get(key) == \
+                counters["serial"].get(key), key
 
     def test_spectral_solver_spans_recorded(self, rc_system):
         rec, _ = self._sweep(rc_system, "serial", solver="spectral-batch")

@@ -320,7 +320,7 @@ class TestBatchEndpoint:
         with JobQueue() as queue:
             serial = queue.run_batch(specs, timeout=240.0)
         clear_sweep_contexts()
-        with JobQueue(backend="thread", max_workers=2) as queue:
+        with JobQueue(backend="process", max_workers=2) as queue:
             pooled = queue.run_batch(specs, timeout=240.0)
         for a, b in zip(serial, pooled):
             assert a.result.psd.tobytes() == b.result.psd.tobytes()
@@ -337,7 +337,7 @@ class TestCrashRecoveryAndResume:
             retry=RetryPolicy(max_retries=2, backoff_seconds=0.001),
             faults=plan)
         clear_sweep_contexts()
-        with JobQueue(backend="thread", max_workers=2) as queue:
+        with JobQueue(backend="process", max_workers=2) as queue:
             recovered = queue.submit(faulted_spec).wait(timeout=120.0)
         meta = recovered.result.info["executor"]
         assert meta["n_worker_crashes"] >= 1
@@ -391,13 +391,11 @@ class TestProgress:
 
 class TestWorkerPool:
     def test_validation(self):
-        with pytest.raises(ReproError, match="backend"):
-            WorkerPool(backend="rocket")
         with pytest.raises(ReproError, match="max_workers"):
             WorkerPool(max_workers=0)
 
     def test_acquire_is_idempotent_and_respawn_is_not(self):
-        with WorkerPool(max_workers=1, backend="thread") as pool:
+        with WorkerPool(max_workers=1) as pool:
             first = pool.acquire()
             assert pool.acquire() is first
             fresh = pool.respawn()
@@ -407,7 +405,7 @@ class TestWorkerPool:
             assert pool.telemetry()["live"]
 
     def test_shutdown_closes_for_good(self):
-        pool = WorkerPool(max_workers=1, backend="thread")
+        pool = WorkerPool(max_workers=1)
         pool.acquire()
         pool.shutdown()
         with pytest.raises(ReproError, match="shut down"):
@@ -422,12 +420,12 @@ class TestQueueConfiguration:
             JobQueue(backend="rocket")
 
     def test_backend_conflicting_with_shared_pool_rejected(self):
-        with WorkerPool(max_workers=1, backend="thread") as pool:
+        with WorkerPool(max_workers=1) as pool:
             with pytest.raises(ReproError, match="conflicts"):
-                JobQueue(pool=pool, backend="process")
+                JobQueue(pool=pool, backend="serial")
 
     def test_shared_pool_is_not_shut_down_by_queue(self, spec):
-        with WorkerPool(max_workers=2, backend="thread") as pool:
+        with WorkerPool(max_workers=2) as pool:
             with JobQueue(pool=pool) as queue:
                 queue.submit(spec).wait(timeout=120.0)
             # The queue is closed; the shared pool must still work.

@@ -134,7 +134,7 @@ class TestSolverValidation:
     def test_delegates_refuse_parallel_dispatch(self, analysis):
         for solver in ("brute-force", "monte-carlo"):
             with pytest.raises(ReproError, match="serial"):
-                analysis.psd_sweep(GRID, parallel="thread", solver=solver)
+                analysis.psd_sweep(GRID, parallel="process", solver=solver)
 
     def test_executor_accepts_mft_alias(self, rc_system):
         from repro.mft.executor import SweepExecutor

@@ -11,8 +11,8 @@ plain ``periodic_steady_state`` on locally built forcing):
   non-finite frequencies),
 * identical ``DiagnosticsReport`` severity counts,
 
-for the sweep-context fast path vs that reference and for serial vs
-thread vs process backends, plus the headline acceptance check
+for the sweep-context fast path vs that reference and for the serial
+vs process backends, plus the headline acceptance check
 (64-point SC low-pass sweep, fast path + parallel vs the serial
 reference).
 """
@@ -34,7 +34,7 @@ from repro.noise.covariance import periodic_covariance
 from repro.tolerances import FIXED_POINT_RIDGE
 
 REL_TOL = 1e-12
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "process"]
 
 
 class _ReferenceAnalyzer(MftNoiseAnalyzer):
@@ -136,7 +136,7 @@ class TestBackendEquivalence:
         analyzer = MftNoiseAnalyzer(rc_system)
         reference = analyzer.psd(grid)
         for chunk in (1, 3, 64):
-            swept = analyzer.psd_sweep(grid, parallel="thread",
+            swept = analyzer.psd_sweep(grid, parallel="process",
                                        chunk_size=chunk)
             _assert_equivalent(reference, swept, f"chunk={chunk}")
 
@@ -156,7 +156,7 @@ class TestHeadlineAcceptance:
         clear_sweep_contexts()
         seed = _ReferenceAnalyzer(lowpass_model.system).psd(grid)
         fast = MftNoiseAnalyzer(lowpass_model.system).psd_sweep(
-            grid, parallel="thread")
+            grid, parallel="process")
         _assert_equivalent(seed, fast, "cached+parallel vs seed serial")
 
 
@@ -183,7 +183,7 @@ class TestParallelBudget:
         grid = np.linspace(100.0, 4e4, 8)
         analyzer = _SlowChunkAnalyzer(rc_system, delay=0.2)
         result = analyzer.psd_sweep(
-            grid, parallel="thread", max_workers=1, chunk_size=2,
+            grid, parallel="process", max_workers=1, chunk_size=2,
             budget=SweepBudget(wall_clock_seconds=0.05))
         assert np.all(np.isfinite(result.psd[:2])), (
             "in-flight chunk was not allowed to finish")
@@ -219,10 +219,10 @@ class TestExecutorMetadata:
     def test_result_reports_executor_and_cache_stats(self, rc_system):
         grid = np.linspace(100.0, 4e4, 6)
         analyzer = MftNoiseAnalyzer(rc_system)
-        result = analyzer.psd_sweep(grid, parallel="thread",
+        result = analyzer.psd_sweep(grid, parallel="process",
                                     max_workers=2, chunk_size=3)
         meta = result.info["executor"]
-        assert meta["backend"] == "thread"
+        assert meta["backend"] == "process"
         assert meta["max_workers"] == 2
         assert meta["n_chunks"] == 2
         assert result.info["cache_stats"]["total_hits"] > 0
