@@ -59,6 +59,9 @@ def unvech(packed: ArrayLike,
 
 
 def symmetrize(matrix: ArrayLike) -> "FloatArray | ComplexArray":
-    """Return ``(M + M.T.conj()) / 2`` — cheap Hermitian clean-up."""
+    """Return ``(M + M.T.conj()) / 2`` — cheap Hermitian clean-up.
+
+    A stack ``(..., n, n)`` is cleaned matrix by matrix.
+    """
     m = np.asarray(matrix)
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + np.swapaxes(m.conj(), -1, -2))

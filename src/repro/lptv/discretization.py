@@ -93,15 +93,8 @@ class PeriodDiscretization:
         ``x(T) = Phi_T x(0) + w`` with ``w ~ N(0, Q_T)`` — the exact
         one-period discrete-time model of the switched SDE.
         """
-        phi = np.eye(self.n_states)
-        gram = np.zeros((self.n_states, self.n_states))
-        for seg in self.segments:
-            gram = seg.phi @ gram @ seg.phi.T + seg.gramian
-            phi = seg.phi @ phi
-            if seg.jump is not None:
-                gram = seg.jump @ gram @ seg.jump.T
-                phi = seg.jump @ phi
-        return phi, 0.5 * (gram + gram.T)
+        return accumulate_period_gramian(
+            self.segments, [seg.gramian for seg in self.segments])
 
     def shifted_propagators(self, omega: float) -> list[ComplexArray]:
         """Segment propagators of the dynamics ``A(t) − jωI``.
@@ -112,3 +105,25 @@ class PeriodDiscretization:
         """
         return [np.exp(-1j * omega * seg.duration) * seg.phi
                 for seg in self.segments]
+
+
+def accumulate_period_gramian(segments, gramians):
+    """``(Phi_T, Q_T)`` of a segment chain driven by per-segment Gramians.
+
+    ``gramians[k]`` replaces segment ``k``'s own noise Gramian; it is an
+    ``(n, n)`` matrix or an ``(m, n, n)`` stack of ``m`` independent noise
+    drives on the same dynamics (one per noise source).  A stack runs the
+    chain once with the leading axis broadcast through every product, so
+    ``Q_T[i]`` is bit-identical to the chain driven by ``gramians[k][i]``
+    alone.  ``Phi_T`` does not depend on the drive and is never stacked.
+    """
+    n = segments[0].phi.shape[0]
+    phi = np.eye(n)
+    gram = np.zeros(np.shape(gramians[0]))
+    for seg, seg_gram in zip(segments, gramians):
+        gram = seg.phi @ gram @ seg.phi.T + seg_gram
+        phi = seg.phi @ phi
+        if seg.jump is not None:
+            gram = seg.jump @ gram @ seg.jump.T
+            phi = seg.jump @ phi
+    return phi, 0.5 * (gram + np.swapaxes(gram, -1, -2))

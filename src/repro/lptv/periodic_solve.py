@@ -129,9 +129,8 @@ def forcing_from_samples(disc, samples_post, samples_pre=None):
         samples_pre = np.asarray(samples_pre)
     out = np.empty((n_seg, 2) + samples_post.shape[1:],
                    dtype=np.promote_types(samples_post.dtype, complex))
-    for k in range(n_seg):
-        out[k, 0] = samples_post[k]
-        out[k, 1] = samples_pre[k + 1]
+    out[:, 0] = samples_post[:n_seg]
+    out[:, 1] = samples_pre[1:n_seg + 1]
     return out
 
 

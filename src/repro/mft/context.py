@@ -65,7 +65,11 @@ from ..linalg.lyapunov import (
 from ..linalg.phi import affine_step_integrals
 from ..linalg.vanloan import vanloan_gramian
 from ..lptv.periodic_solve import PeriodicSolution, forcing_from_samples
-from ..noise.covariance import periodic_covariance
+from ..noise.covariance import (
+    PeriodicCovariance,
+    periodic_covariance,
+    steady_state_samples,
+)
 from ..tolerances import (
     FIXED_POINT_RIDGE,
     RESOLVENT_NORM_THRESHOLD,
@@ -209,6 +213,8 @@ class _SweepStructure:
     groups: list
     #: For each segment, the index of its group.
     group_of: np.ndarray
+    #: Clock period of the discretization.
+    period: float
 
 
 def build_structure(disc):
@@ -263,7 +269,69 @@ def build_structure(disc):
     return _SweepStructure(
         durations=durations, t_end=t_end, phi_stack=phi_stack,
         has_jump=has_jump, jumps=jumps, suffix=suffix, groups=groups,
-        group_of=group_of)
+        group_of=group_of, period=disc.period)
+
+
+@dataclass
+class _SourceSplit:
+    """Per-source split of a discretization's noise Gramians.
+
+    Lists run per segment, but segments of one clock phase share their
+    entries: one ``(n_src, n, n)`` Gramian stack and one list of
+    ``(n, 1)`` noise columns per phase, as the discretizer shares one
+    total Gramian per phase.
+    """
+
+    #: The discretization whose propagators and jumps the split rides on.
+    disc: object
+    #: Per segment, the single-column noise matrices ``b_s``.
+    columns: list
+    #: Per segment, the ``(n_src, n, n)`` per-source Gramian stack.
+    gramians: list
+
+
+def split_source_gramians(disc, n_src):
+    """Exactly conservative per-source split of ``disc``'s Gramians.
+
+    One Van Loan Gramian per source and per distinct ``(A, B, total
+    Gramian)`` phase key, from the single column ``b_s b_s^T``.  The
+    Gramian integral is linear in ``B B^T``, but the Van Loan ``expm``
+    rounds each single-column Gramian independently, so the raw
+    per-source Gramians drift from the total by ~1e-12 relative — which
+    a near-marginal circuit (e.g. the ideal SC integrator) amplifies
+    through its periodic covariance fixed point by the fixed point's
+    condition number, enough to breach the 1e-9 conservation contract.
+    The per-phase defect ``G_total − Σ_s G_s`` is therefore
+    redistributed over the sources, weighted by each Gramian's trace (a
+    ~1e-12 relative nudge), so every quantity the covariance solve
+    consumes decomposes to summation rounding only.
+    """
+    by_phase = {}
+    columns = []
+    gramians = []
+    for seg in disc.segments:  # scn: ignore[SCN008] - frequency-independent one-time precompute, not a sweep loop
+        key = (id(seg.a_matrix), id(seg.b_matrix), id(seg.gramian))
+        entry = by_phase.get(key)
+        if entry is None:
+            cols = [np.ascontiguousarray(seg.b_matrix[:, [s]])
+                    for s in range(n_src)]
+            grams = [vanloan_gramian(seg.a_matrix, col @ col.T,
+                                     seg.duration)[1]
+                     for col in cols]
+            defect = seg.gramian - np.add.reduce(grams)
+            traces = np.array([np.trace(g).real for g in grams])
+            total_trace = float(traces.sum())
+            if total_trace > 0.0:
+                weights = traces / total_trace
+            else:
+                weights = np.full(n_src, 1.0 / n_src)
+            stack = np.stack([gram + weight * defect
+                              for gram, weight in zip(grams, weights)])
+            entry = (cols, stack)
+            by_phase[key] = entry
+        columns.append(entry[0])
+        gramians.append(entry[1])
+    return _SourceSplit(disc=disc, columns=columns, gramians=gramians)
 
 
 class SweepContext:
@@ -298,8 +366,10 @@ class SweepContext:
         self._forcing = {}
         self._omega_cache = OrderedDict()
         self._omega_cache_limit = _OMEGA_CACHE_LIMIT
+        self._n_sources = None
+        self._source_split = None
+        self._source_stack = None
         self._source_discs = {}
-        self._source_covariances = {}
         self._source_forcing = {}
 
     # -- cached frequency-independent quantities ----------------------------
@@ -393,101 +463,115 @@ class SweepContext:
         sharing one noise-descriptor list across phases). A system whose
         phases disagree on the column count cannot be attributed.
         """
-        counts = {seg.b_matrix.shape[1] for seg in self.disc.segments}
-        if len(counts) != 1:
+        if self._n_sources is None:
+            counts = {seg.b_matrix.shape[1] for seg in self.disc.segments}
+            if len(counts) != 1:
+                raise ReproError(
+                    "per-source attribution needs the same number of "
+                    f"noise columns in every phase, got counts "
+                    f"{sorted(counts)}")
+            self._n_sources = int(counts.pop())
+        return self._n_sources
+
+    def _source_index(self, source):
+        """``source`` as a valid noise-column index, else ``ReproError``."""
+        n_src = self.n_sources
+        index = int(source)
+        if not 0 <= index < n_src:
             raise ReproError(
-                "per-source attribution needs the same number of noise "
-                f"columns in every phase, got counts {sorted(counts)}")
-        return int(counts.pop())
+                f"noise source index {index} out of range for {n_src} "
+                f"sources: valid indices are 0 to {n_src - 1}")
+        return index
+
+    def _split_sources(self):
+        """The cached per-source Gramian split (:func:`split_source_gramians`)."""
+        if self._source_split is None:
+            self._source_split = split_source_gramians(self.disc,
+                                                       self.n_sources)
+        return self._source_split
 
     def source_disc(self, source):
         """Discretization whose Gramians keep only noise column ``source``.
 
-        Same grid, propagators and jumps as :attr:`disc` — only the Van
-        Loan Gramians are rebuilt from the single column
-        ``b_s b_s^T``.  The Gramian integral is linear in ``B B^T``, but
-        the Van Loan ``expm`` rounds each single-column Gramian
-        independently, so the raw per-source Gramians drift from the
-        total by ~1e-12 relative — which a near-marginal circuit (e.g.
-        the ideal SC integrator) amplifies through its periodic
-        covariance fixed point by the fixed point's condition number,
-        enough to breach the 1e-9 conservation contract.  The split is
-        therefore made *exactly conservative*: the per-segment defect
-        ``G_total − Σ_s G_s`` is redistributed over the sources,
-        weighted by each Gramian's trace (a ~1e-12 relative nudge),
-        so every quantity the covariance solve consumes decomposes to
-        summation rounding only.  All sources are built in one pass and
-        cached; segments sharing ``A``, ``B`` and one total-Gramian
-        object (all segments of one uniform clock phase) share one
-        Gramian computation.
+        Same grid, propagators and jumps as :attr:`disc`; the ``B``
+        column and the Gramians come from the exactly conservative
+        per-source split (:func:`split_source_gramians`), so the
+        segments of one clock phase share one Gramian object.  Only the
+        brute-force attribution replay needs whole per-source
+        discretizations — the per-source covariances are solved from
+        the split directly (:meth:`source_covariance`).  All sources are
+        built on the first call and cached.
         """
-        source = int(source)
-        n_src = self.n_sources
-        if not 0 <= source < n_src:
-            raise ReproError(
-                f"noise source index {source} out of range for "
-                f"{n_src} sources")
+        source = self._source_index(source)
         cached = self._source_discs.get(source)
         if cached is not None:
             self.stats.hit("source-disc")
             return cached
         self.stats.miss("source-disc")
-        disc = self.disc
-        gram_cache = {}
+        split = self._split_sources()
+        n_src = self.n_sources
+        views = {}
         per_source = [[] for _ in range(n_src)]
-        for seg in disc.segments:  # scn: ignore[SCN008] - frequency-independent one-time precompute, not a sweep loop
-            key = (id(seg.a_matrix), id(seg.b_matrix), id(seg.gramian))
-            entry = gram_cache.get(key)
-            if entry is None:
-                cols = [np.ascontiguousarray(seg.b_matrix[:, [s]])
-                        for s in range(n_src)]
-                grams = [vanloan_gramian(seg.a_matrix, col @ col.T,
-                                         seg.duration)[1]
-                         for col in cols]
-                defect = seg.gramian - np.add.reduce(grams)
-                traces = np.array([np.trace(g).real for g in grams])
-                total_trace = float(traces.sum())
-                if total_trace > 0.0:
-                    weights = traces / total_trace
-                else:
-                    weights = np.full(n_src, 1.0 / n_src)
-                grams = [gram + weight * defect
-                         for gram, weight in zip(grams, weights)]
-                entry = (cols, grams)
-                gram_cache[key] = entry
+        # scn: ignore[SCN008] - frequency-independent one-time
+        # precompute, not a sweep loop
+        for seg, cols, stack in zip(split.disc.segments, split.columns,
+                                    split.gramians):
+            grams = views.get(id(stack))
+            if grams is None:
+                grams = views[id(stack)] = list(stack)
             for s in range(n_src):
-                per_source[s].append(replace(seg, b_matrix=entry[0][s],
-                                             gramian=entry[1][s]))
+                per_source[s].append(replace(seg, b_matrix=cols[s],
+                                             gramian=grams[s]))
         for s in range(n_src):
-            self._source_discs[s] = replace(disc,
+            self._source_discs[s] = replace(split.disc,
                                             segments=per_source[s])
         return self._source_discs[source]
 
     def source_covariance(self, source):
-        """Periodic covariance driven by noise column ``source`` alone."""
-        source = int(source)
-        cached = self._source_covariances.get(source)
-        if cached is not None:
+        """Periodic covariance driven by noise column ``source`` alone.
+
+        The first call solves every source at once: one pass over the
+        period propagates the ``(n_src, n, n)`` stack of per-source
+        Gramians (:func:`~repro.noise.covariance.steady_state_samples`),
+        with one discrete Lyapunov solve per source.  Each source's
+        covariance is bit-identical to
+        ``periodic_covariance(self.source_disc(source))``.
+        """
+        source = self._source_index(source)
+        if self._source_stack is None:
+            self.stats.miss("source-covariance")
+            split = self._split_sources()
+            disc = split.disc
+            pre, post = steady_state_samples(disc, split.gramians)
+            self._source_stack = PeriodicCovariance(
+                grid=disc.grid, pre=pre, post=post, period=disc.period)
+        else:
             self.stats.hit("source-covariance")
-            return cached
-        self.stats.miss("source-covariance")
-        covariance = periodic_covariance(self.source_disc(source))
-        self._source_covariances[source] = covariance
-        return covariance
+        stack = self._source_stack
+        return PeriodicCovariance(grid=stack.grid, pre=stack.pre[source],
+                                  post=stack.post[source],
+                                  period=stack.period)
 
     def source_forcing_pairs(self, l_row, source):
-        """Cross-spectral forcing ``K_s(t) l`` of one noise source."""
+        """Cross-spectral forcing ``K_s(t) l`` of one noise source.
+
+        The first call per output row builds every source's pairs from
+        the stacked per-source covariance samples.
+        """
+        source = self._source_index(source)
         l_row = np.asarray(l_row, dtype=float)
-        key = (int(source), l_row.tobytes())
-        cached = self._source_forcing.get(key)
+        row_key = l_row.tobytes()
+        cached = self._source_forcing.get((source, row_key))
         if cached is not None:
             self.stats.hit("source-forcing")
             return cached
         self.stats.miss("source-forcing")
-        post, pre = self.source_covariance(source).forcing_samples(l_row)
-        pairs = forcing_from_samples(self.disc, post, pre)
-        self._source_forcing[key] = pairs
-        return pairs
+        self.source_covariance(source)
+        post, pre = self._source_stack.forcing_samples(l_row)
+        for s in range(self.n_sources):
+            self._source_forcing[(s, row_key)] = forcing_from_samples(
+                self.disc, post[s], pre[s])
+        return self._source_forcing[(source, row_key)]
 
     def shifted_integrals(self, omega):
         """Per-group ``(Φ_ω, I1, I2, A_ω, ‖A_ω‖₁h)`` at one frequency.
@@ -682,7 +766,9 @@ class SweepContext:
         only *add* hit counts — the counters are never reset, so
         accumulated hit/miss history survives any number of warm-ups. With
         ``sources=True`` the per-source covariances (and, given
-        ``l_row``, forcing pairs) of an attribution run are included.
+        ``l_row``, forcing pairs) of an attribution run are included:
+        the first source solves them all in one stacked pass, so the
+        rest are cache hits.
         """
         _ = self.structure, self.covariance, self.monodromy
         if l_row is not None:
@@ -713,6 +799,12 @@ class _DerivedIntensityContext(SweepContext):
     scales recombine the parent's exactly-conservative per-source
     Gramian split (``Σ_s G_s = G_total``), so equal per-source scales
     reproduce the uniform path to summation rounding.
+
+    Nothing here builds a discretization unless :attr:`disc` itself is
+    read: the source count, the forcing pairs and the per-source split
+    all come from the parent.  A derived :attr:`disc`, when a fallback
+    path asks for one, holds one rescaled Gramian per clock phase,
+    shared by that phase's segments as the discretizer shares them.
     """
 
     def __init__(self, parent, scales, system=None):
@@ -744,9 +836,15 @@ class _DerivedIntensityContext(SweepContext):
         self._disc = None
         self._covariance = None
         self._forcing = {}
+        self._source_split = None
+        self._source_stack = None
         self._source_discs = {}
-        self._source_covariances = {}
         self._source_forcing = {}
+
+    @property
+    def n_sources(self):
+        """The parent's noise-source count (intensity cannot change it)."""
+        return self.parent.n_sources
 
     def _per_source_scales(self):
         """The scale vector broadcast to one entry per noise source."""
@@ -759,9 +857,39 @@ class _DerivedIntensityContext(SweepContext):
                 f"with {n_src} noise sources")
         return self._scales
 
+    def _split_sources(self):
+        """The parent's per-source split, each source intensity-rescaled.
+
+        Rides on the parent's discretization: one scaled Gramian stack
+        and one list of scaled columns per clock phase.
+        """
+        if self._source_split is None:
+            parent = self.parent._split_sources()
+            scales = self._per_source_scales()
+            amplitude = np.sqrt(scales)
+            scaled = {}
+            columns = []
+            gramians = []
+            for cols, stack in zip(parent.columns, parent.gramians):
+                entry = scaled.get(id(stack))
+                if entry is None:
+                    entry = scaled[id(stack)] = (
+                        [col * amplitude[s] for s, col in enumerate(cols)],
+                        scales[:, None, None] * stack)
+                columns.append(entry[0])
+                gramians.append(entry[1])
+            self._source_split = _SourceSplit(
+                disc=parent.disc, columns=columns, gramians=gramians)
+        return self._source_split
+
     @property
     def disc(self):
-        """Parent discretization with ``B``/Gramians intensity-rescaled."""
+        """Parent discretization with ``B``/Gramians intensity-rescaled.
+
+        One rescaled ``(B, Gramian)`` pair per distinct parent phase:
+        ``α·G`` for a uniform scale, ``Σ_s α_s G_s`` over the parent's
+        per-source split otherwise.
+        """
         if self._disc is not None:
             self.stats.hit("disc")
             return self._disc
@@ -770,24 +898,30 @@ class _DerivedIntensityContext(SweepContext):
         if self._uniform is not None:
             scale = self._uniform
             amplitude = np.sqrt(scale)
-            segments = [replace(seg, b_matrix=seg.b_matrix * amplitude,
-                                gramian=seg.gramian * scale)
-                        for seg in parent_disc.segments]
+            drives = [seg.gramian for seg in parent_disc.segments]
+
+            def rescale(gramian):
+                return gramian * scale
         else:
             scales = self._per_source_scales()
-            amplitude = np.sqrt(scales)
-            source_discs = [self.parent.source_disc(s)
-                            for s in range(scales.size)]
-            segments = []
-            # scn: ignore[SCN008] - bounded per-segment array restack of
-            # cached parent Gramians; no solves or integrations inside
-            for k, seg in enumerate(parent_disc.segments):
-                gram = np.add.reduce([
-                    scales[s] * source_discs[s].segments[k].gramian
-                    for s in range(scales.size)])
-                segments.append(replace(
-                    seg, b_matrix=seg.b_matrix * amplitude[None, :],
-                    gramian=gram))
+            amplitude = np.sqrt(scales)[None, :]
+            drives = self.parent._split_sources().gramians
+
+            def rescale(stack):
+                return np.add.reduce([scales[s] * stack[s]
+                                      for s in range(scales.size)])
+        shared = {}
+        segments = []
+        # scn: ignore[SCN008] - bounded per-segment restack of cached
+        # parent Gramians, one rescale per phase; no solves inside
+        for seg, drive in zip(parent_disc.segments, drives):
+            key = (id(seg.b_matrix), id(drive))
+            entry = shared.get(key)
+            if entry is None:
+                entry = shared[key] = (seg.b_matrix * amplitude,
+                                       rescale(drive))
+            segments.append(replace(seg, b_matrix=entry[0],
+                                    gramian=entry[1]))
         self._disc = replace(parent_disc, segments=segments)
         return self._disc
 
@@ -815,27 +949,10 @@ class _DerivedIntensityContext(SweepContext):
         self._forcing[key] = pairs
         return pairs
 
-    def source_disc(self, source):
-        """Parent's single-source discretization, intensity-rescaled."""
-        source = int(source)
-        cached = self._source_discs.get(source)
-        if cached is not None:
-            self.stats.hit("source-disc")
-            return cached
-        self.stats.miss("source-disc")
-        scale = float(self._per_source_scales()[source])
-        parent_sd = self.parent.source_disc(source)
-        amplitude = np.sqrt(scale)
-        segments = [replace(seg, b_matrix=seg.b_matrix * amplitude,
-                            gramian=seg.gramian * scale)
-                    for seg in parent_sd.segments]
-        self._source_discs[source] = replace(parent_sd, segments=segments)
-        return self._source_discs[source]
-
     def source_forcing_pairs(self, l_row, source):
         """One source's forcing, scaled by that source's PSD multiplier."""
+        source = self._source_index(source)
         l_row = np.asarray(l_row, dtype=float)
-        source = int(source)
         key = (source, l_row.tobytes())
         cached = self._source_forcing.get(key)
         if cached is not None:
@@ -854,7 +971,10 @@ class _DerivedIntensityContext(SweepContext):
         batched path reaches covariance only through the (overridden,
         linearly scaled) forcing pairs, and solving a fresh periodic
         Lyapunov equation per intensity corner would forfeit exactly
-        the sharing this class exists for.
+        the sharing this class exists for.  Nor does it build a
+        discretization: every quantity warmed here is the parent's,
+        scaled.  A per-source corner warms the parent's per-source
+        forcing, which its own total forcing recombines.
         """
         need_sources = sources or self._uniform is None
         self.parent.warm_up(l_row=l_row, sources=need_sources)

@@ -105,7 +105,6 @@ class CornerBatchAnalyzer:
         self.system = first.system
         self.segments_per_phase = first.segments_per_phase
         self.output_row = first.output_row
-        self._disc = first._disc
         merged = DiagnosticsReport(context="corner sweep preflight")
         seen: set[int] = set()
         for member in member_list:
@@ -242,6 +241,9 @@ class CornerBatchAnalyzer:
                 batch = solve_spectral_batch(
                     plans[0][0], omegas, np.concatenate(blocks),
                     condition_limit=condition_limit, recorder=rec)
+            # One period for the group; the structure is the dynamics
+            # root's, so no derived corner builds a discretization.
+            period = plans[0][0].structure.period
             n_solved = 0
             for slot, (context, forcing, owners) in enumerate(plans):
                 lo, hi = bounds[slot], bounds[slot + 1]
@@ -258,8 +260,8 @@ class CornerBatchAnalyzer:
                     # solved row is rescaled per corner (α = 1.0 for
                     # the row owner — a bit-exact multiply).
                     psd, ok = kernel_values(
-                        result, self.members[m]._l_row,
-                        context.disc.period, labels, multiplier)
+                        result, self.members[m]._l_row, period, labels,
+                        multiplier)
                     for local in cells[m]:
                         fi = freq_pos[float(freqs[local])]
                         if ok[fi]:

@@ -121,6 +121,11 @@ class MftNoiseAnalyzer:
 
     All parameters after ``system`` are strictly keyword-only
     (see DESIGN.md §9).
+
+    The analyzer reads its discretization through the context, on
+    first use: preflight reads it, but a corner member that adopts its
+    root's preflight on a derived context never builds one on the
+    batched path.
     """
 
     def __init__(self, system, *, segments_per_phase=64,
@@ -150,7 +155,6 @@ class MftNoiseAnalyzer:
                 f"{type(context).__name__}")
         self._context = context
         self.segments_per_phase = context.segments_per_phase
-        self._disc = context.disc
         self._refined = {}
         if fallback is True or fallback is None:
             self.fallback = FallbackPolicy()
@@ -171,6 +175,15 @@ class MftNoiseAnalyzer:
             self.preflight = DiagnosticsReport(context="preflight skipped")
 
     # -- cache plumbing ------------------------------------------------------
+
+    @property
+    def _disc(self):
+        """The context's discretization, built on first read.
+
+        A corner member on a derived context never reads it on the
+        batched path, so it never builds one there.
+        """
+        return self._context.disc
 
     @property
     def context(self):

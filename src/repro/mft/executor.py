@@ -467,7 +467,7 @@ class SweepExecutor:
             info={
                 "runtime_seconds": runtime,
                 "solver": self.solver or "mft",
-                "segments": len(analyzer._disc.segments),
+                "segments": analyzer.context.structure.durations.size,
                 "negative_clipped": int(np.sum(
                     np.isfinite(raw_total) & (raw_total < 0.0))),
                 "worst_negative_psd": worst_negative_psd(raw_total),

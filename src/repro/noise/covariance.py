@@ -31,6 +31,7 @@ from ..linalg.lyapunov import (
 )
 from ..linalg.checked import eigenvalues
 from ..linalg.packing import symmetrize
+from ..lptv.discretization import accumulate_period_gramian
 
 logger = logging.getLogger(__name__)
 
@@ -86,26 +87,38 @@ def periodic_covariance(system_or_disc, segments_per_phase=64):
     report so the failing mode is identifiable without re-running.
     """
     disc = _as_disc(system_or_disc, segments_per_phase)
-    phi_t, q_t = disc.period_gramian()
-    try:
-        k0 = solve_discrete_lyapunov(phi_t, q_t).real
-    except StabilityError as exc:
-        multipliers = eigenvalues(phi_t, context="periodic covariance")
-        multipliers = multipliers[np.argsort(-np.abs(multipliers))]
-        radius = float(np.max(np.abs(multipliers)))
-        exc.multipliers = multipliers
-        exc.spectral_radius = radius
-        report = DiagnosticsReport(context="periodic covariance")
-        report.error("floquet-unstable", str(exc),
-                     spectral_radius=radius,
-                     multipliers=[complex(m) for m in multipliers])
-        logger.warning("periodic covariance failed: %s", exc)
-        raise exc.attach_diagnostics(report)
-    pre, post = _propagate_over_period(disc, k0)
+    pre, post = steady_state_samples(
+        disc, [seg.gramian for seg in disc.segments])
     logger.debug("periodic covariance solved: %d grid points, "
                  "period %.3g s", len(disc.grid), disc.period)
     return PeriodicCovariance(grid=disc.grid, pre=pre, post=post,
                               period=disc.period)
+
+
+def steady_state_samples(disc, gramians):
+    """Steady-state covariance ``(pre, post)`` samples on ``disc.grid``.
+
+    ``gramians[k]`` is the noise Gramian driving segment ``k`` — the
+    segment's own for :func:`periodic_covariance`, or an ``(m, n, n)``
+    stack of ``m`` noise drives on the same dynamics (one per noise
+    source for per-source attribution).  A stack shares one pass over
+    the period: the period Gramian and the propagation carry the
+    leading axis through every product, and only the discrete Lyapunov
+    fixed point is solved drive by drive (Smith doubling stops at a
+    different iteration for each).  The result is ``(m, len(grid), n,
+    n)`` and entry ``i`` is bit-identical to driving ``disc`` with
+    ``gramians[k][i]`` alone.
+
+    Raises :class:`~repro.errors.StabilityError` (with ``multipliers``,
+    ``spectral_radius`` and a ``floquet-unstable`` report) when the
+    period map is not asymptotically stable.
+    """
+    phi_t, q_t = accumulate_period_gramian(disc.segments, gramians)
+    if q_t.ndim == 2:
+        k0 = _fixed_point(phi_t, q_t)
+    else:
+        k0 = np.stack([_fixed_point(phi_t, q) for q in q_t])
+    return _propagate_over_period(disc.segments, gramians, k0)
 
 
 def transient_covariance(system_or_disc, n_periods, k0=None,
@@ -123,18 +136,16 @@ def transient_covariance(system_or_disc, n_periods, k0=None,
         raise ReproError(f"n_periods must be >= 1, got {n_periods}")
     k = (np.zeros((n, n)) if k0 is None
          else symmetrize(np.asarray(k0, dtype=float)).copy())
-    grid = disc.grid
-    times = [0.0]
-    trace = [k.copy()]
+    gramians = [seg.gramian for seg in disc.segments]
+    t_end = disc.grid[1:]
+    times = [np.zeros(1)]
+    trace = [k[None].copy()]
     for period_index in range(n_periods):
-        t_offset = period_index * disc.period
-        for seg in disc.segments:
-            k = symmetrize(seg.phi @ k @ seg.phi.T + seg.gramian)
-            if seg.jump is not None:
-                k = symmetrize(seg.jump @ k @ seg.jump.T)
-            times.append(t_offset + seg.t_end)
-            trace.append(k.copy())
-    return np.asarray(times), np.asarray(trace)
+        _pre, post = _propagate_over_period(disc.segments, gramians, k)
+        times.append(period_index * disc.period + t_end)
+        trace.append(post[1:])
+        k = post[-1]
+    return np.concatenate(times), np.concatenate(trace)
 
 
 def stationary_covariance(a_matrix, b_matrix):
@@ -148,20 +159,44 @@ def stationary_covariance(a_matrix, b_matrix):
     return solve_continuous_lyapunov(a, b @ b.T).real
 
 
-def _propagate_over_period(disc, k0):
-    n = disc.n_states
-    n_pts = len(disc.segments) + 1
-    pre = np.zeros((n_pts, n, n))
-    post = np.zeros((n_pts, n, n))
-    pre[0] = k0
-    post[0] = k0
+def _fixed_point(phi_t, q_t):
+    """Period-start covariance: the discrete Lyapunov fixed point."""
+    try:
+        return solve_discrete_lyapunov(phi_t, q_t).real
+    except StabilityError as exc:
+        multipliers = eigenvalues(phi_t, context="periodic covariance")
+        multipliers = multipliers[np.argsort(-np.abs(multipliers))]
+        radius = float(np.max(np.abs(multipliers)))
+        exc.multipliers = multipliers
+        exc.spectral_radius = radius
+        report = DiagnosticsReport(context="periodic covariance")
+        report.error("floquet-unstable", str(exc),
+                     spectral_radius=radius,
+                     multipliers=[complex(m) for m in multipliers])
+        logger.warning("periodic covariance failed: %s", exc)
+        raise exc.attach_diagnostics(report)
+
+
+def _propagate_over_period(segments, gramians, k0):
+    """``(pre, post)`` samples of one period from ``K(0) = k0``.
+
+    ``k0`` is ``(n, n)`` or a stack ``(m, n, n)`` matching stacked
+    ``gramians``; samples are ``(len(segments) + 1, n, n)``, stacked
+    as ``(m, len(segments) + 1, n, n)``.
+    """
+    n_pts = len(segments) + 1
+    shape = k0.shape[:-2] + (n_pts,) + k0.shape[-2:]
+    pre = np.zeros(shape)
+    post = np.zeros(shape)
+    pre[..., 0, :, :] = k0
+    post[..., 0, :, :] = k0
     k = k0
-    for idx, seg in enumerate(disc.segments):
-        k = symmetrize(seg.phi @ k @ seg.phi.T + seg.gramian)
-        pre[idx + 1] = k
+    for idx, (seg, gram) in enumerate(zip(segments, gramians)):
+        k = symmetrize(seg.phi @ k @ seg.phi.T + gram)
+        pre[..., idx + 1, :, :] = k
         if seg.jump is not None:
             k = symmetrize(seg.jump @ k @ seg.jump.T)
-        post[idx + 1] = k
+        post[..., idx + 1, :, :] = k
     return pre, post
 
 

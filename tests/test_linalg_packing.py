@@ -74,3 +74,10 @@ class TestSymmetrize:
     def test_idempotent(self, rng):
         m = rng.standard_normal((3, 3))
         assert np.allclose(symmetrize(symmetrize(m)), symmetrize(m))
+
+    def test_stack_is_cleaned_matrix_by_matrix(self, rng):
+        m = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal(
+            (5, 3, 3))
+        s = symmetrize(m)
+        for k in range(m.shape[0]):
+            assert np.array_equal(s[k], symmetrize(m[k]))

@@ -86,6 +86,15 @@ class TestFixedPoint:
         with pytest.raises(ReproError):
             forcing_from_samples(disc, np.zeros((3, 1)))
 
+    def test_forcing_pairs_match_segment_loop(self, rng):
+        disc = make_disc(segments=8)
+        post = rng.standard_normal((9, 3))
+        pre = rng.standard_normal((9, 3))
+        forcing = forcing_from_samples(disc, post, pre)
+        for k in range(8):
+            assert np.array_equal(forcing[k, 0], post[k])
+            assert np.array_equal(forcing[k, 1], pre[k + 1])
+
     def test_pre_post_forcing_sides(self):
         disc = make_disc(segments=2)
         post = np.ones((3, 1))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError, StabilityError
+from repro.linalg.packing import symmetrize
 from repro.lptv.system import Phase, PiecewiseLTISystem, lti_phase_system
 from repro.noise.covariance import (
     periodic_covariance,
@@ -79,6 +80,22 @@ class TestTransient:
         assert trace[0][0, 0] == 0.0
         variances = trace[:, 0, 0]
         assert np.all(np.diff(variances) >= -1e-30)
+
+    def test_matches_segment_loop_across_jumps(self, lowpass_model):
+        disc = lowpass_model.system.discretize(4)
+        times, trace = transient_covariance(disc, 3)
+        n = disc.n_states
+        k = np.zeros((n, n))
+        want_times, want = [0.0], [k]
+        for period_index in range(3):
+            for seg in disc.segments:
+                k = symmetrize(seg.phi @ k @ seg.phi.T + seg.gramian)
+                if seg.jump is not None:
+                    k = symmetrize(seg.jump @ k @ seg.jump.T)
+                want_times.append(period_index * disc.period + seg.t_end)
+                want.append(k)
+        assert np.array_equal(times, want_times)
+        assert np.array_equal(trace, want)
 
     def test_custom_initial_condition(self, rc_system, rc_params):
         k0 = np.array([[5.0 * rc_params.ktc_variance]])

@@ -1,0 +1,231 @@
+"""Per-source attribution set-up: the stacked covariance pass.
+
+``SweepContext.source_covariance`` solves every noise source of a
+context in one pass over the period, with a leading source axis, from
+the exactly conservative per-phase Gramian split.  These tests pin that
+the stacked route is *bit-identical* to the one-source-at-a-time route
+through ``source_disc`` — per-source covariances, forcing pairs, and a
+whole attributed corner sweep — and that the per-source entry points
+share one index guard and the stability semantics of
+``periodic_covariance``.  Derived intensity contexts are pinned too:
+their discretizations hold one rescaled Gramian per clock phase, and a
+corner sweep never builds them.
+"""
+
+import numpy as np
+import pytest
+
+from repro.analysis import NoiseAnalysis
+from repro.circuits import (
+    ParameterGrid,
+    ScLowpassParams,
+    sample_hold_system,
+    sc_bandpass_system,
+    sc_integrator_system,
+    sc_lowpass_system,
+    switched_rc_system,
+)
+from repro.errors import ReproError, StabilityError
+from repro.lptv.periodic_solve import forcing_from_samples
+from repro.lptv.system import Phase, PiecewiseLTISystem
+from repro.mft import context as context_module
+from repro.mft.context import (
+    SweepContext,
+    clear_sweep_contexts,
+    sweep_context_for,
+)
+from repro.noise.covariance import periodic_covariance
+
+CIRCUITS = {
+    "switched-rc": switched_rc_system,
+    "sample-hold": sample_hold_system,
+    "sc-integrator": sc_integrator_system,
+    "sc-lowpass": sc_lowpass_system,
+    "sc-bandpass": sc_bandpass_system,
+}
+
+SPP = 16
+
+
+def _system(build):
+    model = build()
+    return getattr(model, "system", model)
+
+
+def _l_row(system):
+    return np.asarray(system.output_matrix)[0].astype(float)
+
+
+class _SourceDiscRoute(SweepContext):
+    """A context solving each source alone through ``source_disc``."""
+
+    def source_covariance(self, source):
+        return periodic_covariance(self.source_disc(source))
+
+    def source_forcing_pairs(self, l_row, source):
+        post, pre = self.source_covariance(source).forcing_samples(l_row)
+        return forcing_from_samples(self.disc, post, pre)
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_stacked_sources_match_source_disc_route(name):
+    system = _system(CIRCUITS[name])
+    context = SweepContext(system, segments_per_phase=SPP)
+    l_row = _l_row(system)
+    for s in range(context.n_sources):
+        reference = periodic_covariance(context.source_disc(s))
+        stacked = context.source_covariance(s)
+        assert np.array_equal(stacked.pre, reference.pre)
+        assert np.array_equal(stacked.post, reference.post)
+        post, pre = reference.forcing_samples(l_row)
+        assert np.array_equal(context.source_forcing_pairs(l_row, s),
+                              forcing_from_samples(context.disc, post, pre))
+
+
+def test_one_pass_serves_every_source():
+    context = SweepContext(_system(sc_lowpass_system), segments_per_phase=SPP)
+    l_row = _l_row(context.system)
+    for s in range(context.n_sources):
+        context.source_forcing_pairs(l_row, s)
+    assert context.stats.misses["source-covariance"] == 1
+    assert context.stats.misses["source-forcing"] == 1
+    assert "source-disc" not in context.stats.misses
+
+
+def _corner_family():
+    base = ScLowpassParams()
+    return ParameterGrid.cross(
+        {"nom": {}, "c1hi": {"c1": 1.1 * base.c1}},
+        {"nom": 1.0, "hot": 1.2, "skew": {0: 1.5, 3: 0.5}},
+        builder=sc_lowpass_system, base_params=base)
+
+
+def _attributed_corners(route):
+    clear_sweep_contexts()
+    model = sc_lowpass_system()
+    grid = _corner_family()
+    if route is not None:
+        for index, corner in enumerate(grid.corners):
+            built = grid.build_model(index)
+            system = (model if built is None else built).system
+            sweep_context_for(system, SPP, family=grid.family_hash(),
+                              build=lambda s=system: route(s, SPP))
+    analysis = NoiseAnalysis(model, segments_per_phase=SPP)
+    freqs = np.linspace(200.0, 12e3, 6)
+    result = analysis.psd_corners(grid, freqs, attribute_sources=True)
+    clear_sweep_contexts()
+    return result
+
+
+def test_attributed_corner_sweep_matches_source_disc_route():
+    stacked = _attributed_corners(None)
+    reference = _attributed_corners(_SourceDiscRoute)
+    assert np.array_equal(stacked.values, reference.values)
+    for name in stacked.corner_names:
+        got, want = stacked.budgets[name], reference.budgets[name]
+        assert np.array_equal(got.total, want.total)
+        assert np.array_equal(got.contributions, want.contributions)
+
+
+def test_corner_sweep_builds_no_derived_discretization():
+    clear_sweep_contexts()
+    model = sc_lowpass_system()
+    base = ScLowpassParams()
+    grid = ParameterGrid.cross({"nom": {}, "c1hi": {"c1": 1.1 * base.c1}},
+                               {"nom": 1.0, "cold": 0.85, "hot": 1.2},
+                               builder=sc_lowpass_system, base_params=base)
+    analysis = NoiseAnalysis(model, segments_per_phase=SPP)
+    analysis.psd_corners(grid, np.linspace(200.0, 12e3, 4),
+                         attribute_sources=True)
+    derived = [context for context in context_module._REGISTRY.values()
+               if hasattr(context, "parent")]
+    assert len(derived) == 4
+    assert all(context._disc is None for context in derived)
+    clear_sweep_contexts()
+
+
+class TestSourceIndexGuard:
+    @pytest.fixture(scope="class")
+    def root(self):
+        return SweepContext(_system(sc_lowpass_system),
+                            segments_per_phase=SPP)
+
+    def _contexts(self, root):
+        n_src = root.n_sources
+        return {
+            "root": root,
+            "uniform": root.derive_intensity_scaled(1.3),
+            "per-source": root.derive_intensity_scaled(
+                np.linspace(0.5, 1.5, n_src)),
+        }
+
+    @pytest.mark.parametrize("kind", ["root", "uniform", "per-source"])
+    @pytest.mark.parametrize("entry", ["source_covariance",
+                                       "source_forcing_pairs",
+                                       "source_disc"])
+    def test_out_of_range_raises_repro_error(self, root, kind, entry):
+        context = self._contexts(root)[kind]
+        n_src = context.n_sources
+        l_row = _l_row(context.system)
+        for bad in (-1, n_src):
+            call = getattr(context, entry)
+            args = (l_row, bad) if entry == "source_forcing_pairs" else (bad,)
+            with pytest.raises(ReproError,
+                               match=f"valid indices are 0 to {n_src - 1}"):
+                call(*args)
+
+
+def test_unstable_source_covariance_matches_periodic_covariance():
+    phase = Phase(name="p0", duration=1e-3, a_matrix=np.diag([50.0, -1e4]),
+                  b_matrix=np.eye(2) * 1e-6)
+    system = PiecewiseLTISystem(phases=[phase], output_matrix=np.eye(2)[:1])
+    context = SweepContext(system, segments_per_phase=8)
+    with pytest.raises(StabilityError) as stacked:
+        context.source_covariance(0)
+    with pytest.raises(StabilityError) as reference:
+        periodic_covariance(context.source_disc(0))
+    got, want = stacked.value, reference.value
+    assert np.array_equal(got.multipliers, want.multipliers)
+    assert got.spectral_radius == want.spectral_radius > 1.0
+    findings = got.diagnostics.by_code("floquet-unstable")
+    assert len(findings) == 1
+    assert str(got) == str(want)
+
+
+class TestDerivedDiscretization:
+    @pytest.fixture(scope="class")
+    def root(self):
+        return SweepContext(_system(sc_lowpass_system),
+                            segments_per_phase=SPP)
+
+    def test_per_source_gramians_match_segment_expression(self, root):
+        scales = np.linspace(0.5, 1.5, root.n_sources)
+        derived = root.derive_intensity_scaled(scales)
+        source_discs = [root.source_disc(s) for s in range(scales.size)]
+        amplitude = np.sqrt(scales)
+        for k, (seg, parent_seg) in enumerate(zip(derived.disc.segments,
+                                                  root.disc.segments)):
+            gram = np.add.reduce([
+                scales[s] * source_discs[s].segments[k].gramian
+                for s in range(scales.size)])
+            assert np.array_equal(seg.gramian, gram)
+            assert np.array_equal(seg.b_matrix,
+                                  parent_seg.b_matrix * amplitude[None, :])
+
+    def test_uniform_gramians_match_segment_expression(self, root):
+        derived = root.derive_intensity_scaled(1.3)
+        for seg, parent_seg in zip(derived.disc.segments,
+                                   root.disc.segments):
+            assert np.array_equal(seg.gramian, parent_seg.gramian * 1.3)
+            assert np.array_equal(seg.b_matrix,
+                                  parent_seg.b_matrix * np.sqrt(1.3))
+
+    @pytest.mark.parametrize("scales", [1.3, "per-source"])
+    def test_one_gramian_object_per_phase(self, root, scales):
+        if scales == "per-source":
+            scales = np.linspace(0.5, 1.5, root.n_sources)
+        derived = root.derive_intensity_scaled(scales)
+        n_phases = len(root.system.phases)
+        assert n_phases == 2
+        assert len({id(seg.gramian) for seg in derived.disc.segments}) \
+            == n_phases
