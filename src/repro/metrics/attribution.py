@@ -119,8 +119,9 @@ class ContributionBudget:
         """Scale-relative worst conservation residual.
 
         ``max|Σ_s S_s − S_total| / max|S_total|`` over the finite
-        frequencies — the same scale-relative convention as the perf
-        harness's ``max_relative_difference``, so one number gates both.
+        frequencies — the same scale-relative convention as the
+        benchmark gates' ``max_relative_difference``, so one number
+        gates both.
         Returns ``0.0`` when nothing is finite (an all-failed sweep
         conserves trivially).
         """

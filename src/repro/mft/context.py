@@ -159,7 +159,7 @@ class CacheStats:
         return int(sum(self.evictions.values()))
 
     def to_dict(self):
-        """JSON-friendly counters (used by the perf harness)."""
+        """JSON-friendly counters (a sweep's ``info["cache_stats"]``)."""
         snap = self.snapshot()
         return {
             "hits": snap["hits"],

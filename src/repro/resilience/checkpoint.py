@@ -7,8 +7,8 @@ executor chunk as it completes — the float64 values bit-exactly in an
 ``meta.json`` — so a re-run with the same ``checkpoint=`` path loads the
 completed chunks and computes only the missing frequencies.  Resumed
 values are byte-for-byte the stored ones, so an interrupted-and-resumed
-sweep is bit-identical to an uninterrupted one (the chaos gate in
-``benchmarks/test_perf_regression.py`` pins this).
+sweep is bit-identical to an uninterrupted one
+(``tests/test_executor_resilience.py`` pins this).
 
 Compatibility is enforced through a *key*: the executor derives it from
 the :func:`~repro.mft.context.discretization_fingerprint` of the system

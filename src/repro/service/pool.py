@@ -19,6 +19,7 @@ import threading
 from typing import Any
 
 from ..errors import ReproError
+from ..mft.executor import _positive_int
 
 
 class WorkerPool:
@@ -35,11 +36,9 @@ class WorkerPool:
 
     backend = "process"
 
-    def __init__(self, max_workers: int = 2) -> None:
-        self.max_workers = int(max_workers)
-        if self.max_workers < 1:
-            raise ReproError(
-                f"max_workers must be >= 1, got {max_workers}")
+    def __init__(self, max_workers: "int | None" = 2) -> None:
+        self.max_workers: int = _positive_int("max_workers", max_workers,
+                                              2)
         self._lock = threading.Lock()
         self._executor: "cf.Executor | None" = None
         self.n_respawns = 0

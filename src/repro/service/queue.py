@@ -77,7 +77,7 @@ class JobQueue:
                     f"unknown queue backend {backend!r}; expected one "
                     f"of {_QUEUE_BACKENDS}")
             if backend != "serial":
-                pool = WorkerPool(max_workers=max_workers or 2)
+                pool = WorkerPool(max_workers=max_workers)
                 self._own_pool = True
         self.pool = pool
         self.backend = "serial" if pool is None else pool.backend

@@ -320,7 +320,7 @@ SHOOTING_FD_NORM_FLOOR: float = 1e-6
 SHOOTING_DERIVATIVE_STEP_REL: float = 1e-6
 
 # ---------------------------------------------------------------------------
-# Corner / parameter-batched sweeps (repro.mft.corners, repro.perf)
+# Corner / parameter-batched sweeps (repro.mft.corners, benchmark gates)
 # ---------------------------------------------------------------------------
 
 #: Maximum relative deviation allowed between the parameter-batched

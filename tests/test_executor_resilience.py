@@ -215,6 +215,24 @@ class TestWorkerCrashRecovery:
                               "process pool respawn")
         assert faulted.diagnostics.by_code("worker-crash")
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_transients_plus_hard_crash_recover_bit_identical(
+            self, analyzer, grid, seed):
+        # The combined chaos plan: 20% transient solve failures on top
+        # of one hard worker death on the middle chunk.
+        reference = _sweep(analyzer, grid, "process")
+        plan = FaultPlan([
+            FaultSpec("mft.solve", "transient", rate=0.2),
+            FaultSpec("executor.chunk", "crash", match={"chunk": 4}),
+        ], seed=seed)
+        faulted = _sweep(analyzer, grid, "process", faults=plan)
+        meta = faulted.info["executor"]
+        assert meta["n_retries"] >= 1
+        assert meta["n_worker_crashes"] >= 1
+        assert meta["n_chunks_failed"] == 0
+        _assert_bit_identical(reference, faulted,
+                              f"seed {seed} chaos recovery")
+
     def test_no_metric_double_count_after_process_crash(self, rc_system,
                                                         grid):
         # Satellite: the dead worker's private recorder copy dies with

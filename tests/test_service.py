@@ -391,8 +391,10 @@ class TestProgress:
 
 class TestWorkerPool:
     def test_validation(self):
-        with pytest.raises(ReproError, match="max_workers"):
-            WorkerPool(max_workers=0)
+        # Same rule as SweepExecutor: an integer >= 1, never coerced.
+        for bad in (0, 2.7, True, "2"):
+            with pytest.raises(ReproError, match="max_workers"):
+                WorkerPool(max_workers=bad)
 
     def test_acquire_is_idempotent_and_respawn_is_not(self):
         with WorkerPool(max_workers=1) as pool:
@@ -418,6 +420,12 @@ class TestQueueConfiguration:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ReproError, match="backend"):
             JobQueue(backend="rocket")
+
+    def test_zero_workers_rejected_not_defaulted(self):
+        with pytest.raises(ReproError, match="max_workers"):
+            JobQueue(backend="process", max_workers=0)
+        with JobQueue(backend="process") as queue:
+            assert queue.pool.max_workers == 2
 
     def test_backend_conflicting_with_shared_pool_rejected(self):
         with WorkerPool(max_workers=1) as pool:
