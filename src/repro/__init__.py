@@ -35,6 +35,7 @@ from .errors import (
     SingularMatrixError,
     StabilityError,
     TopologyError,
+    UnexpectedOptionError,
     UnitsError,
 )
 from .logconfig import configure_logging
@@ -78,7 +79,7 @@ __all__ = [
     # errors
     "ReproError", "CircuitError", "TopologyError", "SingularMatrixError",
     "ConvergenceError", "StabilityError", "ScheduleError", "UnitsError",
-    "NoiseModelError", "BudgetExceededError",
+    "NoiseModelError", "BudgetExceededError", "UnexpectedOptionError",
     # diagnostics & guardrails
     "configure_logging", "DiagnosticsReport", "Severity", "SweepBudget",
     "FallbackPolicy", "preflight_report",

@@ -141,8 +141,7 @@ class NoiseAnalysis:
     def psd_sweep(self, frequencies, parallel=None, max_workers=None,
                   chunk_size=None, budget=None, on_failure="record",
                   solver=None, attribute_sources=False, retry=None,
-                  faults=None, checkpoint=None, pool=None,
-                  **solver_options):
+                  faults=None, checkpoint=None, **solver_options):
         """Same as :meth:`psd` but through a parallel sweep executor.
 
         Values are the same double-sided PSD samples in V²/Hz, merged
@@ -171,16 +170,14 @@ class NoiseAnalysis:
         a deterministic fault-injection plan
         (:class:`~repro.resilience.faults.FaultPlan`), ``checkpoint``
         names a directory to persist completed chunks for bit-identical
-        resume after an interruption.  ``pool`` injects a shared
-        :class:`repro.service.WorkerPool` so successive sweeps reuse
-        warm workers (requires a concurrent ``parallel=`` backend).
+        resume after an interruption.
         """
         return self.engine.psd_sweep(
             frequencies, parallel=parallel, max_workers=max_workers,
             chunk_size=chunk_size, budget=budget, on_failure=on_failure,
             solver=solver,
             attribute_sources=self._attribution_labels(attribute_sources),
-            retry=retry, faults=faults, checkpoint=checkpoint, pool=pool,
+            retry=retry, faults=faults, checkpoint=checkpoint,
             **solver_options)
 
     def psd_corners(self, grid, frequencies, parallel=None,

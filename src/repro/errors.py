@@ -120,3 +120,11 @@ class UnitsError(ReproError):
 
 class NoiseModelError(ReproError):
     """A noise source specification is inconsistent or unsupported."""
+
+
+class UnexpectedOptionError(ReproError, TypeError):
+    """A keyword option the selected solver does not take.
+
+    Also a :class:`TypeError`, like any unexpected keyword argument, so
+    a stray option fails the same way whichever solver receives it.
+    """

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import array_module
 from ..errors import SingularMatrixError
 from ..resilience.faults import fire as _inject_fault
 from ..tolerances import DIRECT_SOLVE_COND_LIMIT, LSTSQ_RCOND
@@ -174,18 +173,13 @@ def batched_solve(a: ArrayLike, b: ArrayLike, *, context: str = ""
             f"not match stack {stack.shape}")
     dtype = np.promote_types(stack.dtype, rhs.dtype)
     lapack_rhs = rhs[..., None] if vector_rhs else rhs
-    # The batched kernels dispatch through the pluggable array backend
-    # (:mod:`repro.backend`); numpy is the default and only shipped
-    # backend, so ``xp.linalg.solve`` *is* ``np.linalg.solve`` today and
-    # results are bit-identical to a direct call.
-    xp = array_module()
     try:
-        solutions = xp.linalg.solve(stack, lapack_rhs)
+        solutions = np.linalg.solve(stack, lapack_rhs)
     except np.linalg.LinAlgError:
         solutions = np.full(lapack_rhs.shape, np.nan, dtype=dtype)
         for k in range(stack.shape[0]):
             try:
-                solutions[k] = xp.linalg.solve(stack[k], lapack_rhs[k])
+                solutions[k] = np.linalg.solve(stack[k], lapack_rhs[k])
             except np.linalg.LinAlgError:
                 continue
     if vector_rhs:
@@ -210,8 +204,7 @@ def batched_condition_number(a: ArrayLike) -> FloatArray:
             f"got {stack.shape}")
     if np.all(np.isfinite(stack)):
         try:
-            return np.asarray(array_module().linalg.cond(stack),
-                              dtype=float)
+            return np.asarray(np.linalg.cond(stack), dtype=float)
         except np.linalg.LinAlgError:  # pragma: no cover - rare
             pass
     return np.asarray([condition_number(stack[k])

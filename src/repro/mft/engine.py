@@ -54,7 +54,7 @@ from ..diagnostics.fallback import (
 )
 from ..diagnostics.preflight import preflight_report, require_preflight
 from ..diagnostics.report import DiagnosticsReport, FrequencyFailure
-from ..errors import ReproError
+from ..errors import ReproError, UnexpectedOptionError
 from ..noise.solvers import resolve_solver
 from ..obs import NULL_RECORDER, format_trace
 from ..resilience.faults import fire as _inject_fault
@@ -419,8 +419,7 @@ class MftNoiseAnalyzer:
     def psd_sweep(self, frequencies, parallel=None, max_workers=None,
                   chunk_size=None, budget=None, on_failure="record",
                   solver=None, attribute_sources=False, retry=None,
-                  faults=None, checkpoint=None, pool=None,
-                  **solver_options):
+                  faults=None, checkpoint=None, **solver_options):
         """Averaged double-sided PSD (V²/Hz) via a :class:`SweepExecutor`.
 
         ``parallel`` is ``None``/``"serial"`` for in-process execution,
@@ -463,11 +462,6 @@ class MftNoiseAnalyzer:
         persists each completed chunk so an interrupted sweep resumes
         bit-identically.  All three are executor features and are
         rejected for the delegated baseline solvers.
-
-        ``pool`` injects a shared pool provider (e.g.
-        :class:`repro.service.WorkerPool`) so successive sweeps reuse
-        warm workers instead of spawning a pool per call; requires
-        ``parallel="process"``.
         """
         if on_failure not in ("record", "raise"):
             raise ReproError(
@@ -481,9 +475,9 @@ class MftNoiseAnalyzer:
                     f"{parallel!r} is not supported — drop parallel= or "
                     "use solver='mft'/'spectral-batch'")
             if (retry is not None or faults is not None
-                    or checkpoint is not None or pool is not None):
+                    or checkpoint is not None):
                 raise ReproError(
-                    f"retry=, faults=, checkpoint=, and pool= are sweep-"
+                    f"retry=, faults=, and checkpoint= are sweep-"
                     f"executor features; solver {solver!r} delegates to "
                     "a baseline engine that does not support them")
             return self._delegate_solver(solver, frequencies,
@@ -492,14 +486,14 @@ class MftNoiseAnalyzer:
                                          attribute_sources=attribute_sources,
                                          **solver_options)
         if solver_options:
-            raise ReproError(
+            raise UnexpectedOptionError(
                 f"solver {solver!r} accepts no extra solver options, "
                 f"got {sorted(solver_options)}")
         from .executor import SweepExecutor
         executor = SweepExecutor(backend=parallel or "serial",
                                  max_workers=max_workers,
                                  chunk_size=chunk_size, solver=solver,
-                                 retry=retry, faults=faults, pool=pool)
+                                 retry=retry, faults=faults)
         return executor.run(self, frequencies, budget=budget,
                             on_failure=on_failure, checkpoint=checkpoint,
                             attribute_sources=attribute_sources)

@@ -324,18 +324,10 @@ class SweepExecutor:
         every chunk for deterministic fault injection (tests, chaos
         runs).  ``None`` (the default) injects nothing and costs one
         integer check per seam.
-    pool:
-        A shared pool provider (duck-typed: ``acquire()`` returns a
-        live ``concurrent.futures`` executor, ``respawn()`` replaces a
-        broken one) such as :class:`repro.service.WorkerPool`.  The
-        executor then never shuts the pool down — the provider owns its
-        lifetime — so successive sweeps reuse warm worker processes.
-        ``None`` (the default) creates and tears down a private pool
-        per sweep, exactly as before.
     """
 
     def __init__(self, backend="serial", max_workers=None, chunk_size=None,
-                 solver=None, retry=None, faults=None, pool=None):
+                 solver=None, retry=None, faults=None):
         if backend not in _BACKENDS:
             raise ReproError(
                 f"unknown sweep backend {backend!r}; expected one of "
@@ -359,19 +351,6 @@ class SweepExecutor:
                 "faults must be a repro.resilience.FaultPlan (or None), "
                 f"got {type(faults).__name__}")
         self.faults = faults
-        if pool is not None and (not callable(getattr(pool, "acquire",
-                                                      None))
-                                 or not callable(getattr(pool, "respawn",
-                                                         None))):
-            raise ReproError(
-                "pool must provide acquire() and respawn() (e.g. "
-                "repro.service.WorkerPool), got "
-                f"{type(pool).__name__}")
-        if pool is not None and backend == "serial":
-            raise ReproError(
-                "a shared pool needs the process backend; use "
-                "backend='process'")
-        self.pool = pool
 
     # -- public API ----------------------------------------------------------
 
@@ -588,8 +567,6 @@ class SweepExecutor:
                     break
 
     def _make_pool(self):
-        if self.pool is not None:
-            return self.pool.acquire()
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -598,16 +575,9 @@ class SweepExecutor:
                                       mp_context=ctx)
 
     def _respawn_pool(self, pool):
-        """Replace a broken pool; a shared provider respawns its own."""
-        if self.pool is not None:
-            return self.pool.respawn()
+        """Replace a broken pool with a fresh one."""
         pool.shutdown(wait=False, cancel_futures=True)
         return self._make_pool()
-
-    def _release_pool(self, pool):
-        """End-of-sweep teardown; a shared pool outlives the sweep."""
-        if self.pool is None:
-            pool.shutdown(wait=True)
 
     def _handle_failure(self, state, queue, idx, attempt, stage, exc):
         """Requeue a failed chunk with backoff, or declare it exhausted."""
@@ -734,7 +704,7 @@ class SweepExecutor:
             # the clean path where ``pending`` is already empty.
             for future in pending:
                 future.cancel()
-            self._release_pool(pool)
+            pool.shutdown(wait=True)
 
     # -- merging -------------------------------------------------------------
 

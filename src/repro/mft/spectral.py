@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend import array_module
 from ..errors import ReproError, SingularMatrixError
 from ..linalg.checked import (
     batched_condition_number,
@@ -287,7 +286,6 @@ def group_period_integral(a_matrix, duration, omegas, start_sum, end_sum,
     One factorization per frequency serves every forcing row as a
     stacked right-hand-side column.  Returns ``(R, n_freq, n)`` complex.
     """
-    xp = array_module()
     h = duration
     n = a_matrix.shape[0]
     out = np.empty(np.shape(start_sum), dtype=complex)
@@ -298,7 +296,7 @@ def group_period_integral(a_matrix, duration, omegas, start_sum, end_sum,
                 else np.nonzero(use_resolvent)[0])
         a_shifted = (a_matrix.astype(complex)[None, :, :]
                      - 1j * omegas[rows, None, None]
-                     * xp.eye(n, dtype=complex)[None, :, :])
+                     * np.eye(n, dtype=complex)[None, :, :])
         rhs = (end_sum[:, rows] - start_sum[:, rows]
                - (0.5 * h * (f0_sum + f1_sum))[:, None, :])
         cols, solve_ok = batched_solve(a_shifted, rhs.transpose(1, 2, 0),
@@ -364,10 +362,6 @@ def solve_spectral_batch(context, omegas, segment_forcing,
         raise ReproError("batched solve frequencies must be finite "
                          "(filter non-finite inputs before the kernel)")
     n_freq = omegas.size
-    # All heavy array math below dispatches through the active backend
-    # (numpy today — bit-identical to direct numpy calls; see
-    # :mod:`repro.backend` for the contract an accelerator must satisfy).
-    xp = array_module()
     with recorder.span("spectral.eigenbasis"):
         bases = context.spectral_bases
     fallback_groups = [g for g, basis in enumerate(bases)
@@ -426,19 +420,19 @@ def solve_spectral_batch(context, omegas, segment_forcing,
                 # g[r, f, s] = I1[f] f0[r, s] + I2[f] slope[r, s], as one
                 # (s, n) × (n, n) product per (row, ω).
                 g_seg[:, rows[:, None], idx[None, :]] = (
-                    xp.matmul(f0[:, None], i1.transpose(0, 2, 1)[None])
-                    + xp.matmul(slope[:, None], i2.transpose(0, 2, 1)[None]))
+                    np.matmul(f0[:, None], i1.transpose(0, 2, 1)[None])
+                    + np.matmul(slope[:, None], i2.transpose(0, 2, 1)[None]))
 
     # One-period affine map, all frequencies at once:
     # M_ω = e^{-jωT} M₀ and g_ω = Σ_k e^{-jω(T − t_end_k)} R_k g_k.
     with recorder.span("spectral.solve", n=int(n_freq)):
         period = disc.period
-        phase_total = xp.exp(-1j * omegas * period)
+        phase_total = np.exp(-1j * omegas * period)
         monodromy = context.monodromy.astype(complex)
-        eye = xp.eye(n, dtype=complex)
+        eye = np.eye(n, dtype=complex)
         m_stack = eye[None, :, :] - phase_total[:, None, None] * monodromy
         conditions = batched_condition_number(m_stack)
-        tail_phase = xp.exp(-1j * omegas[:, None]
+        tail_phase = np.exp(-1j * omegas[:, None]
                             * (period - struct.t_end)[None, :])
         # g_acc[r, f] = Σ_k R_k (tail_phase[f, k] g_seg[r, f, k]): one
         # (1, S·n) × (S·n, n) product per (row, ω) against the suffix
@@ -447,11 +441,11 @@ def solve_spectral_batch(context, omegas, segment_forcing,
             n_rows, n_freq, 1, n_seg * n)
         suffix_flat = struct.suffix.transpose(0, 2, 1).reshape(
             n_seg * n, n)
-        g_acc = xp.matmul(weighted, suffix_flat)[:, :, 0]
+        g_acc = np.matmul(weighted, suffix_flat)[:, :, 0]
         # One LU per frequency, all forcing rows as stacked RHS columns.
-        v0_cols, ok = batched_solve(m_stack, xp.moveaxis(g_acc, 0, -1),
+        v0_cols, ok = batched_solve(m_stack, np.moveaxis(g_acc, 0, -1),
                                     context="batched fixed-point solve")
-        v0 = xp.moveaxis(v0_cols, -1, 0)
+        v0 = np.moveaxis(v0_cols, -1, 0)
         if condition_limit is not None:
             ok = ok & ~(conditions > condition_limit)
 
@@ -464,7 +458,7 @@ def solve_spectral_batch(context, omegas, segment_forcing,
     # so row 0 of a stacked solve stays bit-identical to the unstacked
     # solve.
     with recorder.span("spectral.trace", n_segments=int(n_seg)):
-        seg_phase = xp.exp(-1j * omegas[:, None]
+        seg_phase = np.exp(-1j * omegas[:, None]
                            * struct.durations[None, :]).T[:, :, None]
         phi_t = struct.phi_stack.transpose(0, 2, 1)
         group_of = struct.group_of.tolist()

@@ -1,4 +1,4 @@
-"""Noise-analysis as a service: job queue, result store, worker pool.
+"""Noise-analysis as a service: job queue and result store.
 
 The pieces (DESIGN.md §13):
 
@@ -12,10 +12,13 @@ The pieces (DESIGN.md §13):
   :class:`DirectoryResultStore`, :class:`SqliteResultStore`) —
   persistent content-addressed payloads
   (:mod:`repro.results`) with hit/miss/evict telemetry, so an
-  identical resubmit is served without a single kernel solve;
-* :class:`WorkerPool` — one long-lived process pool shared by
-  every job's :class:`~repro.mft.executor.SweepExecutor`, keeping the
-  retry/fault/budget/checkpoint machinery unchanged underneath.
+  identical resubmit is served without a single kernel solve.
+
+Each job runs through its own
+:class:`~repro.mft.executor.SweepExecutor`, so retries, fault plans,
+budgets and checkpoints work unchanged underneath; on
+``backend="process"`` that executor owns a private worker pool for the
+length of the job (crash isolation, not a speedup).
 
 Quickstart::
 
@@ -30,7 +33,6 @@ Quickstart::
 """
 
 from .jobs import JobHandle, JobResult, JobStatus
-from .pool import WorkerPool
 from .queue import JobQueue
 from .spec import JobSpec, job_key
 from .store import (
@@ -51,7 +53,6 @@ __all__ = [
     "MemoryResultStore",
     "ResultStore",
     "SqliteResultStore",
-    "WorkerPool",
     "job_key",
     "open_store",
 ]

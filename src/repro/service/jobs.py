@@ -75,14 +75,16 @@ class JobHandle:
     ``recorder`` is the job's :class:`~repro.obs.Recorder`: per-chunk
     spans and executor counters stream into it while the job runs, so
     :meth:`repro.service.queue.JobQueue.progress` (or direct reads)
-    observe live progress.  ``wait`` blocks on the terminal event and
-    re-raises job failures as :class:`~repro.errors.ReproError`.
+    observe live progress; ``mark`` is the recorder position at submit,
+    where the job's own spans start.  ``wait`` blocks on the terminal
+    event and re-raises job failures as :class:`~repro.errors.ReproError`.
     """
 
     id: str
     spec: JobSpec
     key: str
     recorder: Any
+    mark: int = 0
     status: JobStatus = JobStatus.PENDING
     result: "JobResult | None" = None
     error: "str | None" = None

@@ -2,9 +2,8 @@
 
 :class:`JobQueue` accepts :class:`~repro.service.spec.JobSpec`\\ s and
 runs them FIFO on a background dispatcher thread; each job's sweep is
-itself sharded across frequency chunks by the existing
-:class:`~repro.mft.executor.SweepExecutor` riding the queue's shared
-:class:`~repro.service.pool.WorkerPool` — so retries, fault plans,
+itself sharded across frequency chunks by its own
+:class:`~repro.mft.executor.SweepExecutor` — so retries, fault plans,
 budgets, and checkpoint/resume compose unchanged underneath the
 service API.
 
@@ -29,9 +28,9 @@ import time
 from typing import Any
 
 from ..errors import ReproError
+from ..mft.executor import _positive_int
 from ..obs import Recorder, span_summary
 from .jobs import JobHandle, JobResult, JobStatus
-from .pool import WorkerPool
 from .spec import JobSpec, job_key
 from .store import ResultStore, open_store
 
@@ -39,7 +38,7 @@ _QUEUE_BACKENDS = ("serial", "process")
 
 
 class JobQueue:
-    """Submit/poll/wait/cancel front-end over a worker pool and store.
+    """Submit/poll/wait/cancel front-end over sweep executors and a store.
 
     Parameters
     ----------
@@ -47,45 +46,30 @@ class JobQueue:
         A :class:`~repro.service.store.ResultStore`, a path (directory
         or ``.db``/``.sqlite`` file), or ``None`` for a fresh in-memory
         store.
-    pool:
-        A shared :class:`~repro.service.pool.WorkerPool`; sweeps then
-        run on its worker processes.  The queue never shuts down a
-        pool it was given (construct-your-own lifetime); a pool the
-        queue built itself (from ``backend=``/``max_workers=``) is torn
-        down by :meth:`close`.
     backend:
-        Used only when ``pool`` is ``None``: ``"serial"`` (default —
-        in-process sweeps) or ``"process"`` (the queue then owns a
-        :class:`WorkerPool` of ``max_workers``).
+        ``"serial"`` (default — in-process sweeps) or ``"process"``:
+        each job's sweep then runs as ``psd_sweep(parallel="process",
+        max_workers=max_workers)``, on a worker pool its executor owns
+        for the length of that job.
+    max_workers:
+        Worker count per job on the process backend (default 2).
     """
 
-    def __init__(self, store: Any = None, pool: "WorkerPool | None" = None,
-                 backend: "str | None" = None,
+    def __init__(self, store: Any = None, backend: "str | None" = None,
                  max_workers: "int | None" = None,
                  store_limit: "int | None" = None) -> None:
-        if pool is not None and backend is not None \
-                and backend != pool.backend:
+        backend = backend or "serial"
+        if backend not in _QUEUE_BACKENDS:
             raise ReproError(
-                f"backend={backend!r} conflicts with the shared pool's "
-                f"backend {pool.backend!r}; pass one or the other")
+                f"unknown queue backend {backend!r}; expected one "
+                f"of {_QUEUE_BACKENDS}")
+        self.backend = backend
+        self.max_workers: int = _positive_int("max_workers", max_workers,
+                                              2)
         self.store: ResultStore = open_store(store, limit=store_limit)
-        self._own_pool = False
-        if pool is None:
-            backend = backend or "serial"
-            if backend not in _QUEUE_BACKENDS:
-                raise ReproError(
-                    f"unknown queue backend {backend!r}; expected one "
-                    f"of {_QUEUE_BACKENDS}")
-            if backend != "serial":
-                pool = WorkerPool(max_workers=max_workers)
-                self._own_pool = True
-        self.pool = pool
-        self.backend = "serial" if pool is None else pool.backend
         self._ids = itertools.count(1)
         self._cond = threading.Condition()
         self._todo: "collections.deque[JobHandle]" = collections.deque()
-        self._handles: "dict[str, JobHandle]" = {}
-        self._marks: "dict[str, int]" = {}
         self._closed = False
         self._worker: "threading.Thread | None" = None
         self.counters = {"submitted": 0, "served_from_store": 0,
@@ -112,9 +96,7 @@ class JobQueue:
         rec = recorder if recorder is not None else Recorder()
         key = job_key(spec)
         handle = JobHandle(id=f"job-{next(self._ids):04d}", spec=spec,
-                           key=key, recorder=rec)
-        self._handles[handle.id] = handle
-        self._marks[handle.id] = rec.mark()
+                           key=key, recorder=rec, mark=rec.mark())
         self.counters["submitted"] += 1
         stored = self.store.get(key)
         if stored is not None:
@@ -178,7 +160,7 @@ class JobQueue:
         workers' spans merge when the sweep's chunks are merged).
         """
         rec = handle.recorder
-        since = self._marks.get(handle.id, 0)
+        since = handle.mark
         spans = rec.spans[since:] if rec.enabled else []
         chunks_done = sum(1 for span in spans
                           if span.name == "executor.chunk"
@@ -193,14 +175,12 @@ class JobQueue:
     # -- telemetry -----------------------------------------------------------
 
     def telemetry(self) -> "dict[str, Any]":
-        """Queue, store, and pool counters in one JSON-ready dict."""
+        """Queue and store counters in one JSON-ready dict."""
         return {
             "backend": self.backend,
             "jobs": dict(self.counters),
             "n_pending": len(self._todo),
             "store": self.store.telemetry(),
-            "pool": (None if self.pool is None
-                     else self.pool.telemetry()),
         }
 
     # -- dispatcher ----------------------------------------------------------
@@ -212,36 +192,44 @@ class JobQueue:
             self._worker.start()
 
     def _drain(self) -> None:
-        while True:
-            with self._cond:
-                while not self._todo and not self._closed:
-                    self._cond.wait()
-                if self._closed and not self._todo:
-                    return
-                handle = self._todo.popleft()
-            # Re-check the store at dequeue time: a duplicate that was
-            # submitted while its twin was still pending hits here,
-            # since FIFO order guarantees the twin already finished.
-            stored = self.store.get(handle.key)
-            if stored is not None:
-                self.counters["served_from_store"] += 1
-                handle._finish(JobStatus.DONE, JobResult(
-                    job_id=handle.id, key=handle.key,
-                    served_from_store=True, runtime_seconds=0.0,
-                    result=stored))
-                continue
-            handle.status = JobStatus.RUNNING
-            try:
-                result = self._execute(handle)
-            except Exception as exc:  # scn: ignore[SCN002]
-                # Service boundary: a failed job must report through
-                # its handle, never kill the dispatcher thread.
-                self.counters["failed"] += 1
-                handle._finish(JobStatus.FAILED,
-                               error=f"{type(exc).__name__}: {exc}")
-            else:
-                self.counters["computed"] += 1
-                handle._finish(JobStatus.DONE, result)
+        while self._serve_next():
+            pass
+
+    def _serve_next(self) -> bool:
+        """Serve one queued job; ``False`` once closed and drained.
+
+        One job per call, so no finished job stays referenced from the
+        dispatcher's stack while it waits for the next one.
+        """
+        with self._cond:
+            while not self._todo and not self._closed:
+                self._cond.wait()
+            if self._closed and not self._todo:
+                return False
+            handle = self._todo.popleft()
+        # Re-check the store at dequeue time: a duplicate that was
+        # submitted while its twin was still pending hits here, since
+        # FIFO order guarantees the twin already finished.
+        stored = self.store.get(handle.key)
+        if stored is not None:
+            self.counters["served_from_store"] += 1
+            handle._finish(JobStatus.DONE, JobResult(
+                job_id=handle.id, key=handle.key, served_from_store=True,
+                runtime_seconds=0.0, result=stored))
+            return True
+        handle.status = JobStatus.RUNNING
+        try:
+            result = self._execute(handle)
+        except Exception as exc:  # scn: ignore[SCN002]
+            # Service boundary: a failed job must report through its
+            # handle, never kill the dispatcher thread.
+            self.counters["failed"] += 1
+            handle._finish(JobStatus.FAILED,
+                           error=f"{type(exc).__name__}: {exc}")
+        else:
+            self.counters["computed"] += 1
+            handle._finish(JobStatus.DONE, result)
+        return True
 
     def _execute(self, handle: JobHandle) -> JobResult:
         from ..analysis.api import NoiseAnalysis
@@ -255,14 +243,13 @@ class JobQueue:
             budget=None, **spec.analysis_options)
         result = analysis.psd_sweep(
             spec.frequencies,
-            parallel=None if self.backend == "serial" else self.backend,
-            max_workers=(None if self.pool is None
-                         else self.pool.max_workers),
+            parallel=self.backend,
+            max_workers=(None if self.backend == "serial"
+                         else self.max_workers),
             chunk_size=spec.chunk_size, budget=spec.budget,
             on_failure=spec.on_failure, solver=spec.solver,
             attribute_sources=spec.attribute_sources, retry=spec.retry,
-            faults=spec.faults, checkpoint=spec.checkpoint,
-            pool=self.pool)
+            faults=spec.faults, checkpoint=spec.checkpoint)
         runtime = time.perf_counter() - t0
         if getattr(result, "n_failed", 1) == 0:
             self.store.put(handle.key, result)
@@ -274,14 +261,12 @@ class JobQueue:
     # -- teardown ------------------------------------------------------------
 
     def close(self, timeout: "float | None" = 30.0) -> None:
-        """Drain remaining jobs, stop the dispatcher, drop owned pools."""
+        """Drain remaining jobs and stop the dispatcher."""
         with self._cond:
             self._closed = True
             self._cond.notify_all()
         if self._worker is not None:
             self._worker.join(timeout)
-        if self._own_pool and self.pool is not None:
-            self.pool.shutdown()
 
     def __enter__(self) -> "JobQueue":
         return self

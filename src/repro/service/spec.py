@@ -27,6 +27,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import ReproError
+from ..noise.solvers import resolve_solver
 
 _ON_FAILURE = ("record", "raise")
 
@@ -47,9 +48,10 @@ class JobSpec:
     segments_per_phase: int = 64
     output_row: int = 0
     #: ``None``/``"mft"`` or ``"spectral-batch"`` — the sweep-executor
-    #: solvers.  The delegated baselines are not servable (their results
-    #: are stochastic or convergence-gated, so content addressing would
-    #: lie about bit-identity).
+    #: solvers, normalised to the canonical name (``None`` becomes
+    #: ``"mft"``) at construction.  The delegated baselines are not
+    #: servable (their results are stochastic or convergence-gated, so
+    #: content addressing would lie about bit-identity).
     solver: "str | None" = None
     attribute_sources: Any = False
     # -- execution knobs (not part of the content address) ------------------
@@ -73,6 +75,7 @@ class JobSpec:
             raise ReproError(
                 f"on_failure must be one of {_ON_FAILURE}, got "
                 f"{self.on_failure!r}")
+        self.solver = resolve_solver(self.solver)
         if self.solver in ("brute-force", "monte-carlo"):
             raise ReproError(
                 f"solver {self.solver!r} is not servable: its results "
@@ -84,7 +87,7 @@ class JobSpec:
     def describe(self) -> str:
         name = self.label or type(self.model_or_system).__name__
         return (f"{name}: {self.frequencies.size} frequencies, "
-                f"solver={self.solver or 'mft'}")
+                f"solver={self.solver}")
 
 
 def _attribution_token(attribute_sources: Any) -> Any:
@@ -118,7 +121,7 @@ def job_key(spec: JobSpec) -> str:
         "grid_sha256": grid.hexdigest(),
         "n_points": int(spec.frequencies.size),
         "output_row": int(spec.output_row),
-        "solver": spec.solver or "mft",
+        "solver": spec.solver,
         "attribute_sources": _attribution_token(spec.attribute_sources),
         "family": getattr(spec.model_or_system, "family_hash", None),
     }

@@ -28,6 +28,7 @@ from typing import Any
 
 from ..errors import ReproError
 from ..mft.context import CacheStats
+from ..mft.executor import _positive_int
 from ..results import from_payload, to_payload
 
 
@@ -35,9 +36,7 @@ class ResultStore(abc.ABC):
     """Key → result-payload mapping with hit/miss/evict telemetry."""
 
     def __init__(self, limit: "int | None" = None) -> None:
-        if limit is not None and int(limit) < 1:
-            raise ReproError(f"store limit must be >= 1, got {limit}")
-        self.limit = None if limit is None else int(limit)
+        self.limit: "int | None" = _positive_int("limit", limit, None)
         #: Hit/miss/evict counters under the ``"result"`` category.
         self.stats = CacheStats()
 

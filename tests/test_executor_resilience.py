@@ -95,7 +95,7 @@ class TestArgumentValidation:
             SweepExecutor(retry=3)
 
     def test_thread_backend_rejected_everywhere(self, analyzer, grid):
-        from repro.service import JobQueue, WorkerPool
+        from repro.service import JobQueue
 
         allowed = r"expected one of \('serial', 'process'\)"
         with pytest.raises(ReproError, match=allowed):
@@ -104,8 +104,14 @@ class TestArgumentValidation:
             SweepExecutor(backend="thread")
         with pytest.raises(ReproError, match=allowed):
             JobQueue(backend="thread")
-        with pytest.raises(TypeError, match="backend"):
-            WorkerPool(backend="process")
+
+    def test_pool_option_is_gone(self, analyzer, grid):
+        # Each executor owns its process pool; no entry point takes one.
+        with pytest.raises(TypeError, match="pool"):
+            SweepExecutor(backend="process", pool=object())
+        for solver in ("mft", "spectral-batch", "brute-force"):
+            with pytest.raises(TypeError, match="pool"):
+                analyzer.psd_sweep(grid, solver=solver, pool=object())
 
     def test_baseline_solvers_reject_resilience_knobs(self, analyzer,
                                                       grid):

@@ -10,7 +10,10 @@ degrading into partial results with failure records — never into a
 stored artifact a later hit could serve as clean.
 """
 
+import gc
 import json
+import multiprocessing
+import weakref
 
 import numpy as np
 import pytest
@@ -33,7 +36,6 @@ from repro.service import (
     MemoryResultStore,
     ResultStore,
     SqliteResultStore,
-    WorkerPool,
     job_key,
     open_store,
 )
@@ -64,6 +66,17 @@ class TestJobSpec:
             with pytest.raises(ReproError, match="not servable"):
                 JobSpec(rc_system, GRID, solver=solver)
 
+    def test_solver_normalised_before_servability_check(self, rc_system):
+        with pytest.raises(ReproError, match="not servable"):
+            JobSpec(rc_system, GRID, solver="Brute-Force")
+        assert JobSpec(rc_system, GRID,
+                       solver=" Spectral-Batch ").solver == "spectral-batch"
+        assert JobSpec(rc_system, GRID).solver == "mft"
+
+    def test_unknown_solver_rejected_eagerly(self, rc_system):
+        with pytest.raises(ReproError, match="rocket"):
+            JobSpec(rc_system, GRID, solver="rocket")
+
     def test_rejects_bad_on_failure(self, rc_system):
         with pytest.raises(ReproError, match="on_failure"):
             JobSpec(rc_system, GRID, on_failure="explode")
@@ -93,6 +106,18 @@ class TestJobKey:
         reference = JobSpec(rc_system, **base)
         changed = JobSpec(rc_system, **{**base, **mutation})
         assert job_key(reference) != job_key(changed)
+
+    @pytest.mark.parametrize("spelling, canonical", [
+        (None, "mft"),
+        ("MFT", "mft"),
+        ("Spectral-Batch", "spectral-batch"),
+    ])
+    def test_solver_spellings_share_one_key(self, rc_system, spelling,
+                                            canonical):
+        # Persisted stores are addressed by the canonical solver name.
+        base = {"frequencies": GRID, "segments_per_phase": SPP}
+        assert job_key(JobSpec(rc_system, solver=spelling, **base)) \
+            == job_key(JobSpec(rc_system, solver=canonical, **base))
 
     def test_insensitive_to_execution_knobs(self, rc_system):
         # Backend/chunking/retry never change the values a job
@@ -144,6 +169,15 @@ class TestResultStores:
             assert store.keys() == keys[1:]
             assert store.get(keys[0]) is None
             assert store.stats.evictions == {"result": 1}
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.7, True, "2"])
+    def test_limit_validated_not_coerced(self, tmp_path, bad):
+        # Same rule as max_workers: an integer >= 1, never coerced.
+        for cls, args in ((MemoryResultStore, ()),
+                          (DirectoryResultStore, (tmp_path / "d",)),
+                          (SqliteResultStore, (tmp_path / "s.db",))):
+            with pytest.raises(ReproError, match="limit"):
+                cls(*args, limit=bad)
 
     def test_clear_keeps_counters(self, store, psd_result):
         store.put("cd" * 32, psd_result)
@@ -203,6 +237,19 @@ class TestSubmitPollWaitCancel:
             handle = queue.submit(spec)
             handle.wait(timeout=120.0)
             assert not queue.cancel(handle)
+
+    def test_finished_handle_is_not_retained(self, spec, rc_system):
+        with JobQueue() as queue:
+            handle = queue.submit(spec)
+            handle.wait(timeout=120.0)
+            finished = weakref.ref(handle)
+            del handle
+            # A second computed job proves the dispatcher moved on.
+            queue.submit(JobSpec(rc_system, GRID * 1.1,
+                                 segments_per_phase=SPP)).wait(
+                                     timeout=120.0)
+            gc.collect()
+            assert finished() is None
 
     def test_submit_rejects_non_spec(self):
         with JobQueue() as queue:
@@ -325,6 +372,15 @@ class TestBatchEndpoint:
         for a, b in zip(serial, pooled):
             assert a.result.psd.tobytes() == b.result.psd.tobytes()
 
+    def test_no_worker_outlives_a_process_job(self, rc_system):
+        # Each job's executor owns its pool and tears it down with the
+        # sweep, so a live queue holds no worker processes between jobs.
+        spec = JobSpec(rc_system, GRID, segments_per_phase=SPP,
+                       chunk_size=CHUNK)
+        with JobQueue(backend="process", max_workers=2) as queue:
+            queue.run_batch([spec], timeout=240.0)
+            assert multiprocessing.active_children() == []
+
 
 class TestCrashRecoveryAndResume:
     def test_worker_crash_mid_chunk_recovers(self, spec, rc_system):
@@ -389,33 +445,6 @@ class TestProgress:
                    for stage in progress["stages"])
 
 
-class TestWorkerPool:
-    def test_validation(self):
-        # Same rule as SweepExecutor: an integer >= 1, never coerced.
-        for bad in (0, 2.7, True, "2"):
-            with pytest.raises(ReproError, match="max_workers"):
-                WorkerPool(max_workers=bad)
-
-    def test_acquire_is_idempotent_and_respawn_is_not(self):
-        with WorkerPool(max_workers=1) as pool:
-            first = pool.acquire()
-            assert pool.acquire() is first
-            fresh = pool.respawn()
-            assert fresh is not first
-            assert pool.acquire() is fresh
-            assert pool.n_respawns == 1
-            assert pool.telemetry()["live"]
-
-    def test_shutdown_closes_for_good(self):
-        pool = WorkerPool(max_workers=1)
-        pool.acquire()
-        pool.shutdown()
-        with pytest.raises(ReproError, match="shut down"):
-            pool.acquire()
-        with pytest.raises(ReproError, match="shut down"):
-            pool.respawn()
-
-
 class TestQueueConfiguration:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ReproError, match="backend"):
@@ -425,19 +454,17 @@ class TestQueueConfiguration:
         with pytest.raises(ReproError, match="max_workers"):
             JobQueue(backend="process", max_workers=0)
         with JobQueue(backend="process") as queue:
-            assert queue.pool.max_workers == 2
+            assert queue.max_workers == 2
 
-    def test_backend_conflicting_with_shared_pool_rejected(self):
-        with WorkerPool(max_workers=1) as pool:
-            with pytest.raises(ReproError, match="conflicts"):
-                JobQueue(pool=pool, backend="serial")
+    def test_max_workers_validated_not_coerced(self):
+        # Same rule as SweepExecutor: an integer >= 1, never coerced.
+        for bad in (0, 2.7, True, "2"):
+            with pytest.raises(ReproError, match="max_workers"):
+                JobQueue(backend="process", max_workers=bad)
 
-    def test_shared_pool_is_not_shut_down_by_queue(self, spec):
-        with WorkerPool(max_workers=2) as pool:
-            with JobQueue(pool=pool) as queue:
-                queue.submit(spec).wait(timeout=120.0)
-            # The queue is closed; the shared pool must still work.
-            assert pool.acquire() is not None
+    def test_pool_option_is_gone(self):
+        with pytest.raises(TypeError, match="pool"):
+            JobQueue(pool=object())
 
     def test_telemetry_shape(self, spec):
         with JobQueue() as queue:
@@ -446,7 +473,6 @@ class TestQueueConfiguration:
         assert telemetry["backend"] == "serial"
         assert telemetry["jobs"]["submitted"] == 1
         assert telemetry["store"]["size"] == 1
-        assert telemetry["pool"] is None
 
 
 class TestJobResultExports:
