@@ -326,7 +326,7 @@ class TestCornerBatchGate:
     """
 
     def _members(self, family):
-        return _build_members(_lowpass(), family, 0, SEGMENTS, None, True)
+        return _build_members(_lowpass(), family, 0, SEGMENTS, None)
 
     def _independent(self, family, freqs):
         return np.stack([

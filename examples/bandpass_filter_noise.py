@@ -63,7 +63,7 @@ def main():
     rows = [
         ["resonant gain", f"{gain_peak:.3f} at "
          f"{f_peak / 1e3:.1f} kHz"],
-        ["total output variance [V^2]", analysis.output_variance()],
+        ["total output variance [V^2]", analysis.average_output_variance()],
         ["in-band noise power [V^2]", in_band_noise],
         ["in-band SNR for 100 mV input [dB]",
          snr_db(signal_power, in_band_noise)],

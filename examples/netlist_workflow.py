@@ -54,7 +54,7 @@ def main():
         spectra[label] = spectrum
         rows.append([
             label,
-            np.sqrt(analysis.output_variance()) * 1e6,
+            np.sqrt(analysis.average_output_variance()) * 1e6,
             spectrum.at(10e3),
             spectrum.at(200e3),
         ])

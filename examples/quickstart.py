@@ -50,7 +50,7 @@ def main():
     # --- figures of merit -------------------------------------------------
     rows = [
         ["average output noise variance [V^2]",
-         analysis.output_variance()],
+         analysis.average_output_variance()],
         ["PSD at 7.5 kHz [V^2/Hz] (MFT)", analysis.psd([7.5e3]).psd[0]],
         ["PSD at 7.5 kHz [V^2/Hz] (brute force)", trace.final()],
     ]

@@ -34,7 +34,7 @@ def ktc_budget():
         params = SampleHoldParams(c_hold=c_hold)
         analysis = NoiseAnalysis(sample_hold_system(params),
                                  segments_per_phase=32)
-        variance = analysis.output_variance()
+        variance = analysis.average_output_variance()
         rows.append([format_value(c_hold, "F"),
                      np.sqrt(variance) * 1e6,
                      np.sqrt(params.ktc_variance) * 1e6])

@@ -22,7 +22,8 @@ Package layout:
 * :mod:`repro.baselines` — independent comparator methods,
 * :mod:`repro.translinear`, :mod:`repro.oscillator` — extensions,
 * :mod:`repro.metrics` — figures of merit and per-source attribution,
-* :mod:`repro.analysis`, :mod:`repro.io` — façade and reporting.
+* :mod:`repro.analysis`, :mod:`repro.io` — model-level analysis and
+  reporting.
 """
 
 from .errors import (
@@ -65,7 +66,6 @@ from .mft import (
     MftNoiseAnalyzer,
     SweepContext,
     SweepExecutor,
-    mft_psd,
     sweep_context_for,
 )
 from .metrics import ContributionBudget, MetricResult
@@ -83,7 +83,7 @@ __all__ = [
     # diagnostics & guardrails
     "configure_logging", "DiagnosticsReport", "Severity", "SweepBudget",
     "FallbackPolicy", "preflight_report",
-    # façade
+    # analysis
     "NoiseAnalysis", "compare_spectra", "SpectrumComparison",
     # circuit substrate
     "Netlist", "ClockSchedule", "build_lptv_system", "parse_netlist",
@@ -95,7 +95,7 @@ __all__ = [
     "SampleHoldParams", "sample_hold_system",
     # systems and engines
     "Phase", "PiecewiseLTISystem", "SampledLPTVSystem",
-    "MftNoiseAnalyzer", "mft_psd",
+    "MftNoiseAnalyzer",
     "SweepContext", "SweepExecutor", "sweep_context_for",
     "PsdResult", "brute_force_psd", "periodic_covariance",
     # metrics and attribution

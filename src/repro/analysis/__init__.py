@@ -1,8 +1,8 @@
-"""High-level analysis façade.
+"""High-level analysis entry point.
 
-:class:`~repro.analysis.api.NoiseAnalysis` wraps the full pipeline —
-netlist/model in, spectra and reports out — for users who don't want to
-assemble the engines by hand.
+:class:`~repro.analysis.api.NoiseAnalysis` is the MFT analyzer built
+straight from a netlist-backed model — model in, spectra and reports
+out — for users who don't want to assemble the engines by hand.
 """
 
 from ..diagnostics.budget import SweepBudget

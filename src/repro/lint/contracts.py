@@ -268,7 +268,7 @@ class RecorderThreadingRule(ProjectRule):
 # ---------------------------------------------------------------------------
 
 #: Dotted-module prefixes whose frequency/segment loops are budgeted.
-_BUDGETED_PREFIXES = ("repro.mft", "repro.integrate")
+_BUDGETED_PREFIXES = ("repro.mft",)
 
 #: Loop variables/iterables mentioning these stems iterate sweep work.
 _SWEEP_STEMS = ("freq", "omega", "segment")

@@ -21,7 +21,7 @@ to the engine's fixed point for a single slow tone and is cross-validated
 against it in the tests.
 """
 
-from .engine import InstantaneousPsd, MftNoiseAnalyzer, mft_psd
+from .engine import InstantaneousPsd, MftNoiseAnalyzer
 from .corners import CornerBatchAnalyzer, CornerSweepResult, corner_psd_sweep
 from .context import (
     CacheStats,
@@ -49,7 +49,6 @@ from .delay import delay_matrix, dft_matrix, idft_matrix
 
 __all__ = [
     "MftNoiseAnalyzer",
-    "mft_psd",
     "InstantaneousPsd",
     "CacheStats",
     "SweepContext",

@@ -438,16 +438,13 @@ class CornerSweepResult:
 
 def _build_members(model_or_system: Any, grid: ParameterGrid,
                    output_row: int, segments_per_phase: int,
-                   recorder: Any, derive_intensity: bool
-                   ) -> "list[MftNoiseAnalyzer]":
+                   recorder: Any) -> "list[MftNoiseAnalyzer]":
     """One cache-backed analyzer per corner, sharing dynamics work.
 
     Corners are grouped by dynamics overrides; each distinct dynamics
     point gets one *root* context (and one preflight, shared by every
     member on it).  Intensity-only variations on a root derive their
-    context (``derive_intensity=True``) instead of rebuilding — the
-    nearly-free path — or rebuild from a rescaled system when exact
-    fresh numerics are wanted (``derive_intensity=False``).  All
+    context from it instead of rebuilding — the nearly-free path.  All
     registry entries are salted with the grid's family hash.
     """
     from ..circuits.corners import scale_system_noise
@@ -482,14 +479,10 @@ def _build_members(model_or_system: Any, grid: ParameterGrid,
                 scales = np.atleast_1d(np.asarray(
                     corner.uniform_scale, dtype=float))
             member_system = scale_system_noise(system, scales)
-            if derive_intensity:
-                member_context = sweep_context_for(
-                    member_system, segments_per_phase, family=family,
-                    build=lambda c=context, s=scales, ms=member_system:
-                        c.derive_intensity_scaled(s, system=ms))
-            else:
-                member_context = sweep_context_for(
-                    member_system, segments_per_phase, family=family)
+            member_context = sweep_context_for(
+                member_system, segments_per_phase, family=family,
+                build=lambda c=context, s=scales, ms=member_system:
+                    c.derive_intensity_scaled(s, system=ms))
 
         # One preflight per dynamics root, cached on the (registry
         # -cached) root context across sweeps: the first member on a
@@ -521,7 +514,6 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
                      chunk_size: "int | None" = None,
                      budget: Any = None, on_failure: str = "record",
                      attribute_sources: Any = False,
-                     derive_intensity: bool = True,
                      retry: Any = None, faults: Any = None,
                      checkpoint: Any = None,
                      recorder: Any = None) -> CornerSweepResult:
@@ -539,14 +531,13 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
 
     ``chunk_size`` counts **frequencies** per executor chunk (each flat
     chunk holds that many frequencies × all M corners); the default is
-    ``min(K, 64)``.  ``derive_intensity=True`` (default) lets intensity
-    -only corners derive their context from the dynamics root (shared
-    propagators/bases, linear restack — the nearly-free path, ≤1e-12
-    from a fresh build); ``False`` rebuilds each from its rescaled
-    system.  ``parallel``/``max_workers``/``budget``/``on_failure``/
-    ``retry``/``faults``/``checkpoint`` are the usual executor knobs on
-    the flattened axis — a crashed or budget-skipped chunk NaNs exactly
-    its ``(corner, frequency)`` cells.
+    ``min(K, 64)``.  Intensity-only corners derive their context from
+    the dynamics root (shared propagators/bases, linear restack — the
+    nearly-free path, ≤1e-12 from a fresh build).  ``parallel``/
+    ``max_workers``/``budget``/``on_failure``/``retry``/``faults``/
+    ``checkpoint`` are the usual executor knobs on the flattened axis —
+    a crashed or budget-skipped chunk NaNs exactly its
+    ``(corner, frequency)`` cells.
     """
     from .executor import SweepExecutor
 
@@ -556,8 +547,7 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     n_corners = len(grid)
     members = _build_members(model_or_system, grid, output_row,
-                             segments_per_phase, recorder,
-                             derive_intensity)
+                             segments_per_phase, recorder)
     analyzer = CornerBatchAnalyzer(members, grid, recorder=recorder,
                                    budget=budget)
 

@@ -854,22 +854,5 @@ def report_defective_bases(report, context, groups):
         reasons=[bases[g].reason for g in groups])
 
 
-def mft_psd(system, frequencies, segments_per_phase=64, output_row=0,
-            **kwargs):
-    """One-call convenience wrapper around :class:`MftNoiseAnalyzer`.
-
-    Returns the averaged double-sided PSD in V²/Hz.
-
-    Keyword arguments (``preflight``, ``fallback``, ``budget``,
-    ``context``, ``recorder``) are forwarded to the analyzer
-    constructor.
-    """
-    analyzer = MftNoiseAnalyzer(system,
-                                segments_per_phase=segments_per_phase,
-                                output_row=output_row, **kwargs)
-    return analyzer.psd(frequencies)
-
-
 # re-exported for backwards compatibility with earlier imports
-__all__ = ["InstantaneousPsd", "MftNoiseAnalyzer", "mft_psd",
-           "preflight_report"]
+__all__ = ["InstantaneousPsd", "MftNoiseAnalyzer", "preflight_report"]

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..diagnostics.budget import as_budget
 from ..errors import ReproError
-from ..tolerances import PSD_FLOOR
+from ..tolerances import PSD_FLOOR, SWEEP_REFINE_DB
 from ..typing import FloatArray
 
 logger = logging.getLogger(__name__)
@@ -73,7 +73,8 @@ def clock_harmonic_grid(f_clock, n_harmonics, points_per_interval=32,
 
 
 def adaptive_frequency_grid(psd_fn, f_start, f_stop, n_initial=16,
-                            max_points=256, tol_db=0.5, budget=None):
+                            max_points=256, tol_db=SWEEP_REFINE_DB,
+                            budget=None):
     """Adaptively refine a grid until log-PSD is bisection-converged.
 
     ``psd_fn(f)`` returns the PSD at one frequency. Starting from a

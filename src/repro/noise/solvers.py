@@ -1,8 +1,8 @@
 """The unified solver registry for noise PSD computation.
 
-Every PSD entry point — ``NoiseAnalysis.psd``, ``NoiseAnalysis.psd_sweep``
-and ``MftNoiseAnalyzer.psd_sweep`` — accepts one ``solver=`` keyword
-naming the engine:
+Both PSD entry points — ``MftNoiseAnalyzer.psd`` and
+``MftNoiseAnalyzer.psd_sweep``, which ``NoiseAnalysis`` inherits —
+accept one ``solver=`` keyword naming the engine:
 
 ``"mft"``
     Per-frequency mixed-frequency-time solve through the cached

@@ -98,12 +98,6 @@ MFT_COLLOCATION_COND_LIMIT: float = 1e12
 #: preserves ordering of every representable positive PSD.
 PSD_FLOOR: float = 1e-300
 
-#: Absolute clip tolerance for PSD non-negativity: eigenvalue rounding
-#: can push a zero mode of the output covariance to O(-eps·‖K‖); values
-#: above ``-PSD_CLIP_ATOL·‖K‖`` are clipped to zero, values below it
-#: indicate a real Hermitian-symmetry bug and must raise.
-PSD_CLIP_ATOL: float = 1e-12
-
 #: dB deviation between a computed PSD point and its log-log
 #: interpolant above which the adaptive sweep subdivides the interval.
 SWEEP_REFINE_DB: float = 0.5
@@ -152,40 +146,6 @@ ATTRIBUTION_CONSERVATION_RTOL: float = 1e-9
 #: O(n·eps·T); 1e-9·T leaves six orders of headroom without masking a
 #: genuinely inconsistent schedule.
 SCHEDULE_TILE_RTOL: float = 1e-9
-
-#: Relative slack when snapping integrator steps onto schedule
-#: breakpoints: a step endpoint within ``1e-15·max(|t|, 1)`` of a
-#: breakpoint is "at" the breakpoint.  ~10·eps on the time coordinate —
-#: tight enough that no real segment is skipped, loose enough that the
-#: accumulated ``t += h`` rounding never creates a phantom micro-step.
-GRID_SNAP_RTOL: float = 1e-15
-
-# ---------------------------------------------------------------------------
-# Adaptive transient integration (repro.integrate)
-# ---------------------------------------------------------------------------
-
-#: Default relative local-error tolerance of the adaptive trapezoidal
-#: integrator.  1e-6 holds the per-period energy error well under the
-#: 0.1 dB kT/C validation target while keeping brute-force sweeps
-#: affordable.
-TRAPEZOID_RTOL: float = 1e-6
-
-#: Default absolute local-error floor of the adaptive trapezoidal
-#: integrator, guarding the error ratio when the state passes through
-#: zero.  Sized to the smallest state magnitudes (µV-scale capacitor
-#: voltages) the validation circuits produce.
-TRAPEZOID_ATOL: float = 1e-12
-
-#: Smallest step the adaptive integrator may take before declaring the
-#: problem pathologically stiff and raising, instead of looping forever
-#: on a discontinuity.  Far below any physical time constant in the SC
-#: circuits (~1e-9 s) yet far above the subnormal range.
-TRAPEZOID_MIN_STEP: float = 1e-18
-
-#: Residual tolerance of the Newton corrector inside the implicit
-#: trapezoidal step.  ~100·eps·‖x‖-scale: iterating further only churns
-#: rounding noise; looser visibly biases the periodic steady state.
-TRAPEZOID_NEWTON_TOL: float = 1e-10
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo baseline (repro.baselines)
@@ -364,17 +324,11 @@ __all__ = [
     "MFT_ALIASING_COND_LIMIT",
     "MFT_COLLOCATION_COND_LIMIT",
     "PSD_FLOOR",
-    "PSD_CLIP_ATOL",
     "SWEEP_REFINE_DB",
     "SPECTRAL_EIGENBASIS_COND_LIMIT",
     "RESOLVENT_NORM_THRESHOLD",
     "ATTRIBUTION_CONSERVATION_RTOL",
     "SCHEDULE_TILE_RTOL",
-    "GRID_SNAP_RTOL",
-    "TRAPEZOID_RTOL",
-    "TRAPEZOID_ATOL",
-    "TRAPEZOID_MIN_STEP",
-    "TRAPEZOID_NEWTON_TOL",
     "UNIFORM_GRID_RTOL",
     "RETRY_BACKOFF_SECONDS",
     "RETRY_BACKOFF_FACTOR",

@@ -1,4 +1,4 @@
-"""High-level façade, spectrum comparisons, and IO helpers."""
+"""High-level NoiseAnalysis, spectrum comparisons, and IO helpers."""
 
 import numpy as np
 import pytest
@@ -26,8 +26,8 @@ class TestNoiseAnalysisFacade:
     def test_psd_engines_agree(self, rc_system):
         analysis = NoiseAnalysis(rc_system, segments_per_phase=32)
         fast = analysis.psd([5e3]).psd[0]
-        slow = analysis.psd_brute_force([5e3], tol_db=0.02,
-                                        window_periods=8).psd[0]
+        slow = analysis.psd([5e3], solver="brute-force", tol_db=0.02,
+                            window_periods=8).psd[0]
         assert slow == pytest.approx(fast, rel=0.03)
 
     def test_convergence_trace(self, rc_system):
@@ -38,7 +38,7 @@ class TestNoiseAnalysisFacade:
 
     def test_output_variance_and_snr(self, rc_system, rc_params):
         analysis = NoiseAnalysis(rc_system, segments_per_phase=32)
-        assert analysis.output_variance() == pytest.approx(
+        assert analysis.average_output_variance() == pytest.approx(
             rc_params.ktc_variance, rel=1e-6)
         snr = analysis.snr(signal_power=1.0)
         assert snr == pytest.approx(

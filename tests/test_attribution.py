@@ -21,6 +21,7 @@ import pytest
 
 from repro.analysis import NoiseAnalysis
 from repro.circuits import (
+    ParameterGrid,
     sample_hold_system,
     sc_bandpass_system,
     sc_integrator_system,
@@ -192,13 +193,34 @@ class TestCheckpointing:
                                checkpoint=tmp_path / "ckpt")
 
 
+def _corner_labels(analysis, freqs):
+    grid = ParameterGrid.cross({"nom": {}}, {"x1": 1.0, "x2": 2.0})
+    result = analysis.psd_corners(grid, freqs, attribute_sources=True)
+    return [budget.labels for budget in result.budgets.values()]
+
+
+#: Every path that resolves ``attribute_sources=True`` on a model.
+LABEL_PATHS = {
+    "mft": lambda a, f: [a.psd(f, attribute_sources=True).budget.labels],
+    "spectral-batch-process": lambda a, f: [a.psd_sweep(
+        f, solver="spectral-batch", parallel="process", max_workers=2,
+        attribute_sources=True).budget.labels],
+    "brute-force": lambda a, f: [a.psd(
+        f[:1], solver="brute-force",
+        attribute_sources=True).budget.labels],
+    "corners": _corner_labels,
+}
+
+
 class TestLabelsAndModes:
-    def test_model_noise_labels_name_the_rows(self):
+    @pytest.mark.parametrize("path", list(LABEL_PATHS))
+    def test_model_noise_labels_name_the_rows(self, path):
         analysis = build_analysis("sc-lowpass")
         freqs = battery_grid(analysis.system)
-        result = analysis.psd(freqs, attribute_sources=True)
-        assert result.budget.labels == list(analysis.model.noise_labels)
-        assert "op:vn" in result.budget.labels
+        expected = list(analysis.model.noise_labels)
+        assert "op:vn" in expected
+        rows = LABEL_PATHS[path](analysis, freqs)
+        assert rows and all(labels == expected for labels in rows)
 
     def test_custom_labels_override(self):
         analysis = build_analysis("switched-rc")

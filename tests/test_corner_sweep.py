@@ -9,10 +9,10 @@ produce —
   ``psd_sweep(solver="spectral-batch")``;
 * ``M > 1`` matches M independent member sweeps over the same derived
   contexts to ``PARAM_BATCH_PARITY_RTOL`` (measured: ~3e-15);
-* ``derive_intensity=False`` is bit-identical to fresh per-corner
-  rebuilds; ``derive_intensity=True`` stays within
-  ``CORNER_INTENSITY_RESTACK_RTOL`` of them (two valid roundings of
-  the same rescaled Gramians, amplified by the fixed-point solve);
+* intensity corners derived from their dynamics root stay within
+  ``CORNER_INTENSITY_RESTACK_RTOL`` of fresh per-corner rebuilds (two
+  valid roundings of the same rescaled Gramians, amplified by the
+  fixed-point solve);
 * injected faults, budgets, and non-finite frequencies NaN exactly the
   right ``(corner, frequency)`` cells with per-corner failure records;
 * the context registry's family salt keeps corner-sweep cache entries
@@ -213,8 +213,7 @@ class TestParityBattery:
                                    segments_per_phase=SPP)
         # Rebuild the members (registry-warm: the identical context
         # objects) and sweep each independently.
-        members = _build_members(rc_system, mixed_grid, 0, SPP, None,
-                                 True)
+        members = _build_members(rc_system, mixed_grid, 0, SPP, None)
         for m, member in enumerate(members):
             reference = member.psd_sweep(freqs, solver="spectral-batch")
             scale = np.max(np.abs(reference.psd))
@@ -222,31 +221,13 @@ class TestParityBattery:
             assert worst <= PARAM_BATCH_PARITY_RTOL * scale, (
                 f"corner {mixed_grid.names[m]}: {worst / scale:.3e}")
 
-    def test_derived_false_bit_identical_to_fresh_rebuilds(
-            self, rc_system, freqs):
-        grid = ParameterGrid([CornerSpec(name="nom"),
-                              CornerSpec(name="hot", noise_scale=1.3),
-                              CornerSpec(name="cold", noise_scale=0.8)])
-        clear_sweep_contexts()
-        batched = corner_psd_sweep(rc_system, grid, freqs,
-                                   segments_per_phase=SPP,
-                                   derive_intensity=False)
-        for m, corner in enumerate(grid.corners):
-            clear_sweep_contexts()
-            reference = _independent_reference(rc_system, corner, freqs)
-            assert (batched.values[m].tobytes()
-                    == reference.psd.tobytes()), (
-                f"corner {corner.name}: derive_intensity=False must "
-                "reproduce a fresh rebuild bit-for-bit")
-
     def test_derived_true_within_restack_tolerance_of_rebuilds(
             self, rc_system, freqs):
         grid = ParameterGrid([CornerSpec(name="nom"),
                               CornerSpec(name="hot", noise_scale=1.3)])
         clear_sweep_contexts()
         batched = corner_psd_sweep(rc_system, grid, freqs,
-                                   segments_per_phase=SPP,
-                                   derive_intensity=True)
+                                   segments_per_phase=SPP)
         for m, corner in enumerate(grid.corners):
             clear_sweep_contexts()
             reference = _independent_reference(rc_system, corner, freqs)
@@ -358,7 +339,7 @@ class TestRegistryFamilyIsolation:
         clear_sweep_contexts()
         plain = sweep_context_for(rc_system, SPP)
         grid = ParameterGrid([CornerSpec(name="nom")])
-        members = _build_members(rc_system, grid, 0, SPP, None, True)
+        members = _build_members(rc_system, grid, 0, SPP, None)
         member_context = members[0].context
         assert member_context is not plain, (
             "the family salt must separate corner entries from the "
@@ -436,8 +417,7 @@ class TestAnalyzerValidation:
     def test_member_grid_length_mismatch_rejected(
             self, rc_system, mixed_grid):
         clear_sweep_contexts()
-        members = _build_members(rc_system, mixed_grid, 0, SPP, None,
-                                 True)
+        members = _build_members(rc_system, mixed_grid, 0, SPP, None)
         with pytest.raises(ReproError, match="4 corners"):
             CornerBatchAnalyzer(members[:2], mixed_grid)
         with pytest.raises(ReproError, match="at least one"):

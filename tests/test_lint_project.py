@@ -4,7 +4,7 @@ and the cross-module contract rules SCN006-SCN010.
 Every test builds a small synthetic package tree under ``tmp_path``.
 The trees carry full ``__init__.py`` chains so :func:`module_name_for`
 derives real dotted names — the prefix-scoped rules (SCN008 only looks
-at ``repro.mft``/``repro.integrate``, SCN010 exempts
+at ``repro.mft``, SCN010 exempts
 ``repro.resilience``/``repro.baselines.montecarlo``) are driven by
 those names, never by filesystem paths.
 """

@@ -126,7 +126,7 @@ class TestKtcCalibration:
 
     def test_output_variance_matches_ktc(self, rc_system, rc_params):
         analysis = NoiseAnalysis(rc_system, segments_per_phase=32)
-        assert analysis.output_variance() == pytest.approx(
+        assert analysis.average_output_variance() == pytest.approx(
             rc_params.ktc_variance, rel=1e-6)
 
     def test_wideband_metric_approaches_ktc(self, rc_system, rc_params):
@@ -158,10 +158,10 @@ class TestKtcCalibration:
         # the total power. Doubling R must leave the variance at kT/C.
         base = NoiseAnalysis(
             switched_rc_system(SwitchedRcParams()),
-            segments_per_phase=32).output_variance()
+            segments_per_phase=32).average_output_variance()
         double_r = NoiseAnalysis(
             switched_rc_system(SwitchedRcParams(resistance=20e3)),
-            segments_per_phase=32).output_variance()
+            segments_per_phase=32).average_output_variance()
         assert double_r == pytest.approx(base, rel=1e-6)
         assert base == pytest.approx(SwitchedRcParams().ktc_variance,
                                      rel=1e-6)

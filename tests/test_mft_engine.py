@@ -8,7 +8,7 @@ from repro.baselines.lti import lti_noise_psd, lti_output_variance
 from repro.baselines.rice import rice_switched_rc_psd
 from repro.errors import ReproError
 from repro.lptv.system import lti_phase_system
-from repro.mft.engine import MftNoiseAnalyzer, mft_psd
+from repro.mft.engine import MftNoiseAnalyzer
 from repro.noise.snr import integrated_noise_power
 
 
@@ -82,7 +82,8 @@ class TestSwitchedRc:
         assert np.isfinite(MftNoiseAnalyzer(rc_system, segments_per_phase=32).psd_at(0.0))
 
     def test_result_metadata(self, rc_system):
-        result = mft_psd(rc_system, [1e3, 2e3], segments_per_phase=16)
+        result = MftNoiseAnalyzer(rc_system, segments_per_phase=16).psd(
+            [1e3, 2e3])
         assert result.method == "mft"
         assert result.info["segments"] == 32
         assert result.info["runtime_seconds"] >= 0.0
@@ -133,9 +134,8 @@ class TestOneAnalyzerMode:
 
     @pytest.mark.parametrize("build", [
         lambda system: MftNoiseAnalyzer(system, cache=False),
-        lambda system: mft_psd(system, [1e3], cache=False),
         lambda system: NoiseAnalysis(system, cache=False),
-    ], ids=["analyzer", "mft_psd", "facade"])
+    ], ids=["analyzer", "facade"])
     def test_cache_keyword_rejected(self, rc_system, build):
         with pytest.raises(TypeError, match="cache"):
             build(rc_system)

@@ -83,7 +83,7 @@ class TestSolverEquivalence:
         named = analysis.psd(GRID[:3], solver="brute-force")
         direct = brute_force_psd(rc_system, GRID[:3],
                                  segments_per_phase=16,
-                                 context=analysis.engine.context)
+                                 context=analysis.context)
         np.testing.assert_array_equal(named.psd, direct.psd)
         assert named.method == direct.method
 
@@ -101,12 +101,9 @@ class TestSolverEquivalence:
 
     @pytest.mark.parametrize("solver", ["mft", "spectral-batch"])
     def test_sweep_entry_points_agree(self, analysis, solver):
-        engine = analysis.engine
-        facade = analysis.psd_sweep(GRID, solver=solver)
-        direct = engine.psd_sweep(GRID, solver=solver)
+        swept = analysis.psd_sweep(GRID, solver=solver)
         plain = analysis.psd(GRID, solver=solver)
-        np.testing.assert_array_equal(facade.psd, direct.psd)
-        np.testing.assert_allclose(facade.psd, plain.psd, rtol=1e-12)
+        np.testing.assert_allclose(swept.psd, plain.psd, rtol=1e-12)
 
     def test_delegates_reachable_from_psd_sweep(self, analysis):
         swept = analysis.psd_sweep(GRID[:3], solver="brute-force")
@@ -116,8 +113,7 @@ class TestSolverEquivalence:
 
 class TestSolverValidation:
     def test_unknown_solver_rejected_at_each_entry_point(self, analysis):
-        for call in (analysis.psd, analysis.psd_sweep,
-                     analysis.engine.psd_sweep):
+        for call in (analysis.psd, analysis.psd_sweep):
             with pytest.raises(ReproError, match="simplex"):
                 call(GRID, solver="simplex")
 
@@ -153,7 +149,6 @@ class TestSharedKeywords:
         analysis = NoiseAnalysis(rc_system, segments_per_phase=16,
                                  recorder=rec)
         assert analysis.recorder is rec
-        assert analysis.engine.recorder is rec
         analysis.psd(GRID[:2], solver="brute-force")
         analysis.psd(None, solver="monte-carlo", n_trajectories=2,
                      n_periods=16, samples_per_period=16,
@@ -173,7 +168,7 @@ class TestSharedKeywords:
         context = sweep_context_for(rc_system, 16)
         analysis = NoiseAnalysis(rc_system, segments_per_phase=16,
                                  context=context)
-        assert analysis.engine.context is context
+        assert analysis.context is context
         direct = analysis.psd(GRID[:2], solver="brute-force")
         assert np.isfinite(direct.psd).all()
 
