@@ -16,8 +16,8 @@ cache state, and compares the medians:
 Each side's median and inter-quartile range are printed.  The other
 gates pin what the fast paths must not change — numerical equivalence,
 NaN masks and failure records, attribution bit-identity and
-conservation, store hits — and what observability and fault injection
-may cost when disabled (< 2% each) or must cover (>= 95% of the sweep).
+conservation, store hits — and what observability may cost when
+disabled (< 2%) or must cover (>= 95% of the sweep).
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_perf_regression.py``
 (the benchmarks tree is outside the tier-1 ``testpaths``).  With
@@ -70,7 +70,6 @@ def _lowpass_grid(n_points):
 GRID_64 = _lowpass_grid(64)
 GRID_256 = _lowpass_grid(256)
 
-EQUIVALENCE_REL_TOL = 1e-12
 #: The spectral kernel reorders floating-point work (batched LU, scalar
 #: φ-series) relative to the per-ω reference.
 SPECTRAL_REL_TOL = 1e-9
@@ -200,25 +199,18 @@ def time_pair(candidate, baseline, setup=None):
 
 class TestNumericalEquivalence:
     @pytest.mark.parametrize("n_points", [64, 256])
-    @pytest.mark.parametrize("solver,parallel", [
-        (None, "process"),
-        ("spectral-batch", None),
-        ("spectral-batch", "process"),
-    ])
-    def test_all_variants_match_reference(self, n_points, solver,
-                                          parallel):
-        # Every configuration against the cold serial per-ω sweep:
-        # 1e-12 for the exact-reorder paths, 1e-9 for the spectral
-        # kernel.  Deviation is grid-size independent, so this runs in
+    def test_spectral_batch_matches_reference(self, n_points):
+        # The spectral kernel against the cold serial per-ω sweep, to
+        # 1e-9.  Deviation is grid-size independent, so this runs in
         # tiny mode too.
         grid = _lowpass_grid(n_points)
         clear_sweep_contexts()
         reference = _cold_sweep(grid)
         clear_sweep_contexts()
-        candidate = _cold_sweep(grid, solver=solver, parallel=parallel)
+        candidate = _cold_sweep(grid, solver="spectral-batch")
         rel = max_relative_difference(reference.psd, candidate.psd)
-        tol = SPECTRAL_REL_TOL if solver else EQUIVALENCE_REL_TOL
-        assert rel <= tol, f"max rel diff {rel:.3e} (tol {tol:.0e})"
+        assert rel <= SPECTRAL_REL_TOL, (
+            f"max rel diff {rel:.3e} (tol {SPECTRAL_REL_TOL:.0e})")
 
 
 class TestSpectralBatchGate:
@@ -294,18 +286,6 @@ class TestAttributionGates:
         attributed = analyzer.psd_sweep(GRID_64, attribute_sources=True)
         assert np.array_equal(plain.psd, attributed.psd)
         assert attributed.info["budget"] is not None
-
-    def test_budget_identical_serial_vs_process(self):
-        analyzer = self._analyzer()
-        serial = analyzer.psd_sweep(GRID_64, attribute_sources=True)
-        process = analyzer.psd_sweep(GRID_64, parallel="process",
-                                     max_workers=2,
-                                     attribute_sources=True)
-        assert np.array_equal(serial.psd, process.psd)
-        assert serial.budget.labels == process.budget.labels
-        assert np.array_equal(serial.budget.total, process.budget.total)
-        assert np.array_equal(serial.budget.contributions,
-                              process.budget.contributions)
 
     def test_headline_budget_conserves(self):
         analyzer = self._analyzer()
@@ -496,66 +476,14 @@ class TestObservabilityGates:
     def test_trace_attributes_95_percent_of_wall_clock(self, print_table):
         # >= 95% of the sweep root's wall-clock must be covered by its
         # direct children -- untraced gaps between spans stay under 5%.
-        for parallel in (None, "process"):
-            clear_sweep_contexts()
-            rec = Recorder()
-            analyzer = MftNoiseAnalyzer(
-                _lowpass(), segments_per_phase=SEGMENTS, recorder=rec)
-            analyzer.psd_sweep(GRID_64, parallel=parallel)
-            fraction = attributed_fraction(rec, "mft.sweep")
-            print_table(f"trace coverage, parallel={parallel!r}: "
-                        f"{fraction:.2%}")
-            assert fraction >= 0.95, (
-                f"parallel={parallel!r}: only {fraction:.1%} of the "
-                "sweep wall-clock is attributed to named spans")
-            assert rec.is_balanced()
-
-
-class TestChaosGates:
-    """The resilience layer's injection seams must be cheap when off."""
-
-    CHUNK = 2 if TINY else 8
-
-    def test_disabled_injection_overhead_under_two_percent(
-            self, monkeypatch, print_table):
-        # Count the seam invocations of a real sweep (by patching the
-        # seam at every import site), then require count x the unit
-        # cost of a disabled fire() < 2% of the unpatched sweep wall.
-        from repro.linalg import checked
-        from repro.mft import engine as engine_mod
-        from repro.mft import executor as executor_mod
-        from repro.resilience import faults
-
-        events = {"n": 0}
-
-        def counting_fire(site, **key):
-            events["n"] += 1
-            faults.fire(site, **key)
-
-        monkeypatch.setattr(checked, "_inject_fault", counting_fire)
-        monkeypatch.setattr(engine_mod, "_inject_fault", counting_fire)
-        monkeypatch.setattr(executor_mod, "fire", counting_fire)
         clear_sweep_contexts()
-        _cold_sweep(GRID_64, chunk_size=self.CHUNK)
-        monkeypatch.undo()
-        assert events["n"] >= GRID_64.size
-
-        clear_sweep_contexts()
-        analyzer = MftNoiseAnalyzer(_lowpass(), segments_per_phase=SEGMENTS)
-        t0 = time.perf_counter()
-        analyzer.psd_sweep(GRID_64, chunk_size=self.CHUNK)
-        wall = time.perf_counter() - t0
-
-        reps = 100000
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            faults.fire("mft.solve", frequency=1.0)
-        unit = (time.perf_counter() - t0) / reps
-
-        overhead = events["n"] * unit
-        print_table(f"disabled injection: {events['n']} seam calls, "
-                    f"{overhead / wall:.3%} of a {wall * 1e3:.1f} ms sweep")
-        assert overhead < 0.02 * wall, (
-            f"{events['n']} seam calls x {unit * 1e9:.0f} ns = "
-            f"{overhead * 1e3:.3f} ms against a {wall * 1e3:.1f} ms "
-            f"sweep ({overhead / wall:.1%}, need < 2%)")
+        rec = Recorder()
+        analyzer = MftNoiseAnalyzer(
+            _lowpass(), segments_per_phase=SEGMENTS, recorder=rec)
+        analyzer.psd_sweep(GRID_64)
+        fraction = attributed_fraction(rec, "mft.sweep")
+        print_table(f"trace coverage: {fraction:.2%}")
+        assert fraction >= 0.95, (
+            f"only {fraction:.1%} of the sweep wall-clock is attributed "
+            "to named spans")
+        assert rec.is_balanced()

@@ -90,10 +90,9 @@ class NoiseAnalysis(MftNoiseAnalyzer):
 
     # -- spectra -------------------------------------------------------------
 
-    def psd_corners(self, grid, frequencies, parallel=None,
-                    max_workers=None, chunk_size=None, budget=None,
-                    on_failure="record", attribute_sources=False,
-                    retry=None, faults=None, checkpoint=None):
+    def psd_corners(self, grid, frequencies, *, chunk_size=None,
+                    budget=None, on_failure="record",
+                    attribute_sources=False):
         """PSD of every corner of a parameter grid in one batched sweep.
 
         ``grid`` is a :class:`~repro.circuits.corners.ParameterGrid`
@@ -110,10 +109,9 @@ class NoiseAnalysis(MftNoiseAnalyzer):
 
         ``attribute_sources`` attaches one
         :class:`~repro.metrics.ContributionBudget` per corner at
-        ``result.budgets[name]``.  The executor knobs
-        (``parallel``/``budget``/``retry``/``faults``/``checkpoint``…)
-        act on the flattened ``(frequency, corner)`` axis exactly as in
-        :meth:`psd_sweep`.
+        ``result.budgets[name]``.  The executor knobs (``chunk_size``,
+        ``budget``, ``on_failure``) act on the flattened
+        ``(frequency, corner)`` axis exactly as in :meth:`psd_sweep`.
         """
         from ..mft.corners import corner_psd_sweep
 
@@ -121,10 +119,8 @@ class NoiseAnalysis(MftNoiseAnalyzer):
         return corner_psd_sweep(
             target, grid, frequencies, output_row=self.output_row,
             segments_per_phase=self.segments_per_phase,
-            parallel=parallel, max_workers=max_workers,
             chunk_size=chunk_size, budget=budget, on_failure=on_failure,
             attribute_sources=self._attribution_request(attribute_sources),
-            retry=retry, faults=faults, checkpoint=checkpoint,
             recorder=self.recorder)
 
     def convergence_trace(self, frequency, tol_db=0.1, window_periods=5,

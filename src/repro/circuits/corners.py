@@ -320,10 +320,10 @@ class ParameterGrid:
     def family_hash(self) -> str:
         """Content hash of the whole corner family.
 
-        Salts the :mod:`repro.mft.context` registry keys (and the
-        executor checkpoint key) of a corner sweep, so a derived
-        context can never be served to — or poisoned by — a plain sweep
-        whose system happens to fingerprint identically.
+        Salts the :mod:`repro.mft.context` registry keys of a corner
+        sweep, so a derived context can never be served to — or
+        poisoned by — a plain sweep whose system happens to fingerprint
+        identically.
         """
         digest = hashlib.sha256()
         digest.update(repr(self.base_params).encode())

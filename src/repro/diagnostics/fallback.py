@@ -82,24 +82,6 @@ class AttemptRecord:
                 f"[{self.trigger}]: {outcome} "
                 f"in {self.cost_seconds:.3g} s")
 
-    def to_dict(self):
-        """JSON-friendly form (checkpoint files, trace exports)."""
-        return {"strategy": self.strategy, "frequency": self.frequency,
-                "trigger": self.trigger, "success": self.success,
-                "cost_seconds": self.cost_seconds, "error": self.error,
-                "data": dict(self.data)}
-
-    @classmethod
-    def from_dict(cls, data):
-        """Inverse of :meth:`to_dict`."""
-        return cls(strategy=str(data["strategy"]),
-                   frequency=float(data["frequency"]),
-                   trigger=str(data["trigger"]),
-                   success=bool(data["success"]),
-                   cost_seconds=float(data["cost_seconds"]),
-                   error=str(data.get("error", "")),
-                   data=dict(data.get("data", {})))
-
 
 class FallbackExhausted(ReproError):
     """Every strategy of the fallback chain failed for one frequency."""

@@ -44,7 +44,7 @@ class Finding:
         return f"[{self.severity}] {self.code}: {self.message}"
 
     def to_dict(self):
-        """JSON-friendly form (checkpoint files, trace exports)."""
+        """JSON-friendly form (result payloads, trace exports)."""
         return {"code": self.code, "severity": str(self.severity),
                 "message": self.message, "data": dict(self.data)}
 
@@ -77,7 +77,7 @@ class FrequencyFailure:
                 f"{self.error}: {self.message}")
 
     def to_dict(self):
-        """JSON-friendly form (checkpoint files, trace exports)."""
+        """JSON-friendly form (result payloads, trace exports)."""
         return {"frequency": self.frequency, "index": self.index,
                 "stage": self.stage, "error": self.error,
                 "message": self.message}

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SingularMatrixError
-from ..resilience.faults import fire as _inject_fault
 from ..tolerances import DIRECT_SOLVE_COND_LIMIT, LSTSQ_RCOND
 from ..typing import ArrayLike, ComplexArray, FloatArray
 
@@ -75,7 +74,6 @@ def checked_solve(a: ArrayLike, b: ArrayLike, *, context: str = "",
     :data:`~repro.tolerances.DIRECT_SOLVE_COND_LIMIT` unless the call
     site has a documented reason for another threshold.
     """
-    _inject_fault("linalg.checked_solve", context=context)
     matrix = np.asarray(a)
     if cond_limit is not None:
         cond = condition_number(matrix)

@@ -26,7 +26,7 @@ SCN006    callables/payloads crossing the process-pool boundary are
 SCN007    functions accepting ``recorder=`` forward it on every call
           edge into other instrumented functions
 SCN008    frequency/segment loops in :mod:`repro.mft` carry a budget
-          check or fault seam (or an explicit reasoned suppression)
+          check (or an explicit reasoned suppression)
 SCN009    PSD-returning APIs declare V²/Hz + sidedness; PSD and
           voltage/current quantities never mix without conversion
 SCN010    no wall-clock/unseeded-RNG reads outside the modules that

@@ -77,10 +77,8 @@ _SUBMIT_METHODS = frozenset({
 class ProcessPayloadRule(ProjectRule):
     """SCN006: process-pool payloads must be picklable module-level defs.
 
-    The ``process`` sweep backend ships chunk payloads — the analyzer,
-    its :class:`~repro.mft.context.SweepContext`, the
-    :class:`~repro.resilience.faults.FaultPlan`, the worker
-    :class:`~repro.obs.Recorder` — through pickle.  A lambda or nested
+    A process pool ships every payload — the callable and its
+    arguments — to its workers through pickle.  A lambda or nested
     function submitted to a :class:`~concurrent.futures.ProcessPoolExecutor`
     fails only at runtime, inside the pool, as an opaque
     ``PicklingError`` (or silently under fork-then-pickle-on-respawn).
@@ -264,7 +262,7 @@ class RecorderThreadingRule(ProjectRule):
 
 
 # ---------------------------------------------------------------------------
-# SCN008 — budget / fault-seam coverage of hot loops
+# SCN008 — budget coverage of hot loops
 # ---------------------------------------------------------------------------
 
 #: Dotted-module prefixes whose frequency/segment loops are budgeted.
@@ -274,28 +272,25 @@ _BUDGETED_PREFIXES = ("repro.mft",)
 _SWEEP_STEMS = ("freq", "omega", "segment")
 
 #: A call to any of these inside the loop satisfies the rule.
-_SEAM_CALLS = frozenset({"exceeded", "check", "fire", "start"})
+_SEAM_CALLS = frozenset({"exceeded", "check", "start"})
 
 
 class BudgetSeamRule(ProjectRule):
-    """SCN008: sweep loops carry a budget check or a fault seam.
+    """SCN008: sweep loops carry a budget check.
 
-    The resilience guarantees (PR 6) are only as good as their coverage:
-    a frequency or segment loop with neither a
-    ``budget.exceeded()``/``budget.check()`` decision point nor a
-    :func:`repro.resilience.faults.fire` seam can neither be stopped by
-    a :class:`SweepBudget` nor exercised by chaos plans — it runs to
-    completion no matter what, which is how budget-gate regressions
-    slipped through as flaky chaos failures.  Loops that are genuinely
+    The budget contract is only as good as its coverage: a frequency or
+    segment loop without a ``budget.exceeded()``/``budget.check()``
+    decision point cannot be stopped by a :class:`SweepBudget` — it
+    runs to completion no matter what.  Loops that are genuinely
     exempt (e.g. cheap index arithmetic) must say so with
     ``# scn: ignore[SCN008] - <reason>``; the reason is mandatory.
     """
 
     code = "SCN008"
-    title = "frequency/segment loops carry a budget or fault seam"
+    title = "frequency/segment loops carry a budget check"
     severity = "error"
-    hint = ("call budget.exceeded()/budget.check() or a resilience "
-            "fire() seam inside the loop, or annotate the loop with "
+    hint = ("call budget.exceeded()/budget.check() inside the loop, or "
+            "annotate the loop with "
             "'# scn: ignore[SCN008] - <reason>' (reason required)")
 
     #: Suppressions without a reason do not count (engine contract).
@@ -342,8 +337,7 @@ class BudgetSeamRule(ProjectRule):
                         and not self._body_has_seam(node)):
                     yield module.ctx.finding(
                         node, self,
-                        "frequency/segment loop has neither a budget "
-                        "check nor a fault seam")
+                        "frequency/segment loop has no budget check")
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +449,8 @@ class UnitsDisciplineRule(ProjectRule):
 # ---------------------------------------------------------------------------
 
 #: Modules allowed to own nondeterminism: the Monte-Carlo baseline
-#: (seeded at its API boundary) and the resilience layer (whose fault
-#: decisions are pure functions of an explicit seed).
-_REPLAY_EXEMPT_PREFIXES = ("repro.baselines.montecarlo",
-                           "repro.resilience")
+#: (seeded at its API boundary).
+_REPLAY_EXEMPT_PREFIXES = ("repro.baselines.montecarlo",)
 
 #: ``np.random`` legacy-global functions that use hidden process state.
 _NP_RANDOM_GLOBAL = frozenset({
@@ -470,13 +462,13 @@ _NP_RANDOM_GLOBAL = frozenset({
 class ReplayHygieneRule(ProjectRule):
     """SCN010: no hidden-state clocks or RNGs in replayable code.
 
-    Bit-identical chaos recovery and checkpoint resume (DESIGN.md §10)
-    require every run to be a pure function of its inputs plus explicit
-    seeds.  ``time.time()`` (wall-clock; use ``time.perf_counter()``
-    for durations), the ``random`` module's global state, the
-    ``np.random.*`` legacy globals, and ``np.random.default_rng()``
-    *without a seed argument* all smuggle in ambient state that a
-    replay cannot reproduce.
+    Bit-identical reruns — the result store serves one run's values
+    for another (DESIGN.md §13) — require every run to be a pure
+    function of its inputs plus explicit seeds.  ``time.time()``
+    (wall-clock; use ``time.perf_counter()`` for durations), the
+    ``random`` module's global state, the ``np.random.*`` legacy
+    globals, and ``np.random.default_rng()`` *without a seed argument*
+    all smuggle in ambient state that a rerun cannot reproduce.
     """
 
     code = "SCN010"
@@ -484,8 +476,7 @@ class ReplayHygieneRule(ProjectRule):
     severity = "error"
     hint = ("accept an explicit seed/Generator argument (np.random."
             "default_rng(seed)); use time.perf_counter() for durations; "
-            "only repro.baselines.montecarlo and repro.resilience may "
-            "own nondeterminism")
+            "only repro.baselines.montecarlo may own nondeterminism")
 
     @staticmethod
     def _imported_random_aliases(module: ModuleInfo) -> "set[str]":

@@ -92,10 +92,9 @@ class CacheStats:
     (``warm_up`` included) ever resets them, so deltas between two
     :meth:`snapshot` calls are meaningful. Increments are lock-guarded:
     a :class:`~repro.service.JobQueue` dispatcher thread and its caller
-    can share one registry context, and a lost update would break the
-    serial-vs-parallel metric-count equality the observability tests
-    assert. The lock is dropped on pickle (process workers get a
-    private copy) and rebuilt.
+    can share one registry context, and a lost update would make the
+    sweep-level cache counters undercount. The lock is dropped on
+    pickle and rebuilt.
     """
 
     hits: dict = field(default_factory=dict)
@@ -345,9 +344,7 @@ class SweepContext:
         Discretization density forwarded to ``system.discretize``.
 
     Everything is lazy: building a context is free, each cached quantity
-    is computed on first use and recorded in :attr:`stats`. Contexts are
-    picklable (they carry only arrays), so a process-backend sweep ships
-    the precomputed work to its workers instead of recomputing it there.
+    is computed on first use and recorded in :attr:`stats`.
     """
 
     def __init__(self, system, segments_per_phase=64):
@@ -760,8 +757,8 @@ class SweepContext:
     def warm_up(self, l_row=None, sources=False):
         """Force every frequency-independent quantity to exist.
 
-        Called before dispatch so process workers inherit the cached
-        work through the fork/pickle instead of recomputing it.
+        Called by the executor before the first chunk, so this work is
+        timed under ``mft.warmup`` rather than inside a chunk.
         Idempotent with respect to :attr:`stats`: repeated warm-ups
         only *add* hit counts — the counters are never reset, so
         accumulated hit/miss history survives any number of warm-ups. With

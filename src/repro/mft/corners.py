@@ -10,9 +10,9 @@ LU of ``I − e^{-jωT}M₀`` can serve many forcing rows at once.  This
 module instead flattens the ``(corner, frequency)`` product into one
 frequency-major axis (flat cell ``i`` = frequency ``i // M``, corner
 ``i % M``) and drives it through the ordinary
-:class:`~repro.mft.executor.SweepExecutor` — chunking, the process
-backend, retry/fault seams, and checkpointing all work unchanged —
-with a :class:`CornerBatchAnalyzer` that evaluates each chunk as one
+:class:`~repro.mft.executor.SweepExecutor` — chunking, the budget gate
+and the partial-failure contract all work unchanged — with a
+:class:`CornerBatchAnalyzer` that evaluates each chunk as one
 stacked :func:`repro.mft.spectral.solve_spectral_batch` call per
 dynamics group.
 
@@ -42,7 +42,6 @@ from ..circuits.corners import ParameterGrid
 from ..diagnostics.report import DiagnosticsReport, FrequencyFailure
 from ..errors import ReproError
 from ..noise.result import PsdResult
-from ..resilience.faults import fire as _inject_fault
 from ..typing import FloatArray
 from .context import SweepContext, sweep_context_for
 from .engine import (
@@ -76,11 +75,11 @@ class CornerBatchAnalyzer:
     (the *members*, sharing dynamics work through their contexts) and
     exposes the analyzer surface the
     :class:`~repro.mft.executor.SweepExecutor` drives — ``warm_up``,
-    ``_attribution_request``, ``_sweep_chunk(freqs, …, start)``,
-    checkpoint identity — so every executor feature applies to corner
-    sweeps without executor changes.  The ``frequencies`` the executor
-    passes are the flat grid ``np.repeat(freqs, M)``; ``start``
-    recovers which ``(corner, frequency)`` cells a chunk covers.
+    ``_attribution_request``, ``_sweep_chunk(freqs, …, start)`` — so
+    every executor feature applies to corner sweeps without executor
+    changes.  The ``frequencies`` the executor passes are the flat grid
+    ``np.repeat(freqs, M)``; ``start`` recovers which
+    ``(corner, frequency)`` cells a chunk covers.
 
     Not constructed directly — :func:`corner_psd_sweep` builds the
     members, shares preflights across derived corners, and maps the
@@ -129,11 +128,6 @@ class CornerBatchAnalyzer:
     def cache_stats(self) -> Any:
         return self.members[0].cache_stats
 
-    @property
-    def family_hash(self) -> str:
-        """Parameter-family hash salting the executor checkpoint key."""
-        return self.grid.family_hash()
-
     def _output_name(self) -> str:
         return self.members[0]._output_name()
 
@@ -171,9 +165,6 @@ class CornerBatchAnalyzer:
 
         def batch_step(finite_idx: np.ndarray,
                        values: FloatArray) -> "list[int]":
-            _inject_fault("mft.batch",
-                          first_frequency=float(freqs[finite_idx[0]]),
-                          n=int(finite_idx.size))
             return self._solve_chunk_groups(freqs, corners, finite_idx,
                                             values, report, labels)
 
@@ -509,13 +500,9 @@ def _build_members(model_or_system: Any, grid: ParameterGrid,
 def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
                      frequencies: Any, *, output_row: int = 0,
                      segments_per_phase: int = 64,
-                     parallel: "str | None" = None,
-                     max_workers: "int | None" = None,
                      chunk_size: "int | None" = None,
                      budget: Any = None, on_failure: str = "record",
                      attribute_sources: Any = False,
-                     retry: Any = None, faults: Any = None,
-                     checkpoint: Any = None,
                      recorder: Any = None) -> CornerSweepResult:
     """PSD of every corner of ``grid`` in one parameter-batched sweep.
 
@@ -533,11 +520,10 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
     chunk holds that many frequencies × all M corners); the default is
     ``min(K, 64)``.  Intensity-only corners derive their context from
     the dynamics root (shared propagators/bases, linear restack — the
-    nearly-free path, ≤1e-12 from a fresh build).  ``parallel``/
-    ``max_workers``/``budget``/``on_failure``/``retry``/``faults``/
-    ``checkpoint`` are the usual executor knobs on the flattened axis —
-    a crashed or budget-skipped chunk NaNs exactly its
-    ``(corner, frequency)`` cells.
+    nearly-free path, ≤1e-12 from a fresh build).  ``budget`` and
+    ``on_failure`` are the usual executor knobs on the flattened axis —
+    a budget-skipped chunk NaNs exactly its ``(corner, frequency)``
+    cells.
     """
     from .executor import SweepExecutor
 
@@ -554,12 +540,10 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
     per_corner_chunk = (min(int(freqs.size), CORNER_CHUNK_FREQUENCIES)
                         if chunk_size is None else int(chunk_size))
     executor = SweepExecutor(
-        backend=parallel or "serial", max_workers=max_workers,
         chunk_size=max(1, per_corner_chunk) * n_corners,
-        solver="param-batch", retry=retry, faults=faults)
+        solver="param-batch")
     flat = executor.run(analyzer, np.repeat(freqs, n_corners),
                         budget=budget, on_failure=on_failure,
-                        checkpoint=checkpoint,
                         attribute_sources=attribute_sources)
 
     # Reshape the flat result to corner shape: flat cell i is frequency

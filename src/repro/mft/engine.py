@@ -25,11 +25,9 @@ discretization, periodic covariance, forcing, monodromy, suffix
 products — so each frequency costs one grouped periodic solve. The
 analyzer draws from the registry's context or an explicit
 ``context=``; a fresh context gives an uncached analysis. Every sweep —
-:meth:`MftNoiseAnalyzer.psd` is ``psd_sweep(parallel=None)`` — runs
-through a
-:class:`~repro.mft.executor.SweepExecutor` (serial or process
-backend), whose chunks all go through the one chunk loop
-:func:`sweep_chunk`.
+:meth:`MftNoiseAnalyzer.psd` is ``psd_sweep`` at the default chunk
+size — runs through a :class:`~repro.mft.executor.SweepExecutor`,
+whose chunks all go through the one chunk loop :func:`sweep_chunk`.
 
 Robustness: the analyzer preflight-validates the discretization at
 construction (Floquet margin, ``cond(I − M)``, schedule, NaN/Inf) and
@@ -57,7 +55,6 @@ from ..diagnostics.report import DiagnosticsReport, FrequencyFailure
 from ..errors import ReproError, UnexpectedOptionError
 from ..noise.solvers import resolve_solver
 from ..obs import NULL_RECORDER, format_trace
-from ..resilience.faults import fire as _inject_fault
 from ..tolerances import FIXED_POINT_RIDGE
 from ..typing import FloatArray
 from .context import SweepContext, sweep_context_for
@@ -198,11 +195,10 @@ class MftNoiseAnalyzer:
     def warm_up(self, sources=False):
         """Materialise every frequency-independent cached quantity.
 
-        Called by the sweep executor before dispatch so forked process
-        workers inherit the precomputed work instead of redoing it.
-        For an attributed sweep (``sources=True``) the per-source
-        covariances and forcing pairs are included — they are
-        frequency-independent too.
+        Called by the sweep executor before the first chunk, inside the
+        ``mft.warmup`` span.  For an attributed sweep (``sources=True``)
+        the per-source covariances and forcing pairs are included — they
+        are frequency-independent too.
         """
         self._forcing_pairs()
         self._context.warm_up(self._l_row, sources=sources)
@@ -304,10 +300,10 @@ class MftNoiseAnalyzer:
         """Sweep one executor chunk through :func:`sweep_chunk`.
 
         With ``solver=None`` (``"mft"``) nothing is batched: every finite
-        frequency runs its own fallback chain, behind the per-frequency
-        ``mft.solve`` fault seam.  With ``"spectral-batch"`` the chunk is
-        first solved as one ω-block (:meth:`_solve_spectral_block`) and
-        only the frequencies it rejects are rescued through the chain.
+        frequency runs its own fallback chain.  With ``"spectral-batch"``
+        the chunk is first solved as one ω-block
+        (:meth:`_solve_spectral_block`) and only the frequencies it
+        rejects are rescued through the chain.
         ``start`` (the chunk offset) is unused: frequencies are
         self-describing for this analyzer.
         """
@@ -317,7 +313,6 @@ class MftNoiseAnalyzer:
                 return finite_idx
 
             def point_step(idx, frequency):
-                _inject_fault("mft.solve", frequency=frequency)
                 return self._strategies(frequency, labels), {}
         else:
             def batch_step(finite_idx, values):
@@ -342,9 +337,6 @@ class MftNoiseAnalyzer:
         """
         rec = self.recorder
         context = self._context
-        _inject_fault("mft.batch",
-                      first_frequency=float(freqs[finite_idx[0]]),
-                      n=int(finite_idx.size))
         policy = self.fallback
         forcing = forcing_rows(context, self._l_row, labels)
         with rec.span("spectral.batch", n=int(finite_idx.size),
@@ -372,8 +364,8 @@ class MftNoiseAnalyzer:
         """Averaged double-sided PSD (V²/Hz) over a frequency grid.
 
         Returns a :class:`~repro.noise.result.PsdResult`; this is
-        :meth:`psd_sweep` with ``parallel=None`` (the serial executor),
-        so results also carry ``info["executor"]``.
+        :meth:`psd_sweep` at the default chunk size, so results also
+        carry ``info["executor"]``.
 
         ``attribute_sources`` — ``True`` or a sequence of per-source
         labels — additionally decomposes the PSD per noise-source
@@ -411,25 +403,22 @@ class MftNoiseAnalyzer:
         Monte-Carlo solver defines its own Welch frequency grid, so it
         requires ``frequencies=None``.
         """
-        return self.psd_sweep(frequencies, parallel=None, budget=budget,
+        return self.psd_sweep(frequencies, budget=budget,
                               on_failure=on_failure, solver=solver,
                               attribute_sources=attribute_sources,
                               **solver_options)
 
-    def psd_sweep(self, frequencies, parallel=None, max_workers=None,
-                  chunk_size=None, budget=None, on_failure="record",
-                  solver=None, attribute_sources=False, retry=None,
-                  faults=None, checkpoint=None, **solver_options):
+    def psd_sweep(self, frequencies, *, chunk_size=None, budget=None,
+                  on_failure="record", solver=None, attribute_sources=False,
+                  **solver_options):
         """Averaged double-sided PSD (V²/Hz) via a :class:`SweepExecutor`.
 
-        ``parallel`` is ``None``/``"serial"`` for in-process execution,
-        or ``"process"`` for chunks of independent frequencies on
-        worker processes (crash isolation, not a speedup — see
-        :mod:`repro.mft.executor`). Per-frequency values, NaN semantics,
-        failure records, and diagnostics match :meth:`psd` (which is
-        this method with ``parallel=None``); the sweep ``budget`` gates
-        the *dispatch* of new chunks (in-flight work is never killed,
-        and runs unbudgeted). See :mod:`repro.mft.executor`.
+        The sweep runs as a serial loop over chunks of ``chunk_size``
+        frequencies.  Per-frequency values, NaN semantics, failure
+        records, and diagnostics match :meth:`psd` (which is this method
+        at the default chunk size); the sweep ``budget`` gates the
+        *dispatch* of each chunk (a started chunk always finishes, and
+        runs unbudgeted). See :mod:`repro.mft.executor`.
 
         ``solver`` is the unified engine selector
         (:data:`repro.noise.solvers.SOLVERS`):
@@ -443,25 +432,12 @@ class MftNoiseAnalyzer:
           with the per-ω path to ≤ 1e-9 relative with identical NaN
           masks and failure records;
         * ``"brute-force"`` / ``"monte-carlo"`` — delegate to the
-          baseline engines (serial only; extra ``solver_options`` are
-          forwarded).
+          baseline engines (extra ``solver_options`` are forwarded).
 
         ``attribute_sources`` decomposes the PSD per noise source
-        exactly as in :meth:`psd`; the executor ships the widened
-        per-chunk values through the same retry/fault/checkpoint
-        machinery, so a NaN'd chunk is NaN in both the total and every
-        budget row.
-
-        Resilience (DESIGN.md §10): ``retry`` is a chunk-level
-        :class:`~repro.resilience.retry.RetryPolicy` (or ``True`` /
-        ``False``) governing requeues after worker crashes, timeouts,
-        and unexpected chunk errors; ``faults`` arms a deterministic
-        :class:`~repro.resilience.faults.FaultPlan` for chaos testing;
-        ``checkpoint`` is a directory (or
-        :class:`~repro.resilience.checkpoint.SweepCheckpoint`) that
-        persists each completed chunk so an interrupted sweep resumes
-        bit-identically.  All three are executor features and are
-        rejected for the delegated baseline solvers.
+        exactly as in :meth:`psd`; the executor merges the widened
+        per-chunk values, so a NaN'd chunk is NaN in both the total and
+        every budget row.
         """
         if on_failure not in ("record", "raise"):
             raise ReproError(
@@ -469,17 +445,6 @@ class MftNoiseAnalyzer:
                 f"got {on_failure!r}")
         solver = resolve_solver(solver)
         if solver in ("brute-force", "monte-carlo"):
-            if parallel not in (None, "serial"):
-                raise ReproError(
-                    f"solver {solver!r} runs serially; parallel="
-                    f"{parallel!r} is not supported — drop parallel= or "
-                    "use solver='mft'/'spectral-batch'")
-            if (retry is not None or faults is not None
-                    or checkpoint is not None):
-                raise ReproError(
-                    f"retry=, faults=, and checkpoint= are sweep-"
-                    f"executor features; solver {solver!r} delegates to "
-                    "a baseline engine that does not support them")
             return self._delegate_solver(solver, frequencies,
                                          budget=budget,
                                          on_failure=on_failure,
@@ -490,12 +455,9 @@ class MftNoiseAnalyzer:
                 f"solver {solver!r} accepts no extra solver options, "
                 f"got {sorted(solver_options)}")
         from .executor import SweepExecutor
-        executor = SweepExecutor(backend=parallel or "serial",
-                                 max_workers=max_workers,
-                                 chunk_size=chunk_size, solver=solver,
-                                 retry=retry, faults=faults)
+        executor = SweepExecutor(chunk_size=chunk_size, solver=solver)
         return executor.run(self, frequencies, budget=budget,
-                            on_failure=on_failure, checkpoint=checkpoint,
+                            on_failure=on_failure,
                             attribute_sources=attribute_sources)
 
     def _delegate_solver(self, solver, frequencies, budget=None,

@@ -254,7 +254,7 @@ def _reference_group_integrals(group, omegas, forcing, g_seg):
     f0 = forcing[:, idx, 0]
     slope = (forcing[:, idx, 1] - f0) / h
     # scn: ignore[SCN008] - defective-eigenbasis rescue for one ω-block;
-    # budget and fault seams gate at the executor chunk around the block
+    # the budget gates at the executor chunk around the block
     for fi, omega in enumerate(omegas):
         a_shifted = group.a_matrix.astype(complex) - 1j * omega * eye
         phi_shifted = np.exp(-1j * omega * h) * group.phi

@@ -188,8 +188,8 @@ def clip_negative_psd(freqs: FloatArray, values: FloatArray, report: Any,
 
     A negative averaged PSD is pure discretization error (the true
     quantity is nonnegative); its magnitude measures how coarse the
-    cross-spectral quadrature grid is. Shared by the serial MFT sweep
-    and the parallel sweep executor so both report identical findings.
+    cross-spectral quadrature grid is. The sweep executor calls it once
+    on the merged sweep values.
     """
     finite = np.isfinite(values)
     negative = finite & (values < 0.0)

@@ -18,15 +18,14 @@ An enabled :class:`Recorder` is
 * **thread-safe** — span/counter/histogram mutation is lock-guarded and
   the open-span stack is thread-local, so a job-queue dispatcher thread
   and its caller each build a correctly-parented subtree;
-* **process-safe** — recorders pickle (locks and thread-locals are
-  dropped and rebuilt), a forked worker records into its private copy,
-  and :meth:`Recorder.merge` folds a worker's :meth:`Recorder.export`
-  back into the parent with span ids remapped and orphaned roots
-  attached under a caller-supplied parent span.
+* **copyable** — recorders pickle (locks and thread-locals are dropped
+  and rebuilt), so an object holding one can be pickled or deep-copied;
+  :meth:`Recorder.merge` folds another recorder's
+  :meth:`Recorder.export` into this one with span ids remapped and
+  orphaned roots attached under a caller-supplied parent span.
 
 Span timestamps are ``time.perf_counter()`` — monotonic, comparable
-within a machine (including across forked processes on Linux, where
-``CLOCK_MONOTONIC`` is system-wide).
+within a process.
 """
 
 from __future__ import annotations
@@ -134,12 +133,6 @@ class NullRecorder:
     def export(self, since: int = 0) -> dict[str, Any]:
         return {"spans": [], "counters": {}, "histograms": {}}
 
-    def checkpoint(self) -> dict[str, Any]:
-        return {"spans": 0, "counters": {}, "histograms": {}}
-
-    def export_since(self, checkpoint: dict[str, Any]) -> dict[str, Any]:
-        return {"spans": [], "counters": {}, "histograms": {}}
-
     def merge(self, data: "Recorder | dict[str, Any]",
               parent_id: int | None = None) -> None:
         return None
@@ -202,7 +195,7 @@ class Recorder:
         self._histograms: dict[str, list[float]] = {}
         self._next_id = 0
 
-    # -- pickling (process-backend workers carry a private copy) ----------
+    # -- pickling (locks and thread-locals are rebuilt on load) ------------
 
     def __getstate__(self) -> dict[str, Any]:
         state = self.__dict__.copy()
@@ -229,9 +222,8 @@ class Recorder:
         """Open a span; use as a context manager so it always closes.
 
         The parent is the innermost open span of the *current thread*;
-        ``_parent`` overrides it explicitly — executor chunks use this
-        to attach their spans under the dispatch span, which lives on
-        the dispatcher's stack, not the worker's.
+        ``_parent`` overrides it explicitly, attaching the span under a
+        span that lives on another thread's stack.
         """
         stack = self._stack()
         parent = _parent if _parent is not None else (
@@ -331,43 +323,6 @@ class Recorder:
         return {"spans": spans, "counters": counters,
                 "histograms": histograms}
 
-    def checkpoint(self) -> dict[str, Any]:
-        """Position marker over spans *and* metrics (cf. :meth:`mark`).
-
-        Pass the result to :meth:`export_since` to get only what was
-        recorded after this point — the process-backend executor uses
-        this so a worker's private recorder copy (which starts as a
-        pickle of the parent's) exports only its own chunk's data.
-        """
-        with self._lock:
-            return {
-                "spans": len(self._spans),
-                "counters": dict(self._counters),
-                "histograms": {name: len(values)
-                               for name, values in
-                               self._histograms.items()},
-            }
-
-    def export_since(self, checkpoint: dict[str, Any]) -> dict[str, Any]:
-        """Spans, counter deltas, and histogram tails after ``checkpoint``."""
-        with self._lock:
-            spans = [span.to_dict()
-                     for span in self._spans[checkpoint["spans"]:]]
-            base = checkpoint["counters"]
-            counters: dict[str, int] = {}
-            for name, value in self._counters.items():
-                delta = value - base.get(name, 0)
-                if delta:
-                    counters[name] = delta
-            hist_base = checkpoint["histograms"]
-            histograms: dict[str, list[float]] = {}
-            for name, values in self._histograms.items():
-                tail = values[hist_base.get(name, 0):]
-                if tail:
-                    histograms[name] = list(tail)
-        return {"spans": spans, "counters": counters,
-                "histograms": histograms}
-
     def to_json(self, since: int = 0, indent: int | None = 2) -> str:
         """The :meth:`export` document serialized as JSON."""
         return json.dumps(self.export(since), indent=indent,
@@ -379,9 +334,9 @@ class Recorder:
 
         Span ids are remapped into this recorder's id space (parent
         links preserved); spans that were roots in the source attach
-        under ``parent_id`` when one is given — the executor passes its
-        sweep-root span so process-worker subtrees join the main tree.
-        Counters add; histogram samples append.
+        under ``parent_id`` when one is given, so the merged subtree
+        joins this recorder's tree.  Counters add; histogram samples
+        append.
         """
         if isinstance(data, Recorder):
             data = data.export()

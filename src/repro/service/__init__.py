@@ -15,17 +15,15 @@ The pieces (DESIGN.md §13):
   identical resubmit is served without a single kernel solve.
 
 Each job runs through its own
-:class:`~repro.mft.executor.SweepExecutor`, so retries, fault plans,
-budgets and checkpoints work unchanged underneath; on
-``backend="process"`` that executor owns a private worker pool for the
-length of the job (crash isolation, not a speedup).
+:class:`~repro.mft.executor.SweepExecutor`, in the queue's dispatcher
+thread, so budgets and the partial-failure contract work unchanged
+underneath.
 
 Quickstart::
 
     from repro.service import JobQueue, JobSpec
 
-    with JobQueue(store="results.db", backend="process",
-                  max_workers=2) as queue:
+    with JobQueue(store="results.db") as queue:
         handle = queue.submit(JobSpec(model, frequencies))
         result = queue.wait(handle)          # computed
         again = queue.submit(JobSpec(model, frequencies))

@@ -2,10 +2,10 @@
 
 :class:`JobQueue` accepts :class:`~repro.service.spec.JobSpec`\\ s and
 runs them FIFO on a background dispatcher thread; each job's sweep is
-itself sharded across frequency chunks by its own
-:class:`~repro.mft.executor.SweepExecutor` — so retries, fault plans,
-budgets, and checkpoint/resume compose unchanged underneath the
-service API.
+itself split into frequency chunks by its own
+:class:`~repro.mft.executor.SweepExecutor` — so budgets and the
+partial-failure contract compose unchanged underneath the service
+API.
 
 Content addressing: the spec's :func:`~repro.service.spec.job_key` is
 looked up in the :class:`~repro.service.store.ResultStore` twice — at
@@ -15,8 +15,8 @@ served, FIFO order guaranteeing the twin finished first).  A hit
 resolves the job (``served_from_store=True``) without a single kernel
 solve — provable from the job recorder, which then contains no
 ``mft.sweep`` span.  Only clean results (no per-frequency failures)
-are stored, so a budget- or fault-degraded partial result can never
-be served as the real thing.
+are stored, so a budget-degraded partial result can never be served as
+the real thing.
 """
 
 from __future__ import annotations
@@ -28,13 +28,10 @@ import time
 from typing import Any
 
 from ..errors import ReproError
-from ..mft.executor import _positive_int
 from ..obs import Recorder, span_summary
 from .jobs import JobHandle, JobResult, JobStatus
 from .spec import JobSpec, job_key
 from .store import ResultStore, open_store
-
-_QUEUE_BACKENDS = ("serial", "process")
 
 
 class JobQueue:
@@ -46,26 +43,13 @@ class JobQueue:
         A :class:`~repro.service.store.ResultStore`, a path (directory
         or ``.db``/``.sqlite`` file), or ``None`` for a fresh in-memory
         store.
-    backend:
-        ``"serial"`` (default — in-process sweeps) or ``"process"``:
-        each job's sweep then runs as ``psd_sweep(parallel="process",
-        max_workers=max_workers)``, on a worker pool its executor owns
-        for the length of that job.
-    max_workers:
-        Worker count per job on the process backend (default 2).
+    store_limit:
+        Entry limit of a store opened here (see
+        :func:`~repro.service.store.open_store`).
     """
 
-    def __init__(self, store: Any = None, backend: "str | None" = None,
-                 max_workers: "int | None" = None,
+    def __init__(self, store: Any = None, *,
                  store_limit: "int | None" = None) -> None:
-        backend = backend or "serial"
-        if backend not in _QUEUE_BACKENDS:
-            raise ReproError(
-                f"unknown queue backend {backend!r}; expected one "
-                f"of {_QUEUE_BACKENDS}")
-        self.backend = backend
-        self.max_workers: int = _positive_int("max_workers", max_workers,
-                                              2)
         self.store: ResultStore = open_store(store, limit=store_limit)
         self._ids = itertools.count(1)
         self._cond = threading.Condition()
@@ -155,9 +139,8 @@ class JobQueue:
     def progress(self, handle: JobHandle) -> "dict[str, Any]":
         """Live per-chunk progress from the job's recorder.
 
-        Chunks report as their ``executor.chunk`` spans close (on the
-        serial backend during the sweep; on the process backend the
-        workers' spans merge when the sweep's chunks are merged).
+        Chunks report as their ``executor.chunk`` spans close, during
+        the sweep.
         """
         rec = handle.recorder
         since = handle.mark
@@ -177,7 +160,6 @@ class JobQueue:
     def telemetry(self) -> "dict[str, Any]":
         """Queue and store counters in one JSON-ready dict."""
         return {
-            "backend": self.backend,
             "jobs": dict(self.counters),
             "n_pending": len(self._todo),
             "store": self.store.telemetry(),
@@ -242,14 +224,9 @@ class JobQueue:
             output_row=spec.output_row, recorder=handle.recorder,
             budget=None, **spec.analysis_options)
         result = analysis.psd_sweep(
-            spec.frequencies,
-            parallel=self.backend,
-            max_workers=(None if self.backend == "serial"
-                         else self.max_workers),
-            chunk_size=spec.chunk_size, budget=spec.budget,
-            on_failure=spec.on_failure, solver=spec.solver,
-            attribute_sources=spec.attribute_sources, retry=spec.retry,
-            faults=spec.faults, checkpoint=spec.checkpoint)
+            spec.frequencies, chunk_size=spec.chunk_size,
+            budget=spec.budget, on_failure=spec.on_failure,
+            solver=spec.solver, attribute_sources=spec.attribute_sources)
         runtime = time.perf_counter() - t0
         if getattr(result, "n_failed", 1) == 0:
             self.store.put(handle.key, result)
@@ -275,6 +252,5 @@ class JobQueue:
         self.close()
 
     def __repr__(self) -> str:
-        return (f"JobQueue(backend={self.backend!r}, "
-                f"{self.counters['submitted']} submitted, "
+        return (f"JobQueue({self.counters['submitted']} submitted, "
                 f"{len(self._todo)} pending)")

@@ -10,11 +10,11 @@ same key are guaranteed to produce bit-identical result values, and
 the :class:`~repro.service.store.ResultStore` can serve one for the
 other without recomputing.
 
-Execution knobs (backend, workers, chunking, retry policy, budget,
-faults, checkpoints) are deliberately **not** part of the key: they
-change how a sweep runs, never what values it produces, and a budget-
-or fault-degraded partial result is never stored in the first place
-(:class:`~repro.service.queue.JobQueue` stores only clean results).
+Execution knobs (chunking, budget, failure mode) are deliberately
+**not** part of the key: they change how a sweep runs, never what
+values it produces, and a budget-degraded partial result is never
+stored in the first place (:class:`~repro.service.queue.JobQueue`
+stores only clean results).
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ class JobSpec:
     on_failure: str = "record"
     budget: Any = None
     chunk_size: "int | None" = None
-    retry: Any = None
-    faults: Any = None
-    checkpoint: Any = None
     #: Free-form display label (job listings, progress lines).
     label: str = ""
     #: Extra engine-construction options (``preflight=``, ``fallback=``...).

@@ -148,8 +148,7 @@ class DirectoryResultStore(ResultStore):
     """One ``<key>.json`` per entry plus an insertion-order index.
 
     Both the payloads and the index are written to a temp file and
-    ``os.replace``'d, so a crash mid-write never leaves a torn entry
-    (the same discipline as :mod:`repro.resilience.checkpoint`).
+    ``os.replace``'d, so a crash mid-write never leaves a torn entry.
     """
 
     def __init__(self, path: Any, limit: "int | None" = None) -> None:

@@ -158,30 +158,6 @@ SCHEDULE_TILE_RTOL: float = 1e-9
 UNIFORM_GRID_RTOL: float = 1e-9
 
 # ---------------------------------------------------------------------------
-# Resilient sweep execution (repro.resilience)
-# ---------------------------------------------------------------------------
-
-#: First-retry backoff of the chunk retry loop, in seconds.  Transient
-#: faults the retry exists for (LAPACK hiccups, a worker OOM-killed and
-#: respawned) clear in well under this; shorter delays just burn CPU
-#: re-hitting a still-broken pool.
-RETRY_BACKOFF_SECONDS: float = 0.05
-
-#: Multiplier applied to the backoff after each failed attempt
-#: (exponential backoff).  Doubling is the standard compromise between
-#: reacting fast to one-off faults and not hammering a struggling host.
-RETRY_BACKOFF_FACTOR: float = 2.0
-
-#: Upper bound on any single retry delay, in seconds.  Keeps the worst
-#: -case added latency of an exhausted chunk (max_retries delays)
-#: bounded and small against multi-second sweep budgets.
-RETRY_BACKOFF_CAP_SECONDS: float = 1.0
-
-#: Fraction of the backoff randomized as jitter so that chunks failed by
-#: one crash event do not retry in lockstep against the respawned pool.
-RETRY_JITTER_FRACTION: float = 0.25
-
-# ---------------------------------------------------------------------------
 # Circuit compilation (repro.circuit.statespace)
 # ---------------------------------------------------------------------------
 
@@ -330,10 +306,6 @@ __all__ = [
     "ATTRIBUTION_CONSERVATION_RTOL",
     "SCHEDULE_TILE_RTOL",
     "UNIFORM_GRID_RTOL",
-    "RETRY_BACKOFF_SECONDS",
-    "RETRY_BACKOFF_FACTOR",
-    "RETRY_BACKOFF_CAP_SECONDS",
-    "RETRY_JITTER_FRACTION",
     "OUTPUT_FEEDTHROUGH_RTOL",
     "OUTPUT_ROW_MATCH_RTOL",
     "OUTPUT_ROW_MATCH_ATOL",

@@ -9,6 +9,7 @@ from repro.circuits import (
     sc_lowpass_system,
     switched_rc_system,
 )
+from repro.diagnostics.budget import SweepBudget
 
 
 @pytest.fixture
@@ -44,3 +45,25 @@ def random_stable_matrix(rng, n, margin=0.5):
     a = rng.standard_normal((n, n))
     shift = max(np.real(np.linalg.eigvals(a)).max(), 0.0)
     return a - (shift + margin) * np.eye(n)
+
+
+class FirstChunkBudget(SweepBudget):
+    """A sweep budget that lets the first chunk dispatch, then is spent.
+
+    The executor asks ``exceeded()`` once before each chunk, so every
+    chunk after the first becomes ``budget``-stage failures — a
+    deterministic skipped-chunk case with no wall clock involved.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.n_checks = 0
+
+    def exceeded(self):
+        self.n_checks += 1
+        return None if self.n_checks == 1 else "test budget: one chunk"
+
+
+@pytest.fixture
+def first_chunk_budget():
+    return FirstChunkBudget()

@@ -10,10 +10,9 @@ near-marginal ideal integrator); the 1e-9 gate leaves headroom without
 ever letting a real decomposition bug through.
 
 The rest of the file pins the contracts around the happy path: NaN
-masks stay a *union* through injected chunk faults, checkpoints refuse
-to splice unattributed chunks into an attributed sweep, labels resolve
-from the model, and the sampled Monte-Carlo estimator refuses to
-attribute at all.
+masks stay a *union* through failed and budget-skipped chunks, labels
+resolve from the model, and the sampled Monte-Carlo estimator refuses
+to attribute at all.
 """
 
 import numpy as np
@@ -33,7 +32,6 @@ from repro.metrics import ContributionBudget
 from repro.mft.context import clear_sweep_contexts
 from repro.mft.engine import MftNoiseAnalyzer
 from repro.obs import Recorder
-from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
 
 #: Every circuit the library ships, with its per-source count.
 CIRCUITS = {
@@ -114,30 +112,11 @@ class TestConservationBattery:
         swept.budget.check_conservation()
 
 
-class TestFaultedSweeps:
-    """Satellite: NaN masks stay a union through injected faults."""
+class TestNanUnion:
+    """NaN masks stay a union of the total and every budget row."""
 
-    def _faulted_sweep(self, backend="serial"):
-        analysis = build_analysis("sc-lowpass")
-        freqs = battery_grid(analysis.system, n=12)
-        # Fires on more attempts than max_retries=1 allows, so chunk 1
-        # (indices 4..7) fails for good and degrades to NaN.
-        plan = FaultPlan([FaultSpec("executor.chunk", "transient",
-                                    attempts=4, match={"chunk": 4})])
-        policy = RetryPolicy(max_retries=1, backoff_seconds=0.0,
-                             jitter=0.0)
-        result = analysis.psd_sweep(freqs, parallel=backend,
-                                    chunk_size=4, max_workers=2,
-                                    attribute_sources=True,
-                                    faults=plan, retry=policy)
-        return result
-
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_nan_union_through_chunk_failure(self, backend):
-        result = self._faulted_sweep(backend)
-        assert result.info["executor"]["n_chunks_failed"] == 1
-        nan_mask = np.isnan(result.psd)
-        assert nan_mask.tolist() == [False] * 4 + [True] * 4 + [False] * 4
+    def _check_union(self, result, nan_mask):
+        assert np.isnan(result.psd).tolist() == nan_mask
         budget = result.budget
         # Failed frequencies are NaN in the total AND in every row:
         # a partial budget at a failed point would be unverifiable.
@@ -146,51 +125,26 @@ class TestFaultedSweeps:
         np.testing.assert_array_equal(np.isnan(budget.total), nan_mask)
         # Conservation still holds on the surviving frequencies.
         budget.check_conservation()
-        assert budget.ok_mask().sum() == 8
+        assert budget.ok_mask().sum() == nan_mask.count(False)
 
-    def test_recovered_faults_keep_budget_bit_identical(self):
+    def test_nan_union_through_chunk_failure(self):
         analysis = build_analysis("sc-lowpass")
         freqs = battery_grid(analysis.system, n=12)
-        reference = analysis.psd_sweep(freqs, chunk_size=4,
-                                       attribute_sources=True)
-        plan = FaultPlan([FaultSpec("executor.chunk", "transient",
-                                    rate=0.5)], seed=7)
-        faulted = analysis.psd_sweep(freqs, chunk_size=4,
-                                     attribute_sources=True,
-                                     faults=plan, retry=RetryPolicy())
-        assert faulted.info["executor"]["n_retries"] > 0
-        assert np.array_equal(reference.psd, faulted.psd)
-        assert np.array_equal(reference.budget.contributions,
-                              faulted.budget.contributions)
+        freqs[4:8] = [np.nan, np.inf, -np.inf, np.nan]
+        result = analysis.psd_sweep(freqs, chunk_size=4,
+                                    attribute_sources=True)
+        assert [f.index for f in result.failures] == [4, 5, 6, 7]
+        self._check_union(result, [False] * 4 + [True] * 4 + [False] * 4)
 
-
-class TestCheckpointing:
-    def test_attributed_resume_is_bit_identical(self, tmp_path):
+    def test_nan_union_through_budget_skip(self, first_chunk_budget):
         analysis = build_analysis("sc-lowpass")
         freqs = battery_grid(analysis.system, n=12)
-        first = analysis.psd_sweep(freqs, chunk_size=4,
-                                   attribute_sources=True,
-                                   checkpoint=tmp_path / "ckpt")
-        again = analysis.psd_sweep(freqs, chunk_size=4,
-                                   attribute_sources=True,
-                                   checkpoint=tmp_path / "ckpt")
-        assert again.info["executor"]["n_chunks_resumed"] == 3
-        assert np.array_equal(first.psd, again.psd)
-        assert np.array_equal(first.budget.contributions,
-                              again.budget.contributions)
-
-    def test_checkpoint_rejects_value_width_mismatch(self, tmp_path):
-        # An unattributed checkpoint stores 1 column per frequency; an
-        # attributed resume needs 1 + n_sources and must refuse to
-        # splice rather than fabricate missing per-source data.
-        analysis = build_analysis("sc-lowpass")
-        freqs = battery_grid(analysis.system, n=12)
-        analysis.psd_sweep(freqs, chunk_size=4,
-                           checkpoint=tmp_path / "ckpt")
-        with pytest.raises(ReproError, match="different"):
-            analysis.psd_sweep(freqs, chunk_size=4,
-                               attribute_sources=True,
-                               checkpoint=tmp_path / "ckpt")
+        result = analysis.psd_sweep(freqs, chunk_size=4,
+                                    attribute_sources=True,
+                                    budget=first_chunk_budget)
+        assert result.info["executor"]["n_chunks_skipped"] == 2
+        assert {f.stage for f in result.failures} == {"budget"}
+        self._check_union(result, [False] * 4 + [True] * 8)
 
 
 def _corner_labels(analysis, freqs):
@@ -202,9 +156,8 @@ def _corner_labels(analysis, freqs):
 #: Every path that resolves ``attribute_sources=True`` on a model.
 LABEL_PATHS = {
     "mft": lambda a, f: [a.psd(f, attribute_sources=True).budget.labels],
-    "spectral-batch-process": lambda a, f: [a.psd_sweep(
-        f, solver="spectral-batch", parallel="process", max_workers=2,
-        attribute_sources=True).budget.labels],
+    "spectral-batch": lambda a, f: [a.psd_sweep(
+        f, solver="spectral-batch", attribute_sources=True).budget.labels],
     "brute-force": lambda a, f: [a.psd(
         f[:1], solver="brute-force",
         attribute_sources=True).budget.labels],

@@ -13,7 +13,7 @@ produce —
   ``CORNER_INTENSITY_RESTACK_RTOL`` of fresh per-corner rebuilds (two
   valid roundings of the same rescaled Gramians, amplified by the
   fixed-point solve);
-* injected faults, budgets, and non-finite frequencies NaN exactly the
+* budget-skipped chunks and non-finite frequencies NaN exactly the
   right ``(corner, frequency)`` cells with per-corner failure records;
 * the context registry's family salt keeps corner-sweep cache entries
   from ever aliasing a plain sweep's.
@@ -42,7 +42,6 @@ from repro.mft.corners import (
     corner_psd_sweep,
 )
 from repro.mft.engine import MftNoiseAnalyzer
-from repro.resilience import FaultPlan, FaultSpec
 from repro.tolerances import (
     CORNER_INTENSITY_RESTACK_RTOL,
     PARAM_BATCH_PARITY_RTOL,
@@ -252,20 +251,9 @@ class TestParityBattery:
         worst = np.max(np.abs(batched.values[1] - reference.psd))
         assert worst <= CORNER_INTENSITY_RESTACK_RTOL * scale
 
-    def test_process_parallel_matches_serial_bitwise(
-            self, rc_system, mixed_grid, freqs):
-        clear_sweep_contexts()
-        serial = corner_psd_sweep(rc_system, mixed_grid, freqs,
-                                  segments_per_phase=SPP, chunk_size=3)
-        parallel = corner_psd_sweep(rc_system, mixed_grid, freqs,
-                                    segments_per_phase=SPP, chunk_size=3,
-                                    parallel="process", max_workers=2)
-        assert (serial.values.tobytes() == parallel.values.tobytes())
-        assert serial.failures == parallel.failures
-
 
 class TestFailureGeometry:
-    """Faults, budgets, and bad inputs NaN exactly the right cells."""
+    """Budgets and bad inputs NaN exactly the right cells."""
 
     def test_non_finite_frequencies_fail_per_corner(
             self, rc_system, mixed_grid, freqs):
@@ -287,36 +275,21 @@ class TestFailureGeometry:
             corner_psd_sweep(rc_system, mixed_grid, bad,
                              segments_per_phase=SPP, on_failure="raise")
 
-    def test_chunk_crash_nans_whole_frequency_slices(
-            self, rc_system, mixed_grid, freqs):
-        # Chunks hold chunk_size frequencies x all M corners; killing
-        # the second chunk (flat start = 3 * M) must NaN frequencies
-        # 3..5 for *every* corner and nothing else.
+    def test_skipped_chunk_nans_whole_frequency_slices(
+            self, rc_system, mixed_grid, freqs, first_chunk_budget):
+        # Chunks hold chunk_size frequencies x all M corners; a budget
+        # spent after the first chunk must NaN frequencies 3.. for
+        # *every* corner and nothing else.
         clear_sweep_contexts()
-        m = len(mixed_grid)
-        plan = FaultPlan([FaultSpec("executor.chunk", "crash",
-                                    match={"chunk": 3 * m})])
         result = corner_psd_sweep(rc_system, mixed_grid, freqs,
                                   segments_per_phase=SPP, chunk_size=3,
-                                  faults=plan, retry=False)
-        assert np.all(np.isnan(result.values[:, 3:6]))
+                                  budget=first_chunk_budget)
+        assert np.all(np.isnan(result.values[:, 3:]))
         assert np.all(np.isfinite(result.values[:, :3]))
-        assert np.all(np.isfinite(result.values[:, 6:]))
         for name in mixed_grid.names:
-            assert [f.index for f in result.failures[name]] == [3, 4, 5]
-
-    def test_transient_batch_fault_recovers_bit_identical(
-            self, rc_system, mixed_grid, freqs):
-        clear_sweep_contexts()
-        reference = corner_psd_sweep(rc_system, mixed_grid, freqs,
-                                     segments_per_phase=SPP)
-        plan = FaultPlan([FaultSpec("mft.batch", "transient")], seed=3)
-        faulted = corner_psd_sweep(rc_system, mixed_grid, freqs,
-                                   segments_per_phase=SPP, faults=plan)
-        meta = faulted.info["executor"]
-        assert meta["n_retries"] > 0, "plan injected nothing"
-        assert (faulted.values.tobytes() == reference.values.tobytes())
-        assert faulted.failures == reference.failures == {}
+            records = result.failures[name]
+            assert [f.index for f in records] == list(range(3, freqs.size))
+            assert {f.stage for f in records} == {"budget"}
 
     def test_spent_budget_records_per_corner_budget_failures(
             self, rc_system, mixed_grid, freqs):

@@ -18,6 +18,7 @@ from repro.diagnostics.fallback import (
     run_fallback_chain,
 )
 from repro.diagnostics.preflight import require_preflight
+from repro.diagnostics.report import Finding, FrequencyFailure
 from repro.errors import (
     BudgetExceededError,
     ConvergenceError,
@@ -83,6 +84,26 @@ class TestDiagnosticsReport:
         assert len(a) == 2
         text = str(a)
         assert "first" in text and "second" in text
+
+
+class TestSerializationRoundTrips:
+    """The dict forms :mod:`repro.results` payloads are built from."""
+
+    def test_finding_round_trip(self):
+        finding = Finding(code="budget-exhausted", severity=Severity.WARNING,
+                          message="m", data={"chunk": 2})
+        clone = Finding.from_dict(finding.to_dict())
+        assert clone.code == finding.code
+        assert clone.severity is Severity.WARNING
+        assert clone.message == finding.message
+        assert clone.data == finding.data
+
+    def test_frequency_failure_round_trip(self):
+        failure = FrequencyFailure(frequency=1e3, index=4, stage="budget",
+                                   error="BudgetExceededError",
+                                   message="boom")
+        clone = FrequencyFailure.from_dict(failure.to_dict())
+        assert clone == failure
 
 
 class TestPreflight:

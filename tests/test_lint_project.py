@@ -4,9 +4,8 @@ and the cross-module contract rules SCN006-SCN010.
 Every test builds a small synthetic package tree under ``tmp_path``.
 The trees carry full ``__init__.py`` chains so :func:`module_name_for`
 derives real dotted names — the prefix-scoped rules (SCN008 only looks
-at ``repro.mft``, SCN010 exempts
-``repro.resilience``/``repro.baselines.montecarlo``) are driven by
-those names, never by filesystem paths.
+at ``repro.mft``, SCN010 exempts ``repro.baselines.montecarlo``) are
+driven by those names, never by filesystem paths.
 """
 
 from __future__ import annotations
@@ -327,10 +326,10 @@ class TestReplayHygiene:
             """})
         assert findings_for(tmp_path, "SCN010") == []
 
-    def test_resilience_namespace_exempt(self, tmp_path):
+    def test_resilience_namespace_no_longer_exempt(self, tmp_path):
         write_tree(tmp_path,
                    {"repro/resilience/faults.py": self.SOURCE})
-        assert findings_for(tmp_path, "SCN010") == []
+        assert len(findings_for(tmp_path, "SCN010")) == 4
 
     def test_montecarlo_namespace_exempt(self, tmp_path):
         write_tree(tmp_path,

@@ -125,15 +125,6 @@ class TestBatchedSolveEquivalence:
             analyzer.psd_sweep(freqs),
             analyzer.psd_sweep(freqs, solver="spectral-batch"))
 
-    def test_parallel_spectral_matches_serial_spectral(self, rc_system):
-        analyzer = MftNoiseAnalyzer(rc_system, segments_per_phase=16)
-        freqs = np.linspace(100.0, 30e3, 40)
-        serial = analyzer.psd_sweep(freqs, solver="spectral-batch",
-                                    chunk_size=8)
-        pooled = analyzer.psd_sweep(freqs, parallel="process",
-                                    solver="spectral-batch", chunk_size=8)
-        np.testing.assert_array_equal(serial.psd, pooled.psd)
-
 
 class TestBatchedSolveValidation:
     def test_unknown_solver_rejected(self, rc_system):

@@ -2,8 +2,8 @@
 
 Covers the recorder primitives (spans, counters, histograms, thread
 safety, pickling, merge), the render helpers, and the invariants the
-engines must uphold: balanced span trees under every executor backend
-and backend-independent metric totals.
+engines must uphold: balanced span trees with every executor chunk
+under the dispatch span.
 """
 
 import pickle
@@ -96,23 +96,6 @@ class TestRecorderBasics:
         names = [s["name"] for s in rec.export(since=mark)["spans"]]
         assert names == ["after"]
 
-    def test_checkpoint_export_since_deltas(self):
-        rec = Recorder()
-        rec.count("c", 3)
-        rec.observe("h", 1.0)
-        with rec.span("old"):
-            pass
-        checkpoint = rec.checkpoint()
-        rec.count("c", 2)
-        rec.count("fresh")
-        rec.observe("h", 2.0)
-        with rec.span("new"):
-            pass
-        delta = rec.export_since(checkpoint)
-        assert [s["name"] for s in delta["spans"]] == ["new"]
-        assert delta["counters"] == {"c": 2, "fresh": 1}
-        assert delta["histograms"] == {"h": [2.0]}
-
     def test_reset_clears_but_ids_advance(self):
         rec = Recorder()
         with rec.span("a") as span:
@@ -150,8 +133,6 @@ class TestNullRecorder:
         assert NULL_RECORDER.observe("h", 1.0) is None
         assert NULL_RECORDER.mark() == 0
         assert NULL_RECORDER.export()["spans"] == []
-        delta = NULL_RECORDER.export_since(NULL_RECORDER.checkpoint())
-        assert delta == {"spans": [], "counters": {}, "histograms": {}}
 
     def test_span_handle_is_shared(self):
         a = NullRecorder().span("x")
@@ -246,27 +227,23 @@ class TestRenderHelpers:
 class TestEngineInvariants:
     GRID = np.linspace(100.0, 12e3, 8)
 
-    def _sweep(self, rc_system, backend, **kwargs):
+    def _sweep(self, rc_system, **kwargs):
         clear_sweep_contexts()
         rec = Recorder()
         analyzer = MftNoiseAnalyzer(rc_system, segments_per_phase=16,
                                     recorder=rec)
-        result = analyzer.psd_sweep(
-            self.GRID, parallel=None if backend == "serial" else backend,
-            max_workers=2, chunk_size=3, **kwargs)
+        result = analyzer.psd_sweep(self.GRID, chunk_size=3, **kwargs)
         return rec, result
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_span_tree_balances(self, rc_system, backend):
-        rec, _ = self._sweep(rc_system, backend)
+    def test_span_tree_balances(self, rc_system):
+        rec, _ = self._sweep(rc_system)
         assert rec.is_balanced()
         names = [s.name for s in rec.spans]
         assert "mft.sweep" in names
         assert "executor.chunk" in names
 
-    @pytest.mark.parametrize("backend", ["process"])
-    def test_chunks_attach_under_dispatch(self, rc_system, backend):
-        rec, _ = self._sweep(rc_system, backend)
+    def test_chunks_attach_under_dispatch(self, rc_system):
+        rec, _ = self._sweep(rc_system)
         spans = rec.spans
         dispatch = [s for s in spans if s.name == "executor.dispatch"]
         assert len(dispatch) == 1
@@ -274,21 +251,8 @@ class TestEngineInvariants:
         assert chunks
         assert all(c.parent_id == dispatch[0].span_id for c in chunks)
 
-    def test_metric_totals_identical_across_backends(self, rc_system):
-        counters = {}
-        for backend in ("serial", "process"):
-            rec, result = self._sweep(rc_system, backend)
-            counters[backend] = rec.counters
-            assert np.all(np.isfinite(result.psd))
-        keys = {"sweep.frequencies", "fallback.attempts",
-                "executor.chunks_dispatched"}
-        keys |= {k for k in counters["serial"] if k.startswith("cache.")}
-        for key in sorted(keys):
-            assert counters["process"].get(key) == \
-                counters["serial"].get(key), key
-
     def test_spectral_solver_spans_recorded(self, rc_system):
-        rec, _ = self._sweep(rc_system, "serial", solver="spectral-batch")
+        rec, _ = self._sweep(rc_system, solver="spectral-batch")
         names = {s.name for s in rec.spans}
         assert {"spectral.batch", "spectral.eigenbasis",
                 "spectral.solve"} <= names

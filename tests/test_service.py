@@ -3,16 +3,14 @@
 Covers the acceptance criteria of the noise-analysis service:
 submit/poll/wait/cancel, content-addressed store hits on identical
 resubmission *with zero kernel solves* (proven from the job recorder),
-persistence across queue instances, worker-crash recovery and
-checkpoint/resume riding the executor seams unchanged, batch-endpoint
-parity (bit-identical to independent sweeps), and budget-exceeded jobs
+persistence across queue instances, batch-endpoint parity
+(bit-identical to independent sweeps), and budget-exceeded jobs
 degrading into partial results with failure records — never into a
 stored artifact a later hit could serve as clean.
 """
 
 import gc
 import json
-import multiprocessing
 import weakref
 
 import numpy as np
@@ -22,12 +20,6 @@ from repro.diagnostics.budget import SweepBudget
 from repro.errors import ReproError
 from repro.mft.context import clear_sweep_contexts
 from repro.obs import Recorder
-from repro.resilience import (
-    FaultPlan,
-    FaultSpec,
-    RetryPolicy,
-    SweepCheckpoint,
-)
 from repro.service import (
     DirectoryResultStore,
     JobQueue,
@@ -120,11 +112,11 @@ class TestJobKey:
             == job_key(JobSpec(rc_system, solver=canonical, **base))
 
     def test_insensitive_to_execution_knobs(self, rc_system):
-        # Backend/chunking/retry never change the values a job
-        # produces, so they must not fragment the content address.
+        # Chunking never changes the values a job produces, so it
+        # must not fragment the content address.
         plain = JobSpec(rc_system, GRID, segments_per_phase=SPP)
         tuned = JobSpec(rc_system, GRID, segments_per_phase=SPP,
-                        chunk_size=2, retry=RetryPolicy(max_retries=5))
+                        chunk_size=2)
         assert job_key(plain) == job_key(tuned)
 
 
@@ -172,7 +164,7 @@ class TestResultStores:
 
     @pytest.mark.parametrize("bad", [0, -1, 2.7, True, "2"])
     def test_limit_validated_not_coerced(self, tmp_path, bad):
-        # Same rule as max_workers: an integer >= 1, never coerced.
+        # Same rule as chunk_size: an integer >= 1, never coerced.
         for cls, args in ((MemoryResultStore, ()),
                           (DirectoryResultStore, (tmp_path / "d",)),
                           (SqliteResultStore, (tmp_path / "s.db",))):
@@ -359,76 +351,6 @@ class TestBatchEndpoint:
             assert [f.index for f in served.result.info["failures"]] \
                 == [f.index for f in direct.info["failures"]]
 
-    def test_batch_through_worker_pool_matches_serial(self, rc_system):
-        specs = [JobSpec(rc_system, GRID * (1.0 + 0.1 * j),
-                         segments_per_phase=SPP, chunk_size=CHUNK)
-                 for j in range(2)]
-        clear_sweep_contexts()
-        with JobQueue() as queue:
-            serial = queue.run_batch(specs, timeout=240.0)
-        clear_sweep_contexts()
-        with JobQueue(backend="process", max_workers=2) as queue:
-            pooled = queue.run_batch(specs, timeout=240.0)
-        for a, b in zip(serial, pooled):
-            assert a.result.psd.tobytes() == b.result.psd.tobytes()
-
-    def test_no_worker_outlives_a_process_job(self, rc_system):
-        # Each job's executor owns its pool and tears it down with the
-        # sweep, so a live queue holds no worker processes between jobs.
-        spec = JobSpec(rc_system, GRID, segments_per_phase=SPP,
-                       chunk_size=CHUNK)
-        with JobQueue(backend="process", max_workers=2) as queue:
-            queue.run_batch([spec], timeout=240.0)
-            assert multiprocessing.active_children() == []
-
-
-class TestCrashRecoveryAndResume:
-    def test_worker_crash_mid_chunk_recovers(self, spec, rc_system):
-        with JobQueue() as queue:
-            clean = queue.submit(spec).wait(timeout=120.0)
-        plan = FaultPlan([FaultSpec("executor.chunk", "crash",
-                                    match={"chunk": CHUNK})])
-        faulted_spec = JobSpec(
-            rc_system, GRID, segments_per_phase=SPP, chunk_size=CHUNK,
-            retry=RetryPolicy(max_retries=2, backoff_seconds=0.001),
-            faults=plan)
-        clear_sweep_contexts()
-        with JobQueue(backend="process", max_workers=2) as queue:
-            recovered = queue.submit(faulted_spec).wait(timeout=120.0)
-        meta = recovered.result.info["executor"]
-        assert meta["n_worker_crashes"] >= 1
-        assert meta["n_chunks_failed"] == 0
-        assert recovered.result.psd.tobytes() == \
-            clean.result.psd.tobytes()
-
-    def test_killed_job_resumes_from_checkpoint(self, spec, rc_system,
-                                                tmp_path):
-        with JobQueue() as queue:
-            clean = queue.submit(spec).wait(timeout=120.0)
-        ckpt = tmp_path / "ckpt"
-        plan = FaultPlan([FaultSpec("executor.dispatch", "kill",
-                                    match={"chunk": 2 * CHUNK})])
-        killed = JobSpec(rc_system, GRID, segments_per_phase=SPP,
-                         chunk_size=CHUNK, faults=plan, checkpoint=ckpt)
-        clear_sweep_contexts()
-        with JobQueue() as queue:
-            handle = queue.submit(killed)
-            with pytest.raises(ReproError, match="InjectedSweepKill"):
-                handle.wait(timeout=120.0)
-            assert queue.counters["failed"] == 1
-            # The failed job was never stored, so the resubmit (same
-            # content address, no faults) recomputes — resuming the
-            # two chunks the killed run already checkpointed.
-            resume = JobSpec(rc_system, GRID, segments_per_phase=SPP,
-                             chunk_size=CHUNK,
-                             checkpoint=SweepCheckpoint(ckpt))
-            assert job_key(resume) == job_key(killed)
-            resumed = queue.submit(resume).wait(timeout=120.0)
-        meta = resumed.result.info["executor"]
-        assert meta["n_chunks_resumed"] == 2
-        assert not resumed.served_from_store
-        assert resumed.result.psd.tobytes() == clean.result.psd.tobytes()
-
 
 class TestProgress:
     def test_progress_counts_chunks_and_stages(self, rc_system):
@@ -446,22 +368,6 @@ class TestProgress:
 
 
 class TestQueueConfiguration:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError, match="backend"):
-            JobQueue(backend="rocket")
-
-    def test_zero_workers_rejected_not_defaulted(self):
-        with pytest.raises(ReproError, match="max_workers"):
-            JobQueue(backend="process", max_workers=0)
-        with JobQueue(backend="process") as queue:
-            assert queue.max_workers == 2
-
-    def test_max_workers_validated_not_coerced(self):
-        # Same rule as SweepExecutor: an integer >= 1, never coerced.
-        for bad in (0, 2.7, True, "2"):
-            with pytest.raises(ReproError, match="max_workers"):
-                JobQueue(backend="process", max_workers=bad)
-
     def test_pool_option_is_gone(self):
         with pytest.raises(TypeError, match="pool"):
             JobQueue(pool=object())
@@ -470,7 +376,6 @@ class TestQueueConfiguration:
         with JobQueue() as queue:
             queue.submit(spec).wait(timeout=120.0)
             telemetry = queue.telemetry()
-        assert telemetry["backend"] == "serial"
         assert telemetry["jobs"]["submitted"] == 1
         assert telemetry["store"]["size"] == 1
 

@@ -127,17 +127,12 @@ class TestSolverValidation:
         with pytest.raises(ReproError, match="[Ww]elch"):
             analysis.psd(GRID, solver="monte-carlo")
 
-    def test_delegates_refuse_parallel_dispatch(self, analysis):
-        for solver in ("brute-force", "monte-carlo"):
-            with pytest.raises(ReproError, match="serial"):
-                analysis.psd_sweep(GRID, parallel="process", solver=solver)
-
     def test_executor_accepts_mft_alias(self, rc_system):
         from repro.mft.executor import SweepExecutor
-        executor = SweepExecutor(backend="serial", solver="mft")
+        executor = SweepExecutor(solver="mft")
         assert executor.solver is None
         with pytest.raises(ReproError):
-            SweepExecutor(backend="serial", solver="brute-force")
+            SweepExecutor(solver="brute-force")
 
 
 class TestSharedKeywords:

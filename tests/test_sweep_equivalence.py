@@ -1,8 +1,8 @@
 """Equivalence suite: the fast sweep paths ARE the slow path.
 
 The performance layer (``SweepContext`` fast solves, ``SweepExecutor``
-parallel dispatch) reorders linear algebra and work scheduling but must
-never change results. For the switched-RC and SC low-pass circuits this
+chunking) reorders linear algebra and work scheduling but must never
+change results. For the switched-RC and SC low-pass circuits this
 suite pins, against the serial per-frequency reference (every solve a
 plain ``periodic_steady_state`` on locally built forcing):
 
@@ -11,10 +11,9 @@ plain ``periodic_steady_state`` on locally built forcing):
   non-finite frequencies),
 * identical ``DiagnosticsReport`` severity counts,
 
-for the sweep-context fast path vs that reference and for the serial
-vs process backends, plus the headline acceptance check
-(64-point SC low-pass sweep, fast path + parallel vs the serial
-reference).
+for the sweep-context fast path vs that reference and for chunked
+sweeps vs :meth:`psd`, plus the headline acceptance check (64-point SC
+low-pass sweep, fast path vs the serial reference).
 """
 
 from functools import cached_property
@@ -29,12 +28,10 @@ from repro.lptv.periodic_solve import (
 )
 from repro.mft.context import clear_sweep_contexts
 from repro.mft.engine import MftNoiseAnalyzer
-from repro.mft.executor import SweepExecutor
 from repro.noise.covariance import periodic_covariance
 from repro.tolerances import FIXED_POINT_RIDGE
 
 REL_TOL = 1e-12
-BACKENDS = ["serial", "process"]
 
 
 class _ReferenceAnalyzer(MftNoiseAnalyzer):
@@ -120,44 +117,35 @@ class TestCacheEquivalence:
             assert abs(a - b) <= REL_TOL * max(abs(a), 1e-300)
 
 
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backend_matches_serial_psd(self, swept_system, backend):
+class TestChunkedSweepEquivalence:
+    def test_chunked_sweep_matches_psd(self, swept_system):
         system, grid = swept_system
         clear_sweep_contexts()
         analyzer = MftNoiseAnalyzer(system)
         reference = analyzer.psd(grid)
-        swept = analyzer.psd_sweep(grid, parallel=backend,
-                                   max_workers=2, chunk_size=5)
-        _assert_equivalent(reference, swept, f"{backend} vs serial")
+        swept = analyzer.psd_sweep(grid, chunk_size=5)
+        _assert_equivalent(reference, swept, "chunk=5 vs psd")
 
     def test_chunk_size_does_not_matter(self, rc_system):
         grid = np.linspace(100.0, 4e4, 11)
         analyzer = MftNoiseAnalyzer(rc_system)
         reference = analyzer.psd(grid)
         for chunk in (1, 3, 64):
-            swept = analyzer.psd_sweep(grid, parallel="process",
-                                       chunk_size=chunk)
+            swept = analyzer.psd_sweep(grid, chunk_size=chunk)
             _assert_equivalent(reference, swept, f"chunk={chunk}")
-
-    def test_executor_rejects_unknown_backend(self):
-        from repro.errors import ReproError
-        with pytest.raises(ReproError, match="backend"):
-            SweepExecutor(backend="gpu")
 
 
 class TestHeadlineAcceptance:
-    def test_sc_lowpass_64pt_cached_parallel_matches_seed_serial(
+    def test_sc_lowpass_64pt_cached_matches_seed_serial(
             self, lowpass_model):
         # Acceptance criterion: on the 64-point SC low-pass sweep the
-        # cached+parallel path matches the serial reference to
-        # <= 1e-12 relative on all finite points.
+        # cached path matches the serial reference to <= 1e-12
+        # relative on all finite points.
         grid = np.linspace(100.0, 12e3, 64)
         clear_sweep_contexts()
         seed = _ReferenceAnalyzer(lowpass_model.system).psd(grid)
-        fast = MftNoiseAnalyzer(lowpass_model.system).psd_sweep(
-            grid, parallel="process")
-        _assert_equivalent(seed, fast, "cached+parallel vs seed serial")
+        fast = MftNoiseAnalyzer(lowpass_model.system).psd_sweep(grid)
+        _assert_equivalent(seed, fast, "cached vs seed serial")
 
 
 class _SlowChunkAnalyzer(MftNoiseAnalyzer):
@@ -173,17 +161,17 @@ class _SlowChunkAnalyzer(MftNoiseAnalyzer):
         return super()._sweep_chunk(*args)
 
 
-class TestParallelBudget:
+class TestBudgetGate:
     def test_budget_stops_dispatch_but_not_inflight_chunks(
             self, rc_system):
-        # One worker, chunks of 2, and a budget shorter than one chunk:
-        # the first chunk is already in flight when the budget expires,
-        # so it must complete (its points are finite), while every later
-        # chunk is never dispatched (budget-stage failures).
+        # Chunks of 2 and a budget shorter than one chunk: the first
+        # chunk is already running when the budget expires, so it must
+        # complete (its points are finite), while every later chunk is
+        # never dispatched (budget-stage failures).
         grid = np.linspace(100.0, 4e4, 8)
         analyzer = _SlowChunkAnalyzer(rc_system, delay=0.2)
         result = analyzer.psd_sweep(
-            grid, parallel="process", max_workers=1, chunk_size=2,
+            grid, chunk_size=2,
             budget=SweepBudget(wall_clock_seconds=0.05))
         assert np.all(np.isfinite(result.psd[:2])), (
             "in-flight chunk was not allowed to finish")
@@ -195,12 +183,12 @@ class TestParallelBudget:
         assert result.diagnostics.by_code("budget-exhausted")
         assert result.info["executor"]["n_chunks_skipped"] == 3
 
-    def test_serial_backend_budget_matches_plain_sweep(self, rc_system):
-        # psd is psd_sweep(parallel=None) at the default chunk size (8
-        # frequencies), so it gets a grid spanning two of its chunks.
+    def test_psd_budget_gates_its_default_chunks(self, rc_system):
+        # psd is psd_sweep at the default chunk size (8 frequencies),
+        # so it gets a grid spanning two of its chunks.
         sweeps = [
             (lambda analyzer, grid, budget: analyzer.psd_sweep(
-                grid, parallel=None, chunk_size=2, budget=budget), 6, 2),
+                grid, chunk_size=2, budget=budget), 6, 2),
             (lambda analyzer, grid, budget: analyzer.psd(
                 grid, budget=budget), 16, 8),
         ]
@@ -219,10 +207,9 @@ class TestExecutorMetadata:
     def test_result_reports_executor_and_cache_stats(self, rc_system):
         grid = np.linspace(100.0, 4e4, 6)
         analyzer = MftNoiseAnalyzer(rc_system)
-        result = analyzer.psd_sweep(grid, parallel="process",
-                                    max_workers=2, chunk_size=3)
+        result = analyzer.psd_sweep(grid, chunk_size=3)
         meta = result.info["executor"]
-        assert meta["backend"] == "process"
-        assert meta["max_workers"] == 2
+        assert meta["chunk_size"] == 3
         assert meta["n_chunks"] == 2
+        assert meta["n_chunks_skipped"] == 0
         assert result.info["cache_stats"]["total_hits"] > 0
