@@ -6,6 +6,9 @@ cache state, and compares the medians:
 
 * spectral-batch >= 2x the per-frequency ``mft`` sweep on the 256-point
   SC low-pass grid, each side on a fresh sweep context;
+* the default spectral-batch sweep, one ω-block over that grid, >=
+  1.15x the same sweep cut into 64-frequency blocks (the default it
+  replaced), same cold state;
 * a fully attributed spectral-batch sweep <= 2.5x the unattributed
   spectral-batch sweep of the same 64-point grid, same cold state;
 * the 16-corner batched solve >= ``CORNER_SPEEDUP_FLOOR`` x 16
@@ -74,6 +77,9 @@ GRID_256 = _lowpass_grid(256)
 #: φ-series) relative to the per-ω reference.
 SPECTRAL_REL_TOL = 1e-9
 SPECTRAL_SPEEDUP = 2.0
+#: One whole-grid ω-block over 64-frequency blocks: each block replays
+#: the per-segment trace recursion.
+ONE_BLOCK_SPEEDUP = 1.15
 #: Attributed over unattributed, both through the stacked spectral
 #: kernel: context reuse plus multi-RHS batching, not n_sources x.
 ATTRIBUTION_COST_RATIO = 2.5
@@ -223,6 +229,29 @@ class TestSpectralBatchGate:
         print_table(timing.summary("spectral-batch vs per-ω mft, 256 pts"))
         assert timing.ratio() >= SPECTRAL_SPEEDUP, timing.summary(
             f"need >= {SPECTRAL_SPEEDUP}x")
+
+    @skip_speed_if_tiny
+    def test_one_block_beats_64_frequency_blocks(self, print_table):
+        timing = time_pair(
+            lambda: _cold_sweep(GRID_256, solver="spectral-batch"),
+            lambda: _cold_sweep(GRID_256, solver="spectral-batch",
+                                chunk_size=64),
+            setup=clear_sweep_contexts)
+        print_table(timing.summary(
+            "one ω-block vs 64-frequency blocks, 256 pts"))
+        assert timing.ratio() >= ONE_BLOCK_SPEEDUP, timing.summary(
+            f"need >= {ONE_BLOCK_SPEEDUP}x")
+
+    def test_one_block_is_bit_identical_to_64_frequency_blocks(self):
+        clear_sweep_contexts()
+        one = _cold_sweep(GRID_256, solver="spectral-batch",
+                          attribute_sources=True)
+        four = _cold_sweep(GRID_256, solver="spectral-batch",
+                           attribute_sources=True, chunk_size=64)
+        assert one.info["executor"]["n_chunks"] == 1
+        assert one.psd.tobytes() == four.psd.tobytes()
+        assert (one.budget.contributions.tobytes()
+                == four.budget.contributions.tobytes())
 
     def test_nan_masks_and_failures_match_on_engineered_failures(self):
         # A sweep with injected non-finite frequencies must produce the

@@ -111,7 +111,12 @@ class NoiseAnalysis(MftNoiseAnalyzer):
         :class:`~repro.metrics.ContributionBudget` per corner at
         ``result.budgets[name]``.  The executor knobs (``chunk_size``,
         ``budget``, ``on_failure``) act on the flattened
-        ``(frequency, corner)`` axis exactly as in :meth:`psd_sweep`.
+        ``(frequency, corner)`` axis exactly as in :meth:`psd_sweep`;
+        ``chunk_size`` counts frequencies.  By default the sweep is one
+        ω-block over the whole grid (split only when the kernel stack
+        would exceed
+        :data:`~repro.mft.executor.SPECTRAL_STACK_CAP_BYTES`), so the
+        ``budget`` makes one decision, before the sweep starts.
         """
         from ..mft.corners import corner_psd_sweep
 

@@ -55,12 +55,6 @@ from .spectral import solve_spectral_batch
 
 __all__ = ["CornerBatchAnalyzer", "CornerSweepResult", "corner_psd_sweep"]
 
-#: Default frequencies per executor chunk of a corner sweep (the flat
-#: chunk holds this many frequencies × all M corners, so chunks always
-#: align with whole frequency slices and one chunk is one stacked
-#: kernel call per dynamics group).
-CORNER_CHUNK_FREQUENCIES = 64
-
 
 def _system_of(model_or_system: Any) -> Any:
     """The LPTV system behind a builder result (model or bare system)."""
@@ -176,6 +170,25 @@ class CornerBatchAnalyzer:
         return sweep_chunk(freqs, on_failure, report, labels, self.recorder,
                            batch_step, point_step)
 
+    def _spectral_block(self, n_cells: int,
+                        labels: "tuple[str, ...] | None") -> int:
+        """Flat cells per executor chunk at the default chunk size.
+
+        Whole frequency slices (a multiple of M cells), sized by
+        :func:`~repro.mft.executor.spectral_block_size` for the largest
+        stacked kernel call — the dynamics group with the most kernel
+        rows (:meth:`_row_slots`).
+        """
+        from .executor import spectral_block_size
+        groups: "dict[int, list[int]]" = {}
+        for m, member in enumerate(self.members):
+            groups.setdefault(member.context.dynamics_key, []).append(m)
+        width = 1 if labels is None else 1 + len(labels)
+        n_rows = width * max(len(self._row_slots(members))
+                             for members in groups.values())
+        return self.n_corners * spectral_block_size(
+            self.context, n_cells // self.n_corners, n_rows)
+
     def _solve_chunk_groups(self, freqs: FloatArray, corners: np.ndarray,
                             finite_idx: np.ndarray, values: FloatArray,
                             report: DiagnosticsReport,
@@ -271,10 +284,9 @@ class CornerBatchAnalyzer:
                 n_params=len(members), n_rows=len(plans))
         return rescue
 
-    def _row_plan(self, members: "list[int]",
-                  labels: "tuple[str, ...] | None"
-                  ) -> "list[tuple[SweepContext, FloatArray, list[tuple[int, float]]]]":
-        """Kernel rows for one dynamics group: ``(context, forcing, owners)``.
+    def _row_slots(self, members: "list[int]"
+                   ) -> "list[tuple[SweepContext, list[tuple[int, float]]]]":
+        """Kernel-row owners for one dynamics group: ``(context, owners)``.
 
         Corners whose context is a uniform intensity derivation of the
         same root *share one kernel row* — the root's forcing — and are
@@ -284,30 +296,41 @@ class CornerBatchAnalyzer:
         corners costs one row of per-frequency kernel arithmetic, not
         M.  Per-source (non-uniform) scalings keep their own row, as
         does any context the sweep cannot prove is a derivation.
-        ``owners`` lists ``(corner_index, multiplier)`` per row.
+        ``owners`` lists ``(corner_index, multiplier)`` per row, the
+        row's first owner first.
         """
-        plans: "list[tuple[SweepContext, FloatArray, list[tuple[int, float]]]]" = []
+        slots: "list[tuple[SweepContext, list[tuple[int, float]]]]" = []
         slot_of_root: "dict[int, int]" = {}
         for m in members:
-            member = self.members[m]
-            context = member.context
+            context = self.members[m].context
             root = getattr(context, "parent", None)
             uniform = getattr(context, "_uniform", None)
             if root is None and not hasattr(context, "_scales"):
                 root, uniform = context, 1.0  # the dynamics root itself
             if root is None or uniform is None:
-                plans.append((context,
-                              forcing_rows(context, member._l_row, labels),
-                              [(m, 1.0)]))
+                slots.append((context, [(m, 1.0)]))
                 continue
             slot = slot_of_root.get(id(root))
             if slot is None:
-                slot_of_root[id(root)] = len(plans)
-                plans.append((root, forcing_rows(root, member._l_row, labels),
-                              [(m, float(uniform))]))
+                slot_of_root[id(root)] = len(slots)
+                slots.append((root, [(m, float(uniform))]))
             else:
-                plans[slot][2].append((m, float(uniform)))
-        return plans
+                slots[slot][1].append((m, float(uniform)))
+        return slots
+
+    def _row_plan(self, members: "list[int]",
+                  labels: "tuple[str, ...] | None"
+                  ) -> "list[tuple[SweepContext, FloatArray, list[tuple[int, float]]]]":
+        """Kernel rows for one dynamics group: ``(context, forcing, owners)``.
+
+        The slots of :meth:`_row_slots`, each with its forcing rows built
+        from its first owner's output row.
+        """
+        return [(context,
+                 forcing_rows(context, self.members[owners[0][0]]._l_row,
+                              labels),
+                 owners)
+                for context, owners in self._row_slots(members)]
 
 
 @dataclass
@@ -517,15 +540,18 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
     per-corner failures and (optionally) attribution budgets.
 
     ``chunk_size`` counts **frequencies** per executor chunk (each flat
-    chunk holds that many frequencies × all M corners); the default is
-    ``min(K, 64)``.  Intensity-only corners derive their context from
-    the dynamics root (shared propagators/bases, linear restack — the
-    nearly-free path, ≤1e-12 from a fresh build).  ``budget`` and
+    chunk holds that many frequencies × all M corners).  The default is
+    the whole grid — one chunk, so one budget decision — unless the
+    largest stacked kernel call would exceed
+    :data:`~repro.mft.executor.SPECTRAL_STACK_CAP_BYTES`; then the
+    largest frequency count that fits.  Intensity-only corners derive
+    their context from the dynamics root (shared propagators/bases,
+    linear restack — the nearly-free path, ≤1e-12 from a fresh build).  ``budget`` and
     ``on_failure`` are the usual executor knobs on the flattened axis —
     a budget-skipped chunk NaNs exactly its ``(corner, frequency)``
     cells.
     """
-    from .executor import SweepExecutor
+    from .executor import SweepExecutor, _positive_int
 
     if not isinstance(grid, ParameterGrid):
         raise ReproError(
@@ -537,10 +563,9 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
     analyzer = CornerBatchAnalyzer(members, grid, recorder=recorder,
                                    budget=budget)
 
-    per_corner_chunk = (min(int(freqs.size), CORNER_CHUNK_FREQUENCIES)
-                        if chunk_size is None else int(chunk_size))
+    chunk_size = _positive_int("chunk_size", chunk_size, None)
     executor = SweepExecutor(
-        chunk_size=max(1, per_corner_chunk) * n_corners,
+        chunk_size=None if chunk_size is None else chunk_size * n_corners,
         solver="param-batch")
     flat = executor.run(analyzer, np.repeat(freqs, n_corners),
                         budget=budget, on_failure=on_failure,

@@ -325,6 +325,16 @@ class MftNoiseAnalyzer:
         return sweep_chunk(freqs, on_failure, report, labels, self.recorder,
                            batch_step, point_step)
 
+    def _spectral_block(self, n_freq, labels):
+        """Frequencies per ω-block at the default chunk size.
+
+        One kernel row, or ``1 + n_sources`` for an attribution
+        request; see :func:`~repro.mft.executor.spectral_block_size`.
+        """
+        from .executor import spectral_block_size
+        n_rows = 1 if labels is None else 1 + len(labels)
+        return spectral_block_size(self._context, n_freq, n_rows)
+
     def _solve_spectral_block(self, freqs, finite_idx, values, report,
                               labels):
         """``spectral-batch`` step: all finite frequencies in one ω-block.
@@ -416,9 +426,18 @@ class MftNoiseAnalyzer:
         The sweep runs as a serial loop over chunks of ``chunk_size``
         frequencies.  Per-frequency values, NaN semantics, failure
         records, and diagnostics match :meth:`psd` (which is this method
-        at the default chunk size); the sweep ``budget`` gates the
-        *dispatch* of each chunk (a started chunk always finishes, and
-        runs unbudgeted). See :mod:`repro.mft.executor`.
+        at the default chunk size) and do not depend on ``chunk_size``;
+        the sweep ``budget`` gates the *dispatch* of each chunk (a
+        started chunk always finishes, and runs unbudgeted). See
+        :mod:`repro.mft.executor`.
+
+        The default ``chunk_size`` is 8 for the per-frequency sweep.  A
+        ``"spectral-batch"`` sweep defaults to one ω-block over the
+        whole grid, split only when the kernel's step-forcing stack
+        would exceed
+        :data:`~repro.mft.executor.SPECTRAL_STACK_CAP_BYTES` — so its
+        budget makes one decision, before the sweep starts.  Pass an
+        explicit ``chunk_size`` for finer budget granularity.
 
         ``solver`` is the unified engine selector
         (:data:`repro.noise.solvers.SOLVERS`):

@@ -18,7 +18,9 @@ it, with these semantics:
 * **Budget**: the :class:`~repro.diagnostics.budget.SweepBudget` gates
   the *dispatch* of each chunk.  Once spent, no further chunk starts
   and the remaining frequencies become ``budget``-stage failures — but
-  a chunk already started always runs to completion.
+  a chunk already started always runs to completion.  A batched sweep
+  at the default chunk size is usually one chunk, so its budget makes
+  one decision: before the sweep starts.
 
 Numerical failures (:class:`~repro.errors.ReproError`: the
 ``on_failure="raise"`` contract, structural errors) propagate, and so
@@ -44,14 +46,20 @@ from .context import CacheStats
 
 logger = logging.getLogger(__name__)
 
-#: Default chunk size: large enough to amortise dispatch overhead,
-#: small enough that the budget gate has frequent decision points.
+#: Default chunk size of the per-frequency ``mft`` sweep: large enough
+#: to amortise dispatch overhead, small enough that the budget gate has
+#: frequent decision points.
 _DEFAULT_CHUNK = 8
 
-#: Default chunk size for ``solver="spectral-batch"``: each chunk is one
-#: ω-block through the batched kernel, so larger blocks amortise the
-#: per-block trace recursion and stacked solves across more frequencies.
-_DEFAULT_SPECTRAL_CHUNK = 64
+#: Byte cap on the largest array of one batched ω-block, the
+#: ``(R, S, F, n)`` complex step-forcing stack of
+#: :func:`~repro.mft.spectral.solve_spectral_batch` (forcing rows ×
+#: segments × frequencies × states × 16 B).  At the default chunk size
+#: a batched sweep is one block unless its stack would exceed this:
+#: every block replays the per-segment trace recursion, so fewer blocks
+#: are faster.  32 MiB is just above a 192-state cascade's 64-frequency
+#: block at 64 segments per phase (≈ 24 MiB).
+SPECTRAL_STACK_CAP_BYTES = 32 * 2**20
 
 #: ``None`` and ``"mft"`` are the same per-frequency reference sweep —
 #: ``"mft"`` is the unified-API spelling (:mod:`repro.noise.solvers`).
@@ -99,6 +107,19 @@ def _positive_int(name, value, default, minimum=1):
     return value
 
 
+def spectral_block_size(context, n_freq, n_rows):
+    """Frequencies per ω-block of a batched sweep at the default chunk size.
+
+    The whole grid of ``n_freq`` frequencies, unless the kernel's
+    ``(n_rows, S, n_freq, n)`` step-forcing stack on ``context``'s
+    segment structure would exceed :data:`SPECTRAL_STACK_CAP_BYTES`;
+    then the largest frequency count that fits, and never less than one.
+    """
+    n_seg, n_states = context.structure.phi_stack.shape[:2]
+    per_frequency = n_rows * n_seg * n_states * np.dtype(complex).itemsize
+    return max(1, min(n_freq, SPECTRAL_STACK_CAP_BYTES // per_frequency))
+
+
 def _run_chunk(analyzer, frequencies, on_failure, solver, labels,
                chunk_start):
     """Sweep one chunk with a chunk-local report.
@@ -126,10 +147,15 @@ class SweepExecutor:
     Parameters
     ----------
     chunk_size:
-        Frequencies per dispatched chunk (default 8, or 64 for the
-        spectral-batch solver where each chunk is one ω-block). Smaller
-        chunks give the budget gate finer granularity; larger chunks
-        amortise per-chunk overhead.
+        Frequencies per dispatched chunk.  The default is 8 for the
+        per-frequency sweep; for a batched solver (``"spectral-batch"``,
+        ``"param-batch"``), where each chunk is one ω-block, it is the
+        whole grid — one chunk, so one budget decision — unless the
+        block's kernel stack would exceed
+        :data:`SPECTRAL_STACK_CAP_BYTES` (see
+        :func:`spectral_block_size`).  Smaller chunks give the budget
+        gate finer granularity; larger chunks amortise per-chunk
+        overhead.
     solver:
         ``None`` (default) sweeps each chunk through the per-frequency
         fallback chain; ``"spectral-batch"`` evaluates each chunk as
@@ -142,10 +168,10 @@ class SweepExecutor:
                 f"unknown sweep solver {solver!r}; expected one of "
                 f"{_SOLVERS}")
         self.solver = None if solver == "mft" else solver
-        default_chunk = (_DEFAULT_CHUNK if self.solver is None
-                         else _DEFAULT_SPECTRAL_CHUNK)
-        self.chunk_size = _positive_int("chunk_size", chunk_size,
-                                        default_chunk)
+        # ``None`` for a batched solver: the block is sized per sweep.
+        self.chunk_size = _positive_int(
+            "chunk_size", chunk_size,
+            _DEFAULT_CHUNK if self.solver is None else None)
 
     # -- public API ----------------------------------------------------------
 
@@ -155,7 +181,8 @@ class SweepExecutor:
 
         The one result path of every MFT sweep (:meth:`MftNoiseAnalyzer.psd`
         is ``psd_sweep`` at the default chunk size); ``info["executor"]``
-        reports the chunking.
+        reports the chunking actually used: ``chunk_size`` is the size
+        of the largest chunk (0 for an empty grid).
 
         ``attribute_sources`` is resolved once to the attribution
         request — a tuple of budget-row labels, or ``None`` — which
@@ -188,8 +215,10 @@ class SweepExecutor:
                     # timed under ``mft.warmup`` rather than the first
                     # chunk.
                     analyzer.context.spectral_bases
-            chunks = [(start, freqs[start:start + self.chunk_size])
-                      for start in range(0, freqs.size, self.chunk_size)]
+            stride = (self.chunk_size if self.chunk_size is not None
+                      else analyzer._spectral_block(freqs.size, labels))
+            chunks = [(start, freqs[start:start + stride])
+                      for start in range(0, freqs.size, stride)]
             outputs = []
             with rec.span("executor.dispatch", n_chunks=len(chunks)):
                 for start, chunk in chunks:
@@ -226,7 +255,7 @@ class SweepExecutor:
                 "cache_stats": cache_stats.to_dict(),
                 "executor": {
                     "solver": self.solver,
-                    "chunk_size": self.chunk_size,
+                    "chunk_size": chunks[0][1].size if chunks else 0,
                     "n_chunks": len(chunks),
                     "n_chunks_skipped": len(chunks) - len(outputs),
                 },

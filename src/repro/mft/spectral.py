@@ -83,6 +83,12 @@ __all__ = [
 #: full double precision below :data:`~repro.linalg.phi.SERIES_THRESHOLD`.
 _SERIES_TERMS = 12
 
+#: Bytes of the tail-phase-weighted copy of the step-forcing stack that
+#: the fixed-point right-hand side forms at a time: it is formed over
+#: frequency slices, so a large ω-block does not double the kernel's
+#: peak memory.
+_WEIGHTED_SLICE_BYTES = 2**18
+
 
 @dataclass
 class GroupBasis:
@@ -240,12 +246,50 @@ def _lu_step_integrals(group, omegas, eye):
     return i1, i2
 
 
+def _as_slice(index):
+    """A sorted index array as a slice when it is one contiguous run."""
+    if index.size and index[-1] - index[0] + 1 == index.size:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return None
+
+
+def _lu_group_forcing(g_seg, rows, idx, f0, slope, i1, i2):
+    """Fill one group's ``g[r, s, f] = I1[f] f0[r, s] + I2[f] slope[r, s]``.
+
+    ``i1``/``i2`` are the ``(F, n, n)`` LU-branch stacks at the
+    frequencies ``rows``, ``f0``/``slope`` the ``(R, s, n)`` forcing of
+    the group's segments ``idx``.  Each product is one ``(s, n) × (n,
+    F·n)`` GEMM per forcing row, against the stack flattened to
+    ``flat[j, (f, i)] = I[f, i, j]`` — the layout of the segment-major
+    ``g_seg``, so when ``rows`` and ``idx`` are contiguous runs (the
+    usual case: one group per clock phase) the products land in place;
+    otherwise they are scattered.
+    """
+    n_f, n = i1.shape[:2]
+    i1_flat = i1.transpose(2, 0, 1).reshape(n, n_f * n)
+    i2_flat = i2.transpose(2, 0, 1).reshape(n, n_f * n)
+    seg_run = _as_slice(idx)
+    freq_run = _as_slice(rows)
+    # A contiguous array reshapes to a view: g_flat[r, k, (f, i)].
+    g_flat = g_seg.reshape(g_seg.shape[0], g_seg.shape[1], -1)
+    for r in range(f0.shape[0]):
+        if seg_run is not None and freq_run is not None:
+            block = g_flat[r, seg_run, freq_run.start * n:freq_run.stop * n]
+            np.matmul(f0[r], i1_flat, out=block)
+            block += slope[r] @ i2_flat
+        else:
+            block = f0[r] @ i1_flat
+            block += slope[r] @ i2_flat
+            g_seg[r, idx[:, None], rows[None, :]] = block.reshape(
+                idx.size, n_f, n)
+
+
 def _reference_group_integrals(group, omegas, forcing, g_seg):
     """Per-frequency fallback: fill ``g_seg`` for one defective group.
 
     ``forcing`` is the stacked ``(R, S, 2, n)`` form and ``g_seg`` the
-    ``(R, n_freq, n_seg, n)`` output; the per-ω integrals are computed
-    once and applied to every forcing row.
+    segment-major ``(R, n_seg, n_freq, n)`` output; the per-ω integrals
+    are computed once and applied to every forcing row.
     """
     idx = group.indices
     h = group.duration
@@ -259,7 +303,7 @@ def _reference_group_integrals(group, omegas, forcing, g_seg):
         a_shifted = group.a_matrix.astype(complex) - 1j * omega * eye
         phi_shifted = np.exp(-1j * omega * h) * group.phi
         _phi, i1, i2 = affine_step_integrals(a_shifted, h, phi=phi_shifted)
-        g_seg[:, fi, idx] = f0 @ i1.T + slope @ i2.T
+        g_seg[:, idx, fi] = f0 @ i1.T + slope @ i2.T
 
 
 def group_period_integral(a_matrix, duration, omegas, start_sum, end_sum,
@@ -388,7 +432,9 @@ def solve_spectral_batch(context, omegas, segment_forcing,
     # the very same LU through a stacked solve instead of the (more
     # accurate, but differently-rounded) eigenbasis division.
     with recorder.span("spectral.step-integrals", n_groups=len(bases)):
-        g_seg = np.empty((n_rows, n_freq, n_seg, n), dtype=complex)
+        # Segment-major, so each group's block and each segment's
+        # (R, F, n) slab of the trace recursion are contiguous.
+        g_seg = np.empty((n_rows, n_seg, n_freq, n), dtype=complex)
         eye_c = np.eye(n, dtype=complex)
         norm_h_groups = [_group_norm_h(group.a_matrix, omegas,
                                        group.duration)
@@ -412,16 +458,12 @@ def solve_spectral_batch(context, omegas, segment_forcing,
                 i1d, i2d = phi_scalar_integrals(z, h)
                 coeffs = (i1d[None, :, None, :] * c0[:, None, :, :]
                           + i2d[None, :, None, :] * cs[:, None, :, :])
-                g_seg[:, rows[:, None], idx[None, :]] = (
-                    coeffs @ basis.vectors.T)
+                g_seg[:, idx[:, None], rows[None, :]] = (
+                    coeffs @ basis.vectors.T).transpose(0, 2, 1, 3)
             if not np.all(small):
                 rows = np.nonzero(~small)[0]
                 i1, i2 = _lu_step_integrals(group, omegas[rows], eye_c)
-                # g[r, f, s] = I1[f] f0[r, s] + I2[f] slope[r, s], as one
-                # (s, n) × (n, n) product per (row, ω).
-                g_seg[:, rows[:, None], idx[None, :]] = (
-                    np.matmul(f0[:, None], i1.transpose(0, 2, 1)[None])
-                    + np.matmul(slope[:, None], i2.transpose(0, 2, 1)[None]))
+                _lu_group_forcing(g_seg, rows, idx, f0, slope, i1, i2)
 
     # One-period affine map, all frequencies at once:
     # M_ω = e^{-jωT} M₀ and g_ω = Σ_k e^{-jω(T − t_end_k)} R_k g_k.
@@ -432,16 +474,30 @@ def solve_spectral_batch(context, omegas, segment_forcing,
         eye = np.eye(n, dtype=complex)
         m_stack = eye[None, :, :] - phase_total[:, None, None] * monodromy
         conditions = batched_condition_number(m_stack)
-        tail_phase = np.exp(-1j * omegas[:, None]
-                            * (period - struct.t_end)[None, :])
-        # g_acc[r, f] = Σ_k R_k (tail_phase[f, k] g_seg[r, f, k]): one
+        # g_acc[r, f] = Σ_k R_k (tail_phase[f, k] g_seg[r, k, f]): one
         # (1, S·n) × (S·n, n) product per (row, ω) against the suffix
-        # products flattened to suffix_flat[(k, j), i] = R_k[i, j].
-        weighted = (tail_phase[None, :, :, None] * g_seg).reshape(
-            n_rows, n_freq, 1, n_seg * n)
+        # products flattened to suffix_flat[(k, j), i] = R_k[i, j].  The
+        # weighted forcing is formed one frequency slice at a time.
+        tail = period - struct.t_end
+        # Complex once, not once per slice inside ``matmul``.
         suffix_flat = struct.suffix.transpose(0, 2, 1).reshape(
-            n_seg * n, n)
-        g_acc = np.matmul(weighted, suffix_flat)[:, :, 0]
+            n_seg * n, n).astype(complex)
+        g_acc = np.empty((n_rows, n_freq, n), dtype=complex)
+        step = max(1, min(n_freq, _WEIGHTED_SLICE_BYTES
+                          // (g_seg.nbytes // n_freq)))
+        weighted = np.empty((n_rows, step, n_seg, n), dtype=complex)
+        # scn: ignore[SCN008] - memory slices of one ω-block; the budget
+        # gates at the executor chunk around the block
+        for lo in range(0, n_freq, step):
+            part = slice(lo, lo + step)
+            width = min(step, n_freq - lo)
+            tail_phase = np.exp(-1j * omegas[part, None] * tail[None, :])
+            np.multiply(tail_phase[None, :, :, None],
+                        g_seg[:, :, part].transpose(0, 2, 1, 3),
+                        out=weighted[:, :width])
+            g_acc[:, part] = np.matmul(
+                weighted[:, :width].reshape(n_rows, width, 1, n_seg * n),
+                suffix_flat)[:, :, 0]
         # One LU per frequency, all forcing rows as stacked RHS columns.
         v0_cols, ok = batched_solve(m_stack, np.moveaxis(g_acc, 0, -1),
                                     context="batched fixed-point solve")
@@ -473,7 +529,7 @@ def solve_spectral_batch(context, omegas, segment_forcing,
         for k in range(n_seg):
             g = group_of[k]
             start_sums[g] += v
-            v = seg_phase[k] * (v @ phi_t[k]) + g_seg[:, :, k]
+            v = seg_phase[k] * (v @ phi_t[k]) + g_seg[:, k]
             end_sums[g] += v
             if has_jump[k]:
                 v = v @ struct.jumps[k].T

@@ -22,10 +22,13 @@ produce —
 import numpy as np
 import pytest
 
+import repro.mft.executor as executor
 from repro.circuits import (
     CornerSpec,
     ParameterGrid,
+    ScLowpassParams,
     scale_system_noise,
+    sc_lowpass_system,
     switched_rc_system,
 )
 from repro.diagnostics.budget import SweepBudget
@@ -436,3 +439,103 @@ class TestPsdCornersApi:
             np.testing.assert_array_equal(
                 budget.total,
                 attributed.values[mixed_grid.names.index(name)])
+
+
+# -- the default block ---------------------------------------------------------
+
+@pytest.fixture
+def lowpass_family():
+    """SC low-pass corners: 2 dynamics × (2 uniform intensities + one
+    per-source scaling), so each dynamics group stacks two kernel rows.
+
+    Four states: a one-frequency block rounds like any other (see
+    ``tests/test_mft_spectral.py::TestDefaultBlock``).
+    """
+    base = ScLowpassParams()
+    corners = []
+    for dyn, overrides in (("nom", {}), ("c1hi", {"c1": 1.1 * base.c1})):
+        for name, scale in (("nom", 1.0), ("hot", 1.2), ("src0", {0: 1.7})):
+            corners.append(CornerSpec(name=f"{dyn}/{name}",
+                                      overrides=overrides,
+                                      noise_scale=scale))
+    return ParameterGrid(corners, builder=sc_lowpass_system,
+                         base_params=base)
+
+
+def _corner_record(result):
+    """Values (NaN masks included), budget rows and failure records."""
+    budgets = result.budgets or {}
+    return (result.values.tobytes(),
+            [budgets[name].contributions.tobytes() for name in budgets],
+            {name: [(f.index, f.stage, f.error) for f in records]
+             for name, records in result.failures.items()})
+
+
+class TestDefaultBlock:
+    """A default corner sweep is one chunk of whole frequency slices,
+    split only past the stack cap, with the bits of any chunking."""
+
+    @pytest.fixture
+    def lowpass_freqs(self):
+        freqs = np.linspace(100.0, 12e3, 12)
+        freqs[4] = np.nan
+        return freqs
+
+    def _sweep(self, family, freqs, **kwargs):
+        return corner_psd_sweep(sc_lowpass_system(), family, freqs,
+                                segments_per_phase=SPP, **kwargs)
+
+    @pytest.mark.parametrize("attribute", [False, True])
+    def test_default_block_matches_every_chunk_size(
+            self, lowpass_family, lowpass_freqs, attribute):
+        clear_sweep_contexts()
+        default = self._sweep(lowpass_family, lowpass_freqs,
+                              attribute_sources=attribute)
+        meta = default.info["executor"]
+        n_cells = len(lowpass_family) * lowpass_freqs.size
+        assert (meta["chunk_size"], meta["n_chunks"]) == (n_cells, 1)
+        assert all(len(records) == 1
+                   for records in default.failures.values())
+        for chunk in (1, 7, 64):
+            chunked = self._sweep(lowpass_family, lowpass_freqs,
+                                  chunk_size=chunk,
+                                  attribute_sources=attribute)
+            assert _corner_record(chunked) == _corner_record(default), (
+                f"chunk_size={chunk}")
+
+    def test_cap_counts_the_rows_of_the_largest_group(
+            self, monkeypatch, lowpass_family, lowpass_freqs):
+        # Each dynamics group stacks 2 rows (the shared uniform row and
+        # the per-source row), each 1 + n_sources wide when attributed:
+        # a cap for 3 frequencies of that stack splits 12 frequencies
+        # into 4 chunks of 3 whole frequency slices.
+        clear_sweep_contexts()
+        whole = self._sweep(lowpass_family, lowpass_freqs,
+                            attribute_sources=True)
+        context = sweep_context_for(sc_lowpass_system().system, SPP)
+        n_seg, n = context.structure.phi_stack.shape[:2]
+        row_bytes = 2 * (1 + context.n_sources) * n_seg * n * 16
+        monkeypatch.setattr(executor, "SPECTRAL_STACK_CAP_BYTES",
+                            3 * row_bytes + row_bytes // 2)
+        split = self._sweep(lowpass_family, lowpass_freqs,
+                            attribute_sources=True)
+        meta = split.info["executor"]
+        assert meta["chunk_size"] == 3 * len(lowpass_family)
+        assert meta["n_chunks"] == 4
+        assert _corner_record(split) == _corner_record(whole)
+
+    def test_default_block_is_one_budget_decision(
+            self, rc_system, mixed_grid, freqs, first_chunk_budget):
+        clear_sweep_contexts()
+        result = corner_psd_sweep(rc_system, mixed_grid, freqs,
+                                  segments_per_phase=SPP,
+                                  budget=first_chunk_budget)
+        assert first_chunk_budget.n_checks == 1
+        assert np.all(np.isfinite(result.values))
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5])
+    def test_invalid_chunk_size_rejected(self, rc_system, mixed_grid,
+                                         freqs, value):
+        with pytest.raises(ReproError, match="chunk_size"):
+            corner_psd_sweep(rc_system, mixed_grid, freqs,
+                             segments_per_phase=SPP, chunk_size=value)

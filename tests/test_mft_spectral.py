@@ -10,6 +10,7 @@ severity-tagged diagnostics finding.
 import numpy as np
 import pytest
 
+import repro.mft.executor as executor
 import repro.mft.spectral as spectral
 from repro.circuit.netlist import Netlist
 from repro.circuit.opamp import add_source_follower_opamp
@@ -475,3 +476,165 @@ class TestGroupPeriodIntegral:
             other = resolvent_ref if use_trapezoid else trapezoid_ref
             self._assert_close(got[:, fi], want[:, fi])
             assert not np.allclose(got[:, fi], other[:, fi])
+
+
+# -- the default ω-block -------------------------------------------------------
+
+def _block_analyzer(name):
+    """A parity system, the defective Jordan system, or a rescued sweep."""
+    if name == "jordan":
+        return MftNoiseAnalyzer(_jordan_system(), segments_per_phase=8)
+    if name == "rescued":
+        # A sub-unity condition limit rejects every batched solve, so
+        # every finite frequency is rescued through the fallback chain.
+        policy = FallbackPolicy(condition_limit=0.5,
+                                enable_refinement=False,
+                                enable_brute_force=False)
+        return MftNoiseAnalyzer(switched_rc_system(), segments_per_phase=16,
+                                fallback=policy)
+    return _parity_analyzer(name)
+
+
+def _sweep_record(result):
+    """What a chunking must leave bit-identical: values, NaN masks
+    (inside the value bytes), budget rows and failure records."""
+    budget = result.info["budget"]
+    return (result.psd.tobytes(),
+            None if budget is None else budget.contributions.tobytes(),
+            _failure_records(result))
+
+
+class TestDefaultBlock:
+    """A default spectral-batch sweep is one ω-block over the whole grid,
+    split only past :data:`~repro.mft.executor.SPECTRAL_STACK_CAP_BYTES`,
+    and every chunking gives the same bits."""
+
+    # switched-rc mixes the series and LU step-integral regimes in one
+    # block, the ideal S/H has jumps, the Jordan system a defective
+    # group, and "rescued" runs every point through the fallback chain.
+    @pytest.mark.parametrize("attribute", [False, True])
+    @pytest.mark.parametrize("name", ["switched-rc", "sc-lowpass",
+                                      "sc-cascade-4", "ideal-sh-0.5",
+                                      "jordan", "rescued"])
+    def test_default_block_matches_every_chunk_size(self, name, attribute):
+        analyzer = _block_analyzer(name)
+        freqs = _parity_grid(analyzer, n=24)
+        freqs[[3, 17]] = [np.nan, np.inf]
+        default = analyzer.psd_sweep(freqs, solver="spectral-batch",
+                                     attribute_sources=attribute)
+        assert default.info["executor"]["n_chunks"] == 1
+        assert len(_failure_records(default)) >= 2
+        for chunk in (7, 64):
+            chunked = analyzer.psd_sweep(freqs, solver="spectral-batch",
+                                         chunk_size=chunk,
+                                         attribute_sources=attribute)
+            assert _sweep_record(chunked) == _sweep_record(default), (
+                f"chunk_size={chunk}")
+        single = analyzer.psd_sweep(freqs, solver="spectral-batch",
+                                    chunk_size=1,
+                                    attribute_sources=attribute)
+        if analyzer.context.structure.phi_stack.shape[1] > 2:
+            assert _sweep_record(single) == _sweep_record(default)
+        else:
+            # A one-frequency block of a system with at most two states
+            # makes numpy's complex multiplies one-element loops, which
+            # round without the fused SIMD kernel: about an ulp apart.
+            _assert_spectral_equivalent(default, single)
+            finite = np.isfinite(default.psd)
+            scale = np.max(np.abs(default.psd[finite]))
+            assert np.max(np.abs(single.psd[finite]
+                                 - default.psd[finite])) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("per_block", [5, 1])
+    def test_cap_splits_the_sweep_with_identical_values(self, monkeypatch,
+                                                        per_block):
+        analyzer = _parity_analyzer("sc-lowpass")
+        freqs = _parity_grid(analyzer, n=24)
+        whole = analyzer.psd_sweep(freqs, solver="spectral-batch",
+                                   attribute_sources=True)
+        context = analyzer.context
+        n_seg, n = context.structure.phi_stack.shape[:2]
+        row_bytes = (1 + context.n_sources) * n_seg * n * 16
+        # The cap fits ``per_block`` frequencies (and not one more); a
+        # cap below one frequency's stack still sweeps one at a time.
+        cap = per_block * row_bytes + row_bytes // 2 if per_block > 1 \
+            else row_bytes // 2
+        monkeypatch.setattr(executor, "SPECTRAL_STACK_CAP_BYTES", cap)
+        split = analyzer.psd_sweep(freqs, solver="spectral-batch",
+                                   attribute_sources=True)
+        meta = split.info["executor"]
+        assert meta["chunk_size"] == per_block
+        assert meta["n_chunks"] == -(-freqs.size // per_block)
+        assert _sweep_record(split) == _sweep_record(whole)
+
+    def test_cap_counts_every_stacked_row(self):
+        # An attributed sweep stacks 1 + n_sources kernel rows, so its
+        # block holds proportionally fewer frequencies.
+        context = _parity_analyzer("sc-lowpass").context
+        n_seg, n = context.structure.phi_stack.shape[:2]
+        cap = executor.SPECTRAL_STACK_CAP_BYTES
+        big = 10 * cap // (n_seg * n * 16)
+        assert executor.spectral_block_size(context, big, 1) == (
+            cap // (n_seg * n * 16))
+        assert executor.spectral_block_size(context, big, 3) == (
+            cap // (3 * n_seg * n * 16))
+        assert executor.spectral_block_size(context, 5, 3) == 5
+        assert executor.spectral_block_size(context, 0, 1) == 1
+
+    def test_executor_reports_the_block_actually_used(self, lowpass_model):
+        clear_sweep_contexts()
+        analyzer = MftNoiseAnalyzer(lowpass_model.system,
+                                    segments_per_phase=64)
+        freqs = np.linspace(100.0, 12e3, 256)
+        meta = analyzer.psd_sweep(
+            freqs, solver="spectral-batch").info["executor"]
+        assert (meta["chunk_size"], meta["n_chunks"]) == (256, 1)
+        meta = analyzer.psd_sweep(freqs[:24], solver="spectral-batch",
+                                  chunk_size=7).info["executor"]
+        assert (meta["chunk_size"], meta["n_chunks"]) == (7, 4)
+        meta = analyzer.psd_sweep(freqs[:24]).info["executor"]
+        assert (meta["chunk_size"], meta["n_chunks"]) == (8, 3)
+        for solver in ("spectral-batch", "mft"):
+            empty = analyzer.psd_sweep(np.empty(0), solver=solver)
+            assert empty.psd.size == 0
+            assert empty.info["executor"] == {
+                "solver": None if solver == "mft" else solver,
+                "chunk_size": 0, "n_chunks": 0, "n_chunks_skipped": 0}
+
+    def test_default_block_is_one_budget_decision(self, first_chunk_budget):
+        analyzer = _parity_analyzer("switched-rc")
+        freqs = _parity_grid(analyzer, n=6)
+        result = analyzer.psd_sweep(freqs, solver="spectral-batch",
+                                    budget=first_chunk_budget)
+        assert first_chunk_budget.n_checks == 1
+        assert np.all(np.isfinite(result.psd))
+        assert result.info["executor"]["n_chunks_skipped"] == 0
+
+    def test_explicit_chunks_still_stop_after_a_spent_budget(
+            self, first_chunk_budget):
+        analyzer = _parity_analyzer("switched-rc")
+        freqs = _parity_grid(analyzer, n=6)
+        result = analyzer.psd_sweep(freqs, solver="spectral-batch",
+                                    chunk_size=2, budget=first_chunk_budget)
+        assert np.all(np.isfinite(result.psd[:2]))
+        assert np.all(np.isnan(result.psd[2:]))
+        assert [(f.index, f.stage) for f in result.info["failures"]] == [
+            (k, "budget") for k in range(2, freqs.size)]
+        meta = result.info["executor"]
+        assert (meta["n_chunks"], meta["n_chunks_skipped"]) == (3, 2)
+
+    def test_unsorted_grid_scatters_to_the_same_bits(self):
+        # Shuffled, the switched-RC grid interleaves the series and LU
+        # regimes inside the block, so the LU products are scattered
+        # instead of written in place: each frequency's value must not
+        # depend on its position.
+        analyzer = _parity_analyzer("switched-rc")
+        freqs = _parity_grid(analyzer, n=24)
+        order = np.random.default_rng(5).permutation(freqs.size)
+        in_order = analyzer.psd_sweep(freqs, solver="spectral-batch",
+                                      attribute_sources=True)
+        shuffled = analyzer.psd_sweep(freqs[order], solver="spectral-batch",
+                                      attribute_sources=True)
+        assert shuffled.psd.tobytes() == in_order.psd[order].tobytes()
+        assert (shuffled.budget.contributions.tobytes()
+                == in_order.budget.contributions[:, order].tobytes())
