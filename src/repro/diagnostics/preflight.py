@@ -52,14 +52,30 @@ def preflight_report(disc, stability_margin=DEFAULT_STABILITY_MARGIN,
     Checks 3–4 are skipped when 2 finds non-finite propagators — the
     monodromy would be meaningless.
     """
+    return run_preflight(disc, disc.monodromy, stability_margin,
+                         condition_limit)
+
+
+def run_preflight(disc, monodromy, stability_margin=DEFAULT_STABILITY_MARGIN,
+                  condition_limit=DEFAULT_CONDITION_LIMIT):
+    """:func:`preflight_report` with the period product supplied.
+
+    ``monodromy`` is a zero-argument callable returning ``disc``'s
+    one-period state transition matrix; it is called at most once, and
+    only when every array is finite.  A
+    :class:`~repro.mft.context.SweepContext` passes its cached
+    monodromy, so the stability and conditioning checks and the solver
+    share one product.
+    """
     report = DiagnosticsReport(context="preflight")
     _check_schedule(disc, report)
     finite = _check_finite(disc, report)
     if finite:
-        radius, multipliers = _check_stability(disc, report,
+        phi_t = monodromy()
+        radius, multipliers = _check_stability(phi_t, report,
                                                stability_margin)
         if radius is not None and radius < 1.0:
-            _check_conditioning(disc, report, condition_limit)
+            _check_conditioning(phi_t, report, condition_limit)
     else:
         report.warning(
             "stability-skipped",
@@ -84,7 +100,15 @@ def require_preflight(disc, stability_margin=DEFAULT_STABILITY_MARGIN,
     :class:`~repro.errors.ScheduleError`; both carry the full report on
     ``err.diagnostics``. Returns the report otherwise.
     """
-    report = preflight_report(disc, stability_margin, condition_limit)
+    return raise_preflight_errors(
+        preflight_report(disc, stability_margin, condition_limit))
+
+
+def raise_preflight_errors(report):
+    """Raise for a preflight ``report`` with ERROR findings, else return it.
+
+    The exceptions are those of :func:`require_preflight`.
+    """
     if not report.has_errors:
         return report
     unstable = report.by_code("floquet-unstable")
@@ -134,18 +158,31 @@ def _check_schedule(disc, report):
             covered=float(t), period=period)
 
 
+def _segment_parts(seg):
+    """``(name, array)`` pairs preflight scans for one segment, in order."""
+    parts = [("propagator", seg.phi), ("gramian", seg.gramian)]
+    if seg.jump is not None:
+        parts.append(("jump", seg.jump))
+    if seg.a_matrix is not None:
+        parts.append(("a-matrix", seg.a_matrix))
+    return parts
+
+
 def _check_finite(disc, report):
-    """Flag NaN/Inf in propagators/Gramians/jumps; True when all finite."""
-    bad = []
-    for k, seg in enumerate(disc.segments):
-        parts = {"propagator": seg.phi, "gramian": seg.gramian}
-        if seg.jump is not None:
-            parts["jump"] = seg.jump
-        if seg.a_matrix is not None:
-            parts["a-matrix"] = seg.a_matrix
-        for name, mat in parts.items():
-            if not np.all(np.isfinite(mat)):
-                bad.append((k, name))
+    """Flag NaN/Inf in propagators/Gramians/jumps; True when all finite.
+
+    The discretizer shares one array object across the segments of a
+    phase, so each distinct array (by identity) is scanned once; only
+    when one is non-finite are the findings itemized per segment.
+    """
+    arrays = {id(mat): mat for seg in disc.segments
+              for _name, mat in _segment_parts(seg)}
+    finite = {key: bool(np.all(np.isfinite(mat)))
+              for key, mat in arrays.items()}
+    if all(finite.values()):
+        return True
+    bad = [(k, name) for k, seg in enumerate(disc.segments)
+           for name, mat in _segment_parts(seg) if not finite[id(mat)]]
     for k, name in bad[:_MAX_SEGMENT_FINDINGS]:
         seg = disc.segments[k]
         report.error(
@@ -159,11 +196,10 @@ def _check_finite(disc, report):
             f"... and {len(bad) - _MAX_SEGMENT_FINDINGS} further "
             "segments with non-finite entries",
             suppressed=len(bad) - _MAX_SEGMENT_FINDINGS)
-    return not bad
+    return False
 
 
-def _check_stability(disc, report, stability_margin):
-    phi_t = disc.monodromy()
+def _check_stability(phi_t, report, stability_margin):
     multipliers = eigenvalues(phi_t, context="preflight stability check")
     multipliers = multipliers[np.argsort(-np.abs(multipliers))]
     radius = float(np.max(np.abs(multipliers))) if multipliers.size else 0.0
@@ -191,8 +227,7 @@ def _check_stability(disc, report, stability_margin):
     return radius, multipliers
 
 
-def _check_conditioning(disc, report, condition_limit):
-    phi_t = disc.monodromy()
+def _check_conditioning(phi_t, report, condition_limit):
     n = phi_t.shape[0]
     system = np.eye(n) - phi_t
     cond = condition_number(system)

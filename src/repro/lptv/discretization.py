@@ -121,9 +121,12 @@ def accumulate_period_gramian(segments, gramians):
     phi = np.eye(n)
     gram = np.zeros(np.shape(gramians[0]))
     for seg, seg_gram in zip(segments, gramians):
-        gram = seg.phi @ gram @ seg.phi.T + seg_gram
-        phi = seg.phi @ phi
-        if seg.jump is not None:
-            gram = seg.jump @ gram @ seg.jump.T
-            phi = seg.jump @ phi
+        seg_phi = seg.phi
+        gram = seg_phi @ gram @ seg_phi.T
+        gram += seg_gram
+        phi = seg_phi @ phi
+        jump = seg.jump
+        if jump is not None:
+            gram = jump @ gram @ jump.T
+            phi = jump @ phi
     return phi, 0.5 * (gram + np.swapaxes(gram, -1, -2))

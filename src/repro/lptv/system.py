@@ -187,20 +187,23 @@ class PiecewiseLTISystem:
             if count < 1:
                 raise ScheduleError("segments_per_phase must be >= 1")
             edges = _phase_edges(phase, count, boundary_layer)
+            # One (Φ, Gramian) per distinct relative step, rounded as
+            # numpy rounds (Python's round() differs in the last digit).
+            keys = np.round(np.diff(edges) / phase.duration, 15).tolist()
+            edges = edges.tolist()
             bbt = phase.b_matrix @ phase.b_matrix.T
             cache: dict[float, tuple[FloatArray, FloatArray]] = {}
-            for k in range(len(edges) - 1):
-                h = edges[k + 1] - edges[k]
-                key = round(h / phase.duration, 15)
+            last = len(keys) - 1
+            for k, key in enumerate(keys):
                 if key not in cache:
-                    cache[key] = vanloan_gramian(phase.a_matrix, bbt, h)
+                    cache[key] = vanloan_gramian(
+                        phase.a_matrix, bbt, edges[k + 1] - edges[k])
                 phi, gram = cache[key]
-                jump = phase.end_jump if k == len(edges) - 2 else None
                 segments.append(Segment(
                     t_start=t + edges[k], t_end=t + edges[k + 1],
                     phi=phi, gramian=gram, b_matrix=phase.b_matrix,
-                    jump=jump, a_matrix=phase.a_matrix,
-                    phase_name=phase.name))
+                    jump=phase.end_jump if k == last else None,
+                    a_matrix=phase.a_matrix, phase_name=phase.name))
             t += phase.duration
         return PeriodDiscretization(
             segments=segments, period=self.period,

@@ -55,6 +55,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..diagnostics.preflight import run_preflight
 from ..errors import ReproError, SingularMatrixError
 from ..linalg.checked import checked_solve
 from ..linalg.lyapunov import (
@@ -221,7 +222,8 @@ def build_structure(disc):
     segments = disc.segments
     n = disc.n_states
     n_seg = len(segments)
-    durations = np.asarray([seg.duration for seg in segments])
+    seg_durations = [seg.duration for seg in segments]
+    durations = np.asarray(seg_durations)
     t_end = np.asarray([seg.t_end for seg in segments])
     phi_stack = np.stack([seg.phi for seg in segments])
     has_jump = np.asarray([seg.jump is not None for seg in segments])
@@ -231,8 +233,10 @@ def build_structure(disc):
     acc = np.eye(n)
     for k in range(n_seg - 1, -1, -1):
         jump = jumps[k]
-        suffix[k] = acc @ jump if jump is not None else acc
-        acc = suffix[k] @ phi_stack[k]
+        if jump is not None:
+            acc = acc @ jump
+        suffix[k] = acc
+        acc = acc @ phi_stack[k]
 
     # Key on the objects the discretizer shares, not on the float
     # durations: ``t_end − t_start`` differs by ulps across the segments
@@ -240,10 +244,10 @@ def build_structure(disc):
     tol = SCHEDULE_TILE_RTOL * max(disc.period, 1.0)
     group_index = {}
     groups = []
-    group_of = np.empty(n_seg, dtype=int)
+    group_of = []
     # scn: ignore[SCN008] - one-shot structure build at context warm-up,
     # bounded by the grid size; sweeps budget-gate per frequency chunk
-    for k, seg in enumerate(segments):
+    for k, (seg, duration) in enumerate(zip(segments, seg_durations)):
         if seg.a_matrix is None:
             raise ReproError(
                 "segment is missing its A matrix; rebuild the "
@@ -251,18 +255,18 @@ def build_structure(disc):
         key = (id(seg.a_matrix), id(seg.phi))
         idx = group_index.get(key)
         if idx is None:
-            idx = len(groups)
-            group_index[key] = idx
+            idx = group_index[key] = len(groups)
             groups.append(_SegmentGroup(
-                a_matrix=seg.a_matrix, duration=seg.duration,
+                a_matrix=seg.a_matrix, duration=duration,
                 indices=np.empty(0, dtype=int), phi=seg.phi))
-        elif abs(durations[k] - groups[idx].duration) > tol:
+        elif abs(duration - groups[idx].duration) > tol:
             raise ReproError(
                 f"segment {k} shares its propagator with a segment of "
                 f"duration {groups[idx].duration:.6g} but lasts "
-                f"{durations[k]:.6g}; one propagator object must not "
+                f"{duration:.6g}; one propagator object must not "
                 "serve segments of different lengths")
-        group_of[k] = idx
+        group_of.append(idx)
+    group_of = np.asarray(group_of, dtype=int)
     for idx, group in enumerate(groups):
         group.indices = np.nonzero(group_of == idx)[0]
     return _SweepStructure(
@@ -359,6 +363,7 @@ class SweepContext:
         self._structure = None
         self._covariance = None
         self._monodromy = None
+        self._preflight = None
         self._spectral = None
         self._forcing = {}
         self._omega_cache = OrderedDict()
@@ -410,6 +415,22 @@ class SweepContext:
         else:
             self.stats.hit("monodromy")
         return self._monodromy
+
+    @property
+    def preflight(self):
+        """Preflight report of :attr:`disc` at the default thresholds.
+
+        Computed once, from the cached :attr:`monodromy`: the stability
+        check, the conditioning check and the solver share one period
+        product.  Never raises; the analyzer raises on its errors.
+        """
+        if self._preflight is None:
+            self.stats.miss("preflight")
+            self._preflight = run_preflight(self.disc,
+                                            lambda: self.monodromy)
+        else:
+            self.stats.hit("preflight")
+        return self._preflight
 
     @property
     def spectral_bases(self):
@@ -926,6 +947,15 @@ class _DerivedIntensityContext(SweepContext):
     def spectral_bases(self):
         """The parent's eigenbases — dynamics are identical by design."""
         return self.parent.spectral_bases
+
+    @property
+    def preflight(self):
+        """The parent's report, so no rescaled :attr:`disc` is built.
+
+        Intensity scaling changes neither the schedule, the
+        propagators' finiteness, nor the Floquet multipliers.
+        """
+        return self.parent.preflight
 
     def forcing_pairs(self, l_row):
         """Intensity-scaled forcing by linearity in the noise PSDs."""

@@ -467,7 +467,7 @@ def _build_members(model_or_system: Any, grid: ParameterGrid,
     base_system = _system_of(model_or_system)
     noise_labels = getattr(model_or_system, "noise_labels", None)
 
-    roots: "dict[tuple[tuple[str, str], ...], tuple[Any, SweepContext, MftNoiseAnalyzer | None]]" = {}
+    roots: "dict[tuple[tuple[str, str], ...], tuple[Any, SweepContext]]" = {}
     members: "list[MftNoiseAnalyzer]" = []
     for index, corner in enumerate(grid.corners):
         dyn_key = corner.overrides_key()
@@ -477,9 +477,8 @@ def _build_members(model_or_system: Any, grid: ParameterGrid,
             system = base_system if built is None else _system_of(built)
             context = sweep_context_for(system, segments_per_phase,
                                         family=family)
-            roots[dyn_key] = (system, context, None)
-            root = roots[dyn_key]
-        system, context, root_member = root
+            root = roots[dyn_key] = (system, context)
+        system, context = root
 
         scale = corner.uniform_scale
         trivial = scale is not None and scale == 1.0
@@ -498,25 +497,14 @@ def _build_members(model_or_system: Any, grid: ParameterGrid,
                 build=lambda c=context, s=scales, ms=member_system:
                     c.derive_intensity_scaled(s, system=ms))
 
-        # One preflight per dynamics root, cached on the (registry
-        # -cached) root context across sweeps: the first member on a
-        # root validates; intensity siblings and later sweeps adopt
-        # its report (intensity scaling cannot change stability,
-        # schedule, or finiteness, and a cached context's
-        # discretization is immutable).
-        preflight: Any = (getattr(context, "_preflight_report", None)
-                          if root_member is None
-                          else root_member.preflight)
-        if preflight is None:
-            preflight = True
-        member = MftNoiseAnalyzer(
+        # Every member on a root shares one preflight report: the root
+        # context validates its own discretization once (and keeps the
+        # report across sweeps, as the registry keeps the context), and
+        # a derived context hands out its root's report.
+        members.append(MftNoiseAnalyzer(
             member_system, segments_per_phase=segments_per_phase,
             output_row=output_row, context=member_context,
-            preflight=preflight, recorder=recorder)
-        if root_member is None:
-            setattr(context, "_preflight_report", member.preflight)
-            roots[dyn_key] = (system, context, member)
-        members.append(member)
+            preflight=True, recorder=recorder))
     return members
 
 

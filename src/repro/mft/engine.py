@@ -50,7 +50,7 @@ from ..diagnostics.fallback import (
     FallbackPolicy,
     run_fallback_chain,
 )
-from ..diagnostics.preflight import preflight_report, require_preflight
+from ..diagnostics.preflight import preflight_report, raise_preflight_errors
 from ..diagnostics.report import DiagnosticsReport, FrequencyFailure
 from ..errors import ReproError, UnexpectedOptionError
 from ..noise.solvers import resolve_solver
@@ -94,6 +94,7 @@ class MftNoiseAnalyzer:
         raise immediately (:class:`~repro.errors.StabilityError` for an
         unstable system, with the multipliers attached); warnings are
         kept on :attr:`preflight` and attached to every sweep result.
+        The report is the context's, computed once per context.
     fallback:
         ``True``/``None`` enables the graceful-degradation chain with
         default :class:`~repro.diagnostics.fallback.FallbackPolicy`
@@ -120,9 +121,10 @@ class MftNoiseAnalyzer:
     (see DESIGN.md §9).
 
     The analyzer reads its discretization through the context, on
-    first use: preflight reads it, but a corner member that adopts its
-    root's preflight on a derived context never builds one on the
-    batched path.
+    first use.  Preflight raises on the context's cached report
+    (:attr:`~repro.mft.context.SweepContext.preflight`); a corner member
+    on a derived context takes its root's report and never builds a
+    discretization on the batched path.
     """
 
     def __init__(self, system, *, segments_per_phase=64,
@@ -160,14 +162,10 @@ class MftNoiseAnalyzer:
         else:
             self.fallback = fallback
         self.budget = budget
-        if isinstance(preflight, DiagnosticsReport):
-            # An already-computed report (e.g. shared across the derived
-            # intensity corners of one dynamics root in a corner sweep) —
-            # adopt it instead of re-validating the same discretization.
-            self.preflight = preflight
-        elif preflight:
+        if preflight:
             with self.recorder.span("mft.preflight"):
-                self.preflight = require_preflight(self._disc)
+                self.preflight = raise_preflight_errors(
+                    self._context.preflight)
         else:
             self.preflight = DiagnosticsReport(context="preflight skipped")
 

@@ -182,22 +182,38 @@ def _propagate_over_period(segments, gramians, k0):
 
     ``k0`` is ``(n, n)`` or a stack ``(m, n, n)`` matching stacked
     ``gramians``; samples are ``(len(segments) + 1, n, n)``, stacked
-    as ``(m, len(segments) + 1, n, n)``.
+    as ``(m, len(segments) + 1, n, n)``.  The recursion is sequential,
+    so its body stays lean: each step symmetrizes the real ``K`` as
+    ``0.5 (K + Kᵀ)`` straight into its time-major sample row, the bits
+    :func:`~repro.linalg.packing.symmetrize` gives.
     """
-    n_pts = len(segments) + 1
-    shape = k0.shape[:-2] + (n_pts,) + k0.shape[-2:]
-    pre = np.zeros(shape)
-    post = np.zeros(shape)
-    pre[..., 0, :, :] = k0
-    post[..., 0, :, :] = k0
+    shape = (len(segments) + 1,) + k0.shape
+    pre = np.empty(shape)
+    post = np.empty(shape)
+    pre[0] = k0
+    post[0] = k0
     k = k0
-    for idx, (seg, gram) in enumerate(zip(segments, gramians)):
-        k = symmetrize(seg.phi @ k @ seg.phi.T + gram)
-        pre[..., idx + 1, :, :] = k
-        if seg.jump is not None:
-            k = symmetrize(seg.jump @ k @ seg.jump.T)
-        post[..., idx + 1, :, :] = k
-    return pre, post
+    for idx, (seg, gram) in enumerate(zip(segments, gramians), 1):
+        phi = seg.phi
+        k = phi @ k @ phi.T
+        k += gram
+        row = pre[idx]
+        np.add(k, k.swapaxes(-1, -2), out=row)
+        row *= 0.5
+        k = row
+        jump = seg.jump
+        if jump is not None:
+            k = jump @ k @ jump.T
+            row = post[idx]
+            np.add(k, k.swapaxes(-1, -2), out=row)
+            row *= 0.5
+            k = row
+        else:
+            post[idx] = k
+    if k0.ndim == 2:
+        return pre, post
+    return (np.ascontiguousarray(np.moveaxis(pre, 0, -3)),
+            np.ascontiguousarray(np.moveaxis(post, 0, -3)))
 
 
 def _as_disc(system_or_disc, segments_per_phase):

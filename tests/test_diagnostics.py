@@ -28,8 +28,17 @@ from repro.errors import (
     StabilityError,
 )
 from repro.baselines.lti import lti_noise_psd
+from repro.circuits import sc_lowpass_system
+from repro.linalg.checked import eigenvalues
+from repro.lptv.discretization import PeriodDiscretization
 from repro.lptv.monodromy import require_stable, stability_margin
-from repro.lptv.system import Phase, PiecewiseLTISystem, lti_phase_system
+from repro.lptv.system import (
+    Phase,
+    PiecewiseLTISystem,
+    SampledLPTVSystem,
+    lti_phase_system,
+)
+from repro.mft.context import clear_sweep_contexts
 from repro.mft.engine import MftNoiseAnalyzer
 from repro.noise.brute_force import brute_force_psd
 
@@ -151,6 +160,156 @@ class TestPreflight:
                   a_matrix=np.array([[-1.0]]), b_matrix=np.array([[1.0]]))
         with pytest.raises(ScheduleError):
             PiecewiseLTISystem(phases=[])
+
+
+def two_phase_system():
+    """Two stable phases; the first ends in a charge-sharing jump."""
+    first = Phase(name="p1", duration=1e-3,
+                  a_matrix=np.array([[-2e3, 0.0], [1e2, -1e3]]),
+                  b_matrix=np.array([[1.0], [0.0]]),
+                  end_jump=np.array([[1.0, 0.0], [0.5, 0.5]]))
+    second = Phase(name="p2", duration=1e-3,
+                   a_matrix=np.array([[-1e3, 0.0], [0.0, -3e3]]),
+                   b_matrix=0.5 * np.eye(2))
+    return PiecewiseLTISystem(phases=[first, second])
+
+
+def _findings(report):
+    return [(f.code, f.severity, f.message, f.data) for f in report]
+
+
+SKIPPED = ("stability-skipped", Severity.WARNING,
+           "stability and conditioning checks skipped: discretization "
+           "contains non-finite propagators", {})
+
+
+class TestNonFiniteItemization:
+    """Preflight scans each shared array once; findings stay per segment.
+
+    A NaN in a matrix the discretizer shares across a phase must still
+    be reported segment by segment, in segment order, capped at 8 with
+    a count of the rest.
+    """
+
+    def test_nan_in_shared_propagator(self):
+        disc = two_phase_system().discretize(64)
+        disc.segments[64].phi[0, 0] = np.nan  # shared by all of p2
+        assert _findings(preflight_report(disc)) == [
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 64 ('p2') has non-finite entries in its propagator",
+             {"segment": 64, "part": "propagator"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 65 ('p2') has non-finite entries in its propagator",
+             {"segment": 65, "part": "propagator"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 66 ('p2') has non-finite entries in its propagator",
+             {"segment": 66, "part": "propagator"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 67 ('p2') has non-finite entries in its propagator",
+             {"segment": 67, "part": "propagator"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 68 ('p2') has non-finite entries in its propagator",
+             {"segment": 68, "part": "propagator"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 69 ('p2') has non-finite entries in its propagator",
+             {"segment": 69, "part": "propagator"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 70 ('p2') has non-finite entries in its propagator",
+             {"segment": 70, "part": "propagator"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 71 ('p2') has non-finite entries in its propagator",
+             {"segment": 71, "part": "propagator"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "... and 56 further segments with non-finite entries",
+             {"suppressed": 56}),
+            SKIPPED,
+        ]
+
+    def test_nan_in_jump_flags_only_the_phase_end(self):
+        disc = two_phase_system().discretize(64)
+        disc.segments[63].jump[1, 0] = np.inf
+        assert _findings(preflight_report(disc)) == [
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 63 ('p1') has non-finite entries in its jump",
+             {"segment": 63, "part": "jump"}),
+            SKIPPED,
+        ]
+
+    def test_nan_in_a_matrix(self):
+        disc = two_phase_system().discretize(64)
+        disc.segments[0].a_matrix[1, 1] = np.nan  # shared by all of p1
+        assert _findings(preflight_report(disc)) == [
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 0 ('p1') has non-finite entries in its a-matrix",
+             {"segment": 0, "part": "a-matrix"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 1 ('p1') has non-finite entries in its a-matrix",
+             {"segment": 1, "part": "a-matrix"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 2 ('p1') has non-finite entries in its a-matrix",
+             {"segment": 2, "part": "a-matrix"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 3 ('p1') has non-finite entries in its a-matrix",
+             {"segment": 3, "part": "a-matrix"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 4 ('p1') has non-finite entries in its a-matrix",
+             {"segment": 4, "part": "a-matrix"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 5 ('p1') has non-finite entries in its a-matrix",
+             {"segment": 5, "part": "a-matrix"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 6 ('p1') has non-finite entries in its a-matrix",
+             {"segment": 6, "part": "a-matrix"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 7 ('p1') has non-finite entries in its a-matrix",
+             {"segment": 7, "part": "a-matrix"}),
+            ("non-finite-propagator", Severity.ERROR,
+             "... and 56 further segments with non-finite entries",
+             {"suppressed": 56}),
+            SKIPPED,
+        ]
+
+    def test_sampled_system_shares_nothing(self):
+        system = SampledLPTVSystem(
+            a_of_t=lambda t: np.array([[-1.0 - 0.5 * np.sin(t)]]),
+            b_of_t=lambda _t: np.array([[1.0]]),
+            period=2.0 * np.pi, n_states=1)
+        disc = system.discretize(16)
+        disc.segments[5].gramian[0, 0] = np.inf
+        assert _findings(preflight_report(disc)) == [
+            ("non-finite-propagator", Severity.ERROR,
+             "segment 5 ('seg5') has non-finite entries in its gramian",
+             {"segment": 5, "part": "gramian"}),
+            SKIPPED,
+        ]
+
+
+class TestPreflightSharesMonodromy:
+    def test_one_period_product_per_discretization(self, monkeypatch):
+        calls = []
+        real = PeriodDiscretization.monodromy
+
+        def counting(disc):
+            calls.append(disc)
+            return real(disc)
+
+        monkeypatch.setattr(PeriodDiscretization, "monodromy", counting)
+        clear_sweep_contexts()
+        analysis = repro.NoiseAnalysis(sc_lowpass_system())
+        result = analysis.psd_sweep(np.linspace(100.0, 12e3, 6),
+                                    solver="spectral-batch")
+        assert np.all(np.isfinite(result.psd))
+        assert len(calls) == 1
+        # Stability and conditioning read the product the solver uses.
+        context = analysis.context
+        assert calls[0] is context.disc
+        stable = analysis.preflight.by_code("floquet-stable")[0]
+        expected = eigenvalues(context.monodromy)
+        expected = expected[np.argsort(-np.abs(expected))]
+        assert np.array_equal(np.asarray(stable.data["multipliers"]),
+                              expected)
+        assert analysis.preflight is context.preflight
+        clear_sweep_contexts()
 
 
 class TestStabilityHelpers:

@@ -173,3 +173,88 @@ class TestPeriodDiscretization:
         for seg, mat in zip(disc.segments, shifted):
             assert np.allclose(
                 mat, np.exp(-1j * omega * seg.duration) * seg.phi)
+
+
+def jumping_system():
+    """Two phases with end jumps and a fast mode in the first phase."""
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    fast = Phase("fast", 1e-3, np.diag([-1e6, -1e2]), np.eye(2),
+                 end_jump=swap)
+    slow = Phase("slow", 7e-4, np.array([[-3e3, 1e2], [0.0, -5e2]]),
+                 np.array([[1.0], [0.5]]), end_jump=0.5 * np.eye(2))
+    return PiecewiseLTISystem(phases=[fast, slow])
+
+
+class TestDiscretizationSharing:
+    """The per-phase object sharing that set-up work relies on.
+
+    Preflight scans each distinct array once, the structure groups
+    segments by shared ``(A, Φ)`` objects, and the per-source split
+    keys on shared Gramians: all of them assume these contracts.
+    """
+
+    COUNTS = (64, 48)
+
+    def test_uniform_phase_shares_one_object_per_matrix(self):
+        system = jumping_system()
+        disc = system.discretize(list(self.COUNTS))
+        start = 0
+        for phase, count in zip(system.phases, self.COUNTS):
+            segments = disc.segments[start:start + count]
+            first = segments[0]
+            for seg in segments:
+                assert seg.phase_name == phase.name
+                assert seg.phi is first.phi
+                assert seg.gramian is first.gramian
+                assert seg.a_matrix is phase.a_matrix
+                assert seg.b_matrix is phase.b_matrix
+            start += count
+        # Each phase computed its own propagator.
+        assert disc.segments[0].phi is not disc.segments[-1].phi
+
+    def test_only_last_segment_of_a_phase_jumps(self):
+        system = jumping_system()
+        disc = system.discretize(list(self.COUNTS))
+        jumps = [(k, seg.jump) for k, seg in enumerate(disc.segments)
+                 if seg.jump is not None]
+        assert [k for k, _ in jumps] == [63, 111]
+        assert jumps[0][1] is system.phases[0].end_jump
+        assert jumps[1][1] is system.phases[1].end_jump
+
+    def test_segment_times_bit_identical_to_linspace(self):
+        system = jumping_system()
+        disc = system.discretize(list(self.COUNTS))
+        t = 0.0
+        start = 0
+        for phase, count in zip(system.phases, self.COUNTS):
+            edges = np.linspace(0.0, phase.duration, count + 1)
+            for k in range(count):
+                seg = disc.segments[start + k]
+                assert seg.t_start == t + edges[k]
+                assert seg.t_end == t + edges[k + 1]
+            t += phase.duration
+            start += count
+
+    def test_boundary_layer_one_vanloan_per_distinct_step(self, monkeypatch):
+        from repro.lptv import system as system_module
+
+        calls = []
+        real = system_module.vanloan_gramian
+
+        def counting(a_matrix, bbt, dt):
+            calls.append(dt)
+            return real(a_matrix, bbt, dt)
+
+        monkeypatch.setattr(system_module, "vanloan_gramian", counting)
+        system = jumping_system()
+        disc = system.discretize(32, boundary_layer=True)
+        expected = 0
+        for phase in system.phases:
+            edges = system_module._phase_edges(phase, 32, True)
+            expected += len(set(np.round(np.diff(edges) / phase.duration,
+                                         15).tolist()))
+        # The fast phase is graded (a log layer of distinct steps); its
+        # uniform remainder and the ungraded slow phase share one each.
+        assert expected == 18
+        assert len(calls) == expected
+        assert len({id(seg.phi) for seg in disc.segments}) == expected

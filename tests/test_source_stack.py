@@ -35,6 +35,7 @@ from repro.mft.context import (
     sweep_context_for,
 )
 from repro.noise.covariance import periodic_covariance
+from repro.obs import Recorder
 
 CIRCUITS = {
     "switched-rc": switched_rc_system,
@@ -127,21 +128,39 @@ def test_attributed_corner_sweep_matches_source_disc_route():
         assert np.array_equal(got.contributions, want.contributions)
 
 
-def test_corner_sweep_builds_no_derived_discretization():
+def _check_corner_sweep_builds_no_derived_discretization(intensities):
     clear_sweep_contexts()
     model = sc_lowpass_system()
     base = ScLowpassParams()
     grid = ParameterGrid.cross({"nom": {}, "c1hi": {"c1": 1.1 * base.c1}},
-                               {"nom": 1.0, "cold": 0.85, "hot": 1.2},
+                               intensities,
                                builder=sc_lowpass_system, base_params=base)
-    analysis = NoiseAnalysis(model, segments_per_phase=SPP)
-    analysis.psd_corners(grid, np.linspace(200.0, 12e3, 4),
-                         attribute_sources=True)
+    recorder = Recorder()
+    analysis = NoiseAnalysis(model, segments_per_phase=SPP,
+                             recorder=recorder)
+    result = analysis.psd_corners(grid, np.linspace(200.0, 12e3, 4),
+                                  attribute_sources=True)
     derived = [context for context in context_module._REGISTRY.values()
                if hasattr(context, "parent")]
     assert len(derived) == 4
     assert all(context._disc is None for context in derived)
+    # Each root validates once; its derived corners share its report.
+    roots = {id(context.parent) for context in derived}
+    assert len(roots) == 2
+    assert all(context.preflight is context.parent.preflight
+               for context in derived)
+    assert len(result.diagnostics.by_code("floquet-stable")) == 2
+    assert any(span.name == "mft.preflight" for span in recorder.spans)
     clear_sweep_contexts()
+
+
+def test_corner_sweep_builds_no_derived_discretization():
+    _check_corner_sweep_builds_no_derived_discretization(
+        {"nom": 1.0, "cold": 0.85, "hot": 1.2})
+    # An intensity-scaled corner first on every dynamics root: its
+    # member preflights the root, never a rescaled discretization.
+    _check_corner_sweep_builds_no_derived_discretization(
+        {"cold": 0.85, "nom": 1.0, "hot": 1.2})
 
 
 class TestSourceIndexGuard:
