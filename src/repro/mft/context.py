@@ -79,10 +79,15 @@ from ..tolerances import (
 
 logger = logging.getLogger(__name__)
 
-#: Frequencies whose shifted step integrals are kept per context; a sweep
-#: revisits frequencies only through the fallback chain, so this stays
-#: small.
+#: Most frequencies whose shifted step integrals are kept per context; a
+#: sweep revisits frequencies only through the fallback chain.  Fewer are
+#: kept where the entries would pass :data:`_REGISTRY_CAP_BYTES`.
 _OMEGA_CACHE_LIMIT = 512
+
+#: Bytes of cached arrays the registry's contexts may hold together (see
+#: :func:`sweep_context_for`); also the bound on one context's per-ω
+#: cache.
+_REGISTRY_CAP_BYTES = 16 * 2**20
 
 
 @dataclass
@@ -197,10 +202,10 @@ class _SegmentGroup:
 class _SweepStructure:
     """Frequency-independent arrays derived from one discretization."""
 
-    #: Per-segment durations, end times, and real propagators, stacked.
+    #: Per-segment durations and end times.  A segment's real
+    #: propagator is its group's ``phi`` (``groups[group_of[k]].phi``).
     durations: np.ndarray
     t_end: np.ndarray
-    phi_stack: np.ndarray
     #: Per-segment jump (identity where absent) and a has-jump mask.
     has_jump: np.ndarray
     jumps: list
@@ -225,7 +230,6 @@ def build_structure(disc):
     seg_durations = [seg.duration for seg in segments]
     durations = np.asarray(seg_durations)
     t_end = np.asarray([seg.t_end for seg in segments])
-    phi_stack = np.stack([seg.phi for seg in segments])
     has_jump = np.asarray([seg.jump is not None for seg in segments])
     jumps = [seg.jump for seg in segments]
 
@@ -236,7 +240,7 @@ def build_structure(disc):
         if jump is not None:
             acc = acc @ jump
         suffix[k] = acc
-        acc = acc @ phi_stack[k]
+        acc = acc @ np.ascontiguousarray(segments[k].phi)
 
     # Key on the objects the discretizer shares, not on the float
     # durations: ``t_end − t_start`` differs by ulps across the segments
@@ -270,9 +274,29 @@ def build_structure(disc):
     for idx, group in enumerate(groups):
         group.indices = np.nonzero(group_of == idx)[0]
     return _SweepStructure(
-        durations=durations, t_end=t_end, phi_stack=phi_stack,
-        has_jump=has_jump, jumps=jumps, suffix=suffix, groups=groups,
-        group_of=group_of, period=disc.period)
+        durations=durations, t_end=t_end, has_jump=has_jump, jumps=jumps,
+        suffix=suffix, groups=groups, group_of=group_of,
+        period=disc.period)
+
+
+def group_propagators(structure):
+    """Each group's real propagator ``Φ`` in C order, indexed by group.
+
+    The trace loops step segment ``k`` with ``phis[group_of[k]]``; a
+    C-ordered operand keeps their products bit-identical whatever order
+    the discretizer returned ``Φ`` in (a copy only for such groups).
+    """
+    return [np.ascontiguousarray(group.phi) for group in structure.groups]
+
+
+def _omega_entry_bytes(structure):
+    """Bytes of one :meth:`SweepContext.shifted_integrals` entry.
+
+    Four complex ``(n, n)`` matrices per group: ``Φ_ω``, ``I1``, ``I2``
+    and ``A_ω``.
+    """
+    n = structure.suffix.shape[1]
+    return 4 * len(structure.groups) * n * n * np.dtype(complex).itemsize
 
 
 @dataclass
@@ -615,15 +639,18 @@ class SweepContext:
         self.stats.miss("shifted-integrals")
         n = self.disc.n_states
         eye = np.eye(n)
+        struct = self.structure
         entries = []
-        for group in self.structure.groups:
+        for group in struct.groups:
             a_shifted = group.a_matrix.astype(complex) - 1j * omega * eye
             phi_shifted = np.exp(-1j * omega * group.duration) * group.phi
             phi, i1, i2 = affine_step_integrals(
                 a_shifted, group.duration, phi=phi_shifted)
             norm_h = float(np.linalg.norm(a_shifted, 1) * group.duration)
             entries.append((phi, i1, i2, a_shifted, norm_h))
-        while len(self._omega_cache) >= self._omega_cache_limit:
+        limit = min(self._omega_cache_limit,
+                    _REGISTRY_CAP_BYTES // _omega_entry_bytes(struct))
+        while len(self._omega_cache) >= max(1, limit):
             self._omega_cache.popitem(last=False)
             self.stats.evict("shifted-integrals")
         self._omega_cache[key] = entries
@@ -692,7 +719,8 @@ class SweepContext:
         # inherently ordered); everything derivable from the trace —
         # derivatives, period integral — is batched per group below.
         seg_phase = np.exp(-1j * omega * struct.durations)
-        phi_stack = struct.phi_stack
+        phis = group_propagators(struct)
+        group_of = struct.group_of.tolist()
         has_jump = struct.has_jump
         jumps = struct.jumps
         pre = np.empty((n_seg + 1, n), dtype=complex)
@@ -701,7 +729,7 @@ class SweepContext:
         post[0] = v0
         v = v0
         for k in range(n_seg):
-            v = seg_phase[k] * (phi_stack[k] @ v) + g_seg[k]
+            v = seg_phase[k] * (phis[group_of[k]] @ v) + g_seg[k]
             pre[k + 1] = v
             if has_jump[k]:
                 v = jumps[k] @ v
@@ -774,6 +802,33 @@ class SweepContext:
         return _DerivedIntensityContext(self, scales, system=system)
 
     # -- misc ---------------------------------------------------------------
+
+    def _retained_bytes(self):
+        """``(key, nbytes)`` of each cached array this context holds.
+
+        Counts what grows with the segment count or with the frequencies
+        visited: the suffix products, ``K(t)`` and the per-source
+        covariance stack, the forcing pairs, and the per-ω cache.  The
+        ``O(n²)`` matrices of each phase (discretization, groups,
+        eigenbases) and the monodromy are not counted.  ``key`` is the
+        array's ``id`` (the cache's own ``id`` for the per-ω entries),
+        so what a derived context shares with its parent counts once in
+        :func:`sweep_context_for`.  Reads the cached quantities, never
+        the segments, and copies each dict cache before reading it: a
+        job-queue dispatcher thread may be filling it.
+        """
+        struct = self._structure
+        arrays = [] if struct is None else [struct.suffix]
+        for cov in (self._covariance, self._source_stack):
+            if cov is not None:
+                arrays += (cov.pre, cov.post)
+        arrays += tuple(self._forcing.values())
+        arrays += tuple(self._source_forcing.values())
+        held = [(id(array), array.nbytes) for array in arrays]
+        cache = self._omega_cache
+        if struct is not None and cache:
+            held.append((id(cache), len(cache) * _omega_entry_bytes(struct)))
+        return held
 
     def warm_up(self, l_row=None, sources=False):
         """Force every frequency-independent quantity to exist.
@@ -1026,6 +1081,8 @@ class _DerivedIntensityContext(SweepContext):
 #: Guarded by :data:`_REGISTRY_LOCK` — a job-queue dispatcher thread and
 #: analyzers constructed concurrently by its callers all pass through here.
 _REGISTRY = OrderedDict()
+#: Entry-count ceiling next to :data:`_REGISTRY_CAP_BYTES`: contexts that
+#: were never filled hold no arrays, and could otherwise pile up.
 _REGISTRY_LIMIT = 32
 _REGISTRY_LOCK = threading.Lock()
 #: Registry-level counters (the per-context stats live on the context).
@@ -1072,11 +1129,21 @@ def sweep_context_for(system, segments_per_phase=64, family=None,
 
     Returns the cached context when the fingerprint matches a previous
     call (counted as a registry hit) and builds + registers a fresh one
-    otherwise.  The registry is a bounded LRU — a hit refreshes the
-    entry's recency and the least-recently-used context is evicted at
-    the limit — and every access holds :data:`_REGISTRY_LOCK`, so
-    concurrent analyzers (a job-queue dispatcher thread and its callers)
-    always agree on one context per fingerprint.
+    otherwise.  The registry is an LRU bounded by the bytes its contexts
+    hold: a hit refreshes the entry's recency, and a miss first evicts
+    least-recently-used entries until the arrays the remaining ones hold
+    fit :data:`_REGISTRY_CAP_BYTES`, and until fewer than
+    :data:`_REGISTRY_LIMIT` remain, then inserts the new context.  Each
+    array counts once however many entries hold it: a derived corner
+    shares its root's suffix products and per-ω cache, and keeps its
+    root alive, so the root's arrays count with it.  See
+    :meth:`SweepContext._retained_bytes` for what counts.  Contexts fill
+    lazily after they are registered, so an entry larger than the cap
+    stays until the next miss.  Every access holds
+    :data:`_REGISTRY_LOCK`, so concurrent analyzers (a job-queue
+    dispatcher thread and its callers) always agree on one context per
+    fingerprint.  An evicted context stays valid for whoever still holds
+    it; the registry only stops handing it out.
 
     ``family`` salts the key with a parameter-family hash
     (:meth:`repro.circuits.corners.ParameterGrid.family_hash`): a corner
@@ -1100,14 +1167,57 @@ def sweep_context_for(system, segments_per_phase=64, family=None,
             context = build()
         else:
             context = SweepContext(system, segments_per_phase)
-        while len(_REGISTRY) >= _REGISTRY_LIMIT:
+        keep = min(_entries_within_cap(), _REGISTRY_LIMIT - 1)
+        while len(_REGISTRY) > keep:
             _REGISTRY.popitem(last=False)
             registry_stats.evict("context")
         _REGISTRY[key] = context
         return context
 
 
+def _entries_within_cap():
+    """How many most-recent entries fit :data:`_REGISTRY_CAP_BYTES`.
+
+    The bytes the newest ``m`` entries hold together grow with ``m``, so
+    one pass from the newest entry finds the largest ``m`` that fits.
+    Called with :data:`_REGISTRY_LOCK` held.
+    """
+    fits = 0
+    for total in _cumulative_bytes(reversed(_REGISTRY.values())):
+        if total > _REGISTRY_CAP_BYTES:
+            break
+        fits += 1
+    return fits
+
+
+def _cumulative_bytes(contexts):
+    """Bytes the first 1, 2, … of ``contexts`` hold together, in turn.
+
+    Each array counts once (:meth:`SweepContext._retained_bytes`).  A
+    derived context keeps its parent alive, so the parent's arrays count
+    with it; each context is walked once.
+    """
+    walked = set()
+    seen = set()
+    total = 0
+    for context in contexts:
+        while context is not None and id(context) not in walked:
+            walked.add(id(context))
+            for key, nbytes in context._retained_bytes():
+                if key not in seen:
+                    seen.add(key)
+                    total += nbytes
+            context = getattr(context, "parent", None)
+        yield total
+
+
 def clear_sweep_contexts():
-    """Empty the registry (tests; long-lived processes reclaiming memory)."""
+    """Empty the registry, dropping its references to every context.
+
+    For tests that need a cold start, and for long-lived processes that
+    want memory back before the byte bound of :func:`sweep_context_for`
+    would evict.  Contexts still held elsewhere (an analyzer's) stay
+    valid.  Registry counters are not reset.
+    """
     with _REGISTRY_LOCK:
         _REGISTRY.clear()

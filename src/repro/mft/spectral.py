@@ -67,6 +67,7 @@ from ..tolerances import (
     SPECTRAL_EIGENBASIS_COND_LIMIT,
 )
 from ..typing import ComplexArray, FloatArray
+from .context import group_propagators
 
 logger = logging.getLogger(__name__)
 
@@ -516,7 +517,7 @@ def solve_spectral_batch(context, omegas, segment_forcing,
     with recorder.span("spectral.trace", n_segments=int(n_seg)):
         seg_phase = np.exp(-1j * omegas[:, None]
                            * struct.durations[None, :]).T[:, :, None]
-        phi_t = struct.phi_stack.transpose(0, 2, 1)
+        phi_t = [phi.T for phi in group_propagators(struct)]
         group_of = struct.group_of.tolist()
         has_jump = struct.has_jump.tolist()
         n_groups = len(struct.groups)
@@ -529,7 +530,7 @@ def solve_spectral_batch(context, omegas, segment_forcing,
         for k in range(n_seg):
             g = group_of[k]
             start_sums[g] += v
-            v = seg_phase[k] * (v @ phi_t[k]) + g_seg[:, k]
+            v = seg_phase[k] * (v @ phi_t[g]) + g_seg[:, k]
             end_sums[g] += v
             if has_jump[k]:
                 v = v @ struct.jumps[k].T

@@ -143,6 +143,191 @@ class TestContextRegistry:
         assert sweep_context_for(sys_a, 16) is ctx_a
 
 
+def _held_bytes(contexts):
+    """Bytes of cached arrays ``contexts`` hold together, each once."""
+    totals = list(context_module._cumulative_bytes(contexts))
+    return totals[-1] if totals else 0
+
+
+def _rc(index):
+    """Distinct 1-state systems whose filled contexts are equally large."""
+    return switched_rc_system(
+        SwitchedRcParams(10e3 * (1.0 + 0.1 * index), 1e-9, 5e-5, 0.5))
+
+
+def _filled(system, segments_per_phase=16):
+    """The registry's context for ``system``, warmed after registration."""
+    ctx = sweep_context_for(system, segments_per_phase)
+    ctx.warm_up(np.asarray(system.output_matrix)[0])
+    return ctx
+
+
+def _registered():
+    return list(context_module._REGISTRY.values())
+
+
+class TestRegistryByteBound:
+    @pytest.fixture(autouse=True)
+    def _cold_registry(self):
+        clear_sweep_contexts()
+        yield
+        clear_sweep_contexts()
+
+    def test_lru_eviction_by_bytes(self, monkeypatch):
+        ctx_a = _filled(_rc(0))
+        monkeypatch.setattr(context_module, "_REGISTRY_CAP_BYTES",
+                            2 * _held_bytes([ctx_a]))
+        ctx_b = _filled(_rc(1))
+        # A and B fill the cap exactly: the miss for C evicts nothing.
+        ctx_c = _filled(_rc(2))
+        assert _registered() == [ctx_a, ctx_b, ctx_c]
+        # B and C fill it now, so the miss for D evicts A.
+        ctx_d = _filled(_rc(3))
+        assert _registered() == [ctx_b, ctx_c, ctx_d]
+
+    def test_hit_refreshes_recency(self, monkeypatch):
+        ctx_a = _filled(_rc(0))
+        monkeypatch.setattr(context_module, "_REGISTRY_CAP_BYTES",
+                            2 * _held_bytes([ctx_a]))
+        ctx_b = _filled(_rc(1))
+        assert sweep_context_for(_rc(0), 16) is ctx_a  # B is now the LRU
+        ctx_c = _filled(_rc(2))
+        ctx_d = _filled(_rc(3))
+        assert _registered() == [ctx_a, ctx_c, ctx_d]
+        assert ctx_b not in _registered()
+
+    def test_root_and_derived_corners_counted_once(self, monkeypatch):
+        from repro.circuits.corners import scale_system_noise
+
+        system = sc_lowpass_system().system
+        l_row = np.asarray(system.output_matrix)[0]
+        root = sweep_context_for(system, 16, family="byte-bound")
+        root.warm_up(l_row)
+        derived = []
+        for scale in (0.5, 2.0, 3.0):
+            ctx = sweep_context_for(
+                scale_system_noise(system, scale), 16, family="byte-bound",
+                build=lambda s=scale: root.derive_intensity_scaled(s))
+            ctx.warm_up(l_row)
+            derived.append(ctx)
+        assert all(ctx._structure is root._structure for ctx in derived)
+        shared = _held_bytes([root] + derived)
+        # Counted entry by entry, each derived corner would also carry
+        # its root's suffix products, covariance and forcing.
+        assert shared < sum(_held_bytes([ctx]) for ctx in [root] + derived)
+        monkeypatch.setattr(context_module, "_REGISTRY_CAP_BYTES", shared)
+        sweep_context_for(_rc(0), 16)
+        assert _registered()[:4] == [root] + derived
+
+    def test_oversized_entry_stays_until_next_miss(self, monkeypatch):
+        monkeypatch.setattr(context_module, "_REGISTRY_CAP_BYTES", 1)
+        ctx_a = _filled(_rc(0))
+        assert _held_bytes([ctx_a]) > 1
+        assert sweep_context_for(_rc(0), 16) is ctx_a
+        ctx_b = sweep_context_for(_rc(1), 16)
+        assert _registered() == [ctx_b]
+
+    def test_each_eviction_counted(self, monkeypatch):
+        for index in range(3):
+            _filled(_rc(index))
+        before = registry_stats.snapshot()
+        monkeypatch.setattr(context_module, "_REGISTRY_CAP_BYTES", 0)
+        sweep_context_for(_rc(3), 16)
+        delta = registry_stats.delta(before, registry_stats.snapshot())
+        assert delta["evictions"] == {"context": 3}
+        assert delta["misses"] == {"context": 1}
+        assert len(_registered()) == 1
+
+    def test_cascade_sweeps_stay_within_cap(self):
+        from repro.circuits.corners import scale_system_noise
+
+        cap = context_module._REGISTRY_CAP_BYTES
+        freqs = np.linspace(100.0, 7.6e3, 8)
+        systems = {n: _sc_cascade(n).system for n in (4, 8, 12)}
+        built = 0
+        for repeat in range(4):
+            for system in systems.values():
+                # A new fingerprint of the same size on every request.
+                jittered = scale_system_noise(system, 1.0 + repeat / 100.0)
+                analyzer = MftNoiseAnalyzer(jittered)
+                analyzer.psd_sweep(freqs, solver="spectral-batch")
+                built += _held_bytes([analyzer.context])
+                # The newest entry filled after its miss; the rest fit.
+                assert _held_bytes(_registered()[:-1]) <= cap
+        assert built > 2 * cap
+        sweep_context_for(_rc(0), 16)
+        assert _held_bytes(_registered()) <= cap
+
+
+class TestOmegaCacheBytes:
+    def test_mft_sweep_cache_bytes_within_cap(self, monkeypatch):
+        system = _sc_cascade(12).system
+        freqs = np.linspace(10.0, 7.6e3, 256)
+        context = SweepContext(system, segments_per_phase=16)
+        bounded = MftNoiseAnalyzer(system, context=context).psd_sweep(
+            freqs, solver="mft")
+        cache_bytes = sum(array.nbytes for entry in
+                          context._omega_cache.values()
+                          for group in entry for array in group[:4])
+        assert 0 < cache_bytes <= context_module._REGISTRY_CAP_BYTES
+        assert len(context._omega_cache) < freqs.size
+        # Evicting ω entries never changes a value.
+        monkeypatch.setattr(context_module, "_REGISTRY_CAP_BYTES", 2**40)
+        reference = SweepContext(system, segments_per_phase=16)
+        unbounded = MftNoiseAnalyzer(system, context=reference).psd_sweep(
+            freqs, solver="mft")
+        assert len(reference._omega_cache) == freqs.size
+        assert bounded.psd.tobytes() == unbounded.psd.tobytes()
+
+    def test_limit_never_below_one(self, context, monkeypatch):
+        monkeypatch.setattr(context_module, "_REGISTRY_CAP_BYTES", 1)
+        context.shifted_integrals(1.0e3)
+        context.shifted_integrals(2.0e3)
+        assert list(context._omega_cache) == [2.0e3]
+
+
+class TestRegistryConcurrency:
+    def test_scans_tolerate_a_dispatcher_filling_contexts(self,
+                                                          monkeypatch):
+        from repro.service import JobQueue, JobSpec
+
+        clear_sweep_contexts()
+        # Unfilled contexts hold no bytes; lift the count ceiling so no
+        # entry is evicted and each fingerprint keeps its one context.
+        monkeypatch.setattr(context_module, "_REGISTRY_LIMIT", 10**6)
+        job_systems = [_rc(index) for index in range(6)]
+        specs = [JobSpec(system, np.linspace(100.0, 40e3, 24),
+                         segments_per_phase=16, solver="mft",
+                         attribute_sources=True)
+                 for system in job_systems]
+        seen = {}
+        with JobQueue() as queue:
+            handles = [queue.submit(spec) for spec in specs]
+            index = 100
+            while not all(handle.done() for handle in handles):
+                # Every fresh system is a miss, and so a registry scan
+                # while the dispatcher fills its contexts' dict caches.
+                for system in (_rc(index), job_systems[index % 6]):
+                    ctx = sweep_context_for(system, 16)
+                    key = context_module.discretization_fingerprint(
+                        system, 16)
+                    assert seen.setdefault(key, ctx) is ctx
+                index += 1
+            results = [handle.wait(timeout=120.0) for handle in handles]
+        assert all(np.all(np.isfinite(r.result.psd)) for r in results)
+        assert index > 100
+        for system in job_systems:
+            key = context_module.discretization_fingerprint(system, 16)
+            ctx = sweep_context_for(system, 16)
+            assert seen.setdefault(key, ctx) is ctx
+        # The dispatcher and this thread agreed on one context for every
+        # fingerprint either of them asked for.
+        registered = dict(context_module._REGISTRY)
+        assert registered.keys() == seen.keys()
+        assert all(registered[key] is ctx for key, ctx in seen.items())
+        clear_sweep_contexts()
+
+
 class TestSolveShiftedBranches:
     def test_lstsq_solver_matches_direct_on_benign_system(self, context):
         forcing = _forcing(context)

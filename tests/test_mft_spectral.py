@@ -533,7 +533,7 @@ class TestDefaultBlock:
         single = analyzer.psd_sweep(freqs, solver="spectral-batch",
                                     chunk_size=1,
                                     attribute_sources=attribute)
-        if analyzer.context.structure.phi_stack.shape[1] > 2:
+        if analyzer.context.structure.suffix.shape[1] > 2:
             assert _sweep_record(single) == _sweep_record(default)
         else:
             # A one-frequency block of a system with at most two states
@@ -553,7 +553,7 @@ class TestDefaultBlock:
         whole = analyzer.psd_sweep(freqs, solver="spectral-batch",
                                    attribute_sources=True)
         context = analyzer.context
-        n_seg, n = context.structure.phi_stack.shape[:2]
+        n_seg, n = context.structure.suffix.shape[:2]
         row_bytes = (1 + context.n_sources) * n_seg * n * 16
         # The cap fits ``per_block`` frequencies (and not one more); a
         # cap below one frequency's stack still sweeps one at a time.
@@ -571,7 +571,7 @@ class TestDefaultBlock:
         # An attributed sweep stacks 1 + n_sources kernel rows, so its
         # block holds proportionally fewer frequencies.
         context = _parity_analyzer("sc-lowpass").context
-        n_seg, n = context.structure.phi_stack.shape[:2]
+        n_seg, n = context.structure.suffix.shape[:2]
         cap = executor.SPECTRAL_STACK_CAP_BYTES
         big = 10 * cap // (n_seg * n * 16)
         assert executor.spectral_block_size(context, big, 1) == (
