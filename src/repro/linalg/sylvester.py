@@ -10,7 +10,6 @@ cross-checks against ``scipy.linalg.solve_sylvester``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from ..errors import SingularMatrixError
 from ..tolerances import SYLVESTER_DIAG_FLOOR
@@ -31,6 +30,10 @@ def solve_sylvester(a_matrix: ArrayLike, b_matrix: ArrayLike,
     if a.shape[0] != c.shape[0] or b.shape[0] != c.shape[1]:
         raise SingularMatrixError(
             f"sylvester shape mismatch: A {a.shape}, B {b.shape}, C {c.shape}")
+
+    # Imported here, not at module level: no MFT path solves a Sylvester
+    # equation, and scipy.linalg is about half of a cold ``import repro``.
+    import scipy.linalg
 
     ta, ua = scipy.linalg.schur(a, output="complex")
     tb, ub = scipy.linalg.schur(b, output="complex")

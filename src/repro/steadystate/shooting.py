@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from ..diagnostics.report import DiagnosticsReport
 from ..errors import ConvergenceError, SingularMatrixError
@@ -88,6 +87,7 @@ def _integrate(fun, x0, t_span, dense_points, rtol, atol):
     if not np.all(np.isfinite(x0)):
         raise ConvergenceError(
             f"shooting state became non-finite: {x0}")
+    import scipy.integrate
     sol = scipy.integrate.solve_ivp(
         fun, t_span, x0, method="Radau", rtol=rtol, atol=atol,
         dense_output=True)
@@ -130,6 +130,7 @@ def forced_steady_state(fun, period, x0_guess, max_iter=30,
     x0 = np.atleast_1d(np.asarray(x0_guess, dtype=float))
     n = x0.size
     if transient_periods > 0:
+        import scipy.integrate
         sol = scipy.integrate.solve_ivp(
             fun, (0.0, transient_periods * period), x0, method="Radau",
             rtol=min(SHOOTING_RELAX_RTOL_CAP, rtol * 1e3),
