@@ -4,8 +4,8 @@ A PSD sweep evaluates the same circuit at 100+ frequencies, yet everything
 except the final complex fixed point is *frequency independent*: the
 per-segment propagators and Van Loan noise Gramians, the periodic
 covariance ``K(t)``, the cross-spectral forcing ``K(t) l``, the monodromy
-matrix, and — the insight this module adds — the *suffix products* of the
-per-segment maps that assemble the one-period forcing vector. A
+matrix, and — the insight this module adds — the *power stacks* of the
+clock phases' propagators that assemble the one-period forcing vector. A
 :class:`SweepContext` computes each of these once, keyed by the
 discretization, and every engine (MFT, brute force, Monte Carlo) draws
 from it instead of rebuilding.
@@ -19,9 +19,13 @@ built on two identities of the frequency-shifted dynamics
   monodromy, ``M_ω = e^{-jωT} M_0`` (segment phase factors commute with
   the jumps), so the per-frequency ``O(S n³)`` propagator composition
   collapses to one complex scale;
-* the forcing accumulation ``g_ω = Σ_k R_k g_k(ω)`` uses the cached real
-  suffix products ``R_k`` with per-segment scalar phases, so it becomes
-  one batched matrix-vector product instead of a Python loop.
+* on a uniform grid every segment of a clock phase shares one real
+  ``Φ = e^{Ah}``, so a *run* of such segments (no jump before its last)
+  carries its forcing to its end as
+  ``y = Σ_k e^{-jω(t_end[k₁] − t_end[k])} Φ^{k₁−k} g_k(ω)``: one product
+  of the phase-weighted forcing against the cached real power stack
+  ``Φ⁰ … Φ^{L−1}`` of the phase, and the runs compose into
+  ``g_ω`` in one pass over runs, not over segments.
 
 The per-segment forcing integrals ``(I1, I2)`` are grouped by segment
 matrix: segments sharing one ``A`` and one propagator object ``Φ`` form a
@@ -196,6 +200,28 @@ class _SegmentGroup:
     indices: np.ndarray
     #: Representative real propagator ``e^{Ah}`` of the group.
     phi: np.ndarray
+    #: Indices into the structure's ``runs`` of the group's runs.
+    runs: list = field(default_factory=list)
+
+
+@dataclass
+class _Run:
+    """Consecutive segments of one group with no jump before the last.
+
+    Segments ``start … stop − 1`` share the group's ``Φ``, so the run
+    carries a state through ``Φ^L`` (``L = stop − start``) and a
+    segment's forcing through a power of ``Φ``; a jump, if any, follows
+    the last segment.
+    """
+
+    group: int
+    start: int
+    stop: int
+    #: ``t_end[stop − 1] − t_end[k]`` for each member ``k``: the phase
+    #: lag of the member's forcing at the run end (0 for the last).
+    lags: np.ndarray
+    #: ``t_end[stop − 1] − t_start[start]``: the run's duration.
+    span: float
 
 
 @dataclass
@@ -209,10 +235,15 @@ class _SweepStructure:
     #: Per-segment jump (identity where absent) and a has-jump mask.
     has_jump: np.ndarray
     jumps: list
-    #: Real suffix products ``R_k = E_{S-1}···E_{k+1} J_k`` with
-    #: ``E_j = J_j Φ_j``: the map from segment k's forcing contribution
-    #: to the end of the period, jumps folded in.
-    suffix: np.ndarray
+    #: Per group, its propagator's powers ``Φ⁰ … Φ^{L−1}`` for ``L`` its
+    #: longest run, reversed and transposed:
+    #: ``powers[g][:, q, :] = (Φ^{L−1−q})ᵀ``, so that
+    #: ``powers[g].reshape(n·L, n).T`` maps a run's state-major forcing
+    #: ``x[j, p]`` (segment ``start + p``) to the run end.
+    powers: list
+    #: Maximal runs of one group's consecutive segments with no jump
+    #: before the last, in period order (:class:`_Run`).
+    runs: list
     #: Segment groups by shared ``(A, Φ)`` objects, one per phase on a
     #: uniform piecewise-LTI grid.
     groups: list
@@ -220,6 +251,8 @@ class _SweepStructure:
     group_of: np.ndarray
     #: Clock period of the discretization.
     period: float
+    n_segments: int
+    n_states: int
 
 
 def build_structure(disc):
@@ -233,15 +266,6 @@ def build_structure(disc):
     has_jump = np.asarray([seg.jump is not None for seg in segments])
     jumps = [seg.jump for seg in segments]
 
-    suffix = np.empty((n_seg, n, n))
-    acc = np.eye(n)
-    for k in range(n_seg - 1, -1, -1):
-        jump = jumps[k]
-        if jump is not None:
-            acc = acc @ jump
-        suffix[k] = acc
-        acc = acc @ np.ascontiguousarray(segments[k].phi)
-
     # Key on the objects the discretizer shares, not on the float
     # durations: ``t_end − t_start`` differs by ulps across the segments
     # of one uniform phase, which would split it into several groups.
@@ -249,6 +273,7 @@ def build_structure(disc):
     group_index = {}
     groups = []
     group_of = []
+    run_starts = []
     # scn: ignore[SCN008] - one-shot structure build at context warm-up,
     # bounded by the grid size; sweeps budget-gate per frequency chunk
     for k, (seg, duration) in enumerate(zip(segments, seg_durations)):
@@ -269,22 +294,106 @@ def build_structure(disc):
                 f"duration {groups[idx].duration:.6g} but lasts "
                 f"{duration:.6g}; one propagator object must not "
                 "serve segments of different lengths")
+        # A group change or the previous segment's jump starts a run.
+        if k == 0 or idx != group_of[-1] or has_jump[k - 1]:
+            run_starts.append(k)
         group_of.append(idx)
     group_of = np.asarray(group_of, dtype=int)
     for idx, group in enumerate(groups):
         group.indices = np.nonzero(group_of == idx)[0]
+    runs = [
+        _Run(group=int(group_of[start]), start=start, stop=stop,
+             lags=t_end[stop - 1] - t_end[start:stop],
+             span=float(t_end[stop - 1] - segments[start].t_start))
+        for start, stop in zip(run_starts, run_starts[1:] + [n_seg])]
+    for index, run in enumerate(runs):
+        groups[run.group].runs.append(index)
+    powers = [_power_stack(group.phi, max(runs[i].stop - runs[i].start
+                                          for i in group.runs))
+              for group in groups]
     return _SweepStructure(
         durations=durations, t_end=t_end, has_jump=has_jump, jumps=jumps,
-        suffix=suffix, groups=groups, group_of=group_of,
-        period=disc.period)
+        powers=powers, runs=runs, groups=groups, group_of=group_of,
+        period=disc.period, n_segments=n_seg, n_states=n)
+
+
+def _power_stack(phi, length):
+    """``stack[:, q, :] = (Φ^{length−1−q})ᵀ``, a real ``(n, length, n)``."""
+    n = phi.shape[0]
+    stack = np.empty((n, length, n))
+    power = np.eye(n)
+    for q in range(length - 1, -1, -1):
+        stack[:, q, :] = power.T
+        if q:
+            power = power @ phi
+    return stack
+
+
+def run_operator(structure, run):
+    """The real ``(n, n·L)`` map ``[Φ^{L−1} … Φ⁰]`` of a run of length ``L``.
+
+    Applied to a run's state-major forcing ``x[j, p]`` (segment
+    ``run.start + p``, flattened over ``(j, p)``) it gives
+    ``Σ_p Φ^{L−1−p} x[:, p]``, the run-end state the forcing drives
+    from zero.  A view of the group's power stack unless the run is
+    shorter than the group's longest.
+    """
+    stack = structure.powers[run.group]
+    length = run.stop - run.start
+    tail = stack[:, stack.shape[1] - length:]
+    return np.ascontiguousarray(tail).reshape(-1, stack.shape[2]).T
+
+
+def contract_run(operator, forcing):
+    """``operator`` applied to every state-major ``(n, L)`` slab of ``forcing``.
+
+    ``forcing`` is complex ``(..., n, L)`` and C-contiguous in its last
+    two axes; returns complex ``(..., n)``.  The real operator meets the
+    real and imaginary parts as one real ``(n, n·L) × (n·L, 2)`` product
+    per slab — never a complex copy of the stack — and each slab (one
+    forcing row at one ω) is its own product, so a result does not
+    depend on how many rows or frequencies are stacked.
+    """
+    pairs = forcing.view(float).reshape(
+        forcing.shape[:-2] + (operator.shape[1], 2))
+    return np.matmul(operator, pairs).view(complex)[..., 0]
+
+
+def propagate_runs(structure, phases, particular, state):
+    """Carry ``state`` from the period start through every run in turn.
+
+    ``phases[i]`` is run ``i``'s ``e^{-jω span}`` (a scalar, or ``(F,
+    1)`` against ``(..., F, n)`` states) and ``particular[i]`` the end
+    state its forcing drives from zero (:func:`contract_run`).  A run
+    maps its start state ``v`` to ``phase · Φ^L v + particular`` and then
+    applies its jump.  Returns ``(starts, ends, final)``: each run's
+    start state (after the previous jump) and end state (before its
+    jump), and the state after the period's last jump — from a zero
+    start, the one-period forcing ``g_ω``.
+    """
+    starts = []
+    ends = []
+    for run, phase, end in zip(structure.runs, phases, particular):
+        starts.append(state)
+        stack = structure.powers[run.group]
+        state = state @ structure.groups[run.group].phi.T
+        length = run.stop - run.start
+        if length > 1:
+            state = state @ stack[:, stack.shape[1] - length]
+        state = phase * state + end
+        ends.append(state)
+        if structure.has_jump[run.stop - 1]:
+            state = state @ structure.jumps[run.stop - 1].T
+    return starts, ends, state
 
 
 def group_propagators(structure):
     """Each group's real propagator ``Φ`` in C order, indexed by group.
 
-    The trace loops step segment ``k`` with ``phis[group_of[k]]``; a
-    C-ordered operand keeps their products bit-identical whatever order
-    the discretizer returned ``Φ`` in (a copy only for such groups).
+    The trace loop of :meth:`SweepContext.solve_shifted` steps segment
+    ``k`` with ``phis[group_of[k]]``; a C-ordered operand keeps its
+    products the same whatever order the discretizer returned ``Φ`` in
+    (a copy only for such groups).
     """
     return [np.ascontiguousarray(group.phi) for group in structure.groups]
 
@@ -295,7 +404,7 @@ def _omega_entry_bytes(structure):
     Four complex ``(n, n)`` matrices per group: ``Φ_ω``, ``I1``, ``I2``
     and ``A_ω``.
     """
-    n = structure.suffix.shape[1]
+    n = structure.n_states
     return 4 * len(structure.groups) * n * n * np.dtype(complex).itemsize
 
 
@@ -412,7 +521,7 @@ class SweepContext:
 
     @property
     def structure(self):
-        """Stacked segment arrays and suffix products (see module doc)."""
+        """Stacked segment arrays, runs and power stacks (module doc)."""
         if self._structure is None:
             self.stats.miss("structure")
             self._structure = build_structure(self.disc)
@@ -690,12 +799,18 @@ class SweepContext:
             g_seg[idx] = f0 @ i1.T + slope @ i2.T
 
         # One-period affine map: M_ω = e^{-jωT} M_0 (scalar identity) and
-        # g_ω = Σ_k e^{-jω(T − t_end_k)} R_k g_k (batched suffix products).
+        # g_ω composed run by run, each run's forcing carried to its end
+        # by one product against its power stack.
         phase_total = np.exp(-1j * omega * disc.period)
         m_acc = phase_total * self.monodromy.astype(complex)
-        tail_phase = np.exp(-1j * omega * (disc.period - struct.t_end))
-        g_acc = np.einsum("kij,kj->i", struct.suffix,
-                          tail_phase[:, None] * g_seg)
+        particular = [
+            contract_run(run_operator(struct, run), np.ascontiguousarray(
+                (np.exp(-1j * omega * run.lags)[:, None]
+                 * g_seg[run.start:run.stop]).T))
+            for run in struct.runs]
+        spans = [np.exp(-1j * omega * run.span) for run in struct.runs]
+        g_acc = propagate_runs(struct, spans, particular,
+                               np.zeros(n, dtype=complex))[2]
 
         condition = fixed_point_condition(m_acc)
         if solver == "direct":
@@ -776,7 +891,7 @@ class SweepContext:
         """Identity of this context's dynamics (shared segment structure).
 
         Two contexts with equal ``dynamics_key`` share the *same*
-        ``A``-matrix structure object — propagators, suffix products,
+        ``A``-matrix structure object — propagators, power stacks,
         spectral eigenbases, shifted-integral cache — so a corner sweep
         can stack their forcing rows into one kernel solve.  Derived
         intensity-scaled contexts share their parent's structure by
@@ -807,7 +922,7 @@ class SweepContext:
         """``(key, nbytes)`` of each cached array this context holds.
 
         Counts what grows with the segment count or with the frequencies
-        visited: the suffix products, ``K(t)`` and the per-source
+        visited: the power stacks, ``K(t)`` and the per-source
         covariance stack, the forcing pairs, and the per-ω cache.  The
         ``O(n²)`` matrices of each phase (discretization, groups,
         eigenbases) and the monodromy are not counted.  ``key`` is the
@@ -818,7 +933,7 @@ class SweepContext:
         job-queue dispatcher thread may be filling it.
         """
         struct = self._structure
-        arrays = [] if struct is None else [struct.suffix]
+        arrays = [] if struct is None else list(struct.powers)
         for cov in (self._covariance, self._source_stack):
             if cov is not None:
                 arrays += (cov.pre, cov.post)
@@ -1135,7 +1250,7 @@ def sweep_context_for(system, segments_per_phase=64, family=None,
     fit :data:`_REGISTRY_CAP_BYTES`, and until fewer than
     :data:`_REGISTRY_LIMIT` remain, then inserts the new context.  Each
     array counts once however many entries hold it: a derived corner
-    shares its root's suffix products and per-ω cache, and keeps its
+    shares its root's power stacks and per-ω cache, and keeps its
     root alive, so the root's arrays count with it.  See
     :meth:`SweepContext._retained_bytes` for what counts.  Contexts fill
     lazily after they are registered, so an entry larger than the cap

@@ -213,17 +213,21 @@ class CornerBatchAnalyzer:
                            if policy is not None else None)
 
         # Partition the chunk's finite cells by dynamics group, keeping
-        # per-(group, corner) locals in chunk order.
+        # per-(group, corner) locals in chunk order.  Keys are read once
+        # per corner and the cell loops run on Python scalars.
+        keys = [member.context.dynamics_key for member in self.members]
+        corner_of = corners.tolist()
+        freq_of = np.asarray(freqs, dtype=float).tolist()
         group_corners: "dict[int, list[int]]" = {}
         cell_lists: "dict[int, dict[int, list[int]]]" = {}
-        for local in finite_idx:
-            m = int(corners[local])
-            key = self.members[m].context.dynamics_key
+        for local in np.asarray(finite_idx).tolist():
+            m = corner_of[local]
+            key = keys[m]
             cells = cell_lists.setdefault(key, {})
             if m not in cells:
                 group_corners.setdefault(key, []).append(m)
                 cells[m] = []
-            cells[m].append(int(local))
+            cells[m].append(local)
 
         rescue: "list[int]" = []
         for key, members in group_corners.items():
@@ -232,8 +236,7 @@ class CornerBatchAnalyzer:
             # order (bit-parity with the plain sweep's chunk order for
             # M = 1, where the union is the chunk itself).
             union = list(dict.fromkeys(
-                float(freqs[local]) for m in members
-                for local in cells[m]))
+                freq_of[local] for m in members for local in cells[m]))
             freq_pos = {f: i for i, f in enumerate(union)}
             omegas = 2.0 * np.pi * np.asarray(union)
             plans = self._row_plan(members, labels)
@@ -267,7 +270,7 @@ class CornerBatchAnalyzer:
                         result, self.members[m]._l_row, period, labels,
                         multiplier)
                     for local in cells[m]:
-                        fi = freq_pos[float(freqs[local])]
+                        fi = freq_pos[freq_of[local]]
                         if ok[fi]:
                             values[local] = psd[fi]
                             n_solved += 1

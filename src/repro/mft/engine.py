@@ -21,8 +21,8 @@ Runtime bookkeeping is kept so the speedup benchmarks can compare
 against the brute-force engine.
 
 Performance: the context holds every frequency-independent quantity —
-discretization, periodic covariance, forcing, monodromy, suffix
-products — so each frequency costs one grouped periodic solve. The
+discretization, periodic covariance, forcing, monodromy, the phases'
+power stacks — so each frequency costs one grouped periodic solve. The
 analyzer draws from the registry's context or an explicit
 ``context=``; a fresh context gives an uncached analysis. Every sweep —
 :meth:`MftNoiseAnalyzer.psd` is ``psd_sweep`` at the default chunk

@@ -115,7 +115,8 @@ def spectral_block_size(context, n_freq, n_rows):
     segment structure would exceed :data:`SPECTRAL_STACK_CAP_BYTES`;
     then the largest frequency count that fits, and never less than one.
     """
-    n_seg, n_states = context.structure.suffix.shape[:2]
+    structure = context.structure
+    n_seg, n_states = structure.n_segments, structure.n_states
     per_frequency = n_rows * n_seg * n_states * np.dtype(complex).itemsize
     return max(1, min(n_freq, SPECTRAL_STACK_CAP_BYTES // per_frequency))
 

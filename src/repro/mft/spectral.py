@@ -27,12 +27,15 @@ identity ``M_ω = e^{-jωT} M₀`` (see :mod:`repro.mft.context`), so the
 solve becomes one batched
 ``repro.linalg.checked.batched_solve`` over the ``(n_freq, n, n)`` stack
 ``I − e^{-jωT} M₀``.  Per-ω cost drops from O(n³) Python-looped work to
-O(n³)-once plus O(n²)-per-ω vectorized matmul kernels, and — just as
-important at SC-circuit sizes — the Python interpreter overhead of the
-per-segment recursion amortizes over the whole frequency block.  The
-period integral is linear in the trace, so the recursion stores no
-states: it sums them per segment group, and each group's integral is
-one evaluation on those sums (:func:`group_period_integral`).
+O(n³)-once plus O(n²)-per-ω vectorized matmul kernels.  No step of
+the kernel loops over segments in Python: a clock phase's segments share
+one real ``Φ``, so each *run* of them (see
+:func:`repro.mft.context.build_structure`) carries its forcing to its
+end in one product against the phase's power stack
+``Φ⁰ … Φ^{L−1}``, and the fixed point and the steady-state trace are
+passes over runs.  The period integral is linear in the trace, so the
+kernel keeps no trace: each group's integral is one evaluation on its
+run-boundary states (:func:`group_period_integral`).
 
 Numerics: round-tripping through the eigenbasis amplifies rounding by
 ~``cond(V)``, so each group's basis is gated on
@@ -67,7 +70,7 @@ from ..tolerances import (
     SPECTRAL_EIGENBASIS_COND_LIMIT,
 )
 from ..typing import ComplexArray, FloatArray
-from .context import group_propagators
+from .context import contract_run, propagate_runs, run_operator
 
 logger = logging.getLogger(__name__)
 
@@ -83,13 +86,6 @@ __all__ = [
 #: Mirrors ``_SERIES_TERMS`` of :mod:`repro.linalg.phi`: 12 terms give
 #: full double precision below :data:`~repro.linalg.phi.SERIES_THRESHOLD`.
 _SERIES_TERMS = 12
-
-#: Bytes of the tail-phase-weighted copy of the step-forcing stack that
-#: the fixed-point right-hand side forms at a time: it is formed over
-#: frequency slices, so a large ω-block does not double the kernel's
-#: peak memory.
-_WEIGHTED_SLICE_BYTES = 2**18
-
 
 @dataclass
 class GroupBasis:
@@ -247,77 +243,88 @@ def _lu_step_integrals(group, omegas, eye):
     return i1, i2
 
 
-def _as_slice(index):
-    """A sorted index array as a slice when it is one contiguous run."""
-    if index.size and index[-1] - index[0] + 1 == index.size:
+def _rows(mask):
+    """The frequencies of ``mask`` as a slice when contiguous, else indices.
+
+    ``None`` when the mask is empty.
+    """
+    index = np.nonzero(mask)[0]
+    if not index.size:
+        return None
+    if index[-1] - index[0] + 1 == index.size:
         return slice(int(index[0]), int(index[-1]) + 1)
-    return None
+    return index
 
 
-def _lu_group_forcing(g_seg, rows, idx, f0, slope, i1, i2):
-    """Fill one group's ``g[r, s, f] = I1[f] f0[r, s] + I2[f] slope[r, s]``.
+def _lu_run_forcing(block, rows, f0, slope, i1, i2):
+    """Fill one run's ``block[r, rows] = I1 f0[r]ᵀ + I2 slope[r]ᵀ``.
 
-    ``i1``/``i2`` are the ``(F, n, n)`` LU-branch stacks at the
-    frequencies ``rows``, ``f0``/``slope`` the ``(R, s, n)`` forcing of
-    the group's segments ``idx``.  Each product is one ``(s, n) × (n,
-    F·n)`` GEMM per forcing row, against the stack flattened to
-    ``flat[j, (f, i)] = I[f, i, j]`` — the layout of the segment-major
-    ``g_seg``, so when ``rows`` and ``idx`` are contiguous runs (the
-    usual case: one group per clock phase) the products land in place;
-    otherwise they are scattered.
+    ``block`` is the run's state-major ``(R, F, n, L)`` forcing,
+    ``i1``/``i2`` the ``(F', n, n)`` LU-branch stacks at the frequencies
+    ``rows``, ``f0``/``slope`` the ``(R, L, n)`` forcing of the run's
+    segments.  Each product is one ``(F'·n, n) × (n, L)`` GEMM per forcing
+    row: the layout of the block, so where ``rows`` is a slice (the
+    usual case) the products land in place.
     """
     n_f, n = i1.shape[:2]
-    i1_flat = i1.transpose(2, 0, 1).reshape(n, n_f * n)
-    i2_flat = i2.transpose(2, 0, 1).reshape(n, n_f * n)
-    seg_run = _as_slice(idx)
-    freq_run = _as_slice(rows)
-    # A contiguous array reshapes to a view: g_flat[r, k, (f, i)].
-    g_flat = g_seg.reshape(g_seg.shape[0], g_seg.shape[1], -1)
-    for r in range(f0.shape[0]):
-        if seg_run is not None and freq_run is not None:
-            block = g_flat[r, seg_run, freq_run.start * n:freq_run.stop * n]
-            np.matmul(f0[r], i1_flat, out=block)
-            block += slope[r] @ i2_flat
+    length = block.shape[-1]
+    i1_flat = i1.reshape(n_f * n, n)
+    i2_flat = i2.reshape(n_f * n, n)
+    for r in range(block.shape[0]):
+        if isinstance(rows, slice):
+            part = block[r, rows].reshape(n_f * n, length)
+            np.matmul(i1_flat, f0[r].T, out=part)
+            part += i2_flat @ slope[r].T
         else:
-            block = f0[r] @ i1_flat
-            block += slope[r] @ i2_flat
-            g_seg[r, idx[:, None], rows[None, :]] = block.reshape(
-                idx.size, n_f, n)
+            part = i1_flat @ f0[r].T
+            part += i2_flat @ slope[r].T
+            block[r, rows] = part.reshape(n_f, n, length)
 
 
-def _reference_group_integrals(group, omegas, forcing, g_seg):
-    """Per-frequency fallback: fill ``g_seg`` for one defective group.
+def _run_forcing_endpoints(forcing, run, h):
+    """A run's ``(R, L, n)`` forcing at segment starts and its slope."""
+    f0 = forcing[:, run.start:run.stop, 0]
+    return f0, (forcing[:, run.start:run.stop, 1] - f0) / h
 
-    ``forcing`` is the stacked ``(R, S, 2, n)`` form and ``g_seg`` the
-    segment-major ``(R, n_seg, n_freq, n)`` output; the per-ω integrals
-    are computed once and applied to every forcing row.
+
+def _reference_group_integrals(group, omegas, forcing, members):
+    """Per-frequency fallback: fill the run blocks of one defective group.
+
+    ``forcing`` is the stacked ``(R, S, 2, n)`` form and ``members`` the
+    group's ``(run, block)`` pairs, each block the run's ``(R, F, n, L)``
+    output; the per-ω integrals are computed once and applied to every
+    forcing row.
     """
-    idx = group.indices
     h = group.duration
     n = group.a_matrix.shape[0]
     eye = np.eye(n)
-    f0 = forcing[:, idx, 0]
-    slope = (forcing[:, idx, 1] - f0) / h
+    endpoints = [_run_forcing_endpoints(forcing, run, h)
+                 for run, _block in members]
     # scn: ignore[SCN008] - defective-eigenbasis rescue for one ω-block;
     # the budget gates at the executor chunk around the block
     for fi, omega in enumerate(omegas):
         a_shifted = group.a_matrix.astype(complex) - 1j * omega * eye
         phi_shifted = np.exp(-1j * omega * h) * group.phi
         _phi, i1, i2 = affine_step_integrals(a_shifted, h, phi=phi_shifted)
-        g_seg[:, idx, fi] = f0 @ i1.T + slope @ i2.T
+        for (_run, block), (f0, slope) in zip(members, endpoints):
+            block[:, fi] = (f0 @ i1.T + slope @ i2.T).transpose(0, 2, 1)
 
 
-def group_period_integral(a_matrix, duration, omegas, start_sum, end_sum,
-                          f0_sum, f1_sum, norm_h) -> ComplexArray:
+def group_period_integral(a_matrix, duration, omegas, diff_sum, f0_sum,
+                          f1_sum, norm_h, state_sums) -> ComplexArray:
     """Period integral of the trace over one segment group, from sums.
 
-    ``start_sum``/``end_sum`` (complex, ``(R, n_freq, n)``) are the
-    group's states summed over its segments at segment start (after the
-    previous jump) and at segment end (before its own jump);
+    ``diff_sum`` (complex, ``(R, n_freq, n)``) is the group's
+    ``Σ (end − start)`` over its segments — segment end (before its own
+    jump) minus segment start (after the previous jump);
     ``f0_sum``/``f1_sum`` (``(R, n)``) the summed forcing endpoints and
-    ``norm_h`` (``(n_freq,)``) the per-ω ``‖A_ω‖₁ h``.  Both per-segment
-    formulas of the reference are linear in the segment's end states and
-    every member shares ``A`` and its propagator ``Φ = e^{Ah}`` (see
+    ``norm_h`` (``(n_freq,)``) the per-ω ``‖A_ω‖₁ h``.
+    ``state_sums(rows)`` returns ``(start_sum, end_sum)``, the states
+    summed at segment starts and at segment ends, at the frequency
+    indices ``rows``; it is called only for the frequencies that take the
+    trapezoid.  Both per-segment formulas of the reference are linear in
+    the segment's end states and every member shares ``A`` and its
+    propagator ``Φ = e^{Ah}`` (see
     :func:`repro.mft.context.build_structure`), so the group needs one
     evaluation on the sums instead of one per segment:
 
@@ -333,7 +340,7 @@ def group_period_integral(a_matrix, duration, omegas, start_sum, end_sum,
     """
     h = duration
     n = a_matrix.shape[0]
-    out = np.empty(np.shape(start_sum), dtype=complex)
+    out = np.empty(np.shape(diff_sum), dtype=complex)
     use_resolvent = norm_h > RESOLVENT_NORM_THRESHOLD
     trapezoid = ~use_resolvent
     if use_resolvent.any():
@@ -342,7 +349,7 @@ def group_period_integral(a_matrix, duration, omegas, start_sum, end_sum,
         a_shifted = (a_matrix.astype(complex)[None, :, :]
                      - 1j * omegas[rows, None, None]
                      * np.eye(n, dtype=complex)[None, :, :])
-        rhs = (end_sum[:, rows] - start_sum[:, rows]
+        rhs = (diff_sum[:, rows]
                - (0.5 * h * (f0_sum + f1_sum))[:, None, :])
         cols, solve_ok = batched_solve(a_shifted, rhs.transpose(1, 2, 0),
                                        context="segment integral resolvent")
@@ -350,14 +357,43 @@ def group_period_integral(a_matrix, duration, omegas, start_sum, end_sum,
         trapezoid[rows] = ~solve_ok
     if trapezoid.any():
         rows = np.nonzero(trapezoid)[0]
-        start = start_sum[:, rows]
-        end = end_sum[:, rows]
+        start, end = state_sums(rows)
         diff = start - end
         a_diff = diff @ a_matrix.T - 1j * omegas[None, rows, None] * diff
         out[:, rows] = (0.5 * h * (start + end)
                         + h * h / 12.0 * (a_diff
                                           + (f0_sum - f1_sum)[:, None, :]))
     return out
+
+
+def _run_state_sums(struct, members, rows, omegas, blocks, weights, starts,
+                    ends):
+    """``(start_sum, end_sum)`` of one group's runs at the frequencies ``rows``.
+
+    A run's segment-end states are those of a zero-start run whose first
+    forcing also carries the first homogeneous step ``e^{-jωh} Φ v_in``,
+    so their sum is the same run contraction applied to that forcing
+    cumulated along the run: ``Σ_k v_k = Σ_p w_p Φ^{L−1−p} Γ_p`` with
+    ``Γ_p`` the cumulated forcing up to segment ``start + p`` and ``w_p``
+    its run-end phase.  ``blocks``/``weights`` hold the phase-weighted
+    run forcing and its weights; the segment-start sum follows as
+    ``Σ_k v_k − v_end + v_in``.
+    """
+    start_sum = 0.0
+    end_sum = 0.0
+    for i in members:
+        run = struct.runs[i]
+        phase = weights[i][None, rows, None, :]
+        cumulated = np.cumsum(blocks[i][:, rows] * phase.conj(), axis=-1)
+        v_in = starts[i][:, rows]
+        first = (np.exp(-1j * omegas[rows] * struct.durations[run.start])
+                 [:, None] * (v_in @ struct.groups[run.group].phi.T))
+        cumulated += first[..., None]
+        cumulated *= phase
+        total = contract_run(run_operator(struct, run), cumulated)
+        end_sum = end_sum + total
+        start_sum = start_sum + (total - ends[i][:, rows] + v_in)
+    return start_sum, end_sum
 
 
 def solve_spectral_batch(context, omegas, segment_forcing,
@@ -381,9 +417,10 @@ def solve_spectral_batch(context, omegas, segment_forcing,
     rejection and its fallback attempts exactly.
 
     With an enabled ``recorder`` (:class:`repro.obs.Recorder`) the
-    kernel's stages — eigenbasis build, φ-integral stacking, batched
-    fixed-point solve, trace recursion, period integral — become child
-    spans of the caller's ``spectral.batch`` span.
+    kernel's stages — eigenbasis build, φ-integral stacking, run
+    contractions and batched fixed-point solve, the pass over runs,
+    period integral — become child spans of the caller's
+    ``spectral.batch`` span.
     """
     if recorder is None:
         from ..obs import NULL_RECORDER
@@ -432,42 +469,46 @@ def solve_spectral_batch(context, omegas, segment_forcing,
     # whose ~cond·eps error is *algorithm-specific*, so the batch runs
     # the very same LU through a stacked solve instead of the (more
     # accurate, but differently-rounded) eigenbasis division.
+    runs = struct.runs
     with recorder.span("spectral.step-integrals", n_groups=len(bases)):
-        # Segment-major, so each group's block and each segment's
-        # (R, F, n) slab of the trace recursion are contiguous.
-        g_seg = np.empty((n_rows, n_seg, n_freq, n), dtype=complex)
+        # One state-major (R, F, n, L) block per run, so each run's
+        # forcing at one (row, ω) is one contiguous (n, L) slab.
+        blocks = [np.empty((n_rows, n_freq, n, run.stop - run.start),
+                           dtype=complex) for run in runs]
         eye_c = np.eye(n, dtype=complex)
         norm_h_groups = [_group_norm_h(group.a_matrix, omegas,
                                        group.duration)
                          for group in struct.groups]
         for g, (group, basis) in enumerate(zip(struct.groups, bases)):
+            members = [(runs[i], blocks[i]) for i in group.runs]
             if not basis.diagonalizable:
                 with recorder.span("spectral.group-fallback", group=g):
                     _reference_group_integrals(group, omegas, forcing,
-                                               g_seg)
+                                               members)
                 continue
-            idx = np.asarray(group.indices)
             h = group.duration
-            f0 = forcing[:, idx, 0]
-            slope = (forcing[:, idx, 1] - f0) / h
             small = norm_h_groups[g] < SERIES_THRESHOLD
-            if np.any(small):
-                rows = np.nonzero(small)[0]
-                c0 = f0 @ basis.inverse.T
-                cs = slope @ basis.inverse.T
-                z = (basis.values[None, :] - 1j * omegas[rows, None]) * h
+            series = _rows(small)
+            lu = _rows(~small)
+            if series is not None:
+                z = (basis.values[None, :] - 1j * omegas[series, None]) * h
                 i1d, i2d = phi_scalar_integrals(z, h)
-                coeffs = (i1d[None, :, None, :] * c0[:, None, :, :]
-                          + i2d[None, :, None, :] * cs[:, None, :, :])
-                g_seg[:, idx[:, None], rows[None, :]] = (
-                    coeffs @ basis.vectors.T).transpose(0, 2, 1, 3)
-            if not np.all(small):
-                rows = np.nonzero(~small)[0]
-                i1, i2 = _lu_step_integrals(group, omegas[rows], eye_c)
-                _lu_group_forcing(g_seg, rows, idx, f0, slope, i1, i2)
+            if lu is not None:
+                i1, i2 = _lu_step_integrals(group, omegas[lu], eye_c)
+            for run, block in members:
+                f0, slope = _run_forcing_endpoints(forcing, run, h)
+                if series is not None:
+                    c0 = basis.inverse @ f0.transpose(0, 2, 1)
+                    cs = basis.inverse @ slope.transpose(0, 2, 1)
+                    coeffs = (i1d[None, :, :, None] * c0[:, None]
+                              + i2d[None, :, :, None] * cs[:, None])
+                    block[:, series] = basis.vectors @ coeffs
+                if lu is not None:
+                    _lu_run_forcing(block, lu, f0, slope, i1, i2)
 
-    # One-period affine map, all frequencies at once:
-    # M_ω = e^{-jωT} M₀ and g_ω = Σ_k e^{-jω(T − t_end_k)} R_k g_k.
+    # One-period affine map, all frequencies at once: M_ω = e^{-jωT} M₀,
+    # and g_ω composed run by run from each run's end state
+    # y = Σ_k e^{-jω(t_end[k₁] − t_end[k])} Φ^{k₁−k} g_k.
     with recorder.span("spectral.solve", n=int(n_freq)):
         period = disc.period
         phase_total = np.exp(-1j * omegas * period)
@@ -475,30 +516,18 @@ def solve_spectral_batch(context, omegas, segment_forcing,
         eye = np.eye(n, dtype=complex)
         m_stack = eye[None, :, :] - phase_total[:, None, None] * monodromy
         conditions = batched_condition_number(m_stack)
-        # g_acc[r, f] = Σ_k R_k (tail_phase[f, k] g_seg[r, k, f]): one
-        # (1, S·n) × (S·n, n) product per (row, ω) against the suffix
-        # products flattened to suffix_flat[(k, j), i] = R_k[i, j].  The
-        # weighted forcing is formed one frequency slice at a time.
-        tail = period - struct.t_end
-        # Complex once, not once per slice inside ``matmul``.
-        suffix_flat = struct.suffix.transpose(0, 2, 1).reshape(
-            n_seg * n, n).astype(complex)
-        g_acc = np.empty((n_rows, n_freq, n), dtype=complex)
-        step = max(1, min(n_freq, _WEIGHTED_SLICE_BYTES
-                          // (g_seg.nbytes // n_freq)))
-        weighted = np.empty((n_rows, step, n_seg, n), dtype=complex)
-        # scn: ignore[SCN008] - memory slices of one ω-block; the budget
-        # gates at the executor chunk around the block
-        for lo in range(0, n_freq, step):
-            part = slice(lo, lo + step)
-            width = min(step, n_freq - lo)
-            tail_phase = np.exp(-1j * omegas[part, None] * tail[None, :])
-            np.multiply(tail_phase[None, :, :, None],
-                        g_seg[:, :, part].transpose(0, 2, 1, 3),
-                        out=weighted[:, :width])
-            g_acc[:, part] = np.matmul(
-                weighted[:, :width].reshape(n_rows, width, 1, n_seg * n),
-                suffix_flat)[:, :, 0]
+        # Each run's forcing is phase-weighted in place and contracted
+        # against the run's power stack: one real product per (row, ω).
+        weights = []
+        particular = []
+        for run, block in zip(runs, blocks):
+            weight = np.exp(-1j * omegas[:, None] * run.lags[None, :])
+            block *= weight[None, :, None, :]
+            weights.append(weight)
+            particular.append(contract_run(run_operator(struct, run), block))
+        spans = [np.exp(-1j * omegas * run.span)[:, None] for run in runs]
+        g_acc = propagate_runs(struct, spans, particular, np.zeros(
+            (n_rows, n_freq, n), dtype=complex))[2]
         # One LU per frequency, all forcing rows as stacked RHS columns.
         v0_cols, ok = batched_solve(m_stack, np.moveaxis(g_acc, 0, -1),
                                     context="batched fixed-point solve")
@@ -506,42 +535,36 @@ def solve_spectral_batch(context, omegas, segment_forcing,
         if condition_limit is not None:
             ok = ok & ~(conditions > condition_limit)
 
-    # One sequential pass through the period (inherently ordered),
-    # vectorized across the whole frequency block.  The period integral
-    # is linear in the segment-end states, so the pass keeps no trace:
-    # per group it only sums the states at segment starts (post-jump)
-    # and at segment ends (pre-jump), next to the summed forcing
-    # endpoint pairs.  Every sum is an elementwise add in segment order,
-    # so row 0 of a stacked solve stays bit-identical to the unstacked
-    # solve.
-    with recorder.span("spectral.trace", n_segments=int(n_seg)):
-        seg_phase = np.exp(-1j * omegas[:, None]
-                           * struct.durations[None, :]).T[:, :, None]
-        phi_t = [phi.T for phi in group_propagators(struct)]
-        group_of = struct.group_of.tolist()
-        has_jump = struct.has_jump.tolist()
-        n_groups = len(struct.groups)
-        start_sums = np.zeros((n_groups, n_rows, n_freq, n), dtype=complex)
-        end_sums = np.zeros((n_groups, n_rows, n_freq, n), dtype=complex)
-        forcing_sums = np.zeros((n_groups, n_rows, 2, n), dtype=complex)
+    # The steady state at every run boundary: one pass over runs,
+    # vectorized across the whole frequency block.  Every product is per
+    # forcing row or elementwise, so row 0 of a stacked solve stays
+    # bit-identical to the unstacked solve.
+    with recorder.span("spectral.trace", n_runs=len(runs)):
+        starts, ends, _ = propagate_runs(struct, spans, particular, v0)
+
+    # Per group, the resolvent needs only Σ (end − start) over its
+    # segments, which telescopes within a run; the trapezoid's state
+    # sums come from the run contractions (:func:`_run_state_sums`).
+    with recorder.span("spectral.period-integral"):
+        forcing_sums = np.zeros((len(struct.groups), n_rows, 2, n),
+                                dtype=complex)
         np.add.at(forcing_sums, struct.group_of,
                   forcing.transpose(1, 0, 2, 3))
-        v = v0
-        for k in range(n_seg):
-            g = group_of[k]
-            start_sums[g] += v
-            v = seg_phase[k] * (v @ phi_t[g]) + g_seg[:, k]
-            end_sums[g] += v
-            if has_jump[k]:
-                v = v @ struct.jumps[k].T
-
-    with recorder.span("spectral.period-integral"):
         integral = np.zeros((n_rows, n_freq, n), dtype=complex)
         for g, group in enumerate(struct.groups):
+            first, *rest = group.runs
+            diff_sum = ends[first] - starts[first]
+            for i in rest:
+                diff_sum = diff_sum + (ends[i] - starts[i])
+
+            def state_sums(rows, group=group):
+                return _run_state_sums(struct, group.runs, rows, omegas,
+                                       blocks, weights, starts, ends)
+
             integral += group_period_integral(
-                group.a_matrix, group.duration, omegas,
-                start_sums[g], end_sums[g], forcing_sums[g, :, 0],
-                forcing_sums[g, :, 1], norm_h_groups[g])
+                group.a_matrix, group.duration, omegas, diff_sum,
+                forcing_sums[g, :, 0], forcing_sums[g, :, 1],
+                norm_h_groups[g], state_sums)
 
     if not stacked:
         integral = integral[0]

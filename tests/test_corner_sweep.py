@@ -513,7 +513,7 @@ class TestDefaultBlock:
         whole = self._sweep(lowpass_family, lowpass_freqs,
                             attribute_sources=True)
         context = sweep_context_for(sc_lowpass_system().system, SPP)
-        n_seg, n = context.structure.suffix.shape[:2]
+        n_seg, n = context.structure.n_segments, context.structure.n_states
         row_bytes = 2 * (1 + context.n_sources) * n_seg * n * 16
         monkeypatch.setattr(executor, "SPECTRAL_STACK_CAP_BYTES",
                             3 * row_bytes + row_bytes // 2)

@@ -213,7 +213,7 @@ class TestRegistryByteBound:
         assert all(ctx._structure is root._structure for ctx in derived)
         shared = _held_bytes([root] + derived)
         # Counted entry by entry, each derived corner would also carry
-        # its root's suffix products, covariance and forcing.
+        # its root's power stacks, covariance and forcing.
         assert shared < sum(_held_bytes([ctx]) for ctx in [root] + derived)
         monkeypatch.setattr(context_module, "_REGISTRY_CAP_BYTES", shared)
         sweep_context_for(_rc(0), 16)
@@ -237,6 +237,17 @@ class TestRegistryByteBound:
         assert delta["evictions"] == {"context": 3}
         assert delta["misses"] == {"context": 1}
         assert len(_registered()) == 1
+
+    def test_structure_counted_as_its_power_stacks(self):
+        # One run per group: the stacks hold S·n² reals, as the suffix
+        # products they replaced did.
+        context = SweepContext(sc_lowpass_system().system,
+                               segments_per_phase=16)
+        struct = context.structure
+        held = dict(context._retained_bytes())
+        assert held == {id(stack): stack.nbytes for stack in struct.powers}
+        assert sum(held.values()) == (
+            struct.n_segments * struct.n_states ** 2 * 8)
 
     def test_cascade_sweeps_stay_within_cap(self):
         from repro.circuits.corners import scale_system_noise

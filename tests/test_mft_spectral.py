@@ -7,6 +7,8 @@ ill-conditioned eigenbasis fall back per group (never per sweep) with a
 severity-tagged diagnostics finding.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,13 @@ from repro.circuits import (
 from repro.errors import ReproError
 from repro.linalg.checked import batched_solve
 from repro.lptv.periodic_solve import periodic_steady_state
-from repro.lptv.system import Phase, PiecewiseLTISystem
-from repro.mft.context import clear_sweep_contexts, sweep_context_for
+from repro.lptv.system import Phase, PiecewiseLTISystem, SampledLPTVSystem
+from repro.mft.context import (
+    SweepContext,
+    clear_sweep_contexts,
+    propagate_runs,
+    sweep_context_for,
+)
 from repro.mft.engine import MftNoiseAnalyzer
 from repro.mft.spectral import (
     build_group_bases,
@@ -408,9 +415,11 @@ class TestGroupPeriodIntegral:
         return out
 
     def _from_sums(self, a, h, omegas, post, pre, f0, f1):
+        start, end = post.sum(axis=0), pre.sum(axis=0)
         return group_period_integral(
-            a, h, omegas, post.sum(axis=0), pre.sum(axis=0),
-            f0.sum(axis=0), f1.sum(axis=0), self._norm_h(a, h, omegas))
+            a, h, omegas, end - start, f0.sum(axis=0), f1.sum(axis=0),
+            self._norm_h(a, h, omegas),
+            lambda rows: (start[:, rows], end[:, rows]))
 
     def _assert_close(self, got, want):
         scale = np.max(np.abs(want))
@@ -533,7 +542,7 @@ class TestDefaultBlock:
         single = analyzer.psd_sweep(freqs, solver="spectral-batch",
                                     chunk_size=1,
                                     attribute_sources=attribute)
-        if analyzer.context.structure.suffix.shape[1] > 2:
+        if analyzer.context.structure.n_states > 2:
             assert _sweep_record(single) == _sweep_record(default)
         else:
             # A one-frequency block of a system with at most two states
@@ -553,7 +562,7 @@ class TestDefaultBlock:
         whole = analyzer.psd_sweep(freqs, solver="spectral-batch",
                                    attribute_sources=True)
         context = analyzer.context
-        n_seg, n = context.structure.suffix.shape[:2]
+        n_seg, n = context.structure.n_segments, context.structure.n_states
         row_bytes = (1 + context.n_sources) * n_seg * n * 16
         # The cap fits ``per_block`` frequencies (and not one more); a
         # cap below one frequency's stack still sweeps one at a time.
@@ -571,7 +580,7 @@ class TestDefaultBlock:
         # An attributed sweep stacks 1 + n_sources kernel rows, so its
         # block holds proportionally fewer frequencies.
         context = _parity_analyzer("sc-lowpass").context
-        n_seg, n = context.structure.suffix.shape[:2]
+        n_seg, n = context.structure.n_segments, context.structure.n_states
         cap = executor.SPECTRAL_STACK_CAP_BYTES
         big = 10 * cap // (n_seg * n * 16)
         assert executor.spectral_block_size(context, big, 1) == (
@@ -638,3 +647,167 @@ class TestDefaultBlock:
         assert shuffled.psd.tobytes() == in_order.psd[order].tobytes()
         assert (shuffled.budget.contributions.tobytes()
                 == in_order.budget.contributions[:, order].tobytes())
+
+
+# -- run propagation -----------------------------------------------------------
+
+class _GivenGrid:
+    """A system whose discretization is handed in: a hand-edited grid."""
+
+    def __init__(self, disc, output_matrix):
+        self._disc = disc
+        self.output_matrix = output_matrix
+
+    def discretize(self, _segments_per_phase):
+        return self._disc
+
+
+def _mid_phase_jump_system():
+    """The SC low-pass at 16 segments per phase with a jump after
+    segment 5 of its first phase, which splits that phase's run."""
+    system = sc_lowpass_system().system
+    disc = system.discretize(16)
+    n = disc.n_states
+    segments = list(disc.segments)
+    jump = 0.5 * np.eye(n) + 0.1 * np.roll(np.eye(n), 1, axis=1)
+    segments[5] = replace(segments[5], jump=jump)
+    return _GivenGrid(replace(disc, segments=segments),
+                      system.output_matrix)
+
+
+def _sampled_system():
+    """Two states and two noise sources with ``A(t)`` sampled per
+    segment: every segment is its own group, every run one segment."""
+    return SampledLPTVSystem(
+        a_of_t=lambda t: np.array([[-1.0 - 0.5 * np.sin(t), 0.3],
+                                   [-0.2, -2.0 + 0.4 * np.cos(t)]]),
+        b_of_t=lambda t: np.array([[1.0, 0.0],
+                                   [0.3, 0.5 + 0.2 * np.sin(t)]]),
+        period=2.0 * np.pi, n_states=2,
+        output_matrix=np.array([[1.0, 0.0]]))
+
+
+#: One run per clock phase (SC low-pass, 16-state cascade), trapezoid
+#: groups and a jump on the period's last segment (ideal S/H), a run
+#: split by a jump in mid-phase, and one-segment runs stepping a
+#: non-C-ordered ``Φ`` (sampled system).
+RUN_SYSTEMS = {
+    "sc-lowpass": lambda: sc_lowpass_system().system,
+    "sc-cascade-4": lambda: _sc_cascade(4).system,
+    "ideal-sh-0.5": lambda: ideal_sample_hold(c_ratio=0.5),
+    "mid-phase-jump": _mid_phase_jump_system,
+    "sampled": _sampled_system,
+}
+
+
+def _run_context(name):
+    return SweepContext(RUN_SYSTEMS[name](), segments_per_phase=16)
+
+
+class TestRunPropagation:
+    """The kernel's pass over runs ≡ the per-segment trace of
+    ``solve_shifted``, to the exact-reorder bound."""
+
+    @pytest.mark.parametrize("attribute", [False, True])
+    @pytest.mark.parametrize("name", sorted(RUN_SYSTEMS))
+    def test_kernel_matches_solve_shifted(self, name, attribute):
+        context = _run_context(name)
+        l_row = np.asarray(context.system.output_matrix)[0]
+        rows = [context.forcing_pairs(l_row)]
+        if attribute:
+            rows += [context.source_forcing_pairs(l_row, s)
+                     for s in range(context.n_sources)]
+        omegas = (2.0 * np.pi * np.linspace(0.03, 2.4, 9)
+                  / context.disc.period)
+        batch = solve_spectral_batch(context, omegas, np.stack(rows))
+        assert np.all(batch.ok)
+        for r, row in enumerate(rows):
+            for f, omega in enumerate(omegas):
+                reference = context.solve_shifted(omega, row)
+                for got, want in ((batch.integral[r, f],
+                                   reference.integral),
+                                  (batch.v0[r, f], reference.pre[0])):
+                    scale = np.max(np.abs(want))
+                    assert np.max(np.abs(got - want)) <= 1e-12 * scale, (
+                        f"row {r}, omega {omega:.6g}")
+
+    @pytest.mark.parametrize("name", sorted(RUN_SYSTEMS))
+    def test_solve_shifted_matches_reference(self, name):
+        # The reference steps segment by segment and shares no run code.
+        context = _run_context(name)
+        forcing = context.forcing_pairs(
+            np.asarray(context.system.output_matrix)[0])
+        for omega in (2.0 * np.pi * np.linspace(0.03, 2.4, 5)
+                      / context.disc.period):
+            fast = context.solve_shifted(omega, forcing)
+            reference = periodic_steady_state(context.disc, omega, forcing)
+            for got, want in ((fast.integral, reference.integral),
+                              (fast.pre, reference.pre)):
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    def test_trapezoid_groups_are_exercised(self):
+        # The ideal S/H's hold phase (A = 0) takes the trapezoid at
+        # every frequency of the battery.
+        context = _run_context("ideal-sh-0.5")
+        omegas = (2.0 * np.pi * np.linspace(0.03, 2.4, 9)
+                  / context.disc.period)
+        hold = context.structure.groups[1]
+        norm_h = np.abs(omegas) * hold.duration
+        assert np.all(norm_h <= RESOLVENT_NORM_THRESHOLD)
+
+    @pytest.mark.parametrize("name", sorted(RUN_SYSTEMS))
+    def test_pass_over_runs_is_the_monodromy(self, name):
+        # Unit phases and no forcing: the pass maps each row-vector
+        # state through the period, the final jump included.
+        context = _run_context(name)
+        struct = context.structure
+        n = struct.n_states
+        count = len(struct.runs)
+        final = propagate_runs(struct, [1.0] * count,
+                               [np.zeros((n, n))] * count, np.eye(n))[2]
+        monodromy = context.monodromy
+        assert np.max(np.abs(final - monodromy.T)) <= (
+            1e-12 * np.max(np.abs(monodromy)))
+
+
+class TestRunSplitter:
+    """Runs: maximal stretches of one group's consecutive segments with
+    no jump before the last."""
+
+    @staticmethod
+    def _runs(struct):
+        return [(run.group, run.start, run.stop) for run in struct.runs]
+
+    def test_group_change_ends_a_run(self):
+        struct = _run_context("sc-lowpass").structure
+        assert self._runs(struct) == [(0, 0, 16), (1, 16, 32)]
+        assert [group.runs for group in struct.groups] == [[0], [1]]
+
+    def test_jump_ends_a_run(self):
+        struct = _run_context("mid-phase-jump").structure
+        assert self._runs(struct) == [(0, 0, 6), (0, 6, 16), (1, 16, 32)]
+        assert [group.runs for group in struct.groups] == [[0, 1], [2]]
+        # A group's stack holds the powers of its longest run.
+        assert [stack.shape[1] for stack in struct.powers] == [10, 16]
+
+    def test_jump_on_the_last_segment(self):
+        struct = _run_context("ideal-sh-0.5").structure
+        assert self._runs(struct) == [(0, 0, 16), (1, 16, 32)]
+        assert np.nonzero(struct.has_jump)[0].tolist() == [31]
+
+    def test_sampled_runs_are_one_segment_long(self):
+        context = _run_context("sampled")
+        struct = context.structure
+        assert self._runs(struct) == [(k, k, k + 1) for k in range(16)]
+        assert [stack.shape for stack in struct.powers] == [(2, 1, 2)] * 16
+        assert not context.disc.segments[0].phi.flags.c_contiguous
+
+    def test_power_stack_holds_reversed_powers(self):
+        struct = _run_context("sc-lowpass").structure
+        for group, stack in zip(struct.groups, struct.powers):
+            length = stack.shape[1]
+            for q in (0, length // 2, length - 1):
+                want = np.linalg.matrix_power(group.phi, length - 1 - q)
+                assert np.max(np.abs(stack[:, q, :].T - want)) <= (
+                    1e-13 * np.max(np.abs(want)))
