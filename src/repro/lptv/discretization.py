@@ -14,7 +14,9 @@ once and reused for every analysis frequency.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -93,8 +95,8 @@ class PeriodDiscretization:
         ``x(T) = Phi_T x(0) + w`` with ``w ~ N(0, Q_T)`` — the exact
         one-period discrete-time model of the switched SDE.
         """
-        return accumulate_period_gramian(
-            self.segments, [seg.gramian for seg in self.segments])
+        return accumulate_period_gramian(segment_runs(
+            self.segments, [seg.gramian for seg in self.segments]))
 
     def shifted_propagators(self, omega: float) -> list[ComplexArray]:
         """Segment propagators of the dynamics ``A(t) − jωI``.
@@ -107,26 +109,82 @@ class PeriodDiscretization:
                 for seg in self.segments]
 
 
-def accumulate_period_gramian(segments, gramians):
-    """``(Phi_T, Q_T)`` of a segment chain driven by per-segment Gramians.
+#: A maximal run of segments ``start … stop − 1`` sharing one ``Φ`` and
+#: one noise-drive object, with no jump before the last:
+#: ``(start, stop, phi, gramian, jump)``.  Over the run the covariance
+#: follows ``K ← Φ K Φᵀ + Q`` with one ``(Φ, Q)``; ``jump`` (``None`` =
+#: identity) follows segment ``stop − 1``.  ``gramian`` is ``(n, n)``, or
+#: an ``(m, n, n)`` stack of ``m`` drives on the same dynamics.  A plain
+#: tuple: a sampled system has one run per segment.
+SegmentRun = tuple[int, int, FloatArray, FloatArray, Optional[FloatArray]]
 
-    ``gramians[k]`` replaces segment ``k``'s own noise Gramian; it is an
-    ``(n, n)`` matrix or an ``(m, n, n)`` stack of ``m`` independent noise
-    drives on the same dynamics (one per noise source).  A stack runs the
-    chain once with the leading axis broadcast through every product, so
-    ``Q_T[i]`` is bit-identical to the chain driven by ``gramians[k][i]``
-    alone.  ``Phi_T`` does not depend on the drive and is never stacked.
+
+def segment_runs(segments: Sequence[Segment],
+                 gramians: Sequence[FloatArray]) -> list[SegmentRun]:
+    """Split a segment chain driven by ``gramians`` into maximal runs.
+
+    ``gramians[k]`` is segment ``k``'s noise drive (its own Gramian, or
+    a per-source stack).  A run ends where the next segment has another
+    ``phi`` or drive *object*, or where a jump follows: ``discretize``
+    shares one ``(Φ, Gramian)`` per relative step of a phase, so a
+    uniform phase is one run and a sampled system (a propagator per
+    segment) has runs of length 1.
     """
-    n = segments[0].phi.shape[0]
-    phi = np.eye(n)
-    gram = np.zeros(np.shape(gramians[0]))
-    for seg, seg_gram in zip(segments, gramians):
-        seg_phi = seg.phi
-        gram = seg_phi @ gram @ seg_phi.T
-        gram += seg_gram
-        phi = seg_phi @ phi
+    runs: list[SegmentRun] = []
+    start = 0
+    phi = segments[0].phi
+    gram = gramians[0]
+    jump: FloatArray | None = None
+    for k, (seg, seg_gram) in enumerate(zip(segments, gramians)):
+        if seg.phi is not phi or seg_gram is not gram or jump is not None:
+            runs.append((start, k, phi, gram, jump))
+            start, phi, gram = k, seg.phi, seg_gram
         jump = seg.jump
+    runs.append((start, len(segments), phi, gram, jump))
+    return runs
+
+
+def accumulate_period_gramian(
+        runs: Sequence[SegmentRun]) -> tuple[FloatArray, FloatArray]:
+    """``(Phi_T, Q_T)`` of a segment chain split into runs.
+
+    Each run contributes its ``(Φ^L, S_L)``, ``S_L = Σ_{i<L} Φⁱ Q Φⁱᵀ``,
+    by binary powering in ``log₂ L`` steps (:func:`run_power`); a run of
+    length 1 contributes its own ``(Φ, Q)``, one recursion step.  The
+    result agrees with the segment-by-segment recursion to rounding.  A
+    stacked drive (``(m, n, n)`` Gramians) carries the leading axis
+    through every product, so ``Q_T[i]`` is bit-identical to the runs
+    driven by drive ``i`` alone.  ``Phi_T`` does not depend on the drive
+    and is never stacked.
+    """
+    _start, _stop, first_phi, first_gram, _jump = runs[0]
+    phi_t = np.eye(first_phi.shape[0])
+    gram_t = np.zeros(first_gram.shape)
+    for start, stop, phi, gram, jump in runs:
+        if stop - start > 1:
+            phi, gram = run_power(phi, gram, stop - start)
+        gram_t = phi @ gram_t @ phi.T
+        gram_t += gram
+        phi_t = phi @ phi_t
         if jump is not None:
-            gram = jump @ gram @ jump.T
-            phi = jump @ phi
-    return phi, 0.5 * (gram + np.swapaxes(gram, -1, -2))
+            gram_t = jump @ gram_t @ jump.T
+            phi_t = jump @ phi_t
+    return phi_t, 0.5 * (gram_t + np.swapaxes(gram_t, -1, -2))
+
+
+def run_power(phi: FloatArray, gram: FloatArray,
+              length: int) -> tuple[FloatArray, FloatArray]:
+    """``(Φ^L, S_L)`` with ``S_L = Σ_{i<L} Φⁱ Q Φⁱᵀ``, in ``log₂ L`` steps.
+
+    Doubling uses ``S_{2a} = Φ^a S_a Φ^{aᵀ} + S_a`` and a set bit
+    ``S_{a+1} = Φ S_a Φᵀ + Q``; ``(Φ, Q)`` itself is returned for
+    ``L = 1``.
+    """
+    power, total = phi, gram
+    for bit in bin(length)[3:]:
+        total = power @ total @ power.T + total
+        power = power @ power
+        if bit == "1":
+            total = phi @ total @ phi.T + gram
+            power = phi @ power
+    return power, total

@@ -62,6 +62,12 @@ def _system_of(model_or_system: Any) -> Any:
     return system if system is not None else model_or_system
 
 
+def _first_appearance(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values`` in the order they first appear."""
+    _distinct, first = np.unique(values, return_index=True)
+    return values[np.sort(first)]
+
+
 class CornerBatchAnalyzer:
     """Executor-compatible analyzer over the flattened (corner, freq) axis.
 
@@ -212,32 +218,36 @@ class CornerBatchAnalyzer:
         condition_limit = (policy.condition_limit
                            if policy is not None else None)
 
-        # Partition the chunk's finite cells by dynamics group, keeping
-        # per-(group, corner) locals in chunk order.  Keys are read once
-        # per corner and the cell loops run on Python scalars.
-        keys = [member.context.dynamics_key for member in self.members]
-        corner_of = corners.tolist()
-        freq_of = np.asarray(freqs, dtype=float).tolist()
-        group_corners: "dict[int, list[int]]" = {}
-        cell_lists: "dict[int, dict[int, list[int]]]" = {}
-        for local in np.asarray(finite_idx).tolist():
-            m = corner_of[local]
-            key = keys[m]
-            cells = cell_lists.setdefault(key, {})
-            if m not in cells:
-                group_corners.setdefault(key, []).append(m)
-                cells[m] = []
-            cells[m].append(local)
+        # Partition the chunk's finite cells by dynamics group, groups
+        # and their corners in first-appearance order, each corner's
+        # cells in chunk order — index arrays, not a walk over cells.
+        keys = np.asarray([member.context.dynamics_key
+                           for member in self.members])
+        freq_of = np.asarray(freqs, dtype=float)
+        finite = np.asarray(finite_idx, dtype=int)
+        corner_of = np.asarray(corners)[finite]
+        cell_key = keys[corner_of]
 
         rescue: "list[int]" = []
-        for key, members in group_corners.items():
-            cells = cell_lists[key]
+        for key in _first_appearance(cell_key):
+            in_group = cell_key == key
+            members = _first_appearance(corner_of[in_group]).tolist()
+            group_cells = finite[in_group]
+            group_corner = corner_of[in_group]
+            cells = {m: group_cells[group_corner == m] for m in members}
             # Union of the group's chunk frequencies, first-appearance
-            # order (bit-parity with the plain sweep's chunk order for
-            # M = 1, where the union is the chunk itself).
-            union = list(dict.fromkeys(
-                freq_of[local] for m in members for local in cells[m]))
-            freq_pos = {f: i for i, f in enumerate(union)}
+            # order over the member-major cell order (bit-parity with the
+            # plain sweep's chunk order for M = 1, where the union is the
+            # chunk itself); ``freq_pos[local]`` is its slot in the union.
+            ordered = np.concatenate([cells[m] for m in members])
+            distinct, first, inverse = np.unique(
+                freq_of[ordered], return_index=True, return_inverse=True)
+            order = np.argsort(first, kind="stable")
+            union = distinct[order]
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            freq_pos = np.empty(freq_of.size, dtype=int)
+            freq_pos[ordered] = rank[inverse.reshape(-1)]
             omegas = 2.0 * np.pi * np.asarray(union)
             plans = self._row_plan(members, labels)
             blocks = [forcing if forcing.ndim == 4 else forcing[None]
@@ -269,21 +279,20 @@ class CornerBatchAnalyzer:
                     psd, ok = kernel_values(
                         result, self.members[m]._l_row, period, labels,
                         multiplier)
-                    for local in cells[m]:
-                        fi = freq_pos[freq_of[local]]
-                        if ok[fi]:
-                            values[local] = psd[fi]
-                            n_solved += 1
-                        else:
-                            rescue.append(local)
+                    local = cells[m]
+                    pos = freq_pos[local]
+                    accepted = ok[pos]
+                    values[local[accepted]] = psd[pos[accepted]]
+                    n_solved += int(np.count_nonzero(accepted))
+                    rescue.extend(local[~accepted].tolist())
             report.info(
                 "spectral-batch",
                 f"param-batched kernel solved {n_solved} of "
-                f"{sum(len(cells[m]) for m in members)} cells across "
+                f"{ordered.size} cells across "
                 f"{len(members)} corners with {len(plans)} kernel rows "
                 "in one stacked call",
                 n_batched=n_solved,
-                n_rescued=sum(len(cells[m]) for m in members) - n_solved,
+                n_rescued=ordered.size - n_solved,
                 n_params=len(members), n_rows=len(plans))
         return rescue
 

@@ -14,12 +14,27 @@ so the *periodic steady state* is the discrete Lyapunov fixed point of the
 one-period map — one linear solve instead of integrating dozens of clock
 cycles. Both the transient propagation (for convergence studies and the
 brute-force baseline) and the steady state are provided.
+
+Neither walks the grid segment by segment.  The segments of one clock
+phase share one ``(Phi, Q)``, so the chain splits into *runs*
+(:func:`~repro.lptv.discretization.segment_runs`) over which the samples
+are ``K_r = Phi^r K_0 Phi^{r T} + S_r``, ``S_r = sum_{i<r} Phi^i Q
+Phi^{i T}``.  The period map takes each run's ``(Phi^L, S_L)`` by binary
+powering; the samples come from a blocked scan with ``B = isqrt(L)``:
+sequential steps of ``(Phi^B, S_B)`` to the block starts, then one
+batched product from the tables ``Phi^r``, ``S_r`` (``r < B``) for every
+other sample.  The samples agree with the per-segment recursion to
+rounding (``~1e-14`` of ``max |K|``), not bit for bit; a run of length 1
+(every run of a sampled system) is one recursion step.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -31,7 +46,19 @@ from ..linalg.lyapunov import (
 )
 from ..linalg.checked import eigenvalues
 from ..linalg.packing import symmetrize
-from ..lptv.discretization import accumulate_period_gramian
+from ..lptv.discretization import (
+    PeriodDiscretization,
+    SegmentRun,
+    accumulate_period_gramian,
+    segment_runs,
+)
+from ..typing import ArrayLike, FloatArray
+
+if TYPE_CHECKING:
+    from ..lptv.system import PiecewiseLTISystem, SampledLPTVSystem
+
+    SystemOrDisc = Union[PiecewiseLTISystem, SampledLPTVSystem,
+                         PeriodDiscretization]
 
 logger = logging.getLogger(__name__)
 
@@ -45,41 +72,43 @@ class PeriodicCovariance:
     periodicity ``post[-1] == post[0]``.
     """
 
-    grid: np.ndarray
-    pre: np.ndarray
-    post: np.ndarray
+    grid: FloatArray
+    pre: FloatArray
+    post: FloatArray
     period: float
 
     @property
-    def n_states(self):
-        return self.post.shape[1]
+    def n_states(self) -> int:
+        return int(self.post.shape[1])
 
-    def variance(self, state_index):
+    def variance(self, state_index: int) -> FloatArray:
         """Variance trace of one state over the period (post-jump)."""
         return self.post[:, state_index, state_index].real.copy()
 
-    def output_variance(self, l_row):
+    def output_variance(self, l_row: ArrayLike) -> FloatArray:
         """Variance trace of the output ``y = l^T x``."""
-        l_row = np.asarray(l_row, dtype=float)
-        return np.einsum("i,kij,j->k", l_row, self.post, l_row).real
+        row = np.asarray(l_row, dtype=float)
+        return np.einsum("i,kij,j->k", row, self.post, row).real
 
-    def average_output_variance(self, l_row):
+    def average_output_variance(self, l_row: ArrayLike) -> float:
         """Period-averaged output variance (trapezoid over the grid)."""
         trace = self.output_variance(np.asarray(l_row, dtype=float))
         return float(np.trapezoid(trace, self.grid) / self.period)
 
-    def forcing_samples(self, l_row):
+    def forcing_samples(self, l_row: ArrayLike
+                        ) -> tuple[FloatArray, FloatArray]:
         """``K(t) l`` at the grid points, the cross-spectral forcing.
 
         Returns ``(post_samples, pre_samples)`` each of shape
         ``(len(grid), n)``; these feed straight into
         :func:`repro.lptv.periodic_solve.forcing_from_samples`.
         """
-        l_row = np.asarray(l_row, dtype=float)
-        return self.post @ l_row, self.pre @ l_row
+        row = np.asarray(l_row, dtype=float)
+        return self.post @ row, self.pre @ row
 
 
-def periodic_covariance(system_or_disc, segments_per_phase=64):
+def periodic_covariance(system_or_disc: SystemOrDisc,
+                        segments_per_phase: int = 64) -> PeriodicCovariance:
     """Periodic steady-state covariance of a stable switched system.
 
     Raises :class:`~repro.errors.StabilityError` for an unstable system;
@@ -95,14 +124,16 @@ def periodic_covariance(system_or_disc, segments_per_phase=64):
                               period=disc.period)
 
 
-def steady_state_samples(disc, gramians):
+def steady_state_samples(disc: PeriodDiscretization,
+                         gramians: Sequence[FloatArray]
+                         ) -> tuple[FloatArray, FloatArray]:
     """Steady-state covariance ``(pre, post)`` samples on ``disc.grid``.
 
     ``gramians[k]`` is the noise Gramian driving segment ``k`` — the
     segment's own for :func:`periodic_covariance`, or an ``(m, n, n)``
     stack of ``m`` noise drives on the same dynamics (one per noise
     source for per-source attribution).  A stack shares one pass over
-    the period: the period Gramian and the propagation carry the
+    the period's runs: the period Gramian and the blocked scan carry the
     leading axis through every product, and only the discrete Lyapunov
     fixed point is solved drive by drive (Smith doubling stops at a
     different iteration for each).  The result is ``(m, len(grid), n,
@@ -113,16 +144,19 @@ def steady_state_samples(disc, gramians):
     ``spectral_radius`` and a ``floquet-unstable`` report) when the
     period map is not asymptotically stable.
     """
-    phi_t, q_t = accumulate_period_gramian(disc.segments, gramians)
+    runs = segment_runs(disc.segments, gramians)
+    phi_t, q_t = accumulate_period_gramian(runs)
     if q_t.ndim == 2:
         k0 = _fixed_point(phi_t, q_t)
     else:
         k0 = np.stack([_fixed_point(phi_t, q) for q in q_t])
-    return _propagate_over_period(disc.segments, gramians, k0)
+    return _propagate_over_period(runs, k0)
 
 
-def transient_covariance(system_or_disc, n_periods, k0=None,
-                         segments_per_phase=64):
+def transient_covariance(system_or_disc: SystemOrDisc, n_periods: int,
+                         k0: ArrayLike | None = None,
+                         segments_per_phase: int = 64
+                         ) -> tuple[FloatArray, FloatArray]:
     """Propagate the covariance from ``k0`` (default zero) over n periods.
 
     Returns ``(times, covariances)`` where ``covariances[k]`` is the
@@ -135,20 +169,22 @@ def transient_covariance(system_or_disc, n_periods, k0=None,
     if n_periods < 1:
         raise ReproError(f"n_periods must be >= 1, got {n_periods}")
     k = (np.zeros((n, n)) if k0 is None
-         else symmetrize(np.asarray(k0, dtype=float)).copy())
-    gramians = [seg.gramian for seg in disc.segments]
+         else symmetrize(np.asarray(k0, dtype=float)).real.copy())
+    runs = segment_runs(disc.segments,
+                        [seg.gramian for seg in disc.segments])
     t_end = disc.grid[1:]
     times = [np.zeros(1)]
     trace = [k[None].copy()]
     for period_index in range(n_periods):
-        _pre, post = _propagate_over_period(disc.segments, gramians, k)
+        _pre, post = _propagate_over_period(runs, k)
         times.append(period_index * disc.period + t_end)
         trace.append(post[1:])
         k = post[-1]
     return np.concatenate(times), np.concatenate(trace)
 
 
-def stationary_covariance(a_matrix, b_matrix):
+def stationary_covariance(a_matrix: ArrayLike,
+                          b_matrix: ArrayLike) -> FloatArray:
     """Stationary covariance of an LTI circuit: solve ``AK+KA^T+BB^T=0``.
 
     The t→∞ limit every periodic engine must reproduce when the "switched"
@@ -159,7 +195,7 @@ def stationary_covariance(a_matrix, b_matrix):
     return solve_continuous_lyapunov(a, b @ b.T).real
 
 
-def _fixed_point(phi_t, q_t):
+def _fixed_point(phi_t: FloatArray, q_t: FloatArray) -> FloatArray:
     """Period-start covariance: the discrete Lyapunov fixed point."""
     try:
         return solve_discrete_lyapunov(phi_t, q_t).real
@@ -177,46 +213,127 @@ def _fixed_point(phi_t, q_t):
         raise exc.attach_diagnostics(report)
 
 
-def _propagate_over_period(segments, gramians, k0):
+def _propagate_over_period(runs: Sequence[SegmentRun],
+                           k0: FloatArray) -> tuple[FloatArray, FloatArray]:
     """``(pre, post)`` samples of one period from ``K(0) = k0``.
 
     ``k0`` is ``(n, n)`` or a stack ``(m, n, n)`` matching stacked
-    ``gramians``; samples are ``(len(segments) + 1, n, n)``, stacked
-    as ``(m, len(segments) + 1, n, n)``.  The recursion is sequential,
-    so its body stays lean: each step symmetrizes the real ``K`` as
-    ``0.5 (K + Kᵀ)`` straight into its time-major sample row, the bits
-    :func:`~repro.linalg.packing.symmetrize` gives.
+    drives; samples are ``(S + 1, n, n)`` for ``S`` segments, stacked as
+    ``(m, S + 1, n, n)``.  Sample ``r`` of a run of length ``L`` is
+    ``Φ^r K Φ^{rᵀ} + S_r`` from the run's start ``K``.  With block
+    length ``B = isqrt(L)``, steps of ``(Φ^B, S_B)`` reach the block
+    starts one after another and :func:`_fill_run` batches the rest; a
+    run with ``B = 1`` (shorter than 4, e.g. a sampled system's runs of
+    length 1) is the plain recursion.  The samples are symmetrized once,
+    as ``0.5 (K + Kᵀ)`` over the whole period (the bits
+    :func:`~repro.linalg.packing.symmetrize` gives), not step by step:
+    ``Φ E Φᵀ`` keeps a rounding-level antisymmetric ``E`` antisymmetric,
+    so it never reaches the symmetric part.  ``post`` is ``pre`` but at
+    the run-end jumps, ``K → J K Jᵀ`` (symmetrized before it drives the
+    next run).
     """
-    shape = (len(segments) + 1,) + k0.shape
-    pre = np.empty(shape)
-    post = np.empty(shape)
-    pre[0] = k0
-    post[0] = k0
+    pre = np.empty(k0.shape[:-2] + (runs[-1][1] + 1,) + k0.shape[-2:])
+    post = np.empty_like(pre)
+    # Time-major views of the result: a stacked drive is filled in its
+    # ``(m, S + 1, n, n)`` layout, with no transposing copy at the end.
+    rows = np.moveaxis(pre, -3, 0)
+    scratch = np.moveaxis(post, -3, 0)
+    rows[0] = k0
+    jumped: list[tuple[int, FloatArray]] = []
     k = k0
-    for idx, (seg, gram) in enumerate(zip(segments, gramians), 1):
-        phi = seg.phi
-        k = phi @ k @ phi.T
-        k += gram
-        row = pre[idx]
-        np.add(k, k.swapaxes(-1, -2), out=row)
-        row *= 0.5
-        k = row
-        jump = seg.jump
+    for start, stop, phi, gram, jump in runs:
+        length = stop - start
+        block = math.isqrt(length)
+        if block > 1:
+            tables = _run_tables(phi, gram, block)
+            step, step_t, step_gram = (table[block] for table in tables)
+        else:
+            step, step_t, step_gram = phi, phi.T, gram
+        first = k
+        for idx in range(start + block, stop - length % block + 1, block):
+            k = np.add(step @ k @ step_t, step_gram, out=rows[idx])
+        if block > 1:
+            _fill_run(first, start, stop, tables, rows, scratch)
+            k = rows[stop]
         if jump is not None:
             k = jump @ k @ jump.T
-            row = post[idx]
-            np.add(k, k.swapaxes(-1, -2), out=row)
-            row *= 0.5
-            k = row
-        else:
-            post[idx] = k
-    if k0.ndim == 2:
-        return pre, post
-    return (np.ascontiguousarray(np.moveaxis(pre, 0, -3)),
-            np.ascontiguousarray(np.moveaxis(post, 0, -3)))
+            k = 0.5 * (k + k.swapaxes(-1, -2))
+            jumped.append((stop, k))
+    np.add(pre, pre.swapaxes(-1, -2), out=post)
+    np.multiply(post, 0.5, out=pre)
+    post[...] = pre
+    for idx, k in jumped:
+        post[..., idx, :, :] = k
+    return pre, post
 
 
-def _as_disc(system_or_disc, segments_per_phase):
-    if hasattr(system_or_disc, "segments"):
+def _run_tables(phi: FloatArray, gram: FloatArray, count: int
+                ) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """``Φ^r``, ``(Φ^r)ᵀ`` and ``S_r = Σ_{i<r} Φⁱ Q Φⁱᵀ``, ``r = 0 … count``.
+
+    The transposes are C-ordered copies: a product against a
+    transposed view is several times slower for small ``n``.
+    """
+    powers = np.empty((count + 1,) + phi.shape)
+    sums = np.empty((count + 1,) + gram.shape)
+    powers[0] = np.eye(phi.shape[0])
+    sums[0] = 0.0
+    powers[1] = phi
+    sums[1] = gram
+    phi_t = np.ascontiguousarray(phi.T)
+    for r in range(1, count):
+        np.matmul(phi, powers[r], out=powers[r + 1])
+        np.matmul(phi @ sums[r], phi_t, out=sums[r + 1])
+        sums[r + 1] += gram
+    return powers, np.ascontiguousarray(powers.swapaxes(-1, -2)), sums
+
+
+def _fill_run(first: FloatArray, start: int, stop: int,
+              tables: tuple[FloatArray, FloatArray, FloatArray],
+              rows: FloatArray, scratch: FloatArray) -> None:
+    """The sample rows of one run between its block starts.
+
+    The block starts ``start + aB`` hold ``K_{aB}`` (``first`` at
+    ``a = 0``, the rows after it), ``B = len(powers) − 1``; every other
+    sample is ``Φ^r K_{aB} Φ^{rᵀ} + S_r`` — one batched product over the
+    whole blocks, one over the tail past the last block start.
+    ``scratch`` rows (rewritten after the period) hold ``Φ^r K``, so no
+    temporary the size of the rows is allocated.
+    """
+    powers, powers_t, sums = tables
+    block = len(powers) - 1
+    n_blocks = (stop - start) // block
+    full = slice(start, start + n_blocks * block)
+    shape = (n_blocks, block) + first.shape
+    bases = np.concatenate((first[None], rows[start + block:full.stop:block]))
+    picks = slice(1, block)
+    _fill_rows(powers[picks], powers_t[picks], sums[picks], bases[:, None],
+               rows[full].reshape(shape)[:, 1:],
+               scratch[full].reshape(shape)[:, 1:])
+    tail = stop - full.stop
+    if tail:
+        picks = slice(1, tail + 1)
+        span = slice(full.stop + 1, stop + 1)
+        _fill_rows(powers[picks], powers_t[picks], sums[picks],
+                   rows[full.stop], rows[span], scratch[span])
+
+
+def _fill_rows(powers: FloatArray, powers_t: FloatArray, sums: FloatArray,
+               bases: FloatArray, rows: FloatArray,
+               scratch: FloatArray) -> None:
+    """``rows = Φ^r K Φ^{rᵀ} + S_r``, broadcast over sample rows.
+
+    ``powers[r]`` and ``sums[r]`` go with the rows' sample axis and
+    ``bases`` broadcasts against them; ``scratch`` holds ``Φ^r K``.
+    """
+    axes = powers.shape[:1] + (1,) * (sums.ndim - 3) + powers.shape[1:]
+    np.matmul(powers.reshape(axes), bases, out=scratch)
+    np.matmul(scratch, powers_t.reshape(axes), out=rows)
+    rows += sums
+
+
+def _as_disc(system_or_disc: SystemOrDisc,
+             segments_per_phase: int) -> PeriodDiscretization:
+    if isinstance(system_or_disc, PeriodDiscretization):
         return system_or_disc
     return system_or_disc.discretize(segments_per_phase)

@@ -95,7 +95,10 @@ class TestTransient:
                 want_times.append(period_index * disc.period + seg.t_end)
                 want.append(k)
         assert np.array_equal(times, want_times)
-        assert np.array_equal(trace, want)
+        # Runs propagate by blocked powers, not segment by segment: the
+        # samples agree to rounding (~2e-14 of max|K| measured).
+        want = np.asarray(want)
+        assert np.max(np.abs(trace - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_custom_initial_condition(self, rc_system, rc_params):
         k0 = np.array([[5.0 * rc_params.ktc_variance]])
