@@ -76,13 +76,28 @@ class PhaseMna:
                 "capacitors/voltage sources; run "
                 "repro.circuit.topology.diagnose_phase for details"
             ) from exc
-        cond = condition_number(self.m_matrix)
-        if not np.isfinite(cond) or cond > MNA_COND_LIMIT:
-            raise TopologyError(
-                f"phase {self.phase_name!r}: MNA matrix is numerically "
-                f"singular (condition number {cond:.3g}); the phase "
-                "topology is ill-posed — see repro.circuit.topology")
+        if not _cond_screen_accepts(self.m_matrix, lu):
+            cond = condition_number(self.m_matrix)
+            if not np.isfinite(cond) or cond > MNA_COND_LIMIT:
+                raise TopologyError(
+                    f"phase {self.phase_name!r}: MNA matrix is numerically "
+                    f"singular (condition number {cond:.3g}); the phase "
+                    "topology is ill-posed — see repro.circuit.topology")
         return lu @ self.p_matrix, lu @ self.n_matrix, lu @ self.s_matrix
+
+
+def _cond_screen_accepts(m_matrix, inverse):
+    """Whether ``cond₂(M) ≤ MNA_COND_LIMIT`` follows without an SVD.
+
+    ``cond₂(M) ≤ n·‖M‖₁‖M⁻¹‖₁`` for an ``n × n`` matrix; the computed
+    ``inverse`` carries rounding of relative size ``cond·ε``, which a
+    factor 2 covers up to the limit.  ``False`` means only that the
+    screen cannot decide (the caller then takes the SVD), never that the
+    matrix is ill-conditioned.
+    """
+    bound = (2.0 * m_matrix.shape[0] * np.linalg.norm(m_matrix, 1)
+             * np.linalg.norm(inverse, 1))
+    return bool(bound <= MNA_COND_LIMIT)
 
 
 def assemble_phase(netlist, phase_name, noise_descriptors=None,

@@ -40,10 +40,15 @@ _PADE_COEFFS = {
 }
 
 
-def _pade(matrix, order):
-    """Return (U, V) of the [order/order] Padé approximant to exp(matrix)."""
+def _pade(matrix: "FloatArray | ComplexArray", order: int
+          ) -> "tuple[FloatArray | ComplexArray, FloatArray | ComplexArray]":
+    """Return (U, V) of the [order/order] Padé approximant to exp(matrix).
+
+    ``matrix`` is ``(n, n)`` or a stack ``(m, n, n)``; the identity
+    broadcasts against a stack.
+    """
     coeffs = _PADE_COEFFS[order]
-    n = matrix.shape[0]
+    n = matrix.shape[-1]
     identity = np.eye(n, dtype=matrix.dtype)
     squared = matrix @ matrix
     # U collects odd powers (multiplied by `matrix` at the end), V even ones.
@@ -58,27 +63,35 @@ def _pade(matrix, order):
 
 
 def expm(matrix: ArrayLike) -> "FloatArray | ComplexArray":
-    """Matrix exponential of a square array.
+    """Matrix exponential of a square array or a stack of them.
 
     Parameters
     ----------
-    matrix : (n, n) array_like, real or complex
+    matrix : (n, n) or (m, n, n) array_like, real or complex
 
     Returns
     -------
-    (n, n) ndarray with ``exp(matrix)``, same dtype kind as the input.
+    ndarray of ``matrix``'s shape with ``exp`` of each matrix, same dtype
+    kind as the input.  A stack shares one Padé order and one scaling,
+    chosen from its largest 1-norm, so each member agrees with its own
+    2-D call to rounding (bit for bit when its norm picks the same
+    order and scaling); a 2-D call is the textbook algorithm.
     """
     a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ReproError(f"expm requires a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        return np.zeros((0, 0), dtype=a.dtype)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ReproError(
+            f"expm requires a square matrix or a stack of them, got "
+            f"shape {a.shape}")
+    if a.size == 0:
+        return np.zeros(a.shape, dtype=a.dtype)
     dtype = np.complex128 if np.iscomplexobj(a) else np.float64
     a = a.astype(dtype, copy=True)
-    if a.shape[0] == 1:
+    if a.shape[-1] == 1:
         return np.exp(a)
 
-    norm = np.linalg.norm(a, 1)
+    # The 1-norm (largest column sum) of each matrix, the largest of
+    # a stack: ``np.linalg.norm(a, 1)`` for a 2-D input.
+    norm = np.abs(a).sum(axis=-2).max()
     if not np.isfinite(norm):
         raise ReproError("expm input contains non-finite entries")
 
@@ -101,7 +114,9 @@ def expm(matrix: ArrayLike) -> "FloatArray | ComplexArray":
     return result
 
 
-def expm_action(matrix, vectors, dt=1.0, substeps=None):
+def expm_action(matrix: ArrayLike, vectors: ArrayLike, dt: float = 1.0,
+                substeps: int | None = None
+                ) -> "FloatArray | ComplexArray":
     """Compute ``exp(matrix * dt) @ vectors`` without forming large powers.
 
     For the moderate dimensions in this library (tens of states) a direct

@@ -30,7 +30,8 @@ from .packing import symmetrize
 from .sylvester import solve_sylvester
 
 
-def solve_continuous_lyapunov(a_matrix, q_matrix):
+def solve_continuous_lyapunov(a_matrix: ArrayLike, q_matrix: ArrayLike
+                              ) -> "FloatArray | ComplexArray":
     """Solve ``A K + K A^H + Q = 0`` for the stationary covariance ``K``.
 
     ``Q`` must be Hermitian; the result is symmetrised to remove rounding
@@ -54,10 +55,17 @@ def solve_discrete_lyapunov(phi_matrix: ArrayLike, q_matrix: ArrayLike,
     Floquet stability condition required for a periodic steady state to
     exist; an unstable ``Phi`` raises
     :class:`~repro.errors.StabilityError` with the offending radius.
+
+    ``q_matrix`` is ``(n, n)`` or a stack ``(m, n, n)`` of drives on the
+    same ``Phi``, solved together: one radius check and one sequence of
+    powers ``Phi, Phi², Phi⁴, …`` serve every drive, and each drive stops
+    at its own iteration, so entry ``i`` is bit-identical to solving
+    ``q_matrix[i]`` alone.
     """
     phi = np.asarray(phi_matrix)
     q = np.asarray(q_matrix)
-    if phi.shape != q.shape:
+    if (q.ndim not in (2, 3) or q.shape[-2:] != phi.shape
+            or q.size == 0 < phi.size):
         raise SingularMatrixError(
             f"discrete Lyapunov shape mismatch: {phi.shape} vs {q.shape}")
     radius = max(abs(np.linalg.eigvals(phi))) if phi.size else 0.0
@@ -68,24 +76,48 @@ def solve_discrete_lyapunov(phi_matrix: ArrayLike, q_matrix: ArrayLike,
             "covariance exists")
     x = q.astype(complex if np.iscomplexobj(phi) or np.iscomplexobj(q)
                  else float, copy=True)
+    solved = x.reshape((-1,) + phi.shape)
+    q_norms = _frobenius_norms(solved)
+    live = np.flatnonzero(q_norms)
+    if live.size < len(solved):
+        solved[q_norms == 0.0] = 0.0
+    active = solved[live]
     p = phi.copy()
-    q_norm = np.linalg.norm(q, "fro")
-    if q_norm == 0.0:
-        return np.zeros_like(x)
     for _ in range(max_doublings):
-        update = p @ x @ p.conj().T
-        x = x + update
+        if not live.size:
+            break
+        update = p @ active @ p.conj().T
+        active = active + update
         # Purely relative criterion: the solution magnitude is
         # Q/(1-radius²)-sized and can be arbitrarily small, so an
         # absolute floor would terminate prematurely for near-unity
         # radii with small Q (slow circuits under a fast clock).
-        if np.linalg.norm(update, "fro") <= tol * np.linalg.norm(
-                x, "fro"):
-            return symmetrize(x)
+        done = _frobenius_norms(update) <= tol * _frobenius_norms(active)
+        if True in done.tolist():
+            solved[live[done]] = symmetrize(active[done])
+            live = live[~done]
+            active = active[~done]
         p = p @ p
-    raise ConvergenceError(
-        "Smith doubling did not converge; monodromy spectral radius "
-        f"{radius:.6g} is too close to one", iterations=max_doublings)
+    if live.size:
+        raise ConvergenceError(
+            "Smith doubling did not converge; monodromy spectral radius "
+            f"{radius:.6g} is too close to one", iterations=max_doublings)
+    return x
+
+
+def _frobenius_norms(stack: "FloatArray | ComplexArray") -> FloatArray:
+    """Frobenius norm of each matrix of an ``(m, n, n)`` stack.
+
+    The same dot products ``np.linalg.norm(matrix, "fro")`` takes, so
+    each norm is bit-identical to the 2-D call's.
+    """
+    flat = stack.reshape(len(stack), -1)
+    if flat.dtype.kind == "c":
+        squares = (np.vecdot(flat.real, flat.real)
+                   + np.vecdot(flat.imag, flat.imag))
+    else:
+        squares = np.vecdot(flat, flat)
+    return np.sqrt(squares)
 
 
 def solve_linear_fixed_point(m_matrix: ArrayLike, g_vector: ArrayLike
@@ -108,7 +140,7 @@ def solve_linear_fixed_point(m_matrix: ArrayLike, g_vector: ArrayLike
             "fixed-point system (I - M) is singular") from exc
 
 
-def fixed_point_condition(m_matrix):
+def fixed_point_condition(m_matrix: ArrayLike) -> float:
     """2-norm condition number of the fixed-point system ``I − M``.
 
     The loss of accuracy of ``(I − M)^{-1} g`` is ~``log10(cond)``
@@ -125,8 +157,9 @@ def fixed_point_condition(m_matrix):
         return float("inf")
 
 
-def solve_regularized_fixed_point(m_matrix, g_vector,
-                                  ridge=FIXED_POINT_RIDGE):
+def solve_regularized_fixed_point(m_matrix: ArrayLike, g_vector: ArrayLike,
+                                  ridge: float = FIXED_POINT_RIDGE
+                                  ) -> "FloatArray | ComplexArray":
     """Tikhonov-regularized least-squares solve of ``(I − M) q = g``.
 
     Minimises ``‖(I − M) q − g‖² + λ²‖q‖²`` with ``λ = ridge · ‖I − M‖``

@@ -50,8 +50,10 @@ def vanloan_gramian(a_matrix: ArrayLike, noise_bbt: ArrayLike,
     ----------
     a_matrix : (n, n) array_like
         State matrix ``A`` of the segment.
-    noise_bbt : (n, n) array_like
-        The diffusion product ``B @ B.T`` (symmetric positive semidefinite).
+    noise_bbt : (n, n) or (m, n, n) array_like
+        The diffusion product ``B @ B.T`` (symmetric positive
+        semidefinite), or a stack of ``m`` of them driving the same
+        ``A`` (one per noise source).
     dt : float
         Segment duration; must be ``>= 0``.
 
@@ -59,19 +61,23 @@ def vanloan_gramian(a_matrix: ArrayLike, noise_bbt: ArrayLike,
     -------
     phi : (n, n) ndarray
         ``expm(A dt)``.
-    gramian : (n, n) ndarray
-        The exact accumulated noise covariance over the segment.
+    gramian : ndarray shaped like ``noise_bbt``
+        The exact accumulated noise covariance over the segment, one per
+        drive of a stack.  A stack takes one block exponential and
+        shares the doubling composition (``Φ`` depends on ``A`` only);
+        each member agrees with its own 2-D call to rounding.
     """
     a = np.asarray(a_matrix, dtype=float)
     q = np.asarray(noise_bbt, dtype=float)
     n = a.shape[0]
-    if a.shape != (n, n) or q.shape != (n, n):
+    if (a.shape != (n, n) or q.ndim not in (2, 3) or q.shape[-2:] != (n, n)
+            or q.size == 0 < n):
         raise ReproError(
             f"vanloan_gramian shapes mismatch: A {a.shape}, BB^T {q.shape}")
     if dt < 0.0:
         raise ReproError(f"segment duration must be non-negative, got {dt}")
     if dt == 0.0:
-        return np.eye(n), np.zeros((n, n))
+        return np.eye(n), np.zeros(q.shape)
 
     # The upper-left block of the Van Loan matrix is −A, whose exponential
     # explodes for stiff stable segments (‖A‖dt in the hundreds is routine
@@ -85,22 +91,38 @@ def vanloan_gramian(a_matrix: ArrayLike, noise_bbt: ArrayLike,
         doublings = int(np.ceil(np.log2(norm / _BLOCK_NORM_LIMIT)))
     h = dt / (2 ** doublings)
 
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = -a
-    block[:n, n:] = q
-    block[n:, n:] = a.T
+    # All the block exponential and the doubling do to the ``Q`` block
+    # is linear in ``Q``, so a drive scaled by a power of two yields its
+    # Gramian scaled by it, exactly.  A stack scales each drive down to
+    # the binary magnitude of its smallest nonzero one: the Padé order
+    # and scaling ``expm`` picks from the stack's largest 1-norm then
+    # never over-scale a small drive.
+    drives = q
+    if q.ndim == 3:
+        norms = np.abs(q).sum(axis=-2).max(axis=-1)
+        exponents = np.frexp(norms)[1]
+        floor = exponents[norms > 0.0].min(initial=exponents.max())
+        shifts = (exponents - floor)[:, None, None]
+        drives = np.ldexp(q, -shifts)
+    block = np.zeros(q.shape[:-2] + (2 * n, 2 * n))
+    block[..., :n, :n] = -a
+    block[..., :n, n:] = drives
+    block[..., n:, n:] = a.T
     g = expm(block * h)
-    phi = g[n:, n:].T
-    gramian = symmetrize(phi @ g[:n, n:])
+    # Every member of a stack carries the same ``Φ`` block.
+    phi = (g if g.ndim == 2 else g[0])[n:, n:].T
+    gramian = symmetrize(phi @ g[..., :n, n:])
     for _ in range(doublings):
         gramian = symmetrize(phi @ gramian @ phi.T + gramian)
         phi = phi @ phi
+    if q.ndim == 3:
+        gramian = np.ldexp(gramian, shifts)
     return phi, gramian
 
 
 def phase_discretization(a_matrix: ArrayLike, b_matrix: ArrayLike,
                          dt: float, substeps: int = 1
-                         ) -> "tuple[FloatArray, FloatArray]":
+                         ) -> "list[tuple[FloatArray, FloatArray]]":
     """Discretize one clock phase into ``substeps`` equal LTI segments.
 
     Returns a list of ``(Phi, Q)`` pairs, one per segment, each produced by

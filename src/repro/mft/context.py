@@ -429,18 +429,20 @@ class _SourceSplit:
 def split_source_gramians(disc, n_src):
     """Exactly conservative per-source split of ``disc``'s Gramians.
 
-    One Van Loan Gramian per source and per distinct ``(A, B, total
-    Gramian)`` phase key, from the single column ``b_s b_s^T``.  The
-    Gramian integral is linear in ``B B^T``, but the Van Loan ``expm``
-    rounds each single-column Gramian independently, so the raw
-    per-source Gramians drift from the total by ~1e-12 relative — which
-    a near-marginal circuit (e.g. the ideal SC integrator) amplifies
-    through its periodic covariance fixed point by the fixed point's
-    condition number, enough to breach the 1e-9 conservation contract.
-    The per-phase defect ``G_total − Σ_s G_s`` is therefore
-    redistributed over the sources, weighted by each Gramian's trace (a
-    ~1e-12 relative nudge), so every quantity the covariance solve
-    consumes decomposes to summation rounding only.
+    One Van Loan set per distinct ``(A, B, total Gramian)`` phase key:
+    a single stacked :func:`~repro.linalg.vanloan.vanloan_gramian` call
+    takes the ``(n_src, n, n)`` stack of single-column drives ``b_s
+    b_sᵀ`` through one block exponential and one shared doubling
+    composition.  The Gramian integral is linear in ``B B^T``, but the
+    Van Loan ``expm`` rounds each single-column Gramian independently,
+    so the raw per-source Gramians drift from the total by ~1e-12
+    relative — which a near-marginal circuit (e.g. the ideal SC
+    integrator) amplifies through its periodic covariance fixed point
+    by the fixed point's condition number, enough to breach the 1e-9
+    conservation contract.  The per-phase defect ``G_total − Σ_s G_s``
+    is therefore redistributed over the sources, weighted by each
+    Gramian's trace (a ~1e-12 relative nudge), so every quantity the
+    covariance solve consumes decomposes to summation rounding only.
     """
     by_phase = {}
     columns = []
@@ -451,23 +453,38 @@ def split_source_gramians(disc, n_src):
         if entry is None:
             cols = [np.ascontiguousarray(seg.b_matrix[:, [s]])
                     for s in range(n_src)]
-            grams = [vanloan_gramian(seg.a_matrix, col @ col.T,
-                                     seg.duration)[1]
-                     for col in cols]
+            b_t = seg.b_matrix.T
+            drives = b_t[:, :, None] * b_t[:, None, :]
+            grams = vanloan_gramian(seg.a_matrix, drives, seg.duration)[1]
             defect = seg.gramian - np.add.reduce(grams)
-            traces = np.array([np.trace(g).real for g in grams])
+            traces = np.trace(grams, axis1=1, axis2=2)
             total_trace = float(traces.sum())
             if total_trace > 0.0:
                 weights = traces / total_trace
             else:
                 weights = np.full(n_src, 1.0 / n_src)
-            stack = np.stack([gram + weight * defect
-                              for gram, weight in zip(grams, weights)])
-            entry = (cols, stack)
+            entry = (cols, grams + weights[:, None, None] * defect)
             by_phase[key] = entry
         columns.append(entry[0])
         gramians.append(entry[1])
     return _SourceSplit(disc=disc, columns=columns, gramians=gramians)
+
+
+def _with_totals(disc, stacks):
+    """Each segment's source stack with its total Gramian appended.
+
+    Segments sharing a stack share the extended one, so the drives keep
+    the runs of ``disc``'s own Gramians.
+    """
+    extended = {}
+    drives = []
+    for seg, stack in zip(disc.segments, stacks):  # scn: ignore[SCN008] - frequency-independent one-time precompute, not a sweep loop
+        drive = extended.get(id(stack))
+        if drive is None:
+            drive = extended[id(stack)] = np.concatenate(
+                (stack, seg.gramian[None]))
+        drives.append(drive)
+    return drives
 
 
 class SweepContext:
@@ -684,16 +701,34 @@ class SweepContext:
         The first call solves every source at once: one pass over the
         period propagates the ``(n_src, n, n)`` stack of per-source
         Gramians (:func:`~repro.noise.covariance.steady_state_samples`),
-        with one discrete Lyapunov solve per source.  Each source's
-        covariance is bit-identical to
-        ``periodic_covariance(self.source_disc(source))``.
+        its discrete Lyapunov fixed point included (one stacked Smith
+        doubling).  Each source's covariance is bit-identical to
+        ``periodic_covariance(self.source_disc(source))``.  While
+        :attr:`covariance` is not solved yet, the total Gramians ride in
+        the same pass as one more drive, and their entry, bit-identical
+        to ``periodic_covariance(self.disc)``, becomes :attr:`covariance`.
         """
         source = self._source_index(source)
         if self._source_stack is None:
             self.stats.miss("source-covariance")
             split = self._split_sources()
             disc = split.disc
-            pre, post = steady_state_samples(disc, split.gramians)
+            # A derived context's split rides on its parent's
+            # discretization, whose totals are not its own.
+            with_total = self._covariance is None and disc is self._disc
+            drives = (_with_totals(disc, split.gramians) if with_total
+                      else split.gramians)
+            pre, post = steady_state_samples(disc, drives)
+            if with_total:
+                # One view per array, so a jump-free ``post is pre``
+                # stays one array (the registry counts arrays by id).
+                views = [(a[:-1], a[-1])
+                         for a in ((pre,) if post is pre else (pre, post))]
+                (pre, total_pre), (post, total_post) = views[0], views[-1]
+                self.stats.miss("covariance")
+                self._covariance = PeriodicCovariance(
+                    grid=disc.grid, pre=total_pre, post=total_post,
+                    period=disc.period)
             self._source_stack = PeriodicCovariance(
                 grid=disc.grid, pre=pre, post=post, period=disc.period)
         else:
@@ -954,10 +989,14 @@ class SweepContext:
         only *add* hit counts — the counters are never reset, so
         accumulated hit/miss history survives any number of warm-ups. With
         ``sources=True`` the per-source covariances (and, given
-        ``l_row``, forcing pairs) of an attribution run are included:
-        the first source solves them all in one stacked pass, so the
-        rest are cache hits.
+        ``l_row``, forcing pairs) of an attribution run are included,
+        solved before :attr:`covariance`: the first source solves them
+        all and the total in one stacked pass, so the rest are cache
+        hits.
         """
+        if sources and self.n_sources:
+            # First, so the stacked pass solves the total covariance too.
+            self.source_covariance(0)
         _ = self.structure, self.covariance, self.monodromy
         if l_row is not None:
             self.forcing_pairs(l_row)

@@ -198,8 +198,8 @@ class MftNoiseAnalyzer:
         the per-source covariances and forcing pairs are included — they
         are frequency-independent too.
         """
-        self._forcing_pairs()
         self._context.warm_up(self._l_row, sources=sources)
+        self._forcing_pairs()
         return self
 
     # -- per-source attribution ---------------------------------------------

@@ -68,8 +68,9 @@ class PeriodicCovariance:
     """Steady-state covariance sampled on one period.
 
     ``post[k]``/``pre[k]`` are the covariance at ``grid[k]`` after/before
-    any jump at that instant (identical where no jump exists). By
-    periodicity ``post[-1] == post[0]``.
+    any jump at that instant (identical where no jump exists; one and
+    the same array when the period has no jump, so neither is written
+    to). By periodicity ``post[-1] == post[0]``.
     """
 
     grid: FloatArray
@@ -133,12 +134,13 @@ def steady_state_samples(disc: PeriodDiscretization,
     segment's own for :func:`periodic_covariance`, or an ``(m, n, n)``
     stack of ``m`` noise drives on the same dynamics (one per noise
     source for per-source attribution).  A stack shares one pass over
-    the period's runs: the period Gramian and the blocked scan carry the
-    leading axis through every product, and only the discrete Lyapunov
-    fixed point is solved drive by drive (Smith doubling stops at a
-    different iteration for each).  The result is ``(m, len(grid), n,
-    n)`` and entry ``i`` is bit-identical to driving ``disc`` with
-    ``gramians[k][i]`` alone.
+    the period's runs: the period Gramian, the discrete Lyapunov fixed
+    point (one shared sequence of monodromy powers, each drive stopping
+    at its own Smith doubling iteration) and the blocked scan carry the
+    leading axis through every product.  The result is ``(m, len(grid),
+    n, n)`` and entry ``i`` is bit-identical to driving ``disc`` with
+    ``gramians[k][i]`` alone.  Without a jump in the period ``post`` is
+    the ``pre`` array itself.
 
     Raises :class:`~repro.errors.StabilityError` (with ``multipliers``,
     ``spectral_radius`` and a ``floquet-unstable`` report) when the
@@ -146,11 +148,7 @@ def steady_state_samples(disc: PeriodDiscretization,
     """
     runs = segment_runs(disc.segments, gramians)
     phi_t, q_t = accumulate_period_gramian(runs)
-    if q_t.ndim == 2:
-        k0 = _fixed_point(phi_t, q_t)
-    else:
-        k0 = np.stack([_fixed_point(phi_t, q) for q in q_t])
-    return _propagate_over_period(runs, k0)
+    return _propagate_over_period(runs, _fixed_point(phi_t, q_t))
 
 
 def transient_covariance(system_or_disc: SystemOrDisc, n_periods: int,
@@ -196,7 +194,11 @@ def stationary_covariance(a_matrix: ArrayLike,
 
 
 def _fixed_point(phi_t: FloatArray, q_t: FloatArray) -> FloatArray:
-    """Period-start covariance: the discrete Lyapunov fixed point."""
+    """Period-start covariance: the discrete Lyapunov fixed point.
+
+    ``q_t`` is one period Gramian ``(n, n)`` or a stack ``(m, n, n)``
+    of them, solved together.
+    """
     try:
         return solve_discrete_lyapunov(phi_t, q_t).real
     except StabilityError as exc:
@@ -230,7 +232,8 @@ def _propagate_over_period(runs: Sequence[SegmentRun],
     ``Φ E Φᵀ`` keeps a rounding-level antisymmetric ``E`` antisymmetric,
     so it never reaches the symmetric part.  ``post`` is ``pre`` but at
     the run-end jumps, ``K → J K Jᵀ`` (symmetrized before it drives the
-    next run).
+    next run); with no jump it is the ``pre`` array itself, and its
+    buffer was only scratch.
     """
     pre = np.empty(k0.shape[:-2] + (runs[-1][1] + 1,) + k0.shape[-2:])
     post = np.empty_like(pre)
@@ -261,6 +264,8 @@ def _propagate_over_period(runs: Sequence[SegmentRun],
             jumped.append((stop, k))
     np.add(pre, pre.swapaxes(-1, -2), out=post)
     np.multiply(post, 0.5, out=pre)
+    if not jumped:
+        return pre, pre
     post[...] = pre
     for idx, k in jumped:
         post[..., idx, :, :] = k

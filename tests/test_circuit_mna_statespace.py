@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.circuit import mna as mna_module
 from repro.circuit.mna import assemble_phase
 from repro.circuit.netlist import Netlist
 from repro.circuit.phases import ClockSchedule
@@ -11,6 +12,8 @@ from repro.circuit.statespace import (
     extract_phase_state_space,
 )
 from repro.errors import CircuitError, NoiseModelError, TopologyError
+from repro.linalg.checked import condition_number
+from repro.tolerances import MNA_COND_LIMIT
 from repro.units import BOLTZMANN, ROOM_TEMPERATURE
 
 
@@ -106,6 +109,99 @@ class TestMnaAssembly:
         nl.add_resistor("R1", "a", "0", 1e3)
         with pytest.raises(TopologyError):
             extract_phase_state_space(nl, "p")
+
+
+def stiff_bridge_netlist(r_bridge):
+    """RC node tied to a second grounded node by a tiny ``r_bridge``.
+
+    cond₂ of the MNA matrix is ~2.8e3 / ``r_bridge`` (measured): 2.8e12
+    at 1e-12 Ω, 2.8e14 at 1e-14 Ω.
+    """
+    nl = rc_netlist()
+    nl.add_resistor("Rbridge", "a", "b", r_bridge)
+    nl.add_resistor("Rb", "b", "0", 1e3)
+    return nl
+
+
+class TestMnaConditionScreen:
+    """``solve_maps`` takes an SVD only where the 1-norm screen cannot
+    prove ``cond₂ ≤ MNA_COND_LIMIT``."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(np.shape(matrix))
+            return condition_number(matrix)
+
+        monkeypatch.setattr(mna_module, "condition_number", counting)
+        return calls
+
+    def test_healthy_circuit_takes_no_svd(self, svd_calls):
+        from repro.circuits import sc_bandpass_system
+
+        sc_bandpass_system()
+        extract_phase_state_space(rc_netlist(), "p")
+        assert svd_calls == []
+
+    def test_ill_posed_phase_raises_with_svd_condition(self, svd_calls):
+        nl = stiff_bridge_netlist(1e-14)
+        cond = condition_number(assemble_phase(nl, "p").m_matrix)
+        assert cond > MNA_COND_LIMIT
+        with pytest.raises(TopologyError) as info:
+            extract_phase_state_space(nl, "p")
+        assert str(info.value) == (
+            f"phase 'p': MNA matrix is numerically singular (condition "
+            f"number {cond:.3g}); the phase topology is ill-posed — see "
+            "repro.circuit.topology")
+        assert len(svd_calls) == 1
+
+    def test_undecided_screen_falls_back_to_svd(self, svd_calls):
+        # cond₂ ≈ 2.8e12 passes the limit, but n·cond₁ does not prove it.
+        extract_phase_state_space(stiff_bridge_netlist(1e-12), "p")
+        assert len(svd_calls) == 1
+
+    def test_screen_accepts_only_below_limit(self):
+        # Half the draws are random orthogonal factors; the other half
+        # align the extreme singular vectors so that cond₁ ≈ 1.4·cond₂/n,
+        # the case the factor ``n`` in the screen exists for.
+        rng = np.random.default_rng(20031)
+        accepted = 0
+        for draw in range(400):
+            n = int(rng.integers(3, 41))
+            if draw % 2:
+                u, v = (_orthogonal_with_ends(rng, n, _unit(n, [0]),
+                                              _unit(n, range(1, n))),
+                        _orthogonal_with_ends(rng, n, _unit(n, range(n)),
+                                              _unit(n, [0], [1])))
+            else:
+                u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0]
+                        for _ in range(2))
+            sigma = np.logspace(0.0, -rng.uniform(8.0, 16.0), n)
+            matrix = (u * sigma * 10.0 ** rng.uniform(-6.0, 6.0)) @ v.T
+            if mna_module._cond_screen_accepts(matrix,
+                                               np.linalg.inv(matrix)):
+                accepted += 1
+                assert np.linalg.cond(matrix) <= MNA_COND_LIMIT
+        assert accepted > 50
+
+
+def _unit(n, plus, minus=()):
+    """Unit vector with equal entries ``+`` at ``plus``, ``−`` at ``minus``."""
+    vec = np.zeros(n)
+    vec[list(plus)] = 1.0
+    vec[list(minus)] = -1.0
+    return vec / np.linalg.norm(vec)
+
+
+def _orthogonal_with_ends(rng, n, first, last):
+    """Random orthogonal matrix whose first column is ``first`` and last
+    column is ``last`` (two orthonormal vectors)."""
+    q, _r = np.linalg.qr(np.column_stack(
+        [first, last, rng.standard_normal((n, n - 2))]))
+    q[:, :2] = np.column_stack([first, last])
+    return q[:, [0] + list(range(2, n)) + [1]]
 
 
 class TestBuildLptv:

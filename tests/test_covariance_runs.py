@@ -249,6 +249,32 @@ class TestBlockedScan:
         assert np.array_equal(cov.pre, cov.pre.swapaxes(-1, -2))
         assert np.array_equal(cov.post, cov.post.swapaxes(-1, -2))
 
+    @pytest.mark.parametrize("name", sorted(CIRCUITS))
+    def test_jump_free_post_is_pre(self, name):
+        disc = _system(CIRCUITS[name]).discretize(13)
+        assert all(seg.jump is None for seg in disc.segments)
+        cov = periodic_covariance(disc)
+        assert cov.post is cov.pre
+        pre, post = steady_state_samples(disc, _stack(disc, 3))
+        assert post is pre
+
+    @pytest.mark.parametrize("spp", [1, 7])
+    def test_jumps_change_only_jump_rows(self, spp):
+        disc = _jumped_system().discretize(spp)
+        jump_rows = [idx for idx, seg in enumerate(disc.segments, 1)
+                     if seg.jump is not None]
+        for drives in ([seg.gramian for seg in disc.segments],
+                       _stack(disc, 3)):
+            pre, post = steady_state_samples(disc, drives)
+            assert post is not pre
+            same = np.ones(len(disc.grid), dtype=bool)
+            same[jump_rows] = False
+            assert np.array_equal(pre[..., same, :, :],
+                                  post[..., same, :, :])
+            assert not np.any(np.all(
+                pre[..., jump_rows, :, :] == post[..., jump_rows, :, :],
+                axis=(-2, -1)))
+
     def test_transient_matches_segment_loop_with_jumps(self):
         disc = _jumped_system().discretize(7)
         times, trace = transient_covariance(disc, 4)

@@ -256,7 +256,7 @@ class TestRegistryByteBound:
         freqs = np.linspace(100.0, 7.6e3, 8)
         systems = {n: _sc_cascade(n).system for n in (4, 8, 12)}
         built = 0
-        for repeat in range(4):
+        for repeat in range(5):
             for system in systems.values():
                 # A new fingerprint of the same size on every request.
                 jittered = scale_system_noise(system, 1.0 + repeat / 100.0)
@@ -474,5 +474,8 @@ class TestSegmentGroups:
         context = SweepContext(sc_lowpass_system().system,
                                segments_per_phase=64)
         context.source_disc(0)
-        n_phases = len(context.system.phases)
-        assert len(calls) == n_phases * context.n_sources
+        # One stacked call per clock phase carries every source's drive.
+        assert len(calls) == len(context.system.phases)
+        n = context.disc.n_states
+        assert all(args[1].shape == (context.n_sources, n, n)
+                   for args in calls)
