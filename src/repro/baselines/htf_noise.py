@@ -25,9 +25,13 @@ from ..noise.result import PsdResult
 
 logger = logging.getLogger(__name__)
 
+#: Default share of the total that the last ``|k|`` harmonic band may
+#: contribute before the fold counts as unconverged.
+HTF_TAIL_TOL = 1e-4
+
 
 def htf_noise_psd(system, frequencies, n_harmonics=20,
-                  segments_per_phase=64, output_row=0, tail_tol=1e-4):
+                  segments_per_phase=64, output_row=0, tail_tol=HTF_TAIL_TOL):
     """Double-sided output noise PSD (V²/Hz) via harmonic-transfer folding.
 
     Parameters

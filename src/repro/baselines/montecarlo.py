@@ -33,6 +33,13 @@ from ..tolerances import SCHEDULE_TILE_RTOL, UNIFORM_GRID_RTOL
 
 logger = logging.getLogger(__name__)
 
+#: The default burn-in lasts until the slowest Floquet mode has decayed
+#: to this fraction of its initial amplitude.
+BURN_IN_DECAY = 1e-6
+#: Floor on the Floquet radius in the burn-in count, so a radius of
+#: (nearly) zero gives a finite ``log``.
+BURN_IN_RADIUS_FLOOR = 1e-12
+
 
 @dataclass
 class MonteCarloResult:
@@ -122,7 +129,8 @@ def simulate_trajectories(system, n_trajectories, n_periods,
             "stationary PSD estimation is undefined",
             multipliers=multipliers, spectral_radius=radius)
     if burn_in is None:
-        burn_in = (int(np.ceil(np.log(1e-6) / np.log(max(radius, 1e-12))))
+        slowest = max(radius, BURN_IN_RADIUS_FLOOR)
+        burn_in = (int(np.ceil(np.log(BURN_IN_DECAY) / np.log(slowest)))
                    if radius > 0.0 else 1)
         burn_in = min(max(burn_in, 4), 100000)
 

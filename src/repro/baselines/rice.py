@@ -30,11 +30,18 @@ import numpy as np
 from ..errors import ReproError
 from ..units import BOLTZMANN
 
+#: Below this ``|z t|`` the series of ``φ1`` replaces the closed form,
+#: whose ``expm1(−zt)/z`` loses digits as ``z → 0``.
+PHI1_SERIES_LIMIT = 1e-8
+#: Below this ``|z t|`` the series of ``φ2`` replaces the closed form,
+#: whose ``t − φ1`` cancels; three terms keep it to rounding there.
+PHI2_SERIES_LIMIT = 1e-6
+
 
 def _phi1(z, t):
     """Stable ``(1 − e^{−z t}) / z`` with the z→0 limit ``t``."""
     zt = z * t
-    if abs(zt) < 1e-8:
+    if abs(zt) < PHI1_SERIES_LIMIT:
         # Series: t (1 - zt/2 + (zt)^2/6)
         return t * (1.0 - zt / 2.0 + zt * zt / 6.0)
     return -np.expm1(-zt) / z
@@ -43,7 +50,7 @@ def _phi1(z, t):
 def _phi2(z, t):
     """Stable ``(t − φ1(z, t)) / z`` with the z→0 limit ``t²/2``."""
     zt = z * t
-    if abs(zt) < 1e-6:
+    if abs(zt) < PHI2_SERIES_LIMIT:
         return t * t * (0.5 - zt / 6.0 + zt * zt / 24.0)
     return (t - _phi1(z, t)) / z
 

@@ -1,7 +1,8 @@
 """Diagnostics-aware wrappers around the raw ``np.linalg`` kernels.
 
-Library code outside :mod:`repro.linalg` is forbidden (lint rule SCN001)
-from calling ``np.linalg.solve/inv/lstsq/eig*`` directly.  The wrappers
+Library code outside :mod:`repro.linalg` is forbidden (the ``raw_linalg``
+check in ``tests/test_static_contracts.py``) from calling
+``np.linalg.solve/inv/lstsq/eig*`` directly.  The wrappers
 here are the sanctioned route: they translate ``LinAlgError`` into the
 package's :class:`~repro.errors.SingularMatrixError` with a caller
 -supplied *context* string, optionally enforce a condition-number limit,

@@ -170,8 +170,6 @@ def cycle_forcing_coefficient(disc, omega, forcing_pairs):
             f"forcing must have shape ({len(disc.segments)}, 2, {n})")
     g_acc = np.zeros(n, dtype=complex)
     t = 0.0
-    # scn: ignore[SCN008] - one period's segment quadrature for a single
-    # frequency; the sweep-level loop above this carries the budget gate
     for k, seg in enumerate(disc.segments):
         h = seg.duration
         phase_left = np.exp(1j * omega * t)

@@ -274,8 +274,6 @@ def build_structure(disc):
     groups = []
     group_of = []
     run_starts = []
-    # scn: ignore[SCN008] - one-shot structure build at context warm-up,
-    # bounded by the grid size; sweeps budget-gate per frequency chunk
     for k, (seg, duration) in enumerate(zip(segments, seg_durations)):
         if seg.a_matrix is None:
             raise ReproError(
@@ -447,7 +445,7 @@ def split_source_gramians(disc, n_src):
     by_phase = {}
     columns = []
     gramians = []
-    for seg in disc.segments:  # scn: ignore[SCN008] - frequency-independent one-time precompute, not a sweep loop
+    for seg in disc.segments:
         key = (id(seg.a_matrix), id(seg.b_matrix), id(seg.gramian))
         entry = by_phase.get(key)
         if entry is None:
@@ -478,7 +476,7 @@ def _with_totals(disc, stacks):
     """
     extended = {}
     drives = []
-    for seg, stack in zip(disc.segments, stacks):  # scn: ignore[SCN008] - frequency-independent one-time precompute, not a sweep loop
+    for seg, stack in zip(disc.segments, stacks):
         drive = extended.get(id(stack))
         if drive is None:
             drive = extended[id(stack)] = np.concatenate(
@@ -680,8 +678,6 @@ class SweepContext:
         n_src = self.n_sources
         views = {}
         per_source = [[] for _ in range(n_src)]
-        # scn: ignore[SCN008] - frequency-independent one-time
-        # precompute, not a sweep loop
         for seg, cols, stack in zip(split.disc.segments, split.columns,
                                     split.gramians):
             grams = views.get(id(stack))
@@ -1139,8 +1135,6 @@ class _DerivedIntensityContext(SweepContext):
                                       for s in range(scales.size)])
         shared = {}
         segments = []
-        # scn: ignore[SCN008] - bounded per-segment restack of cached
-        # parent Gramians, one rescale per phase; no solves inside
         for seg, drive in zip(parent_disc.segments, drives):
             key = (id(seg.b_matrix), id(drive))
             entry = shared.get(key)

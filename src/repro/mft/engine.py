@@ -367,13 +367,41 @@ class MftNoiseAnalyzer:
             n_batched=n_ok, n_rescued=int(finite_idx.size) - n_ok)
         return finite_idx[~ok]
 
-    def psd(self, frequencies, on_failure="record", budget=None,
-            solver=None, attribute_sources=False, **solver_options):
+    def psd_sweep(self, frequencies, *, chunk_size=None, budget=None,
+                  on_failure="record", solver=None, attribute_sources=False,
+                  **solver_options):
         """Averaged double-sided PSD (V²/Hz) over a frequency grid.
 
-        Returns a :class:`~repro.noise.result.PsdResult`; this is
-        :meth:`psd_sweep` at the default chunk size, so results also
-        carry ``info["executor"]``.
+        Returns a :class:`~repro.noise.result.PsdResult`. The sweep runs
+        through a :class:`~repro.mft.executor.SweepExecutor` as a serial
+        loop over chunks of ``chunk_size`` frequencies, so results carry
+        ``info["executor"]``. Per-frequency values, NaN semantics,
+        failure records and diagnostics do not depend on ``chunk_size``.
+        :meth:`psd` is this method at the default chunk size.
+
+        The default ``chunk_size`` is 8 for the per-frequency sweep.  A
+        ``"spectral-batch"`` sweep defaults to one ω-block over the
+        whole grid, split only when the kernel's step-forcing stack
+        would exceed
+        :data:`~repro.mft.executor.SPECTRAL_STACK_CAP_BYTES` — so its
+        budget makes one decision, before the sweep starts.  Pass an
+        explicit ``chunk_size`` for finer budget granularity.
+
+        ``solver`` picks the engine by name
+        (:data:`repro.noise.solvers.SOLVERS`):
+
+        * ``"mft"`` (default, also reachable as ``None``) — the
+          per-frequency fallback-chain sweep;
+        * ``"spectral-batch"`` — each chunk becomes one ω-block through
+          the frequency-batched spectral kernel
+          (:mod:`repro.mft.spectral`): eigenbases once per segment
+          group, all frequencies of the block at once.  Values agree
+          with the per-ω path to ≤ 1e-9 relative with identical NaN
+          masks and failure records;
+        * ``"brute-force"`` / ``"monte-carlo"`` — delegate to the
+          baseline engines (extra ``solver_options`` are forwarded).
+          The Monte-Carlo solver defines its own Welch frequency grid,
+          so it requires ``frequencies=None``.
 
         ``attribute_sources`` — ``True`` or a sequence of per-source
         labels — additionally decomposes the PSD per noise-source
@@ -381,7 +409,9 @@ class MftNoiseAnalyzer:
         :class:`~repro.metrics.ContributionBudget` in
         ``result.info["budget"]`` (also via ``result.budget``) whose
         per-source rows sum to the total PSD at every frequency (NaN
-        where the total is NaN — never dropped from one side only).
+        where the total is NaN — never dropped from one side only; the
+        executor merges the widened per-chunk values, so a NaN'd chunk
+        is NaN in both the total and every budget row).
         Attribution reuses the shared sweep context (covariance basis,
         propagators); what the extra rows cost depends on the solver.
         ``spectral-batch`` stacks the per-source forcings onto the
@@ -400,61 +430,9 @@ class MftNoiseAnalyzer:
         ``budget`` (or the analyzer default) gates the *dispatch* of
         each executor chunk: once spent, the remaining chunks become
         ``budget``-stage failures, while a chunk already running
-        finishes (a brute-force fallback inside it is bounded by its
-        ``max_periods``, not by the sweep clock).
-
-        ``solver`` picks the engine by name — one of
-        :data:`repro.noise.solvers.SOLVERS` (``"mft"`` the default,
-        ``"spectral-batch"`` the frequency-batched kernel,
-        ``"brute-force"`` and ``"monte-carlo"`` the baselines, with
-        extra ``solver_options`` forwarded to the delegate). The
-        Monte-Carlo solver defines its own Welch frequency grid, so it
-        requires ``frequencies=None``.
-        """
-        return self.psd_sweep(frequencies, budget=budget,
-                              on_failure=on_failure, solver=solver,
-                              attribute_sources=attribute_sources,
-                              **solver_options)
-
-    def psd_sweep(self, frequencies, *, chunk_size=None, budget=None,
-                  on_failure="record", solver=None, attribute_sources=False,
-                  **solver_options):
-        """Averaged double-sided PSD (V²/Hz) via a :class:`SweepExecutor`.
-
-        The sweep runs as a serial loop over chunks of ``chunk_size``
-        frequencies.  Per-frequency values, NaN semantics, failure
-        records, and diagnostics match :meth:`psd` (which is this method
-        at the default chunk size) and do not depend on ``chunk_size``;
-        the sweep ``budget`` gates the *dispatch* of each chunk (a
-        started chunk always finishes, and runs unbudgeted). See
+        finishes and runs unbudgeted (a brute-force fallback inside it
+        is bounded by its ``max_periods``, not by the sweep clock). See
         :mod:`repro.mft.executor`.
-
-        The default ``chunk_size`` is 8 for the per-frequency sweep.  A
-        ``"spectral-batch"`` sweep defaults to one ω-block over the
-        whole grid, split only when the kernel's step-forcing stack
-        would exceed
-        :data:`~repro.mft.executor.SPECTRAL_STACK_CAP_BYTES` — so its
-        budget makes one decision, before the sweep starts.  Pass an
-        explicit ``chunk_size`` for finer budget granularity.
-
-        ``solver`` is the unified engine selector
-        (:data:`repro.noise.solvers.SOLVERS`):
-
-        * ``"mft"`` (default, also reachable as ``None``) — the
-          per-frequency fallback-chain sweep;
-        * ``"spectral-batch"`` — each chunk becomes one ω-block through
-          the frequency-batched spectral kernel
-          (:mod:`repro.mft.spectral`): eigenbases once per segment
-          group, all frequencies of the block at once.  Values agree
-          with the per-ω path to ≤ 1e-9 relative with identical NaN
-          masks and failure records;
-        * ``"brute-force"`` / ``"monte-carlo"`` — delegate to the
-          baseline engines (extra ``solver_options`` are forwarded).
-
-        ``attribute_sources`` decomposes the PSD per noise source
-        exactly as in :meth:`psd`; the executor merges the widened
-        per-chunk values, so a NaN'd chunk is NaN in both the total and
-        every budget row.
         """
         if on_failure not in ("record", "raise"):
             raise ReproError(
@@ -476,6 +454,8 @@ class MftNoiseAnalyzer:
         return executor.run(self, frequencies, budget=budget,
                             on_failure=on_failure,
                             attribute_sources=attribute_sources)
+
+    psd = psd_sweep
 
     def _delegate_solver(self, solver, frequencies, budget=None,
                          on_failure="record", attribute_sources=False,

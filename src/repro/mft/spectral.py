@@ -300,8 +300,6 @@ def _reference_group_integrals(group, omegas, forcing, members):
     eye = np.eye(n)
     endpoints = [_run_forcing_endpoints(forcing, run, h)
                  for run, _block in members]
-    # scn: ignore[SCN008] - defective-eigenbasis rescue for one ω-block;
-    # the budget gates at the executor chunk around the block
     for fi, omega in enumerate(omegas):
         a_shifted = group.a_matrix.astype(complex) - 1j * omega * eye
         phi_shifted = np.exp(-1j * omega * h) * group.phi

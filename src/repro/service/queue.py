@@ -202,7 +202,7 @@ class JobQueue:
         handle.status = JobStatus.RUNNING
         try:
             result = self._execute(handle)
-        except Exception as exc:  # scn: ignore[SCN002]
+        except Exception as exc:  # noqa: BLE001
             # Service boundary: a failed job must report through its
             # handle, never kill the dispatcher thread.
             self.counters["failed"] += 1

@@ -1,11 +1,11 @@
 """Central registry of numerical tolerances and guard thresholds.
 
 Every tolerance in the engine lives here with a name and a rationale.
-The lint rule SCN003 (see :mod:`repro.lint`) rejects magic float
-thresholds scattered through library code: a bare ``1e-9`` tells a
-reviewer nothing about whether it is an absolute floor, a relative
-slack, or a condition limit — and silently diverging copies of the
-"same" tolerance are a classic source of irreproducible noise figures.
+The ``magic_tolerance`` check in ``tests/test_static_contracts.py``
+rejects magic float thresholds scattered through library code: a bare
+``1e-9`` tells a reviewer nothing about whether it is an absolute floor,
+a relative slack, or a condition limit — and silently diverging copies of
+the "same" tolerance are a classic source of irreproducible noise figures.
 
 Constants are grouped by the subsystem that consumes them.  They are
 plain module-level floats (not configurable state): the DAC 2003

@@ -1,9 +1,9 @@
 """Shared array-type vocabulary for the ``repro`` package.
 
 Public array-returning APIs annotate their signatures with these aliases
-instead of a bare ``np.ndarray`` (enforced by lint rule SCN005): the
-alias names the *dtype contract* of the value, and the docstring states
-the shape.  ``FloatArray`` vs ``ComplexArray`` matters here — the MFT
+instead of a bare ``np.ndarray`` (enforced by the ``bare_ndarray_return``
+check in ``tests/test_static_contracts.py``): the alias names the *dtype
+contract* of the value, and the docstring states the shape.  ``FloatArray`` vs ``ComplexArray`` matters here — the MFT
 cross-spectral solves are intrinsically complex while covariances and
 PSDs must come out real — so the distinction is part of each function's
 numerical contract, not decoration.

@@ -14,6 +14,8 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import NoiseAnalysis, sc_lowpass_system
+from repro.circuits import ParameterGrid, ScLowpassParams
 from repro.mft.context import clear_sweep_contexts
 from repro.mft.engine import MftNoiseAnalyzer
 from repro.obs import (
@@ -256,6 +258,33 @@ class TestEngineInvariants:
         names = {s.name for s in rec.spans}
         assert {"spectral.batch", "spectral.eigenbasis",
                 "spectral.solve"} <= names
+        assert rec.is_balanced()
+
+    def test_fallback_attempts_recorded_under_solves(self, rc_system):
+        rec, _ = self._sweep(rc_system)
+        solves = {s.span_id for s in rec.spans if s.name == "mft.solve"}
+        attempts = [s for s in rec.spans if s.name == "mft.attempt"]
+        assert len(attempts) >= self.GRID.size
+        assert all(s.parent_id in solves for s in attempts)
+        assert rec.counters["fallback.attempts"] == len(attempts)
+
+    def test_corner_sweep_spans_recorded(self):
+        # Every corner's preflight (one more for the nominal analysis)
+        # and the parameter-batched kernel's stages record under the
+        # corner sweep's recorder, as the single-system kernel's do.
+        rec = Recorder()
+        grid = ParameterGrid.mismatch(
+            fields=["c1", "c2"], sigma=0.05, n_corners=3, seed=7,
+            builder=sc_lowpass_system, base_params=ScLowpassParams())
+        NoiseAnalysis(sc_lowpass_system(), segments_per_phase=16,
+                      recorder=rec).psd_corners(grid, self.GRID)
+        names = [s.name for s in rec.spans]
+        assert names.count("mft.preflight") == 1 + len(grid)
+        solves = [s for s in rec.spans if s.name == "spectral.solve"]
+        batches = {s.span_id for s in rec.spans
+                   if s.name == "spectral.param-batch"}
+        assert solves and batches
+        assert all(s.parent_id in batches for s in solves)
         assert rec.is_balanced()
 
     def test_solve_histogram_and_frequency_counter(self, rc_system):
