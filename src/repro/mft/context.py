@@ -83,14 +83,8 @@ from ..tolerances import (
 
 logger = logging.getLogger(__name__)
 
-#: Most frequencies whose shifted step integrals are kept per context; a
-#: sweep revisits frequencies only through the fallback chain.  Fewer are
-#: kept where the entries would pass :data:`_REGISTRY_CAP_BYTES`.
-_OMEGA_CACHE_LIMIT = 512
-
 #: Bytes of cached arrays the registry's contexts may hold together (see
-#: :func:`sweep_context_for`); also the bound on one context's per-ω
-#: cache.
+#: :func:`sweep_context_for`).
 _REGISTRY_CAP_BYTES = 16 * 2**20
 
 
@@ -396,16 +390,6 @@ def group_propagators(structure):
     return [np.ascontiguousarray(group.phi) for group in structure.groups]
 
 
-def _omega_entry_bytes(structure):
-    """Bytes of one :meth:`SweepContext.shifted_integrals` entry.
-
-    Four complex ``(n, n)`` matrices per group: ``Φ_ω``, ``I1``, ``I2``
-    and ``A_ω``.
-    """
-    n = structure.n_states
-    return 4 * len(structure.groups) * n * n * np.dtype(complex).itemsize
-
-
 @dataclass
 class _SourceSplit:
     """Per-source split of a discretization's noise Gramians.
@@ -514,8 +498,6 @@ class SweepContext:
         self._preflight = None
         self._spectral = None
         self._forcing = {}
-        self._omega_cache = OrderedDict()
-        self._omega_cache_limit = _OMEGA_CACHE_LIMIT
         self._n_sources = None
         self._source_split = None
         self._source_stack = None
@@ -760,26 +742,15 @@ class SweepContext:
 
         One entry per segment group (one per clock phase on a uniform
         grid; see :func:`build_structure`) — the only genuinely
-        per-frequency matrix work of a solve. Cached per ω so the
-        fallback chain and the instantaneous/contribution observables
-        revisit a frequency for free. The shifted norm decides the
-        resolvent-vs-trapezoid period integration exactly as the
-        reference solver does — it must include the ``−jω`` shift, else
-        a quiescent phase (``A ≈ 0``) would take the trapezoid branch
-        the reference avoids.
+        per-frequency matrix work of a solve, computed on every call:
+        a context holds only frequency-independent arrays. The shifted
+        norm decides the resolvent-vs-trapezoid period integration
+        exactly as the reference solver does — it must include the
+        ``−jω`` shift, else a quiescent phase (``A ≈ 0``) would take the
+        trapezoid branch the reference avoids.
         """
-        key = float(omega)
-        cached = self._omega_cache.get(key)
-        if cached is not None:
-            # True LRU: a hit refreshes recency, so a hot frequency
-            # revisited by an adaptive sweep is the *last* to go.
-            self._omega_cache.move_to_end(key)
-            self.stats.hit("shifted-integrals")
-            return cached
-        self.stats.miss("shifted-integrals")
-        n = self.disc.n_states
-        eye = np.eye(n)
         struct = self.structure
+        eye = np.eye(struct.n_states)
         entries = []
         for group in struct.groups:
             a_shifted = group.a_matrix.astype(complex) - 1j * omega * eye
@@ -788,12 +759,6 @@ class SweepContext:
                 a_shifted, group.duration, phi=phi_shifted)
             norm_h = float(np.linalg.norm(a_shifted, 1) * group.duration)
             entries.append((phi, i1, i2, a_shifted, norm_h))
-        limit = min(self._omega_cache_limit,
-                    _REGISTRY_CAP_BYTES // _omega_entry_bytes(struct))
-        while len(self._omega_cache) >= max(1, limit):
-            self._omega_cache.popitem(last=False)
-            self.stats.evict("shifted-integrals")
-        self._omega_cache[key] = entries
         return entries
 
     # -- the fast periodic solve --------------------------------------------
@@ -923,10 +888,10 @@ class SweepContext:
 
         Two contexts with equal ``dynamics_key`` share the *same*
         ``A``-matrix structure object — propagators, power stacks,
-        spectral eigenbases, shifted-integral cache — so a corner sweep
-        can stack their forcing rows into one kernel solve.  Derived
-        intensity-scaled contexts share their parent's structure by
-        reference and therefore its key.
+        spectral eigenbases — so a corner sweep can stack their forcing
+        rows into one kernel solve.  Derived intensity-scaled contexts
+        share their parent's structure by reference and therefore its
+        key.
         """
         return id(self.structure)
 
@@ -935,12 +900,12 @@ class SweepContext:
 
         ``scales`` is a scalar PSD multiplier or a per-source array (one
         entry per noise column).  The derived context shares this
-        context's structure, monodromy, spectral eigenbases, and
-        shifted-integral cache *by reference* — the MFT pipeline is
-        linear in ``B Bᵀ``, so only the Gramians, ``B`` columns, and
-        forcing pairs are restacked (a scalar multiply for a uniform
-        scale, a per-source Gramian sum otherwise).  This is what makes
-        an intensity-only corner nearly free next to its dynamics root.
+        context's structure, monodromy and spectral eigenbases *by
+        reference* — the MFT pipeline is linear in ``B Bᵀ``, so only
+        the Gramians, ``B`` columns, and forcing pairs are restacked (a
+        scalar multiply for a uniform scale, a per-source Gramian sum
+        otherwise).  This is what makes an intensity-only corner nearly
+        free next to its dynamics root.
 
         ``system`` optionally carries the matching rescaled system (for
         fallback paths that rediscretize); defaults to the parent's.
@@ -952,13 +917,12 @@ class SweepContext:
     def _retained_bytes(self):
         """``(key, nbytes)`` of each cached array this context holds.
 
-        Counts what grows with the segment count or with the frequencies
-        visited: the power stacks, ``K(t)`` and the per-source
-        covariance stack, the forcing pairs, and the per-ω cache.  The
-        ``O(n²)`` matrices of each phase (discretization, groups,
-        eigenbases) and the monodromy are not counted.  ``key`` is the
-        array's ``id`` (the cache's own ``id`` for the per-ω entries),
-        so what a derived context shares with its parent counts once in
+        Counts what grows with the segment count: the power stacks,
+        ``K(t)`` and the per-source covariance stack, and the forcing
+        pairs.  The ``O(n²)`` matrices of each phase (discretization,
+        groups, eigenbases) and the monodromy are not counted, and no
+        array depends on a frequency.  ``key`` is the array's ``id``, so
+        what a derived context shares with its parent counts once in
         :func:`sweep_context_for`.  Reads the cached quantities, never
         the segments, and copies each dict cache before reading it: a
         job-queue dispatcher thread may be filling it.
@@ -970,11 +934,7 @@ class SweepContext:
                 arrays += (cov.pre, cov.post)
         arrays += tuple(self._forcing.values())
         arrays += tuple(self._source_forcing.values())
-        held = [(id(array), array.nbytes) for array in arrays]
-        cache = self._omega_cache
-        if struct is not None and cache:
-            held.append((id(cache), len(cache) * _omega_entry_bytes(struct)))
-        return held
+        return [(id(array), array.nbytes) for array in arrays]
 
     def warm_up(self, l_row=None, sources=False):
         """Force every frequency-independent quantity to exist.
@@ -1047,13 +1007,11 @@ class _DerivedIntensityContext(SweepContext):
         self._scales = scale_arr
         self._uniform = float(scale_arr[0]) if scale_arr.size == 1 else None
         # Dynamics work shared by reference (the point of the exercise):
-        # same A matrices → same structure, monodromy, eigenbases, and
-        # shifted step integrals.  Forcing the parent's lazy properties
-        # here keeps ``dynamics_key`` stable across derivations.
+        # same A matrices → same structure, monodromy and eigenbases.
+        # Forcing the parent's lazy properties here keeps
+        # ``dynamics_key`` stable across derivations.
         self._structure = parent.structure
         self._monodromy = parent.monodromy
-        self._omega_cache = parent._omega_cache
-        self._omega_cache_limit = parent._omega_cache_limit
         self._spectral = None  # delegated to the parent via the property
         # Intensity-dependent quantities are rebuilt lazily (cheaply).
         self._disc = None
@@ -1283,8 +1241,8 @@ def sweep_context_for(system, segments_per_phase=64, family=None,
     fit :data:`_REGISTRY_CAP_BYTES`, and until fewer than
     :data:`_REGISTRY_LIMIT` remain, then inserts the new context.  Each
     array counts once however many entries hold it: a derived corner
-    shares its root's power stacks and per-ω cache, and keeps its
-    root alive, so the root's arrays count with it.  See
+    shares its root's power stacks and keeps its root alive, so the
+    root's arrays count with it.  See
     :meth:`SweepContext._retained_bytes` for what counts.  Contexts fill
     lazily after they are registered, so an entry larger than the cap
     stays until the next miss.  Every access holds

@@ -25,16 +25,19 @@ The fallback lattice has two levels (DESIGN.md §12):
   rescued through that corner's per-frequency fallback chain
   (:mod:`repro.diagnostics.fallback`), exactly as a plain sweep would.
 
-With ``M = 1`` the flat axis *is* the frequency axis, every chunk stack
-holds one forcing row, and the kernel computes bit-for-bit what
-``psd_sweep(solver="spectral-batch")`` computes — the parity battery in
-``tests/test_corner_sweep.py`` pins this.
+The stacked step itself (:func:`solve_stacked`, sized by
+:func:`stacked_block_size`) takes a list of member analyzers, so it is
+the batch step of every batched sweep: a plain
+``psd_sweep(solver="spectral-batch")`` runs it with its own analyzer as
+the one member, where the flat axis *is* the frequency axis — the
+parity battery in ``tests/test_corner_sweep.py`` pins an ``M = 1``
+corner sweep bit for bit to that plain sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -151,25 +154,24 @@ class CornerBatchAnalyzer:
                      start: int) -> Any:
         """One flat chunk through the engine's chunk loop (``param-batch``).
 
-        The batch step is :meth:`_solve_chunk_groups`; each cell it
-        rejects is rescued through its corner's per-frequency fallback
-        chain.  Flat cell ``g`` (global) is frequency ``g // M``, corner
-        ``g % M`` — frequency-major, so corner ``m``'s values are the
-        stride-``M`` slice of the flat sweep values.  Failure records
-        carry chunk-local flat indices that the executor offsets to
-        global flat indices, which :func:`corner_psd_sweep` maps back
-        to per-corner ``(frequency, corner)`` identities.
+        The batch step is :func:`solve_stacked`; each cell it rejects is
+        rescued through its corner's per-frequency fallback chain.  Flat
+        cell ``g`` (global) is frequency ``g // M``, corner ``g % M`` —
+        frequency-major, so corner ``m``'s values are the stride-``M``
+        slice of the flat sweep values.  Failure records carry
+        chunk-local flat indices that the executor offsets to global
+        flat indices, which :func:`corner_psd_sweep` maps back to
+        per-corner ``(frequency, corner)`` identities.
         """
         del solver  # always "param-batch"
-        corners = (start + np.arange(len(freqs))) % len(self.members)
 
         def batch_step(finite_idx: np.ndarray,
                        values: FloatArray) -> "list[int]":
-            return self._solve_chunk_groups(freqs, corners, finite_idx,
-                                            values, report, labels)
+            return solve_stacked(self.members, self.recorder, freqs, start,
+                                 finite_idx, values, report, labels)
 
         def point_step(idx: int, frequency: float) -> Any:
-            m = int(corners[idx])
+            m = (start + idx) % self.n_corners
             return (self.members[m]._strategies(frequency, labels),
                     {"corner": self.grid.names[m], "rescued": True})
 
@@ -180,169 +182,179 @@ class CornerBatchAnalyzer:
                         labels: "tuple[str, ...] | None") -> int:
         """Flat cells per executor chunk at the default chunk size.
 
-        Whole frequency slices (a multiple of M cells), sized by
-        :func:`~repro.mft.executor.spectral_block_size` for the largest
-        stacked kernel call — the dynamics group with the most kernel
-        rows (:meth:`_row_slots`).
+        Whole frequency slices (a multiple of M cells) of
+        :func:`stacked_block_size` frequencies.
         """
-        from .executor import spectral_block_size
-        groups: "dict[int, list[int]]" = {}
-        for m, member in enumerate(self.members):
-            groups.setdefault(member.context.dynamics_key, []).append(m)
-        width = 1 if labels is None else 1 + len(labels)
-        n_rows = width * max(len(self._row_slots(members))
-                             for members in groups.values())
-        return self.n_corners * spectral_block_size(
-            self.context, n_cells // self.n_corners, n_rows)
+        return self.n_corners * stacked_block_size(
+            self.members, n_cells // self.n_corners, labels)
 
-    def _solve_chunk_groups(self, freqs: FloatArray, corners: np.ndarray,
-                            finite_idx: np.ndarray, values: FloatArray,
-                            report: DiagnosticsReport,
-                            labels: "tuple[str, ...] | None"
-                            ) -> "list[int]":
-        """One stacked kernel call per dynamics group; returns rescue cells.
 
-        Cells are partitioned by the dynamics group of their corner;
-        each group concatenates its kernel rows (:meth:`_row_plan`) and
-        solves them against the union of the group's chunk frequencies
-        in **one** :func:`solve_spectral_batch` call on the group's
-        first context — one eigenbasis, one LU per frequency serving
-        every row — then slices the rows back per plan.  Each row is
-        bit-identical to solving it alone, so a lone plan is exactly
-        the plain spectral-batch call.  ``values`` is filled in place
-        for the accepted cells; the chunk-local indices of the cells the
-        batched solve rejected are returned, group by group.
-        """
-        rec = self.recorder
-        policy = self.members[0].fallback
-        condition_limit = (policy.condition_limit
-                           if policy is not None else None)
+# -- the stacked-row step of every batched sweep --------------------------
 
-        # Partition the chunk's finite cells by dynamics group, groups
-        # and their corners in first-appearance order, each corner's
-        # cells in chunk order — index arrays, not a walk over cells.
-        keys = np.asarray([member.context.dynamics_key
-                           for member in self.members])
-        freq_of = np.asarray(freqs, dtype=float)
-        finite = np.asarray(finite_idx, dtype=int)
-        corner_of = np.asarray(corners)[finite]
-        cell_key = keys[corner_of]
 
-        rescue: "list[int]" = []
-        for key in _first_appearance(cell_key):
-            in_group = cell_key == key
-            members = _first_appearance(corner_of[in_group]).tolist()
-            group_cells = finite[in_group]
-            group_corner = corner_of[in_group]
-            cells = {m: group_cells[group_corner == m] for m in members}
-            # Union of the group's chunk frequencies, first-appearance
-            # order over the member-major cell order (bit-parity with the
-            # plain sweep's chunk order for M = 1, where the union is the
-            # chunk itself); ``freq_pos[local]`` is its slot in the union.
-            ordered = np.concatenate([cells[m] for m in members])
-            distinct, first, inverse = np.unique(
-                freq_of[ordered], return_index=True, return_inverse=True)
-            order = np.argsort(first, kind="stable")
-            union = distinct[order]
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            freq_pos = np.empty(freq_of.size, dtype=int)
-            freq_pos[ordered] = rank[inverse.reshape(-1)]
-            omegas = 2.0 * np.pi * np.asarray(union)
-            plans = self._row_plan(members, labels)
-            blocks = [forcing if forcing.ndim == 4 else forcing[None]
-                      for _context, forcing, _owners in plans]
-            bounds = np.cumsum([0] + [block.shape[0] for block in blocks])
-            with rec.span("spectral.param-batch", n_params=len(members),
-                          n_rows=len(plans), n=len(union)):
-                batch = solve_spectral_batch(
-                    plans[0][0], omegas, np.concatenate(blocks),
-                    condition_limit=condition_limit, recorder=rec)
-            # One period for the group; the structure is the dynamics
-            # root's, so no derived corner builds a discretization.
-            period = plans[0][0].structure.period
-            n_solved = 0
-            for slot, (context, forcing, owners) in enumerate(plans):
-                lo, hi = bounds[slot], bounds[slot + 1]
-                rows = slice(lo, hi) if forcing.ndim == 4 else lo
-                result = replace(
-                    batch, integral=batch.integral[rows],
-                    v0=batch.v0[rows])
-                if result.fallback_groups:
-                    report_defective_bases(report, context,
-                                           result.fallback_groups)
-                for m, multiplier in owners:
-                    # Uniform intensity corners share their dynamics
-                    # root's kernel row: S(αQ) = α·S(Q) exactly, so the
-                    # solved row is rescaled per corner (α = 1.0 for
-                    # the row owner — a bit-exact multiply).
-                    psd, ok = kernel_values(
-                        result, self.members[m]._l_row, period, labels,
-                        multiplier)
-                    local = cells[m]
-                    pos = freq_pos[local]
-                    accepted = ok[pos]
-                    values[local[accepted]] = psd[pos[accepted]]
-                    n_solved += int(np.count_nonzero(accepted))
-                    rescue.extend(local[~accepted].tolist())
-            report.info(
-                "spectral-batch",
-                f"param-batched kernel solved {n_solved} of "
-                f"{ordered.size} cells across "
-                f"{len(members)} corners with {len(plans)} kernel rows "
-                "in one stacked call",
-                n_batched=n_solved,
-                n_rescued=ordered.size - n_solved,
-                n_params=len(members), n_rows=len(plans))
-        return rescue
+def stacked_block_size(members: Sequence[MftNoiseAnalyzer], n_freq: int,
+                       labels: "tuple[str, ...] | None") -> int:
+    """Frequencies per ω-block of a batched sweep over ``members``.
 
-    def _row_slots(self, members: "list[int]"
-                   ) -> "list[tuple[SweepContext, list[tuple[int, float]]]]":
-        """Kernel-row owners for one dynamics group: ``(context, owners)``.
+    Sized by :func:`~repro.mft.executor.spectral_block_size` for the
+    largest stacked kernel call — the dynamics group with the most
+    kernel rows (:func:`_row_slots`), ``1 + n_sources`` rows each for an
+    attribution request.
+    """
+    from .executor import spectral_block_size
+    groups: "dict[int, list[int]]" = {}
+    for m, member in enumerate(members):
+        groups.setdefault(member.context.dynamics_key, []).append(m)
+    width = 1 if labels is None else 1 + len(labels)
+    n_rows = width * max(len(_row_slots(members, group))
+                         for group in groups.values())
+    return spectral_block_size(members[0].context, n_freq, n_rows)
 
-        Corners whose context is a uniform intensity derivation of the
-        same root *share one kernel row* — the root's forcing — and are
-        recovered after the solve as ``α² · psd_root`` (noise PSDs are
-        exactly linear in uniform source intensity).  This is where the
-        corner batch beats per-corner sweeps: an all-uniform group of M
-        corners costs one row of per-frequency kernel arithmetic, not
-        M.  Per-source (non-uniform) scalings keep their own row, as
-        does any context the sweep cannot prove is a derivation.
-        ``owners`` lists ``(corner_index, multiplier)`` per row, the
-        row's first owner first.
-        """
-        slots: "list[tuple[SweepContext, list[tuple[int, float]]]]" = []
-        slot_of_root: "dict[int, int]" = {}
-        for m in members:
-            context = self.members[m].context
-            root = getattr(context, "parent", None)
-            uniform = getattr(context, "_uniform", None)
-            if root is None and not hasattr(context, "_scales"):
-                root, uniform = context, 1.0  # the dynamics root itself
-            if root is None or uniform is None:
-                slots.append((context, [(m, 1.0)]))
-                continue
-            slot = slot_of_root.get(id(root))
-            if slot is None:
-                slot_of_root[id(root)] = len(slots)
-                slots.append((root, [(m, float(uniform))]))
-            else:
-                slots[slot][1].append((m, float(uniform)))
-        return slots
 
-    def _row_plan(self, members: "list[int]",
-                  labels: "tuple[str, ...] | None"
-                  ) -> "list[tuple[SweepContext, FloatArray, list[tuple[int, float]]]]":
-        """Kernel rows for one dynamics group: ``(context, forcing, owners)``.
+def solve_stacked(members: Sequence[MftNoiseAnalyzer], recorder: Any,
+                  freqs: FloatArray, start: int, finite_idx: np.ndarray,
+                  values: FloatArray, report: DiagnosticsReport,
+                  labels: "tuple[str, ...] | None") -> "list[int]":
+    """One stacked kernel call per dynamics group; returns rescue cells.
 
-        The slots of :meth:`_row_slots`, each with its forcing rows built
-        from its first owner's output row.
-        """
-        return [(context,
-                 forcing_rows(context, self.members[owners[0][0]]._l_row,
-                              labels),
-                 owners)
-                for context, owners in self._row_slots(members)]
+    The batch step of every ``spectral-batch`` and ``param-batch``
+    chunk.  ``freqs`` is a chunk of the flat ``(frequency, member)``
+    axis starting at flat cell ``start``: cell ``g`` belongs to member
+    ``g % len(members)`` (a plain sweep passes ``[analyzer]``, so every
+    cell is its own frequency).  Cells are partitioned by the dynamics
+    group of their member; each group concatenates its kernel rows
+    (:func:`_row_plan`) and solves them against the union of the
+    group's chunk frequencies in **one** :func:`solve_spectral_batch`
+    call on the group's first context — one eigenbasis, one LU per
+    frequency serving every row — then slices the rows back per plan.
+    Each row is bit-identical to solving it alone.  ``values`` is
+    filled in place for the accepted cells; the chunk-local indices of
+    the cells the batched solve rejected are returned, group by group.
+    """
+    policy = members[0].fallback
+    condition_limit = (policy.condition_limit
+                       if policy is not None else None)
+
+    # Partition the chunk's finite cells by dynamics group, groups and
+    # their members in first-appearance order, each member's cells in
+    # chunk order — index arrays, not a walk over cells.
+    keys = np.asarray([member.context.dynamics_key for member in members])
+    freq_of = np.asarray(freqs, dtype=float)
+    finite = np.asarray(finite_idx, dtype=int)
+    corner_of = (start + finite) % len(members)
+    cell_key = keys[corner_of]
+
+    rescue: "list[int]" = []
+    for key in _first_appearance(cell_key):
+        in_group = cell_key == key
+        group = _first_appearance(corner_of[in_group]).tolist()
+        group_cells = finite[in_group]
+        group_corner = corner_of[in_group]
+        cells = {m: group_cells[group_corner == m] for m in group}
+        # Union of the group's chunk frequencies, first-appearance order
+        # over the member-major cell order (the chunk's own order for
+        # one member); ``freq_pos[local]`` is its slot in the union.
+        ordered = np.concatenate([cells[m] for m in group])
+        distinct, first, inverse = np.unique(
+            freq_of[ordered], return_index=True, return_inverse=True)
+        order = np.argsort(first, kind="stable")
+        union = distinct[order]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        freq_pos = np.empty(freq_of.size, dtype=int)
+        freq_pos[ordered] = rank[inverse.reshape(-1)]
+        omegas = 2.0 * np.pi * np.asarray(union)
+        plans = _row_plan(members, group, labels)
+        blocks = [forcing if forcing.ndim == 4 else forcing[None]
+                  for _context, forcing, _owners in plans]
+        bounds = np.cumsum([0] + [block.shape[0] for block in blocks])
+        with recorder.span("spectral.batch", n=len(union),
+                           n_params=len(group), n_rows=len(plans)):
+            batch = solve_spectral_batch(
+                plans[0][0], omegas, np.concatenate(blocks),
+                condition_limit=condition_limit, recorder=recorder)
+        # One period for the group; the structure is the dynamics
+        # root's, so no derived member builds a discretization.
+        period = plans[0][0].structure.period
+        n_solved = 0
+        for slot, (context, forcing, owners) in enumerate(plans):
+            lo, hi = bounds[slot], bounds[slot + 1]
+            rows = slice(lo, hi) if forcing.ndim == 4 else lo
+            result = replace(
+                batch, integral=batch.integral[rows], v0=batch.v0[rows])
+            if result.fallback_groups:
+                report_defective_bases(report, context,
+                                       result.fallback_groups)
+            for m, multiplier in owners:
+                # Uniform intensity members share their dynamics root's
+                # kernel row: S(αQ) = α·S(Q) exactly, so the solved row
+                # is rescaled per member (α = 1.0 for the row owner — a
+                # bit-exact multiply).
+                psd, ok = kernel_values(
+                    result, members[m]._l_row, period, labels, multiplier)
+                local = cells[m]
+                pos = freq_pos[local]
+                accepted = ok[pos]
+                values[local[accepted]] = psd[pos[accepted]]
+                n_solved += int(np.count_nonzero(accepted))
+                rescue.extend(local[~accepted].tolist())
+        report.info(
+            "spectral-batch",
+            f"stacked kernel solved {n_solved} of {ordered.size} cells "
+            f"across {len(group)} parameter points with {len(plans)} "
+            "kernel rows in one call",
+            n_batched=n_solved,
+            n_rescued=ordered.size - n_solved,
+            n_params=len(group), n_rows=len(plans))
+    return rescue
+
+
+def _row_slots(members: Sequence[MftNoiseAnalyzer], group: "list[int]"
+               ) -> "list[tuple[SweepContext, list[tuple[int, float]]]]":
+    """Kernel-row owners for one dynamics group: ``(context, owners)``.
+
+    Members whose context is a uniform intensity derivation of the same
+    root *share one kernel row* — the root's forcing — and are recovered
+    after the solve as ``α² · psd_root`` (noise PSDs are exactly linear
+    in uniform source intensity).  This is where the corner batch beats
+    per-corner sweeps: an all-uniform group of M corners costs one row
+    of per-frequency kernel arithmetic, not M.  Per-source (non-uniform)
+    scalings keep their own row, as does any context the sweep cannot
+    prove is a derivation.  ``owners`` lists ``(member_index,
+    multiplier)`` per row, the row's first owner first.
+    """
+    slots: "list[tuple[SweepContext, list[tuple[int, float]]]]" = []
+    slot_of_root: "dict[int, int]" = {}
+    for m in group:
+        context = members[m].context
+        root = getattr(context, "parent", None)
+        uniform = getattr(context, "_uniform", None)
+        if root is None and not hasattr(context, "_scales"):
+            root, uniform = context, 1.0  # the dynamics root itself
+        if root is None or uniform is None:
+            slots.append((context, [(m, 1.0)]))
+            continue
+        slot = slot_of_root.get(id(root))
+        if slot is None:
+            slot_of_root[id(root)] = len(slots)
+            slots.append((root, [(m, float(uniform))]))
+        else:
+            slots[slot][1].append((m, float(uniform)))
+    return slots
+
+
+def _row_plan(members: Sequence[MftNoiseAnalyzer], group: "list[int]",
+              labels: "tuple[str, ...] | None"
+              ) -> "list[tuple[SweepContext, FloatArray, list[tuple[int, float]]]]":
+    """Kernel rows for one dynamics group: ``(context, forcing, owners)``.
+
+    The slots of :func:`_row_slots`, each with its forcing rows built
+    from its first owner's output row.
+    """
+    return [(context,
+             forcing_rows(context, members[owners[0][0]]._l_row, labels),
+             owners)
+            for context, owners in _row_slots(members, group)]
 
 
 @dataclass

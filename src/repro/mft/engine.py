@@ -50,7 +50,7 @@ from ..diagnostics.fallback import (
     FallbackPolicy,
     run_fallback_chain,
 )
-from ..diagnostics.preflight import preflight_report, raise_preflight_errors
+from ..diagnostics.preflight import raise_preflight_errors
 from ..diagnostics.report import DiagnosticsReport, FrequencyFailure
 from ..errors import ReproError, UnexpectedOptionError
 from ..noise.solvers import resolve_solver
@@ -58,7 +58,6 @@ from ..obs import NULL_RECORDER, format_trace
 from ..tolerances import FIXED_POINT_RIDGE
 from ..typing import FloatArray
 from .context import SweepContext, sweep_context_for
-from .spectral import solve_spectral_batch
 
 logger = logging.getLogger(__name__)
 
@@ -228,9 +227,9 @@ class MftNoiseAnalyzer:
         """``[total, source_0, …]`` PSD at one frequency (attribution).
 
         Every entry comes from the same solver settings at the same ω —
-        the shifted step integrals are shared through the per-ω cache —
-        so the per-source values sum to the total by linearity of the
-        periodic solve in its forcing (to rounding).
+        each solve recomputes the same shifted step integrals — so the
+        per-source values sum to the total by linearity of the periodic
+        solve in its forcing (to rounding).
         """
         context = self._context
         omega = 2.0 * np.pi * float(frequency)
@@ -299,13 +298,12 @@ class MftNoiseAnalyzer:
 
         With ``solver=None`` (``"mft"``) nothing is batched: every finite
         frequency runs its own fallback chain.  With ``"spectral-batch"``
-        the chunk is first solved as one ω-block
-        (:meth:`_solve_spectral_block`) and only the frequencies it
-        rejects are rescued through the chain.
-        ``start`` (the chunk offset) is unused: frequencies are
-        self-describing for this analyzer.
+        the chunk is first solved as one ω-block by the stacked step
+        every batched sweep shares
+        (:func:`repro.mft.corners.solve_stacked`, with this analyzer as
+        its one member) and only the frequencies it rejects are rescued
+        through the chain.
         """
-        del start
         if solver is None:
             def batch_step(finite_idx, values):
                 return finite_idx
@@ -313,9 +311,11 @@ class MftNoiseAnalyzer:
             def point_step(idx, frequency):
                 return self._strategies(frequency, labels), {}
         else:
+            from .corners import solve_stacked
+
             def batch_step(finite_idx, values):
-                return self._solve_spectral_block(freqs, finite_idx, values,
-                                                  report, labels)
+                return solve_stacked([self], self.recorder, freqs, start,
+                                     finite_idx, values, report, labels)
 
             def point_step(idx, frequency):
                 return (self._strategies(frequency, labels),
@@ -326,46 +326,10 @@ class MftNoiseAnalyzer:
     def _spectral_block(self, n_freq, labels):
         """Frequencies per ω-block at the default chunk size.
 
-        One kernel row, or ``1 + n_sources`` for an attribution
-        request; see :func:`~repro.mft.executor.spectral_block_size`.
+        See :func:`repro.mft.corners.stacked_block_size`.
         """
-        from .executor import spectral_block_size
-        n_rows = 1 if labels is None else 1 + len(labels)
-        return spectral_block_size(self._context, n_freq, n_rows)
-
-    def _solve_spectral_block(self, freqs, finite_idx, values, report,
-                              labels):
-        """``spectral-batch`` step: all finite frequencies in one ω-block.
-
-        Solves through :func:`~repro.mft.spectral.solve_spectral_batch`
-        — stacked over the per-source forcings when attributing, sharing
-        one LU per frequency — fills ``values`` where the batch succeeded
-        and returns the indices it rejected (condition gate, singular
-        fixed point, non-finite value) for the per-frequency rescue.
-        """
-        rec = self.recorder
-        context = self._context
-        policy = self.fallback
-        forcing = forcing_rows(context, self._l_row, labels)
-        with rec.span("spectral.batch", n=int(finite_idx.size),
-                      rows=1 if labels is None else 1 + len(labels)):
-            batch = solve_spectral_batch(
-                context, 2.0 * np.pi * freqs[finite_idx], forcing,
-                condition_limit=(policy.condition_limit
-                                 if policy is not None else None),
-                recorder=rec)
-        psd, ok = kernel_values(batch, self._l_row, self._disc.period,
-                                labels)
-        values[finite_idx[ok]] = psd[ok]
-        if batch.fallback_groups:
-            report_defective_bases(report, context, batch.fallback_groups)
-        n_ok = int(np.sum(ok))
-        report.info(
-            "spectral-batch",
-            f"spectral kernel solved {n_ok} of {finite_idx.size} "
-            "frequencies in one batch",
-            n_batched=n_ok, n_rescued=int(finite_idx.size) - n_ok)
-        return finite_idx[~ok]
+        from .corners import stacked_block_size
+        return stacked_block_size([self], n_freq, labels)
 
     def psd_sweep(self, frequencies, *, chunk_size=None, budget=None,
                   on_failure="record", solver=None, attribute_sources=False,
@@ -813,5 +777,4 @@ def report_defective_bases(report, context, groups):
         reasons=[bases[g].reason for g in groups])
 
 
-# re-exported for backwards compatibility with earlier imports
-__all__ = ["InstantaneousPsd", "MftNoiseAnalyzer", "preflight_report"]
+__all__ = ["InstantaneousPsd", "MftNoiseAnalyzer"]

@@ -55,10 +55,11 @@ _DEFAULT_CHUNK = 8
 #: ``(R, S, F, n)`` complex step-forcing stack of
 #: :func:`~repro.mft.spectral.solve_spectral_batch` (forcing rows ×
 #: segments × frequencies × states × 16 B).  At the default chunk size
-#: a batched sweep is one block unless its stack would exceed this:
-#: every block replays the per-segment trace recursion, so fewer blocks
-#: are faster.  32 MiB is just above a 192-state cascade's 64-frequency
-#: block at 64 segments per phase (≈ 24 MiB).
+#: a batched sweep is one block unless its stack would exceed this, so
+#: the cap bounds the memory of one block, not its speed: the trace is
+#: one pass over runs per block, and splitting a grid into more blocks
+#: costs little.  32 MiB is just above a 192-state cascade's
+#: 64-frequency block at 64 segments per phase (≈ 24 MiB).
 SPECTRAL_STACK_CAP_BYTES = 32 * 2**20
 
 #: ``None`` and ``"mft"`` are the same per-frequency reference sweep —

@@ -194,6 +194,12 @@ class TestScaleSystemNoise:
 
 
 class TestParityBattery:
+    # The repeated grid sends the plain sweep through the stacked step's
+    # frequency union too: each repeat reads its frequency's one solve.
+    @pytest.mark.parametrize("freqs", [
+        np.linspace(100.0, 4e4, N_FREQS),
+        np.array([100.0, 5e3, 100.0, 2e4, 5e3, 4e4, 100.0]),
+    ], ids=["unique", "repeated"])
     def test_m1_trivial_corner_bit_identical_to_psd_sweep(
             self, rc_system, freqs):
         clear_sweep_contexts()

@@ -1,9 +1,9 @@
 """SweepContext caches, the bounded registry, and solve_shifted branches.
 
-Covers the cache-policy satellites of the spectral-batch PR: the per-ω
-shifted-integrals cache is a *true* LRU (hits refresh recency), the
-module registry is lock-guarded and LRU-bounded, and the less-travelled
-``solve_shifted`` branches (``lstsq``, the condition-limit rejection,
+Covers the cache policy: a context holds only frequency-independent
+arrays (the shifted step integrals are recomputed, bit for bit, on every
+call), the module registry is lock-guarded and LRU-bounded, and the
+less-travelled ``solve_shifted`` branches (``lstsq``, the condition-limit rejection,
 the resolvent-vs-trapezoid crossover) agree with the reference solver.
 It also pins the segment-group structure: groups are keyed on the
 propagator the discretizer shares, so a uniform clock phase is one
@@ -48,47 +48,17 @@ def _forcing(context):
     return analyzer._forcing_pairs()
 
 
-class TestOmegaCacheLRU:
-    def test_hit_refreshes_recency(self, context):
-        context._omega_cache_limit = 2
-        w1, w2, w3 = 1.0e3, 2.0e3, 3.0e3
-        context.shifted_integrals(w1)
-        context.shifted_integrals(w2)
-        # Re-touching w1 makes w2 the least-recently-used entry...
-        context.shifted_integrals(w1)
-        context.shifted_integrals(w3)
-        # ...so inserting w3 at the limit must evict w2, not w1.
-        assert list(context._omega_cache) == [w1, w3]
-
-    def test_hit_and_eviction_counters(self, context):
-        context._omega_cache_limit = 2
-        base = context.stats.to_dict()
-        context.shifted_integrals(1.0e3)
-        context.shifted_integrals(1.0e3)
-        context.shifted_integrals(2.0e3)
-        context.shifted_integrals(3.0e3)
-        delta_hits = (context.stats.hits.get("shifted-integrals", 0)
-                      - base["hits"].get("shifted-integrals", 0))
-        delta_evictions = (
-            context.stats.evictions.get("shifted-integrals", 0)
-            - base["evictions"].get("shifted-integrals", 0))
-        assert delta_hits == 1
-        assert delta_evictions == 1
-
-    def test_cache_never_exceeds_limit(self, context):
-        context._omega_cache_limit = 4
-        for omega in np.linspace(1e3, 9e3, 9):
-            context.shifted_integrals(float(omega))
-        assert len(context._omega_cache) <= 4
-
-    def test_evicted_entry_is_recomputed_identically(self, context):
-        context._omega_cache_limit = 2
-        first = [np.copy(e[0]) for e in context.shifted_integrals(1.0e3)]
-        context.shifted_integrals(2.0e3)
-        context.shifted_integrals(3.0e3)  # evicts 1.0e3
-        again = context.shifted_integrals(1.0e3)
-        for a, b in zip(first, again):
-            np.testing.assert_array_equal(a, b[0])
+class TestShiftedIntegrals:
+    def test_repeated_call_is_bit_identical(self, context):
+        omega = 2.0 * np.pi * 1.0e3
+        first = context.shifted_integrals(omega)
+        context.shifted_integrals(2.0 * np.pi * 2.0e3)
+        again = context.shifted_integrals(omega)
+        assert len(first) == len(again)
+        for entry, repeat in zip(first, again):
+            for a, b in zip(entry[:4], repeat[:4]):
+                assert a.tobytes() == b.tobytes()
+            assert entry[4] == repeat[4]
 
 
 class TestContextRegistry:
@@ -270,31 +240,18 @@ class TestRegistryByteBound:
         assert _held_bytes(_registered()) <= cap
 
 
-class TestOmegaCacheBytes:
-    def test_mft_sweep_cache_bytes_within_cap(self, monkeypatch):
+class TestFrequencyIndependentBytes:
+    def test_mft_sweep_leaves_retained_bytes_unchanged(self):
+        # Everything a context keeps is frequency independent, so a
+        # warmed-up context holds the same arrays after a sweep.
         system = _sc_cascade(12).system
-        freqs = np.linspace(10.0, 7.6e3, 256)
         context = SweepContext(system, segments_per_phase=16)
-        bounded = MftNoiseAnalyzer(system, context=context).psd_sweep(
-            freqs, solver="mft")
-        cache_bytes = sum(array.nbytes for entry in
-                          context._omega_cache.values()
-                          for group in entry for array in group[:4])
-        assert 0 < cache_bytes <= context_module._REGISTRY_CAP_BYTES
-        assert len(context._omega_cache) < freqs.size
-        # Evicting ω entries never changes a value.
-        monkeypatch.setattr(context_module, "_REGISTRY_CAP_BYTES", 2**40)
-        reference = SweepContext(system, segments_per_phase=16)
-        unbounded = MftNoiseAnalyzer(system, context=reference).psd_sweep(
-            freqs, solver="mft")
-        assert len(reference._omega_cache) == freqs.size
-        assert bounded.psd.tobytes() == unbounded.psd.tobytes()
-
-    def test_limit_never_below_one(self, context, monkeypatch):
-        monkeypatch.setattr(context_module, "_REGISTRY_CAP_BYTES", 1)
-        context.shifted_integrals(1.0e3)
-        context.shifted_integrals(2.0e3)
-        assert list(context._omega_cache) == [2.0e3]
+        analyzer = MftNoiseAnalyzer(system, context=context).warm_up()
+        before = dict(context._retained_bytes())
+        result = analyzer.psd_sweep(np.linspace(10.0, 7.6e3, 64),
+                                    solver="mft")
+        assert np.all(np.isfinite(result.psd))
+        assert dict(context._retained_bytes()) == before
 
 
 class TestRegistryConcurrency:

@@ -258,6 +258,8 @@ class TestEngineInvariants:
         names = {s.name for s in rec.spans}
         assert {"spectral.batch", "spectral.eigenbasis",
                 "spectral.solve"} <= names
+        batches = [s for s in rec.spans if s.name == "spectral.batch"]
+        assert all(s.tags["n_params"] == 1 for s in batches)
         assert rec.is_balanced()
 
     def test_fallback_attempts_recorded_under_solves(self, rc_system):
@@ -282,7 +284,7 @@ class TestEngineInvariants:
         assert names.count("mft.preflight") == 1 + len(grid)
         solves = [s for s in rec.spans if s.name == "spectral.solve"]
         batches = {s.span_id for s in rec.spans
-                   if s.name == "spectral.param-batch"}
+                   if s.name == "spectral.batch"}
         assert solves and batches
         assert all(s.parent_id in batches for s in solves)
         assert rec.is_balanced()
