@@ -497,12 +497,14 @@ class SweepContext:
         self._monodromy = None
         self._preflight = None
         self._spectral = None
+        self._condition_bound = None
         self._forcing = {}
         self._n_sources = None
         self._source_split = None
         self._source_stack = None
         self._source_discs = {}
         self._source_forcing = {}
+        self._retained_memo = None
 
     # -- cached frequency-independent quantities ----------------------------
 
@@ -563,14 +565,34 @@ class SweepContext:
         return self._preflight
 
     @property
+    def condition_bound(self):
+        """One bound on ``cond(I − e^{−jωT}M₀)`` for every frequency.
+
+        :func:`~repro.mft.spectral.fixed_point_condition_bound` of the
+        cached :attr:`monodromy`, computed once; ``inf`` for a
+        near-marginal or unstable monodromy.  The spectral kernel's
+        condition gate reads it instead of a per-frequency SVD.
+        """
+        if self._condition_bound is None:
+            self.stats.miss("condition-bound")
+            from .spectral import fixed_point_condition_bound
+            self._condition_bound = fixed_point_condition_bound(
+                self.monodromy)
+        else:
+            self.stats.hit("condition-bound")
+        return self._condition_bound
+
+    @property
     def spectral_bases(self):
         """Per-group eigenbases of the frequency-batched spectral kernel.
 
         One :class:`~repro.mft.spectral.GroupBasis` per segment group,
         computed once (frequency-independent) and gated on
         :data:`~repro.tolerances.SPECTRAL_EIGENBASIS_COND_LIMIT`; a
-        defective group is marked and later served by the per-frequency
-        reference path instead.
+        defective group is marked and its series rows are served by the
+        per-frequency reference path instead.  Only the kernel's series
+        rows read a basis, so the kernel builds them on first need and a
+        sweep whose rows all take the LU mirror never builds them.
         """
         if self._spectral is None:
             self.stats.miss("spectral-basis")
@@ -926,7 +948,20 @@ class SweepContext:
         :func:`sweep_context_for`.  Reads the cached quantities, never
         the segments, and copies each dict cache before reading it: a
         job-queue dispatcher thread may be filling it.
+
+        The list is memoized on the fill state: each counted cache only
+        ever goes from unset to set (the structure and the covariances)
+        or grows (the forcing dicts), so the objects of the first and the
+        sizes of the second change whenever the list would.  The state
+        is read before the arrays, so a fill racing the read leaves a
+        state that the next call sees as stale.
         """
+        filled = (self._structure, self._covariance, self._source_stack)
+        sizes = (len(self._forcing), len(self._source_forcing))
+        memo = self._retained_memo
+        if (memo is not None and memo[1] == sizes
+                and all(a is b for a, b in zip(memo[0], filled))):
+            return memo[2]
         struct = self._structure
         arrays = [] if struct is None else list(struct.powers)
         for cov in (self._covariance, self._source_stack):
@@ -934,7 +969,9 @@ class SweepContext:
                 arrays += (cov.pre, cov.post)
         arrays += tuple(self._forcing.values())
         arrays += tuple(self._source_forcing.values())
-        return [(id(array), array.nbytes) for array in arrays]
+        counted = tuple((id(array), array.nbytes) for array in arrays)
+        self._retained_memo = (filled, sizes, counted)
+        return counted
 
     def warm_up(self, l_row=None, sources=False):
         """Force every frequency-independent quantity to exist.
@@ -1012,7 +1049,9 @@ class _DerivedIntensityContext(SweepContext):
         # ``dynamics_key`` stable across derivations.
         self._structure = parent.structure
         self._monodromy = parent.monodromy
-        self._spectral = None  # delegated to the parent via the property
+        # Delegated to the parent via the properties.
+        self._spectral = None
+        self._condition_bound = None
         # Intensity-dependent quantities are rebuilt lazily (cheaply).
         self._disc = None
         self._covariance = None
@@ -1021,6 +1060,7 @@ class _DerivedIntensityContext(SweepContext):
         self._source_stack = None
         self._source_discs = {}
         self._source_forcing = {}
+        self._retained_memo = None
 
     @property
     def n_sources(self):
@@ -1108,6 +1148,11 @@ class _DerivedIntensityContext(SweepContext):
     def spectral_bases(self):
         """The parent's eigenbases — dynamics are identical by design."""
         return self.parent.spectral_bases
+
+    @property
+    def condition_bound(self):
+        """The parent's bound — the monodromy is shared by reference."""
+        return self.parent.condition_bound
 
     @property
     def preflight(self):

@@ -19,7 +19,8 @@ dynamics group.
 The fallback lattice has two levels (DESIGN.md §12):
 
 * **group** — a segment group without a usable eigenbasis uses the
-  per-frequency reference integrals inside the kernel;
+  per-frequency reference integrals inside the kernel, at the
+  frequencies whose step integrals would read that basis;
 * **cell** — a ``(corner, frequency)`` cell whose batched solve is
   rejected (condition gate, singular fixed point, non-finite value) is
   rescued through that corner's per-frequency fallback chain
@@ -143,7 +144,6 @@ class CornerBatchAnalyzer:
         """Warm every member (roots first — derivations draw on them)."""
         for member in self.members:
             member.warm_up(sources=sources)
-            member.context.spectral_bases
         return self
 
     # -- the chunk hooks -----------------------------------------------------

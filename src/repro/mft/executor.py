@@ -210,13 +210,12 @@ class SweepExecutor:
         t0 = time.perf_counter()
         with rec.span("mft.sweep", solver=self.solver or "mft",
                       n=int(freqs.size)):
+            # Warm-up builds what every solver reads.  The batched
+            # kernel's group eigenbases are not among it: only its
+            # small-‖A_ω‖h series rows read them, so the kernel builds
+            # them inside a chunk on first need, if ever.
             with rec.span("mft.warmup"):
                 analyzer.warm_up(sources=labels is not None)
-                if self.solver is not None:
-                    # Build the group eigenbases here, so their cost is
-                    # timed under ``mft.warmup`` rather than the first
-                    # chunk.
-                    analyzer.context.spectral_bases
             stride = (self.chunk_size if self.chunk_size is not None
                       else analyzer._spectral_block(freqs.size, labels))
             chunks = [(start, freqs[start:start + stride])

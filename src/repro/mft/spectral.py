@@ -22,9 +22,14 @@ Eigendecompose each segment group **once** (frequency-independent, via
 :func:`repro.linalg.checked.eigensystem`; one group per clock phase on a
 uniform grid, see :func:`repro.mft.context.build_structure`), then
 evaluate the scalar φ-functions for *all* ω at once as stacked
-``(n_freq, n)`` arrays.  The one-period fixed point uses the scalar
-identity ``M_ω = e^{-jωT} M₀`` (see :mod:`repro.mft.context`), so the
-solve becomes one batched
+``(n_freq, n)`` arrays.  The kernel takes that scalar route only where
+the per-ω reference takes its Taylor series (``‖A_ω‖h`` below
+:data:`~repro.linalg.phi.SERIES_THRESHOLD`); everywhere else it runs
+the reference's own LU solves on the whole ``(n_freq, n, n)`` stack.
+So the bases are built on the first group that has series rows, and a
+sweep with none never builds them.  The one-period fixed point uses the
+scalar identity ``M_ω = e^{-jωT} M₀`` (see :mod:`repro.mft.context`), so
+the solve becomes one batched
 ``repro.linalg.checked.batched_solve`` over the ``(n_freq, n, n)`` stack
 ``I − e^{-jωT} M₀``.  Per-ω cost drops from O(n³) Python-looped work to
 O(n³)-once plus O(n²)-per-ω vectorized matmul kernels.  No step of
@@ -37,15 +42,21 @@ passes over runs.  The period integral is linear in the trace, so the
 kernel keeps no trace: each group's integral is one evaluation on its
 run-boundary states (:func:`group_period_integral`).
 
+The condition gate on ``cond(I − e^{-jωT}M₀)`` needs no per-ω SVD in the
+usual case: one bound for every ω (:func:`fixed_point_condition_bound`,
+cached as :attr:`~repro.mft.context.SweepContext.condition_bound`)
+decides it when it lies within the limit, and only otherwise does the
+exact stacked SVD run.
+
 Numerics: round-tripping through the eigenbasis amplifies rounding by
 ~``cond(V)``, so each group's basis is gated on
 :data:`~repro.tolerances.SPECTRAL_EIGENBASIS_COND_LIMIT`.  A defective
 (Jordan-block) or ill-conditioned group falls back **per group** — not
 per sweep — to the reference per-frequency ``affine_step_integrals``
-path, preserving correctness at the cost of that group's batching; the
-engine surfaces this as a severity-tagged diagnostics finding.  The
-batched results agree with the per-ω reference to ≤ 1e-9 relative
-(enforced by ``benchmarks/test_perf_regression.py`` and
+at its series rows, preserving correctness at the cost of those rows'
+batching; the engine surfaces this as a severity-tagged diagnostics
+finding.  The batched results agree with the per-ω reference to ≤ 1e-9
+relative (enforced by ``benchmarks/test_perf_regression.py`` and
 ``tests/test_mft_spectral.py``); the exact-reorder paths stay at 1e-12.
 """
 
@@ -66,6 +77,8 @@ from ..linalg.checked import (
 )
 from ..linalg.phi import SERIES_THRESHOLD, affine_step_integrals
 from ..tolerances import (
+    CONDITION_BOUND_CONTRACTION,
+    CONDITION_BOUND_ROUNDING,
     RESOLVENT_NORM_THRESHOLD,
     SPECTRAL_EIGENBASIS_COND_LIMIT,
 )
@@ -78,6 +91,8 @@ __all__ = [
     "GroupBasis",
     "BatchedSolveResult",
     "build_group_bases",
+    "certified_condition",
+    "fixed_point_condition_bound",
     "group_period_integral",
     "phi_scalar_integrals",
     "solve_spectral_batch",
@@ -86,6 +101,14 @@ __all__ = [
 #: Mirrors ``_SERIES_TERMS`` of :mod:`repro.linalg.phi`: 12 terms give
 #: full double precision below :data:`~repro.linalg.phi.SERIES_THRESHOLD`.
 _SERIES_TERMS = 12
+
+#: Squarings of the monodromy after which
+#: :func:`fixed_point_condition_bound` gives up and returns ``inf``.  The
+#: largest double below 1 halves only after ``2^52.5`` periods, so 64
+#: squarings reach every multiplier that double precision tells apart
+#: from the unit circle; more would only spend products on a marginal or
+#: unstable ``M₀``.
+CONDITION_BOUND_MAX_SQUARINGS = 64
 
 @dataclass
 class GroupBasis:
@@ -111,12 +134,19 @@ class BatchedSolveResult:
 
     ``integral[f]`` is the period integral of the steady-state trace at
     ``omegas[f]`` (complex, shape ``(n_freq, n)``); ``v0`` the fixed
-    points; ``conditions`` the per-frequency ``cond(I − M_ω)``.  ``ok``
+    points.  ``conditions`` is what decided the condition gate on
+    ``cond(I − M_ω)``: the context's
+    :attr:`~repro.mft.context.SweepContext.condition_bound` at every
+    frequency where that bound alone passed them all, the exact
+    per-frequency values where the SVD ran, and NaN where no gate was
+    asked (``condition_limit=None``).  ``ok``
     masks the frequencies whose direct batched solve succeeded (finite
     result, condition gate passed) — the engine reruns the others
     through the reference fallback chain so failure semantics match the
     per-ω path exactly.  ``fallback_groups`` lists the segment-group
-    indices that used the per-frequency path (defective eigenbasis).
+    indices whose series rows used the per-frequency path (defective
+    eigenbasis); a defective group with no series rows in the block is
+    not listed, as its basis was never read.
 
     For a *stacked* solve (forcing of shape ``(R, S, 2, n)``, one row
     per forcing vector — attribution passes the total plus one row per
@@ -169,6 +199,55 @@ def build_group_bases(groups) -> list:
             diagonalizable=True, condition=float(cond), values=values,
             vectors=vectors, inverse=inverse))
     return bases
+
+
+def fixed_point_condition_bound(monodromy) -> float:
+    """One bound ``B ≥ cond₂(I − c M₀)`` for every ``|c| = 1``.
+
+    With ``c = e^{−jωT}`` this bounds the fixed-point condition of the
+    kernel at every frequency at once.  The inverse factors as
+    ``(I − cM₀)⁻¹ = Π_{i<k} (I + (cM₀)^{2^i}) · (I − (cM₀)^{2^k})⁻¹``, so
+    with ``a_i = ‖M₀^{2^i}‖_F`` (Frobenius norms bound 2-norms and are
+    submultiplicative) and any ``k`` with ``a_k < 1``:
+
+        cond₂(I − cM₀) ≤ B = (1 + a_0) · Π_{i<k} (1 + a_i) / (1 − a_k)
+
+    Squaring stops once ``a_k`` reaches
+    :data:`~repro.tolerances.CONDITION_BOUND_CONTRACTION`.  ``inf`` when
+    no ``a_k`` falls below 1 within :data:`CONDITION_BOUND_MAX_SQUARINGS`
+    squarings
+    (a near-marginal or unstable ``M₀``) or a norm is not finite.
+    """
+    power = np.asarray(monodromy, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(power))
+        bound = 1.0 + norm
+        for _ in range(CONDITION_BOUND_MAX_SQUARINGS):
+            if not (np.isfinite(norm)
+                    and norm > CONDITION_BOUND_CONTRACTION):
+                break
+            bound *= 1.0 + norm
+            power = power @ power
+            norm = float(np.linalg.norm(power))
+    if not norm < 1.0:
+        return float("inf")
+    return bound / (1.0 - norm)
+
+
+def certified_condition(bound, n) -> float:
+    """The largest ``cond`` an SVD may report when ``cond₂ ≤ bound``.
+
+    An ``n × n`` SVD returns each singular value within
+    ``δ·σ_max`` (``δ = n·``:data:`~repro.tolerances.CONDITION_BOUND_ROUNDING`),
+    so a computed condition is at most ``bound·(1 + δ)/(1 − δ·bound)``;
+    ``inf`` once ``δ·bound`` reaches 1.  The kernel skips the per-ω SVD
+    gate only when this is within the limit, so that the gate decides as
+    the SVD would.
+    """
+    delta = n * CONDITION_BOUND_ROUNDING
+    if not delta * bound < 1.0:
+        return float("inf")
+    return bound * (1.0 + delta) / (1.0 - delta * bound)
 
 
 def phi_scalar_integrals(z: ComplexArray, h: float
@@ -287,9 +366,13 @@ def _run_forcing_endpoints(forcing, run, h):
     return f0, (forcing[:, run.start:run.stop, 1] - f0) / h
 
 
-def _reference_group_integrals(group, omegas, forcing, members):
-    """Per-frequency fallback: fill the run blocks of one defective group.
+def _reference_group_integrals(group, omegas, rows, forcing, members):
+    """Per-frequency fallback: fill one defective group's series rows.
 
+    ``rows`` (a slice or index array of ``omegas``) are the frequencies
+    whose ``‖A_ω‖h`` falls below the series threshold, the only ones
+    that would read the group's eigenbasis; the others take the batched
+    LU mirror, which already repeats the reference's solves.
     ``forcing`` is the stacked ``(R, S, 2, n)`` form and ``members`` the
     group's ``(run, block)`` pairs, each block the run's ``(R, F, n, L)``
     output; the per-ω integrals are computed once and applied to every
@@ -300,7 +383,8 @@ def _reference_group_integrals(group, omegas, forcing, members):
     eye = np.eye(n)
     endpoints = [_run_forcing_endpoints(forcing, run, h)
                  for run, _block in members]
-    for fi, omega in enumerate(omegas):
+    for fi in np.arange(omegas.size)[rows]:
+        omega = omegas[fi]
         a_shifted = group.a_matrix.astype(complex) - 1j * omega * eye
         phi_shifted = np.exp(-1j * omega * h) * group.phi
         _phi, i1, i2 = affine_step_integrals(a_shifted, h, phi=phi_shifted)
@@ -412,13 +496,18 @@ def solve_spectral_batch(context, omegas, segment_forcing,
     frequencies whose ``cond(I − M_ω)`` exceeds it are *masked out*
     (``ok`` False) rather than raising — the engine reruns them through
     the per-frequency fallback chain, which reproduces the reference
-    rejection and its fallback attempts exactly.
+    rejection and its fallback attempts exactly.  The exact conditions
+    are computed only when the context's bound
+    (:func:`certified_condition` of
+    :attr:`~repro.mft.context.SweepContext.condition_bound`) exceeds the
+    limit; otherwise every frequency passes as the SVD gate would pass
+    it.  Without a limit no condition is computed.
 
     With an enabled ``recorder`` (:class:`repro.obs.Recorder`) the
-    kernel's stages — eigenbasis build, φ-integral stacking, run
-    contractions and batched fixed-point solve, the pass over runs,
-    period integral — become child spans of the caller's
-    ``spectral.batch`` span.
+    kernel's stages — eigenbasis build (when series rows need it),
+    φ-integral stacking, run contractions and batched fixed-point solve,
+    the pass over runs, period integral — become child spans of the
+    caller's ``spectral.batch`` span.
     """
     if recorder is None:
         from ..obs import NULL_RECORDER
@@ -442,20 +531,13 @@ def solve_spectral_batch(context, omegas, segment_forcing,
         raise ReproError("batched solve frequencies must be finite "
                          "(filter non-finite inputs before the kernel)")
     n_freq = omegas.size
-    with recorder.span("spectral.eigenbasis"):
-        bases = context.spectral_bases
-    fallback_groups = [g for g, basis in enumerate(bases)
-                       if not basis.diagonalizable]
-    if fallback_groups:
-        recorder.count("spectral.fallback_groups", len(fallback_groups))
-
     if n_freq == 0:
         empty_shape = (n_rows, 0, n) if stacked else (0, n)
         return BatchedSolveResult(
             omegas=omegas, integral=np.empty(empty_shape, dtype=complex),
             v0=np.empty(empty_shape, dtype=complex),
             conditions=np.empty(0, dtype=float),
-            ok=np.empty(0, dtype=bool), fallback_groups=fallback_groups)
+            ok=np.empty(0, dtype=bool))
 
     # Per-segment forcing integrals g_k(ω) = I1(ω) f0 + I2(ω) slope,
     # batched over frequencies.  Regimes mirror the per-ω reference
@@ -466,9 +548,15 @@ def solve_spectral_batch(context, omegas, segment_forcing,
     # above it the reference solves with the ill-conditioned ``A − jωI``
     # whose ~cond·eps error is *algorithm-specific*, so the batch runs
     # the very same LU through a stacked solve instead of the (more
-    # accurate, but differently-rounded) eigenbasis division.
+    # accurate, but differently-rounded) eigenbasis division.  Only the
+    # series rows read a group's eigenbasis, so the bases are built on
+    # the first group that has such rows, and a defective group sends
+    # just those rows through the per-frequency reference.
     runs = struct.runs
-    with recorder.span("spectral.step-integrals", n_groups=len(bases)):
+    bases = None
+    fallback_groups = []
+    with recorder.span("spectral.step-integrals",
+                       n_groups=len(struct.groups)):
         # One state-major (R, F, n, L) block per run, so each run's
         # forcing at one (row, ω) is one contiguous (n, L) slab.
         blocks = [np.empty((n_rows, n_freq, n, run.stop - run.start),
@@ -477,32 +565,41 @@ def solve_spectral_batch(context, omegas, segment_forcing,
         norm_h_groups = [_group_norm_h(group.a_matrix, omegas,
                                        group.duration)
                          for group in struct.groups]
-        for g, (group, basis) in enumerate(zip(struct.groups, bases)):
+        for g, group in enumerate(struct.groups):
             members = [(runs[i], blocks[i]) for i in group.runs]
-            if not basis.diagonalizable:
-                with recorder.span("spectral.group-fallback", group=g):
-                    _reference_group_integrals(group, omegas, forcing,
-                                               members)
-                continue
             h = group.duration
             small = norm_h_groups[g] < SERIES_THRESHOLD
             series = _rows(small)
             lu = _rows(~small)
-            if series is not None:
-                z = (basis.values[None, :] - 1j * omegas[series, None]) * h
-                i1d, i2d = phi_scalar_integrals(z, h)
             if lu is not None:
                 i1, i2 = _lu_step_integrals(group, omegas[lu], eye_c)
+            scalar = None
+            if series is not None:
+                if bases is None:
+                    with recorder.span("spectral.eigenbasis"):
+                        bases = context.spectral_bases
+                if bases[g].diagonalizable:
+                    scalar = bases[g]
+                    z = (scalar.values[None, :]
+                         - 1j * omegas[series, None]) * h
+                    i1d, i2d = phi_scalar_integrals(z, h)
+                else:
+                    fallback_groups.append(g)
+                    with recorder.span("spectral.group-fallback", group=g):
+                        _reference_group_integrals(group, omegas, series,
+                                                   forcing, members)
             for run, block in members:
                 f0, slope = _run_forcing_endpoints(forcing, run, h)
-                if series is not None:
-                    c0 = basis.inverse @ f0.transpose(0, 2, 1)
-                    cs = basis.inverse @ slope.transpose(0, 2, 1)
+                if scalar is not None:
+                    c0 = scalar.inverse @ f0.transpose(0, 2, 1)
+                    cs = scalar.inverse @ slope.transpose(0, 2, 1)
                     coeffs = (i1d[None, :, :, None] * c0[:, None]
                               + i2d[None, :, :, None] * cs[:, None])
-                    block[:, series] = basis.vectors @ coeffs
+                    block[:, series] = scalar.vectors @ coeffs
                 if lu is not None:
                     _lu_run_forcing(block, lu, f0, slope, i1, i2)
+    if fallback_groups:
+        recorder.count("spectral.fallback_groups", len(fallback_groups))
 
     # One-period affine map, all frequencies at once: M_ω = e^{-jωT} M₀,
     # and g_ω composed run by run from each run's end state
@@ -513,7 +610,16 @@ def solve_spectral_batch(context, omegas, segment_forcing,
         monodromy = context.monodromy.astype(complex)
         eye = np.eye(n, dtype=complex)
         m_stack = eye[None, :, :] - phase_total[:, None, None] * monodromy
-        conditions = batched_condition_number(m_stack)
+        # The condition gate: one bound per context decides it for every
+        # frequency unless it is too loose for the limit, and only then
+        # does the exact per-frequency SVD run.
+        conditions = np.full(n_freq, np.nan)
+        if condition_limit is not None:
+            bound = context.condition_bound
+            if certified_condition(bound, n) <= condition_limit:
+                conditions[:] = bound
+            else:
+                conditions = batched_condition_number(m_stack)
         # Each run's forcing is phase-weighted in place and contracted
         # against the run's power stack: one real product per (row, ω).
         weights = []

@@ -111,6 +111,21 @@ SWEEP_REFINE_DB: float = 0.5
 #: block returns numerically parallel eigenvectors with cond(V) ≫ this.
 SPECTRAL_EIGENBASIS_COND_LIMIT: float = 1e6
 
+#: ``‖M₀^{2^k}‖_F`` at or below which the spectral kernel's bound on
+#: ``cond(I − e^{−jωT}M₀)`` stops squaring the monodromy
+#: (:func:`repro.mft.spectral.fixed_point_condition_bound`): its tail
+#: factor ``1/(1 − ‖M₀^{2^k}‖)`` is then at most 2, and one more
+#: squaring could tighten the bound by at most 4/3.
+CONDITION_BOUND_CONTRACTION: float = 0.5
+
+#: Rounding allowance, per state, under which the bound stands in for
+#: the per-frequency SVD condition gate.  An ``n × n`` SVD (and forming
+#: ``I − e^{−jωT}M₀``) perturbs each singular value by at most about
+#: ``δ·σ_max`` with ``δ`` a modest multiple of ``n·ε``, so the computed
+#: condition is at most ``B(1 + δ)/(1 − δB)``; ``δ = 16·n·ε`` keeps the
+#: gate's decision the SVD's (:func:`repro.mft.spectral.certified_condition`).
+CONDITION_BOUND_ROUNDING: float = 16 * MACHINE_EPS
+
 #: ``‖A − jωI‖₁ · h`` of a segment above which its period integral is
 #: the exact resolvent solve ``A_ω⁻¹ (v(end) − v(start) − ∫f dt)``;
 #: at or below it, the derivative-corrected trapezoid.  Near 0 the
@@ -302,6 +317,8 @@ __all__ = [
     "PSD_FLOOR",
     "SWEEP_REFINE_DB",
     "SPECTRAL_EIGENBASIS_COND_LIMIT",
+    "CONDITION_BOUND_CONTRACTION",
+    "CONDITION_BOUND_ROUNDING",
     "RESOLVENT_NORM_THRESHOLD",
     "ATTRIBUTION_CONSERVATION_RTOL",
     "SCHEDULE_TILE_RTOL",

@@ -240,6 +240,47 @@ class TestRegistryByteBound:
         assert _held_bytes(_registered()) <= cap
 
 
+class TestRetainedBytesMemo:
+    """The byte list the registry walks is memoized on each context's
+    fill state, and must match a fresh walk after every lazy fill."""
+
+    @staticmethod
+    def _fresh(ctx):
+        ctx._retained_memo = None
+        return ctx._retained_bytes()
+
+    def test_memo_matches_a_fresh_walk_after_each_fill(self):
+        system = sc_lowpass_system().system
+        l_row = np.asarray(system.output_matrix)[0]
+        root = SweepContext(system, segments_per_phase=16)
+        uniform = root.derive_intensity_scaled(2.0)
+        per_source = root.derive_intensity_scaled(
+            np.linspace(0.5, 1.5, root.n_sources))
+        contexts = (root, uniform, per_source)
+        fills = [
+            lambda: root.structure,
+            lambda: root.covariance,
+            lambda: root.forcing_pairs(l_row),
+            lambda: root.source_forcing_pairs(l_row, 0),
+            lambda: uniform.forcing_pairs(l_row),
+            lambda: per_source.forcing_pairs(l_row),
+            lambda: per_source.source_forcing_pairs(l_row, 0),
+            lambda: per_source.source_forcing_pairs(l_row, 1),
+            lambda: uniform.covariance,
+            lambda: root.forcing_pairs(np.ones_like(l_row)),
+        ]
+        first = list(context_module._cumulative_bytes(contexts))
+        for fill in fills:
+            # Memoize every context's pre-fill state, then fill.
+            for ctx in contexts:
+                assert ctx._retained_bytes() is ctx._retained_bytes()
+            fill()
+            memoized = [ctx._retained_bytes() for ctx in contexts]
+            assert memoized == [self._fresh(ctx) for ctx in contexts]
+        last = list(context_module._cumulative_bytes(contexts))
+        assert all(a < b for a, b in zip(first, last))
+
+
 class TestFrequencyIndependentBytes:
     def test_mft_sweep_leaves_retained_bytes_unchanged(self):
         # Everything a context keeps is frequency independent, so a

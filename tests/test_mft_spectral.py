@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.mft.executor as executor
 import repro.mft.spectral as spectral
@@ -26,7 +27,7 @@ from repro.circuits import (
     switched_rc_system,
 )
 from repro.errors import ReproError
-from repro.linalg.checked import batched_solve
+from repro.linalg.checked import batched_solve, condition_number
 from repro.lptv.periodic_solve import periodic_steady_state
 from repro.lptv.system import Phase, PiecewiseLTISystem, SampledLPTVSystem
 from repro.mft.context import (
@@ -44,9 +45,14 @@ from repro.mft.spectral import (
 )
 from repro.diagnostics.fallback import FallbackPolicy
 from repro.linalg.phi import affine_step_integrals
-from repro.tolerances import RESOLVENT_NORM_THRESHOLD
+from repro.tolerances import (
+    CONDITION_BOUND_ROUNDING,
+    DIRECT_SOLVE_COND_LIMIT,
+    RESOLVENT_NORM_THRESHOLD,
+)
 
 from conftest import random_stable_matrix
+from test_diagnostics import marginal_system
 from test_jumps_and_sampled_systems import ideal_sample_hold
 
 SPECTRAL_REL_TOL = 1e-9
@@ -204,9 +210,15 @@ class TestDefectiveEigenbasisFallback:
         assert all(basis.condition > 1e6 for basis in rejected)
         assert all("cond(V)" in basis.reason for basis in rejected)
 
+    # Only series rows read a group's eigenbasis.  At 8 segments per
+    # phase the Jordan group's ‖A_ω‖h is 0.49–0.53 and at 128 it
+    # straddles SERIES_THRESHOLD, so the fallback tests run at 256,
+    # where every row of the group is a series row.
+    DENSE = 256
+
     def test_fallback_is_per_group_not_per_sweep(self):
         system = _jordan_system()
-        analyzer = MftNoiseAnalyzer(system, segments_per_phase=8)
+        analyzer = MftNoiseAnalyzer(system, segments_per_phase=self.DENSE)
         freqs = np.linspace(1e3, 40e3, 16)
         omegas = 2.0 * np.pi * freqs
         batch = solve_spectral_batch(
@@ -220,7 +232,7 @@ class TestDefectiveEigenbasisFallback:
 
     def test_values_and_diagnostics_on_defective_system(self):
         system = _jordan_system()
-        analyzer = MftNoiseAnalyzer(system, segments_per_phase=8)
+        analyzer = MftNoiseAnalyzer(system, segments_per_phase=self.DENSE)
         freqs = np.linspace(1e3, 40e3, 16)
         reference = analyzer.psd_sweep(freqs)
         spectral = analyzer.psd_sweep(freqs, solver="spectral-batch")
@@ -229,6 +241,149 @@ class TestDefectiveEigenbasisFallback:
                     if f.code == "spectral-defective-basis"]
         assert findings, "defective fallback must be surfaced"
         assert all(f.severity.name == "WARNING" for f in findings)
+
+
+class TestLazyEigenbases:
+    """Only the series rows read a group's eigenbasis, so a sweep whose
+    rows all take the LU mirror never builds one."""
+
+    def test_lu_only_sweep_builds_no_eigenbasis(self, lowpass_model):
+        context = SweepContext(lowpass_model.system, segments_per_phase=16)
+        analyzer = MftNoiseAnalyzer(lowpass_model.system, context=context)
+        period = context.disc.period
+        result = analyzer.psd_sweep(np.linspace(0.01, 0.49, 16) / period,
+                                    solver="spectral-batch",
+                                    attribute_sources=True)
+        assert np.all(np.isfinite(result.psd))
+        assert context._spectral is None
+        assert "spectral-basis" not in context.stats.misses
+
+    def test_defective_group_at_lu_frequencies_stays_batched(self):
+        # At 8 segments per phase every row of the Jordan group takes
+        # the LU mirror, which repeats the reference's own solves.
+        analyzer = MftNoiseAnalyzer(_jordan_system(), segments_per_phase=8)
+        freqs = np.linspace(1e3, 40e3, 16)
+        batch = solve_spectral_batch(analyzer.context, 2.0 * np.pi * freqs,
+                                     analyzer._forcing_pairs())
+        assert batch.fallback_groups == []
+        assert np.all(batch.ok)
+        reference = analyzer.psd_sweep(freqs)
+        spectral = analyzer.psd_sweep(freqs, solver="spectral-batch")
+        _assert_spectral_equivalent(reference, spectral)
+        assert not [f for f in spectral.info["diagnostics"].findings
+                    if f.code == "spectral-defective-basis"]
+        assert analyzer.context._spectral is None
+
+
+def _stable_monodromy(n, seed, radius, skew):
+    """Real ``n × n`` matrix with spectral radius ``radius``.
+
+    An orthogonal similarity of a real quasi-triangular matrix: its
+    diagonal holds real eigenvalues and rotation blocks of modulus at
+    most ``radius`` (the first exactly ``radius``), and ``skew`` scales
+    the strictly upper part, so large values make it strongly
+    non-normal.
+    """
+    rng = np.random.default_rng(seed)
+    t = skew * np.triu(rng.standard_normal((n, n)), 1)
+    i = 0
+    while i < n:
+        modulus = radius if i == 0 else radius * rng.uniform()
+        if i + 1 < n and rng.uniform() < 0.5:
+            angle = rng.uniform(0.0, np.pi)
+            t[i:i + 2, i:i + 2] = modulus * np.array(
+                [[np.cos(angle), -np.sin(angle)],
+                 [np.sin(angle), np.cos(angle)]])
+            i += 2
+        else:
+            t[i, i] = modulus * rng.choice([-1.0, 1.0])
+            i += 1
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q @ t @ q.T
+
+
+class TestConditionBound:
+    """One bound on ``cond(I − e^{−jωT}M₀)`` per context stands in for
+    the per-frequency SVD wherever it is within the limit."""
+
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           radius=st.floats(0.0, 0.999),
+           skew=st.sampled_from([0.0, 0.3, 3.0, 30.0]),
+           angle=st.floats(0.0, 2.0 * np.pi))
+    @settings(max_examples=200, deadline=None)
+    def test_bound_covers_every_unit_phase(self, n, seed, radius, skew,
+                                           angle):
+        monodromy = _stable_monodromy(n, seed, radius, skew)
+        bound = spectral.fixed_point_condition_bound(monodromy)
+        assert bound >= 1.0
+        # Rounding can make a strongly non-normal M₀ numerically
+        # non-contractive (its powers grow in floating point), and the
+        # bound is then ∞; a normal M₀ always contracts.
+        assert skew > 0.0 or bound < np.inf
+        for phase in (1.0, -1.0, np.exp(1j * angle)):
+            cond = np.linalg.cond(np.eye(n) - phase * monodromy)
+            # The bound holds for the exact condition; the SVD reads it
+            # within the rounding that certified_condition allows for
+            # (at M₀ ≈ 0 the bound is 1 and the SVD reads 1 + 2 ulp).
+            assert cond <= spectral.certified_condition(bound, n)
+
+    @pytest.mark.parametrize("monodromy", [
+        np.eye(3),
+        np.diag([1.0 + 1e-6, 0.5]),
+        np.array([[0.0, -1.0], [1.0, 0.0]]),
+        np.full((2, 2), np.nan),
+    ], ids=["identity", "unstable", "rotation", "nan"])
+    def test_no_contraction_gives_no_bound(self, monodromy):
+        assert spectral.fixed_point_condition_bound(monodromy) == np.inf
+
+    def test_loose_bound_is_never_certified(self):
+        assert spectral.certified_condition(np.inf, 4) == np.inf
+        delta = 4 * CONDITION_BOUND_ROUNDING
+        assert spectral.certified_condition(2.0 / delta, 4) == np.inf
+        assert 1.0 < spectral.certified_condition(1.0, 4) < 1.0 + 4 * delta
+
+    @pytest.mark.parametrize("name", ["marginal", "sc-bandpass"])
+    def test_gate_matches_per_frequency_svd(self, name):
+        if name == "marginal":
+            system = marginal_system()
+            freqs = np.array([1e-3, 0.1, 10.0, 100.0, 400.0])
+        else:
+            system = sc_bandpass_system().system
+        context = SweepContext(system, segments_per_phase=16)
+        if name != "marginal":
+            freqs = np.linspace(0.03, 2.4, 12) / context.disc.period
+        forcing = MftNoiseAnalyzer(system, context=context)._forcing_pairs()
+        omegas = 2.0 * np.pi * freqs
+        ungated = solve_spectral_batch(context, omegas, forcing)
+        n = context.monodromy.shape[0]
+        exact = np.array([
+            condition_number(np.eye(n) - np.exp(-1j * omega
+                                                * context.disc.period)
+                             * context.monodromy)
+            for omega in omegas])
+        bound = context.condition_bound
+        top = float(np.max(exact))
+        assert bound >= top
+        # Just below the largest condition one frequency falls back and
+        # just above none does, both decided by the SVD; the production
+        # limit is within the bound, which decides it alone.
+        for limit, masked in ((top * (1.0 - 1e-6), True),
+                              (top * (1.0 + 1e-6), False),
+                              (DIRECT_SOLVE_COND_LIMIT, False)):
+            batch = solve_spectral_batch(context, omegas, forcing,
+                                         condition_limit=limit)
+            expected = ungated.ok & ~(exact > limit)
+            assert np.array_equal(batch.ok, expected)
+            assert bool(np.any(~batch.ok)) == masked
+            assert batch.integral.tobytes() == ungated.integral.tobytes()
+            if limit == DIRECT_SOLVE_COND_LIMIT:
+                assert spectral.certified_condition(bound, n) <= limit
+                assert np.all(batch.conditions == bound)
+            else:
+                assert spectral.certified_condition(bound, n) > limit
+                np.testing.assert_allclose(batch.conditions, exact,
+                                           rtol=1e-12)
+        assert np.all(np.isnan(ungated.conditions))
 
 
 # -- widened parity battery ----------------------------------------------------
