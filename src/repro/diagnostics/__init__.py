@@ -11,7 +11,7 @@ outcome rather than an abort:
 * :mod:`repro.diagnostics.preflight` — stability margin, conditioning,
   schedule and NaN/Inf checks run before any PSD computation;
 * :mod:`repro.diagnostics.fallback` — the bounded graceful-degradation
-  chain (refine grid → regularized least squares → brute-force
+  chain (direct solve → regularized least squares → brute-force
   transient) with per-attempt records;
 * :mod:`repro.diagnostics.budget` — wall-clock / clock-period budgets so
   a pathological frequency cannot hang a sweep.

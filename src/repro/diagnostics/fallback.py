@@ -7,10 +7,12 @@ conservative strategies:
 
 1. the direct periodic solve (rejected when ``cond(I − M)`` exceeds the
    policy threshold),
-2. the same solve on a refined discretization (``segments_per_phase``
-   doubled, capped),
-3. a Tikhonov-regularized least-squares fixed point,
-4. the brute-force transient engine for that one frequency.
+2. a Tikhonov-regularized least-squares fixed point,
+3. the brute-force transient engine for that one frequency.
+
+There is no refined-grid stage: ``cond(I − M)`` belongs to the exact
+period product of the monodromy, not to the quadrature grid, so a
+denser grid cannot lift the condition that triggers the chain.
 
 Every attempt is recorded — strategy, trigger, wall-clock cost, outcome —
 both as an :class:`AttemptRecord` and as a finding in the sweep's
@@ -37,8 +39,6 @@ class FallbackPolicy:
 
     ``condition_limit`` is the ``cond(I − M)`` above which a direct solve
     is treated as failed even though numpy returned numbers;
-    ``max_refinements`` bounds the grid-doubling retries and
-    ``segments_cap`` the densest grid they may build;
     ``regularization`` is the relative Tikhonov ridge of the
     least-squares fallback; the ``enable_*`` switches turn individual
     stages off (for testing and for cost control);
@@ -46,10 +46,7 @@ class FallbackPolicy:
     """
 
     condition_limit: float = DIRECT_SOLVE_COND_LIMIT
-    max_refinements: int = 2
-    segments_cap: int = 1024
     regularization: float = FIXED_POINT_RIDGE
-    enable_refinement: bool = True
     enable_regularized: bool = True
     enable_brute_force: bool = True
     brute_force_kwargs: dict = field(default_factory=dict)
@@ -59,9 +56,6 @@ class FallbackPolicy:
             raise ReproError(
                 f"condition_limit must be positive, got "
                 f"{self.condition_limit}")
-        if self.max_refinements < 0:
-            raise ReproError(
-                f"max_refinements must be >= 0, got {self.max_refinements}")
 
 
 @dataclass

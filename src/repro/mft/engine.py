@@ -33,9 +33,9 @@ Robustness: the analyzer preflight-validates the discretization at
 construction (Floquet margin, ``cond(I − M)``, schedule, NaN/Inf) and
 :meth:`MftNoiseAnalyzer.psd` runs each frequency through the bounded
 graceful-degradation chain of :mod:`repro.diagnostics.fallback` — direct
-solve, refined grid, regularized least squares, brute-force transient —
-recording every attempt in ``PsdResult.info["diagnostics"]``. A failed
-frequency yields NaN plus a failure record instead of aborting the sweep.
+solve, regularized least squares, brute-force transient — recording
+every attempt in ``PsdResult.info["diagnostics"]``. A failed frequency
+yields NaN plus a failure record instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -153,7 +153,6 @@ class MftNoiseAnalyzer:
                 f"{type(context).__name__}")
         self._context = context
         self.segments_per_phase = context.segments_per_phase
-        self._refined = {}
         if fallback is True or fallback is None:
             self.fallback = FallbackPolicy()
         elif fallback is False:
@@ -560,19 +559,6 @@ class MftNoiseAnalyzer:
             return [("mft-direct", lambda: solve_at(frequency))]
         strategies = [("mft-direct", lambda: solve_at(
             frequency, condition_limit=policy.condition_limit))]
-        if policy.enable_refinement and np.isscalar(
-                self.segments_per_phase):
-            previous = int(self.segments_per_phase)
-            for k in range(1, policy.max_refinements + 1):
-                refined = min(int(self.segments_per_phase) * 2 ** k,
-                              policy.segments_cap)
-                if refined <= previous:
-                    break
-                previous = refined
-                strategies.append((
-                    f"mft-refine-{refined}",
-                    lambda r=refined: self._refined_solve(
-                        r, frequency, policy, labels)))
         if policy.enable_regularized:
             strategies.append(("mft-regularized", lambda: solve_at(
                 frequency, solver="lstsq",
@@ -581,26 +567,6 @@ class MftNoiseAnalyzer:
             strategies.append(("brute-force", lambda: self._brute_force_at(
                 frequency, policy, labels)))
         return strategies
-
-    def _refined_solve(self, segments, frequency, policy, labels):
-        """One refined-grid strategy call (scalar or attribution vector)."""
-        refined = self._refined_analyzer(segments)
-        solve_at = (refined._psd_at if labels is None
-                    else refined._psd_vector_at)
-        return solve_at(frequency, condition_limit=policy.condition_limit)
-
-    def _refined_analyzer(self, segments):
-        """A sibling analyzer on a denser grid (built once, cached)."""
-        analyzer = self._refined.get(segments)
-        if analyzer is None:
-            logger.info("building refined discretization: %d segments "
-                        "per phase", segments)
-            analyzer = MftNoiseAnalyzer(
-                self.system, segments_per_phase=segments,
-                output_row=self.output_row, preflight=False,
-                fallback=False, recorder=self.recorder)
-            self._refined[segments] = analyzer
-        return analyzer
 
     def _brute_force_at(self, frequency, policy, labels):
         """Terminal fallback: the transient engine at one frequency.

@@ -8,11 +8,10 @@ The pieces (DESIGN.md §13):
   ``poll``/``wait``/``cancel``, streaming per-chunk progress through
   the job's :class:`~repro.obs.Recorder`, and a batch endpoint
   (``run_batch``) for N circuits × M frequency grids in one call;
-* :class:`ResultStore` (:class:`MemoryResultStore`,
-  :class:`DirectoryResultStore`, :class:`SqliteResultStore`) —
-  persistent content-addressed payloads
-  (:mod:`repro.results`) with hit/miss/evict telemetry, so an
-  identical resubmit is served without a single kernel solve.
+* :class:`SqliteResultStore` — content-addressed payloads
+  (:mod:`repro.results`) in one stdlib :mod:`sqlite3` table, in memory
+  or in a file that survives restarts, with hit/miss/evict telemetry,
+  so an identical resubmit is served without a single kernel solve.
 
 Each job runs through its own
 :class:`~repro.mft.executor.SweepExecutor`, in the queue's dispatcher
@@ -33,24 +32,14 @@ Quickstart::
 from .jobs import JobHandle, JobResult, JobStatus
 from .queue import JobQueue
 from .spec import JobSpec, job_key
-from .store import (
-    DirectoryResultStore,
-    MemoryResultStore,
-    ResultStore,
-    SqliteResultStore,
-    open_store,
-)
+from .store import SqliteResultStore
 
 __all__ = [
-    "DirectoryResultStore",
     "JobHandle",
     "JobQueue",
     "JobResult",
     "JobSpec",
     "JobStatus",
-    "MemoryResultStore",
-    "ResultStore",
     "SqliteResultStore",
     "job_key",
-    "open_store",
 ]

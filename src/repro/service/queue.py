@@ -8,10 +8,10 @@ partial-failure contract compose unchanged underneath the service
 API.
 
 Content addressing: the spec's :func:`~repro.service.spec.job_key` is
-looked up in the :class:`~repro.service.store.ResultStore` twice — at
-submit time, and again when the job reaches the front of the queue
-(so a duplicate submitted while its twin was still in flight is also
-served, FIFO order guaranteeing the twin finished first).  A hit
+looked up in the :class:`~repro.service.store.SqliteResultStore`
+twice — at submit time, and again when the job reaches the front of
+the queue (so a duplicate submitted while its twin was still in flight
+is also served, FIFO order guaranteeing the twin finished first).  A hit
 resolves the job (``served_from_store=True``) without a single kernel
 solve — provable from the job recorder, which then contains no
 ``mft.sweep`` span.  Only clean results (no per-frequency failures)
@@ -31,7 +31,7 @@ from ..errors import ReproError
 from ..obs import Recorder, span_summary
 from .jobs import JobHandle, JobResult, JobStatus
 from .spec import JobSpec, job_key
-from .store import ResultStore, open_store
+from .store import SqliteResultStore
 
 
 class JobQueue:
@@ -40,17 +40,26 @@ class JobQueue:
     Parameters
     ----------
     store:
-        A :class:`~repro.service.store.ResultStore`, a path (directory
-        or ``.db``/``.sqlite`` file), or ``None`` for a fresh in-memory
-        store.
+        A :class:`~repro.service.store.SqliteResultStore`, a path to a
+        sqlite file, or ``None`` for a fresh ``":memory:"`` store.  A
+        store the queue opens here is closed by :meth:`close`; one
+        passed in stays open.
     store_limit:
-        Entry limit of a store opened here (see
-        :func:`~repro.service.store.open_store`).
+        Entry limit of a store opened here; a store passed in keeps its
+        own ``limit``.
     """
 
     def __init__(self, store: Any = None, *,
                  store_limit: "int | None" = None) -> None:
-        self.store: ResultStore = open_store(store, limit=store_limit)
+        self._owns_store = not isinstance(store, SqliteResultStore)
+        if self._owns_store:
+            store = SqliteResultStore(
+                ":memory:" if store is None else store, limit=store_limit)
+        elif store_limit is not None:
+            raise ReproError(
+                "store_limit applies to a store the queue opens; pass "
+                "limit= when constructing the store instead")
+        self.store = store
         self._ids = itertools.count(1)
         self._cond = threading.Condition()
         self._todo: "collections.deque[JobHandle]" = collections.deque()
@@ -238,12 +247,20 @@ class JobQueue:
     # -- teardown ------------------------------------------------------------
 
     def close(self, timeout: "float | None" = 30.0) -> None:
-        """Drain remaining jobs and stop the dispatcher."""
+        """Drain remaining jobs, stop the dispatcher, and close the store
+        if the queue opened it (idempotent).
+
+        A dispatcher still running after ``timeout`` keeps the store
+        open, so its job can still write its result.
+        """
         with self._cond:
             self._closed = True
             self._cond.notify_all()
         if self._worker is not None:
             self._worker.join(timeout)
+        if self._owns_store and (self._worker is None
+                                 or not self._worker.is_alive()):
+            self.store.close()
 
     def __enter__(self) -> "JobQueue":
         return self

@@ -7,8 +7,8 @@ maps a spec to its content address — the family-salted discretization
 fingerprint (:func:`repro.mft.context.discretization_fingerprint`) plus
 the grid hash and the result-shaping options — so two specs with the
 same key are guaranteed to produce bit-identical result values, and
-the :class:`~repro.service.store.ResultStore` can serve one for the
-other without recomputing.
+the :class:`~repro.service.store.SqliteResultStore` can serve one for
+the other without recomputing.
 
 Execution knobs (chunking, budget, failure mode) are deliberately
 **not** part of the key: they change how a sweep runs, never what

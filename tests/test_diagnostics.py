@@ -30,6 +30,7 @@ from repro.errors import (
 from repro.baselines.lti import lti_noise_psd
 from repro.circuits import sc_lowpass_system
 from repro.linalg.checked import eigenvalues
+from repro.linalg.lyapunov import fixed_point_condition
 from repro.lptv.discretization import PeriodDiscretization
 from repro.lptv.monodromy import require_stable, stability_margin
 from repro.lptv.system import (
@@ -38,7 +39,12 @@ from repro.lptv.system import (
     SampledLPTVSystem,
     lti_phase_system,
 )
-from repro.mft.context import clear_sweep_contexts
+from repro.mft.context import (
+    CacheStats,
+    SweepContext,
+    clear_sweep_contexts,
+    registry_stats,
+)
 from repro.mft.engine import MftNoiseAnalyzer
 from repro.noise.brute_force import brute_force_psd
 
@@ -405,11 +411,58 @@ class TestMftGuardrails:
         attempt_findings = report.by_code("fallback-attempt")
         assert len(attempt_findings) == len(attempts)
 
+    def test_fixed_point_condition_is_grid_independent(self):
+        # The chain's trigger, cond(I − e^{−jωT}M₀), is a property of
+        # the exact period product: no grid density can lift it, which
+        # is why the chain has no refined-grid stage.
+        omega = 2.0 * np.pi * 1e-3
+        conditions = []
+        for segments in (8, 256):
+            context = SweepContext(marginal_system(), segments)
+            shift = np.exp(-1j * omega * context.disc.period)
+            conditions.append(
+                fixed_point_condition(shift * context.monodromy))
+        assert conditions[0] > 1e4
+        assert conditions[1] == pytest.approx(conditions[0], rel=1e-9)
+
+    def test_near_dc_rescue_goes_straight_to_regularized(self):
+        policy = FallbackPolicy(condition_limit=1e4)
+        analyzer = MftNoiseAnalyzer(marginal_system(), segments_per_phase=8,
+                                    fallback=policy)
+        result = analyzer.psd([1e-3, 1.0, 100.0])
+        near_dc = [(a.strategy, a.success)
+                   for a in result.info["fallback_attempts"]
+                   if a.frequency == 1e-3]
+        assert near_dc == [("mft-direct", False),
+                           ("mft-regularized", True)]
+
+    def test_rescue_registers_no_context(self):
+        # A rescued sweep on a passed-in context touches no shared
+        # state: no sibling analyzer, and no registry entry.
+        clear_sweep_contexts()
+        system = marginal_system()
+        analyzer = MftNoiseAnalyzer(
+            system, segments_per_phase=8,
+            fallback=FallbackPolicy(condition_limit=1e4),
+            context=SweepContext(system, 8))
+        before = registry_stats.snapshot()
+        result = analyzer.psd([1e-3, 1.0, 100.0])
+        after = registry_stats.snapshot()
+        assert result.n_failed == 0
+        assert any(not a.success for a in result.info["fallback_attempts"])
+        assert "context" not in CacheStats.delta(before, after).get(
+            "misses", {})
+
+    def test_policy_has_no_refinement_knobs(self):
+        for knob in ("max_refinements", "segments_cap", "enable_refinement"):
+            with pytest.raises(TypeError, match=knob):
+                FallbackPolicy(**{knob: 0})
+
     def test_brute_force_terminal_fallback(self, rc_system):
         # Force the chain past every MFT stage onto the transient engine.
         policy = FallbackPolicy(
             condition_limit=1e-3,  # rejects every direct solve
-            max_refinements=0, enable_regularized=False,
+            enable_regularized=False,
             brute_force_kwargs={"tol_db": 0.5, "segments_per_phase": 32})
         analyzer = MftNoiseAnalyzer(rc_system, segments_per_phase=32, fallback=policy)
         result = analyzer.psd([7.5e3])

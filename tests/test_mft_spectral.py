@@ -130,7 +130,6 @@ class TestBatchedSolveEquivalence:
         # direct solve; both paths must rescue each frequency through
         # the identical fallback chain (regularized solve succeeds).
         policy = FallbackPolicy(condition_limit=0.5,
-                                enable_refinement=False,
                                 enable_brute_force=False)
         analyzer = MftNoiseAnalyzer(rc_system, segments_per_phase=16,
                                     fallback=policy)
@@ -652,7 +651,6 @@ def _block_analyzer(name):
         # A sub-unity condition limit rejects every batched solve, so
         # every finite frequency is rescued through the fallback chain.
         policy = FallbackPolicy(condition_limit=0.5,
-                                enable_refinement=False,
                                 enable_brute_force=False)
         return MftNoiseAnalyzer(switched_rc_system(), segments_per_phase=16,
                                 fallback=policy)

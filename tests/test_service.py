@@ -11,6 +11,8 @@ stored artifact a later hit could serve as clean.
 
 import gc
 import json
+import re
+import sqlite3
 import weakref
 
 import numpy as np
@@ -21,15 +23,11 @@ from repro.errors import ReproError
 from repro.mft.context import clear_sweep_contexts
 from repro.obs import Recorder
 from repro.service import (
-    DirectoryResultStore,
     JobQueue,
     JobSpec,
     JobStatus,
-    MemoryResultStore,
-    ResultStore,
     SqliteResultStore,
     job_key,
-    open_store,
 )
 
 #: 12 finite frequencies -> 3 chunks of 4 with ``CHUNK``.
@@ -121,13 +119,18 @@ class TestJobKey:
 
 
 class TestResultStores:
-    @pytest.fixture(params=["memory", "directory", "sqlite"])
-    def store(self, request, tmp_path):
-        if request.param == "memory":
-            return MemoryResultStore()
-        if request.param == "directory":
-            return DirectoryResultStore(tmp_path / "results")
-        return SqliteResultStore(tmp_path / "results.db")
+    # One class over both of its targets: an in-process ":memory:"
+    # table, and a sqlite file.
+    @pytest.fixture(params=["memory", "sqlite"])
+    def target(self, request, tmp_path):
+        return ":memory:" if request.param == "memory" else \
+            tmp_path / "results.db"
+
+    @pytest.fixture
+    def store(self, target):
+        store = SqliteResultStore(target)
+        yield store
+        store.close()
 
     @pytest.fixture
     def psd_result(self, rc_system):
@@ -148,12 +151,11 @@ class TestResultStores:
         assert telemetry["total_hits"] == 1
         assert telemetry["total_misses"] == 1
         assert telemetry["size"] == 1
-        assert telemetry["backend"] == type(store).__name__
+        assert telemetry["backend"] == "SqliteResultStore"
 
     def test_limit_evicts_oldest_first(self, psd_result, tmp_path):
-        for store in (MemoryResultStore(limit=2),
-                      DirectoryResultStore(tmp_path / "d", limit=2),
-                      SqliteResultStore(tmp_path / "s.db", limit=2)):
+        for target in (":memory:", tmp_path / "s.db"):
+            store = SqliteResultStore(target, limit=2)
             keys = ["%02d" % i * 32 for i in range(3)]
             for key in keys:
                 store.put(key, psd_result)
@@ -162,14 +164,20 @@ class TestResultStores:
             assert store.get(keys[0]) is None
             assert store.stats.evictions == {"result": 1}
 
+    def test_reput_refreshes_recency(self, target, psd_result):
+        store = SqliteResultStore(target, limit=2)
+        first, second, third = ("%02d" % i * 32 for i in range(3))
+        for key in (first, second, first, third):
+            store.put(key, psd_result)
+        assert store.keys() == [first, third]
+
     @pytest.mark.parametrize("bad", [0, -1, 2.7, True, "2"])
     def test_limit_validated_not_coerced(self, tmp_path, bad):
-        # Same rule as chunk_size: an integer >= 1, never coerced.
-        for cls, args in ((MemoryResultStore, ()),
-                          (DirectoryResultStore, (tmp_path / "d",)),
-                          (SqliteResultStore, (tmp_path / "s.db",))):
-            with pytest.raises(ReproError, match="limit"):
-                cls(*args, limit=bad)
+        # Same rule as chunk_size: an integer >= 1, never coerced; a
+        # bad limit is refused before any file is created.
+        with pytest.raises(ReproError, match="limit"):
+            SqliteResultStore(tmp_path / "s.db", limit=bad)
+        assert not (tmp_path / "s.db").exists()
 
     def test_clear_keeps_counters(self, store, psd_result):
         store.put("cd" * 32, psd_result)
@@ -178,14 +186,51 @@ class TestResultStores:
         assert len(store) == 0
         assert store.telemetry()["total_hits"] == 1
 
-    def test_open_store_dispatch(self, tmp_path):
-        assert isinstance(open_store(None), MemoryResultStore)
-        assert isinstance(open_store(tmp_path / "dir"),
-                          DirectoryResultStore)
-        assert isinstance(open_store(tmp_path / "x.db"),
-                          SqliteResultStore)
-        existing = MemoryResultStore()
-        assert open_store(existing) is existing
+    def test_close_is_idempotent(self, store):
+        store.close()
+        store.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            len(store)
+
+
+class TestQueueStoreDispatch:
+    def test_none_opens_a_memory_store(self):
+        with JobQueue() as queue:
+            assert isinstance(queue.store, SqliteResultStore)
+            assert str(queue.store.path) == ":memory:"
+
+    def test_path_opens_a_file_store_with_limit(self, tmp_path):
+        with JobQueue(store=tmp_path / "sub" / "x.db",
+                      store_limit=3) as queue:
+            assert queue.store.path == tmp_path / "sub" / "x.db"
+            assert queue.store.limit == 3
+        assert (tmp_path / "sub" / "x.db").is_file()
+
+    def test_instance_passes_through(self):
+        existing = SqliteResultStore(":memory:")
+        with JobQueue(store=existing) as queue:
+            assert queue.store is existing
+
+    def test_instance_with_store_limit_is_refused(self):
+        with pytest.raises(ReproError, match="limit"):
+            JobQueue(store=SqliteResultStore(":memory:"), store_limit=2)
+
+    def test_existing_directory_is_refused_by_name(self, tmp_path):
+        with pytest.raises(ReproError, match=re.escape(str(tmp_path))):
+            JobQueue(store=tmp_path)
+
+    def test_close_closes_only_a_store_the_queue_opened(self, tmp_path):
+        with JobQueue(store=tmp_path / "x.db") as queue:
+            assert len(queue.store) == 0
+        with pytest.raises(sqlite3.ProgrammingError):
+            len(queue.store)
+        queue.close()  # idempotent
+        queue.store.close()
+        passed = SqliteResultStore(tmp_path / "y.db")
+        with JobQueue(store=passed):
+            pass
+        assert len(passed) == 0
+        passed.close()
 
 
 class TestSubmitPollWaitCancel:
