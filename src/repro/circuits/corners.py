@@ -6,12 +6,12 @@ A *corner* perturbs a circuit in one (or both) of two orthogonal ways:
   on-resistances, op-amp bandwidth) applied to the builder's frozen
   params dataclass via :func:`dataclasses.replace`.  These change the
   ``A`` matrices, so the corner needs its own propagators, covariance,
-  and spectral bases;
+  and monodromy;
 * **noise-intensity scales** — multipliers on the double-sided noise
   PSDs (temperature scaling, a noisier op-amp).  These leave every
   ``A`` matrix untouched: only ``B B^T`` scales, and the MFT pipeline is
   *linear* in it, so an intensity-only corner shares all Van Loan /
-  propagator / eigenbasis work with its dynamics root and is nearly
+  propagator / monodromy work with its dynamics root and is nearly
   free (:meth:`repro.mft.context.SweepContext.derive_intensity_scaled`).
 
 :class:`ParameterGrid` holds an ordered list of :class:`CornerSpec` and

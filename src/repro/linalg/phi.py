@@ -57,7 +57,7 @@ def affine_step_integrals(a_matrix: ArrayLike, h: float,
     norm = np.linalg.norm(a, 1) * h
     eye = np.eye(n, dtype=phi.dtype)
     if norm < SERIES_THRESHOLD:
-        i1, i2 = _series_integrals(a, h, eye)
+        i1, i2 = series_integrals(a, h, eye)
         return phi, i1, i2
 
     # I1 = A^{-1} (Φ − I);  I2 = h·I1 − A^{-1}(hΦ − I1)
@@ -71,8 +71,13 @@ def affine_step_integrals(a_matrix: ArrayLike, h: float,
     return phi, i1, i2
 
 
-def _series_integrals(a, h, eye):
-    """Taylor series: I1 = Σ A^k h^{k+1}/(k+1)!,  I2 = Σ A^k h^{k+2}/(k+2)!."""
+def series_integrals(a, h, eye):
+    """Taylor series: I1 = Σ A^k h^{k+1}/(k+1)!,  I2 = Σ A^k h^{k+2}/(k+2)!.
+
+    ``a`` may be a ``(m, n, n)`` stack; ``eye`` stays ``(n, n)`` and the
+    returns broadcast to the stack.  Accurate to double precision for
+    ``‖Ah‖`` below :data:`SERIES_THRESHOLD`.
+    """
     i1 = np.zeros_like(eye)
     i2 = np.zeros_like(eye)
     term = eye * h
@@ -95,7 +100,7 @@ def _substep_series(a, h, eye):
     m = int(np.ceil(norm / SERIES_THRESHOLD))
     hs = h / m
     phi_s = expm(a * hs)
-    i1_s, i2_s = _series_integrals(a, hs, eye)
+    i1_s, i2_s = series_integrals(a, hs, eye)
     # Compose: over [0, kh_s], I1 accumulates Φ-propagated pieces.
     i1 = np.zeros_like(eye)
     i2 = np.zeros_like(eye)

@@ -33,9 +33,6 @@ from .context import (
 from .executor import SweepExecutor
 from .spectral import (
     BatchedSolveResult,
-    GroupBasis,
-    build_group_bases,
-    phi_scalar_integrals,
     solve_spectral_batch,
 )
 from .sweep import (
@@ -56,10 +53,7 @@ __all__ = [
     "BatchedSolveResult",
     "CornerBatchAnalyzer",
     "CornerSweepResult",
-    "GroupBasis",
-    "build_group_bases",
     "corner_psd_sweep",
-    "phi_scalar_integrals",
     "solve_spectral_batch",
     "sweep_context_for",
     "clear_sweep_contexts",

@@ -496,7 +496,6 @@ class SweepContext:
         self._covariance = None
         self._monodromy = None
         self._preflight = None
-        self._spectral = None
         self._condition_bound = None
         self._forcing = {}
         self._n_sources = None
@@ -581,26 +580,6 @@ class SweepContext:
         else:
             self.stats.hit("condition-bound")
         return self._condition_bound
-
-    @property
-    def spectral_bases(self):
-        """Per-group eigenbases of the frequency-batched spectral kernel.
-
-        One :class:`~repro.mft.spectral.GroupBasis` per segment group,
-        computed once (frequency-independent) and gated on
-        :data:`~repro.tolerances.SPECTRAL_EIGENBASIS_COND_LIMIT`; a
-        defective group is marked and its series rows are served by the
-        per-frequency reference path instead.  Only the kernel's series
-        rows read a basis, so the kernel builds them on first need and a
-        sweep whose rows all take the LU mirror never builds them.
-        """
-        if self._spectral is None:
-            self.stats.miss("spectral-basis")
-            from .spectral import build_group_bases
-            self._spectral = build_group_bases(self.structure.groups)
-        else:
-            self.stats.hit("spectral-basis")
-        return self._spectral
 
     def forcing_pairs(self, l_row):
         """Cross-spectral forcing ``K(t) l`` as per-segment endpoint pairs.
@@ -909,8 +888,8 @@ class SweepContext:
         """Identity of this context's dynamics (shared segment structure).
 
         Two contexts with equal ``dynamics_key`` share the *same*
-        ``A``-matrix structure object — propagators, power stacks,
-        spectral eigenbases — so a corner sweep can stack their forcing
+        ``A``-matrix structure object — propagators, power stacks and
+        segment groups — so a corner sweep can stack their forcing
         rows into one kernel solve.  Derived intensity-scaled contexts
         share their parent's structure by reference and therefore its
         key.
@@ -922,7 +901,7 @@ class SweepContext:
 
         ``scales`` is a scalar PSD multiplier or a per-source array (one
         entry per noise column).  The derived context shares this
-        context's structure, monodromy and spectral eigenbases *by
+        context's structure, monodromy and condition bound *by
         reference* — the MFT pipeline is linear in ``B Bᵀ``, so only
         the Gramians, ``B`` columns, and forcing pairs are restacked (a
         scalar multiply for a uniform scale, a per-source Gramian sum
@@ -942,7 +921,7 @@ class SweepContext:
         Counts what grows with the segment count: the power stacks,
         ``K(t)`` and the per-source covariance stack, and the forcing
         pairs.  The ``O(n²)`` matrices of each phase (discretization,
-        groups, eigenbases) and the monodromy are not counted, and no
+        groups) and the monodromy are not counted, and no
         array depends on a frequency.  ``key`` is the array's ``id``, so
         what a derived context shares with its parent counts once in
         :func:`sweep_context_for`.  Reads the cached quantities, never
@@ -1044,13 +1023,12 @@ class _DerivedIntensityContext(SweepContext):
         self._scales = scale_arr
         self._uniform = float(scale_arr[0]) if scale_arr.size == 1 else None
         # Dynamics work shared by reference (the point of the exercise):
-        # same A matrices → same structure, monodromy and eigenbases.
+        # same A matrices → same structure, monodromy and condition bound.
         # Forcing the parent's lazy properties here keeps
         # ``dynamics_key`` stable across derivations.
         self._structure = parent.structure
         self._monodromy = parent.monodromy
-        # Delegated to the parent via the properties.
-        self._spectral = None
+        # Delegated to the parent via the property.
         self._condition_bound = None
         # Intensity-dependent quantities are rebuilt lazily (cheaply).
         self._disc = None
@@ -1143,11 +1121,6 @@ class _DerivedIntensityContext(SweepContext):
                                     gramian=entry[1]))
         self._disc = replace(parent_disc, segments=segments)
         return self._disc
-
-    @property
-    def spectral_bases(self):
-        """The parent's eigenbases — dynamics are identical by design."""
-        return self.parent.spectral_bases
 
     @property
     def condition_bound(self):

@@ -4,8 +4,8 @@ A corner sweep evaluates one circuit family — an M-corner
 :class:`~repro.circuits.corners.ParameterGrid` — over one frequency
 grid.  Running it as M independent sweeps repeats all the work that is
 *shared* across corners: corners that differ only in noise intensities
-share every propagator, covariance basis, and eigendecomposition with
-their dynamics root, and even across distinct solves the per-frequency
+share every propagator, power stack and monodromy with their dynamics
+root, and even across distinct solves the per-frequency
 LU of ``I − e^{-jωT}M₀`` can serve many forcing rows at once.  This
 module instead flattens the ``(corner, frequency)`` product into one
 frequency-major axis (flat cell ``i`` = frequency ``i // M``, corner
@@ -16,15 +16,11 @@ and the partial-failure contract all work unchanged — with a
 stacked :func:`repro.mft.spectral.solve_spectral_batch` call per
 dynamics group.
 
-The fallback lattice has two levels (DESIGN.md §12):
-
-* **group** — a segment group without a usable eigenbasis uses the
-  per-frequency reference integrals inside the kernel, at the
-  frequencies whose step integrals would read that basis;
-* **cell** — a ``(corner, frequency)`` cell whose batched solve is
-  rejected (condition gate, singular fixed point, non-finite value) is
-  rescued through that corner's per-frequency fallback chain
-  (:mod:`repro.diagnostics.fallback`), exactly as a plain sweep would.
+Fallback is per cell (DESIGN.md §12): a ``(corner, frequency)`` cell
+whose batched solve is rejected (condition gate, singular fixed point,
+non-finite value) is rescued through that corner's per-frequency
+fallback chain (:mod:`repro.diagnostics.fallback`), exactly as a plain
+sweep would.
 
 The stacked step itself (:func:`solve_stacked`, sized by
 :func:`stacked_block_size`) takes a list of member analyzers, so it is
@@ -52,7 +48,6 @@ from .engine import (
     MftNoiseAnalyzer,
     forcing_rows,
     kernel_values,
-    report_defective_bases,
     sweep_chunk,
 )
 from .spectral import solve_spectral_batch
@@ -225,11 +220,12 @@ def solve_stacked(members: Sequence[MftNoiseAnalyzer], recorder: Any,
     group of their member; each group concatenates its kernel rows
     (:func:`_row_plan`) and solves them against the union of the
     group's chunk frequencies in **one** :func:`solve_spectral_batch`
-    call on the group's first context — one eigenbasis, one LU per
-    frequency serving every row — then slices the rows back per plan.
-    Each row is bit-identical to solving it alone.  ``values`` is
-    filled in place for the accepted cells; the chunk-local indices of
-    the cells the batched solve rejected are returned, group by group.
+    call on the group's first context — one stack of step integrals per
+    segment group and one LU per frequency serving every row — then
+    slices the rows back per plan.  Each row is bit-identical to solving
+    it alone.  ``values`` is filled in place for the accepted cells; the
+    chunk-local indices of the cells the batched solve rejected are
+    returned, group by group.
     """
     policy = members[0].fallback
     condition_limit = (policy.condition_limit
@@ -277,14 +273,11 @@ def solve_stacked(members: Sequence[MftNoiseAnalyzer], recorder: Any,
         # root's, so no derived member builds a discretization.
         period = plans[0][0].structure.period
         n_solved = 0
-        for slot, (context, forcing, owners) in enumerate(plans):
+        for slot, (_context, forcing, owners) in enumerate(plans):
             lo, hi = bounds[slot], bounds[slot + 1]
             rows = slice(lo, hi) if forcing.ndim == 4 else lo
             result = replace(
                 batch, integral=batch.integral[rows], v0=batch.v0[rows])
-            if result.fallback_groups:
-                report_defective_bases(report, context,
-                                       result.fallback_groups)
             for m, multiplier in owners:
                 # Uniform intensity members share their dynamics root's
                 # kernel row: S(αQ) = α·S(Q) exactly, so the solved row

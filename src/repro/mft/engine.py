@@ -357,10 +357,10 @@ class MftNoiseAnalyzer:
           per-frequency fallback-chain sweep;
         * ``"spectral-batch"`` — each chunk becomes one ω-block through
           the frequency-batched spectral kernel
-          (:mod:`repro.mft.spectral`): eigenbases once per segment
-          group, all frequencies of the block at once.  Values agree
-          with the per-ω path to ≤ 1e-9 relative with identical NaN
-          masks and failure records;
+          (:mod:`repro.mft.spectral`): the reference's step integrals
+          stacked per segment group, all frequencies of the block at
+          once.  Values agree with the per-ω path to ≤ 1e-9 relative
+          with identical NaN masks and failure records;
         * ``"brute-force"`` / ``"monte-carlo"`` — delegate to the
           baseline engines (extra ``solver_options`` are forwarded).
           The Monte-Carlo solver defines its own Welch frequency grid,
@@ -580,11 +580,10 @@ class MftNoiseAnalyzer:
         """
         from ..noise.brute_force import brute_force_psd
         kwargs = dict(policy.brute_force_kwargs)
-        kwargs.setdefault("segments_per_phase",
-                          self.segments_per_phase
-                          if np.isscalar(self.segments_per_phase) else 64)
-        if ("context" not in kwargs and kwargs["segments_per_phase"]
-                == self._context.segments_per_phase):
+        density = kwargs.setdefault("segments_per_phase",
+                                    self._context.segments_per_phase)
+        if "context" not in kwargs and np.array_equal(
+                density, self._context.segments_per_phase):
             kwargs["context"] = self._context
         result = brute_force_psd(self.system, [frequency],
                                  output_row=self.output_row,
@@ -728,19 +727,6 @@ def kernel_values(result, l_row, period, labels, multiplier=1.0):
     # (R, n_freq) → (n_freq, R) rows of [total, sources…].
     psd = psd.T
     return psd, result.ok & np.all(np.isfinite(psd), axis=1)
-
-
-def report_defective_bases(report, context, groups):
-    """Warn that ``groups`` fell back to the reference step integrals."""
-    bases = context.spectral_bases
-    report.warning(
-        "spectral-defective-basis",
-        f"{len(groups)} of {len(bases)} segment groups lack a usable "
-        "eigenbasis; those groups used the per-frequency reference "
-        "integrals",
-        groups=list(groups),
-        conditions=[bases[g].condition for g in groups],
-        reasons=[bases[g].reason for g in groups])
 
 
 __all__ = ["InstantaneousPsd", "MftNoiseAnalyzer"]

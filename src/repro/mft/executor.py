@@ -210,10 +210,7 @@ class SweepExecutor:
         t0 = time.perf_counter()
         with rec.span("mft.sweep", solver=self.solver or "mft",
                       n=int(freqs.size)):
-            # Warm-up builds what every solver reads.  The batched
-            # kernel's group eigenbases are not among it: only its
-            # small-‖A_ω‖h series rows read them, so the kernel builds
-            # them inside a chunk on first need, if ever.
+            # Warm-up builds what every solver reads.
             with rec.span("mft.warmup"):
                 analyzer.warm_up(sources=labels is not None)
             stride = (self.chunk_size if self.chunk_size is not None

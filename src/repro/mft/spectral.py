@@ -1,46 +1,34 @@
 """Frequency-batched spectral evaluation kernel for PSD sweeps.
 
-:meth:`~repro.mft.context.SweepContext.solve_shifted` already made the
+:meth:`~repro.mft.context.SweepContext.solve_shifted` makes the
 per-frequency cost of a sweep one ``affine_step_integrals`` call per
-segment group plus one dense ``(I − M_ω)`` solve — but still inside a
-per-ω Python loop, paying O(n³) matrix work at every frequency.  This
-module removes the loop.  The key observation is that the only genuinely
-frequency-dependent matrices of the shifted dynamics ``A − jωI`` share
-the *frequency-independent* eigenbasis of ``A``:
+segment group plus one dense ``(I − M_ω)`` solve — but inside a per-ω
+Python loop, paying O(n³) matrix work at every frequency.  This module
+removes the loop: every frequency-dependent matrix of the shifted
+dynamics ``A − jωI`` is formed for the whole frequency block at once, as
+an ``(n_freq, n, n)`` stack.
 
-    A = V Λ V⁻¹   ⇒   A − jωI = V (Λ − jωI) V⁻¹
-
-so with ``μ_i(ω) = λ_i − jω`` and ``z = μ h`` every per-frequency matrix
-function collapses to elementwise scalar functions of ``z``:
-
-    Φ_ω = V diag(e^{z}) V⁻¹
-    I1(ω) = V diag(h φ1(z)) V⁻¹          φ1(z) = (e^z − 1)/z
-    I2(ω) = V diag(h² φ2(z)) V⁻¹         φ2(z) = (e^z − 1 − z)/z²
-    (A − jωI)⁻¹ r = V diag(1/μ) V⁻¹ r
-
-Eigendecompose each segment group **once** (frequency-independent, via
-:func:`repro.linalg.checked.eigensystem`; one group per clock phase on a
-uniform grid, see :func:`repro.mft.context.build_structure`), then
-evaluate the scalar φ-functions for *all* ω at once as stacked
-``(n_freq, n)`` arrays.  The kernel takes that scalar route only where
-the per-ω reference takes its Taylor series (``‖A_ω‖h`` below
-:data:`~repro.linalg.phi.SERIES_THRESHOLD`); everywhere else it runs
-the reference's own LU solves on the whole ``(n_freq, n, n)`` stack.
-So the bases are built on the first group that has series rows, and a
-sweep with none never builds them.  The one-period fixed point uses the
-scalar identity ``M_ω = e^{-jωT} M₀`` (see :mod:`repro.mft.context`), so
-the solve becomes one batched
-``repro.linalg.checked.batched_solve`` over the ``(n_freq, n, n)`` stack
-``I − e^{-jωT} M₀``.  Per-ω cost drops from O(n³) Python-looped work to
-O(n³)-once plus O(n²)-per-ω vectorized matmul kernels.  No step of
-the kernel loops over segments in Python: a clock phase's segments share
-one real ``Φ``, so each *run* of them (see
-:func:`repro.mft.context.build_structure`) carries its forcing to its
-end in one product against the phase's power stack
-``Φ⁰ … Φ^{L−1}``, and the fixed point and the steady-state trace are
-passes over runs.  The period integral is linear in the trace, so the
-kernel keeps no trace: each group's integral is one evaluation on its
-run-boundary states (:func:`group_period_integral`).
+- **Step integrals.** :func:`_step_integrals` is
+  :func:`~repro.linalg.phi.affine_step_integrals` stacked over ω, branch
+  for branch: rows with ``‖A_ω‖₁h`` below
+  :data:`~repro.linalg.phi.SERIES_THRESHOLD` take its Taylor series
+  (:func:`~repro.linalg.phi.series_integrals`), the others its two LU
+  solves through one stacked ``batched_solve``, and a row whose shifted
+  matrix is exactly singular takes the reference itself.  Each row's
+  ``I1``, ``I2`` are the reference's own, and one segment group (one per
+  clock phase on a uniform grid, see
+  :func:`repro.mft.context.build_structure`) needs one stack of each.
+- **Runs, not segments.** A clock phase's segments share one real
+  ``Φ``, so each *run* of them carries its forcing to its end in one
+  product against the phase's power stack ``Φ⁰ … Φ^{L−1}``, and the
+  fixed point and the steady-state trace are passes over runs.
+- **Fixed point.** The one-period map is ``M_ω = e^{-jωT} M₀`` (see
+  :mod:`repro.mft.context`), so the fixed point is one batched
+  ``repro.linalg.checked.batched_solve`` over the ``(n_freq, n, n)``
+  stack ``I − e^{-jωT} M₀``.
+- **Period integral.** It is linear in the trace, so the kernel keeps no
+  trace: each group's integral is one evaluation on its run-boundary
+  states (:func:`group_period_integral`).
 
 The condition gate on ``cond(I − e^{-jωT}M₀)`` needs no per-ω SVD in the
 usual case: one bound for every ω (:func:`fixed_point_condition_bound`,
@@ -48,59 +36,40 @@ cached as :attr:`~repro.mft.context.SweepContext.condition_bound`)
 decides it when it lies within the limit, and only otherwise does the
 exact stacked SVD run.
 
-Numerics: round-tripping through the eigenbasis amplifies rounding by
-~``cond(V)``, so each group's basis is gated on
-:data:`~repro.tolerances.SPECTRAL_EIGENBASIS_COND_LIMIT`.  A defective
-(Jordan-block) or ill-conditioned group falls back **per group** — not
-per sweep — to the reference per-frequency ``affine_step_integrals``
-at its series rows, preserving correctness at the cost of those rows'
-batching; the engine surfaces this as a severity-tagged diagnostics
-finding.  The batched results agree with the per-ω reference to ≤ 1e-9
-relative (enforced by ``benchmarks/test_perf_regression.py`` and
-``tests/test_mft_spectral.py``); the exact-reorder paths stay at 1e-12.
+The batched results agree with the per-ω reference to ≤ 1e-9 relative
+(enforced by ``benchmarks/test_perf_regression.py`` and
+``tests/test_mft_spectral.py``); what differs is only the order of the
+run contractions and of the fixed-point accumulation.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ReproError, SingularMatrixError
-from ..linalg.checked import (
-    batched_condition_number,
-    batched_solve,
-    checked_inv,
-    condition_number,
-    eigensystem,
+from ..errors import ReproError
+from ..linalg.checked import batched_condition_number, batched_solve
+from ..linalg.phi import (
+    SERIES_THRESHOLD,
+    affine_step_integrals,
+    series_integrals,
 )
-from ..linalg.phi import SERIES_THRESHOLD, affine_step_integrals
 from ..tolerances import (
     CONDITION_BOUND_CONTRACTION,
     CONDITION_BOUND_ROUNDING,
     RESOLVENT_NORM_THRESHOLD,
-    SPECTRAL_EIGENBASIS_COND_LIMIT,
 )
 from ..typing import ComplexArray, FloatArray
 from .context import contract_run, propagate_runs, run_operator
 
-logger = logging.getLogger(__name__)
-
 __all__ = [
-    "GroupBasis",
     "BatchedSolveResult",
-    "build_group_bases",
     "certified_condition",
     "fixed_point_condition_bound",
     "group_period_integral",
-    "phi_scalar_integrals",
     "solve_spectral_batch",
 ]
-
-#: Mirrors ``_SERIES_TERMS`` of :mod:`repro.linalg.phi`: 12 terms give
-#: full double precision below :data:`~repro.linalg.phi.SERIES_THRESHOLD`.
-_SERIES_TERMS = 12
 
 #: Squarings of the monodromy after which
 #: :func:`fixed_point_condition_bound` gives up and returns ``inf``.  The
@@ -109,24 +78,6 @@ _SERIES_TERMS = 12
 #: from the unit circle; more would only spend products on a marginal or
 #: unstable ``M₀``.
 CONDITION_BOUND_MAX_SQUARINGS = 64
-
-@dataclass
-class GroupBasis:
-    """Frequency-independent eigenbasis of one segment group.
-
-    ``diagonalizable`` is False when the eigendecomposition failed or
-    ``cond(V)`` exceeds the gate — that group must use the per-frequency
-    reference integrals.  ``values``/``vectors``/``inverse`` are ``None``
-    exactly when ``diagonalizable`` is False.
-    """
-
-    diagonalizable: bool
-    condition: float
-    values: ComplexArray | None = None
-    vectors: ComplexArray | None = None
-    inverse: ComplexArray | None = None
-    reason: str = ""
-
 
 @dataclass
 class BatchedSolveResult:
@@ -143,10 +94,7 @@ class BatchedSolveResult:
     masks the frequencies whose direct batched solve succeeded (finite
     result, condition gate passed) — the engine reruns the others
     through the reference fallback chain so failure semantics match the
-    per-ω path exactly.  ``fallback_groups`` lists the segment-group
-    indices whose series rows used the per-frequency path (defective
-    eigenbasis); a defective group with no series rows in the block is
-    not listed, as its basis was never read.
+    per-ω path exactly.
 
     For a *stacked* solve (forcing of shape ``(R, S, 2, n)``, one row
     per forcing vector — attribution passes the total plus one row per
@@ -160,45 +108,7 @@ class BatchedSolveResult:
     v0: ComplexArray
     conditions: FloatArray
     ok: np.ndarray
-    fallback_groups: list = field(default_factory=list)
     solver: str = "spectral-batch"
-
-
-def build_group_bases(groups) -> list:
-    """Eigendecompose every segment group once; returns ``GroupBasis`` list.
-
-    Gated on :data:`~repro.tolerances.SPECTRAL_EIGENBASIS_COND_LIMIT`:
-    a group whose eigenvector matrix is singular, non-finite, or
-    ill-conditioned beyond the gate is marked non-diagonalizable and
-    later routed through the per-frequency reference path.
-    """
-    bases = []
-    for index, group in enumerate(groups):
-        try:
-            values, vectors = eigensystem(
-                group.a_matrix, context="spectral group eigenbasis")
-        except SingularMatrixError as exc:
-            bases.append(GroupBasis(
-                diagonalizable=False, condition=float("inf"),
-                reason=f"eigendecomposition failed: {exc}"))
-            continue
-        cond = condition_number(vectors)
-        if not (np.all(np.isfinite(values))
-                and cond <= SPECTRAL_EIGENBASIS_COND_LIMIT):
-            bases.append(GroupBasis(
-                diagonalizable=False, condition=float(cond),
-                reason=(f"eigenbasis rejected: cond(V) = {cond:.3g} "
-                        f"exceeds {SPECTRAL_EIGENBASIS_COND_LIMIT:.3g} "
-                        "(defective or near-defective segment matrix)")))
-            logger.info("spectral kernel: group %d falls back to the "
-                        "per-frequency path (cond(V) = %.3g)", index, cond)
-            continue
-        inverse = checked_inv(vectors, context="spectral eigenbasis inverse",
-                              cond_limit=None)
-        bases.append(GroupBasis(
-            diagonalizable=True, condition=float(cond), values=values,
-            vectors=vectors, inverse=inverse))
-    return bases
 
 
 def fixed_point_condition_bound(monodromy) -> float:
@@ -250,37 +160,6 @@ def certified_condition(bound, n) -> float:
     return bound * (1.0 + delta) / (1.0 - delta * bound)
 
 
-def phi_scalar_integrals(z: ComplexArray, h: float
-                         ) -> "tuple[ComplexArray, ComplexArray]":
-    """Elementwise diagonal factors ``(h φ1(z), h² φ2(z))`` of ``I1, I2``.
-
-    ``z`` is any-shape complex (``z = (λ − jω) h``); both returns match
-    its shape and are complex.  Small arguments use the same 12-term
-    Taylor series as the matrix path in :mod:`repro.linalg.phi`
-    (below :data:`~repro.linalg.phi.SERIES_THRESHOLD`, where the closed
-    forms lose digits to cancellation); large arguments use the closed
-    forms directly.
-    """
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < SERIES_THRESHOLD
-    safe = np.where(small, 1.0, z)
-    exp_z = np.exp(safe)
-    phi1 = (exp_z - 1.0) / safe
-    phi2 = (exp_z - 1.0 - safe) / (safe * safe)
-    # Taylor series, identical term recurrence to phi._series_integrals:
-    # φ1 = Σ z^k/(k+1)!,  φ2 = Σ z^k/(k+2)!.
-    term = np.ones_like(z)
-    s1 = np.zeros_like(z)
-    s2 = np.zeros_like(z)
-    for k in range(_SERIES_TERMS):
-        s1 = s1 + term / (k + 1)
-        s2 = s2 + term / ((k + 1) * (k + 2))
-        term = term * z / (k + 1)
-    i1 = h * np.where(small, s1, phi1)
-    i2 = (h * h) * np.where(small, s2, phi2)
-    return i1, i2
-
-
 def _group_norm_h(a_matrix, omegas, duration):
     """Vectorized ``‖A − jωI‖₁ · h`` for all ω, shape ``(n_freq,)``.
 
@@ -296,100 +175,70 @@ def _group_norm_h(a_matrix, omegas, duration):
     return np.max(off_diag[None, :] + shifted_diag, axis=1) * duration
 
 
-def _lu_step_integrals(group, omegas, eye):
-    """Batched mirror of the LU branch of ``affine_step_integrals``.
+def _step_integrals(group, omegas, norm_h
+                    ) -> "tuple[ComplexArray, ComplexArray]":
+    """``affine_step_integrals`` of one segment group, stacked over ω.
 
-    Returns ``(I1, I2)`` as ``(n_freq, n, n)`` stacks via
-    ``I1 = A_ω⁻¹(Φ_ω − I)`` and ``I2 = h I1 − A_ω⁻¹(h Φ_ω − I1)`` —
-    the identical solves the per-ω reference performs, batched over the
-    stack.  A frequency whose shifted matrix is exactly singular (the
-    reference's substepping branch) falls back to
-    :func:`affine_step_integrals` for that member.
+    Returns ``(I1, I2)`` as ``(n_freq, n, n)`` complex stacks, branch
+    for branch the reference's: rows whose ``norm_h`` (``‖A_ω‖₁h``, see
+    :func:`_group_norm_h`) falls below
+    :data:`~repro.linalg.phi.SERIES_THRESHOLD` take its Taylor series,
+    the others ``I1 = A_ω⁻¹(Φ_ω − I)`` and
+    ``I2 = h I1 − A_ω⁻¹(h Φ_ω − I1)`` through stacked solves.  A row
+    whose shifted matrix is exactly singular (the reference's
+    substepping branch) takes :func:`affine_step_integrals` itself.
+    When every row takes one branch the stacks are that branch's own.
     """
     h = group.duration
+    n = group.a_matrix.shape[0]
+    eye = np.eye(n, dtype=complex)
     a_stack = (group.a_matrix.astype(complex)[None, :, :]
                - 1j * omegas[:, None, None] * eye[None, :, :])
-    phi_w = (np.exp(-1j * omegas * h)[:, None, None]
+    series = norm_h < SERIES_THRESHOLD
+    if series.all():
+        return series_integrals(a_stack, h, eye)
+    mixed = series.any()
+    lu = ~series if mixed else slice(None)
+    a_lu = a_stack[lu]
+    phi_w = (np.exp(-1j * omegas[lu] * h)[:, None, None]
              * group.phi.astype(complex))
-    i1, ok1 = batched_solve(a_stack, phi_w - eye,
+    i1, ok1 = batched_solve(a_lu, phi_w - eye,
                             context="batched affine step I1")
-    correction, ok2 = batched_solve(a_stack, h * phi_w - i1,
+    correction, ok2 = batched_solve(a_lu, h * phi_w - i1,
                                     context="batched affine step I2")
     i2 = h * i1 - correction
     for fi in np.nonzero(~(ok1 & ok2))[0]:
         _phi, i1[fi], i2[fi] = affine_step_integrals(
-            a_stack[fi], h, phi=phi_w[fi])
-    return i1, i2
+            a_lu[fi], h, phi=phi_w[fi])
+    if not mixed:
+        return i1, i2
+    out1 = np.empty(a_stack.shape, dtype=complex)
+    out2 = np.empty(a_stack.shape, dtype=complex)
+    out1[lu], out2[lu] = i1, i2
+    out1[series], out2[series] = series_integrals(a_stack[series], h, eye)
+    return out1, out2
 
 
-def _rows(mask):
-    """The frequencies of ``mask`` as a slice when contiguous, else indices.
-
-    ``None`` when the mask is empty.
-    """
-    index = np.nonzero(mask)[0]
-    if not index.size:
-        return None
-    if index[-1] - index[0] + 1 == index.size:
-        return slice(int(index[0]), int(index[-1]) + 1)
-    return index
-
-
-def _lu_run_forcing(block, rows, f0, slope, i1, i2):
-    """Fill one run's ``block[r, rows] = I1 f0[r]ᵀ + I2 slope[r]ᵀ``.
+def _run_forcing(block, forcing, run, h, i1, i2) -> None:
+    """Fill one run's ``block[r] = I1 f0[r]ᵀ + I2 slope[r]ᵀ``.
 
     ``block`` is the run's state-major ``(R, F, n, L)`` forcing,
-    ``i1``/``i2`` the ``(F', n, n)`` LU-branch stacks at the frequencies
-    ``rows``, ``f0``/``slope`` the ``(R, L, n)`` forcing of the run's
-    segments.  Each product is one ``(F'·n, n) × (n, L)`` GEMM per forcing
-    row: the layout of the block, so where ``rows`` is a slice (the
-    usual case) the products land in place.
+    ``i1``/``i2`` the group's ``(F, n, n)`` step integrals and
+    ``forcing`` the stacked ``(R, S, 2, n)`` endpoint pairs, of which
+    the run's segments give ``f0`` and ``slope = (f1 − f0)/h``.  Each
+    product is one ``(F·n, n) × (n, L)`` GEMM per forcing row, landing
+    in place in the block's layout.
     """
     n_f, n = i1.shape[:2]
     length = block.shape[-1]
     i1_flat = i1.reshape(n_f * n, n)
     i2_flat = i2.reshape(n_f * n, n)
-    for r in range(block.shape[0]):
-        if isinstance(rows, slice):
-            part = block[r, rows].reshape(n_f * n, length)
-            np.matmul(i1_flat, f0[r].T, out=part)
-            part += i2_flat @ slope[r].T
-        else:
-            part = i1_flat @ f0[r].T
-            part += i2_flat @ slope[r].T
-            block[r, rows] = part.reshape(n_f, n, length)
-
-
-def _run_forcing_endpoints(forcing, run, h):
-    """A run's ``(R, L, n)`` forcing at segment starts and its slope."""
     f0 = forcing[:, run.start:run.stop, 0]
-    return f0, (forcing[:, run.start:run.stop, 1] - f0) / h
-
-
-def _reference_group_integrals(group, omegas, rows, forcing, members):
-    """Per-frequency fallback: fill one defective group's series rows.
-
-    ``rows`` (a slice or index array of ``omegas``) are the frequencies
-    whose ``‖A_ω‖h`` falls below the series threshold, the only ones
-    that would read the group's eigenbasis; the others take the batched
-    LU mirror, which already repeats the reference's solves.
-    ``forcing`` is the stacked ``(R, S, 2, n)`` form and ``members`` the
-    group's ``(run, block)`` pairs, each block the run's ``(R, F, n, L)``
-    output; the per-ω integrals are computed once and applied to every
-    forcing row.
-    """
-    h = group.duration
-    n = group.a_matrix.shape[0]
-    eye = np.eye(n)
-    endpoints = [_run_forcing_endpoints(forcing, run, h)
-                 for run, _block in members]
-    for fi in np.arange(omegas.size)[rows]:
-        omega = omegas[fi]
-        a_shifted = group.a_matrix.astype(complex) - 1j * omega * eye
-        phi_shifted = np.exp(-1j * omega * h) * group.phi
-        _phi, i1, i2 = affine_step_integrals(a_shifted, h, phi=phi_shifted)
-        for (_run, block), (f0, slope) in zip(members, endpoints):
-            block[:, fi] = (f0 @ i1.T + slope @ i2.T).transpose(0, 2, 1)
+    slope = (forcing[:, run.start:run.stop, 1] - f0) / h
+    for r in range(block.shape[0]):
+        part = block[r].reshape(n_f * n, length)
+        np.matmul(i1_flat, f0[r].T, out=part)
+        part += i2_flat @ slope[r].T
 
 
 def group_period_integral(a_matrix, duration, omegas, diff_sum, f0_sum,
@@ -413,7 +262,7 @@ def group_period_integral(a_matrix, duration, omegas, diff_sum, f0_sum,
     - above :data:`~repro.tolerances.RESOLVENT_NORM_THRESHOLD`, the
       resolvent ``A_ω⁻¹ (Q − P − h/2 (F0 + F1))`` through the same LU the
       reference uses (``A_ω`` is ill-conditioned exactly when this branch
-      triggers, so eigenbasis division would round differently);
+      triggers, so any other division would round differently);
     - otherwise, or where that solve fails, the derivative-corrected
       trapezoid ``h/2 (P + Q) + h²/12 (A_ω (P − Q) + F0 − F1)``.
 
@@ -489,7 +338,7 @@ def solve_spectral_batch(context, omegas, segment_forcing,
     array [rad/s] of finite frequencies; ``segment_forcing`` the usual
     ``(S, 2, n)`` endpoint pairs, or a stacked ``(R, S, 2, n)`` block of
     ``R`` independent forcing rows solved against **shared** per-ω
-    matrix work (eigenbasis φ-integrals, one LU of ``I − e^{-jωT}M₀``
+    matrix work (step integrals, one LU of ``I − e^{-jωT}M₀``
     with ``R`` right-hand sides, shared resolvent factorizations) —
     this is what keeps per-source attribution ~context-bound instead of
     ``n_sources×``.  With ``condition_limit`` given,
@@ -504,8 +353,8 @@ def solve_spectral_batch(context, omegas, segment_forcing,
     it.  Without a limit no condition is computed.
 
     With an enabled ``recorder`` (:class:`repro.obs.Recorder`) the
-    kernel's stages — eigenbasis build (when series rows need it),
-    φ-integral stacking, run contractions and batched fixed-point solve,
+    kernel's stages — step-integral stacking, run contractions and
+    batched fixed-point solve,
     the pass over runs, period integral — become child spans of the
     caller's ``spectral.batch`` span.
     """
@@ -540,66 +389,23 @@ def solve_spectral_batch(context, omegas, segment_forcing,
             ok=np.empty(0, dtype=bool))
 
     # Per-segment forcing integrals g_k(ω) = I1(ω) f0 + I2(ω) slope,
-    # batched over frequencies.  Regimes mirror the per-ω reference
-    # (``affine_step_integrals``) so the two paths stay within the 1e-9
-    # equivalence budget: below the series threshold the reference's
-    # Taylor series and the eigenbasis scalar φ-series agree to rounding
-    # (and the scalar path needs no per-ω matrix work at all); at or
-    # above it the reference solves with the ill-conditioned ``A − jωI``
-    # whose ~cond·eps error is *algorithm-specific*, so the batch runs
-    # the very same LU through a stacked solve instead of the (more
-    # accurate, but differently-rounded) eigenbasis division.  Only the
-    # series rows read a group's eigenbasis, so the bases are built on
-    # the first group that has such rows, and a defective group sends
-    # just those rows through the per-frequency reference.
+    # batched over frequencies, with the per-ω reference's own I1 and I2
+    # (:func:`_step_integrals`).
     runs = struct.runs
-    bases = None
-    fallback_groups = []
     with recorder.span("spectral.step-integrals",
                        n_groups=len(struct.groups)):
         # One state-major (R, F, n, L) block per run, so each run's
         # forcing at one (row, ω) is one contiguous (n, L) slab.
         blocks = [np.empty((n_rows, n_freq, n, run.stop - run.start),
                            dtype=complex) for run in runs]
-        eye_c = np.eye(n, dtype=complex)
         norm_h_groups = [_group_norm_h(group.a_matrix, omegas,
                                        group.duration)
                          for group in struct.groups]
-        for g, group in enumerate(struct.groups):
-            members = [(runs[i], blocks[i]) for i in group.runs]
-            h = group.duration
-            small = norm_h_groups[g] < SERIES_THRESHOLD
-            series = _rows(small)
-            lu = _rows(~small)
-            if lu is not None:
-                i1, i2 = _lu_step_integrals(group, omegas[lu], eye_c)
-            scalar = None
-            if series is not None:
-                if bases is None:
-                    with recorder.span("spectral.eigenbasis"):
-                        bases = context.spectral_bases
-                if bases[g].diagonalizable:
-                    scalar = bases[g]
-                    z = (scalar.values[None, :]
-                         - 1j * omegas[series, None]) * h
-                    i1d, i2d = phi_scalar_integrals(z, h)
-                else:
-                    fallback_groups.append(g)
-                    with recorder.span("spectral.group-fallback", group=g):
-                        _reference_group_integrals(group, omegas, series,
-                                                   forcing, members)
-            for run, block in members:
-                f0, slope = _run_forcing_endpoints(forcing, run, h)
-                if scalar is not None:
-                    c0 = scalar.inverse @ f0.transpose(0, 2, 1)
-                    cs = scalar.inverse @ slope.transpose(0, 2, 1)
-                    coeffs = (i1d[None, :, :, None] * c0[:, None]
-                              + i2d[None, :, :, None] * cs[:, None])
-                    block[:, series] = scalar.vectors @ coeffs
-                if lu is not None:
-                    _lu_run_forcing(block, lu, f0, slope, i1, i2)
-    if fallback_groups:
-        recorder.count("spectral.fallback_groups", len(fallback_groups))
+        for group, norm_h in zip(struct.groups, norm_h_groups):
+            i1, i2 = _step_integrals(group, omegas, norm_h)
+            for i in group.runs:
+                _run_forcing(blocks[i], forcing, runs[i], group.duration,
+                             i1, i2)
 
     # One-period affine map, all frequencies at once: M_ω = e^{-jωT} M₀,
     # and g_ω composed run by run from each run's end state
@@ -675,4 +481,4 @@ def solve_spectral_batch(context, omegas, segment_forcing,
         v0 = v0[0]
     return BatchedSolveResult(
         omegas=omegas, integral=integral, v0=v0, conditions=conditions,
-        ok=ok, fallback_groups=fallback_groups)
+        ok=ok)

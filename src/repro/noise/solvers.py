@@ -8,8 +8,9 @@ accept one ``solver=`` keyword naming the engine:
     Per-frequency mixed-frequency-time solve through the cached
     ``solve_shifted`` path with the full fallback chain. The default.
 ``"spectral-batch"``
-    The frequency-batched spectral kernel (eigenbasis per group, scalar
-    φ-integrals, one batched ``(I − e^{-jωT}M₀)`` solve per ω-block),
+    The frequency-batched spectral kernel (the reference's step
+    integrals stacked over ω, one batched ``(I − e^{-jωT}M₀)`` solve per
+    ω-block),
     with per-frequency rescue through the fallback chain.
 ``"brute-force"``
     Long-transient time-domain reference (delegates to

@@ -102,15 +102,6 @@ PSD_FLOOR: float = 1e-300
 #: interpolant above which the adaptive sweep subdivides the interval.
 SWEEP_REFINE_DB: float = 0.5
 
-#: cond(V) of a segment group's eigenvector matrix above which the
-#: frequency-batched spectral kernel refuses the eigenbasis and routes
-#: that group through the per-frequency reference integrals instead.
-#: Round-tripping through the basis amplifies rounding by ~cond(V), so
-#: 1e6 bounds the eigenbasis contribution to ~1e-10 relative — an order
-#: under the 1e-9 spectral-batch equivalence gate.  A defective (Jordan)
-#: block returns numerically parallel eigenvectors with cond(V) ≫ this.
-SPECTRAL_EIGENBASIS_COND_LIMIT: float = 1e6
-
 #: ``‖M₀^{2^k}‖_F`` at or below which the spectral kernel's bound on
 #: ``cond(I − e^{−jωT}M₀)`` stops squaring the monodromy
 #: (:func:`repro.mft.spectral.fixed_point_condition_bound`): its tail
@@ -316,7 +307,6 @@ __all__ = [
     "MFT_COLLOCATION_COND_LIMIT",
     "PSD_FLOOR",
     "SWEEP_REFINE_DB",
-    "SPECTRAL_EIGENBASIS_COND_LIMIT",
     "CONDITION_BOUND_CONTRACTION",
     "CONDITION_BOUND_ROUNDING",
     "RESOLVENT_NORM_THRESHOLD",

@@ -473,6 +473,24 @@ class TestMftGuardrails:
         reference = MftNoiseAnalyzer(rc_system, segments_per_phase=32).psd_at(7.5e3)
         assert result.psd[0] == pytest.approx(reference, rel=0.15)
 
+    @pytest.mark.parametrize("density", [[16, 16], np.array([16, 16])],
+                             ids=["list", "array"])
+    def test_brute_force_rescue_keeps_per_phase_density(self, rc_system,
+                                                        density):
+        # A per-phase density is the analyzer's own grid: the rescue
+        # must run on its context, not rediscretize at another density
+        # or trip over an array comparison.
+        policy = FallbackPolicy(condition_limit=0.5, enable_regularized=False,
+                                brute_force_kwargs={"tol_db": 0.5})
+        analyzer = MftNoiseAnalyzer(rc_system, segments_per_phase=density,
+                                    fallback=policy)
+        result = analyzer.psd_sweep([7.5e3], on_failure="record")
+        assert result.n_failed == 0
+        assert result.info["fallback_attempts"][-1].strategy == "brute-force"
+        reference = brute_force_psd(rc_system, [7.5e3], tol_db=0.5,
+                                    context=analyzer.context)
+        assert result.psd[0] == reference.psd[0]
+
     def test_sweep_survives_one_failing_frequency(self, rc_system,
                                                   monkeypatch):
         """Acceptance: one bad frequency -> NaN, the rest are returned."""

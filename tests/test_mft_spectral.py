@@ -2,9 +2,8 @@
 
 The spectral-batch solver (:mod:`repro.mft.spectral`) must reproduce the
 reference sweep — values within the 1e-9 equivalence budget, *identical*
-NaN masks and failure records — while segment groups with a defective or
-ill-conditioned eigenbasis fall back per group (never per sweep) with a
-severity-tagged diagnostics finding.
+NaN masks and failure records — and its per-segment step integrals must
+be the reference's own, bit for bit, in every branch.
 """
 
 from dataclasses import replace
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.linalg.phi as phi_module
 import repro.mft.executor as executor
 import repro.mft.spectral as spectral
 from repro.circuit.netlist import Netlist
@@ -37,14 +37,9 @@ from repro.mft.context import (
     sweep_context_for,
 )
 from repro.mft.engine import MftNoiseAnalyzer
-from repro.mft.spectral import (
-    build_group_bases,
-    group_period_integral,
-    phi_scalar_integrals,
-    solve_spectral_batch,
-)
+from repro.mft.spectral import group_period_integral, solve_spectral_batch
 from repro.diagnostics.fallback import FallbackPolicy
-from repro.linalg.phi import affine_step_integrals
+from repro.linalg.phi import SERIES_THRESHOLD, affine_step_integrals
 from repro.tolerances import (
     CONDITION_BOUND_ROUNDING,
     DIRECT_SOLVE_COND_LIMIT,
@@ -71,31 +66,6 @@ def _assert_spectral_equivalent(reference, spectral):
                              - reference.psd[finite])) <= (
             SPECTRAL_REL_TOL * scale)
     assert _failure_records(reference) == _failure_records(spectral)
-
-
-class TestPhiScalarIntegrals:
-    def test_matches_matrix_integrals_on_diagonal_matrix(self):
-        # For A = diag(λ) the matrix I1/I2 are diagonal with exactly the
-        # scalar factors, across the series and closed-form regimes.
-        lam = np.array([-0.5, -2e4, 0.0])
-        h = 1e-4
-        omega = 2.0 * np.pi * 700.0
-        z = (lam - 1j * omega) * h
-        i1d, i2d = phi_scalar_integrals(z, h)
-        a_shifted = np.diag(lam.astype(complex)) - 1j * omega * np.eye(3)
-        _phi, i1, i2 = affine_step_integrals(a_shifted, h)
-        np.testing.assert_allclose(i1d, np.diagonal(i1), rtol=1e-12)
-        np.testing.assert_allclose(i2d, np.diagonal(i2), rtol=1e-12)
-
-    def test_series_regime_matches_closed_form_at_threshold(self):
-        # Continuity across the series/closed-form switch: arguments
-        # straddling the threshold agree to rounding.
-        z = np.array([0.031, 0.032, 0.031j, 0.032j, 0.031 + 0.001j])
-        i1a, i2a = phi_scalar_integrals(z, 1.0)
-        expected1 = (np.exp(z) - 1.0) / z
-        expected2 = (np.exp(z) - 1.0 - z) / z ** 2
-        np.testing.assert_allclose(i1a, expected1, rtol=1e-10)
-        np.testing.assert_allclose(i2a, expected2, rtol=1e-8)
 
 
 class TestBatchedSolveEquivalence:
@@ -180,9 +150,8 @@ class TestBatchedSolveValidation:
 def _jordan_system():
     """Two-phase system whose first phase matrix is a Jordan block.
 
-    The Jordan block is defective — numerically parallel eigenvectors,
-    cond(V) far beyond the gate — while the second phase is comfortably
-    diagonalizable, so exactly one segment group must fall back.
+    The Jordan block is defective — it has no eigenbasis at all — while
+    the second phase is comfortably diagonalizable.
     """
     tau = 1e-5
     jordan = np.array([[-2.0 / tau, 1.0 / tau],
@@ -198,80 +167,105 @@ def _jordan_system():
         output_matrix=np.array([[1.0, 0.0]]))
 
 
-class TestDefectiveEigenbasisFallback:
-    def test_jordan_block_basis_rejected(self):
-        context = sweep_context_for(_jordan_system(), 8)
-        bases = build_group_bases(context.structure.groups)
-        flags = [basis.diagonalizable for basis in bases]
-        assert False in flags, "the Jordan group must be rejected"
-        assert True in flags, "the plain group must stay batched"
-        rejected = [basis for basis in bases if not basis.diagonalizable]
-        assert all(basis.condition > 1e6 for basis in rejected)
-        assert all("cond(V)" in basis.reason for basis in rejected)
+def _nilpotent_system():
+    """A nilpotent phase whose shifted matrix is singular at ω = 0.
 
-    # Only series rows read a group's eigenbasis.  At 8 segments per
-    # phase the Jordan group's ‖A_ω‖h is 0.49–0.53 and at 128 it
-    # straddles SERIES_THRESHOLD, so the fallback tests run at 256,
-    # where every row of the group is a series row.
-    DENSE = 256
-
-    def test_fallback_is_per_group_not_per_sweep(self):
-        system = _jordan_system()
-        analyzer = MftNoiseAnalyzer(system, segments_per_phase=self.DENSE)
-        freqs = np.linspace(1e3, 40e3, 16)
-        omegas = 2.0 * np.pi * freqs
-        batch = solve_spectral_batch(
-            analyzer.context, omegas, analyzer._forcing_pairs())
-        bases = analyzer.context.spectral_bases
-        assert batch.fallback_groups == [
-            g for g, basis in enumerate(bases)
-            if not basis.diagonalizable]
-        assert 0 < len(batch.fallback_groups) < len(bases)
-        assert np.all(batch.ok)
-
-    def test_values_and_diagnostics_on_defective_system(self):
-        system = _jordan_system()
-        analyzer = MftNoiseAnalyzer(system, segments_per_phase=self.DENSE)
-        freqs = np.linspace(1e3, 40e3, 16)
-        reference = analyzer.psd_sweep(freqs)
-        spectral = analyzer.psd_sweep(freqs, solver="spectral-batch")
-        _assert_spectral_equivalent(reference, spectral)
-        findings = [f for f in spectral.info["diagnostics"].findings
-                    if f.code == "spectral-defective-basis"]
-        assert findings, "defective fallback must be surfaced"
-        assert all(f.severity.name == "WARNING" for f in findings)
+    ``‖A‖₁h`` is far above the series threshold, so at ω = 0 the
+    reference's LU fails and it substeps the series instead.
+    """
+    tau = 1e-5
+    return PiecewiseLTISystem(
+        phases=[
+            Phase(name="nilpotent", duration=tau,
+                  a_matrix=np.array([[0.0, 1e6], [0.0, 0.0]]),
+                  b_matrix=np.eye(2)),
+            Phase(name="settle", duration=tau,
+                  a_matrix=-1e5 * np.eye(2), b_matrix=np.eye(2)),
+        ],
+        output_matrix=np.array([[1.0, 0.0]]))
 
 
-class TestLazyEigenbases:
-    """Only the series rows read a group's eigenbasis, so a sweep whose
-    rows all take the LU mirror never builds one."""
+def _series_rows(system, segments_per_phase, freqs):
+    """Compare every group's batched step integrals with the reference.
 
-    def test_lu_only_sweep_builds_no_eigenbasis(self, lowpass_model):
-        context = SweepContext(lowpass_model.system, segments_per_phase=16)
-        analyzer = MftNoiseAnalyzer(lowpass_model.system, context=context)
-        period = context.disc.period
-        result = analyzer.psd_sweep(np.linspace(0.01, 0.49, 16) / period,
-                                    solver="spectral-batch",
-                                    attribute_sources=True)
-        assert np.all(np.isfinite(result.psd))
-        assert context._spectral is None
-        assert "spectral-basis" not in context.stats.misses
+    Asserts that each ``(I1, I2)`` row equals
+    :func:`affine_step_integrals` exactly, and returns each group's
+    number of series rows (of ``len(freqs)``).
+    """
+    context = SweepContext(system, segments_per_phase=segments_per_phase)
+    omegas = 2.0 * np.pi * np.asarray(freqs, dtype=float)
+    counts = []
+    for group in context.structure.groups:
+        norm_h = spectral._group_norm_h(group.a_matrix, omegas,
+                                        group.duration)
+        i1, i2 = spectral._step_integrals(group, omegas, norm_h)
+        eye = np.eye(group.a_matrix.shape[0])
+        for f, omega in enumerate(omegas):
+            _phi, ref1, ref2 = affine_step_integrals(
+                group.a_matrix.astype(complex) - 1j * omega * eye,
+                group.duration,
+                phi=np.exp(-1j * omega * group.duration) * group.phi)
+            assert np.array_equal(i1[f], ref1)
+            assert np.array_equal(i2[f], ref2)
+        counts.append(int(np.count_nonzero(norm_h < SERIES_THRESHOLD)))
+    return counts
 
-    def test_defective_group_at_lu_frequencies_stays_batched(self):
-        # At 8 segments per phase every row of the Jordan group takes
-        # the LU mirror, which repeats the reference's own solves.
-        analyzer = MftNoiseAnalyzer(_jordan_system(), segments_per_phase=8)
-        freqs = np.linspace(1e3, 40e3, 16)
-        batch = solve_spectral_batch(analyzer.context, 2.0 * np.pi * freqs,
-                                     analyzer._forcing_pairs())
-        assert batch.fallback_groups == []
-        assert np.all(batch.ok)
-        reference = analyzer.psd_sweep(freqs)
-        spectral = analyzer.psd_sweep(freqs, solver="spectral-batch")
-        _assert_spectral_equivalent(reference, spectral)
-        assert not [f for f in spectral.info["diagnostics"].findings
-                    if f.code == "spectral-defective-basis"]
-        assert analyzer.context._spectral is None
+
+class TestStepIntegrals:
+    """The batched step integrals are ``affine_step_integrals`` stacked
+    over ω: every row equals the reference's, in each of its branches."""
+
+    # The hold phases of the switched RC and the S/H have A = 0, so
+    # their rows are all series below ~0.64 f_clk at 64 segments per
+    # phase; the Jordan system's two phases are all series at 128.
+    @pytest.mark.parametrize("system, segments_per_phase, freqs", [
+        (switched_rc_system(), 64, np.linspace(100.0, 6e3, 20)),
+        (sample_hold_system().system, 64, np.linspace(100.0, 30e3, 20)),
+        (_jordan_system(), 128, np.linspace(1e3, 30e3, 16)),
+    ], ids=["switched-rc", "sample-hold", "jordan"])
+    def test_all_series_block(self, system, segments_per_phase, freqs):
+        counts = _series_rows(system, segments_per_phase, freqs)
+        assert max(counts) == len(freqs)
+
+    def test_all_lu_block(self, lowpass_model):
+        counts = _series_rows(lowpass_model.system, 64,
+                              np.linspace(100.0, 12e3, 20))
+        assert not any(counts)
+
+    def test_mixed_block(self, rc_system):
+        period = SweepContext(rc_system, 64).structure.period
+        counts = _series_rows(rc_system, 64,
+                              np.linspace(0.1, 2.0, 40) / period)
+        assert sorted(counts) == [0, 12]
+
+    def test_singular_shifted_matrix_takes_the_reference(self, monkeypatch):
+        calls = []
+        substep = phi_module._substep_series
+
+        def counted(*args):
+            calls.append(args)
+            return substep(*args)
+
+        monkeypatch.setattr(phi_module, "_substep_series", counted)
+        assert not any(_series_rows(_nilpotent_system(), 4, [0.0, 1e3]))
+        # Once inside the kernel and once for the reference it is
+        # compared against, both at ω = 0 only.
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("segments_per_phase", [8, 256])
+def test_defective_system_matches_mft(segments_per_phase):
+    # At 8 segments per phase every row of the Jordan group takes the LU
+    # branch; at 256 every row takes the series branch.
+    analyzer = MftNoiseAnalyzer(_jordan_system(),
+                                segments_per_phase=segments_per_phase)
+    freqs = np.linspace(1e3, 40e3, 16)
+    batch = solve_spectral_batch(analyzer.context, 2.0 * np.pi * freqs,
+                                 analyzer._forcing_pairs())
+    assert np.all(batch.ok)
+    _assert_spectral_equivalent(
+        analyzer.psd_sweep(freqs),
+        analyzer.psd_sweep(freqs, solver="spectral-batch"))
 
 
 def _stable_monodromy(n, seed, radius, skew):

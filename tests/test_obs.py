@@ -256,8 +256,7 @@ class TestEngineInvariants:
     def test_spectral_solver_spans_recorded(self, rc_system):
         rec, _ = self._sweep(rc_system, solver="spectral-batch")
         names = {s.name for s in rec.spans}
-        assert {"spectral.batch", "spectral.eigenbasis",
-                "spectral.solve"} <= names
+        assert {"spectral.batch", "spectral.solve"} <= names
         batches = [s for s in rec.spans if s.name == "spectral.batch"]
         assert all(s.tags["n_params"] == 1 for s in batches)
         assert rec.is_balanced()
