@@ -87,7 +87,7 @@ def run_preflight(disc, monodromy, stability_margin=DEFAULT_STABILITY_MARGIN,
         logger.info("preflight found warnings: %s", report.summary())
     else:
         logger.debug("preflight clean (%d segments, period %.3g s)",
-                     len(disc.segments), disc.period)
+                     disc.n_segments, disc.period)
     return report
 
 
@@ -129,6 +129,11 @@ def raise_preflight_errors(report):
 
 
 def _check_schedule(disc, report):
+    """Flag non-positive durations, gaps and a short or long coverage.
+
+    One vectorized pass over the segment times; the findings are
+    itemized per segment, in segment order, only when one fails.
+    """
     period = float(disc.period)
     if period <= 0.0:
         report.error("schedule-period",
@@ -136,58 +141,73 @@ def _check_schedule(disc, report):
                      period=period)
         return
     tol = SCHEDULE_TILE_RTOL * max(period, 1.0)
-    t = 0.0
-    for k, seg in enumerate(disc.segments):
-        if seg.duration <= 0.0:
+    durations = disc.durations
+    expected = np.concatenate(([0.0], disc.t_end[:-1]))
+    short = durations <= 0.0
+    gap = np.abs(disc.t_start - expected) > tol
+    for k in np.flatnonzero(short | gap).tolist():
+        name = _phase_name(disc, k)
+        if short[k]:
             report.error(
                 "schedule-duration",
-                f"segment {k} ({seg.phase_name!r}) has non-positive "
-                f"duration {seg.duration:.6g}",
-                segment=k, duration=float(seg.duration))
-        if abs(seg.t_start - t) > tol:
+                f"segment {k} ({name!r}) has non-positive "
+                f"duration {durations[k]:.6g}",
+                segment=k, duration=float(durations[k]))
+        if gap[k]:
+            t_start = float(disc.t_start[k])
             report.error(
                 "schedule-gap",
-                f"segment chain has a gap/overlap at t={seg.t_start:.6g} "
-                f"(expected {t:.6g})",
-                segment=k, t_start=float(seg.t_start), expected=float(t))
-        t = seg.t_end
-    if abs(t - period) > tol:
+                f"segment chain has a gap/overlap at t={t_start:.6g} "
+                f"(expected {expected[k]:.6g})",
+                segment=k, t_start=t_start, expected=float(expected[k]))
+    covered = float(disc.t_end[-1])
+    if abs(covered - period) > tol:
         report.error(
             "schedule-coverage",
-            f"segments cover [0, {t:.6g}] but the period is {period:.6g}",
-            covered=float(t), period=period)
+            f"segments cover [0, {covered:.6g}] but the period is "
+            f"{period:.6g}",
+            covered=covered, period=period)
 
 
-def _segment_parts(seg):
-    """``(name, array)`` pairs preflight scans for one segment, in order."""
-    parts = [("propagator", seg.phi), ("gramian", seg.gramian)]
-    if seg.jump is not None:
-        parts.append(("jump", seg.jump))
-    if seg.a_matrix is not None:
-        parts.append(("a-matrix", seg.a_matrix))
+def _phase_name(disc, k):
+    """The phase name of segment ``k``."""
+    return next(run.phase_name for run in disc.runs if k < run.stop)
+
+
+def _run_parts(run):
+    """``(name, array, last_only)`` triples preflight scans for one run.
+
+    In per-segment order; ``last_only`` marks the jump, which only the
+    run's last segment carries.
+    """
+    parts = [("propagator", run.phi, False), ("gramian", run.gramian, False)]
+    if run.jump is not None:
+        parts.append(("jump", run.jump, True))
+    if run.a_matrix is not None:
+        parts.append(("a-matrix", run.a_matrix, False))
     return parts
 
 
 def _check_finite(disc, report):
     """Flag NaN/Inf in propagators/Gramians/jumps; True when all finite.
 
-    The discretizer shares one array object across the segments of a
-    phase, so each distinct array (by identity) is scanned once; only
+    Each distinct array of the runs (by identity) is scanned once; only
     when one is non-finite are the findings itemized per segment.
     """
-    arrays = {id(mat): mat for seg in disc.segments
-              for _name, mat in _segment_parts(seg)}
+    arrays = {id(mat): mat for run in disc.runs
+              for _name, mat, _last in _run_parts(run)}
     finite = {key: bool(np.all(np.isfinite(mat)))
               for key, mat in arrays.items()}
     if all(finite.values()):
         return True
-    bad = [(k, name) for k, seg in enumerate(disc.segments)
-           for name, mat in _segment_parts(seg) if not finite[id(mat)]]
-    for k, name in bad[:_MAX_SEGMENT_FINDINGS]:
-        seg = disc.segments[k]
+    bad = [(k, name, run.phase_name) for run in disc.runs
+           for k in range(run.start, run.stop)
+           for name, mat, last in _run_parts(run)
+           if not finite[id(mat)] and (k == run.stop - 1 or not last)]
+    for k, name, phase_name in bad[:_MAX_SEGMENT_FINDINGS]:
         report.error(
             "non-finite-propagator",
-            f"segment {k} ({seg.phase_name!r}) has non-finite entries in "
+            f"segment {k} ({phase_name!r}) has non-finite entries in "
             f"its {name}",
             segment=k, part=name)
     if len(bad) > _MAX_SEGMENT_FINDINGS:

@@ -118,7 +118,7 @@ def forcing_from_samples(disc, samples_post, samples_pre=None):
     endpoint of segment ``k-1``. Returns an ``(S, 2, n)`` array.
     """
     samples_post = np.asarray(samples_post)
-    n_seg = len(disc.segments)
+    n_seg = disc.n_segments
     if samples_post.shape[0] != n_seg + 1:
         raise ReproError(
             f"forcing has {samples_post.shape[0]} samples for "

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import Any, TypeGuard
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from ..errors import ReproError, ScheduleError
 from ..typing import ArrayLike, FloatArray
 from ..linalg.checked import eigenvalues
 from ..linalg.vanloan import vanloan_gramian
-from .discretization import PeriodDiscretization, Segment
+from .discretization import PeriodDiscretization, PhaseRun, Segment
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,13 @@ class PiecewiseLTISystem:
                    boundary_layer: bool = False) -> PeriodDiscretization:
         """Exact one-period discretization via Van Loan Gramians.
 
-        ``segments_per_phase`` controls only the *grid density* used later
-        for the cross-spectral quadrature; the per-segment propagators and
-        Gramians are exact regardless.
+        ``segments_per_phase`` (one int ``>= 1``, or one per phase; see
+        :func:`segment_counts`) controls only the *grid density* used
+        later for the cross-spectral quadrature; the per-segment
+        propagators and Gramians are exact regardless.  Each phase
+        computes one ``(Φ, Gramian)`` per distinct step and emits one
+        run per stretch of equal steps: one run per phase on a uniform
+        grid, whatever its segment count.
 
         ``boundary_layer`` optionally grades the grid at the start of
         each phase to resolve post-switching transients (nanosecond
@@ -173,41 +178,81 @@ class PiecewiseLTISystem:
         nanoseconds starves the smooth region — the uniform default
         converges faster. The option is kept for experimentation.
         """
-        if isinstance(segments_per_phase, (int, np.integer)):
-            counts = [int(segments_per_phase)] * len(self.phases)
-        else:
-            counts = [int(c) for c in segments_per_phase]
-            if len(counts) != len(self.phases):
-                raise ScheduleError(
-                    f"{len(counts)} segment counts for "
-                    f"{len(self.phases)} phases")
-        segments = []
+        counts = segment_counts(segments_per_phase, len(self.phases))
+        runs: list[PhaseRun] = []
+        t_start: list[FloatArray] = []
+        t_end: list[FloatArray] = []
         t = 0.0
+        first = 0
         for phase, count in zip(self.phases, counts):
-            if count < 1:
-                raise ScheduleError("segments_per_phase must be >= 1")
             edges = _phase_edges(phase, count, boundary_layer)
+            steps = np.diff(edges)
             # One (Φ, Gramian) per distinct relative step, rounded as
             # numpy rounds (Python's round() differs in the last digit).
-            keys = np.round(np.diff(edges) / phase.duration, 15).tolist()
-            edges = edges.tolist()
+            keys = np.round(steps / phase.duration, 15)
+            t_start.append(t + edges[:-1])
+            t_end.append(t + edges[1:])
             bbt = phase.b_matrix @ phase.b_matrix.T
             cache: dict[float, tuple[FloatArray, FloatArray]] = {}
-            last = len(keys) - 1
-            for k, key in enumerate(keys):
+            bounds = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+            for start, stop in zip([0, *bounds], [*bounds, count]):
+                key = float(keys[start])
                 if key not in cache:
                     cache[key] = vanloan_gramian(
-                        phase.a_matrix, bbt, edges[k + 1] - edges[k])
+                        phase.a_matrix, bbt, float(steps[start]))
                 phi, gram = cache[key]
-                segments.append(Segment(
-                    t_start=t + edges[k], t_end=t + edges[k + 1],
-                    phi=phi, gramian=gram, b_matrix=phase.b_matrix,
-                    jump=phase.end_jump if k == last else None,
+                runs.append(PhaseRun(
+                    start=first + start, stop=first + stop, phi=phi,
+                    gramian=gram, b_matrix=phase.b_matrix,
+                    jump=phase.end_jump if stop == count else None,
                     a_matrix=phase.a_matrix, phase_name=phase.name))
             t += phase.duration
+            first += count
         return PeriodDiscretization(
-            segments=segments, period=self.period,
+            runs=runs, t_start=np.concatenate(t_start),
+            t_end=np.concatenate(t_end), period=self.period,
             n_states=self.n_states, exact=True)
+
+
+def segment_counts(segments_per_phase: object,
+                   n_phases: int) -> tuple[int, ...]:
+    """``segments_per_phase`` as one validated segment count per phase.
+
+    Takes one int ``>= 1`` for every phase, or a list, tuple or 1-D
+    integer array of ``n_phases`` such ints.  Anything else — a bool, a
+    float, a string, a count below 1, a sequence of the wrong length —
+    raises :class:`~repro.errors.ScheduleError` naming the value: counts
+    are validated, never coerced.
+    """
+    value = segments_per_phase
+    if _is_count(value):
+        counts = (int(value),) * n_phases
+    elif (isinstance(value, (list, tuple))
+          or (isinstance(value, np.ndarray) and value.ndim == 1)):
+        items = list(value)
+        if not all(_is_count(item) for item in items):
+            raise ScheduleError(
+                "segments_per_phase must be an int >= 1 or one such int "
+                f"per phase, got {value!r}")
+        counts = tuple(int(item) for item in items)
+        if len(counts) != n_phases:
+            raise ScheduleError(
+                f"{len(counts)} segment counts for {n_phases} phases: "
+                f"segments_per_phase={value!r}")
+    else:
+        raise ScheduleError(
+            "segments_per_phase must be an int >= 1 or one such int per "
+            f"phase, got {value!r}")
+    if any(count < 1 for count in counts):
+        raise ScheduleError(
+            f"segments_per_phase must be >= 1, got {value!r}")
+    return counts
+
+
+def _is_count(value: object) -> TypeGuard[int | np.integer[Any]]:
+    """An integer that is not a bool (``True`` is an ``int`` too)."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
 
 
 @dataclass

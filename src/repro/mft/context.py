@@ -70,6 +70,7 @@ from ..linalg.lyapunov import (
 from ..linalg.phi import affine_step_integrals
 from ..linalg.vanloan import vanloan_gramian
 from ..lptv.periodic_solve import PeriodicSolution, forcing_from_samples
+from ..lptv.system import segment_counts
 from ..noise.covariance import (
     PeriodicCovariance,
     periodic_covariance,
@@ -250,15 +251,19 @@ class _SweepStructure:
 
 
 def build_structure(disc):
-    """Precompute the frequency-independent arrays of a discretization."""
-    segments = disc.segments
+    """Precompute the frequency-independent arrays of a discretization.
+
+    Reads the discretization's runs, never its segments: a group is a
+    shared ``(A, Φ)`` pair of objects, and consecutive runs of one group
+    with no jump between them are one structure run.
+    """
     n = disc.n_states
-    n_seg = len(segments)
-    seg_durations = [seg.duration for seg in segments]
-    durations = np.asarray(seg_durations)
-    t_end = np.asarray([seg.t_end for seg in segments])
-    has_jump = np.asarray([seg.jump is not None for seg in segments])
-    jumps = [seg.jump for seg in segments]
+    n_seg = disc.n_segments
+    durations = disc.durations
+    t_end = disc.t_end
+    t_start = disc.t_start
+    has_jump = np.zeros(n_seg, dtype=bool)
+    jumps: list[np.ndarray | None] = [None] * n_seg
 
     # Key on the objects the discretizer shares, not on the float
     # durations: ``t_end − t_start`` differs by ulps across the segments
@@ -266,38 +271,46 @@ def build_structure(disc):
     tol = SCHEDULE_TILE_RTOL * max(disc.period, 1.0)
     group_index = {}
     groups = []
-    group_of = []
-    run_starts = []
-    for k, (seg, duration) in enumerate(zip(segments, seg_durations)):
-        if seg.a_matrix is None:
+    group_of = np.empty(n_seg, dtype=int)
+    bounds = []
+    for run in disc.runs:
+        if run.a_matrix is None:
             raise ReproError(
                 "segment is missing its A matrix; rebuild the "
                 "discretization with a current version of the library")
-        key = (id(seg.a_matrix), id(seg.phi))
+        key = (id(run.a_matrix), id(run.phi))
         idx = group_index.get(key)
         if idx is None:
             idx = group_index[key] = len(groups)
             groups.append(_SegmentGroup(
-                a_matrix=seg.a_matrix, duration=duration,
-                indices=np.empty(0, dtype=int), phi=seg.phi))
-        elif abs(duration - groups[idx].duration) > tol:
+                a_matrix=run.a_matrix, duration=float(durations[run.start]),
+                indices=np.empty(0, dtype=int), phi=run.phi))
+        members = durations[run.start:run.stop]
+        off = np.flatnonzero(np.abs(members - groups[idx].duration) > tol)
+        if off.size:
+            k = run.start + int(off[0])
             raise ReproError(
                 f"segment {k} shares its propagator with a segment of "
                 f"duration {groups[idx].duration:.6g} but lasts "
-                f"{duration:.6g}; one propagator object must not "
+                f"{durations[k]:.6g}; one propagator object must not "
                 "serve segments of different lengths")
-        # A group change or the previous segment's jump starts a run.
-        if k == 0 or idx != group_of[-1] or has_jump[k - 1]:
-            run_starts.append(k)
-        group_of.append(idx)
-    group_of = np.asarray(group_of, dtype=int)
+        # A group change or the previous run's jump starts a run.
+        if (bounds and group_of[bounds[-1][0]] == idx
+                and not has_jump[run.start - 1]):
+            bounds[-1][1] = run.stop
+        else:
+            bounds.append([run.start, run.stop])
+        group_of[run.start:run.stop] = idx
+        if run.jump is not None:
+            has_jump[run.stop - 1] = True
+            jumps[run.stop - 1] = run.jump
     for idx, group in enumerate(groups):
         group.indices = np.nonzero(group_of == idx)[0]
     runs = [
         _Run(group=int(group_of[start]), start=start, stop=stop,
              lags=t_end[stop - 1] - t_end[start:stop],
-             span=float(t_end[stop - 1] - segments[start].t_start))
-        for start, stop in zip(run_starts, run_starts[1:] + [n_seg])]
+             span=float(t_end[stop - 1] - t_start[start]))
+        for start, stop in bounds]
     for index, run in enumerate(runs):
         groups[run.group].runs.append(index)
     powers = [_power_stack(group.phi, max(runs[i].stop - runs[i].start
@@ -310,15 +323,17 @@ def build_structure(disc):
 
 
 def _power_stack(phi, length):
-    """``stack[:, q, :] = (Φ^{length−1−q})ᵀ``, a real ``(n, length, n)``."""
+    """``stack[:, q, :] = (Φ^{length−1−q})ᵀ``, a real ``(n, length, n)``.
+
+    ``Φ^{p+1} = Φ^p Φ`` is written in place, one product per power, and
+    the stack is one reversing, transposing copy of the powers.
+    """
     n = phi.shape[0]
-    stack = np.empty((n, length, n))
-    power = np.eye(n)
-    for q in range(length - 1, -1, -1):
-        stack[:, q, :] = power.T
-        if q:
-            power = power @ phi
-    return stack
+    powers = np.empty((length, n, n))
+    powers[0] = np.eye(n)
+    for p in range(1, length):
+        np.matmul(powers[p - 1], phi, out=powers[p])
+    return np.ascontiguousarray(powers[::-1].transpose(2, 0, 1))
 
 
 def run_operator(structure, run):
@@ -394,17 +409,17 @@ def group_propagators(structure):
 class _SourceSplit:
     """Per-source split of a discretization's noise Gramians.
 
-    Lists run per segment, but segments of one clock phase share their
-    entries: one ``(n_src, n, n)`` Gramian stack and one list of
-    ``(n, 1)`` noise columns per phase, as the discretizer shares one
-    total Gramian per phase.
+    Lists run per run of the discretization (``disc.runs``), and runs of
+    one clock phase share their entries: one ``(n_src, n, n)`` Gramian
+    stack and one list of ``(n, 1)`` noise columns per phase, as the
+    discretizer shares one total Gramian per phase.
     """
 
     #: The discretization whose propagators and jumps the split rides on.
     disc: object
-    #: Per segment, the single-column noise matrices ``b_s``.
+    #: Per run, the single-column noise matrices ``b_s``.
     columns: list
-    #: Per segment, the ``(n_src, n, n)`` per-source Gramian stack.
+    #: Per run, the ``(n_src, n, n)`` per-source Gramian stack.
     gramians: list
 
 
@@ -429,16 +444,18 @@ def split_source_gramians(disc, n_src):
     by_phase = {}
     columns = []
     gramians = []
-    for seg in disc.segments:
-        key = (id(seg.a_matrix), id(seg.b_matrix), id(seg.gramian))
+    durations = disc.durations
+    for run in disc.runs:
+        key = (id(run.a_matrix), id(run.b_matrix), id(run.gramian))
         entry = by_phase.get(key)
         if entry is None:
-            cols = [np.ascontiguousarray(seg.b_matrix[:, [s]])
+            cols = [np.ascontiguousarray(run.b_matrix[:, [s]])
                     for s in range(n_src)]
-            b_t = seg.b_matrix.T
+            b_t = run.b_matrix.T
             drives = b_t[:, :, None] * b_t[:, None, :]
-            grams = vanloan_gramian(seg.a_matrix, drives, seg.duration)[1]
-            defect = seg.gramian - np.add.reduce(grams)
+            grams = vanloan_gramian(run.a_matrix, drives,
+                                    float(durations[run.start]))[1]
+            defect = run.gramian - np.add.reduce(grams)
             traces = np.trace(grams, axis1=1, axis2=2)
             total_trace = float(traces.sum())
             if total_trace > 0.0:
@@ -453,18 +470,17 @@ def split_source_gramians(disc, n_src):
 
 
 def _with_totals(disc, stacks):
-    """Each segment's source stack with its total Gramian appended.
+    """Each run's source stack with its total Gramian appended.
 
-    Segments sharing a stack share the extended one, so the drives keep
-    the runs of ``disc``'s own Gramians.
+    Runs sharing a stack share the extended one.
     """
     extended = {}
     drives = []
-    for seg, stack in zip(disc.segments, stacks):
+    for run, stack in zip(disc.runs, stacks):
         drive = extended.get(id(stack))
         if drive is None:
             drive = extended[id(stack)] = np.concatenate(
-                (stack, seg.gramian[None]))
+                (stack, run.gramian[None]))
         drives.append(drive)
     return drives
 
@@ -603,7 +619,7 @@ class SweepContext:
 
     @property
     def n_sources(self):
-        """Number of noise-source columns shared by every segment.
+        """Number of noise-source columns shared by every run.
 
         Per-source attribution needs one aligned column basis across the
         whole period: ``B(t) B(t)^T = Σ_s b_s(t) b_s(t)^T`` only splits
@@ -613,7 +629,7 @@ class SweepContext:
         phases disagree on the column count cannot be attributed.
         """
         if self._n_sources is None:
-            counts = {seg.b_matrix.shape[1] for seg in self.disc.segments}
+            counts = {run.b_matrix.shape[1] for run in self.disc.runs}
             if len(counts) != 1:
                 raise ReproError(
                     "per-source attribution needs the same number of "
@@ -644,8 +660,9 @@ class SweepContext:
 
         Same grid, propagators and jumps as :attr:`disc`; the ``B``
         column and the Gramians come from the exactly conservative
-        per-source split (:func:`split_source_gramians`), so the
-        segments of one clock phase share one Gramian object.  Only the
+        per-source split (:func:`split_source_gramians`), one pair per
+        run, so the segments of one clock phase share one Gramian
+        object.  Only the
         brute-force attribution replay needs whole per-source
         discretizations — the per-source covariances are solved from
         the split directly (:meth:`source_covariance`).  All sources are
@@ -661,17 +678,16 @@ class SweepContext:
         n_src = self.n_sources
         views = {}
         per_source = [[] for _ in range(n_src)]
-        for seg, cols, stack in zip(split.disc.segments, split.columns,
+        for run, cols, stack in zip(split.disc.runs, split.columns,
                                     split.gramians):
             grams = views.get(id(stack))
             if grams is None:
                 grams = views[id(stack)] = list(stack)
             for s in range(n_src):
-                per_source[s].append(replace(seg, b_matrix=cols[s],
+                per_source[s].append(replace(run, b_matrix=cols[s],
                                              gramian=grams[s]))
         for s in range(n_src):
-            self._source_discs[s] = replace(split.disc,
-                                            segments=per_source[s])
+            self._source_discs[s] = split.disc.with_runs(per_source[s])
         return self._source_discs[source]
 
     def source_covariance(self, source):
@@ -778,7 +794,7 @@ class SweepContext:
         struct = self.structure
         n = disc.n_states
         forcing = np.asarray(segment_forcing)
-        n_seg = len(disc.segments)
+        n_seg = disc.n_segments
         if forcing.shape != (n_seg, 2, n):
             raise ReproError(
                 f"segment forcing must have shape "
@@ -1002,8 +1018,8 @@ class _DerivedIntensityContext(SweepContext):
     Nothing here builds a discretization unless :attr:`disc` itself is
     read: the source count, the forcing pairs and the per-source split
     all come from the parent.  A derived :attr:`disc`, when a fallback
-    path asks for one, holds one rescaled Gramian per clock phase,
-    shared by that phase's segments as the discretizer shares them.
+    path asks for one, holds one rescaled ``(B, Gramian)`` pair per run
+    of the parent's (one per clock phase), on the parent's grid.
     """
 
     def __init__(self, parent, scales, system=None):
@@ -1097,7 +1113,7 @@ class _DerivedIntensityContext(SweepContext):
         if self._uniform is not None:
             scale = self._uniform
             amplitude = np.sqrt(scale)
-            drives = [seg.gramian for seg in parent_disc.segments]
+            drives = [run.gramian for run in parent_disc.runs]
 
             def rescale(gramian):
                 return gramian * scale
@@ -1110,16 +1126,15 @@ class _DerivedIntensityContext(SweepContext):
                 return np.add.reduce([scales[s] * stack[s]
                                       for s in range(scales.size)])
         shared = {}
-        segments = []
-        for seg, drive in zip(parent_disc.segments, drives):
-            key = (id(seg.b_matrix), id(drive))
+        runs = []
+        for run, drive in zip(parent_disc.runs, drives):
+            key = (id(run.b_matrix), id(drive))
             entry = shared.get(key)
             if entry is None:
-                entry = shared[key] = (seg.b_matrix * amplitude,
+                entry = shared[key] = (run.b_matrix * amplitude,
                                        rescale(drive))
-            segments.append(replace(seg, b_matrix=entry[0],
-                                    gramian=entry[1]))
-        self._disc = replace(parent_disc, segments=segments)
+            runs.append(replace(run, b_matrix=entry[0], gramian=entry[1]))
+        self._disc = parent_disc.with_runs(runs)
         return self._disc
 
     @property
@@ -1222,11 +1237,20 @@ def discretization_fingerprint(system, segments_per_phase):
     cycle, segment count, or component value) changes the key. Systems
     defined by callables (:class:`~repro.lptv.system.SampledLPTVSystem`)
     cannot be content-hashed and fall back to object identity.
+
+    The density is hashed as its validated per-phase counts
+    (:func:`~repro.lptv.system.segment_counts`, which raises
+    :class:`~repro.errors.ScheduleError` on an invalid one): ``64``,
+    ``np.int64(64)`` and ``[64, 64]`` are one key, written as ``64``
+    whenever every phase has the same count.
     """
+    phases = getattr(system, "phases", None)
+    counts = segment_counts(segments_per_phase,
+                            1 if phases is None else len(phases))
+    density = counts[0] if len(set(counts)) == 1 else counts
     digest = hashlib.sha256()
     digest.update(type(system).__name__.encode())
-    digest.update(repr(segments_per_phase).encode())
-    phases = getattr(system, "phases", None)
+    digest.update(repr(density).encode())
     if phases is None:
         digest.update(str(id(system)).encode())
         period = getattr(system, "period", None)

@@ -364,7 +364,7 @@ def solve_spectral_batch(context, omegas, segment_forcing,
     disc = context.disc
     struct = context.structure
     n = disc.n_states
-    n_seg = len(disc.segments)
+    n_seg = disc.n_segments
     forcing = np.asarray(segment_forcing)
     stacked = forcing.ndim == 4
     if not stacked:

@@ -16,8 +16,8 @@ cycles. Both the transient propagation (for convergence studies and the
 brute-force baseline) and the steady state are provided.
 
 Neither walks the grid segment by segment.  The segments of one clock
-phase share one ``(Phi, Q)``, so the chain splits into *runs*
-(:func:`~repro.lptv.discretization.segment_runs`) over which the samples
+phase share one ``(Phi, Q)``, so the discretization holds them as *runs*
+(:class:`~repro.lptv.discretization.PhaseRun`) over which the samples
 are ``K_r = Phi^r K_0 Phi^{r T} + S_r``, ``S_r = sum_{i<r} Phi^i Q
 Phi^{i T}``.  The period map takes each run's ``(Phi^L, S_L)`` by binary
 powering; the samples come from a blocked scan with ``B = isqrt(L)``:
@@ -50,7 +50,6 @@ from ..lptv.discretization import (
     PeriodDiscretization,
     SegmentRun,
     accumulate_period_gramian,
-    segment_runs,
 )
 from ..typing import ArrayLike, FloatArray
 
@@ -118,7 +117,7 @@ def periodic_covariance(system_or_disc: SystemOrDisc,
     """
     disc = _as_disc(system_or_disc, segments_per_phase)
     pre, post = steady_state_samples(
-        disc, [seg.gramian for seg in disc.segments])
+        disc, [run.gramian for run in disc.runs])
     logger.debug("periodic covariance solved: %d grid points, "
                  "period %.3g s", len(disc.grid), disc.period)
     return PeriodicCovariance(grid=disc.grid, pre=pre, post=post,
@@ -126,27 +125,27 @@ def periodic_covariance(system_or_disc: SystemOrDisc,
 
 
 def steady_state_samples(disc: PeriodDiscretization,
-                         gramians: Sequence[FloatArray]
+                         drives: Sequence[FloatArray]
                          ) -> tuple[FloatArray, FloatArray]:
     """Steady-state covariance ``(pre, post)`` samples on ``disc.grid``.
 
-    ``gramians[k]`` is the noise Gramian driving segment ``k`` — the
-    segment's own for :func:`periodic_covariance`, or an ``(m, n, n)``
-    stack of ``m`` noise drives on the same dynamics (one per noise
-    source for per-source attribution).  A stack shares one pass over
+    ``drives[i]`` is the noise Gramian driving every segment of run
+    ``disc.runs[i]`` — the run's own for :func:`periodic_covariance`,
+    or an ``(m, n, n)`` stack of ``m`` noise drives on the same dynamics
+    (one per noise source for per-source attribution).  A stack shares one pass over
     the period's runs: the period Gramian, the discrete Lyapunov fixed
     point (one shared sequence of monodromy powers, each drive stopping
     at its own Smith doubling iteration) and the blocked scan carry the
     leading axis through every product.  The result is ``(m, len(grid),
     n, n)`` and entry ``i`` is bit-identical to driving ``disc`` with
-    ``gramians[k][i]`` alone.  Without a jump in the period ``post`` is
+    ``drives[r][i]`` alone.  Without a jump in the period ``post`` is
     the ``pre`` array itself.
 
     Raises :class:`~repro.errors.StabilityError` (with ``multipliers``,
     ``spectral_radius`` and a ``floquet-unstable`` report) when the
     period map is not asymptotically stable.
     """
-    runs = segment_runs(disc.segments, gramians)
+    runs = disc.driven_runs(drives)
     phi_t, q_t = accumulate_period_gramian(runs)
     return _propagate_over_period(runs, _fixed_point(phi_t, q_t))
 
@@ -168,9 +167,8 @@ def transient_covariance(system_or_disc: SystemOrDisc, n_periods: int,
         raise ReproError(f"n_periods must be >= 1, got {n_periods}")
     k = (np.zeros((n, n)) if k0 is None
          else symmetrize(np.asarray(k0, dtype=float)).real.copy())
-    runs = segment_runs(disc.segments,
-                        [seg.gramian for seg in disc.segments])
-    t_end = disc.grid[1:]
+    runs = disc.driven_runs([run.gramian for run in disc.runs])
+    t_end = disc.t_end
     times = [np.zeros(1)]
     trace = [k[None].copy()]
     for period_index in range(n_periods):

@@ -1,7 +1,7 @@
 """Periodic covariance by runs: the blocked scan against the segment loop.
 
 ``noise.covariance`` propagates ``K ← Φ K Φᵀ + Q`` once per *run* of
-segments that share one ``(Φ, Q)`` (``lptv.discretization.segment_runs``):
+segments that share one ``(Φ, Q)`` (``PeriodDiscretization.runs``):
 binary powering for the period map, a blocked scan of ``B = isqrt(L)``
 for the samples.  The per-segment recursion it replaced is kept here as
 the reference.  The two agree to rounding, so the samples are compared
@@ -100,9 +100,16 @@ def _chain_norm(segments):
     return norm
 
 
-def _check_against_loop(disc, gramians, rtol=RTOL):
-    """Samples and period map of ``gramians`` on ``disc`` vs the loop."""
-    pre, post = steady_state_samples(disc, gramians)
+def _per_segment(disc, drives):
+    """Per-run ``drives`` repeated for every segment of their run."""
+    return [drive for run, drive in zip(disc.runs, drives)
+            for _ in range(run.start, run.stop)]
+
+
+def _check_against_loop(disc, drives, rtol=RTOL):
+    """Samples and period map of per-run ``drives`` on ``disc`` vs the loop."""
+    pre, post = steady_state_samples(disc, drives)
+    gramians = _per_segment(disc, drives)
     stacked = np.ndim(gramians[0]) == 3
     k0 = post[:, 0] if stacked else post[0]
     want_pre, want_post = _segment_loop(disc.segments, gramians, k0)
@@ -111,8 +118,7 @@ def _check_against_loop(disc, gramians, rtol=RTOL):
         want_post = np.moveaxis(want_post, 0, 1)
     _assert_close(pre, want_pre, rtol)
     _assert_close(post, want_post, rtol)
-    phi_t, q_t = accumulate_period_gramian(
-        segment_runs(disc.segments, gramians))
+    phi_t, q_t = accumulate_period_gramian(disc.driven_runs(drives))
     want_phi, want_q = _segment_period_gramian(disc.segments, gramians)
     _assert_close(phi_t, want_phi, rtol, _chain_norm(disc.segments))
     _assert_close(q_t, want_q, rtol)
@@ -120,14 +126,14 @@ def _check_against_loop(disc, gramians, rtol=RTOL):
 
 
 def _stack(disc, n_drives):
-    """Per-phase ``(m, n, n)`` drives sharing objects like the split does."""
+    """Per-run ``(m, n, n)`` drives sharing objects like the split does."""
     shared = {}
     drives = []
-    for seg in disc.segments:
-        stack = shared.get(id(seg.gramian))
+    for run in disc.runs:
+        stack = shared.get(id(run.gramian))
         if stack is None:
             scales = np.linspace(0.5, 1.5, n_drives)[:, None, None]
-            stack = shared[id(seg.gramian)] = scales * seg.gramian
+            stack = shared[id(run.gramian)] = scales * run.gramian
         drives.append(stack)
     return drives
 
@@ -197,12 +203,12 @@ class TestBlockedScan:
     @pytest.mark.parametrize("name", sorted(CIRCUITS))
     def test_builtins_match_segment_loop(self, name, spp):
         disc = _system(CIRCUITS[name]).discretize(spp)
-        _check_against_loop(disc, [seg.gramian for seg in disc.segments])
+        _check_against_loop(disc, [run.gramian for run in disc.runs])
 
     @pytest.mark.parametrize("name", sorted(CIRCUITS))
     def test_graded_grids_match_segment_loop(self, name):
         disc = _system(CIRCUITS[name]).discretize(24, boundary_layer=True)
-        _check_against_loop(disc, [seg.gramian for seg in disc.segments])
+        _check_against_loop(disc, [run.gramian for run in disc.runs])
 
     def test_hold_phase_with_unit_multiplier(self):
         # The hold phase's Φ = I (A = 0): powers never decay, and the
@@ -212,16 +218,16 @@ class TestBlockedScan:
         assert np.allclose(expm(hold.a_matrix * hold.duration),
                            np.eye(hold.n_states))
         disc = system.discretize(50)
-        _check_against_loop(disc, [seg.gramian for seg in disc.segments])
+        _check_against_loop(disc, [run.gramian for run in disc.runs])
 
     def test_sampled_system_matches_segment_loop(self):
         disc = class_a_system().discretize(128)
-        _check_against_loop(disc, [seg.gramian for seg in disc.segments])
+        _check_against_loop(disc, [run.gramian for run in disc.runs])
 
     @pytest.mark.parametrize("spp", [1, 7, 13])
     def test_jumps_at_run_ends_total_and_stacked(self, spp):
         disc = _jumped_system().discretize(spp)
-        _check_against_loop(disc, [seg.gramian for seg in disc.segments])
+        _check_against_loop(disc, [run.gramian for run in disc.runs])
         _check_against_loop(disc, _stack(disc, 4))
 
     @pytest.mark.parametrize("name", ["sc-lowpass", "sc-bandpass"])
@@ -263,7 +269,7 @@ class TestBlockedScan:
         disc = _jumped_system().discretize(spp)
         jump_rows = [idx for idx, seg in enumerate(disc.segments, 1)
                      if seg.jump is not None]
-        for drives in ([seg.gramian for seg in disc.segments],
+        for drives in ([run.gramian for run in disc.runs],
                        _stack(disc, 3)):
             pre, post = steady_state_samples(disc, drives)
             assert post is not pre
@@ -335,8 +341,8 @@ def stable_switched_systems(draw):
 def test_random_systems_match_loop_and_fixed_point(case):
     system, spp = case
     disc = system.discretize(spp)
+    _pre, post = _check_against_loop(disc, [run.gramian for run in disc.runs])
     gramians = [seg.gramian for seg in disc.segments]
-    _pre, post = _check_against_loop(disc, gramians)
     # The period-start sample is the fixed point of the one-period map
     # accumulated segment by segment, independently of ``run_power``
     # (largest residual over 300 draws: 8e-15 of max|K₀|).

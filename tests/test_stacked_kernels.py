@@ -232,9 +232,10 @@ def test_split_matches_per_column_loop(name):
     split = split_source_gramians(disc, context.n_sources)
     reference = _per_column_split(disc, context.n_sources)
     assert len({id(stack) for stack in split.gramians}) == len(reference)
-    for seg, stack in zip(disc.segments, split.gramians):
-        want = reference[(id(seg.a_matrix), id(seg.b_matrix),
-                          id(seg.gramian))]
+    assert len(split.gramians) == len(disc.runs)
+    for run, stack in zip(disc.runs, split.gramians):
+        want = reference[(id(run.a_matrix), id(run.b_matrix),
+                          id(run.gramian))]
         for got_s, want_s in zip(stack, want):
             assert _relative(got_s, want_s) <= 1e-14
 
