@@ -117,6 +117,11 @@ class NoiseAnalysis(MftNoiseAnalyzer):
         would exceed
         :data:`~repro.mft.executor.SPECTRAL_STACK_CAP_BYTES`), so the
         ``budget`` makes one decision, before the sweep starts.
+
+        The analysis's own context is the override-free corners' dynamics
+        root (``corner_psd_sweep(context=)``), so the base circuit is not
+        discretized a second time; the other roots are private to the
+        sweep unless registered under the grid's family hash.
         """
         from ..mft.corners import corner_psd_sweep
 
@@ -126,7 +131,7 @@ class NoiseAnalysis(MftNoiseAnalyzer):
             segments_per_phase=self.segments_per_phase,
             chunk_size=chunk_size, budget=budget, on_failure=on_failure,
             attribute_sources=self._attribution_request(attribute_sources),
-            recorder=self.recorder)
+            recorder=self.recorder, context=self._context)
 
     def convergence_trace(self, frequency, tol_db=0.1, window_periods=5,
                           **kwargs):

@@ -17,8 +17,9 @@ A *corner* perturbs a circuit in one (or both) of two orthogonal ways:
 :class:`ParameterGrid` holds an ordered list of :class:`CornerSpec` and
 knows how to build the per-corner models, resolve per-source intensity
 scales against a model's noise labels, and fingerprint the whole family
-(:meth:`ParameterGrid.family_hash`) so corner-sweep cache entries can
-never alias a plain sweep's (see ``sweep_context_for(family=)``).
+(:meth:`ParameterGrid.family_hash`) so a dynamics root registered for a
+corner sweep (``sweep_context_for(family=)``) can never alias a plain
+sweep's registry entry.
 """
 
 from __future__ import annotations
@@ -320,10 +321,10 @@ class ParameterGrid:
     def family_hash(self) -> str:
         """Content hash of the whole corner family.
 
-        Salts the :mod:`repro.mft.context` registry keys of a corner
-        sweep, so a derived context can never be served to — or
-        poisoned by — a plain sweep whose system happens to fingerprint
-        identically.
+        Salts the :mod:`repro.mft.context` registry keys under which a
+        corner sweep looks up its dynamics roots, so a root registered
+        for the family can never be served to — or poisoned by — a plain
+        sweep whose system happens to fingerprint identically.
         """
         digest = hashlib.sha256()
         digest.update(repr(self.base_params).encode())

@@ -291,13 +291,22 @@ class SampledLPTVSystem:
             raise ReproError("output matrix missing")
         return int(matrix.shape[0])
 
-    def discretize(self, n_segments: int = 256) -> PeriodDiscretization:
-        """Discretize one period on a uniform grid of ``n_segments``."""
-        if n_segments < 2:
-            raise ScheduleError("need at least 2 segments per period")
-        grid = np.linspace(0.0, self.period, n_segments + 1)
+    def discretize(self, n_segments: object = 256) -> PeriodDiscretization:
+        """Discretize one period on a uniform grid of ``n_segments``.
+
+        The count is validated as one phase's (:func:`segment_counts`:
+        an int, or a one-element list, tuple or 1-D int array) and must
+        be at least 2; anything else raises
+        :class:`~repro.errors.ScheduleError` naming the value.
+        """
+        (count,) = segment_counts(n_segments, 1)
+        if count < 2:
+            raise ScheduleError(
+                "need at least 2 segments per period, got "
+                f"n_segments={n_segments!r}")
+        grid = np.linspace(0.0, self.period, count + 1)
         segments = []
-        for k in range(n_segments):
+        for k in range(count):
             t0, t1 = grid[k], grid[k + 1]
             h = t1 - t0
             t_mid = 0.5 * (t0 + t1)

@@ -42,11 +42,15 @@ algebra (sums before solves, scalar scaling before products), so results
 agree with the reference to rounding — the equivalence suite pins this
 at ``≤ 1e-12`` relative.
 
-Contexts are either built directly (``SweepContext(system, 64)``) or
-drawn from the module registry (:func:`sweep_context_for`), which
-fingerprints the system content — phase durations, state/noise/jump
+Each analysis owns its context: an analyzer builds
+``SweepContext(system, 64)`` unless it is passed one as ``context=``, and
+the context lives as long as the analysis.  Reuse *across* analyses is
+opt-in: :func:`sweep_context_for` draws contexts from a module registry
+that fingerprints the system content — phase durations, state/noise/jump
 matrices, segment counts — so that *mutating* a system or requesting a
 different density misses the cache instead of returning stale numerics.
+No library path inserts into the registry; a corner sweep only looks its
+dynamics roots up there.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ class CacheStats:
     (``warm_up`` included) ever resets them, so deltas between two
     :meth:`snapshot` calls are meaningful. Increments are lock-guarded:
     a :class:`~repro.service.JobQueue` dispatcher thread and its caller
-    can share one registry context, and a lost update would make the
+    can share one context, and a lost update would make the
     sweep-level cache counters undercount. The lock is dropped on
     pickle and rebuilt.
     """
@@ -493,10 +497,12 @@ class SweepContext:
     system:
         An LPTV system (``discretize()`` + ``output_matrix``).
     segments_per_phase:
-        Discretization density forwarded to ``system.discretize``.
+        Discretization density forwarded to ``system.discretize``,
+        validated here (:func:`~repro.lptv.system.segment_counts` raises
+        :class:`~repro.errors.ScheduleError` on an invalid one).
 
-    Everything is lazy: building a context is free, each cached quantity
-    is computed on first use and recorded in :attr:`stats`.
+    Everything else is lazy: each cached quantity is computed on first
+    use and recorded in :attr:`stats`.
     """
 
     def __init__(self, system, segments_per_phase=64):
@@ -504,6 +510,7 @@ class SweepContext:
             raise ReproError(
                 "system must provide discretize(), got "
                 f"{type(system).__name__}")
+        _phase_counts(system, segments_per_phase)
         self.system = system
         self.segments_per_phase = segments_per_phase
         self.stats = CacheStats()
@@ -1216,9 +1223,9 @@ class _DerivedIntensityContext(SweepContext):
 
 # -- registry ---------------------------------------------------------------
 
-#: Bounded LRU module registry of contexts, keyed by system fingerprint.
-#: Guarded by :data:`_REGISTRY_LOCK` — a job-queue dispatcher thread and
-#: analyzers constructed concurrently by its callers all pass through here.
+#: Bounded LRU module registry of contexts, keyed by system fingerprint,
+#: filled only by :func:`sweep_context_for`.  Guarded by
+#: :data:`_REGISTRY_LOCK`: callers on several threads may share it.
 _REGISTRY = OrderedDict()
 #: Entry-count ceiling next to :data:`_REGISTRY_CAP_BYTES`: contexts that
 #: were never filled hold no arrays, and could otherwise pile up.
@@ -1226,6 +1233,17 @@ _REGISTRY_LIMIT = 32
 _REGISTRY_LOCK = threading.Lock()
 #: Registry-level counters (the per-context stats live on the context).
 registry_stats = CacheStats()
+
+
+def _phase_counts(system, segments_per_phase):
+    """``segments_per_phase`` validated as one count per phase of ``system``.
+
+    A system without phases (:class:`~repro.lptv.system.SampledLPTVSystem`)
+    counts as one phase.
+    """
+    phases = getattr(system, "phases", None)
+    return segment_counts(segments_per_phase,
+                          1 if phases is None else len(phases))
 
 
 def discretization_fingerprint(system, segments_per_phase):
@@ -1245,8 +1263,7 @@ def discretization_fingerprint(system, segments_per_phase):
     whenever every phase has the same count.
     """
     phases = getattr(system, "phases", None)
-    counts = segment_counts(segments_per_phase,
-                            1 if phases is None else len(phases))
+    counts = _phase_counts(system, segments_per_phase)
     density = counts[0] if len(set(counts)) == 1 else counts
     digest = hashlib.sha256()
     digest.update(type(system).__name__.encode())
@@ -1275,12 +1292,15 @@ def sweep_context_for(system, segments_per_phase=64, family=None,
                       build=None):
     """Context for ``(system, density)`` from the module registry.
 
-    Returns the cached context when the fingerprint matches a previous
-    call (counted as a registry hit) and builds + registers a fresh one
-    otherwise.  The registry is an LRU bounded by the bytes its contexts
-    hold: a hit refreshes the entry's recency, and a miss first evicts
-    least-recently-used entries until the arrays the remaining ones hold
-    fit :data:`_REGISTRY_CAP_BYTES`, and until fewer than
+    The registry is opt-in: analyses own their contexts, and no library
+    path calls this function, so it holds only what a caller registers
+    here to share contexts across analyses.  Returns the cached context
+    when the fingerprint matches a previous call (counted as a registry
+    hit) and builds + registers a fresh one otherwise.  The registry is
+    an LRU bounded by the bytes its contexts hold: a hit refreshes the
+    entry's recency, and a miss first evicts least-recently-used
+    entries until the arrays the remaining ones hold fit
+    :data:`_REGISTRY_CAP_BYTES`, and until fewer than
     :data:`_REGISTRY_LIMIT` remain, then inserts the new context.  Each
     array counts once however many entries hold it: a derived corner
     shares its root's power stacks and keeps its root alive, so the
@@ -1288,27 +1308,24 @@ def sweep_context_for(system, segments_per_phase=64, family=None,
     :meth:`SweepContext._retained_bytes` for what counts.  Contexts fill
     lazily after they are registered, so an entry larger than the cap
     stays until the next miss.  Every access holds
-    :data:`_REGISTRY_LOCK`, so concurrent analyzers (a job-queue
+    :data:`_REGISTRY_LOCK`, so concurrent callers (a job-queue
     dispatcher thread and its callers) always agree on one context per
     fingerprint.  An evicted context stays valid for whoever still holds
     it; the registry only stops handing it out.
 
     ``family`` salts the key with a parameter-family hash
-    (:meth:`repro.circuits.corners.ParameterGrid.family_hash`): a corner
-    sweep's contexts — possibly intensity-derived, with rescaled
-    Gramians — can then never be served to, or alias, a plain sweep of
-    a system that fingerprints identically.  ``build`` supplies the
-    context constructor on a miss (e.g. a closure deriving from a
-    dynamics root); the default builds a fresh :class:`SweepContext`.
+    (:meth:`repro.circuits.corners.ParameterGrid.family_hash`): a
+    context registered for a corner sweep's dynamics root — which
+    :func:`~repro.mft.corners.corner_psd_sweep` then looks up instead of
+    building its own — can never be served to, or alias, a plain sweep
+    of a system that fingerprints identically.  ``build`` supplies the
+    context constructor on a miss (e.g. a subclass that traces its
+    layers); the default builds a fresh :class:`SweepContext`.
     """
-    key = discretization_fingerprint(system, segments_per_phase)
-    if family is not None:
-        key = f"{key}:family={family}"
+    key = _registry_key(system, segments_per_phase, family)
     with _REGISTRY_LOCK:
-        context = _REGISTRY.get(key)
+        context = _lookup(key)
         if context is not None:
-            _REGISTRY.move_to_end(key)
-            registry_stats.hit("context")
             return context
         registry_stats.miss("context")
         if build is not None:
@@ -1321,6 +1338,40 @@ def sweep_context_for(system, segments_per_phase=64, family=None,
             registry_stats.evict("context")
         _REGISTRY[key] = context
         return context
+
+
+def _registry_key(system, segments_per_phase, family):
+    """The fingerprint of ``(system, density)``, salted with ``family``."""
+    key = discretization_fingerprint(system, segments_per_phase)
+    return key if family is None else f"{key}:family={family}"
+
+
+def _lookup(key):
+    """The context registered under ``key`` (a hit, refreshed), else None.
+
+    Called with :data:`_REGISTRY_LOCK` held.
+    """
+    context = _REGISTRY.get(key)
+    if context is not None:
+        _REGISTRY.move_to_end(key)
+        registry_stats.hit("context")
+    return context
+
+
+def _registered_context(system, segments_per_phase, family=None):
+    """The registry's context for ``(system, density, family)``, or None.
+
+    A lookup that never inserts: what a corner sweep calls for each
+    dynamics root before building a private context.  A hit counts in
+    :data:`registry_stats` and refreshes the entry; nothing counts a
+    miss, since nothing is registered.  While the registry is empty the
+    fingerprint is not computed.
+    """
+    if not _REGISTRY:
+        return None
+    key = _registry_key(system, segments_per_phase, family)
+    with _REGISTRY_LOCK:
+        return _lookup(key)
 
 
 def _entries_within_cap():
@@ -1362,10 +1413,11 @@ def _cumulative_bytes(contexts):
 def clear_sweep_contexts():
     """Empty the registry, dropping its references to every context.
 
-    For tests that need a cold start, and for long-lived processes that
-    want memory back before the byte bound of :func:`sweep_context_for`
-    would evict.  Contexts still held elsewhere (an analyzer's) stay
-    valid.  Registry counters are not reset.
+    Only contexts registered through :func:`sweep_context_for` live
+    there, so this matters to callers that register them (tests, the
+    bench's traced mode) and want a cold start or their memory back
+    before the byte bound would evict.  Contexts still held elsewhere
+    (an analyzer's) stay valid.  Registry counters are not reset.
     """
     with _REGISTRY_LOCK:
         _REGISTRY.clear()

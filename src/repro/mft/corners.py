@@ -43,7 +43,11 @@ from ..diagnostics.report import DiagnosticsReport, FrequencyFailure
 from ..errors import ReproError
 from ..noise.result import PsdResult
 from ..typing import FloatArray
-from .context import SweepContext, sweep_context_for
+from .context import (
+    SweepContext,
+    _registered_context,
+    discretization_fingerprint,
+)
 from .engine import (
     MftNoiseAnalyzer,
     forcing_rows,
@@ -469,20 +473,29 @@ class CornerSweepResult:
 
 def _build_members(model_or_system: Any, grid: ParameterGrid,
                    output_row: int, segments_per_phase: int,
-                   recorder: Any) -> "list[MftNoiseAnalyzer]":
-    """One cache-backed analyzer per corner, sharing dynamics work.
+                   recorder: Any,
+                   context: "SweepContext | None" = None
+                   ) -> "list[MftNoiseAnalyzer]":
+    """One context-backed analyzer per corner, sharing dynamics work.
 
     Corners are grouped by dynamics overrides; each distinct dynamics
     point gets one *root* context (and one preflight, shared by every
-    member on it).  Intensity-only variations on a root derive their
-    context from it instead of rebuilding — the nearly-free path.  All
-    registry entries are salted with the grid's family hash.
+    member on it).  The override-free corners' root is ``context`` when
+    given and its system fingerprints as theirs; any other root is the
+    context registered under the grid's family-salted key
+    (:func:`~repro.mft.context.sweep_context_for`) when there is one,
+    else a private one.  Intensity-only variations on a root derive
+    their context from it instead of rebuilding — the nearly-free path —
+    and are never registered.  Nothing here inserts into the registry.
     """
     from ..circuits.corners import scale_system_noise
 
     family = grid.family_hash()
     base_system = _system_of(model_or_system)
     noise_labels = getattr(model_or_system, "noise_labels", None)
+    nominal_key = (None if context is None else
+                   _base_context_key(context, base_system,
+                                     segments_per_phase))
 
     roots: "dict[tuple[tuple[str, str], ...], tuple[Any, SweepContext]]" = {}
     members: "list[MftNoiseAnalyzer]" = []
@@ -492,32 +505,33 @@ def _build_members(model_or_system: Any, grid: ParameterGrid,
         if root is None:
             built = grid.build_model(index)
             system = base_system if built is None else _system_of(built)
-            context = sweep_context_for(system, segments_per_phase,
-                                        family=family)
-            root = roots[dyn_key] = (system, context)
-        system, context = root
+            if nominal_key is not None and not corner.overrides and (
+                    built is None or discretization_fingerprint(
+                        system, segments_per_phase) == nominal_key):
+                root_context = context
+            else:
+                root_context = (
+                    _registered_context(system, segments_per_phase, family)
+                    or SweepContext(system, segments_per_phase))
+            root = roots[dyn_key] = (system, root_context)
+        system, root_context = root
 
         scale = corner.uniform_scale
-        trivial = scale is not None and scale == 1.0
-        if trivial:
-            member_system, member_context = system, context
+        if scale is not None and scale == 1.0:
+            member_system, member_context = system, root_context
         else:
-            if corner.uniform_scale is None:
+            if scale is None:
                 scales = corner.resolved_scales(noise_labels,
-                                                context.n_sources)
+                                                root_context.n_sources)
             else:
-                scales = np.atleast_1d(np.asarray(
-                    corner.uniform_scale, dtype=float))
+                scales = np.atleast_1d(np.asarray(scale, dtype=float))
             member_system = scale_system_noise(system, scales)
-            member_context = sweep_context_for(
-                member_system, segments_per_phase, family=family,
-                build=lambda c=context, s=scales, ms=member_system:
-                    c.derive_intensity_scaled(s, system=ms))
+            member_context = root_context.derive_intensity_scaled(
+                scales, system=member_system)
 
         # Every member on a root shares one preflight report: the root
-        # context validates its own discretization once (and keeps the
-        # report across sweeps, as the registry keeps the context), and
-        # a derived context hands out its root's report.
+        # context validates its own discretization once, and a derived
+        # context hands out its root's report.
         members.append(MftNoiseAnalyzer(
             member_system, segments_per_phase=segments_per_phase,
             output_row=output_row, context=member_context,
@@ -531,7 +545,9 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
                      chunk_size: "int | None" = None,
                      budget: Any = None, on_failure: str = "record",
                      attribute_sources: Any = False,
-                     recorder: Any = None) -> CornerSweepResult:
+                     recorder: Any = None,
+                     context: "SweepContext | None" = None
+                     ) -> CornerSweepResult:
     """PSD of every corner of ``grid`` in one parameter-batched sweep.
 
     Values are the library's canonical **double-sided** PSD samples in
@@ -543,6 +559,16 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
     with overrides build their own model through the grid's builder.
     Returns a :class:`CornerSweepResult` with values ``(M, K)`` plus
     per-corner failures and (optionally) attribution budgets.
+
+    ``context`` is the :class:`~repro.mft.context.SweepContext` of the
+    base circuit, as on :class:`~repro.mft.engine.MftNoiseAnalyzer`:
+    the override-free corners draw from it, so a base circuit an
+    analysis has already discretized is not discretized again.  It
+    must be a dynamics root (not intensity-derived) whose system and
+    density fingerprint as ``model_or_system`` at ``segments_per_phase``;
+    anything else raises :class:`~repro.errors.ReproError`.  The other
+    dynamics roots come from the registry when a caller registered them
+    under the grid's family hash, else each gets a private context.
 
     ``chunk_size`` counts **frequencies** per executor chunk (each flat
     chunk holds that many frequencies × all M corners).  The default is
@@ -564,7 +590,7 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     n_corners = len(grid)
     members = _build_members(model_or_system, grid, output_row,
-                             segments_per_phase, recorder)
+                             segments_per_phase, recorder, context)
     analyzer = CornerBatchAnalyzer(members, grid, recorder=recorder,
                                    budget=budget)
 
@@ -597,6 +623,29 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
         frequencies=freqs, values=values, corner_names=list(names),
         failures=failures, diagnostics=flat.info["diagnostics"],
         info=info, budgets=budgets, output=flat.output)
+
+
+def _base_context_key(context: Any, system: Any,
+                      segments_per_phase: Any) -> str:
+    """The fingerprint of a base-circuit ``context=``, else ``ReproError``.
+
+    Rejects anything but a dynamics root whose system and density
+    fingerprint as ``system`` at ``segments_per_phase``.
+    """
+    if not isinstance(context, SweepContext):
+        raise ReproError(
+            f"context must be a SweepContext, got {type(context).__name__}")
+    if hasattr(context, "parent"):
+        raise ReproError(
+            "context must be a dynamics root, not an intensity-derived "
+            "context")
+    key = discretization_fingerprint(context.system,
+                                     context.segments_per_phase)
+    if key != discretization_fingerprint(system, segments_per_phase):
+        raise ReproError(
+            "context is for a different system or density than the base "
+            f"circuit at segments_per_phase={segments_per_phase!r}")
+    return key
 
 
 def _split_budgets(flat_budget: Any, freqs: FloatArray,

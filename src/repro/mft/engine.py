@@ -23,8 +23,9 @@ against the brute-force engine.
 Performance: the context holds every frequency-independent quantity —
 discretization, periodic covariance, forcing, monodromy, the phases'
 power stacks — so each frequency costs one grouped periodic solve. The
-analyzer draws from the registry's context or an explicit
-``context=``; a fresh context gives an uncached analysis. Every sweep —
+analyzer owns a private context, built at construction, unless it is
+passed one as ``context=``; it never reads or fills the module registry
+of :func:`~repro.mft.context.sweep_context_for`. Every sweep —
 :meth:`MftNoiseAnalyzer.psd` is ``psd_sweep`` at the default chunk
 size — runs through a :class:`~repro.mft.executor.SweepExecutor`,
 whose chunks all go through the one chunk loop :func:`sweep_chunk`.
@@ -57,7 +58,7 @@ from ..noise.solvers import resolve_solver
 from ..obs import NULL_RECORDER, format_trace
 from ..tolerances import FIXED_POINT_RIDGE
 from ..typing import FloatArray
-from .context import SweepContext, sweep_context_for
+from .context import SweepContext
 
 logger = logging.getLogger(__name__)
 
@@ -105,12 +106,11 @@ class MftNoiseAnalyzer:
     context:
         The :class:`~repro.mft.context.SweepContext` every solve draws
         from (its ``segments_per_phase`` takes precedence). Defaults to
-        the registry's context for ``(system, segments_per_phase)``
-        (:func:`~repro.mft.context.sweep_context_for`); a fresh
-        ``SweepContext(system, segments_per_phase)`` shares nothing with
-        earlier analyses. Lets several engines — MFT, brute force,
-        Monte Carlo — share one set of propagators and one covariance
-        solve.
+        a private ``SweepContext(system, segments_per_phase)`` that
+        lives as long as the analyzer and shares nothing with other
+        analyses. A passed context lets several engines — MFT, brute
+        force, Monte Carlo — or analyses share one set of propagators
+        and one covariance solve.
     recorder:
         An :class:`~repro.obs.Recorder` collecting spans and metrics
         from every stage of the analysis (default: the shared no-op
@@ -146,7 +146,7 @@ class MftNoiseAnalyzer:
         self._l_row = np.asarray(system.output_matrix)[output_row].astype(
             float)
         if context is None:
-            context = sweep_context_for(system, segments_per_phase)
+            context = SweepContext(system, segments_per_phase)
         elif not isinstance(context, SweepContext):
             raise ReproError(
                 "context must be a SweepContext, got "

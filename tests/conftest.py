@@ -10,6 +10,7 @@ from repro.circuits import (
     switched_rc_system,
 )
 from repro.diagnostics.budget import SweepBudget
+from repro.mft import corners as corners_module
 
 
 @pytest.fixture
@@ -67,3 +68,22 @@ class FirstChunkBudget(SweepBudget):
 @pytest.fixture
 def first_chunk_budget():
     return FirstChunkBudget()
+
+
+@pytest.fixture
+def corner_members(monkeypatch):
+    """Every member analyzer the corner sweeps of a test build, in order.
+
+    A corner sweep keeps its contexts to itself; this is how a test
+    reads them.
+    """
+    members = []
+    build = corners_module._build_members
+
+    def capture(*args, **kwargs):
+        built = build(*args, **kwargs)
+        members.extend(built)
+        return built
+
+    monkeypatch.setattr(corners_module, "_build_members", capture)
+    return members

@@ -33,6 +33,7 @@ from repro.circuits import (
 )
 from repro.diagnostics.budget import SweepBudget
 from repro.errors import ReproError
+from repro.mft import context as context_module
 from repro.mft.context import (
     clear_sweep_contexts,
     registry_stats,
@@ -219,8 +220,8 @@ class TestParityBattery:
         clear_sweep_contexts()
         batched = corner_psd_sweep(rc_system, mixed_grid, freqs,
                                    segments_per_phase=SPP)
-        # Rebuild the members (registry-warm: the identical context
-        # objects) and sweep each independently.
+        # Rebuild the members (fresh contexts on the same systems) and
+        # sweep each independently.
         members = _build_members(rc_system, mixed_grid, 0, SPP, None)
         for m, member in enumerate(members):
             reference = member.psd_sweep(freqs, solver="spectral-batch")
@@ -331,22 +332,32 @@ class TestRegistryFamilyIsolation:
 
     def test_rerun_hits_family_entries_without_new_misses(
             self, rc_system, mixed_grid, freqs):
+        # Roots a caller registers under the family hash are reused by
+        # every rerun: one hit per dynamics root, no miss, and nothing
+        # inserted (intensity members derive from their root).
         clear_sweep_contexts()
-        corner_psd_sweep(rc_system, mixed_grid, freqs,
-                         segments_per_phase=SPP)
-        before = registry_stats.snapshot()
-        corner_psd_sweep(rc_system, mixed_grid, freqs,
-                         segments_per_phase=SPP)
-        after = registry_stats.snapshot()
-        hits = (after["hits"].get("context", 0)
-                - before["hits"].get("context", 0))
-        misses = (after["misses"].get("context", 0)
-                  - before["misses"].get("context", 0))
-        # 2 dynamics roots + 2 scaled members, all registry-resident.
-        assert hits >= 4, f"expected >= 4 context hits, got {hits}"
-        assert misses == 0, (
-            f"a corner-sweep rerun rebuilt {misses} contexts that "
-            "should have been cache hits")
+        family = mixed_grid.family_hash()
+        roots = {}
+        for index, corner in enumerate(mixed_grid.corners):
+            system = mixed_grid.build_model(index)
+            roots[corner.overrides_key()] = sweep_context_for(
+                system, SPP, family=family)
+        registered = dict(context_module._REGISTRY)
+        assert len(registered) == 2
+        for _rerun in range(2):
+            before = registry_stats.snapshot()
+            corner_psd_sweep(rc_system, mixed_grid, freqs,
+                             segments_per_phase=SPP)
+            delta = registry_stats.delta(before, registry_stats.snapshot())
+            assert delta["hits"] == {"context": 2}
+            assert delta["misses"] == {}
+            assert dict(context_module._REGISTRY) == registered
+        members = _build_members(rc_system, mixed_grid, 0, SPP, None)
+        for member, corner in zip(members, mixed_grid.corners):
+            context = member.context
+            root = getattr(context, "parent", context)
+            assert root is roots[corner.overrides_key()]
+        clear_sweep_contexts()
 
 
 class TestCornerSweepResultViews:

@@ -211,9 +211,15 @@ def test_lazy_segments_match_segment_discretizer(case):
 
 # -- the batched path never builds the segment list ----------------------------
 
-def _built_segments():
-    """Registry discretizations whose segment list exists."""
-    discs = [context._disc for context in context_module._REGISTRY.values()
+def _built_segments(contexts):
+    """Discretizations of ``contexts`` (and their roots) whose segment
+    list exists."""
+    held = {}
+    for context in contexts:
+        while context is not None:
+            held[id(context)] = context
+            context = getattr(context, "parent", None)
+    discs = [context._disc for context in held.values()
              if context._disc is not None]
     assert discs
     return [disc for disc in discs if "segments" in vars(disc)]
@@ -224,16 +230,14 @@ class TestSegmentsStayUnbuilt:
 
     @pytest.mark.parametrize("attribute", [False, True])
     def test_spectral_batch_sweep(self, attribute):
-        clear_sweep_contexts()
         analyzer = MftNoiseAnalyzer(_system(sc_lowpass_system),
                                     segments_per_phase=64)
         result = analyzer.psd_sweep(self.FREQS, solver="spectral-batch",
                                     attribute_sources=attribute)
         assert np.all(np.isfinite(result.psd))
-        assert _built_segments() == []
+        assert _built_segments([analyzer.context]) == []
 
-    def test_attributed_corner_sweep(self):
-        clear_sweep_contexts()
+    def test_attributed_corner_sweep(self, corner_members):
         base = ScLowpassParams()
         grid = ParameterGrid.cross(
             {"nom": {}, "c1hi": {"c1": 1.1 * base.c1}},
@@ -244,7 +248,9 @@ class TestSegmentsStayUnbuilt:
                                       attribute_sources=True)
         for name in grid.names:
             result.budgets[name].check_conservation()
-        assert _built_segments() == []
+        assert len(corner_members) == len(grid)
+        assert _built_segments([analysis.context]
+                               + [m.context for m in corner_members]) == []
 
     def test_reference_engines_build_the_list(self):
         system = _system(sc_lowpass_system)
@@ -319,6 +325,38 @@ class TestSegmentCounts:
         keys = {discretization_fingerprint(system, value)
                 for value in (64, 32, [64, 32], [32, 64])}
         assert len(keys) == 4
+
+
+class TestSampledSegmentCount:
+    """A sampled system's count is validated as one phase's, >= 2."""
+
+    @pytest.mark.parametrize("value", [16.0, "16", True, np.float64(16.0),
+                                       None, [16, 16], [16.0]])
+    def test_rejected_not_coerced(self, value):
+        system = _sampled_system()
+        with pytest.raises(ScheduleError) as err:
+            system.discretize(value)
+        assert repr(value) in str(err.value)
+        with pytest.raises(ScheduleError):
+            discretization_fingerprint(system, value)
+
+    @pytest.mark.parametrize("value", [1, [1], np.array([1])])
+    def test_needs_two_segments(self, value):
+        with pytest.raises(ScheduleError, match="at least 2") as err:
+            _sampled_system().discretize(value)
+        assert repr(value) in str(err.value)
+
+    @pytest.mark.parametrize("value", [np.int64(16), [16], (16,),
+                                       np.array([16])])
+    def test_fingerprint_spellings_discretize(self, value):
+        system = _sampled_system()
+        want = system.discretize(16)
+        got = system.discretize(value)
+        assert np.array_equal(got.grid, want.grid)
+        assert all(np.array_equal(a.phi, b.phi)
+                   for a, b in zip(got.runs, want.runs))
+        assert (discretization_fingerprint(system, value)
+                == discretization_fingerprint(system, 16))
 
 
 # -- preflight on broken chains built from segment lists ---------------------

@@ -28,7 +28,6 @@ from repro.circuits import (
 from repro.errors import ReproError, StabilityError
 from repro.lptv.periodic_solve import forcing_from_samples
 from repro.lptv.system import Phase, PiecewiseLTISystem
-from repro.mft import context as context_module
 from repro.mft.context import (
     SweepContext,
     clear_sweep_contexts,
@@ -105,13 +104,18 @@ def _attributed_corners(route):
     clear_sweep_contexts()
     model = sc_lowpass_system()
     grid = _corner_family()
+    context = None
     if route is not None:
+        # The override-free corners draw from the analysis's context,
+        # the others from the roots registered under the family hash.
+        context = route(model.system, SPP)
         for index, corner in enumerate(grid.corners):
             built = grid.build_model(index)
             system = (model if built is None else built).system
             sweep_context_for(system, SPP, family=grid.family_hash(),
                               build=lambda s=system: route(s, SPP))
-    analysis = NoiseAnalysis(model, segments_per_phase=SPP)
+    analysis = NoiseAnalysis(model, segments_per_phase=SPP,
+                             context=context)
     freqs = np.linspace(200.0, 12e3, 6)
     result = analysis.psd_corners(grid, freqs, attribute_sources=True)
     clear_sweep_contexts()
@@ -128,8 +132,9 @@ def test_attributed_corner_sweep_matches_source_disc_route():
         assert np.array_equal(got.contributions, want.contributions)
 
 
-def _check_corner_sweep_builds_no_derived_discretization(intensities):
-    clear_sweep_contexts()
+def _check_corner_sweep_builds_no_derived_discretization(intensities,
+                                                         members):
+    members.clear()
     model = sc_lowpass_system()
     base = ScLowpassParams()
     grid = ParameterGrid.cross({"nom": {}, "c1hi": {"c1": 1.1 * base.c1}},
@@ -140,27 +145,27 @@ def _check_corner_sweep_builds_no_derived_discretization(intensities):
                              recorder=recorder)
     result = analysis.psd_corners(grid, np.linspace(200.0, 12e3, 4),
                                   attribute_sources=True)
-    derived = [context for context in context_module._REGISTRY.values()
-               if hasattr(context, "parent")]
+    derived = [member.context for member in members
+               if hasattr(member.context, "parent")]
     assert len(derived) == 4
     assert all(context._disc is None for context in derived)
     # Each root validates once; its derived corners share its report.
     roots = {id(context.parent) for context in derived}
     assert len(roots) == 2
+    assert id(analysis.context) in roots
     assert all(context.preflight is context.parent.preflight
                for context in derived)
     assert len(result.diagnostics.by_code("floquet-stable")) == 2
     assert any(span.name == "mft.preflight" for span in recorder.spans)
-    clear_sweep_contexts()
 
 
-def test_corner_sweep_builds_no_derived_discretization():
+def test_corner_sweep_builds_no_derived_discretization(corner_members):
     _check_corner_sweep_builds_no_derived_discretization(
-        {"nom": 1.0, "cold": 0.85, "hot": 1.2})
+        {"nom": 1.0, "cold": 0.85, "hot": 1.2}, corner_members)
     # An intensity-scaled corner first on every dynamics root: its
     # member preflights the root, never a rescaled discretization.
     _check_corner_sweep_builds_no_derived_discretization(
-        {"cold": 0.85, "nom": 1.0, "hot": 1.2})
+        {"cold": 0.85, "nom": 1.0, "hot": 1.2}, corner_members)
 
 
 class TestSourceIndexGuard:

@@ -16,6 +16,10 @@ so a file that does not parse fails the run.
   no PSD-named value is added to a voltage- or current-named one.
 * ``replay_hygiene``: no wall clock or hidden-state RNG outside
   :mod:`repro.baselines.montecarlo`, so reruns are bit-identical.
+* ``registry_insert``: no module but :mod:`repro.mft.context` calls
+  ``sweep_context_for``, so no library path fills the context registry:
+  analyses own their contexts, and registering one is the caller's
+  choice.
 
 Broad handlers and ``print`` are ruff's ``BLE`` and ``T20``; recorder
 forwarding is checked at run time by the span tests in ``test_obs.py``.
@@ -224,7 +228,24 @@ def replay_hygiene(source, path):
     return findings
 
 
-CHECKS = (raw_linalg, magic_tolerance, bare_ndarray_return, psd_units, replay_hygiene)
+def registry_insert(source, path):
+    if path.endswith("repro/mft/context.py"):
+        return []
+    tree = _parse(source)
+    names = {"sweep_context_for"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(item.asname for item in node.names
+                         if item.name == "sweep_context_for" and item.asname)
+    return [_finding(path, node, "sweep_context_for() call: library paths never "
+                                 "insert into the context registry")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and _dotted(node.func).rsplit(".", 1)[-1] in names]
+
+
+CHECKS = (raw_linalg, magic_tolerance, bare_ndarray_return, psd_units, replay_hygiene,
+          registry_insert)
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +309,16 @@ CASES = [
     (replay_hygiene, "flags_random_alias", "import random as r\nr.seed()\n", None, ("r.seed()",)),
     (replay_hygiene, "allows_numpy_random_import",
      "from numpy import random\nx = random.default_rng(1).random()\n", None, ()),
+    (registry_insert, "flags_call", "from .context import sweep_context_for\n"
+     "c = sweep_context_for(system, 64)\n", None, ("module.py:2: sweep_context_for()",)),
+    (registry_insert, "flags_module_attribute", "from . import context\n"
+     "c = context.sweep_context_for(system, 64, family=f)\n", None, ("module.py:2",)),
+    (registry_insert, "flags_alias", "from .context import sweep_context_for as lookup\n"
+     "c = lookup(system, 64)\n", None, ("module.py:2",)),
+    (registry_insert, "allows_reexport", "from .context import sweep_context_for\n"
+     "__all__ = ['sweep_context_for']\n", None, ()),
+    (registry_insert, "exempts_context_module", "c = sweep_context_for(system, 64)\n",
+     "repro/mft/context.py", ()),
 ]
 
 
