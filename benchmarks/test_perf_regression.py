@@ -47,7 +47,7 @@ from repro.circuits import (
 )
 from repro.circuits.sc_lowpass import SC_LOWPASS_C1, SC_LOWPASS_C2
 from repro.mft.context import clear_sweep_contexts, sweep_context_for
-from repro.mft.corners import _build_members, corner_psd_sweep
+from repro.mft.corners import _build_roots, corner_psd_sweep
 from repro.mft.engine import MftNoiseAnalyzer
 from repro.obs import NULL_RECORDER, Recorder, attributed_fraction
 from repro.service import JobQueue, JobSpec
@@ -109,7 +109,7 @@ def _corner_family():
     """16 corners: 4 capacitor corners x 4 intensity corners.
 
     Dynamics-major, so each of the 4 dynamics roots carries its 4
-    intensity variants as derived contexts.
+    intensity variants, each a scale of the root's kernel row.
     """
     lo = 1.0 - CORNER_CAP_SPREAD
     hi = 1.0 + CORNER_CAP_SPREAD
@@ -328,17 +328,22 @@ class TestAttributionGates:
 class TestCornerBatchGate:
     """The parameter-batched corner solve (DESIGN.md §12).
 
-    The reference is the 16 member analyzers, built exactly as the
-    batched path builds them (shared dynamics roots, derived intensity
-    contexts), each swept on its own through the spectral kernel.  The
+    The reference sweeps each of the 16 corners on its own: its dynamics
+    root, built exactly as the batched path builds it, swept through
+    the spectral kernel and scaled by the corner's intensity.  The
     speed gate first registers the family's dynamics roots under its
     family hash, so both sides run over the same warm roots: building
     them is identical work on either path.  The ratio with every root
     built cold on each call is printed next to it, not gated.
     """
 
-    def _members(self, family):
-        return _build_members(_lowpass(), family, 0, SEGMENTS, None)
+    def _corners(self, family):
+        """``(root analyzer, intensity)`` of each corner, in grid order."""
+        corners = [None] * len(family)
+        for root in _build_roots(_lowpass(), family, 0, SEGMENTS, None):
+            for m, alpha in zip(root.corners, root.scales):
+                corners[m] = (root.analyzer, alpha)
+        return corners
 
     def _register_roots(self, family):
         """Register each dynamics root where both sides look it up."""
@@ -348,8 +353,8 @@ class TestCornerBatchGate:
 
     def _independent(self, family, freqs):
         return np.stack([
-            member.psd_sweep(freqs, solver="spectral-batch").psd
-            for member in self._members(family)])
+            alpha * analyzer.psd_sweep(freqs, solver="spectral-batch").psd
+            for analyzer, alpha in self._corners(family)])
 
     @skip_speed_if_tiny
     def test_corner_batch_beats_independent_sweeps(self, print_table):
@@ -393,7 +398,7 @@ class TestCornerBatchGate:
         # Injected non-finite frequencies must NaN exactly the same
         # (corner, frequency) cells — and record the same per-corner
         # failure stages — through the flattened batched axis as
-        # through M independent member sweeps.
+        # through M independent per-corner sweeps.
         family = _corner_family()
         freqs = GRID_64.copy()
         freqs[1] = np.inf
@@ -402,8 +407,8 @@ class TestCornerBatchGate:
         batched = corner_psd_sweep(_lowpass(), family, freqs,
                                    segments_per_phase=SEGMENTS)
         record = lambda f: (f.index, f.stage)  # noqa: E731
-        for m, member in enumerate(self._members(family)):
-            reference = member.psd_sweep(freqs, solver="spectral-batch")
+        for m, (analyzer, _alpha) in enumerate(self._corners(family)):
+            reference = analyzer.psd_sweep(freqs, solver="spectral-batch")
             name = family.names[m]
             assert np.array_equal(np.isnan(batched.values[m]),
                                   np.isnan(reference.psd)), name

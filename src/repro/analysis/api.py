@@ -103,9 +103,10 @@ class NoiseAnalysis(MftNoiseAnalyzer):
         ``frequencies[k]`` — the same V²/Hz samples M independent
         :meth:`psd_sweep` calls would produce, computed through the
         parameter-batched spectral kernel (DESIGN.md §12): corners
-        sharing dynamics share propagators, covariance bases, and
-        per-frequency kernel work, and uniform intensity corners share
-        a single kernel row.
+        sharing dynamics share one context (propagators, covariance,
+        forcing) and one kernel call per ω-block, and a corner that
+        differs only in noise intensity is a linear map of its root's
+        total and per-source kernel rows, with no row of its own.
 
         ``attribute_sources`` attaches one
         :class:`~repro.metrics.ContributionBudget` per corner at

@@ -9,10 +9,11 @@ A *corner* perturbs a circuit in one (or both) of two orthogonal ways:
   and monodromy;
 * **noise-intensity scales** — multipliers on the double-sided noise
   PSDs (temperature scaling, a noisier op-amp).  These leave every
-  ``A`` matrix untouched: only ``B B^T`` scales, and the MFT pipeline is
-  *linear* in it, so an intensity-only corner shares all Van Loan /
-  propagator / monodromy work with its dynamics root and is nearly
-  free (:meth:`repro.mft.context.SweepContext.derive_intensity_scaled`).
+  ``A`` matrix untouched: the sources are independent and white, so the
+  PSD is a sum of per-source terms, each linear in its own intensity.
+  An intensity-only corner is therefore a linear map of its dynamics
+  root's total and per-source PSD rows, with no solve of its own
+  (:class:`repro.mft.corners.RootMap`).
 
 :class:`ParameterGrid` holds an ordered list of :class:`CornerSpec` and
 knows how to build the per-corner models, resolve per-source intensity
@@ -301,7 +302,8 @@ class ParameterGrid:
 
         Cached per distinct overrides key: intensity-only corners of one
         dynamics point share a single built model, which is what lets
-        the sweep derive their contexts instead of rebuilding.  Returns
+        the sweep map their values from one root instead of rebuilding.
+        Returns
         ``None`` for override-free corners of a builder-less grid (the
         caller falls back to its own base model).
         """

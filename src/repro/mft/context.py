@@ -95,15 +95,14 @@ _REGISTRY_CAP_BYTES = 16 * 2**20
 
 @dataclass
 class CacheStats:
-    """Hit/miss/evict counters for every cached quantity of a context.
+    """Hit/miss/evict counters per category of one cache.
 
-    Counters are monotonic for the lifetime of their context — nothing
-    (``warm_up`` included) ever resets them, so deltas between two
-    :meth:`snapshot` calls are meaningful. Increments are lock-guarded:
-    a :class:`~repro.service.JobQueue` dispatcher thread and its caller
-    can share one context, and a lost update would make the
-    sweep-level cache counters undercount. The lock is dropped on
-    pickle and rebuilt.
+    The context registry (:data:`registry_stats`) and the service's
+    result store count with it.  Counters are monotonic — nothing resets
+    them, so deltas between two :meth:`snapshot` calls are meaningful.
+    Increments are lock-guarded: a :class:`~repro.service.JobQueue`
+    dispatcher thread and its caller can share one cache, and a lost
+    update would undercount.  The lock is dropped on pickle and rebuilt.
     """
 
     hits: dict = field(default_factory=dict)
@@ -167,7 +166,7 @@ class CacheStats:
         return int(sum(self.evictions.values()))
 
     def to_dict(self):
-        """JSON-friendly counters (a sweep's ``info["cache_stats"]``)."""
+        """JSON-friendly counters (the service store's ``telemetry()``)."""
         snap = self.snapshot()
         return {
             "hits": snap["hits"],
@@ -419,8 +418,6 @@ class _SourceSplit:
     discretizer shares one total Gramian per phase.
     """
 
-    #: The discretization whose propagators and jumps the split rides on.
-    disc: object
     #: Per run, the single-column noise matrices ``b_s``.
     columns: list
     #: Per run, the ``(n_src, n, n)`` per-source Gramian stack.
@@ -470,7 +467,7 @@ def split_source_gramians(disc, n_src):
             by_phase[key] = entry
         columns.append(entry[0])
         gramians.append(entry[1])
-    return _SourceSplit(disc=disc, columns=columns, gramians=gramians)
+    return _SourceSplit(columns=columns, gramians=gramians)
 
 
 def _with_totals(disc, stacks):
@@ -502,7 +499,7 @@ class SweepContext:
         :class:`~repro.errors.ScheduleError` on an invalid one).
 
     Everything else is lazy: each cached quantity is computed on first
-    use and recorded in :attr:`stats`.
+    use and kept for the life of the context.
     """
 
     def __init__(self, system, segments_per_phase=64):
@@ -513,7 +510,6 @@ class SweepContext:
         _phase_counts(system, segments_per_phase)
         self.system = system
         self.segments_per_phase = segments_per_phase
-        self.stats = CacheStats()
         self._disc = None
         self._structure = None
         self._covariance = None
@@ -534,40 +530,28 @@ class SweepContext:
     def disc(self):
         """The period discretization (propagators + Van Loan Gramians)."""
         if self._disc is None:
-            self.stats.miss("disc")
             self._disc = self.system.discretize(self.segments_per_phase)
-        else:
-            self.stats.hit("disc")
         return self._disc
 
     @property
     def structure(self):
         """Stacked segment arrays, runs and power stacks (module doc)."""
         if self._structure is None:
-            self.stats.miss("structure")
             self._structure = build_structure(self.disc)
-        else:
-            self.stats.hit("structure")
         return self._structure
 
     @property
     def covariance(self):
         """Periodic steady-state covariance ``K(t)``, solved once."""
         if self._covariance is None:
-            self.stats.miss("covariance")
             self._covariance = periodic_covariance(self.disc)
-        else:
-            self.stats.hit("covariance")
         return self._covariance
 
     @property
     def monodromy(self):
         """One-period real monodromy matrix ``M_0`` (jumps included)."""
         if self._monodromy is None:
-            self.stats.miss("monodromy")
             self._monodromy = self.disc.monodromy()
-        else:
-            self.stats.hit("monodromy")
         return self._monodromy
 
     @property
@@ -579,11 +563,8 @@ class SweepContext:
         product.  Never raises; the analyzer raises on its errors.
         """
         if self._preflight is None:
-            self.stats.miss("preflight")
             self._preflight = run_preflight(self.disc,
                                             lambda: self.monodromy)
-        else:
-            self.stats.hit("preflight")
         return self._preflight
 
     @property
@@ -596,12 +577,9 @@ class SweepContext:
         condition gate reads it instead of a per-frequency SVD.
         """
         if self._condition_bound is None:
-            self.stats.miss("condition-bound")
             from .spectral import fixed_point_condition_bound
             self._condition_bound = fixed_point_condition_bound(
                 self.monodromy)
-        else:
-            self.stats.hit("condition-bound")
         return self._condition_bound
 
     def forcing_pairs(self, l_row):
@@ -614,9 +592,7 @@ class SweepContext:
         key = l_row.tobytes()
         cached = self._forcing.get(key)
         if cached is not None:
-            self.stats.hit("forcing")
             return cached
-        self.stats.miss("forcing")
         post, pre = self.covariance.forcing_samples(l_row)
         pairs = forcing_from_samples(self.disc, post, pre)
         self._forcing[key] = pairs
@@ -678,14 +654,13 @@ class SweepContext:
         source = self._source_index(source)
         cached = self._source_discs.get(source)
         if cached is not None:
-            self.stats.hit("source-disc")
             return cached
-        self.stats.miss("source-disc")
         split = self._split_sources()
+        disc = self.disc
         n_src = self.n_sources
         views = {}
         per_source = [[] for _ in range(n_src)]
-        for run, cols, stack in zip(split.disc.runs, split.columns,
+        for run, cols, stack in zip(disc.runs, split.columns,
                                     split.gramians):
             grams = views.get(id(stack))
             if grams is None:
@@ -694,7 +669,7 @@ class SweepContext:
                 per_source[s].append(replace(run, b_matrix=cols[s],
                                              gramian=grams[s]))
         for s in range(n_src):
-            self._source_discs[s] = split.disc.with_runs(per_source[s])
+            self._source_discs[s] = disc.with_runs(per_source[s])
         return self._source_discs[source]
 
     def source_covariance(self, source):
@@ -712,12 +687,9 @@ class SweepContext:
         """
         source = self._source_index(source)
         if self._source_stack is None:
-            self.stats.miss("source-covariance")
             split = self._split_sources()
-            disc = split.disc
-            # A derived context's split rides on its parent's
-            # discretization, whose totals are not its own.
-            with_total = self._covariance is None and disc is self._disc
+            disc = self.disc
+            with_total = self._covariance is None
             drives = (_with_totals(disc, split.gramians) if with_total
                       else split.gramians)
             pre, post = steady_state_samples(disc, drives)
@@ -727,14 +699,11 @@ class SweepContext:
                 views = [(a[:-1], a[-1])
                          for a in ((pre,) if post is pre else (pre, post))]
                 (pre, total_pre), (post, total_post) = views[0], views[-1]
-                self.stats.miss("covariance")
                 self._covariance = PeriodicCovariance(
                     grid=disc.grid, pre=total_pre, post=total_post,
                     period=disc.period)
             self._source_stack = PeriodicCovariance(
                 grid=disc.grid, pre=pre, post=post, period=disc.period)
-        else:
-            self.stats.hit("source-covariance")
         stack = self._source_stack
         return PeriodicCovariance(grid=stack.grid, pre=stack.pre[source],
                                   post=stack.post[source],
@@ -751,9 +720,7 @@ class SweepContext:
         row_key = l_row.tobytes()
         cached = self._source_forcing.get((source, row_key))
         if cached is not None:
-            self.stats.hit("source-forcing")
             return cached
-        self.stats.miss("source-forcing")
         self.source_covariance(source)
         post, pre = self._source_stack.forcing_samples(l_row)
         for s in range(self.n_sources):
@@ -904,38 +871,6 @@ class SweepContext:
                                 dpre=dpre, dpost=dpost, integral=integral,
                                 condition=condition, solver=solver)
 
-    # -- parameter-family support (DESIGN.md §12) ---------------------------
-
-    @property
-    def dynamics_key(self):
-        """Identity of this context's dynamics (shared segment structure).
-
-        Two contexts with equal ``dynamics_key`` share the *same*
-        ``A``-matrix structure object — propagators, power stacks and
-        segment groups — so a corner sweep can stack their forcing
-        rows into one kernel solve.  Derived intensity-scaled contexts
-        share their parent's structure by reference and therefore its
-        key.
-        """
-        return id(self.structure)
-
-    def derive_intensity_scaled(self, scales, system=None):
-        """A context whose noise PSDs are scaled, sharing all dynamics work.
-
-        ``scales`` is a scalar PSD multiplier or a per-source array (one
-        entry per noise column).  The derived context shares this
-        context's structure, monodromy and condition bound *by
-        reference* — the MFT pipeline is linear in ``B Bᵀ``, so only
-        the Gramians, ``B`` columns, and forcing pairs are restacked (a
-        scalar multiply for a uniform scale, a per-source Gramian sum
-        otherwise).  This is what makes an intensity-only corner nearly
-        free next to its dynamics root.
-
-        ``system`` optionally carries the matching rescaled system (for
-        fallback paths that rediscretize); defaults to the parent's.
-        """
-        return _DerivedIntensityContext(self, scales, system=system)
-
     # -- misc ---------------------------------------------------------------
 
     def _retained_bytes(self):
@@ -946,7 +881,8 @@ class SweepContext:
         pairs.  The ``O(n²)`` matrices of each phase (discretization,
         groups) and the monodromy are not counted, and no
         array depends on a frequency.  ``key`` is the array's ``id``, so
-        what a derived context shares with its parent counts once in
+        an array held twice (``post is pre`` on a jump-free circuit, or
+        one context registered under two keys) counts once in
         :func:`sweep_context_for`.  Reads the cached quantities, never
         the segments, and copies each dict cache before reading it: a
         job-queue dispatcher thread may be filling it.
@@ -980,9 +916,7 @@ class SweepContext:
 
         Called by the executor before the first chunk, so this work is
         timed under ``mft.warmup`` rather than inside a chunk.
-        Idempotent with respect to :attr:`stats`: repeated warm-ups
-        only *add* hit counts — the counters are never reset, so
-        accumulated hit/miss history survives any number of warm-ups. With
+        Idempotent: a repeated warm-up finds everything cached.  With
         ``sources=True`` the per-source covariances (and, given
         ``l_row``, forcing pairs) of an attribution run are included,
         solved before :attr:`covariance`: the first source solves them
@@ -1007,218 +941,7 @@ class SweepContext:
         built = sum(x is not None for x in
                     (self._disc, self._covariance, self._monodromy))
         return (f"SweepContext(segments_per_phase="
-                f"{self.segments_per_phase!r}, built={built}/3, "
-                f"{self.stats})")
-
-
-class _DerivedIntensityContext(SweepContext):
-    """Intensity-scaled view of a parent context.
-
-    Built by :meth:`SweepContext.derive_intensity_scaled`; see there for
-    the sharing contract.  The uniform-scalar fast path exploits strict
-    linearity: ``forcing = α² · parent_forcing`` exactly, so a uniform
-    corner costs one array multiply per cached quantity.  Per-source
-    scales recombine the parent's exactly-conservative per-source
-    Gramian split (``Σ_s G_s = G_total``), so equal per-source scales
-    reproduce the uniform path to summation rounding.
-
-    Nothing here builds a discretization unless :attr:`disc` itself is
-    read: the source count, the forcing pairs and the per-source split
-    all come from the parent.  A derived :attr:`disc`, when a fallback
-    path asks for one, holds one rescaled ``(B, Gramian)`` pair per run
-    of the parent's (one per clock phase), on the parent's grid.
-    """
-
-    def __init__(self, parent, scales, system=None):
-        scale_arr = np.atleast_1d(np.asarray(scales, dtype=float))
-        if scale_arr.ndim != 1 or scale_arr.size == 0:
-            raise ReproError(
-                f"intensity scales must be a scalar or 1-D array, got "
-                f"shape {np.asarray(scales).shape}")
-        if not np.all(np.isfinite(scale_arr)) or not np.all(scale_arr > 0):
-            raise ReproError(
-                "intensity scales must be finite and positive, got "
-                f"{scale_arr}")
-        self.parent = parent
-        self.system = system if system is not None else parent.system
-        self.segments_per_phase = parent.segments_per_phase
-        self.stats = CacheStats()
-        self._scales = scale_arr
-        self._uniform = float(scale_arr[0]) if scale_arr.size == 1 else None
-        # Dynamics work shared by reference (the point of the exercise):
-        # same A matrices → same structure, monodromy and condition bound.
-        # Forcing the parent's lazy properties here keeps
-        # ``dynamics_key`` stable across derivations.
-        self._structure = parent.structure
-        self._monodromy = parent.monodromy
-        # Delegated to the parent via the property.
-        self._condition_bound = None
-        # Intensity-dependent quantities are rebuilt lazily (cheaply).
-        self._disc = None
-        self._covariance = None
-        self._forcing = {}
-        self._source_split = None
-        self._source_stack = None
-        self._source_discs = {}
-        self._source_forcing = {}
-        self._retained_memo = None
-
-    @property
-    def n_sources(self):
-        """The parent's noise-source count (intensity cannot change it)."""
-        return self.parent.n_sources
-
-    def _per_source_scales(self):
-        """The scale vector broadcast to one entry per noise source."""
-        n_src = self.parent.n_sources
-        if self._uniform is not None:
-            return np.full(n_src, self._uniform)
-        if self._scales.size != n_src:
-            raise ReproError(
-                f"{self._scales.size} intensity scales for a system "
-                f"with {n_src} noise sources")
-        return self._scales
-
-    def _split_sources(self):
-        """The parent's per-source split, each source intensity-rescaled.
-
-        Rides on the parent's discretization: one scaled Gramian stack
-        and one list of scaled columns per clock phase.
-        """
-        if self._source_split is None:
-            parent = self.parent._split_sources()
-            scales = self._per_source_scales()
-            amplitude = np.sqrt(scales)
-            scaled = {}
-            columns = []
-            gramians = []
-            for cols, stack in zip(parent.columns, parent.gramians):
-                entry = scaled.get(id(stack))
-                if entry is None:
-                    entry = scaled[id(stack)] = (
-                        [col * amplitude[s] for s, col in enumerate(cols)],
-                        scales[:, None, None] * stack)
-                columns.append(entry[0])
-                gramians.append(entry[1])
-            self._source_split = _SourceSplit(
-                disc=parent.disc, columns=columns, gramians=gramians)
-        return self._source_split
-
-    @property
-    def disc(self):
-        """Parent discretization with ``B``/Gramians intensity-rescaled.
-
-        One rescaled ``(B, Gramian)`` pair per distinct parent phase:
-        ``α·G`` for a uniform scale, ``Σ_s α_s G_s`` over the parent's
-        per-source split otherwise.
-        """
-        if self._disc is not None:
-            self.stats.hit("disc")
-            return self._disc
-        self.stats.miss("disc")
-        parent_disc = self.parent.disc
-        if self._uniform is not None:
-            scale = self._uniform
-            amplitude = np.sqrt(scale)
-            drives = [run.gramian for run in parent_disc.runs]
-
-            def rescale(gramian):
-                return gramian * scale
-        else:
-            scales = self._per_source_scales()
-            amplitude = np.sqrt(scales)[None, :]
-            drives = self.parent._split_sources().gramians
-
-            def rescale(stack):
-                return np.add.reduce([scales[s] * stack[s]
-                                      for s in range(scales.size)])
-        shared = {}
-        runs = []
-        for run, drive in zip(parent_disc.runs, drives):
-            key = (id(run.b_matrix), id(drive))
-            entry = shared.get(key)
-            if entry is None:
-                entry = shared[key] = (run.b_matrix * amplitude,
-                                       rescale(drive))
-            runs.append(replace(run, b_matrix=entry[0], gramian=entry[1]))
-        self._disc = parent_disc.with_runs(runs)
-        return self._disc
-
-    @property
-    def condition_bound(self):
-        """The parent's bound — the monodromy is shared by reference."""
-        return self.parent.condition_bound
-
-    @property
-    def preflight(self):
-        """The parent's report, so no rescaled :attr:`disc` is built.
-
-        Intensity scaling changes neither the schedule, the
-        propagators' finiteness, nor the Floquet multipliers.
-        """
-        return self.parent.preflight
-
-    def forcing_pairs(self, l_row):
-        """Intensity-scaled forcing by linearity in the noise PSDs."""
-        l_row = np.asarray(l_row, dtype=float)
-        key = l_row.tobytes()
-        cached = self._forcing.get(key)
-        if cached is not None:
-            self.stats.hit("forcing")
-            return cached
-        self.stats.miss("forcing")
-        if self._uniform is not None:
-            pairs = self._uniform * self.parent.forcing_pairs(l_row)
-        else:
-            scales = self._per_source_scales()
-            pairs = np.add.reduce([
-                scales[s] * self.parent.source_forcing_pairs(l_row, s)
-                for s in range(scales.size)])
-        self._forcing[key] = pairs
-        return pairs
-
-    def source_forcing_pairs(self, l_row, source):
-        """One source's forcing, scaled by that source's PSD multiplier."""
-        source = self._source_index(source)
-        l_row = np.asarray(l_row, dtype=float)
-        key = (source, l_row.tobytes())
-        cached = self._source_forcing.get(key)
-        if cached is not None:
-            self.stats.hit("source-forcing")
-            return cached
-        self.stats.miss("source-forcing")
-        scale = float(self._per_source_scales()[source])
-        pairs = scale * self.parent.source_forcing_pairs(l_row, source)
-        self._source_forcing[key] = pairs
-        return pairs
-
-    def warm_up(self, l_row=None, sources=False):
-        """Warm through the parent, then the cheap scaled overlays.
-
-        Deliberately skips the base class's covariance warm-up: the
-        batched path reaches covariance only through the (overridden,
-        linearly scaled) forcing pairs, and solving a fresh periodic
-        Lyapunov equation per intensity corner would forfeit exactly
-        the sharing this class exists for.  Nor does it build a
-        discretization: every quantity warmed here is the parent's,
-        scaled.  A per-source corner warms the parent's per-source
-        forcing, which its own total forcing recombines.
-        """
-        need_sources = sources or self._uniform is None
-        self.parent.warm_up(l_row=l_row, sources=need_sources)
-        _ = self.structure, self.monodromy
-        if l_row is not None:
-            self.forcing_pairs(l_row)
-        if sources and l_row is not None:
-            for s in range(self.n_sources):
-                self.source_forcing_pairs(l_row, s)
-        return self
-
-    def __repr__(self):
-        kind = ("uniform" if self._uniform is not None
-                else f"{self._scales.size}-source")
-        return (f"_DerivedIntensityContext({kind}, "
-                f"parent={self.parent!r})")
+                f"{self.segments_per_phase!r}, built={built}/3)")
 
 
 # -- registry ---------------------------------------------------------------
@@ -1231,7 +954,7 @@ _REGISTRY = OrderedDict()
 #: were never filled hold no arrays, and could otherwise pile up.
 _REGISTRY_LIMIT = 32
 _REGISTRY_LOCK = threading.Lock()
-#: Registry-level counters (the per-context stats live on the context).
+#: Registry hit/miss/evict counters.
 registry_stats = CacheStats()
 
 
@@ -1302,9 +1025,7 @@ def sweep_context_for(system, segments_per_phase=64, family=None,
     entries until the arrays the remaining ones hold fit
     :data:`_REGISTRY_CAP_BYTES`, and until fewer than
     :data:`_REGISTRY_LIMIT` remain, then inserts the new context.  Each
-    array counts once however many entries hold it: a derived corner
-    shares its root's power stacks and keeps its root alive, so the
-    root's arrays count with it.  See
+    array counts once however many entries hold it.  See
     :meth:`SweepContext._retained_bytes` for what counts.  Contexts fill
     lazily after they are registered, so an entry larger than the cap
     stays until the next miss.  Every access holds
@@ -1392,21 +1113,16 @@ def _entries_within_cap():
 def _cumulative_bytes(contexts):
     """Bytes the first 1, 2, … of ``contexts`` hold together, in turn.
 
-    Each array counts once (:meth:`SweepContext._retained_bytes`).  A
-    derived context keeps its parent alive, so the parent's arrays count
-    with it; each context is walked once.
+    Each array counts once (:meth:`SweepContext._retained_bytes`), so a
+    context registered under several keys counts once.
     """
-    walked = set()
     seen = set()
     total = 0
     for context in contexts:
-        while context is not None and id(context) not in walked:
-            walked.add(id(context))
-            for key, nbytes in context._retained_bytes():
-                if key not in seen:
-                    seen.add(key)
-                    total += nbytes
-            context = getattr(context, "parent", None)
+        for key, nbytes in context._retained_bytes():
+            if key not in seen:
+                seen.add(key)
+                total += nbytes
         yield total
 
 

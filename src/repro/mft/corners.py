@@ -2,38 +2,45 @@
 
 A corner sweep evaluates one circuit family — an M-corner
 :class:`~repro.circuits.corners.ParameterGrid` — over one frequency
-grid.  Running it as M independent sweeps repeats all the work that is
-*shared* across corners: corners that differ only in noise intensities
-share every propagator, power stack and monodromy with their dynamics
-root, and even across distinct solves the per-frequency
-LU of ``I − e^{-jωT}M₀`` can serve many forcing rows at once.  This
-module instead flattens the ``(corner, frequency)`` product into one
+grid.  Corners that share dynamics overrides share one *dynamics root*:
+one context, one preflight and one stacked kernel call per ω-block.
+The paper's noise sources are independent and white, so the PSD is a
+sum of per-source terms, each exactly linear in its own intensity.  An
+intensity corner therefore needs no solve of its own: it is a linear
+map of its root's ``[total, source…]`` kernel rows (:class:`RootMap`).
+A uniform corner with PSD scale α reads ``α·[total, source…]``; a
+per-source corner with scales ``α_1 … α_n`` reads ``α_k·S_k`` as its
+source rows and their sum as its total.  A root solves only its total
+row when every corner on it is uniform and no attribution is asked,
+and ``1 + n_sources`` rows otherwise.
+
+The module flattens the ``(corner, frequency)`` product into one
 frequency-major axis (flat cell ``i`` = frequency ``i // M``, corner
 ``i % M``) and drives it through the ordinary
 :class:`~repro.mft.executor.SweepExecutor` — chunking, the budget gate
 and the partial-failure contract all work unchanged — with a
-:class:`CornerBatchAnalyzer` that evaluates each chunk as one
-stacked :func:`repro.mft.spectral.solve_spectral_batch` call per
-dynamics group.
+:class:`CornerBatchAnalyzer` whose chunks call
+:func:`repro.mft.spectral.solve_spectral_batch` once per root.
 
-Fallback is per cell (DESIGN.md §12): a ``(corner, frequency)`` cell
-whose batched solve is rejected (condition gate, singular fixed point,
-non-finite value) is rescued through that corner's per-frequency
-fallback chain (:mod:`repro.diagnostics.fallback`), exactly as a plain
-sweep would.
+Fallback is per root and frequency (DESIGN.md §12): a frequency whose
+batched solve a root rejects (condition gate, singular fixed point,
+non-finite value) runs the root's per-frequency fallback chain
+(:mod:`repro.diagnostics.fallback`) once, attributed when a corner on
+the root needs source values, and the result is mapped to every corner
+on the root, which share its failure records.
 
 The stacked step itself (:func:`solve_stacked`, sized by
-:func:`stacked_block_size`) takes a list of member analyzers, so it is
-the batch step of every batched sweep: a plain
+:func:`stacked_block_size`) takes a list of root maps, so it is the
+batch step of every batched sweep: a plain
 ``psd_sweep(solver="spectral-batch")`` runs it with its own analyzer as
-the one member, where the flat axis *is* the frequency axis — the
-parity battery in ``tests/test_corner_sweep.py`` pins an ``M = 1``
-corner sweep bit for bit to that plain sweep.
+the one root of one unit-scale corner, where the flat axis *is* the
+frequency axis — the parity battery in ``tests/test_corner_sweep.py``
+pins an ``M = 1`` corner sweep bit for bit to that plain sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -65,43 +72,114 @@ def _system_of(model_or_system: Any) -> Any:
     return system if system is not None else model_or_system
 
 
-def _first_appearance(values: np.ndarray) -> np.ndarray:
-    """The distinct entries of ``values`` in the order they first appear."""
-    _distinct, first = np.unique(values, return_index=True)
-    return values[np.sort(first)]
+@dataclass
+class RootMap:
+    """One dynamics root and the linear map from its rows to its corners.
+
+    ``analyzer`` sweeps the root's own system on the root's context;
+    ``corners`` lists the grid indices of the corners on the root,
+    ascending, and ``scales[j]`` is corner ``corners[j]``'s noise PSD
+    scale: a float α for a uniform corner, an ``(n_sources,)`` array
+    for a per-source one.
+    """
+
+    analyzer: MftNoiseAnalyzer
+    corners: "list[int]"
+    scales: "list[Any]"
+
+    @classmethod
+    def single(cls, analyzer: MftNoiseAnalyzer) -> "RootMap":
+        """A plain sweep: the analyzer as the root of one unit corner."""
+        return cls(analyzer, [0], [1.0])
+
+    @property
+    def needs_sources(self) -> bool:
+        """Whether a corner on the root reads the root's source rows."""
+        return any(np.ndim(scale) for scale in self.scales)
+
+    def row_labels(self, labels: "tuple[str, ...] | None"
+                   ) -> "tuple[str, ...] | None":
+        """The labels of the root's ``[total, source…]`` kernel rows.
+
+        The attribution request when there is one; else positional
+        source labels when a per-source corner needs the source rows;
+        else ``None``, the total row alone.
+        """
+        if labels is None and self.needs_sources:
+            return self.analyzer._attribution_request(True)
+        return labels
+
+    def map_rows(self, rows: FloatArray, slots: Any,
+                 attributed: bool) -> FloatArray:
+        """The values of the corners at ``slots`` from the root's rows.
+
+        ``rows[..., r]`` is the root's row ``r`` (the total, then one
+        row per source when solved); returns ``(..., len(slots))``, or
+        ``(..., len(slots), 1 + n_sources)`` rows of ``[total,
+        source…]`` when ``attributed``.
+        """
+        return np.stack([_map_rows(rows, self.scales[j], attributed)
+                         for j in slots], axis=rows.ndim - 1)
+
+
+def _map_rows(rows: FloatArray, scale: Any, attributed: bool) -> FloatArray:
+    """One corner's values from its root's ``[total, source…]`` rows.
+
+    A uniform corner (scalar α) is α times the root's rows, so its
+    total is bit for bit α times the root's total.  A per-source corner
+    reads ``α_k·S_k`` as its source rows and their sum as its total.
+    """
+    if np.ndim(scale) == 0:
+        return scale * (rows if attributed else rows[..., 0])
+    sources = rows[..., 1:] * scale
+    total = sources.sum(axis=-1)
+    if not attributed:
+        return total
+    return np.concatenate([total[..., None], sources], axis=-1)
+
+
+def _corner_index(roots: Sequence[RootMap]
+                  ) -> "tuple[np.ndarray, np.ndarray]":
+    """Each corner's root and its slot in that root's map."""
+    n_corners = sum(len(root.corners) for root in roots)
+    root_of = np.empty(n_corners, dtype=int)
+    slot_of = np.empty(n_corners, dtype=int)
+    for r, root in enumerate(roots):
+        root_of[root.corners] = r
+        slot_of[root.corners] = np.arange(len(root.corners))
+    return root_of, slot_of
 
 
 class CornerBatchAnalyzer:
     """Executor-compatible analyzer over the flattened (corner, freq) axis.
 
-    Wraps one :class:`~repro.mft.engine.MftNoiseAnalyzer` per corner
-    (the *members*, sharing dynamics work through their contexts) and
-    exposes the analyzer surface the
-    :class:`~repro.mft.executor.SweepExecutor` drives — ``warm_up``,
-    ``_attribution_request``, ``_sweep_chunk(freqs, …, start)`` — so
-    every executor feature applies to corner sweeps without executor
-    changes.  The ``frequencies`` the executor passes are the flat grid
+    Holds one :class:`RootMap` per dynamics root and exposes the
+    analyzer surface the :class:`~repro.mft.executor.SweepExecutor`
+    drives — ``warm_up``, ``_attribution_request``,
+    ``_sweep_chunk(freqs, …, start)`` — so every executor feature
+    applies to corner sweeps without executor changes.  The
+    ``frequencies`` the executor passes are the flat grid
     ``np.repeat(freqs, M)``; ``start`` recovers which
     ``(corner, frequency)`` cells a chunk covers.
 
     Not constructed directly — :func:`corner_psd_sweep` builds the
-    members, shares preflights across derived corners, and maps the
-    flat result back to corner shape.
+    roots, one preflight each, and maps the flat result back to corner
+    shape.
     """
 
-    def __init__(self, members: Sequence[MftNoiseAnalyzer],
-                 grid: ParameterGrid, recorder: Any = None,
-                 budget: Any = None) -> None:
-        member_list = list(members)
-        if not member_list:
-            raise ReproError("corner analyzer needs at least one member")
-        if len(member_list) != len(grid):
+    def __init__(self, roots: Sequence[RootMap], grid: ParameterGrid,
+                 recorder: Any = None, budget: Any = None) -> None:
+        root_list = list(roots)
+        if not root_list:
+            raise ReproError("corner analyzer needs at least one root")
+        covered = sorted(m for root in root_list for m in root.corners)
+        if covered != list(range(len(grid))):
             raise ReproError(
-                f"{len(member_list)} member analyzers for a grid of "
-                f"{len(grid)} corners")
-        self.members = member_list
+                f"roots map corners {covered} of a grid of {len(grid)} "
+                "corners; each corner needs exactly one root")
+        self.roots = root_list
         self.grid = grid
-        first = member_list[0]
+        first = root_list[0].analyzer
         self.recorder = recorder if recorder is not None else first.recorder
         self.budget = budget
         self.system = first.system
@@ -109,40 +187,36 @@ class CornerBatchAnalyzer:
         self.output_row = first.output_row
         merged = DiagnosticsReport(context="corner sweep preflight")
         seen: set[int] = set()
-        for member in member_list:
-            if id(member.preflight) in seen:
-                continue
-            seen.add(id(member.preflight))
-            merged.merge(member.preflight)
+        for root in root_list:
+            if id(root.analyzer.preflight) not in seen:
+                seen.add(id(root.analyzer.preflight))
+                merged.merge(root.analyzer.preflight)
         self.preflight = merged
+        self._root_of, self._slot_of = _corner_index(root_list)
 
     # -- executor duck-type surface -----------------------------------------
 
     @property
     def n_corners(self) -> int:
-        return len(self.members)
+        return len(self.grid)
 
     @property
     def context(self) -> SweepContext:
-        """The first member's context (executor warm-up gate)."""
-        return self.members[0].context
-
-    @property
-    def cache_stats(self) -> Any:
-        return self.members[0].cache_stats
+        """The first root's context (executor warm-up gate)."""
+        return self.roots[0].analyzer.context
 
     def _output_name(self) -> str:
-        return self.members[0]._output_name()
+        return self.roots[0].analyzer._output_name()
 
     def _attribution_request(self, attribute_sources: Any
                                ) -> "tuple[str, ...] | None":
-        """The attribution request, resolved on the first member."""
-        return self.members[0]._attribution_request(attribute_sources)
+        """The attribution request, resolved on the first root."""
+        return self.roots[0].analyzer._attribution_request(attribute_sources)
 
     def warm_up(self, sources: bool = False) -> "CornerBatchAnalyzer":
-        """Warm every member (roots first — derivations draw on them)."""
-        for member in self.members:
-            member.warm_up(sources=sources)
+        """Warm every root, with its source rows when a corner needs them."""
+        for root in self.roots:
+            root.analyzer.warm_up(sources=sources or root.needs_sources)
         return self
 
     # -- the chunk hooks -----------------------------------------------------
@@ -153,26 +227,37 @@ class CornerBatchAnalyzer:
                      start: int) -> Any:
         """One flat chunk through the engine's chunk loop (``param-batch``).
 
-        The batch step is :func:`solve_stacked`; each cell it rejects is
-        rescued through its corner's per-frequency fallback chain.  Flat
-        cell ``g`` (global) is frequency ``g // M``, corner ``g % M`` —
-        frequency-major, so corner ``m``'s values are the stride-``M``
-        slice of the flat sweep values.  Failure records carry
-        chunk-local flat indices that the executor offsets to global
-        flat indices, which :func:`corner_psd_sweep` maps back to
-        per-corner ``(frequency, corner)`` identities.
+        The batch step is :func:`solve_stacked`; each rescue unit it
+        returns — the cells of one root at one frequency — runs the
+        root's fallback chain once, and every corner in the unit reads
+        its map of the rescued rows.  Flat cell ``g`` (global) is
+        frequency ``g // M``, corner ``g % M`` — frequency-major, so
+        corner ``m``'s values are the stride-``M`` slice of the flat
+        sweep values.  Failure records carry chunk-local flat indices
+        that the executor offsets to global flat indices, which
+        :func:`corner_psd_sweep` maps back to per-corner ``(frequency,
+        corner)`` identities.
         """
         del solver  # always "param-batch"
 
         def batch_step(finite_idx: np.ndarray,
-                       values: FloatArray) -> "list[int]":
-            return solve_stacked(self.members, self.recorder, freqs, start,
+                       values: FloatArray) -> "list[np.ndarray]":
+            return solve_stacked(self.roots, self.recorder, freqs, start,
                                  finite_idx, values, report, labels)
 
-        def point_step(idx: int, frequency: float) -> Any:
-            m = (start + idx) % self.n_corners
-            return (self.members[m]._strategies(frequency, labels),
-                    {"corner": self.grid.names[m], "rescued": True})
+        def point_step(cells: np.ndarray, frequency: float) -> Any:
+            corners = (start + cells) % self.n_corners
+            root = self.roots[self._root_of[corners[0]]]
+            slots = self._slot_of[corners]
+
+            def mapped(solve: Any) -> Any:
+                return lambda: root.map_rows(np.atleast_1d(solve()), slots,
+                                             labels is not None)
+
+            strategies = root.analyzer._strategies(frequency,
+                                                   root.row_labels(labels))
+            return ([(name, mapped(solve)) for name, solve in strategies],
+                    {"corners": len(slots), "rescued": True})
 
         return sweep_chunk(freqs, on_failure, report, labels, self.recorder,
                            batch_step, point_step)
@@ -185,173 +270,96 @@ class CornerBatchAnalyzer:
         :func:`stacked_block_size` frequencies.
         """
         return self.n_corners * stacked_block_size(
-            self.members, n_cells // self.n_corners, labels)
+            self.roots, n_cells // self.n_corners, labels)
 
 
 # -- the stacked-row step of every batched sweep --------------------------
 
 
-def stacked_block_size(members: Sequence[MftNoiseAnalyzer], n_freq: int,
+def _n_rows(root: RootMap, labels: "tuple[str, ...] | None") -> int:
+    """Kernel rows ``root`` solves: its total, plus its sources if read."""
+    row_labels = root.row_labels(labels)
+    return 1 if row_labels is None else 1 + len(row_labels)
+
+
+def stacked_block_size(roots: Sequence[RootMap], n_freq: int,
                        labels: "tuple[str, ...] | None") -> int:
-    """Frequencies per ω-block of a batched sweep over ``members``.
+    """Frequencies per ω-block of a batched sweep over ``roots``.
 
     Sized by :func:`~repro.mft.executor.spectral_block_size` for the
-    largest stacked kernel call — the dynamics group with the most
-    kernel rows (:func:`_row_slots`), ``1 + n_sources`` rows each for an
-    attribution request.
+    largest stacked kernel call — the root with the most kernel rows,
+    ``1 + n_sources`` when it solves its source rows.
     """
     from .executor import spectral_block_size
-    groups: "dict[int, list[int]]" = {}
-    for m, member in enumerate(members):
-        groups.setdefault(member.context.dynamics_key, []).append(m)
-    width = 1 if labels is None else 1 + len(labels)
-    n_rows = width * max(len(_row_slots(members, group))
-                         for group in groups.values())
-    return spectral_block_size(members[0].context, n_freq, n_rows)
+    n_rows = max(_n_rows(root, labels) for root in roots)
+    return spectral_block_size(roots[0].analyzer.context, n_freq, n_rows)
 
 
-def solve_stacked(members: Sequence[MftNoiseAnalyzer], recorder: Any,
+def solve_stacked(roots: Sequence[RootMap], recorder: Any,
                   freqs: FloatArray, start: int, finite_idx: np.ndarray,
                   values: FloatArray, report: DiagnosticsReport,
-                  labels: "tuple[str, ...] | None") -> "list[int]":
-    """One stacked kernel call per dynamics group; returns rescue cells.
+                  labels: "tuple[str, ...] | None"
+                  ) -> "list[np.ndarray]":
+    """One stacked kernel call per dynamics root; returns rescue units.
 
     The batch step of every ``spectral-batch`` and ``param-batch``
-    chunk.  ``freqs`` is a chunk of the flat ``(frequency, member)``
-    axis starting at flat cell ``start``: cell ``g`` belongs to member
-    ``g % len(members)`` (a plain sweep passes ``[analyzer]``, so every
-    cell is its own frequency).  Cells are partitioned by the dynamics
-    group of their member; each group concatenates its kernel rows
-    (:func:`_row_plan`) and solves them against the union of the
-    group's chunk frequencies in **one** :func:`solve_spectral_batch`
-    call on the group's first context — one stack of step integrals per
-    segment group and one LU per frequency serving every row — then
-    slices the rows back per plan.  Each row is bit-identical to solving
-    it alone.  ``values`` is filled in place for the accepted cells; the
-    chunk-local indices of the cells the batched solve rejected are
-    returned, group by group.
+    chunk.  ``freqs`` is a chunk of the flat ``(frequency, corner)``
+    axis starting at flat cell ``start``: cell ``g`` belongs to corner
+    ``g % M`` for the ``M`` corners the roots map (a plain sweep passes
+    one root of one corner, so every cell is its own frequency).  Each
+    root solves its kernel rows (:meth:`RootMap.row_labels`) against
+    the distinct frequencies of its cells in **one**
+    :func:`solve_spectral_batch` call — one stack of step integrals per
+    segment group and one LU per frequency serving every row — and
+    each corner reads its map of those rows (:meth:`RootMap.map_rows`).
+    ``values`` is filled in place for the accepted cells.  Returns the
+    cells the batched solve rejected as rescue units: per root, the
+    chunk-local cells of each rejected frequency index.
     """
-    policy = members[0].fallback
-    condition_limit = (policy.condition_limit
-                       if policy is not None else None)
-
-    # Partition the chunk's finite cells by dynamics group, groups and
-    # their members in first-appearance order, each member's cells in
-    # chunk order — index arrays, not a walk over cells.
-    keys = np.asarray([member.context.dynamics_key for member in members])
+    root_of, slot_of = _corner_index(roots)
+    n_corners = root_of.size
     freq_of = np.asarray(freqs, dtype=float)
     finite = np.asarray(finite_idx, dtype=int)
-    corner_of = (start + finite) % len(members)
-    cell_key = keys[corner_of]
+    cell_root = root_of[(start + finite) % n_corners]
 
-    rescue: "list[int]" = []
-    for key in _first_appearance(cell_key):
-        in_group = cell_key == key
-        group = _first_appearance(corner_of[in_group]).tolist()
-        group_cells = finite[in_group]
-        group_corner = corner_of[in_group]
-        cells = {m: group_cells[group_corner == m] for m in group}
-        # Union of the group's chunk frequencies, first-appearance order
-        # over the member-major cell order (the chunk's own order for
-        # one member); ``freq_pos[local]`` is its slot in the union.
-        ordered = np.concatenate([cells[m] for m in group])
-        distinct, first, inverse = np.unique(
-            freq_of[ordered], return_index=True, return_inverse=True)
-        order = np.argsort(first, kind="stable")
-        union = distinct[order]
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        freq_pos = np.empty(freq_of.size, dtype=int)
-        freq_pos[ordered] = rank[inverse.reshape(-1)]
-        omegas = 2.0 * np.pi * np.asarray(union)
-        plans = _row_plan(members, group, labels)
-        blocks = [forcing if forcing.ndim == 4 else forcing[None]
-                  for _context, forcing, _owners in plans]
-        bounds = np.cumsum([0] + [block.shape[0] for block in blocks])
+    rescue: "list[np.ndarray]" = []
+    for r in np.unique(cell_root):
+        root = roots[r]
+        analyzer = root.analyzer
+        context = analyzer.context
+        cells = finite[cell_root == r]
+        union, pos = np.unique(freq_of[cells], return_inverse=True)
+        row_labels = root.row_labels(labels)
+        n_rows = _n_rows(root, labels)
+        forcing = forcing_rows(context, analyzer._l_row, row_labels)
+        policy = analyzer.fallback
         with recorder.span("spectral.batch", n=len(union),
-                           n_params=len(group), n_rows=len(plans)):
+                           n_params=len(root.corners), n_rows=n_rows):
             batch = solve_spectral_batch(
-                plans[0][0], omegas, np.concatenate(blocks),
-                condition_limit=condition_limit, recorder=recorder)
-        # One period for the group; the structure is the dynamics
-        # root's, so no derived member builds a discretization.
-        period = plans[0][0].structure.period
-        n_solved = 0
-        for slot, (_context, forcing, owners) in enumerate(plans):
-            lo, hi = bounds[slot], bounds[slot + 1]
-            rows = slice(lo, hi) if forcing.ndim == 4 else lo
-            result = replace(
-                batch, integral=batch.integral[rows], v0=batch.v0[rows])
-            for m, multiplier in owners:
-                # Uniform intensity members share their dynamics root's
-                # kernel row: S(αQ) = α·S(Q) exactly, so the solved row
-                # is rescaled per member (α = 1.0 for the row owner — a
-                # bit-exact multiply).
-                psd, ok = kernel_values(
-                    result, members[m]._l_row, period, labels, multiplier)
-                local = cells[m]
-                pos = freq_pos[local]
-                accepted = ok[pos]
-                values[local[accepted]] = psd[pos[accepted]]
-                n_solved += int(np.count_nonzero(accepted))
-                rescue.extend(local[~accepted].tolist())
+                context, 2.0 * np.pi * union, forcing,
+                condition_limit=(policy.condition_limit
+                                 if policy is not None else None),
+                recorder=recorder)
+        rows, ok = kernel_values(batch, analyzer._l_row,
+                                 context.structure.period, row_labels)
+        rows = rows if rows.ndim == 2 else rows[:, None]
+        slots = slot_of[(start + cells) % n_corners]
+        accepted = ok[pos]
+        mapped = root.map_rows(rows, range(len(root.corners)),
+                               labels is not None)
+        values[cells[accepted]] = mapped[pos[accepted], slots[accepted]]
+        rejected = cells[~accepted]
+        index = (start + rejected) // n_corners
+        rescue.extend(rejected[index == k] for k in np.unique(index))
+        n_solved = cells.size - rejected.size
         report.info(
             "spectral-batch",
-            f"stacked kernel solved {n_solved} of {ordered.size} cells "
-            f"across {len(group)} parameter points with {len(plans)} "
+            f"stacked kernel solved {n_solved} of {cells.size} cells "
+            f"across {len(root.corners)} parameter points with {n_rows} "
             "kernel rows in one call",
-            n_batched=n_solved,
-            n_rescued=ordered.size - n_solved,
-            n_params=len(group), n_rows=len(plans))
+            n_batched=n_solved, n_rescued=int(rejected.size),
+            n_params=len(root.corners), n_rows=n_rows)
     return rescue
-
-
-def _row_slots(members: Sequence[MftNoiseAnalyzer], group: "list[int]"
-               ) -> "list[tuple[SweepContext, list[tuple[int, float]]]]":
-    """Kernel-row owners for one dynamics group: ``(context, owners)``.
-
-    Members whose context is a uniform intensity derivation of the same
-    root *share one kernel row* — the root's forcing — and are recovered
-    after the solve as ``α² · psd_root`` (noise PSDs are exactly linear
-    in uniform source intensity).  This is where the corner batch beats
-    per-corner sweeps: an all-uniform group of M corners costs one row
-    of per-frequency kernel arithmetic, not M.  Per-source (non-uniform)
-    scalings keep their own row, as does any context the sweep cannot
-    prove is a derivation.  ``owners`` lists ``(member_index,
-    multiplier)`` per row, the row's first owner first.
-    """
-    slots: "list[tuple[SweepContext, list[tuple[int, float]]]]" = []
-    slot_of_root: "dict[int, int]" = {}
-    for m in group:
-        context = members[m].context
-        root = getattr(context, "parent", None)
-        uniform = getattr(context, "_uniform", None)
-        if root is None and not hasattr(context, "_scales"):
-            root, uniform = context, 1.0  # the dynamics root itself
-        if root is None or uniform is None:
-            slots.append((context, [(m, 1.0)]))
-            continue
-        slot = slot_of_root.get(id(root))
-        if slot is None:
-            slot_of_root[id(root)] = len(slots)
-            slots.append((root, [(m, float(uniform))]))
-        else:
-            slots[slot][1].append((m, float(uniform)))
-    return slots
-
-
-def _row_plan(members: Sequence[MftNoiseAnalyzer], group: "list[int]",
-              labels: "tuple[str, ...] | None"
-              ) -> "list[tuple[SweepContext, FloatArray, list[tuple[int, float]]]]":
-    """Kernel rows for one dynamics group: ``(context, forcing, owners)``.
-
-    The slots of :func:`_row_slots`, each with its forcing rows built
-    from its first owner's output row.
-    """
-    return [(context,
-             forcing_rows(context, members[owners[0][0]]._l_row, labels),
-             owners)
-            for context, owners in _row_slots(members, group)]
 
 
 @dataclass
@@ -471,25 +479,23 @@ class CornerSweepResult:
                 f"output={self.output!r})")
 
 
-def _build_members(model_or_system: Any, grid: ParameterGrid,
-                   output_row: int, segments_per_phase: int,
-                   recorder: Any,
-                   context: "SweepContext | None" = None
-                   ) -> "list[MftNoiseAnalyzer]":
-    """One context-backed analyzer per corner, sharing dynamics work.
+def _build_roots(model_or_system: Any, grid: ParameterGrid,
+                 output_row: int, segments_per_phase: int, recorder: Any,
+                 context: "SweepContext | None" = None) -> "list[RootMap]":
+    """One analyzer per dynamics root, mapping every corner on it.
 
     Corners are grouped by dynamics overrides; each distinct dynamics
-    point gets one *root* context (and one preflight, shared by every
-    member on it).  The override-free corners' root is ``context`` when
-    given and its system fingerprints as theirs; any other root is the
-    context registered under the grid's family-salted key
+    point gets one *root* analyzer (one context, one preflight) in the
+    order of the corners that first name it.  The override-free
+    corners' root context is ``context`` when given and its system
+    fingerprints as theirs; any other root's is the context registered
+    under the grid's family-salted key
     (:func:`~repro.mft.context.sweep_context_for`) when there is one,
-    else a private one.  Intensity-only variations on a root derive
-    their context from it instead of rebuilding — the nearly-free path —
-    and are never registered.  Nothing here inserts into the registry.
+    else a private one.  Each corner enters its root's map with its
+    noise PSD scale (:class:`RootMap`), resolved against the base
+    model's noise labels for a per-source corner.  Nothing here inserts
+    into the registry.
     """
-    from ..circuits.corners import scale_system_noise
-
     family = grid.family_hash()
     base_system = _system_of(model_or_system)
     noise_labels = getattr(model_or_system, "noise_labels", None)
@@ -497,8 +503,7 @@ def _build_members(model_or_system: Any, grid: ParameterGrid,
                    _base_context_key(context, base_system,
                                      segments_per_phase))
 
-    roots: "dict[tuple[tuple[str, str], ...], tuple[Any, SweepContext]]" = {}
-    members: "list[MftNoiseAnalyzer]" = []
+    roots: "dict[tuple[tuple[str, str], ...], RootMap]" = {}
     for index, corner in enumerate(grid.corners):
         dyn_key = corner.overrides_key()
         root = roots.get(dyn_key)
@@ -513,30 +518,17 @@ def _build_members(model_or_system: Any, grid: ParameterGrid,
                 root_context = (
                     _registered_context(system, segments_per_phase, family)
                     or SweepContext(system, segments_per_phase))
-            root = roots[dyn_key] = (system, root_context)
-        system, root_context = root
-
-        scale = corner.uniform_scale
-        if scale is not None and scale == 1.0:
-            member_system, member_context = system, root_context
-        else:
-            if scale is None:
-                scales = corner.resolved_scales(noise_labels,
-                                                root_context.n_sources)
-            else:
-                scales = np.atleast_1d(np.asarray(scale, dtype=float))
-            member_system = scale_system_noise(system, scales)
-            member_context = root_context.derive_intensity_scaled(
-                scales, system=member_system)
-
-        # Every member on a root shares one preflight report: the root
-        # context validates its own discretization once, and a derived
-        # context hands out its root's report.
-        members.append(MftNoiseAnalyzer(
-            member_system, segments_per_phase=segments_per_phase,
-            output_row=output_row, context=member_context,
-            preflight=True, recorder=recorder))
-    return members
+            root = roots[dyn_key] = RootMap(MftNoiseAnalyzer(
+                system, segments_per_phase=segments_per_phase,
+                output_row=output_row, context=root_context,
+                preflight=True, recorder=recorder), [], [])
+        scale: Any = corner.uniform_scale
+        if scale is None:
+            scale = corner.resolved_scales(
+                noise_labels, root.analyzer.context.n_sources)
+        root.corners.append(index)
+        root.scales.append(scale)
+    return list(roots.values())
 
 
 def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
@@ -563,23 +555,31 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
     ``context`` is the :class:`~repro.mft.context.SweepContext` of the
     base circuit, as on :class:`~repro.mft.engine.MftNoiseAnalyzer`:
     the override-free corners draw from it, so a base circuit an
-    analysis has already discretized is not discretized again.  It
-    must be a dynamics root (not intensity-derived) whose system and
-    density fingerprint as ``model_or_system`` at ``segments_per_phase``;
-    anything else raises :class:`~repro.errors.ReproError`.  The other
-    dynamics roots come from the registry when a caller registered them
-    under the grid's family hash, else each gets a private context.
+    analysis has already discretized is not discretized again.  Its
+    system and density must fingerprint as ``model_or_system`` at
+    ``segments_per_phase``; anything else raises
+    :class:`~repro.errors.ReproError`.  The other dynamics roots come
+    from the registry when a caller registered them under the grid's
+    family hash, else each gets a private context.
+
+    Corners differing only in noise intensity share their dynamics
+    root's kernel rows: each reads a linear map of the root's
+    ``[total, source…]`` rows (module docstring), with no solve,
+    context or discretization of its own.  That map is exact up to
+    rounding for the rescaled circuit; a fresh build of the rescaled
+    system rounds its Gramians and covariance fixed point differently
+    and reads ~2e-9 of max|PSD| away on the SC low-pass
+    (:data:`~repro.tolerances.CORNER_INTENSITY_RESTACK_RTOL` bounds
+    it in the tests).
 
     ``chunk_size`` counts **frequencies** per executor chunk (each flat
     chunk holds that many frequencies × all M corners).  The default is
     the whole grid — one chunk, so one budget decision — unless the
     largest stacked kernel call would exceed
     :data:`~repro.mft.executor.SPECTRAL_STACK_CAP_BYTES`; then the
-    largest frequency count that fits.  Intensity-only corners derive
-    their context from the dynamics root (shared propagators/bases,
-    linear restack — the nearly-free path, ≤1e-12 from a fresh build).  ``budget`` and
-    ``on_failure`` are the usual executor knobs on the flattened axis —
-    a budget-skipped chunk NaNs exactly its ``(corner, frequency)``
+    largest frequency count that fits.  ``budget`` and ``on_failure``
+    are the usual executor knobs on the flattened axis — a
+    budget-skipped chunk NaNs exactly its ``(corner, frequency)``
     cells.
     """
     from .executor import SweepExecutor, _positive_int
@@ -589,9 +589,9 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
             f"grid must be a ParameterGrid, got {type(grid).__name__}")
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     n_corners = len(grid)
-    members = _build_members(model_or_system, grid, output_row,
-                             segments_per_phase, recorder, context)
-    analyzer = CornerBatchAnalyzer(members, grid, recorder=recorder,
+    roots = _build_roots(model_or_system, grid, output_row,
+                         segments_per_phase, recorder, context)
+    analyzer = CornerBatchAnalyzer(roots, grid, recorder=recorder,
                                    budget=budget)
 
     chunk_size = _positive_int("chunk_size", chunk_size, None)
@@ -629,16 +629,12 @@ def _base_context_key(context: Any, system: Any,
                       segments_per_phase: Any) -> str:
     """The fingerprint of a base-circuit ``context=``, else ``ReproError``.
 
-    Rejects anything but a dynamics root whose system and density
-    fingerprint as ``system`` at ``segments_per_phase``.
+    Rejects anything but a :class:`SweepContext` whose system and
+    density fingerprint as ``system`` at ``segments_per_phase``.
     """
     if not isinstance(context, SweepContext):
         raise ReproError(
             f"context must be a SweepContext, got {type(context).__name__}")
-    if hasattr(context, "parent"):
-        raise ReproError(
-            "context must be a dynamics root, not an intensity-derived "
-            "context")
     key = discretization_fingerprint(context.system,
                                      context.segments_per_phase)
     if key != discretization_fingerprint(system, segments_per_phase):

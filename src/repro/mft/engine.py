@@ -121,9 +121,7 @@ class MftNoiseAnalyzer:
 
     The analyzer reads its discretization through the context, on
     first use.  Preflight raises on the context's cached report
-    (:attr:`~repro.mft.context.SweepContext.preflight`); a corner member
-    on a derived context takes its root's report and never builds a
-    discretization on the batched path.
+    (:attr:`~repro.mft.context.SweepContext.preflight`).
     """
 
     def __init__(self, system, *, segments_per_phase=64,
@@ -171,22 +169,13 @@ class MftNoiseAnalyzer:
 
     @property
     def _disc(self):
-        """The context's discretization, built on first read.
-
-        A corner member on a derived context never reads it on the
-        batched path, so it never builds one there.
-        """
+        """The context's discretization, built on first read."""
         return self._context.disc
 
     @property
     def context(self):
         """The :class:`SweepContext` every solve draws from."""
         return self._context
-
-    @property
-    def cache_stats(self):
-        """Hit/miss counters of the sweep context."""
-        return self._context.stats
 
     def warm_up(self, sources=False):
         """Materialise every frequency-independent cached quantity.
@@ -305,18 +294,19 @@ class MftNoiseAnalyzer:
         """
         if solver is None:
             def batch_step(finite_idx, values):
-                return finite_idx
+                return [[idx] for idx in finite_idx]
 
-            def point_step(idx, frequency):
+            def point_step(cells, frequency):
                 return self._strategies(frequency, labels), {}
         else:
-            from .corners import solve_stacked
+            from .corners import RootMap, solve_stacked
 
             def batch_step(finite_idx, values):
-                return solve_stacked([self], self.recorder, freqs, start,
-                                     finite_idx, values, report, labels)
+                return solve_stacked([RootMap.single(self)], self.recorder,
+                                     freqs, start, finite_idx, values,
+                                     report, labels)
 
-            def point_step(idx, frequency):
+            def point_step(cells, frequency):
                 return (self._strategies(frequency, labels),
                         {"rescued": True})
         return sweep_chunk(freqs, on_failure, report, labels, self.recorder,
@@ -327,8 +317,8 @@ class MftNoiseAnalyzer:
 
         See :func:`repro.mft.corners.stacked_block_size`.
         """
-        from .corners import stacked_block_size
-        return stacked_block_size([self], n_freq, labels)
+        from .corners import RootMap, stacked_block_size
+        return stacked_block_size([RootMap.single(self)], n_freq, labels)
 
     def psd_sweep(self, frequencies, *, chunk_size=None, budget=None,
                   on_failure="record", solver=None, attribute_sources=False,
@@ -641,13 +631,17 @@ def sweep_chunk(freqs, on_failure, report, labels, recorder, batch_step,
 
     Non-finite frequencies become ``input``-stage failures.  The
     analyzer's ``batch_step(finite_idx, values)`` then solves what it
-    can of the finite ones in place and returns the indices it left
-    unsolved (the plain ``mft`` sweep solves nothing there).  For each
-    of those, ``point_step(idx, frequency)`` gives ``(strategies,
-    span_tags)`` and the strategies run through the fallback chain
+    can of the finite ones in place and returns what it left unsolved
+    as *rescue units*: index lists whose cells share one frequency and
+    one rescue (one cell each on a plain sweep, which solves nothing
+    there under ``mft``; a dynamics root's corners on a corner sweep).
+    For each unit, ``point_step(cells, frequency)`` gives
+    ``(strategies, span_tags)``: strategies whose value fills every
+    cell of the unit.  They run once through the fallback chain
     (:func:`repro.diagnostics.fallback.run_fallback_chain`) inside an
     ``mft.solve`` span; an exhausted chain is a ``solve``-stage failure
-    — or, with ``on_failure="raise"``, aborts the chunk.
+    of every cell of the unit — or, with ``on_failure="raise"``,
+    aborts the chunk.
 
     ``labels`` is the attribution request (``None`` or the budget row
     labels).  Returns ``(values, failures, attempts)``: *unclipped*
@@ -672,26 +666,27 @@ def sweep_chunk(freqs, on_failure, report, labels, recorder, batch_step,
             error=type(exc).__name__, message=str(exc)))
         report.error("non-finite-frequency", str(exc), index=int(idx))
         logger.warning("recording NaN at index %d: %s", idx, exc)
-    unsolved = np.nonzero(finite)[0]
-    if unsolved.size:
-        recorder.count("sweep.frequencies", int(unsolved.size))
-        unsolved = batch_step(unsolved, values)
-    for idx in unsolved:
-        f = float(freqs[idx])
-        strategies, tags = point_step(int(idx), f)
+    finite_idx = np.nonzero(finite)[0]
+    if finite_idx.size:
+        recorder.count("sweep.frequencies", int(finite_idx.size))
+    units = batch_step(finite_idx, values) if finite_idx.size else ()
+    for cells in units:
+        f = float(freqs[cells[0]])
+        strategies, tags = point_step(cells, f)
         try:
             with recorder.span("mft.solve", frequency=f, **tags) as span:
                 value, attempts = run_fallback_chain(
                     strategies, f, report, recorder=recorder)
             attempts_log.extend(attempts)
-            values[idx] = value
+            values[cells] = value
             if recorder.enabled:
                 recorder.observe("mft.solve_seconds", span.duration)
         except FallbackExhausted as exc:
             attempts_log.extend(exc.attempts)
-            failures.append(FrequencyFailure(
+            failures.extend(FrequencyFailure(
                 frequency=f, index=int(idx), stage="solve",
-                error=type(exc).__name__, message=str(exc)))
+                error=type(exc).__name__, message=str(exc))
+                for idx in cells)
             if on_failure == "raise":
                 raise exc.attach_diagnostics(report)
             logger.warning("recording NaN at %.6g Hz: %s", f, exc)
@@ -714,14 +709,14 @@ def forcing_rows(context, l_row, labels) -> "FloatArray":
                      for s in range(len(labels))])
 
 
-def kernel_values(result, l_row, period, labels, multiplier=1.0):
+def kernel_values(result, l_row, period, labels):
     """Sweep values and accept mask from one batched kernel result.
 
-    Values are ``multiplier · (2/T) Re(l · ∫q)``, transposed to rows of
+    Values are ``(2/T) Re(l · ∫q)``, transposed to rows of
     ``[total, source…]`` for an attribution request; a frequency is
     accepted when the kernel solved it and every value is finite.
     """
-    psd = multiplier * (2.0 * np.real(result.integral @ l_row) / period)
+    psd = 2.0 * np.real(result.integral @ l_row) / period
     if labels is None:
         return psd, result.ok & np.isfinite(psd)
     # (R, n_freq) → (n_freq, R) rows of [total, sources…].

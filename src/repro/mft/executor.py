@@ -42,7 +42,6 @@ from ..diagnostics.report import DiagnosticsReport, FrequencyFailure
 from ..errors import ReproError
 from ..noise.result import PsdResult, clip_negative_psd, worst_negative_psd
 from ..obs import span_summary
-from .context import CacheStats
 
 logger = logging.getLogger(__name__)
 
@@ -69,22 +68,6 @@ SPECTRAL_STACK_CAP_BYTES = 32 * 2**20
 #: through :func:`repro.mft.corners.corner_psd_sweep`, not the unified
 #: solver registry.
 _SOLVERS = (None, "mft", "spectral-batch", "param-batch")
-
-
-def _fold_cache_delta(recorder, before, after):
-    """Fold a cache-stats delta into a recorder's counters.
-
-    Emits ``cache.<kind>`` aggregates plus ``cache.<kind>.<category>``
-    per-category counters.
-    """
-    delta = CacheStats.delta(before, after)
-    for kind in ("hits", "misses", "evictions"):
-        diffs = delta[kind]
-        total = sum(diffs.values())
-        if total:
-            recorder.count(f"cache.{kind}", total)
-        for category, n in diffs.items():
-            recorder.count(f"cache.{kind}.{category}", n)
 
 
 def _positive_int(name, value, default, minimum=1):
@@ -205,8 +188,6 @@ class SweepExecutor:
         report.merge(analyzer.preflight)
         rec = analyzer.recorder
         mark = rec.mark()
-        cache_stats = analyzer.cache_stats
-        stats_before = cache_stats.snapshot() if rec.enabled else None
         t0 = time.perf_counter()
         with rec.span("mft.sweep", solver=self.solver or "mft",
                       n=int(freqs.size)):
@@ -234,7 +215,6 @@ class SweepExecutor:
         runtime = time.perf_counter() - t0
         if rec.enabled:
             rec.count("executor.chunks_dispatched", len(outputs))
-            _fold_cache_delta(rec, stats_before, cache_stats.snapshot())
             report.timeline = span_summary(rec, since=mark)
         return PsdResult(
             frequencies=freqs, psd=clipped, method="mft",
@@ -250,7 +230,6 @@ class SweepExecutor:
                 "failures": failures,
                 "fallback_attempts": attempts,
                 "budget": contribution,
-                "cache_stats": cache_stats.to_dict(),
                 "executor": {
                     "solver": self.solver,
                     "chunk_size": chunks[0][1].size if chunks else 0,

@@ -274,17 +274,18 @@ SHOOTING_DERIVATIVE_STEP_REL: float = 1e-6
 PARAM_BATCH_EQUIVALENCE_RTOL: float = 1e-9
 
 #: Parity-battery bound: an M-corner batched sweep versus M independent
-#: sweeps over the *same* cached contexts.  Row stacking and the exact
-#: ``α²·psd`` intensity rescale differ from per-corner solves only by
-#: reordered floating-point operations (measured ~3e-15).
+#: sweeps of its dynamics roots, each scaled by the corner's intensity.
+#: Row stacking differs from per-root solves only by reordered
+#: floating-point operations (measured ~3e-15).
 PARAM_BATCH_PARITY_RTOL: float = 1e-12
 
-#: Bound on a derived intensity corner versus a from-scratch rebuild of
-#: the rescaled system.  The two are *different* roundings of the same
-#: quantity — restacking scales the cached covariance forcing exactly,
+#: Bound on an intensity corner versus a from-scratch rebuild of the
+#: rescaled system.  The two are *different* roundings of the same
+#: quantity — the corner scales its root's solved per-source PSD rows,
 #: while a rebuild re-rounds the Van Loan Gramians and the covariance
 #: fixed point — and the gap is amplified by the fixed-point solve's
-#: conditioning (measured ~3e-8 on the sc-lowpass corners workload).
+#: conditioning (measured ~2e-9 of max|PSD| on the SC low-pass at 64
+#: segments per phase).
 CORNER_INTENSITY_RESTACK_RTOL: float = 1e-6
 
 #: Minimum speedup of the parameter-batched corner sweep over per-corner

@@ -71,19 +71,20 @@ def first_chunk_budget():
 
 
 @pytest.fixture
-def corner_members(monkeypatch):
-    """Every member analyzer the corner sweeps of a test build, in order.
+def corner_roots(monkeypatch):
+    """Every dynamics root (:class:`~repro.mft.corners.RootMap`) the
+    corner sweeps of a test build, in order.
 
     A corner sweep keeps its contexts to itself; this is how a test
     reads them.
     """
-    members = []
-    build = corners_module._build_members
+    roots = []
+    build = corners_module._build_roots
 
     def capture(*args, **kwargs):
         built = build(*args, **kwargs)
-        members.extend(built)
+        roots.extend(built)
         return built
 
-    monkeypatch.setattr(corners_module, "_build_members", capture)
-    return members
+    monkeypatch.setattr(corners_module, "_build_roots", capture)
+    return roots

@@ -123,13 +123,6 @@ class TestBaseContext:
                                   segments_per_phase=SPP, context=context)
         assert np.all(np.isfinite(result.values))
 
-    def test_rejects_a_derived_context(self):
-        model = sc_lowpass_system()
-        derived = SweepContext(model.system, SPP).derive_intensity_scaled(2.0)
-        with pytest.raises(ReproError, match="dynamics root"):
-            corner_psd_sweep(model, _family(), FREQS, segments_per_phase=SPP,
-                             context=derived)
-
     def test_rejects_a_non_context(self):
         model = sc_lowpass_system()
         with pytest.raises(ReproError, match="SweepContext"):

@@ -7,12 +7,17 @@ produce —
 
 * ``M = 1`` with a trivial corner is **bit-identical** to
   ``psd_sweep(solver="spectral-batch")``;
-* ``M > 1`` matches M independent member sweeps over the same derived
-  contexts to ``PARAM_BATCH_PARITY_RTOL`` (measured: ~3e-15);
-* intensity corners derived from their dynamics root stay within
-  ``CORNER_INTENSITY_RESTACK_RTOL`` of fresh per-corner rebuilds (two
-  valid roundings of the same rescaled Gramians, amplified by the
-  fixed-point solve);
+* an intensity corner is the linear map of its dynamics root's
+  ``[total, source…]`` rows: a uniform corner is α times its root's own
+  sweep bit for bit, a per-source corner reads ``α_k·S_k`` within
+  1e-14 of max|PSD| of a plain attributed sweep of the root, and a
+  root solves ``1 + n_sources`` kernel rows, or one when no corner on
+  it reads its source rows;
+* intensity corners stay within ``CORNER_INTENSITY_RESTACK_RTOL`` of
+  fresh rebuilds of the rescaled circuits (two valid roundings of the
+  same rescaled Gramians, amplified by the fixed-point solve);
+* a frequency a root's batched solve rejects is rescued once for every
+  corner on the root, each corner reading its map of the rescued rows;
 * budget-skipped chunks and non-finite frequencies NaN exactly the
   right ``(corner, frequency)`` cells with per-corner failure records;
 * the context registry's family salt keeps corner-sweep cache entries
@@ -26,14 +31,19 @@ import repro.mft.executor as executor
 from repro.circuits import (
     CornerSpec,
     ParameterGrid,
+    ScIntegratorParams,
     ScLowpassParams,
     scale_system_noise,
+    sc_integrator_system,
     sc_lowpass_system,
     switched_rc_system,
 )
 from repro.diagnostics.budget import SweepBudget
+from repro.diagnostics.fallback import FallbackPolicy
 from repro.errors import ReproError
+from repro.linalg.lyapunov import fixed_point_condition
 from repro.mft import context as context_module
+from repro.mft import corners as corners_module
 from repro.mft.context import (
     clear_sweep_contexts,
     registry_stats,
@@ -42,10 +52,11 @@ from repro.mft.context import (
 from repro.mft.corners import (
     CornerBatchAnalyzer,
     CornerSweepResult,
-    _build_members,
+    _build_roots,
     corner_psd_sweep,
 )
 from repro.mft.engine import MftNoiseAnalyzer
+from repro.obs import Recorder
 from repro.tolerances import (
     CORNER_INTENSITY_RESTACK_RTOL,
     PARAM_BATCH_PARITY_RTOL,
@@ -220,18 +231,21 @@ class TestParityBattery:
         clear_sweep_contexts()
         batched = corner_psd_sweep(rc_system, mixed_grid, freqs,
                                    segments_per_phase=SPP)
-        # Rebuild the members (fresh contexts on the same systems) and
-        # sweep each independently.
-        members = _build_members(rc_system, mixed_grid, 0, SPP, None)
-        for m, member in enumerate(members):
-            reference = member.psd_sweep(freqs, solver="spectral-batch")
-            scale = np.max(np.abs(reference.psd))
-            worst = np.max(np.abs(batched.values[m] - reference.psd))
-            assert worst <= PARAM_BATCH_PARITY_RTOL * scale, (
-                f"corner {mixed_grid.names[m]}: {worst / scale:.3e}")
+        # Rebuild the roots (fresh contexts on the same systems), sweep
+        # each independently, and scale by each corner's intensity.
+        roots = _build_roots(rc_system, mixed_grid, 0, SPP, None)
+        assert len(roots) == 2
+        for root in roots:
+            reference = root.analyzer.psd_sweep(freqs,
+                                                solver="spectral-batch")
+            for m, alpha in zip(root.corners, root.scales):
+                want = alpha * reference.psd
+                scale = np.max(np.abs(want))
+                worst = np.max(np.abs(batched.values[m] - want))
+                assert worst <= PARAM_BATCH_PARITY_RTOL * scale, (
+                    f"corner {mixed_grid.names[m]}: {worst / scale:.3e}")
 
-    def test_derived_true_within_restack_tolerance_of_rebuilds(
-            self, rc_system, freqs):
+    def test_uniform_corner_matches_fresh_rebuild(self, rc_system, freqs):
         grid = ParameterGrid([CornerSpec(name="nom"),
                               CornerSpec(name="hot", noise_scale=1.3)])
         clear_sweep_contexts()
@@ -245,9 +259,8 @@ class TestParityBattery:
             assert worst <= CORNER_INTENSITY_RESTACK_RTOL * scale, (
                 f"corner {corner.name}: {worst / scale:.3e}")
 
-    def test_per_source_scales_get_their_own_kernel_row(
-            self, rc_system, freqs):
-        # A per-source map cannot share the root's row; it must still
+    def test_per_source_corner_matches_fresh_rebuild(self, rc_system, freqs):
+        # A per-source corner reads its root's source rows; it must
         # match its own fresh rebuild through the linearity of the PSD
         # in each source intensity.
         corner = CornerSpec(name="one-source", noise_scale={0: 1.7})
@@ -261,6 +274,213 @@ class TestParityBattery:
         worst = np.max(np.abs(batched.values[1] - reference.psd))
         assert worst <= CORNER_INTENSITY_RESTACK_RTOL * scale
 
+
+
+# -- intensity corners: a linear map of their root's rows ----------------------
+
+MAP_SPP = 64
+MAP_FREQS = np.linspace(50.0, 1.9e3, 32)
+
+
+def _lowpass_intensity_family():
+    """SC low-pass: nominal, 5 uniform and 10 per-source corners, with
+    every scale drawn from [0.5, 2]."""
+    rng = np.random.default_rng(36)
+    n_src = len(sc_lowpass_system().noise_labels)
+    corners = [CornerSpec(name="nom")]
+    corners += [CornerSpec(name=f"u{k}", noise_scale=float(alpha))
+                for k, alpha in enumerate(rng.uniform(0.5, 2.0, 5))]
+    corners += [CornerSpec(name=f"s{k}", noise_scale=dict(
+                    enumerate(rng.uniform(0.5, 2.0, n_src).tolist())))
+                for k in range(10)]
+    return ParameterGrid(corners)
+
+
+def _batch_rows(recorder):
+    """The ``n_rows`` tag of every ``spectral.batch`` span, in order."""
+    return [span.tags["n_rows"] for span in recorder.spans
+            if span.name == "spectral.batch"]
+
+
+class TestIntensityMap:
+    """Each intensity corner reads α times its root's rows: no solve,
+    context or kernel row of its own."""
+
+    @pytest.fixture(scope="class")
+    def root_sweep(self):
+        """C: one plain attributed spectral sweep of the root."""
+        analyzer = MftNoiseAnalyzer(sc_lowpass_system().system,
+                                    segments_per_phase=MAP_SPP)
+        return analyzer.psd_sweep(MAP_FREQS, solver="spectral-batch",
+                                  attribute_sources=True)
+
+    def test_corners_are_alpha_times_the_root_rows(self, root_sweep):
+        family = _lowpass_intensity_family()
+        model = sc_lowpass_system()
+        plain = corner_psd_sweep(model, family, MAP_FREQS,
+                                 segments_per_phase=MAP_SPP)
+        attributed = corner_psd_sweep(model, family, MAP_FREQS,
+                                      segments_per_phase=MAP_SPP,
+                                      attribute_sources=True)
+        assert attributed.values.tobytes() == plain.values.tobytes()
+        sources = root_sweep.budget.contributions
+        peak = np.max(np.abs(plain.values))
+        for m, corner in enumerate(family.corners):
+            alpha = corner.resolved_scales(None, sources.shape[0])
+            rows = alpha[:, None] * sources
+            budget = attributed.budgets[corner.name]
+            assert (np.max(np.abs(budget.contributions - rows))
+                    <= 1e-14 * peak), corner.name
+            if corner.uniform_scale is None:
+                total = rows.sum(axis=0)
+            else:
+                total = corner.uniform_scale * root_sweep.psd
+                assert (budget.contributions.tobytes()
+                        == (corner.uniform_scale * sources).tobytes())
+            assert np.max(np.abs(plain.values[m] - total)) <= 1e-14 * peak, (
+                corner.name)
+
+    def test_uniform_corners_bit_for_bit_alpha_times_root(self):
+        # An all-uniform family reads alpha times the root's one kernel
+        # row, bit for bit, as when it shared that row.
+        family = ParameterGrid(
+            [corner for corner in _lowpass_intensity_family().corners
+             if corner.uniform_scale is not None])
+        assert len(family) == 6
+        model = sc_lowpass_system()
+        root = MftNoiseAnalyzer(model.system, segments_per_phase=MAP_SPP)
+        reference = root.psd_sweep(MAP_FREQS, solver="spectral-batch")
+        result = corner_psd_sweep(model, family, MAP_FREQS,
+                                  segments_per_phase=MAP_SPP)
+        for m, corner in enumerate(family.corners):
+            assert (result.values[m].tobytes()
+                    == (corner.uniform_scale * reference.psd).tobytes())
+
+    def test_root_solves_total_and_source_rows(self):
+        recorder = Recorder()
+        corner_psd_sweep(sc_lowpass_system(), _lowpass_intensity_family(),
+                         MAP_FREQS, segments_per_phase=MAP_SPP,
+                         recorder=recorder)
+        n_src = len(sc_lowpass_system().noise_labels)
+        assert _batch_rows(recorder) == [1 + n_src] == [6]
+
+    @pytest.mark.parametrize("attribute, rows", [(False, 1), (True, 2)])
+    def test_uniform_roots_solve_one_row_unless_attributed(
+            self, rc_system, mixed_grid, freqs, attribute, rows):
+        recorder = Recorder()
+        corner_psd_sweep(rc_system, mixed_grid, freqs,
+                         segments_per_phase=SPP, recorder=recorder,
+                         attribute_sources=attribute)
+        assert _batch_rows(recorder) == [rows, rows]
+
+
+# -- rescue on an intensity family ---------------------------------------------
+
+#: Below the SC integrator's cond(I − e^{−jωT}M₀) at the low frequencies
+#: of ``RESCUE_FREQS`` (~14 at 2 kHz), above it at the high ones (~2.4).
+RESCUE_CONDITION_LIMIT = 3.0
+RESCUE_FREQS = np.linspace(1e3, 40e3, 8)
+
+
+def _integrator_family():
+    """SC integrator: 2 dynamics × (nominal, uniform, per-source)."""
+    return ParameterGrid.cross(
+        {"nom": {}, "leaky": {"leak": 0.1}},
+        {"nom": 1.0, "hot": 1.3, "skew": {0: 1.7, 2: 0.6}},
+        builder=sc_integrator_system, base_params=ScIntegratorParams())
+
+
+def _roots_with_policy(monkeypatch, policy):
+    """The roots the corner sweeps that follow build, each on ``policy``."""
+    roots = []
+    build = corners_module._build_roots
+
+    def build_with_policy(*args, **kwargs):
+        built = build(*args, **kwargs)
+        for root in built:
+            root.analyzer.fallback = policy
+        roots.extend(built)
+        return built
+
+    monkeypatch.setattr(corners_module, "_build_roots", build_with_policy)
+    return roots
+
+
+def _attempt_log(result_info):
+    return sorted((a.frequency, a.strategy, a.success)
+                  for a in result_info["fallback_attempts"])
+
+
+class TestRescueOnIntensityFamily:
+    def _sweep(self, monkeypatch, policy, attribute):
+        roots = _roots_with_policy(monkeypatch, policy)
+        result = corner_psd_sweep(sc_integrator_system(),
+                                  _integrator_family(), RESCUE_FREQS,
+                                  segments_per_phase=SPP,
+                                  attribute_sources=attribute)
+        assert len(roots) == 2
+        # Each root swept alone, attributed, on the same policy.
+        references = [root.analyzer.psd_sweep(
+            RESCUE_FREQS, solver="spectral-batch", attribute_sources=True)
+            for root in roots]
+        return result, roots, references
+
+    @pytest.mark.parametrize("attribute", [False, True])
+    def test_rescued_cells_are_the_map_of_the_root_rescue(
+            self, monkeypatch, attribute):
+        policy = FallbackPolicy(condition_limit=RESCUE_CONDITION_LIMIT)
+        result, roots, references = self._sweep(monkeypatch, policy,
+                                                attribute)
+        assert np.all(np.isfinite(result.values))
+        nominal = roots[0].analyzer.context
+        period = nominal.structure.period
+        conds = [fixed_point_condition(
+            np.exp(-2j * np.pi * f * period) * nominal.monodromy)
+            for f in RESCUE_FREQS]
+        rejected = np.array(conds) > RESCUE_CONDITION_LIMIT
+        assert 0 < rejected.sum() < RESCUE_FREQS.size
+        for root, reference in zip(roots, references):
+            assert "mft-regularized" in {
+                a.strategy for a in reference.info["fallback_attempts"]}
+            sources = reference.budget.contributions
+            for m, scale in zip(root.corners, root.scales):
+                alpha = np.broadcast_to(scale, sources.shape[:1])
+                rows = alpha[:, None] * sources
+                want = (rows.sum(axis=0) if np.ndim(scale)
+                        else scale * reference.psd)
+                peak = np.max(np.abs(want))
+                assert np.max(np.abs(result.values[m] - want)) <= (
+                    1e-14 * peak)
+                if attribute:
+                    budget = result.budgets[result.corner_names[m]]
+                    assert np.max(np.abs(budget.contributions - rows)) <= (
+                        1e-14 * peak)
+        # The chain ran once per (root, frequency), as in each root's
+        # own sweep, not once per corner.
+        assert _attempt_log(result.info) == sorted(
+            entry for reference in references
+            for entry in _attempt_log(reference.info))
+
+    def test_exhausted_rescue_fails_every_corner_on_the_root(
+            self, monkeypatch):
+        policy = FallbackPolicy(condition_limit=RESCUE_CONDITION_LIMIT,
+                                enable_regularized=False,
+                                enable_brute_force=False)
+        result, roots, references = self._sweep(monkeypatch, policy, False)
+        for root, reference in zip(roots, references):
+            want = [(f.index, f.stage, f.error)
+                    for f in reference.info["failures"]]
+            assert want and {stage for _i, stage, _e in want} == {"solve"}
+            for m in root.corners:
+                name = result.corner_names[m]
+                got = [(f.index, f.stage, f.error)
+                       for f in result.failures.get(name, [])]
+                assert got == want, name
+                assert np.array_equal(np.isnan(result.values[m]),
+                                      np.isnan(reference.psd)), name
+        assert _attempt_log(result.info) == sorted(
+            entry for reference in references
+            for entry in _attempt_log(reference.info))
 
 class TestFailureGeometry:
     """Budgets and bad inputs NaN exactly the right cells."""
@@ -322,8 +542,8 @@ class TestRegistryFamilyIsolation:
         clear_sweep_contexts()
         plain = sweep_context_for(rc_system, SPP)
         grid = ParameterGrid([CornerSpec(name="nom")])
-        members = _build_members(rc_system, grid, 0, SPP, None)
-        member_context = members[0].context
+        roots = _build_roots(rc_system, grid, 0, SPP, None)
+        member_context = roots[0].analyzer.context
         assert member_context is not plain, (
             "the family salt must separate corner entries from the "
             "plain sweep's, even for an identical system fingerprint")
@@ -334,7 +554,7 @@ class TestRegistryFamilyIsolation:
             self, rc_system, mixed_grid, freqs):
         # Roots a caller registers under the family hash are reused by
         # every rerun: one hit per dynamics root, no miss, and nothing
-        # inserted (intensity members derive from their root).
+        # inserted (intensity corners map their root's rows).
         clear_sweep_contexts()
         family = mixed_grid.family_hash()
         roots = {}
@@ -352,11 +572,10 @@ class TestRegistryFamilyIsolation:
             assert delta["hits"] == {"context": 2}
             assert delta["misses"] == {}
             assert dict(context_module._REGISTRY) == registered
-        members = _build_members(rc_system, mixed_grid, 0, SPP, None)
-        for member, corner in zip(members, mixed_grid.corners):
-            context = member.context
-            root = getattr(context, "parent", context)
-            assert root is roots[corner.overrides_key()]
+        for root in _build_roots(rc_system, mixed_grid, 0, SPP, None):
+            for m in root.corners:
+                corner = mixed_grid.corners[m]
+                assert root.analyzer.context is roots[corner.overrides_key()]
         clear_sweep_contexts()
 
 
@@ -410,9 +629,9 @@ class TestAnalyzerValidation:
     def test_member_grid_length_mismatch_rejected(
             self, rc_system, mixed_grid):
         clear_sweep_contexts()
-        members = _build_members(rc_system, mixed_grid, 0, SPP, None)
+        roots = _build_roots(rc_system, mixed_grid, 0, SPP, None)
         with pytest.raises(ReproError, match="4 corners"):
-            CornerBatchAnalyzer(members[:2], mixed_grid)
+            CornerBatchAnalyzer(roots[:1], mixed_grid)
         with pytest.raises(ReproError, match="at least one"):
             CornerBatchAnalyzer([], mixed_grid)
 
@@ -463,7 +682,8 @@ class TestPsdCornersApi:
 @pytest.fixture
 def lowpass_family():
     """SC low-pass corners: 2 dynamics × (2 uniform intensities + one
-    per-source scaling), so each dynamics group stacks two kernel rows.
+    per-source scaling), so each dynamics root solves its total and
+    source rows.
 
     Four states: a one-frequency block rounds like any other (see
     ``tests/test_mft_spectral.py::TestDefaultBlock``).
@@ -522,16 +742,16 @@ class TestDefaultBlock:
 
     def test_cap_counts_the_rows_of_the_largest_group(
             self, monkeypatch, lowpass_family, lowpass_freqs):
-        # Each dynamics group stacks 2 rows (the shared uniform row and
-        # the per-source row), each 1 + n_sources wide when attributed:
-        # a cap for 3 frequencies of that stack splits 12 frequencies
-        # into 4 chunks of 3 whole frequency slices.
+        # Each dynamics root stacks its 1 + n_sources rows (the total
+        # and the source rows its per-source corner reads): a cap for 3
+        # frequencies of that stack splits 12 frequencies into 4 chunks
+        # of 3 whole frequency slices.
         clear_sweep_contexts()
         whole = self._sweep(lowpass_family, lowpass_freqs,
                             attribute_sources=True)
         context = sweep_context_for(sc_lowpass_system().system, SPP)
         n_seg, n = context.structure.n_segments, context.structure.n_states
-        row_bytes = 2 * (1 + context.n_sources) * n_seg * n * 16
+        row_bytes = (1 + context.n_sources) * n_seg * n * 16
         monkeypatch.setattr(executor, "SPECTRAL_STACK_CAP_BYTES",
                             3 * row_bytes + row_bytes // 2)
         split = self._sweep(lowpass_family, lowpass_freqs,

@@ -39,12 +39,8 @@ from repro.lptv.system import (
     SampledLPTVSystem,
     lti_phase_system,
 )
-from repro.mft.context import (
-    CacheStats,
-    SweepContext,
-    clear_sweep_contexts,
-    registry_stats,
-)
+from repro.mft import context as context_module
+from repro.mft.context import SweepContext, clear_sweep_contexts
 from repro.mft.engine import MftNoiseAnalyzer
 from repro.noise.brute_force import brute_force_psd
 
@@ -445,13 +441,10 @@ class TestMftGuardrails:
             system, segments_per_phase=8,
             fallback=FallbackPolicy(condition_limit=1e4),
             context=SweepContext(system, 8))
-        before = registry_stats.snapshot()
         result = analyzer.psd([1e-3, 1.0, 100.0])
-        after = registry_stats.snapshot()
         assert result.n_failed == 0
         assert any(not a.success for a in result.info["fallback_attempts"])
-        assert "context" not in CacheStats.delta(before, after).get(
-            "misses", {})
+        assert not context_module._REGISTRY
 
     def test_policy_has_no_refinement_knobs(self):
         for knob in ("max_refinements", "segments_cap", "enable_refinement"):

@@ -166,28 +166,20 @@ class TestRegistryByteBound:
         assert _registered() == [ctx_a, ctx_c, ctx_d]
         assert ctx_b not in _registered()
 
-    def test_root_and_derived_corners_counted_once(self, monkeypatch):
-        from repro.circuits.corners import scale_system_noise
-
+    def test_context_under_several_keys_counted_once(self, monkeypatch):
         system = sc_lowpass_system().system
-        l_row = np.asarray(system.output_matrix)[0]
         root = sweep_context_for(system, 16, family="byte-bound")
-        root.warm_up(l_row)
-        derived = []
-        for scale in (0.5, 2.0, 3.0):
-            ctx = sweep_context_for(
-                scale_system_noise(system, scale), 16, family="byte-bound",
-                build=lambda s=scale: root.derive_intensity_scaled(s))
-            ctx.warm_up(l_row)
-            derived.append(ctx)
-        assert all(ctx._structure is root._structure for ctx in derived)
-        shared = _held_bytes([root] + derived)
-        # Counted entry by entry, each derived corner would also carry
-        # its root's power stacks, covariance and forcing.
-        assert shared < sum(_held_bytes([ctx]) for ctx in [root] + derived)
+        root.warm_up(np.asarray(system.output_matrix)[0])
+        for family in ("byte-bound-2", "byte-bound-3"):
+            assert sweep_context_for(system, 16, family=family,
+                                     build=lambda: root) is root
+        # Counted entry by entry, the three entries would hold its
+        # power stacks, covariance and forcing three times.
+        shared = _held_bytes(_registered())
+        assert 0 < shared == _held_bytes([root])
         monkeypatch.setattr(context_module, "_REGISTRY_CAP_BYTES", shared)
         sweep_context_for(_rc(0), 16)
-        assert _registered()[:4] == [root] + derived
+        assert _registered()[:3] == [root] * 3
 
     def test_oversized_entry_stays_until_next_miss(self, monkeypatch):
         monkeypatch.setattr(context_module, "_REGISTRY_CAP_BYTES", 1)
@@ -253,20 +245,15 @@ class TestRetainedBytesMemo:
         system = sc_lowpass_system().system
         l_row = np.asarray(system.output_matrix)[0]
         root = SweepContext(system, segments_per_phase=16)
-        uniform = root.derive_intensity_scaled(2.0)
-        per_source = root.derive_intensity_scaled(
-            np.linspace(0.5, 1.5, root.n_sources))
-        contexts = (root, uniform, per_source)
+        other = SweepContext(system, segments_per_phase=16)
+        contexts = (root, other)
         fills = [
             lambda: root.structure,
             lambda: root.covariance,
             lambda: root.forcing_pairs(l_row),
             lambda: root.source_forcing_pairs(l_row, 0),
-            lambda: uniform.forcing_pairs(l_row),
-            lambda: per_source.forcing_pairs(l_row),
-            lambda: per_source.source_forcing_pairs(l_row, 0),
-            lambda: per_source.source_forcing_pairs(l_row, 1),
-            lambda: uniform.covariance,
+            lambda: other.source_forcing_pairs(l_row, 1),
+            lambda: other.covariance,
             lambda: root.forcing_pairs(np.ones_like(l_row)),
         ]
         first = list(context_module._cumulative_bytes(contexts))

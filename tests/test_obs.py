@@ -341,34 +341,6 @@ class TestEngineInvariants:
 
 
 class TestCacheStatsFolding:
-    def test_warm_up_preserves_counters(self, rc_system):
-        # Regression: warm_up() must only ever *add* to the cache
-        # counters — never reset them — no matter how often it runs.
-        clear_sweep_contexts()
-        analyzer = MftNoiseAnalyzer(rc_system, segments_per_phase=16)
-        analyzer.warm_up()
-        stats = analyzer.cache_stats
-        first = stats.snapshot()
-        assert sum(first["hits"].values()) or sum(first["misses"].values())
-        analyzer.warm_up()
-        analyzer.warm_up()
-        second = stats.snapshot()
-        assert second["misses"] == first["misses"]
-        for kind, count in first["hits"].items():
-            assert second["hits"][kind] >= count
-
-    def test_cache_counters_folded_into_recorder(self, rc_system):
-        clear_sweep_contexts()
-        rec = Recorder()
-        analyzer = MftNoiseAnalyzer(rc_system, segments_per_phase=16,
-                                    recorder=rec)
-        analyzer.psd(np.linspace(100.0, 12e3, 4))
-        counters = rec.counters
-        assert counters.get("cache.misses", 0) > 0
-        total = sum(n for k, n in counters.items()
-                    if k.startswith("cache.misses."))
-        assert total == counters["cache.misses"]
-
     def test_snapshot_and_delta(self, rc_system):
         from repro.mft.context import CacheStats
         stats = CacheStats()

@@ -7,9 +7,8 @@ the stacked route is *bit-identical* to the one-source-at-a-time route
 through ``source_disc`` — per-source covariances, forcing pairs, and a
 whole attributed corner sweep — and that the per-source entry points
 share one index guard and the stability semantics of
-``periodic_covariance``.  Derived intensity contexts are pinned too:
-their discretizations hold one rescaled Gramian per clock phase, and a
-corner sweep never builds them.
+``periodic_covariance``.  An attributed corner sweep builds one
+discretization per dynamics root and none for its intensity corners.
 """
 
 import numpy as np
@@ -28,12 +27,13 @@ from repro.circuits import (
 from repro.errors import ReproError, StabilityError
 from repro.lptv.periodic_solve import forcing_from_samples
 from repro.lptv.system import Phase, PiecewiseLTISystem
+from repro.mft import context as context_module
 from repro.mft.context import (
     SweepContext,
     clear_sweep_contexts,
     sweep_context_for,
 )
-from repro.noise.covariance import periodic_covariance
+from repro.noise.covariance import periodic_covariance, steady_state_samples
 from repro.obs import Recorder
 
 CIRCUITS = {
@@ -82,14 +82,21 @@ def test_stacked_sources_match_source_disc_route(name):
                               forcing_from_samples(context.disc, post, pre))
 
 
-def test_one_pass_serves_every_source():
+def test_one_pass_serves_every_source(monkeypatch):
     context = SweepContext(_system(sc_lowpass_system), segments_per_phase=SPP)
     l_row = _l_row(context.system)
+    passes = []
+
+    def counted(disc, drives):
+        passes.append(len(drives))
+        return steady_state_samples(disc, drives)
+
+    monkeypatch.setattr(context_module, "steady_state_samples", counted)
     for s in range(context.n_sources):
         context.source_forcing_pairs(l_row, s)
-    assert context.stats.misses["source-covariance"] == 1
-    assert context.stats.misses["source-forcing"] == 1
-    assert "source-disc" not in context.stats.misses
+    assert len(passes) == 1
+    assert len(context._source_forcing) == context.n_sources
+    assert context._source_discs == {}
 
 
 def _corner_family():
@@ -133,8 +140,9 @@ def test_attributed_corner_sweep_matches_source_disc_route():
 
 
 def _check_corner_sweep_builds_no_derived_discretization(intensities,
-                                                         members):
-    members.clear()
+                                                         roots, built):
+    roots.clear()
+    built.clear()
     model = sc_lowpass_system()
     base = ScLowpassParams()
     grid = ParameterGrid.cross({"nom": {}, "c1hi": {"c1": 1.1 * base.c1}},
@@ -145,50 +153,47 @@ def _check_corner_sweep_builds_no_derived_discretization(intensities,
                              recorder=recorder)
     result = analysis.psd_corners(grid, np.linspace(200.0, 12e3, 4),
                                   attribute_sources=True)
-    derived = [member.context for member in members
-               if hasattr(member.context, "parent")]
-    assert len(derived) == 4
-    assert all(context._disc is None for context in derived)
-    # Each root validates once; its derived corners share its report.
-    roots = {id(context.parent) for context in derived}
+    # One root per dynamics point, the analysis's own context the
+    # nominal one, each preflighted once.
     assert len(roots) == 2
-    assert id(analysis.context) in roots
-    assert all(context.preflight is context.parent.preflight
-               for context in derived)
+    assert roots[0].analyzer.context is analysis.context
+    assert [len(root.corners) for root in roots] == [3, 3]
+    names = [span.name for span in recorder.spans]
+    assert names.count("mft.preflight") == 1 + len(roots)
     assert len(result.diagnostics.by_code("floquet-stable")) == 2
-    assert any(span.name == "mft.preflight" for span in recorder.spans)
+    # One discretization per root, and no rescaled or per-source one.
+    assert built == [SPP, SPP]
+    assert all(root.analyzer.context._source_discs == {} for root in roots)
 
 
-def test_corner_sweep_builds_no_derived_discretization(corner_members):
+def test_corner_sweep_builds_no_derived_discretization(corner_roots,
+                                                       monkeypatch):
+    built = []
+    discretize = PiecewiseLTISystem.discretize
+
+    def counted(self, segments_per_phase):
+        built.append(segments_per_phase)
+        return discretize(self, segments_per_phase)
+
+    monkeypatch.setattr(PiecewiseLTISystem, "discretize", counted)
     _check_corner_sweep_builds_no_derived_discretization(
-        {"nom": 1.0, "cold": 0.85, "hot": 1.2}, corner_members)
-    # An intensity-scaled corner first on every dynamics root: its
-    # member preflights the root, never a rescaled discretization.
+        {"nom": 1.0, "cold": 0.85, "hot": 1.2}, corner_roots, built)
+    # An intensity-scaled corner first on every dynamics root: the root
+    # is preflighted on its own system, never a rescaled one.
     _check_corner_sweep_builds_no_derived_discretization(
-        {"cold": 0.85, "nom": 1.0, "hot": 1.2}, corner_members)
+        {"cold": 0.85, "nom": 1.0, "hot": 1.2}, corner_roots, built)
 
 
 class TestSourceIndexGuard:
     @pytest.fixture(scope="class")
-    def root(self):
+    def context(self):
         return SweepContext(_system(sc_lowpass_system),
                             segments_per_phase=SPP)
 
-    def _contexts(self, root):
-        n_src = root.n_sources
-        return {
-            "root": root,
-            "uniform": root.derive_intensity_scaled(1.3),
-            "per-source": root.derive_intensity_scaled(
-                np.linspace(0.5, 1.5, n_src)),
-        }
-
-    @pytest.mark.parametrize("kind", ["root", "uniform", "per-source"])
     @pytest.mark.parametrize("entry", ["source_covariance",
                                        "source_forcing_pairs",
                                        "source_disc"])
-    def test_out_of_range_raises_repro_error(self, root, kind, entry):
-        context = self._contexts(root)[kind]
+    def test_out_of_range_raises_repro_error(self, context, entry):
         n_src = context.n_sources
         l_row = _l_row(context.system)
         for bad in (-1, n_src):
@@ -214,42 +219,3 @@ def test_unstable_source_covariance_matches_periodic_covariance():
     findings = got.diagnostics.by_code("floquet-unstable")
     assert len(findings) == 1
     assert str(got) == str(want)
-
-
-class TestDerivedDiscretization:
-    @pytest.fixture(scope="class")
-    def root(self):
-        return SweepContext(_system(sc_lowpass_system),
-                            segments_per_phase=SPP)
-
-    def test_per_source_gramians_match_segment_expression(self, root):
-        scales = np.linspace(0.5, 1.5, root.n_sources)
-        derived = root.derive_intensity_scaled(scales)
-        source_discs = [root.source_disc(s) for s in range(scales.size)]
-        amplitude = np.sqrt(scales)
-        for k, (seg, parent_seg) in enumerate(zip(derived.disc.segments,
-                                                  root.disc.segments)):
-            gram = np.add.reduce([
-                scales[s] * source_discs[s].segments[k].gramian
-                for s in range(scales.size)])
-            assert np.array_equal(seg.gramian, gram)
-            assert np.array_equal(seg.b_matrix,
-                                  parent_seg.b_matrix * amplitude[None, :])
-
-    def test_uniform_gramians_match_segment_expression(self, root):
-        derived = root.derive_intensity_scaled(1.3)
-        for seg, parent_seg in zip(derived.disc.segments,
-                                   root.disc.segments):
-            assert np.array_equal(seg.gramian, parent_seg.gramian * 1.3)
-            assert np.array_equal(seg.b_matrix,
-                                  parent_seg.b_matrix * np.sqrt(1.3))
-
-    @pytest.mark.parametrize("scales", [1.3, "per-source"])
-    def test_one_gramian_object_per_phase(self, root, scales):
-        if scales == "per-source":
-            scales = np.linspace(0.5, 1.5, root.n_sources)
-        derived = root.derive_intensity_scaled(scales)
-        n_phases = len(root.system.phases)
-        assert n_phases == 2
-        assert len({id(seg.gramian) for seg in derived.disc.segments}) \
-            == n_phases

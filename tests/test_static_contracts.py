@@ -20,6 +20,9 @@ so a file that does not parse fails the run.
   ``sweep_context_for``, so no library path fills the context registry:
   analyses own their contexts, and registering one is the caller's
   choice.
+* ``context_subclass``: nothing subclasses ``SweepContext``: a corner
+  that differs only in noise intensity is a linear map of its dynamics
+  root's kernel rows, not a context of its own.
 
 Broad handlers and ``print`` are ruff's ``BLE`` and ``T20``; recorder
 forwarding is checked at run time by the span tests in ``test_obs.py``.
@@ -244,8 +247,16 @@ def registry_insert(source, path):
             and _dotted(node.func).rsplit(".", 1)[-1] in names]
 
 
+def context_subclass(source, path):
+    return [_finding(path, node, f"class {node.name} subclasses SweepContext")
+            for node in ast.walk(_parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(_dotted(base).rsplit(".", 1)[-1] == "SweepContext"
+                    for base in node.bases)]
+
+
 CHECKS = (raw_linalg, magic_tolerance, bare_ndarray_return, psd_units, replay_hygiene,
-          registry_insert)
+          registry_insert, context_subclass)
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +330,11 @@ CASES = [
      "__all__ = ['sweep_context_for']\n", None, ()),
     (registry_insert, "exempts_context_module", "c = sweep_context_for(system, 64)\n",
      "repro/mft/context.py", ()),
+    (context_subclass, "flags_subclass", "class Scaled(SweepContext):\n    pass\n", None,
+     ("module.py:1: class Scaled subclasses SweepContext",)),
+    (context_subclass, "flags_module_attribute",
+     "class Scaled(context.SweepContext):\n    pass\n", None, ("module.py:1",)),
+    (context_subclass, "allows_other_bases", "class Root(SweepBase):\n    pass\n", None, ()),
 ]
 
 

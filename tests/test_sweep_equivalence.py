@@ -212,4 +212,5 @@ class TestExecutorMetadata:
         assert meta["chunk_size"] == 3
         assert meta["n_chunks"] == 2
         assert meta["n_chunks_skipped"] == 0
-        assert result.info["cache_stats"]["total_hits"] > 0
+        # Contexts keep no hit/miss counters, so a sweep reports none.
+        assert "cache_stats" not in result.info
