@@ -65,7 +65,6 @@ from .lptv import Phase, PiecewiseLTISystem, SampledLPTVSystem
 from .mft import (
     MftNoiseAnalyzer,
     SweepContext,
-    SweepExecutor,
     sweep_context_for,
 )
 from .metrics import ContributionBudget, MetricResult
@@ -96,7 +95,7 @@ __all__ = [
     # systems and engines
     "Phase", "PiecewiseLTISystem", "SampledLPTVSystem",
     "MftNoiseAnalyzer",
-    "SweepContext", "SweepExecutor", "sweep_context_for",
+    "SweepContext", "sweep_context_for",
     "PsdResult", "brute_force_psd", "periodic_covariance",
     # metrics and attribution
     "ContributionBudget", "MetricResult",

@@ -21,6 +21,10 @@ against these implementations:
   formula of Demir et al. (extension experiments).
 * :mod:`repro.baselines.razavi` — the LTI oscillator PSD approximation
   ``B/Δω²`` (extension experiments).
+* :mod:`repro.baselines.referee` — the exact averaged PSD of a
+  piecewise-LTI system with no segment grid (one matrix exponential of
+  an augmented affine system per phase), the referee of the MFT
+  kernels' discretization error.
 """
 
 from .rice import (
@@ -48,6 +52,7 @@ from .demir import (
     demir_lorentzian_ssb,
     lorentzian_psd,
 )
+from .referee import referee_psd
 from .razavi import (
     linear_ring_psd_exact,
     linear_ring_variance_slope,
@@ -76,4 +81,5 @@ __all__ = [
     "razavi_linear_oscillator_psd",
     "linear_ring_psd_exact",
     "linear_ring_variance_slope",
+    "referee_psd",
 ]

@@ -22,7 +22,7 @@ against it in the tests.
 """
 
 from .engine import InstantaneousPsd, MftNoiseAnalyzer
-from .corners import CornerBatchAnalyzer, CornerSweepResult, corner_psd_sweep
+from .corners import CornerSweepResult, corner_psd_sweep
 from .context import (
     CacheStats,
     SweepContext,
@@ -30,7 +30,6 @@ from .context import (
     discretization_fingerprint,
     sweep_context_for,
 )
-from .executor import SweepExecutor
 from .spectral import (
     BatchedSolveResult,
     solve_spectral_batch,
@@ -49,9 +48,7 @@ __all__ = [
     "InstantaneousPsd",
     "CacheStats",
     "SweepContext",
-    "SweepExecutor",
     "BatchedSolveResult",
-    "CornerBatchAnalyzer",
     "CornerSweepResult",
     "corner_psd_sweep",
     "solve_spectral_batch",

@@ -16,11 +16,10 @@ and ``1 + n_sources`` rows otherwise.
 
 The module flattens the ``(corner, frequency)`` product into one
 frequency-major axis (flat cell ``i`` = frequency ``i // M``, corner
-``i % M``) and drives it through the ordinary
-:class:`~repro.mft.executor.SweepExecutor` — chunking, the budget gate
-and the partial-failure contract all work unchanged — with a
-:class:`CornerBatchAnalyzer` whose chunks call
-:func:`repro.mft.spectral.solve_spectral_batch` once per root.
+``i % M``) and sweeps it with :func:`~repro.mft.executor.run_sweep`
+over its roots — the one sweep loop, so chunking, the budget gate and
+the partial-failure contract are those of every sweep — whose chunks
+call :func:`repro.mft.spectral.solve_spectral_batch` once per root.
 
 Fallback is per root and frequency (DESIGN.md §12): a frequency whose
 batched solve a root rejects (condition gate, singular fixed point,
@@ -29,13 +28,12 @@ non-finite value) runs the root's per-frequency fallback chain
 the root needs source values, and the result is mapped to every corner
 on the root, which share its failure records.
 
-The stacked step itself (:func:`solve_stacked`, sized by
-:func:`stacked_block_size`) takes a list of root maps, so it is the
-batch step of every batched sweep: a plain
-``psd_sweep(solver="spectral-batch")`` runs it with its own analyzer as
-the one root of one unit-scale corner, where the flat axis *is* the
-frequency axis — the parity battery in ``tests/test_corner_sweep.py``
-pins an ``M = 1`` corner sweep bit for bit to that plain sweep.
+The chunk steps (:func:`chunk_steps`, batched by :func:`solve_stacked`)
+take a list of root maps, so they serve every sweep: a plain
+``psd_sweep`` runs them with its own analyzer as the one root of one
+unit-scale corner, where the flat axis *is* the frequency axis — the
+parity battery in ``tests/test_corner_sweep.py`` pins an ``M = 1``
+corner sweep bit for bit to the plain ``spectral-batch`` sweep.
 """
 
 from __future__ import annotations
@@ -55,15 +53,10 @@ from .context import (
     _registered_context,
     discretization_fingerprint,
 )
-from .engine import (
-    MftNoiseAnalyzer,
-    forcing_rows,
-    kernel_values,
-    sweep_chunk,
-)
+from .engine import MftNoiseAnalyzer
 from .spectral import solve_spectral_batch
 
-__all__ = ["CornerBatchAnalyzer", "CornerSweepResult", "corner_psd_sweep"]
+__all__ = ["CornerSweepResult", "corner_psd_sweep"]
 
 
 def _system_of(model_or_system: Any) -> Any:
@@ -109,6 +102,11 @@ class RootMap:
             return self.analyzer._attribution_request(True)
         return labels
 
+    def n_rows(self, labels: "tuple[str, ...] | None") -> int:
+        """Kernel rows the root solves: its total, plus its sources if read."""
+        row_labels = self.row_labels(labels)
+        return 1 if row_labels is None else 1 + len(row_labels)
+
     def map_rows(self, rows: FloatArray, slots: Any,
                  attributed: bool) -> FloatArray:
         """The values of the corners at ``slots`` from the root's rows.
@@ -138,9 +136,13 @@ def _map_rows(rows: FloatArray, scale: Any, attributed: bool) -> FloatArray:
     return np.concatenate([total[..., None], sources], axis=-1)
 
 
-def _corner_index(roots: Sequence[RootMap]
-                  ) -> "tuple[np.ndarray, np.ndarray]":
-    """Each corner's root and its slot in that root's map."""
+def corner_index(roots: Sequence[RootMap]
+                 ) -> "tuple[np.ndarray, np.ndarray]":
+    """Each corner's root and its slot in that root's map.
+
+    Built once per sweep (:func:`~repro.mft.executor.run_sweep`) and
+    handed to every chunk's steps; its length is the corner count M.
+    """
     n_corners = sum(len(root.corners) for root in roots)
     root_of = np.empty(n_corners, dtype=int)
     slot_of = np.empty(n_corners, dtype=int)
@@ -150,163 +152,103 @@ def _corner_index(roots: Sequence[RootMap]
     return root_of, slot_of
 
 
-class CornerBatchAnalyzer:
-    """Executor-compatible analyzer over the flattened (corner, freq) axis.
+# -- the chunk steps of every sweep -----------------------------------------
 
-    Holds one :class:`RootMap` per dynamics root and exposes the
-    analyzer surface the :class:`~repro.mft.executor.SweepExecutor`
-    drives — ``warm_up``, ``_attribution_request``,
-    ``_sweep_chunk(freqs, …, start)`` — so every executor feature
-    applies to corner sweeps without executor changes.  The
-    ``frequencies`` the executor passes are the flat grid
-    ``np.repeat(freqs, M)``; ``start`` recovers which
-    ``(corner, frequency)`` cells a chunk covers.
 
-    Not constructed directly — :func:`corner_psd_sweep` builds the
-    roots, one preflight each, and maps the flat result back to corner
-    shape.
+def chunk_steps(roots: Sequence[RootMap], index: Any, solver: str,
+                freqs: FloatArray, start: int, report: DiagnosticsReport,
+                labels: "tuple[str, ...] | None") -> Any:
+    """The ``(batch_step, point_step)`` pair of one sweep chunk.
+
+    ``freqs`` is a chunk of the flat frequency-major axis starting at
+    flat cell ``start`` (cell ``g`` is corner ``g % M``).  Under
+    ``"spectral-batch"`` the batch step is :func:`solve_stacked`; under
+    ``"mft"`` it solves nothing and gives one rescue unit per finite
+    cell.  The point step runs the fallback strategies of the unit's
+    root once, each mapped through :meth:`RootMap.map_rows` to the
+    unit's corners (a plain sweep's one unit-scale corner reads its
+    root's value exactly).  ``index`` is the sweep's
+    :func:`corner_index` of ``roots``.
     """
-
-    def __init__(self, roots: Sequence[RootMap], grid: ParameterGrid,
-                 recorder: Any = None, budget: Any = None) -> None:
-        root_list = list(roots)
-        if not root_list:
-            raise ReproError("corner analyzer needs at least one root")
-        covered = sorted(m for root in root_list for m in root.corners)
-        if covered != list(range(len(grid))):
-            raise ReproError(
-                f"roots map corners {covered} of a grid of {len(grid)} "
-                "corners; each corner needs exactly one root")
-        self.roots = root_list
-        self.grid = grid
-        first = root_list[0].analyzer
-        self.recorder = recorder if recorder is not None else first.recorder
-        self.budget = budget
-        self.system = first.system
-        self.segments_per_phase = first.segments_per_phase
-        self.output_row = first.output_row
-        merged = DiagnosticsReport(context="corner sweep preflight")
-        seen: set[int] = set()
-        for root in root_list:
-            if id(root.analyzer.preflight) not in seen:
-                seen.add(id(root.analyzer.preflight))
-                merged.merge(root.analyzer.preflight)
-        self.preflight = merged
-        self._root_of, self._slot_of = _corner_index(root_list)
-
-    # -- executor duck-type surface -----------------------------------------
-
-    @property
-    def n_corners(self) -> int:
-        return len(self.grid)
-
-    @property
-    def context(self) -> SweepContext:
-        """The first root's context (executor warm-up gate)."""
-        return self.roots[0].analyzer.context
-
-    def _output_name(self) -> str:
-        return self.roots[0].analyzer._output_name()
-
-    def _attribution_request(self, attribute_sources: Any
-                               ) -> "tuple[str, ...] | None":
-        """The attribution request, resolved on the first root."""
-        return self.roots[0].analyzer._attribution_request(attribute_sources)
-
-    def warm_up(self, sources: bool = False) -> "CornerBatchAnalyzer":
-        """Warm every root, with its source rows when a corner needs them."""
-        for root in self.roots:
-            root.analyzer.warm_up(sources=sources or root.needs_sources)
-        return self
-
-    # -- the chunk hooks -----------------------------------------------------
-
-    def _sweep_chunk(self, freqs: FloatArray, on_failure: str,
-                     report: DiagnosticsReport,
-                     labels: "tuple[str, ...] | None", solver: Any,
-                     start: int) -> Any:
-        """One flat chunk through the engine's chunk loop (``param-batch``).
-
-        The batch step is :func:`solve_stacked`; each rescue unit it
-        returns — the cells of one root at one frequency — runs the
-        root's fallback chain once, and every corner in the unit reads
-        its map of the rescued rows.  Flat cell ``g`` (global) is
-        frequency ``g // M``, corner ``g % M`` — frequency-major, so
-        corner ``m``'s values are the stride-``M`` slice of the flat
-        sweep values.  Failure records carry chunk-local flat indices
-        that the executor offsets to global flat indices, which
-        :func:`corner_psd_sweep` maps back to per-corner ``(frequency,
-        corner)`` identities.
-        """
-        del solver  # always "param-batch"
+    root_of, slot_of = index
+    n_corners = root_of.size
+    recorder = roots[0].analyzer.recorder
+    if solver == "spectral-batch":
+        tags = {"rescued": True}
 
         def batch_step(finite_idx: np.ndarray,
                        values: FloatArray) -> "list[np.ndarray]":
-            return solve_stacked(self.roots, self.recorder, freqs, start,
+            return solve_stacked(roots, index, recorder, freqs, start,
                                  finite_idx, values, report, labels)
+    else:
+        tags = {}
 
-        def point_step(cells: np.ndarray, frequency: float) -> Any:
-            corners = (start + cells) % self.n_corners
-            root = self.roots[self._root_of[corners[0]]]
-            slots = self._slot_of[corners]
+        def batch_step(finite_idx: np.ndarray,
+                       values: FloatArray) -> "list[np.ndarray]":
+            return list(finite_idx[:, None])
 
-            def mapped(solve: Any) -> Any:
-                return lambda: root.map_rows(np.atleast_1d(solve()), slots,
-                                             labels is not None)
+    def point_step(cells: np.ndarray, frequency: float) -> Any:
+        corners = (start + cells) % n_corners
+        root = roots[root_of[corners[0]]]
+        slots = slot_of[corners]
 
-            strategies = root.analyzer._strategies(frequency,
-                                                   root.row_labels(labels))
-            return ([(name, mapped(solve)) for name, solve in strategies],
-                    {"corners": len(slots), "rescued": True})
+        def mapped(solve: Any) -> Any:
+            return lambda: root.map_rows(np.atleast_1d(solve()), slots,
+                                         labels is not None)
 
-        return sweep_chunk(freqs, on_failure, report, labels, self.recorder,
-                           batch_step, point_step)
+        strategies = root.analyzer._strategies(frequency,
+                                               root.row_labels(labels))
+        return [(name, mapped(solve)) for name, solve in strategies], tags
 
-    def _spectral_block(self, n_cells: int,
-                        labels: "tuple[str, ...] | None") -> int:
-        """Flat cells per executor chunk at the default chunk size.
-
-        Whole frequency slices (a multiple of M cells) of
-        :func:`stacked_block_size` frequencies.
-        """
-        return self.n_corners * stacked_block_size(
-            self.roots, n_cells // self.n_corners, labels)
+    return batch_step, point_step
 
 
-# -- the stacked-row step of every batched sweep --------------------------
+def _forcing_rows(context: SweepContext, l_row: FloatArray,
+                  labels: "tuple[str, ...] | None") -> FloatArray:
+    """Kernel forcing for one output row.
 
-
-def _n_rows(root: RootMap, labels: "tuple[str, ...] | None") -> int:
-    """Kernel rows ``root`` solves: its total, plus its sources if read."""
-    row_labels = root.row_labels(labels)
-    return 1 if row_labels is None else 1 + len(row_labels)
-
-
-def stacked_block_size(roots: Sequence[RootMap], n_freq: int,
-                       labels: "tuple[str, ...] | None") -> int:
-    """Frequencies per ω-block of a batched sweep over ``roots``.
-
-    Sized by :func:`~repro.mft.executor.spectral_block_size` for the
-    largest stacked kernel call — the root with the most kernel rows,
-    ``1 + n_sources`` when it solves its source rows.
+    The total's ``(S, 2, n)`` endpoint pairs, or — for an attribution
+    request — the ``(1 + n_sources, S, 2, n)`` stack of the total over
+    the per-source rows (one shared LU per frequency serves them all).
     """
-    from .executor import spectral_block_size
-    n_rows = max(_n_rows(root, labels) for root in roots)
-    return spectral_block_size(roots[0].analyzer.context, n_freq, n_rows)
+    forcing = context.forcing_pairs(l_row)
+    if labels is None:
+        return forcing
+    return np.stack(
+        [forcing] + [context.source_forcing_pairs(l_row, s)
+                     for s in range(len(labels))])
 
 
-def solve_stacked(roots: Sequence[RootMap], recorder: Any,
+def _kernel_values(result: Any, l_row: FloatArray, period: float,
+                   labels: "tuple[str, ...] | None"
+                   ) -> "tuple[FloatArray, np.ndarray]":
+    """Sweep values and accept mask from one batched kernel result.
+
+    Values are ``(2/T) Re(l · ∫q)``, transposed to rows of
+    ``[total, source…]`` for an attribution request; a frequency is
+    accepted when the kernel solved it and every value is finite.
+    """
+    psd = 2.0 * np.real(result.integral @ l_row) / period
+    if labels is None:
+        return psd, result.ok & np.isfinite(psd)
+    # (R, n_freq) → (n_freq, R) rows of [total, sources…].
+    psd = psd.T
+    return psd, result.ok & np.all(np.isfinite(psd), axis=1)
+
+
+def solve_stacked(roots: Sequence[RootMap], index: Any, recorder: Any,
                   freqs: FloatArray, start: int, finite_idx: np.ndarray,
                   values: FloatArray, report: DiagnosticsReport,
                   labels: "tuple[str, ...] | None"
                   ) -> "list[np.ndarray]":
     """One stacked kernel call per dynamics root; returns rescue units.
 
-    The batch step of every ``spectral-batch`` and ``param-batch``
-    chunk.  ``freqs`` is a chunk of the flat ``(frequency, corner)``
-    axis starting at flat cell ``start``: cell ``g`` belongs to corner
-    ``g % M`` for the ``M`` corners the roots map (a plain sweep passes
-    one root of one corner, so every cell is its own frequency).  Each
+    The batch step of every ``spectral-batch`` chunk, plain or corner
+    (:func:`chunk_steps`).  ``freqs`` is a chunk of the flat
+    ``(frequency, corner)`` axis starting at flat cell ``start``: cell
+    ``g`` belongs to corner ``g % M`` for the ``M`` corners the roots
+    map (a plain sweep passes one root of one corner, so every cell is
+    its own frequency).  Each
     root solves its kernel rows (:meth:`RootMap.row_labels`) against
     the distinct frequencies of its cells in **one**
     :func:`solve_spectral_batch` call — one stack of step integrals per
@@ -314,9 +256,10 @@ def solve_stacked(roots: Sequence[RootMap], recorder: Any,
     each corner reads its map of those rows (:meth:`RootMap.map_rows`).
     ``values`` is filled in place for the accepted cells.  Returns the
     cells the batched solve rejected as rescue units: per root, the
-    chunk-local cells of each rejected frequency index.
+    chunk-local cells of each rejected frequency index.  ``index`` is
+    the sweep's :func:`corner_index` of ``roots``.
     """
-    root_of, slot_of = _corner_index(roots)
+    root_of, slot_of = index
     n_corners = root_of.size
     freq_of = np.asarray(freqs, dtype=float)
     finite = np.asarray(finite_idx, dtype=int)
@@ -330,8 +273,8 @@ def solve_stacked(roots: Sequence[RootMap], recorder: Any,
         cells = finite[cell_root == r]
         union, pos = np.unique(freq_of[cells], return_inverse=True)
         row_labels = root.row_labels(labels)
-        n_rows = _n_rows(root, labels)
-        forcing = forcing_rows(context, analyzer._l_row, row_labels)
+        n_rows = root.n_rows(labels)
+        forcing = _forcing_rows(context, analyzer._l_row, row_labels)
         policy = analyzer.fallback
         with recorder.span("spectral.batch", n=len(union),
                            n_params=len(root.corners), n_rows=n_rows):
@@ -340,7 +283,7 @@ def solve_stacked(roots: Sequence[RootMap], recorder: Any,
                 condition_limit=(policy.condition_limit
                                  if policy is not None else None),
                 recorder=recorder)
-        rows, ok = kernel_values(batch, analyzer._l_row,
+        rows, ok = _kernel_values(batch, analyzer._l_row,
                                  context.structure.period, row_labels)
         rows = rows if rows.ndim == 2 else rows[:, None]
         slots = slot_of[(start + cells) % n_corners]
@@ -369,8 +312,14 @@ class CornerSweepResult:
     ``values[m, k]`` is corner ``m``'s (clipped) PSD at
     ``frequencies[k]`` in V²/Hz; NaN where that cell failed.
     Per-corner failure records carry the corner's *own* frequency
-    indices; ``diagnostics`` is the whole-sweep report and ``info``
-    the executor metadata of the underlying flat sweep.
+    indices; ``diagnostics`` is the whole-sweep report.  ``info``
+    keeps the flat sweep's metadata (runtime, solver, segments,
+    clipping, fallback attempts, ``executor`` chunking) plus
+    ``n_params`` and ``family_hash``; its failures and budget live here
+    in corner shape.  ``info["solver"]`` and
+    ``info["executor"]["solver"]`` name the flat sweep's kernel
+    (``"spectral-batch"``), while :attr:`solver` and each per-corner
+    budget's ``solver`` keep the payload label ``"param-batch"``.
     """
 
     frequencies: FloatArray
@@ -531,6 +480,12 @@ def _build_roots(model_or_system: Any, grid: ParameterGrid,
     return list(roots.values())
 
 
+#: The keys of the flat sweep's ``info`` a corner result keeps.
+_CORNER_INFO_KEYS = ("runtime_seconds", "solver", "segments",
+                     "negative_clipped", "worst_negative_psd",
+                     "fallback_attempts", "executor")
+
+
 def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
                      frequencies: Any, *, output_row: int = 0,
                      segments_per_phase: int = 64,
@@ -572,17 +527,16 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
     (:data:`~repro.tolerances.CORNER_INTENSITY_RESTACK_RTOL` bounds
     it in the tests).
 
-    ``chunk_size`` counts **frequencies** per executor chunk (each flat
-    chunk holds that many frequencies × all M corners).  The default is
-    the whole grid — one chunk, so one budget decision — unless the
-    largest stacked kernel call would exceed
+    ``chunk_size`` counts **frequencies** per chunk, as on every sweep
+    (each flat chunk holds that many frequencies × all M corners).  The
+    default is the whole grid — one chunk, so one budget decision —
+    unless the largest stacked kernel call would exceed
     :data:`~repro.mft.executor.SPECTRAL_STACK_CAP_BYTES`; then the
     largest frequency count that fits.  ``budget`` and ``on_failure``
-    are the usual executor knobs on the flattened axis — a
-    budget-skipped chunk NaNs exactly its ``(corner, frequency)``
-    cells.
+    are the usual sweep knobs on the flattened axis — a budget-skipped
+    chunk NaNs exactly its ``(corner, frequency)`` cells.
     """
-    from .executor import SweepExecutor, _positive_int
+    from .executor import run_sweep
 
     if not isinstance(grid, ParameterGrid):
         raise ReproError(
@@ -591,38 +545,33 @@ def corner_psd_sweep(model_or_system: Any, grid: ParameterGrid,
     n_corners = len(grid)
     roots = _build_roots(model_or_system, grid, output_row,
                          segments_per_phase, recorder, context)
-    analyzer = CornerBatchAnalyzer(roots, grid, recorder=recorder,
-                                   budget=budget)
-
-    chunk_size = _positive_int("chunk_size", chunk_size, None)
-    executor = SweepExecutor(
-        chunk_size=None if chunk_size is None else chunk_size * n_corners,
-        solver="param-batch")
-    flat = executor.run(analyzer, np.repeat(freqs, n_corners),
-                        budget=budget, on_failure=on_failure,
-                        attribute_sources=attribute_sources)
+    flat = run_sweep(
+        roots, np.repeat(freqs, n_corners), solver="spectral-batch",
+        chunk_size=chunk_size, budget=budget, on_failure=on_failure,
+        labels=roots[0].analyzer._attribution_request(attribute_sources))
 
     # Reshape the flat result to corner shape: flat cell i is frequency
     # i // M, corner i % M, so corner m's sweep is the stride-M slice.
     values = np.asarray(flat.psd).reshape(freqs.size, n_corners).T.copy()
     names = grid.names
     failures: "dict[str, list[FrequencyFailure]]" = {}
-    for failure in flat.info.get("failures", []):
+    for failure in flat.failures:
         m = failure.index % n_corners
         k = failure.index // n_corners
         failures.setdefault(names[m], []).append(
             FrequencyFailure(frequency=failure.frequency, index=k,
                              stage=failure.stage, error=failure.error,
                              message=failure.message))
-    budgets = _split_budgets(flat.info.get("budget"), freqs, names)
-    info = dict(flat.info)
+    # Only the flat sweep's metadata: its failures, budget and report
+    # have their corner-shaped forms on the result.
+    info = {key: flat.info[key] for key in _CORNER_INFO_KEYS}
     info["n_params"] = n_corners
     info["family_hash"] = grid.family_hash()
-    info["flat_result"] = flat
     return CornerSweepResult(
         frequencies=freqs, values=values, corner_names=list(names),
-        failures=failures, diagnostics=flat.info["diagnostics"],
-        info=info, budgets=budgets, output=flat.output)
+        failures=failures, diagnostics=flat.diagnostics, info=info,
+        budgets=_split_budgets(flat.budget, freqs, names),
+        output=flat.output)
 
 
 def _base_context_key(context: Any, system: Any,

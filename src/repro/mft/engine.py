@@ -27,8 +27,9 @@ analyzer owns a private context, built at construction, unless it is
 passed one as ``context=``; it never reads or fills the module registry
 of :func:`~repro.mft.context.sweep_context_for`. Every sweep —
 :meth:`MftNoiseAnalyzer.psd` is ``psd_sweep`` at the default chunk
-size — runs through a :class:`~repro.mft.executor.SweepExecutor`,
-whose chunks all go through the one chunk loop :func:`sweep_chunk`.
+size — is :func:`~repro.mft.executor.run_sweep` over one dynamics root,
+the analyzer itself (:meth:`~repro.mft.corners.RootMap.single`): the
+same chunk loop and result path a corner sweep runs over its roots.
 
 Robustness: the analyzer preflight-validates the discretization at
 construction (Floquet margin, ``cond(I − M)``, schedule, NaN/Inf) and
@@ -41,26 +42,19 @@ yields NaN plus a failure record instead of aborting the sweep.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..diagnostics.fallback import (
-    FallbackExhausted,
-    FallbackPolicy,
-    run_fallback_chain,
-)
+from ..diagnostics.fallback import FallbackPolicy
 from ..diagnostics.preflight import raise_preflight_errors
-from ..diagnostics.report import DiagnosticsReport, FrequencyFailure
+from ..diagnostics.report import DiagnosticsReport
 from ..errors import ReproError, UnexpectedOptionError
 from ..noise.solvers import resolve_solver
 from ..obs import NULL_RECORDER, format_trace
 from ..tolerances import FIXED_POINT_RIDGE
-from ..typing import FloatArray
 from .context import SweepContext
 
-logger = logging.getLogger(__name__)
 
 @dataclass
 class InstantaneousPsd:
@@ -180,10 +174,10 @@ class MftNoiseAnalyzer:
     def warm_up(self, sources=False):
         """Materialise every frequency-independent cached quantity.
 
-        Called by the sweep executor before the first chunk, inside the
-        ``mft.warmup`` span.  For an attributed sweep (``sources=True``)
-        the per-source covariances and forcing pairs are included — they
-        are frequency-independent too.
+        Called by :func:`~repro.mft.executor.run_sweep` before the first
+        chunk, inside the ``mft.warmup`` span.  For an attributed sweep
+        (``sources=True``) the per-source covariances and forcing pairs
+        are included — they are frequency-independent too.
         """
         self._context.warm_up(self._l_row, sources=sources)
         self._forcing_pairs()
@@ -281,54 +275,15 @@ class MftNoiseAnalyzer:
         with self.recorder.span("mft.solve", frequency=float(frequency)):
             return self._psd_at(frequency)
 
-    def _sweep_chunk(self, freqs, on_failure, report, labels, solver, start):
-        """Sweep one executor chunk through :func:`sweep_chunk`.
-
-        With ``solver=None`` (``"mft"``) nothing is batched: every finite
-        frequency runs its own fallback chain.  With ``"spectral-batch"``
-        the chunk is first solved as one ω-block by the stacked step
-        every batched sweep shares
-        (:func:`repro.mft.corners.solve_stacked`, with this analyzer as
-        its one member) and only the frequencies it rejects are rescued
-        through the chain.
-        """
-        if solver is None:
-            def batch_step(finite_idx, values):
-                return [[idx] for idx in finite_idx]
-
-            def point_step(cells, frequency):
-                return self._strategies(frequency, labels), {}
-        else:
-            from .corners import RootMap, solve_stacked
-
-            def batch_step(finite_idx, values):
-                return solve_stacked([RootMap.single(self)], self.recorder,
-                                     freqs, start, finite_idx, values,
-                                     report, labels)
-
-            def point_step(cells, frequency):
-                return (self._strategies(frequency, labels),
-                        {"rescued": True})
-        return sweep_chunk(freqs, on_failure, report, labels, self.recorder,
-                           batch_step, point_step)
-
-    def _spectral_block(self, n_freq, labels):
-        """Frequencies per ω-block at the default chunk size.
-
-        See :func:`repro.mft.corners.stacked_block_size`.
-        """
-        from .corners import RootMap, stacked_block_size
-        return stacked_block_size([RootMap.single(self)], n_freq, labels)
-
     def psd_sweep(self, frequencies, *, chunk_size=None, budget=None,
                   on_failure="record", solver=None, attribute_sources=False,
                   **solver_options):
         """Averaged double-sided PSD (V²/Hz) over a frequency grid.
 
-        Returns a :class:`~repro.noise.result.PsdResult`. The sweep runs
-        through a :class:`~repro.mft.executor.SweepExecutor` as a serial
-        loop over chunks of ``chunk_size`` frequencies, so results carry
-        ``info["executor"]``. Per-frequency values, NaN semantics,
+        Returns a :class:`~repro.noise.result.PsdResult`. The sweep is
+        :func:`~repro.mft.executor.run_sweep` with this analyzer as its
+        one dynamics root: a serial loop over chunks of ``chunk_size``
+        frequencies, so results carry ``info["executor"]``. Per-frequency values, NaN semantics,
         failure records and diagnostics do not depend on ``chunk_size``.
         :meth:`psd` is this method at the default chunk size.
 
@@ -363,8 +318,8 @@ class MftNoiseAnalyzer:
         ``result.info["budget"]`` (also via ``result.budget``) whose
         per-source rows sum to the total PSD at every frequency (NaN
         where the total is NaN — never dropped from one side only; the
-        executor merges the widened per-chunk values, so a NaN'd chunk
-        is NaN in both the total and every budget row).
+        sweep merges the widened per-chunk values, so a NaN'd chunk is
+        NaN in both the total and every budget row).
         Attribution reuses the shared sweep context (covariance basis,
         propagators); what the extra rows cost depends on the solver.
         ``spectral-batch`` stacks the per-source forcings onto the
@@ -381,16 +336,12 @@ class MftNoiseAnalyzer:
         ``info["failures"]`` — the sweep itself always completes;
         ``on_failure="raise"`` aborts on the first exhausted chain. A
         ``budget`` (or the analyzer default) gates the *dispatch* of
-        each executor chunk: once spent, the remaining chunks become
+        each chunk: once spent, the remaining chunks become
         ``budget``-stage failures, while a chunk already running
         finishes and runs unbudgeted (a brute-force fallback inside it
         is bounded by its ``max_periods``, not by the sweep clock). See
         :mod:`repro.mft.executor`.
         """
-        if on_failure not in ("record", "raise"):
-            raise ReproError(
-                f"on_failure must be 'record' or 'raise', "
-                f"got {on_failure!r}")
         solver = resolve_solver(solver)
         if solver in ("brute-force", "monte-carlo"):
             return self._delegate_solver(solver, frequencies,
@@ -402,11 +353,14 @@ class MftNoiseAnalyzer:
             raise UnexpectedOptionError(
                 f"solver {solver!r} accepts no extra solver options, "
                 f"got {sorted(solver_options)}")
-        from .executor import SweepExecutor
-        executor = SweepExecutor(chunk_size=chunk_size, solver=solver)
-        return executor.run(self, frequencies, budget=budget,
-                            on_failure=on_failure,
-                            attribute_sources=attribute_sources)
+        from .corners import RootMap
+        from .executor import run_sweep
+        return run_sweep(
+            [RootMap.single(self)], frequencies, solver=solver,
+            chunk_size=chunk_size,
+            budget=budget if budget is not None else self.budget,
+            on_failure=on_failure,
+            labels=self._attribution_request(attribute_sources))
 
     psd = psd_sweep
 
@@ -437,6 +391,10 @@ class MftNoiseAnalyzer:
             else:
                 result.info.setdefault("budget", None)
             return result
+        # A sampled estimator records no per-frequency failures, so
+        # on_failure is only validated here.
+        from .executor import check_on_failure
+        check_on_failure(on_failure)
         if attribute_sources:
             raise ReproError(
                 "attribute_sources= is not supported for "
@@ -623,105 +581,6 @@ class MftNoiseAnalyzer:
         if names:
             return names[self.output_row]
         return f"row{self.output_row}"
-
-
-def sweep_chunk(freqs, on_failure, report, labels, recorder, batch_step,
-                point_step):
-    """The one chunk loop behind every sweep: plain, spectral, corner.
-
-    Non-finite frequencies become ``input``-stage failures.  The
-    analyzer's ``batch_step(finite_idx, values)`` then solves what it
-    can of the finite ones in place and returns what it left unsolved
-    as *rescue units*: index lists whose cells share one frequency and
-    one rescue (one cell each on a plain sweep, which solves nothing
-    there under ``mft``; a dynamics root's corners on a corner sweep).
-    For each unit, ``point_step(cells, frequency)`` gives
-    ``(strategies, span_tags)``: strategies whose value fills every
-    cell of the unit.  They run once through the fallback chain
-    (:func:`repro.diagnostics.fallback.run_fallback_chain`) inside an
-    ``mft.solve`` span; an exhausted chain is a ``solve``-stage failure
-    of every cell of the unit — or, with ``on_failure="raise"``,
-    aborts the chunk.
-
-    ``labels`` is the attribution request (``None`` or the budget row
-    labels).  Returns ``(values, failures, attempts)``: *unclipped*
-    values — 1-D, or ``(n, 1 + len(labels))`` rows of ``[total,
-    source…]`` — plus failure records with chunk-local indices, sorted.
-    The executor offsets the indices, merges chunks, and diagnoses
-    clipping once per sweep.
-    """
-    width = 1 if labels is None else 1 + len(labels)
-    values = np.full(freqs.shape if width == 1
-                     else (freqs.size, width), np.nan)
-    failures = []
-    attempts_log = []
-    finite = np.isfinite(freqs)
-    for idx in np.nonzero(~finite)[0]:
-        exc = ReproError(
-            f"analysis frequency must be finite, got {freqs[idx]!r}")
-        if on_failure == "raise":
-            raise exc.attach_diagnostics(report)
-        failures.append(FrequencyFailure(
-            frequency=float(freqs[idx]), index=int(idx), stage="input",
-            error=type(exc).__name__, message=str(exc)))
-        report.error("non-finite-frequency", str(exc), index=int(idx))
-        logger.warning("recording NaN at index %d: %s", idx, exc)
-    finite_idx = np.nonzero(finite)[0]
-    if finite_idx.size:
-        recorder.count("sweep.frequencies", int(finite_idx.size))
-    units = batch_step(finite_idx, values) if finite_idx.size else ()
-    for cells in units:
-        f = float(freqs[cells[0]])
-        strategies, tags = point_step(cells, f)
-        try:
-            with recorder.span("mft.solve", frequency=f, **tags) as span:
-                value, attempts = run_fallback_chain(
-                    strategies, f, report, recorder=recorder)
-            attempts_log.extend(attempts)
-            values[cells] = value
-            if recorder.enabled:
-                recorder.observe("mft.solve_seconds", span.duration)
-        except FallbackExhausted as exc:
-            attempts_log.extend(exc.attempts)
-            failures.extend(FrequencyFailure(
-                frequency=f, index=int(idx), stage="solve",
-                error=type(exc).__name__, message=str(exc))
-                for idx in cells)
-            if on_failure == "raise":
-                raise exc.attach_diagnostics(report)
-            logger.warning("recording NaN at %.6g Hz: %s", f, exc)
-    failures.sort(key=lambda failure: failure.index)
-    return values, failures, attempts_log
-
-
-def forcing_rows(context, l_row, labels) -> "FloatArray":
-    """Kernel forcing for one output row.
-
-    The total's ``(S, 2, n)`` endpoint pairs, or — for an attribution
-    request — the ``(1 + n_sources, S, 2, n)`` stack of the total over
-    the per-source rows (one shared LU per frequency serves them all).
-    """
-    forcing = context.forcing_pairs(l_row)
-    if labels is None:
-        return forcing
-    return np.stack(
-        [forcing] + [context.source_forcing_pairs(l_row, s)
-                     for s in range(len(labels))])
-
-
-def kernel_values(result, l_row, period, labels):
-    """Sweep values and accept mask from one batched kernel result.
-
-    Values are ``(2/T) Re(l · ∫q)``, transposed to rows of
-    ``[total, source…]`` for an attribution request; a frequency is
-    accepted when the kernel solved it and every value is finite.
-    """
-    psd = 2.0 * np.real(result.integral @ l_row) / period
-    if labels is None:
-        return psd, result.ok & np.isfinite(psd)
-    # (R, n_freq) → (n_freq, R) rows of [total, sources…].
-    psd = psd.T
-    return psd, result.ok & np.all(np.isfinite(psd), axis=1)
 
 
 __all__ = ["InstantaneousPsd", "MftNoiseAnalyzer"]

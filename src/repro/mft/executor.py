@@ -1,26 +1,40 @@
 """Chunked frequency-sweep execution for the MFT engine.
 
 The frequencies of a PSD sweep are independent — each is one periodic
-steady-state solve — so a sweep splits into chunks of consecutive
-frequencies.  :class:`SweepExecutor` runs those chunks in order, in the
-caller's process; every MFT sweep,
-:meth:`~repro.mft.engine.MftNoiseAnalyzer.psd` included, goes through
-it, with these semantics:
+steady-state solve — and a corner family only adds right-hand sides to
+those solves.  So every MFT sweep is a list of dynamics roots
+(:class:`~repro.mft.corners.RootMap`) over one flat, frequency-major
+axis: cell ``i`` is frequency ``i // M`` of corner ``i % M`` for the
+``M`` corners the roots map.  A plain sweep is one root of one
+unit-scale corner, so its flat axis *is* its frequency axis.
 
-* **Values**: per-frequency numerics of the analyzer's chunk loop,
-  merged back in frequency order.
-* **Partial failure**: a frequency whose fallback chain is exhausted
+:func:`run_sweep` splits that axis into chunks of whole frequency
+slices and runs them in order, in the caller's process;
+:meth:`~repro.mft.engine.MftNoiseAnalyzer.psd_sweep` (and so
+:meth:`~repro.mft.engine.MftNoiseAnalyzer.psd`) and
+:func:`~repro.mft.corners.corner_psd_sweep` both call it.  Each chunk
+runs the one chunk loop :func:`sweep_chunk` with the roots' chunk steps
+(:func:`~repro.mft.corners.chunk_steps`), with these semantics:
+
+* **Values**: per-cell numerics of the chunk loop, merged back in flat
+  order.
+* **Chunking**: ``chunk_size`` counts frequencies.  The default is 8
+  for the per-frequency ``mft`` sweep; a ``spectral-batch`` sweep, each
+  of whose chunks is one ω-block, defaults to the whole grid unless the
+  largest root's kernel stack would exceed
+  :data:`SPECTRAL_STACK_CAP_BYTES` (:func:`spectral_block_size`).
+* **Partial failure**: a cell whose fallback chain is exhausted
   contributes NaN plus a :class:`FrequencyFailure` with its *global*
-  sweep index.
+  flat index.
 * **Diagnostics**: each chunk collects its findings into a chunk-local
   report, merged in chunk order; negative-PSD clipping is diagnosed
   once on the merged values.
 * **Budget**: the :class:`~repro.diagnostics.budget.SweepBudget` gates
   the *dispatch* of each chunk.  Once spent, no further chunk starts
-  and the remaining frequencies become ``budget``-stage failures — but
-  a chunk already started always runs to completion.  A batched sweep
-  at the default chunk size is usually one chunk, so its budget makes
-  one decision: before the sweep starts.
+  and the remaining cells become ``budget``-stage failures — but a
+  chunk already started always runs to completion.  A batched sweep at
+  the default chunk size is usually one chunk, so its budget makes one
+  decision: before the sweep starts.
 
 Numerical failures (:class:`~repro.errors.ReproError`: the
 ``on_failure="raise"`` contract, structural errors) propagate, and so
@@ -38,10 +52,12 @@ import time
 import numpy as np
 
 from ..diagnostics.budget import as_budget
+from ..diagnostics.fallback import FallbackExhausted, run_fallback_chain
 from ..diagnostics.report import DiagnosticsReport, FrequencyFailure
 from ..errors import ReproError
 from ..noise.result import PsdResult, clip_negative_psd, worst_negative_psd
 from ..obs import span_summary
+from .corners import chunk_steps, corner_index
 
 logger = logging.getLogger(__name__)
 
@@ -60,14 +76,6 @@ _DEFAULT_CHUNK = 8
 #: costs little.  32 MiB is just above a 192-state cascade's
 #: 64-frequency block at 64 segments per phase (≈ 24 MiB).
 SPECTRAL_STACK_CAP_BYTES = 32 * 2**20
-
-#: ``None`` and ``"mft"`` are the same per-frequency reference sweep —
-#: ``"mft"`` is the unified-API spelling (:mod:`repro.noise.solvers`).
-#: ``"param-batch"`` is the corner-sweep analyzer's flattened
-#: (param, freq)-axis solver (:mod:`repro.mft.corners`); it is reached
-#: through :func:`repro.mft.corners.corner_psd_sweep`, not the unified
-#: solver registry.
-_SOLVERS = (None, "mft", "spectral-batch", "param-batch")
 
 
 def _positive_int(name, value, default, minimum=1):
@@ -105,138 +113,178 @@ def spectral_block_size(context, n_freq, n_rows):
     return max(1, min(n_freq, SPECTRAL_STACK_CAP_BYTES // per_frequency))
 
 
-def _run_chunk(analyzer, frequencies, on_failure, solver, labels,
-               chunk_start):
-    """Sweep one chunk with a chunk-local report.
+def check_on_failure(on_failure):
+    """Reject an ``on_failure`` other than ``"record"`` or ``"raise"``."""
+    if on_failure not in ("record", "raise"):
+        raise ReproError(
+            f"on_failure must be 'record' or 'raise', got {on_failure!r}")
 
-    Hands the chunk to the analyzer's ``_sweep_chunk`` — the engine's
-    one chunk loop (:func:`repro.mft.engine.sweep_chunk`) with the
-    analyzer's batch and per-point hooks for ``solver`` — together with
-    the attribution request ``labels`` and the chunk offset
-    ``chunk_start`` (flattened-axis analyzers recover cell identities
-    from it).  Runs unbudgeted (the budget gates dispatch, not
-    execution) and returns *unclipped* values — clipping is diagnosed
-    once on the merged sweep.
+
+def run_sweep(roots, frequencies, *, solver, chunk_size, budget,
+              on_failure, labels):
+    """Sweep ``roots`` over the flat ``frequencies`` axis; a PsdResult.
+
+    The one result path of every MFT sweep.  ``roots`` is a list of
+    :class:`~repro.mft.corners.RootMap` covering corners ``0 … M − 1``
+    and ``frequencies`` the flat, frequency-major axis (cell ``i`` is
+    corner ``i % M``; ``M = 1`` for a plain sweep).  ``solver`` is
+    ``"mft"`` or ``"spectral-batch"``; ``chunk_size`` counts
+    frequencies per chunk, so a chunk holds ``chunk_size × M`` cells
+    (see the module docstring for the defaults).  ``labels`` is the
+    attribution request — a tuple of budget-row labels, or ``None`` —
+    which travels with every chunk; the result then carries the
+    per-source :class:`~repro.metrics.ContributionBudget`.
+    ``info["executor"]`` reports the chunking actually used:
+    ``chunk_size`` is the cell count of the largest chunk (0 for an
+    empty grid).
     """
-    report = DiagnosticsReport(context="mft sweep chunk")
-    with analyzer.recorder.span("executor.chunk", n=int(len(frequencies))):
-        values, failures, attempts = analyzer._sweep_chunk(
-            np.asarray(frequencies, dtype=float), on_failure, report,
-            labels, solver, int(chunk_start))
-    return values, failures, attempts, report.findings
+    check_on_failure(on_failure)
+    chunk_size = _positive_int(
+        "chunk_size", chunk_size,
+        _DEFAULT_CHUNK if solver == "mft" else None)
+    first = roots[0].analyzer
+    rec = first.recorder
+    index = corner_index(roots)
+    n_corners = index[0].size
+    width = 1 if labels is None else 1 + len(labels)
+    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
+    budget = as_budget(budget)
+    budget.start()
+    report = DiagnosticsReport(context="mft sweep")
+    # Roots on one registered context share its preflight report.
+    for preflight in {id(root.analyzer.preflight): root.analyzer.preflight
+                      for root in roots}.values():
+        report.merge(preflight)
+    mark = rec.mark()
+    t0 = time.perf_counter()
+    with rec.span("mft.sweep", solver=solver, n=int(freqs.size)):
+        # Warm-up builds what every solver reads.
+        with rec.span("mft.warmup"):
+            for root in roots:
+                root.analyzer.warm_up(
+                    sources=labels is not None or root.needs_sources)
+        if chunk_size is None:
+            chunk_size = spectral_block_size(
+                first.context, freqs.size // n_corners,
+                max(root.n_rows(labels) for root in roots))
+        stride = chunk_size * n_corners
+        chunks = [(start, freqs[start:start + stride])
+                  for start in range(0, freqs.size, stride)]
+        outputs = []
+        with rec.span("executor.dispatch", n_chunks=len(chunks)):
+            for start, chunk in chunks:
+                if budget.exceeded() is not None:
+                    break
+                # Unbudgeted (the budget gates dispatch, not execution),
+                # with a chunk-local report; values come back unclipped.
+                chunk_report = DiagnosticsReport(context="mft sweep chunk")
+                with rec.span("executor.chunk", n=int(chunk.size)):
+                    steps = chunk_steps(roots, index, solver, chunk,
+                                        start, chunk_report, labels)
+                    output = sweep_chunk(chunk, on_failure, chunk_report,
+                                         labels, rec, *steps)
+                outputs.append((*output, chunk_report.findings))
+        with rec.span("executor.merge"):
+            values, failures, attempts = _merge(
+                freqs, chunks, outputs, budget, report, width)
+        raw_total, clipped, contribution = _finalize(
+            rec, first._output_name(), freqs, values, report, labels,
+            solver)
+    runtime = time.perf_counter() - t0
+    if rec.enabled:
+        rec.count("executor.chunks_dispatched", len(outputs))
+        report.timeline = span_summary(rec, since=mark)
+    return PsdResult(
+        frequencies=freqs, psd=clipped, method="mft",
+        output=first._output_name(),
+        info={
+            "runtime_seconds": runtime,
+            "solver": solver,
+            "segments": first.context.structure.durations.size,
+            "negative_clipped": int(np.sum(
+                np.isfinite(raw_total) & (raw_total < 0.0))),
+            "worst_negative_psd": worst_negative_psd(raw_total),
+            "diagnostics": report,
+            "failures": failures,
+            "fallback_attempts": attempts,
+            "budget": contribution,
+            "executor": {
+                "solver": None if solver == "mft" else solver,
+                "chunk_size": chunks[0][1].size if chunks else 0,
+                "n_chunks": len(chunks),
+                "n_chunks_skipped": len(chunks) - len(outputs),
+            },
+        })
 
 
-class SweepExecutor:
-    """Run an MFT frequency sweep as a serial loop over chunks.
+def sweep_chunk(freqs, on_failure, report, labels, recorder, batch_step,
+                point_step):
+    """The one chunk loop behind every sweep: plain, spectral, corner.
 
-    Parameters
-    ----------
-    chunk_size:
-        Frequencies per dispatched chunk.  The default is 8 for the
-        per-frequency sweep; for a batched solver (``"spectral-batch"``,
-        ``"param-batch"``), where each chunk is one ω-block, it is the
-        whole grid — one chunk, so one budget decision — unless the
-        block's kernel stack would exceed
-        :data:`SPECTRAL_STACK_CAP_BYTES` (see
-        :func:`spectral_block_size`).  Smaller chunks give the budget
-        gate finer granularity; larger chunks amortise per-chunk
-        overhead.
-    solver:
-        ``None`` (default) sweeps each chunk through the per-frequency
-        fallback chain; ``"spectral-batch"`` evaluates each chunk as
-        one ω-block through :mod:`repro.mft.spectral`.
+    Non-finite frequencies become ``input``-stage failures.  The
+    chunk's ``batch_step(finite_idx, values)``
+    (:func:`~repro.mft.corners.chunk_steps`) then solves what it can of
+    the finite ones in place and returns what it left unsolved as
+    *rescue units*: index arrays whose cells share one frequency and one
+    rescue (one cell each under ``mft``, which solves nothing there; a
+    dynamics root's cells at one frequency under ``spectral-batch``).
+    For each unit, ``point_step(cells, frequency)`` gives
+    ``(strategies, span_tags)``: strategies whose value fills every
+    cell of the unit.  They run once through the fallback chain
+    (:func:`repro.diagnostics.fallback.run_fallback_chain`) inside an
+    ``mft.solve`` span; an exhausted chain is a ``solve``-stage failure
+    of every cell of the unit — or, with ``on_failure="raise"``,
+    aborts the chunk.
+
+    ``labels`` is the attribution request (``None`` or the budget row
+    labels).  Returns ``(values, failures, attempts)``: *unclipped*
+    values — 1-D, or ``(n, 1 + len(labels))`` rows of ``[total,
+    source…]`` — plus failure records with chunk-local indices, sorted.
+    :func:`run_sweep` offsets the indices, merges chunks, and diagnoses
+    clipping once per sweep.
     """
-
-    def __init__(self, chunk_size=None, solver=None):
-        if solver not in _SOLVERS:
-            raise ReproError(
-                f"unknown sweep solver {solver!r}; expected one of "
-                f"{_SOLVERS}")
-        self.solver = None if solver == "mft" else solver
-        # ``None`` for a batched solver: the block is sized per sweep.
-        self.chunk_size = _positive_int(
-            "chunk_size", chunk_size,
-            _DEFAULT_CHUNK if self.solver is None else None)
-
-    # -- public API ----------------------------------------------------------
-
-    def run(self, analyzer, frequencies, budget=None, on_failure="record",
-            attribute_sources=False):
-        """Sweep ``frequencies`` with ``analyzer``; returns a PsdResult.
-
-        The one result path of every MFT sweep (:meth:`MftNoiseAnalyzer.psd`
-        is ``psd_sweep`` at the default chunk size); ``info["executor"]``
-        reports the chunking actually used: ``chunk_size`` is the size
-        of the largest chunk (0 for an empty grid).
-
-        ``attribute_sources`` is resolved once to the attribution
-        request — a tuple of budget-row labels, or ``None`` — which
-        travels with every chunk; the result then carries the
-        per-source :class:`~repro.metrics.ContributionBudget`.
-        """
-        if on_failure not in ("record", "raise"):
-            raise ReproError(
-                f"on_failure must be 'record' or 'raise', "
-                f"got {on_failure!r}")
-        labels = analyzer._attribution_request(attribute_sources)
-        width = 1 if labels is None else 1 + len(labels)
-        freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-        budget = as_budget(budget if budget is not None
-                           else analyzer.budget)
-        budget.start()
-        report = DiagnosticsReport(context="mft sweep")
-        report.merge(analyzer.preflight)
-        rec = analyzer.recorder
-        mark = rec.mark()
-        t0 = time.perf_counter()
-        with rec.span("mft.sweep", solver=self.solver or "mft",
-                      n=int(freqs.size)):
-            # Warm-up builds what every solver reads.
-            with rec.span("mft.warmup"):
-                analyzer.warm_up(sources=labels is not None)
-            stride = (self.chunk_size if self.chunk_size is not None
-                      else analyzer._spectral_block(freqs.size, labels))
-            chunks = [(start, freqs[start:start + stride])
-                      for start in range(0, freqs.size, stride)]
-            outputs = []
-            with rec.span("executor.dispatch", n_chunks=len(chunks)):
-                for start, chunk in chunks:
-                    if budget.exceeded() is not None:
-                        break
-                    outputs.append(_run_chunk(
-                        analyzer, chunk, on_failure, self.solver, labels,
-                        start))
-            with rec.span("executor.merge"):
-                values, failures, attempts = _merge(
-                    freqs, chunks, outputs, budget, report, width)
-            raw_total, clipped, contribution = _finalize(
-                analyzer, freqs, values, report, labels,
-                self.solver or "mft")
-        runtime = time.perf_counter() - t0
-        if rec.enabled:
-            rec.count("executor.chunks_dispatched", len(outputs))
-            report.timeline = span_summary(rec, since=mark)
-        return PsdResult(
-            frequencies=freqs, psd=clipped, method="mft",
-            output=analyzer._output_name(),
-            info={
-                "runtime_seconds": runtime,
-                "solver": self.solver or "mft",
-                "segments": analyzer.context.structure.durations.size,
-                "negative_clipped": int(np.sum(
-                    np.isfinite(raw_total) & (raw_total < 0.0))),
-                "worst_negative_psd": worst_negative_psd(raw_total),
-                "diagnostics": report,
-                "failures": failures,
-                "fallback_attempts": attempts,
-                "budget": contribution,
-                "executor": {
-                    "solver": self.solver,
-                    "chunk_size": chunks[0][1].size if chunks else 0,
-                    "n_chunks": len(chunks),
-                    "n_chunks_skipped": len(chunks) - len(outputs),
-                },
-            })
+    width = 1 if labels is None else 1 + len(labels)
+    values = np.full(freqs.shape if width == 1
+                     else (freqs.size, width), np.nan)
+    failures = []
+    attempts_log = []
+    finite = np.isfinite(freqs)
+    for idx in np.nonzero(~finite)[0]:
+        exc = ReproError(
+            f"analysis frequency must be finite, got {freqs[idx]!r}")
+        if on_failure == "raise":
+            raise exc.attach_diagnostics(report)
+        failures.append(FrequencyFailure(
+            frequency=float(freqs[idx]), index=int(idx), stage="input",
+            error=type(exc).__name__, message=str(exc)))
+        report.error("non-finite-frequency", str(exc), index=int(idx))
+        logger.warning("recording NaN at index %d: %s", idx, exc)
+    finite_idx = np.nonzero(finite)[0]
+    if finite_idx.size:
+        recorder.count("sweep.frequencies", int(finite_idx.size))
+    units = batch_step(finite_idx, values) if finite_idx.size else ()
+    for cells in units:
+        f = float(freqs[cells[0]])
+        strategies, tags = point_step(cells, f)
+        try:
+            with recorder.span("mft.solve", frequency=f, **tags) as span:
+                value, attempts = run_fallback_chain(
+                    strategies, f, report, recorder=recorder)
+            attempts_log.extend(attempts)
+            values[cells] = value
+            if recorder.enabled:
+                recorder.observe("mft.solve_seconds", span.duration)
+        except FallbackExhausted as exc:
+            attempts_log.extend(exc.attempts)
+            failures.extend(FrequencyFailure(
+                frequency=f, index=int(idx), stage="solve",
+                error=type(exc).__name__, message=str(exc))
+                for idx in cells)
+            if on_failure == "raise":
+                raise exc.attach_diagnostics(report)
+            logger.warning("recording NaN at %.6g Hz: %s", f, exc)
+    failures.sort(key=lambda failure: failure.index)
+    return values, failures, attempts_log
 
 
 def _merge(freqs, chunks, outputs, budget, report, width):
@@ -283,7 +331,7 @@ def _merge(freqs, chunks, outputs, budget, report, width):
     return values, failures, attempts
 
 
-def _finalize(analyzer, freqs, values, report, labels, solver):
+def _finalize(rec, output, freqs, values, report, labels, solver):
     """Clip the total PSD and split off the attribution budget.
 
     ``values`` is the merged sweep output: 1-D without attribution,
@@ -294,7 +342,6 @@ def _finalize(analyzer, freqs, values, report, labels, solver):
     NaN in the total is NaN in every budget row (whole rows fail
     together — the NaN-union contract).
     """
-    rec = analyzer.recorder
     if labels is None:
         with rec.span("mft.clip"):
             clipped = clip_negative_psd(freqs, values, report,
@@ -310,7 +357,7 @@ def _finalize(analyzer, freqs, values, report, labels, solver):
         contribution = ContributionBudget(
             frequencies=freqs, labels=list(labels),
             contributions=contributions, total=raw_total,
-            output=analyzer._output_name(), method="mft",
+            output=output, method="mft",
             solver=solver)
     rec.count("attribution.sources", len(labels))
     rec.count("attribution.sweeps")

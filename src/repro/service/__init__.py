@@ -13,8 +13,8 @@ The pieces (DESIGN.md §13):
   or in a file that survives restarts, with hit/miss/evict telemetry,
   so an identical resubmit is served without a single kernel solve.
 
-Each job runs through its own
-:class:`~repro.mft.executor.SweepExecutor`, in the queue's dispatcher
+Each job's sweep runs through the one sweep loop
+(:func:`~repro.mft.executor.run_sweep`), in the queue's dispatcher
 thread, so budgets and the partial-failure contract work unchanged
 underneath.
 

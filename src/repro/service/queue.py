@@ -2,8 +2,8 @@
 
 :class:`JobQueue` accepts :class:`~repro.service.spec.JobSpec`\\ s and
 runs them FIFO on a background dispatcher thread; each job's sweep is
-itself split into frequency chunks by its own
-:class:`~repro.mft.executor.SweepExecutor` — so budgets and the
+itself split into frequency chunks by the one sweep loop
+(:func:`~repro.mft.executor.run_sweep`) — so budgets and the
 partial-failure contract compose unchanged underneath the service
 API.
 

@@ -24,6 +24,8 @@ produce —
   from ever aliasing a plain sweep's.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,7 @@ from repro.circuits import (
 )
 from repro.diagnostics.budget import SweepBudget
 from repro.diagnostics.fallback import FallbackPolicy
+from repro.diagnostics.report import FrequencyFailure
 from repro.errors import ReproError
 from repro.linalg.lyapunov import fixed_point_condition
 from repro.mft import context as context_module
@@ -50,7 +53,6 @@ from repro.mft.context import (
     sweep_context_for,
 )
 from repro.mft.corners import (
-    CornerBatchAnalyzer,
     CornerSweepResult,
     _build_roots,
     corner_psd_sweep,
@@ -625,16 +627,36 @@ class TestCornerSweepResultViews:
         assert "4 corners x 8 frequencies" in repr(result)
 
 
-class TestAnalyzerValidation:
-    def test_member_grid_length_mismatch_rejected(
-            self, rc_system, mixed_grid):
+class TestCornerInfo:
+    def test_info_keeps_no_flat_axis_leftovers(self, rc_system,
+                                               mixed_grid):
+        # The flat sweep's failures, budget and report have corner-shaped
+        # forms on the result; its info keeps only the sweep metadata.
         clear_sweep_contexts()
-        roots = _build_roots(rc_system, mixed_grid, 0, SPP, None)
-        with pytest.raises(ReproError, match="4 corners"):
-            CornerBatchAnalyzer(roots[:1], mixed_grid)
-        with pytest.raises(ReproError, match="at least one"):
-            CornerBatchAnalyzer([], mixed_grid)
+        freqs = np.linspace(100.0, 4e4, 6)
+        freqs[2] = np.nan
+        result = corner_psd_sweep(rc_system, mixed_grid, freqs,
+                                  segments_per_phase=SPP,
+                                  attribute_sources=True)
+        assert all([f.index for f in records] == [2]
+                   for records in result.failures.values())
+        assert not any(
+            isinstance(value, list) and value
+            and isinstance(value[0], FrequencyFailure)
+            for value in result.info.values())
+        payload = result.to_json()
+        for key, value in payload["info"].items():
+            text = json.dumps(value)
+            assert "PsdResult(" not in text, key
+            assert "ContributionBudget(" not in text, key
+        assert "diagnostics" not in payload["info"]
+        assert set(result.info) == {
+            "runtime_seconds", "solver", "segments", "negative_clipped",
+            "worst_negative_psd", "fallback_attempts", "executor",
+            "n_params", "family_hash"}
 
+
+class TestAnalyzerValidation:
     def test_non_grid_rejected(self, rc_system, freqs):
         with pytest.raises(ReproError, match="ParameterGrid"):
             corner_psd_sweep(rc_system, ["not-a-grid"], freqs)

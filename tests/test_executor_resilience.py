@@ -1,6 +1,6 @@
-"""Executor contracts: argument validation, budget gate, exceptions.
+"""Sweep-loop contracts: argument validation, budget gate, exceptions.
 
-Pins, on the switched-RC circuit, the executor's argument validation,
+Pins, on the switched-RC circuit, the sweep's argument validation,
 that the keywords of the deleted process backend and resilience layer
 are gone from every entry point, the budget-spent-before-first-dispatch
 edge, and that exceptions escaping a chunk propagate to the caller
@@ -10,6 +10,7 @@ instead of being hidden as NaN chunks.
 import numpy as np
 import pytest
 
+import repro.mft.executor as executor
 from repro.analysis import NoiseAnalysis
 from repro.circuits import ParameterGrid
 from repro.diagnostics.budget import SweepBudget
@@ -17,7 +18,6 @@ from repro.errors import ReproError
 from repro.mft.context import clear_sweep_contexts
 from repro.mft.corners import corner_psd_sweep
 from repro.mft.engine import MftNoiseAnalyzer
-from repro.mft.executor import SweepExecutor
 from repro.service import JobQueue
 
 #: Fast but non-trivial: 12 finite frequencies -> 3 chunks of 4.
@@ -41,30 +41,28 @@ def analyzer(rc_system):
 
 
 def _sweep(analyzer, grid, **kwargs):
-    executor = SweepExecutor(chunk_size=CHUNK)
-    return executor.run(analyzer, grid, **kwargs)
+    return analyzer.psd_sweep(grid, chunk_size=CHUNK, **kwargs)
 
 
 class TestArgumentValidation:
     """Bad chunk knobs fail fast with the range; removed knobs are gone."""
 
     @pytest.mark.parametrize("value", [0, -3])
-    def test_rejects_nonpositive_chunk_size(self, value):
+    def test_rejects_nonpositive_chunk_size(self, analyzer, grid, value):
         with pytest.raises(ReproError, match="chunk_size"):
-            SweepExecutor(chunk_size=value)
+            analyzer.psd_sweep(grid, chunk_size=value)
 
     @pytest.mark.parametrize("value", [True, False, 2.0, "4"])
-    def test_rejects_non_integers(self, value):
+    def test_rejects_non_integers(self, analyzer, grid, value):
         with pytest.raises(ReproError, match="chunk_size"):
-            SweepExecutor(chunk_size=value)
+            analyzer.psd_sweep(grid, chunk_size=value)
 
-    def test_error_names_allowed_range(self):
-        with pytest.raises(ReproError, match=r"\[1, "):
-            SweepExecutor(chunk_size=0)
+    def test_error_names_allowed_range(self, analyzer, grid):
+        for solver in ("mft", "spectral-batch"):
+            with pytest.raises(ReproError, match=r"\[1, "):
+                analyzer.psd_sweep(grid, chunk_size=0, solver=solver)
 
     def test_pool_option_is_gone(self, analyzer, grid):
-        with pytest.raises(TypeError, match="pool"):
-            SweepExecutor(pool=object())
         for solver in ("mft", "spectral-batch", "brute-force"):
             with pytest.raises(TypeError, match="pool"):
                 analyzer.psd_sweep(grid, solver=solver, pool=object())
@@ -85,13 +83,9 @@ class TestArgumentValidation:
         with pytest.raises(TypeError, match=keyword):
             corner_psd_sweep(rc_system, corners, grid, **option)
         with pytest.raises(TypeError, match=keyword):
-            SweepExecutor(**option)
-        with pytest.raises(TypeError, match=keyword):
             JobQueue(**option)
         with pytest.raises(TypeError, match="backend"):
             JobQueue(backend="serial")
-        with pytest.raises(TypeError, match="backend"):
-            SweepExecutor(backend="serial")
 
 
 class TestBudgetSpentBeforeDispatch:
@@ -124,11 +118,11 @@ class TestExceptionsPropagate:
                                          monkeypatch):
         calls = []
 
-        def broken_chunk(freqs, *args):
+        def broken_chunk(roots, index, solver, freqs, *args):
             calls.append(freqs.size)
             raise RuntimeError("chunk body bug")
 
-        monkeypatch.setattr(analyzer, "_sweep_chunk", broken_chunk)
+        monkeypatch.setattr(executor, "chunk_steps", broken_chunk)
         with pytest.raises(RuntimeError, match="chunk body bug"):
             _sweep(analyzer, grid)
         # The first chunk's error ends the sweep: no re-run, no skip.

@@ -127,12 +127,13 @@ class TestSolverValidation:
         with pytest.raises(ReproError, match="[Ww]elch"):
             analysis.psd(GRID, solver="monte-carlo")
 
-    def test_executor_accepts_mft_alias(self, rc_system):
-        from repro.mft.executor import SweepExecutor
-        executor = SweepExecutor(solver="mft")
-        assert executor.solver is None
-        with pytest.raises(ReproError):
-            SweepExecutor(solver="brute-force")
+    def test_executor_accepts_mft_alias(self, analysis):
+        default = analysis.psd_sweep(GRID[:3], solver=None)
+        named = analysis.psd_sweep(GRID[:3], solver="mft")
+        assert default.psd.tobytes() == named.psd.tobytes()
+        for result in (default, named):
+            assert result.info["solver"] == "mft"
+            assert result.info["executor"]["solver"] is None
 
 
 class TestSharedKeywords:

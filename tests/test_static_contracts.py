@@ -23,6 +23,14 @@ so a file that does not parse fails the run.
 * ``context_subclass``: nothing subclasses ``SweepContext``: a corner
   that differs only in noise intensity is a linear map of its dynamics
   root's kernel rows, not a context of its own.
+* ``sweep_adapter``: nothing defines the analyzer chunk hooks
+  ``_sweep_chunk``/``_spectral_block``: a sweep is a function of its
+  dynamics roots (:func:`repro.mft.executor.run_sweep`), not of an
+  analyzer duck type.
+* ``psd_result_site``: inside :mod:`repro.mft` a ``PsdResult`` is built
+  only by ``run_sweep``, the one result path of every MFT sweep, and by
+  ``CornerSweepResult.corner``, which re-wraps one corner of a finished
+  sweep.
 
 Broad handlers and ``print`` are ruff's ``BLE`` and ``T20``; recorder
 forwarding is checked at run time by the span tests in ``test_obs.py``.
@@ -255,8 +263,40 @@ def context_subclass(source, path):
                     for base in node.bases)]
 
 
+#: The chunk hooks of the deleted analyzer duck type.
+SWEEP_HOOKS = frozenset({"_sweep_chunk", "_spectral_block"})
+#: ``(module, function)`` pairs of :mod:`repro.mft` that may build a ``PsdResult``.
+PSD_RESULT_SITES = frozenset({("repro/mft/executor.py", "run_sweep"),
+                              ("repro/mft/corners.py", "corner")})
+
+
+def sweep_adapter(source, path):
+    return [_finding(path, node, f"defines {node.name}: sweeps take their roots, "
+                                 "not an analyzer's chunk hooks")
+            for node in ast.walk(_parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in SWEEP_HOOKS]
+
+
+def psd_result_site(source, path):
+    if not path.startswith("repro/mft/"):
+        return []
+    findings = []
+    for func in ast.walk(_parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if (path, func.name) in PSD_RESULT_SITES:
+            continue
+        findings.extend(
+            _finding(path, node, f"{func.name} builds a PsdResult outside run_sweep")
+            for node in _own_body(func)
+            if isinstance(node, ast.Call)
+            and _dotted(node.func).rsplit(".", 1)[-1] == "PsdResult")
+    return findings
+
+
 CHECKS = (raw_linalg, magic_tolerance, bare_ndarray_return, psd_units, replay_hygiene,
-          registry_insert, context_subclass)
+          registry_insert, context_subclass, sweep_adapter, psd_result_site)
 
 
 @pytest.fixture(scope="module")
@@ -335,7 +375,35 @@ CASES = [
     (context_subclass, "flags_module_attribute",
      "class Scaled(context.SweepContext):\n    pass\n", None, ("module.py:1",)),
     (context_subclass, "allows_other_bases", "class Root(SweepBase):\n    pass\n", None, ()),
+    (sweep_adapter, "flags_chunk_hook",
+     "class A:\n    def _sweep_chunk(self, freqs):\n        pass\n", None,
+     ("module.py:2: defines _sweep_chunk",)),
+    (sweep_adapter, "flags_block_hook", "def _spectral_block(n):\n    pass\n", None,
+     ("_spectral_block",)),
+    (sweep_adapter, "allows_chunk_loop", "def sweep_chunk(freqs):\n    pass\n", None, ()),
+    (psd_result_site, "flags_analyzer_result",
+     "def psd_sweep(self, f):\n    return PsdResult(frequencies=f, psd=f)\n",
+     "repro/mft/engine.py", ("repro/mft/engine.py:2: psd_sweep builds a PsdResult",)),
+    (psd_result_site, "flags_module_attribute",
+     "def sweep(f):\n    return result.PsdResult(frequencies=f, psd=f)\n",
+     "repro/mft/corners.py", ("sweep builds a PsdResult",)),
+    (psd_result_site, "allows_run_sweep",
+     "def run_sweep(roots, f):\n    return PsdResult(frequencies=f, psd=f)\n",
+     "repro/mft/executor.py", ()),
+    (psd_result_site, "ignores_baselines",
+     "def brute_force_psd(f):\n    return PsdResult(frequencies=f, psd=f)\n",
+     "repro/noise/brute_force.py", ()),
 ]
+
+
+def test_sweep_adapters_are_not_exported():
+    import repro.mft
+    import repro.mft.corners
+    import repro.mft.executor
+    for module in (repro, repro.mft, repro.mft.corners, repro.mft.executor):
+        for name in ("SweepExecutor", "CornerBatchAnalyzer"):
+            assert not hasattr(module, name), (module.__name__, name)
+            assert name not in getattr(module, "__all__", ()), (module.__name__, name)
 
 
 @pytest.mark.parametrize("check, case, source, path, expected", CASES,

@@ -1,6 +1,6 @@
 """Equivalence suite: the fast sweep paths ARE the slow path.
 
-The performance layer (``SweepContext`` fast solves, ``SweepExecutor``
+The performance layer (``SweepContext`` fast solves, the sweep's
 chunking) reorders linear algebra and work scheduling but must never
 change results. For the switched-RC and SC low-pass circuits this
 suite pins, against the serial per-frequency reference (every solve a
@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+import repro.mft.executor as executor
 from repro.diagnostics.budget import SweepBudget
 from repro.lptv.periodic_solve import (
     forcing_from_samples,
@@ -148,28 +149,28 @@ class TestHeadlineAcceptance:
         _assert_equivalent(seed, fast, "cached vs seed serial")
 
 
-class _SlowChunkAnalyzer(MftNoiseAnalyzer):
-    """Test double: every chunk takes a deterministic minimum time."""
+def _slow_chunks(monkeypatch, delay):
+    """Make every sweep chunk take a deterministic minimum time."""
+    import time
+    chunk_steps = executor.chunk_steps
 
-    def __init__(self, system, delay, **kwargs):
-        super().__init__(system, **kwargs)
-        self.delay = delay
+    def slow_chunk_steps(*args):
+        time.sleep(delay)
+        return chunk_steps(*args)
 
-    def _sweep_chunk(self, *args):
-        import time
-        time.sleep(self.delay)
-        return super()._sweep_chunk(*args)
+    monkeypatch.setattr(executor, "chunk_steps", slow_chunk_steps)
 
 
 class TestBudgetGate:
     def test_budget_stops_dispatch_but_not_inflight_chunks(
-            self, rc_system):
+            self, rc_system, monkeypatch):
         # Chunks of 2 and a budget shorter than one chunk: the first
         # chunk is already running when the budget expires, so it must
         # complete (its points are finite), while every later chunk is
         # never dispatched (budget-stage failures).
         grid = np.linspace(100.0, 4e4, 8)
-        analyzer = _SlowChunkAnalyzer(rc_system, delay=0.2)
+        analyzer = MftNoiseAnalyzer(rc_system)
+        _slow_chunks(monkeypatch, delay=0.2)
         result = analyzer.psd_sweep(
             grid, chunk_size=2,
             budget=SweepBudget(wall_clock_seconds=0.05))
@@ -183,7 +184,8 @@ class TestBudgetGate:
         assert result.diagnostics.by_code("budget-exhausted")
         assert result.info["executor"]["n_chunks_skipped"] == 3
 
-    def test_psd_budget_gates_its_default_chunks(self, rc_system):
+    def test_psd_budget_gates_its_default_chunks(self, rc_system,
+                                                 monkeypatch):
         # psd is psd_sweep at the default chunk size (8 frequencies),
         # so it gets a grid spanning two of its chunks.
         sweeps = [
@@ -192,9 +194,10 @@ class TestBudgetGate:
             (lambda analyzer, grid, budget: analyzer.psd(
                 grid, budget=budget), 16, 8),
         ]
+        _slow_chunks(monkeypatch, delay=0.1)
         for sweep, n_points, first_chunk in sweeps:
             grid = np.linspace(100.0, 4e4, n_points)
-            analyzer = _SlowChunkAnalyzer(rc_system, delay=0.1)
+            analyzer = MftNoiseAnalyzer(rc_system)
             serial = sweep(analyzer, grid,
                            SweepBudget(wall_clock_seconds=0.05))
             assert np.all(np.isfinite(serial.psd[:first_chunk]))
