@@ -70,6 +70,24 @@ class AttemptRecord:
     error: str = ""
     data: dict = field(default_factory=dict)
 
+    def to_dict(self):
+        """JSON-friendly form (result payloads)."""
+        return {"strategy": self.strategy, "frequency": self.frequency,
+                "trigger": self.trigger, "success": self.success,
+                "cost_seconds": self.cost_seconds, "error": self.error,
+                "data": dict(self.data)}
+
+    @classmethod
+    def from_dict(cls, data):
+        """Inverse of :meth:`to_dict`."""
+        return cls(strategy=str(data["strategy"]),
+                   frequency=float(data["frequency"]),
+                   trigger=str(data["trigger"]),
+                   success=bool(data["success"]),
+                   cost_seconds=float(data["cost_seconds"]),
+                   error=str(data.get("error", "")),
+                   data=dict(data.get("data", {})))
+
     def __str__(self):
         outcome = "ok" if self.success else f"failed ({self.error})"
         return (f"{self.strategy} @ {self.frequency:.6g} Hz "

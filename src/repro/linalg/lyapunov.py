@@ -128,6 +128,7 @@ def solve_linear_fixed_point(m_matrix: ArrayLike, g_vector: ArrayLike
     :class:`~repro.errors.SingularMatrixError` when ``I − M`` is singular
     (a Floquet multiplier of the frequency-shifted system sits exactly at
     one, which for a stable circuit cannot happen at any real frequency).
+    ``g`` is ``(n,)`` or ``(n, k)``, one right-hand side per column.
     """
     m = np.asarray(m_matrix)
     g = np.asarray(g_vector)
@@ -167,6 +168,7 @@ def solve_regularized_fixed_point(m_matrix: ArrayLike, g_vector: ArrayLike,
     ``I − M`` is exactly singular, where it returns the minimum-norm
     solution of the consistent part. This is the safety net between the
     direct solve and the brute-force transient in the fallback chain.
+    ``g`` is ``(n,)`` or ``(n, k)``, one right-hand side per column.
     """
     m = np.asarray(m_matrix)
     g = np.asarray(g_vector)
@@ -175,7 +177,8 @@ def solve_regularized_fixed_point(m_matrix: ArrayLike, g_vector: ArrayLike,
     system = np.eye(n, dtype=dtype) - m
     lam = float(ridge) * max(np.linalg.norm(system, 2), TINY_FLOOR)
     augmented = np.vstack([system, lam * np.eye(n, dtype=dtype)])
-    rhs = np.concatenate([g.astype(dtype), np.zeros(n, dtype=dtype)])
+    rhs = np.concatenate([g.astype(dtype),
+                          np.zeros((n,) + g.shape[1:], dtype=dtype)])
     solution, _residuals, rank, _sv = np.linalg.lstsq(augmented, rhs,
                                                       rcond=LSTSQ_RCOND)
     if rank < n:  # pragma: no cover - augmented system has full rank

@@ -397,6 +397,18 @@ def propagate_runs(structure, phases, particular, state):
     return starts, ends, state
 
 
+def psd_rows(integral, l_row, period):
+    """Averaged double-sided PSD (V²/Hz) ``2·Re(l·∫q)/T`` of solved rows.
+
+    The one read of every MFT solve: ``integral`` is ``(R, F, n)``, the
+    period integrals of ``R`` forcing rows at ``F`` frequencies (a
+    per-ω solve passes ``F = 1``), and the result is ``(R, F)``.  Each
+    ``(F, n)`` slab meets ``l`` in its own product, so a row's values do
+    not depend on how many rows are stacked.
+    """
+    return 2.0 * np.real(integral @ l_row) / period
+
+
 def group_propagators(structure):
     """Each group's real propagator ``Φ`` in C order, indexed by group.
 
@@ -522,6 +534,7 @@ class SweepContext:
         self._source_stack = None
         self._source_discs = {}
         self._source_forcing = {}
+        self._forcing_stacks = {}
         self._retained_memo = None
 
     # -- cached frequency-independent quantities ----------------------------
@@ -598,6 +611,34 @@ class SweepContext:
         self._forcing[key] = pairs
         return pairs
 
+    def forcing_stack(self, l_row, sources=False):
+        """The ``(R, S, 2, n)`` forcing rows of one periodic solve.
+
+        Row 0 is the total's :meth:`forcing_pairs`; with ``sources`` the
+        rows after it are each noise source's
+        :meth:`source_forcing_pairs`, ``[total, source…]``, so one
+        solve — per-ω (:meth:`solve_shifted`) or batched
+        (:func:`~repro.mft.spectral.solve_spectral_batch`) — gives the
+        total and every source's share from one factorization.  Without
+        ``sources`` the stack is a view of the total's pairs; with them
+        it is built once per output row and cached, and the cached pairs
+        of that row become views of it, so the context holds one copy.
+        """
+        total = self.forcing_pairs(l_row)
+        if not sources:
+            return total[None]
+        key = np.asarray(l_row, dtype=float).tobytes()
+        stack = self._forcing_stacks.get(key)
+        if stack is None:
+            rows = range(self.n_sources)
+            stack = np.stack([total] + [self.source_forcing_pairs(l_row, s)
+                                        for s in rows])
+            self._forcing[key] = stack[0]
+            for s in rows:
+                self._source_forcing[(s, key)] = stack[1 + s]
+            self._forcing_stacks[key] = stack
+        return stack
+
     # -- per-source decomposition -------------------------------------------
 
     @property
@@ -645,11 +686,12 @@ class SweepContext:
         column and the Gramians come from the exactly conservative
         per-source split (:func:`split_source_gramians`), one pair per
         run, so the segments of one clock phase share one Gramian
-        object.  Only the
-        brute-force attribution replay needs whole per-source
-        discretizations — the per-source covariances are solved from
-        the split directly (:meth:`source_covariance`).  All sources are
-        built on the first call and cached.
+        object.  No engine reads it: the per-source covariances are
+        solved from the split directly (:meth:`source_covariance`) and
+        brute force drives its source rows from the split too.  It is
+        the one-source-at-a-time reference route that
+        ``tests/test_source_stack.py`` pins the stacked route against.
+        All sources are built on the first call and cached.
         """
         source = self._source_index(source)
         cached = self._source_discs.get(source)
@@ -763,41 +805,64 @@ class SweepContext:
         arguments, same :class:`PeriodicSolution`, same condition-limit
         and solver semantics) that reuses every frequency-independent
         cached quantity; see the module docstring for the identities.
+
+        ``segment_forcing`` is ``(S, 2, n)``, or — as for
+        :func:`~repro.mft.spectral.solve_spectral_batch` — a stacked
+        ``(R, S, 2, n)`` such as :meth:`forcing_stack`'s ``[total,
+        source…]``, and the solution's arrays then gain a leading ``R``
+        axis.  The rows share one set of step integrals, one condition
+        (they pass or fail together), one LU with ``R`` right-hand
+        sides, one pass over runs and one trace loop.  Each row keeps the
+        operand shapes of an unstacked solve, so it is bit-identical to
+        solving it alone; only ``"lstsq"``, whose multi-column solve may
+        round a column differently, solves row 0 alone and the rest
+        together.
         """
         disc = self.disc
         struct = self.structure
         n = disc.n_states
-        forcing = np.asarray(segment_forcing)
         n_seg = disc.n_segments
-        if forcing.shape != (n_seg, 2, n):
+        forcing = np.asarray(segment_forcing)
+        stacked = forcing.ndim == 4
+        if not stacked:
+            forcing = forcing[None]
+        if forcing.shape[1:] != (n_seg, 2, n):
             raise ReproError(
-                f"segment forcing must have shape "
-                f"({n_seg}, 2, {n}), got {forcing.shape}")
+                f"segment forcing must have shape ({n_seg}, 2, {n}) or "
+                f"(R, {n_seg}, 2, {n}), got "
+                f"{forcing.shape if stacked else forcing.shape[1:]}")
+        n_rows = forcing.shape[0]
         omega = float(omega)
         entries = self.shifted_integrals(omega)
 
         # Per-segment forcing integrals, batched per group:
         #   g_k = I1 f0_k + I2 (f1_k − f0_k)/h.
-        g_seg = np.empty((n_seg, n), dtype=complex)
-        for group, (_phi, i1, i2, _a, _nh) in zip(struct.groups, entries):
-            idx = group.indices
-            f0 = forcing[idx, 0]
-            slope = (forcing[idx, 1] - f0) / group.duration
-            g_seg[idx] = f0 @ i1.T + slope @ i2.T
+        # Gathers are C-ordered ``np.take`` copies, so each row's slab
+        # has the layout (and the products and sums their rounding) of
+        # an unstacked solve.
+        g_seg = np.empty((n_rows, n_seg, n), dtype=complex)
+        ends = [np.take(forcing[:, :, end], group.indices, axis=1)
+                for group in struct.groups for end in (0, 1)]
+        for g, (group, (_phi, i1, i2, _a, _nh)) in enumerate(
+                zip(struct.groups, entries)):
+            f0, f1 = ends[2 * g], ends[2 * g + 1]
+            slope = (f1 - f0) / group.duration
+            g_seg[:, group.indices] = f0 @ i1.T + slope @ i2.T
 
         # One-period affine map: M_ω = e^{-jωT} M_0 (scalar identity) and
         # g_ω composed run by run, each run's forcing carried to its end
-        # by one product against its power stack.
+        # by one product against its power stack.  States are (R, 1, n),
+        # so each row is the vector-matrix product of an unstacked solve.
         phase_total = np.exp(-1j * omega * disc.period)
         m_acc = phase_total * self.monodromy.astype(complex)
         particular = [
             contract_run(run_operator(struct, run), np.ascontiguousarray(
                 (np.exp(-1j * omega * run.lags)[:, None]
-                 * g_seg[run.start:run.stop]).T))
+                 * g_seg[:, run.start:run.stop]).swapaxes(1, 2)))[:, None]
             for run in struct.runs]
         spans = [np.exp(-1j * omega * run.span) for run in struct.runs]
-        g_acc = propagate_runs(struct, spans, particular,
-                               np.zeros(n, dtype=complex))[2]
+        g_acc = propagate_runs(struct, spans, particular, np.zeros(
+            (n_rows, 1, n), dtype=complex))[2][:, 0]
 
         condition = fixed_point_condition(m_acc)
         if solver == "direct":
@@ -810,63 +875,79 @@ class SweepContext:
                     f"fixed-point system (I - M) is ill-conditioned: "
                     f"cond = {condition:.3g} exceeds limit "
                     f"{condition_limit:.3g} at omega = {omega:.6g} rad/s")
-            v0 = solve_linear_fixed_point(m_acc, g_acc)
+            v0 = solve_linear_fixed_point(m_acc, g_acc.T).T
         elif solver == "lstsq":
-            v0 = solve_regularized_fixed_point(m_acc, g_acc, ridge=ridge)
+            v0 = np.empty((n_rows, n), dtype=complex)
+            v0[0] = solve_regularized_fixed_point(m_acc, g_acc[0],
+                                                  ridge=ridge)
+            if n_rows > 1:
+                v0[1:] = solve_regularized_fixed_point(
+                    m_acc, g_acc[1:].T, ridge=ridge).T
         else:
             raise ReproError(f"unknown periodic solver {solver!r}; "
                              "expected 'direct' or 'lstsq'")
 
         # One lean sequential pass for the trace (the recursion is
-        # inherently ordered); everything derivable from the trace —
-        # derivatives, period integral — is batched per group below.
+        # inherently ordered), every row a (n, 1) column of one stacked
+        # product; everything derivable from the trace — derivatives,
+        # period integral — is batched per group below.
         seg_phase = np.exp(-1j * omega * struct.durations)
         phis = group_propagators(struct)
         group_of = struct.group_of.tolist()
         has_jump = struct.has_jump
         jumps = struct.jumps
-        pre = np.empty((n_seg + 1, n), dtype=complex)
-        post = np.empty((n_seg + 1, n), dtype=complex)
-        pre[0] = v0
-        post[0] = v0
-        v = v0
+        # Time-major (S + 1, R, n, 1) buffers: one cheap view per step.
+        pre = np.empty((n_seg + 1, n_rows, n, 1), dtype=complex)
+        post = np.empty((n_seg + 1, n_rows, n, 1), dtype=complex)
+        v = pre[0] = post[0] = v0[:, :, None]
+        g_cols = np.ascontiguousarray(g_seg.swapaxes(0, 1))[..., None]
         for k in range(n_seg):
-            v = seg_phase[k] * (phis[group_of[k]] @ v) + g_seg[k]
+            v = seg_phase[k] * (phis[group_of[k]] @ v) + g_cols[k]
             pre[k + 1] = v
             if has_jump[k]:
                 v = jumps[k] @ v
             post[k + 1] = v
+        pre, post = (np.ascontiguousarray(a[..., 0].swapaxes(0, 1))
+                     for a in (pre, post))
 
-        dpre = np.empty((n_seg + 1, n), dtype=complex)
-        dpost = np.empty((n_seg + 1, n), dtype=complex)
-        integral = np.zeros(n, dtype=complex)
-        for group, (_phi, _i1, _i2, a_shifted, norm_h) in zip(
-                struct.groups, entries):
+        dpre = np.empty((n_rows, n_seg + 1, n), dtype=complex)
+        dpost = np.empty((n_rows, n_seg + 1, n), dtype=complex)
+        integral = np.zeros((n_rows, n), dtype=complex)
+        for g, (group, (_phi, _i1, _i2, a_shifted, norm_h)) in enumerate(
+                zip(struct.groups, entries)):
             idx = group.indices
             h = group.duration
+            f0, f1 = ends[2 * g], ends[2 * g + 1]
+            start = np.take(post, idx, axis=1)
+            end = np.take(pre, idx + 1, axis=1)
             # One-sided derivatives at the segment ends, batched.
-            dpost[idx] = post[idx] @ a_shifted.T + forcing[idx, 0]
-            dpre[idx + 1] = pre[idx + 1] @ a_shifted.T + forcing[idx, 1]
+            d_start = start @ a_shifted.T + f0
+            d_end = end @ a_shifted.T + f1
+            dpost[:, idx] = d_start
+            dpre[:, idx + 1] = d_end
             # Period integral of v: per segment,
             #   A_ω ∫v dt = v(end) − v(start) − ∫f dt,
             # summed over the group *before* the single resolvent solve
             # (linearity); the derivative-corrected trapezoid covers the
             # near-singular regime, exactly as the reference path does.
-            f_int = 0.5 * h * (forcing[idx, 0] + forcing[idx, 1])
+            f_int = 0.5 * h * (f0 + f1)
             trapezoid = np.sum(
-                0.5 * h * (post[idx] + pre[idx + 1])
-                + h * h / 12.0 * (dpost[idx] - dpre[idx + 1]), axis=0)
+                0.5 * h * (start + end)
+                + h * h / 12.0 * (d_start - d_end), axis=1)
             if norm_h > RESOLVENT_NORM_THRESHOLD:
-                rhs = np.sum(pre[idx + 1] - post[idx] - f_int, axis=0)
+                rhs = np.sum(end - start - f_int, axis=1)
                 try:
                     integral = integral + checked_solve(
-                        a_shifted, rhs,
-                        context="segment integral resolvent")
+                        a_shifted, rhs.T,
+                        context="segment integral resolvent").T
                 except SingularMatrixError:
                     integral = integral + trapezoid
             else:
                 integral = integral + trapezoid
-        dpost[-1] = dpost[0]
+        dpost[:, -1] = dpost[:, 0]
+        if not stacked:
+            pre, post, dpre, dpost, integral = (
+                pre[0], post[0], dpre[0], dpost[0], integral[0])
         return PeriodicSolution(grid=disc.grid, pre=pre, post=post,
                                 dpre=dpre, dpost=dpost, integral=integral,
                                 condition=condition, solver=solver)
@@ -878,9 +959,10 @@ class SweepContext:
 
         Counts what grows with the segment count: the power stacks,
         ``K(t)`` and the per-source covariance stack, and the forcing
-        pairs.  The ``O(n²)`` matrices of each phase (discretization,
-        groups) and the monodromy are not counted, and no
-        array depends on a frequency.  ``key`` is the array's ``id``, so
+        pairs (views of a :meth:`forcing_stack` once it is built, which
+        together are the stack).  The ``O(n²)`` matrices of each phase
+        (discretization, groups) and the monodromy are not counted, and
+        no array depends on a frequency.  ``key`` is the array's ``id``, so
         an array held twice (``post is pre`` on a jump-free circuit, or
         one context registered under two keys) counts once in
         :func:`sweep_context_for`.  Reads the cached quantities, never
@@ -889,13 +971,16 @@ class SweepContext:
 
         The list is memoized on the fill state: each counted cache only
         ever goes from unset to set (the structure and the covariances)
-        or grows (the forcing dicts), so the objects of the first and the
-        sizes of the second change whenever the list would.  The state
+        or grows (the forcing dicts; a new forcing stack, which swaps its
+        row's pairs for views, grows the stack dict last), so the objects
+        of the first and the sizes of the second change whenever the
+        list would.  The state
         is read before the arrays, so a fill racing the read leaves a
         state that the next call sees as stale.
         """
         filled = (self._structure, self._covariance, self._source_stack)
-        sizes = (len(self._forcing), len(self._source_forcing))
+        sizes = (len(self._forcing), len(self._source_forcing),
+                 len(self._forcing_stacks))
         memo = self._retained_memo
         if (memo is not None and memo[1] == sizes
                 and all(a is b for a, b in zip(memo[0], filled))):
@@ -918,7 +1003,8 @@ class SweepContext:
         timed under ``mft.warmup`` rather than inside a chunk.
         Idempotent: a repeated warm-up finds everything cached.  With
         ``sources=True`` the per-source covariances (and, given
-        ``l_row``, forcing pairs) of an attribution run are included,
+        ``l_row``, the :meth:`forcing_stack`) of an attribution run are
+        included,
         solved before :attr:`covariance`: the first source solves them
         all and the total in one stacked pass, so the rest are cache
         hits.
@@ -928,13 +1014,7 @@ class SweepContext:
             self.source_covariance(0)
         _ = self.structure, self.covariance, self.monodromy
         if l_row is not None:
-            self.forcing_pairs(l_row)
-        if sources:
-            for s in range(self.n_sources):
-                if l_row is not None:
-                    self.source_forcing_pairs(l_row, s)
-                else:
-                    self.source_covariance(s)
+            self.forcing_stack(l_row, sources=sources)
         return self
 
     def __repr__(self):

@@ -52,6 +52,7 @@ from .context import (
     SweepContext,
     _registered_context,
     discretization_fingerprint,
+    psd_rows,
 )
 from .engine import MftNoiseAnalyzer
 from .spectral import solve_spectral_batch
@@ -203,39 +204,6 @@ def chunk_steps(roots: Sequence[RootMap], index: Any, solver: str,
     return batch_step, point_step
 
 
-def _forcing_rows(context: SweepContext, l_row: FloatArray,
-                  labels: "tuple[str, ...] | None") -> FloatArray:
-    """Kernel forcing for one output row.
-
-    The total's ``(S, 2, n)`` endpoint pairs, or — for an attribution
-    request — the ``(1 + n_sources, S, 2, n)`` stack of the total over
-    the per-source rows (one shared LU per frequency serves them all).
-    """
-    forcing = context.forcing_pairs(l_row)
-    if labels is None:
-        return forcing
-    return np.stack(
-        [forcing] + [context.source_forcing_pairs(l_row, s)
-                     for s in range(len(labels))])
-
-
-def _kernel_values(result: Any, l_row: FloatArray, period: float,
-                   labels: "tuple[str, ...] | None"
-                   ) -> "tuple[FloatArray, np.ndarray]":
-    """Sweep values and accept mask from one batched kernel result.
-
-    Values are ``(2/T) Re(l · ∫q)``, transposed to rows of
-    ``[total, source…]`` for an attribution request; a frequency is
-    accepted when the kernel solved it and every value is finite.
-    """
-    psd = 2.0 * np.real(result.integral @ l_row) / period
-    if labels is None:
-        return psd, result.ok & np.isfinite(psd)
-    # (R, n_freq) → (n_freq, R) rows of [total, sources…].
-    psd = psd.T
-    return psd, result.ok & np.all(np.isfinite(psd), axis=1)
-
-
 def solve_stacked(roots: Sequence[RootMap], index: Any, recorder: Any,
                   freqs: FloatArray, start: int, finite_idx: np.ndarray,
                   values: FloatArray, report: DiagnosticsReport,
@@ -274,7 +242,8 @@ def solve_stacked(roots: Sequence[RootMap], index: Any, recorder: Any,
         union, pos = np.unique(freq_of[cells], return_inverse=True)
         row_labels = root.row_labels(labels)
         n_rows = root.n_rows(labels)
-        forcing = _forcing_rows(context, analyzer._l_row, row_labels)
+        forcing = context.forcing_stack(analyzer._l_row,
+                                        row_labels is not None)
         policy = analyzer.fallback
         with recorder.span("spectral.batch", n=len(union),
                            n_params=len(root.corners), n_rows=n_rows):
@@ -283,9 +252,11 @@ def solve_stacked(roots: Sequence[RootMap], index: Any, recorder: Any,
                 condition_limit=(policy.condition_limit
                                  if policy is not None else None),
                 recorder=recorder)
-        rows, ok = _kernel_values(batch, analyzer._l_row,
-                                 context.structure.period, row_labels)
-        rows = rows if rows.ndim == 2 else rows[:, None]
+        # (n_freq, R) rows of [total, source…]; a frequency is accepted
+        # when the kernel solved it and every value is finite.
+        rows = psd_rows(batch.integral, analyzer._l_row,
+                        context.structure.period).T
+        ok = batch.ok & np.all(np.isfinite(rows), axis=1)
         slots = slot_of[(start + cells) % n_corners]
         accepted = ok[pos]
         mapped = root.map_rows(rows, range(len(root.corners)),

@@ -53,7 +53,7 @@ from ..errors import ReproError, UnexpectedOptionError
 from ..noise.solvers import resolve_solver
 from ..obs import NULL_RECORDER, format_trace
 from ..tolerances import FIXED_POINT_RIDGE
-from .context import SweepContext
+from .context import SweepContext, psd_rows
 
 
 @dataclass
@@ -204,35 +204,6 @@ class MftNoiseAnalyzer:
                 f"system has {n_src} noise columns")
         return labels
 
-    def _psd_vector_at(self, frequency, solver="direct",
-                       ridge=FIXED_POINT_RIDGE, condition_limit=None):
-        """``[total, source_0, …]`` PSD at one frequency (attribution).
-
-        Every entry comes from the same solver settings at the same ω —
-        each solve recomputes the same shifted step integrals — so the
-        per-source values sum to the total by linearity of the periodic
-        solve in its forcing (to rounding).
-        """
-        context = self._context
-        omega = 2.0 * np.pi * float(frequency)
-        period = self._disc.period
-        out = np.empty(1 + context.n_sources)
-        solution = context.solve_shifted(
-            omega, self._forcing_pairs(), solver=solver, ridge=ridge,
-            condition_limit=condition_limit)
-        # Same expression shape as _psd_at (2*x/T, not (2/T)*x) so the
-        # total column is bit-identical to an unattributed sweep.
-        out[0] = float(2.0 * np.real(
-            self._l_row @ solution.integrate_dot()) / period)
-        for s in range(context.n_sources):
-            solution = context.solve_shifted(
-                omega, context.source_forcing_pairs(self._l_row, s),
-                solver=solver, ridge=ridge,
-                condition_limit=condition_limit)
-            out[1 + s] = float(2.0 * np.real(
-                self._l_row @ solution.integrate_dot()) / period)
-        return out
-
     # -- covariance ---------------------------------------------------------
 
     @property
@@ -249,22 +220,37 @@ class MftNoiseAnalyzer:
     def _forcing_pairs(self):
         return self._context.forcing_pairs(self._l_row)
 
-    def _solve(self, omega, solver="direct", ridge=FIXED_POINT_RIDGE,
-               condition_limit=None):
-        """Periodic steady state of the shifted dynamics at one ω."""
+    def _solve(self, omega, forcing, solver="direct",
+               ridge=FIXED_POINT_RIDGE, condition_limit=None):
+        """Periodic steady state of the shifted dynamics at one ω.
+
+        ``forcing`` is the total's ``(S, 2, n)`` pairs or a stacked
+        ``(R, S, 2, n)`` forcing such as the context's
+        :meth:`~repro.mft.context.SweepContext.forcing_stack` (see
+        :meth:`~repro.mft.context.SweepContext.solve_shifted`).  Every
+        per-ω solve of this analyzer goes through here.
+        """
         return self._context.solve_shifted(
-            omega, self._forcing_pairs(), solver=solver, ridge=ridge,
+            omega, forcing, solver=solver, ridge=ridge,
             condition_limit=condition_limit)
 
-    def _psd_at(self, frequency, solver="direct",
+    def _psd_at(self, frequency, sources=False, solver="direct",
                 ridge=FIXED_POINT_RIDGE, condition_limit=None):
-        """Single-frequency solve with explicit solver controls."""
+        """Single-frequency solve with explicit solver controls.
+
+        A float, or with ``sources`` the ``[total, source…]`` vector:
+        every row comes from one stacked solve of the context's
+        :meth:`~repro.mft.context.SweepContext.forcing_stack`, so the
+        total is bit for bit the unattributed value and the sources sum
+        to it by linearity of the periodic solve in its forcing.
+        """
         omega = 2.0 * np.pi * float(frequency)
-        solution = self._solve(omega, solver=solver, ridge=ridge,
-                               condition_limit=condition_limit)
-        integral = solution.integrate_dot()
-        return float(2.0 * np.real(self._l_row @ integral)
-                     / self._disc.period)
+        solution = self._solve(
+            omega, self._context.forcing_stack(self._l_row, sources),
+            solver=solver, ridge=ridge, condition_limit=condition_limit)
+        rows = psd_rows(solution.integral[:, None], self._l_row,
+                        self._disc.period)[:, 0]
+        return rows if sources else float(rows[0])
 
     def psd_at(self, frequency):
         """Averaged double-sided PSD (V²/Hz) at one frequency [Hz].
@@ -321,13 +307,15 @@ class MftNoiseAnalyzer:
         sweep merges the widened per-chunk values, so a NaN'd chunk is
         NaN in both the total and every budget row).
         Attribution reuses the shared sweep context (covariance basis,
-        propagators); what the extra rows cost depends on the solver.
-        ``spectral-batch`` stacks the per-source forcings onto the
-        total's in one kernel call, sharing one LU per frequency, so
-        the extra cost is bounded by the shared matrix work, not
-        ``n_sources×``.  ``mft`` runs ``1 + n_sources`` periodic solves
-        per frequency, and ``brute-force`` one transient replay per
-        source.  Supported for those three solvers.
+        propagators), and every supported solver — ``mft``,
+        ``spectral-batch``, ``brute-force`` — solves the per-source
+        forcings as more rows of the total's one solve
+        (:meth:`~repro.mft.context.SweepContext.forcing_stack`): one
+        stacked periodic solve per frequency (one LU with
+        ``1 + n_sources`` right-hand sides), one kernel call per
+        ω-block, or one transient per frequency.  The extra rows cost
+        array work, not ``n_sources`` more solves, and leave the total
+        bit-identical to an unattributed sweep.
 
         Each frequency runs through the graceful-degradation chain (when
         :attr:`fallback` is enabled). With ``on_failure="record"`` (the
@@ -377,19 +365,18 @@ class MftNoiseAnalyzer:
         """
         budget = budget if budget is not None else self.budget
         if solver == "brute-force":
-            from ..noise.brute_force import brute_force_psd
+            from ..noise.brute_force import brute_force_rows
+            from .executor import rows_budget
             kwargs = dict(solver_options)
             kwargs.setdefault("context", self._context)
             labels = self._attribution_request(attribute_sources)
-            result = brute_force_psd(self.system, frequencies,
-                                     output_row=self.output_row,
-                                     on_failure=on_failure, budget=budget,
-                                     recorder=self.recorder, **kwargs)
-            if labels is not None:
-                self._attribute_brute_force(result, labels, kwargs,
-                                            on_failure, budget)
-            else:
-                result.info.setdefault("budget", None)
+            result, rows = brute_force_rows(
+                self.system, frequencies, sources=labels is not None,
+                output_row=self.output_row, on_failure=on_failure,
+                budget=budget, recorder=self.recorder, **kwargs)
+            result.info["budget"] = None if labels is None else rows_budget(
+                self.recorder, result.frequencies, labels, rows,
+                result.output, result.method, "brute-force")
             return result
         # A sampled estimator records no per-frequency failures, so
         # on_failure is only validated here.
@@ -419,58 +406,6 @@ class MftNoiseAnalyzer:
         result.info["n_periods"] = mc.n_periods
         return result
 
-    def _attribute_brute_force(self, result, labels, kwargs, on_failure,
-                               budget):
-        """Per-source transient replays onto a brute-force total sweep.
-
-        The total run's converged horizon (periods per frequency) is
-        replayed once per noise source with that source's single-column
-        Gramians; the integrated covariance/cross-spectrum/ESD ODEs are
-        linear in the Gramians, so the replays sum to the total exactly.
-        Frequencies where the total failed are NaN in every replay, and
-        a replay failure NaNs the total back (the NaN-union contract).
-        Mutates ``result`` in place: attaches ``info["budget"]``.
-        """
-        from ..noise.brute_force import brute_force_psd
-        context = self._context
-        rec = self.recorder
-        freqs = result.frequencies
-        details = result.info["details"]
-        periods = np.full(freqs.shape, np.nan)
-        for idx, detail in enumerate(details):
-            if detail is not None:
-                periods[idx] = detail.periods
-        kwargs = dict(kwargs)
-        kwargs.pop("context", None)
-        kwargs.pop("segments_per_phase", None)
-        n_sources = context.n_sources
-        contributions = np.empty((n_sources, freqs.size))
-        with rec.span("attribution.replay", n_sources=int(n_sources),
-                      n=int(freqs.size)):
-            for s in range(n_sources):
-                source = brute_force_psd(
-                    self.system, freqs, output_row=self.output_row,
-                    on_failure=on_failure, budget=budget,
-                    recorder=rec, disc=context.source_disc(s),
-                    fixed_periods=periods, **kwargs)
-                contributions[s] = source.psd
-        # NaN union both ways: a frequency that failed anywhere is
-        # NaN in the total AND in every budget row.
-        nan_mask = ~np.isfinite(result.psd)
-        nan_mask |= np.any(~np.isfinite(contributions), axis=0)
-        result.psd[nan_mask] = np.nan
-        contributions[:, nan_mask] = np.nan
-        with rec.span("attribution.budget", n_sources=int(n_sources)):
-            from ..metrics import ContributionBudget
-            result.info["budget"] = ContributionBudget(
-                frequencies=freqs, labels=list(labels),
-                contributions=contributions,
-                total=np.array(result.psd, dtype=float),
-                output=result.output, method=result.method,
-                solver="brute-force")
-        rec.count("attribution.sources", n_sources)
-        rec.count("attribution.sweeps")
-
     # -- tracing --------------------------------------------------------------
 
     def trace_report(self, title="mft trace"):
@@ -496,60 +431,49 @@ class MftNoiseAnalyzer:
 
         For an attribution request (``labels`` not ``None``) every
         strategy returns the ``[total, source…]`` vector instead of a
-        scalar — the whole vector comes from one strategy at one
+        scalar — the whole vector comes from one stacked solve at one
         discretization, so a fallback never mixes solver settings
         between the total and the budget rows (which would break
         conservation).
         """
-        solve_at = self._psd_at if labels is None else self._psd_vector_at
+        sources = labels is not None
         policy = self.fallback
         if policy is None:
-            return [("mft-direct", lambda: solve_at(frequency))]
-        strategies = [("mft-direct", lambda: solve_at(
-            frequency, condition_limit=policy.condition_limit))]
+            return [("mft-direct",
+                     lambda: self._psd_at(frequency, sources=sources))]
+        strategies = [("mft-direct", lambda: self._psd_at(
+            frequency, sources=sources,
+            condition_limit=policy.condition_limit))]
         if policy.enable_regularized:
-            strategies.append(("mft-regularized", lambda: solve_at(
-                frequency, solver="lstsq",
+            strategies.append(("mft-regularized", lambda: self._psd_at(
+                frequency, sources=sources, solver="lstsq",
                 ridge=policy.regularization)))
         if policy.enable_brute_force:
             strategies.append(("brute-force", lambda: self._brute_force_at(
-                frequency, policy, labels)))
+                frequency, policy, sources)))
         return strategies
 
-    def _brute_force_at(self, frequency, policy, labels):
+    def _brute_force_at(self, frequency, policy, sources):
         """Terminal fallback: the transient engine at one frequency.
 
         Runs unbudgeted — the sweep budget gates chunk dispatch, and
-        ``max_periods`` bounds the transient.  For an attribution
-        request the total run's convergence horizon is replayed per
-        source at fixed period count, so the per-source transients sum
-        to the total one by linearity of the integrated ODEs (see
-        :func:`repro.noise.brute_force.brute_force_psd`).
+        ``max_periods`` bounds the transient.  With ``sources`` the one
+        transient carries the ``[total, source…]`` drive stack and
+        returns its rows (see
+        :func:`repro.noise.brute_force.brute_force_rows`).
         """
-        from ..noise.brute_force import brute_force_psd
+        from ..noise.brute_force import brute_force_rows
         kwargs = dict(policy.brute_force_kwargs)
         density = kwargs.setdefault("segments_per_phase",
                                     self._context.segments_per_phase)
         if "context" not in kwargs and np.array_equal(
                 density, self._context.segments_per_phase):
             kwargs["context"] = self._context
-        result = brute_force_psd(self.system, [frequency],
-                                 output_row=self.output_row,
-                                 recorder=self.recorder, **kwargs)
-        if labels is None:
-            return float(result.psd[0])
-        context = self._context
-        periods = result.info["details"][0].periods
-        out = np.empty(1 + context.n_sources)
-        out[0] = float(result.psd[0])
-        kwargs.pop("context", None)
-        for s in range(context.n_sources):
-            source = brute_force_psd(
-                self.system, [frequency], output_row=self.output_row,
-                recorder=self.recorder, disc=context.source_disc(s),
-                fixed_periods=periods, **kwargs)
-            out[1 + s] = float(source.psd[0])
-        return out
+        rows = brute_force_rows(
+            self.system, [frequency], sources=sources,
+            output_row=self.output_row, recorder=self.recorder,
+            **kwargs)[1][0]
+        return rows if sources else float(rows[0])
 
     # -- other observables --------------------------------------------------
 
@@ -558,7 +482,7 @@ class MftNoiseAnalyzer:
 
         Double-sided instantaneous PSD samples in V²/Hz."""
         omega = 2.0 * np.pi * float(frequency)
-        solution = self._solve(omega)
+        solution = self._solve(omega, self._forcing_pairs())
         values = 2.0 * np.real(solution.post @ self._l_row)
         return InstantaneousPsd(times=solution.grid.copy(), values=values,
                                 frequency=float(frequency))
@@ -572,7 +496,7 @@ class MftNoiseAnalyzer:
         The entries weighted by ``l`` sum to the output PSD.
         """
         omega = 2.0 * np.pi * float(frequency)
-        solution = self._solve(omega)
+        solution = self._solve(omega, self._forcing_pairs())
         integral = solution.integrate_dot()
         return 2.0 * np.real(integral) / self._disc.period
 

@@ -348,17 +348,27 @@ def _finalize(rec, output, freqs, values, report, labels, solver):
                                         logger=logger)
         return values, clipped, None
     raw_total = np.ascontiguousarray(values[:, 0])
-    contributions = np.ascontiguousarray(values[:, 1:].T)
     with rec.span("mft.clip"):
         clipped = clip_negative_psd(freqs, raw_total, report,
                                     logger=logger)
+    return raw_total, clipped, rows_budget(rec, freqs, labels, values,
+                                           output, "mft", solver)
+
+
+def rows_budget(rec, freqs, labels, rows, output, method, solver):
+    """The :class:`~repro.metrics.ContributionBudget` of sweep rows.
+
+    ``rows`` is ``(n_freq, 1 + len(labels))``: each frequency's
+    ``[total, source…]``, NaN across the whole row where it failed.
+    Every attributed sweep, MFT or brute force, builds its budget here.
+    """
     with rec.span("attribution.budget", n_sources=len(labels)):
         from ..metrics import ContributionBudget
-        contribution = ContributionBudget(
+        budget = ContributionBudget(
             frequencies=freqs, labels=list(labels),
-            contributions=contributions, total=raw_total,
-            output=output, method="mft",
-            solver=solver)
+            contributions=np.ascontiguousarray(rows[:, 1:].T),
+            total=np.ascontiguousarray(rows[:, 0]), output=output,
+            method=method, solver=solver)
     rec.count("attribution.sources", len(labels))
     rec.count("attribution.sweeps")
-    return raw_total, clipped, contribution
+    return budget

@@ -59,23 +59,21 @@ class BruteForceResult:
     runtime_seconds: float
 
 
-def brute_force_psd(system, frequencies, output_row=0,
-                    segments_per_phase=64, tol_db=0.1, window_periods=5,
-                    max_periods=20000, min_periods=8, step_mode="exact",
-                    on_failure="raise", budget=None, context=None,
-                    recorder=None, disc=None, fixed_periods=None):
+def brute_force_psd(system, frequencies, **options):
     """Average double-sided output PSD (V²/Hz) at the given frequencies [Hz].
 
-    Returns a :class:`~repro.noise.result.PsdResult`; per-frequency
-    convergence traces are stored in ``result.info["details"]``.
+    The keyword ``options`` (``output_row``, ``segments_per_phase``,
+    ``tol_db``, ``window_periods``, ``max_periods``, ``min_periods``,
+    ``step_mode``, ``on_failure``, ``budget``, ``context``,
+    ``recorder``) and their defaults are those of
+    :func:`brute_force_rows`.  Returns a
+    :class:`~repro.noise.result.PsdResult`; per-frequency convergence
+    traces are stored in ``result.info["details"]``.
 
     A ``context`` (:class:`~repro.mft.context.SweepContext`) supplies a
     prebuilt discretization — propagators and Van Loan Gramians computed
     once and shared with the MFT engine — in which case its density
-    overrides ``segments_per_phase``. An explicit ``disc``
-    (:class:`~repro.lptv.discretization.PeriodDiscretization`) overrides
-    both; per-source attribution uses it to replay the transient with a
-    single noise column's Gramians.
+    overrides ``segments_per_phase``.
 
     With ``on_failure="raise"`` (the default, the historical behaviour) a
     frequency that fails to settle within ``max_periods`` clock periods
@@ -90,47 +88,69 @@ def brute_force_psd(system, frequencies, output_row=0,
     the sweep: one ``brute-force.sweep`` root span with a
     ``brute-force.solve`` child per frequency.
 
-    ``fixed_periods`` — an int, or an array with one entry per frequency
-    — integrates *exactly* that many clock periods and skips the
-    convergence test entirely. This is the attribution replay mode: the
-    integrated ODEs are linear in the Gramians, so per-source transients
-    run for the same horizon as the total sum to it exactly. A NaN entry
-    skips its frequency (the total failed there, so the per-source value
-    must stay NaN too).
+    Per-source attribution is :func:`brute_force_rows`, the same sweep
+    with one transient row per noise source.
+    """
+    return brute_force_rows(system, frequencies, **options)[0]
+
+
+def brute_force_rows(system, frequencies, sources=False, output_row=0,
+                     segments_per_phase=64, tol_db=0.1, window_periods=5,
+                     max_periods=20000, min_periods=8, step_mode="exact",
+                     on_failure="raise", budget=None, context=None,
+                     recorder=None):
+    """:func:`brute_force_psd` plus each frequency's transient rows.
+
+    Returns ``(result, rows)``: the :class:`~repro.noise.result.PsdResult`
+    of :func:`brute_force_psd` and an ``(n_freq, R)`` array of the rows'
+    double-sided PSDs (V²/Hz), NaN where a frequency failed.  Without
+    ``sources`` the one row is the total.  With ``sources`` one transient
+    integrates the ``[total, source…]`` drive stack: ``K`` is ``(R, n,
+    n)`` and ``q`` ``(R, n)``, row 0 driven by the total Gramians and row
+    ``1 + s`` by source ``s``'s exactly conservative share
+    (:func:`~repro.mft.context.split_source_gramians`, from the
+    context's cached split; a context is built when none is given).
+    The integrated ODEs are linear in their drives, so the sources sum
+    to the total.  Convergence is judged on the total row, whose values
+    are bit for bit those of an unattributed sweep, and each frequency's
+    periods are charged to the budget once.
     """
     if on_failure not in ("raise", "record"):
         raise ReproError(
             f"on_failure must be 'raise' or 'record', got {on_failure!r}")
+    if step_mode not in ("exact", "trapezoid"):
+        raise ReproError(f"unknown step_mode {step_mode!r}")
     if recorder is None:
         from ..obs import NULL_RECORDER
         recorder = NULL_RECORDER
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    if fixed_periods is not None:
-        fixed_periods = np.broadcast_to(
-            np.asarray(fixed_periods, dtype=float), freqs.shape)
     budget = as_budget(budget)
     budget.start()
-    if disc is None:
-        disc = (context.disc if context is not None
-                else system.discretize(segments_per_phase))
+    if sources and context is None:
+        from ..mft.context import SweepContext
+        context = SweepContext(system, segments_per_phase)
+    disc = (context.disc if context is not None
+            else system.discretize(segments_per_phase))
+    drives = _segment_drives(disc, step_mode,
+                             context._split_sources() if sources else None)
     l_row = np.asarray(system.output_matrix)[output_row].astype(float)
     report = DiagnosticsReport(context="brute-force sweep")
     details = []
     failures = []
-    psd_values = np.full(freqs.shape, np.nan)
+    n_rows = 1 + context.n_sources if sources else 1
+    rows = np.full((freqs.size, n_rows), np.nan)
     t_start = time.perf_counter()
     with recorder.span("brute-force.sweep", n=int(freqs.size),
                        step_mode=step_mode):
-        _sweep_loop(disc, l_row, freqs, tol_db, window_periods,
+        _sweep_loop(disc, drives, l_row, freqs, tol_db, window_periods,
                     max_periods, min_periods, step_mode, on_failure,
-                    budget, recorder, report, details, failures,
-                    psd_values, fixed_periods=fixed_periods)
+                    budget, recorder, report, details, failures, rows)
     runtime = time.perf_counter() - t_start
     ok_periods = int(sum(d.periods for d in details if d is not None))
     logger.debug("brute-force sweep: %d frequencies, %d periods, %.3g s",
                  freqs.size, ok_periods, runtime)
-    return PsdResult(
-        frequencies=freqs, psd=psd_values,
+    result = PsdResult(
+        frequencies=freqs, psd=rows[:, 0].copy(),
         method=f"brute-force/{step_mode}",
         output=system.output_names[output_row]
         if hasattr(system, "output_names") else "",
@@ -143,21 +163,35 @@ def brute_force_psd(system, frequencies, output_row=0,
             "diagnostics": report,
             "failures": failures,
         })
+    return result, rows
 
 
-def _sweep_loop(disc, l_row, freqs, tol_db, window_periods, max_periods,
-                min_periods, step_mode, on_failure, budget, recorder,
-                report, details, failures, psd_values,
-                fixed_periods=None):
-    """Per-frequency loop of :func:`brute_force_psd` (mutates outputs)."""
+def _segment_drives(disc, step_mode, split):
+    """Each segment's noise drive of the covariance step.
+
+    The Van Loan Gramian (``"exact"``) or ``B Bᵀ`` (``"trapezoid"``) of
+    the total, an ``(n, n)`` matrix; with a per-source ``split``
+    (:func:`~repro.mft.context.split_source_gramians`) the ``(R, n, n)``
+    stack of the total over each source's share.  Segments of one run
+    share one drive.
+    """
+    exact = step_mode == "exact"
+    drives = []
+    for i, run in enumerate(disc.runs):
+        drive = run.gramian if exact else run.b_matrix @ run.b_matrix.T
+        if split is not None:
+            shares = (split.gramians[i] if exact
+                      else [col @ col.T for col in split.columns[i]])
+            drive = np.stack([drive, *shares])
+        drives.extend([drive] * (run.stop - run.start))
+    return drives
+
+
+def _sweep_loop(disc, drives, l_row, freqs, tol_db, window_periods,
+                max_periods, min_periods, step_mode, on_failure, budget,
+                recorder, report, details, failures, rows):
+    """Per-frequency loop of :func:`brute_force_rows` (mutates outputs)."""
     for idx, f in enumerate(freqs):
-        target = None
-        if fixed_periods is not None:
-            if not np.isfinite(fixed_periods[idx]):
-                # The total run failed here; keep the replay NaN too.
-                details.append(None)
-                continue
-            target = int(fixed_periods[idx])
         reason = budget.exceeded()
         if reason is not None:
             for k in range(idx, freqs.size):
@@ -194,10 +228,9 @@ def _sweep_loop(disc, l_row, freqs, tol_db, window_periods, max_periods,
         try:
             with recorder.span("brute-force.solve",
                                frequency=float(f)) as span:
-                detail = _single_frequency(disc, l_row, f, tol_db,
-                                           window_periods, max_periods,
-                                           min_periods, step_mode, budget,
-                                           fixed_periods=target)
+                detail, rows[idx] = _single_frequency(
+                    disc, drives, l_row, f, tol_db, window_periods,
+                    max_periods, min_periods, step_mode, budget)
                 span.tag(periods=int(detail.periods))
             if recorder.enabled:
                 recorder.observe("brute-force.solve_seconds",
@@ -220,7 +253,6 @@ def _sweep_loop(disc, l_row, freqs, tol_db, window_periods, max_periods,
             continue
         budget.charge_periods(detail.periods)
         details.append(detail)
-        psd_values[idx] = detail.psd
 
 
 def _shifted_step_integrals(disc, omega):
@@ -241,21 +273,24 @@ def _shifted_step_integrals(disc, omega):
     return triples
 
 
-def _single_frequency(disc, l_row, frequency, tol_db, window_periods,
-                      max_periods, min_periods, step_mode, budget=None,
-                      fixed_periods=None):
-    if step_mode not in ("exact", "trapezoid"):
-        raise ReproError(f"unknown step_mode {step_mode!r}")
-    deadline = budget.deadline() if budget is not None else None
-    if fixed_periods is not None:
-        if fixed_periods < 1:
-            raise ReproError(
-                f"fixed_periods must be >= 1, got {fixed_periods}")
-        max_periods = int(fixed_periods)
+def _single_frequency(disc, drives, l_row, frequency, tol_db,
+                      window_periods, max_periods, min_periods, step_mode,
+                      budget):
+    """One transient to convergence: ``(BruteForceResult, rows)``.
+
+    ``drives[k]`` is segment ``k``'s covariance drive, ``(n, n)`` or an
+    ``(R, n, n)`` stack; every row rides in the same products as
+    ``(n, n)`` and ``(n, 1)`` slabs, so row 0 is bit for bit the
+    unstacked transient.  ``rows`` holds each row's final estimate; the
+    trace and the convergence test follow the total, row 0.
+    """
+    deadline = budget.deadline()
     omega = 2.0 * np.pi * frequency
     n = disc.n_states
-    k_mat = np.zeros((n, n))
-    q_vec = np.zeros(n, dtype=complex)
+    lead = np.shape(drives[0])[:-2]
+    l_col = l_row[:, None]
+    k_mat = np.zeros(lead + (n, n))
+    q_vec = np.zeros(lead + (n, 1), dtype=complex)
     esd = 0.0
     t_abs = 0.0
     history_t = []
@@ -271,11 +306,12 @@ def _single_frequency(disc, l_row, frequency, tol_db, window_periods,
             h = seg.duration
             if step_mode == "exact":
                 k_new = symmetrize(seg.phi @ k_mat @ seg.phi.T
-                                   + seg.gramian)
+                                   + drives[idx])
             else:
-                k_new = _trapezoid_lyapunov_step(seg, k_mat, h)
-            f_left = k_mat @ l_row
-            f_right = k_new @ l_row
+                k_new = _trapezoid_lyapunov_step(seg.phi, k_mat,
+                                                 drives[idx], h)
+            f_left = k_mat @ l_col
+            f_right = k_new @ l_col
             if step_mode == "exact":
                 (phi_w, i1, i2), a_shifted = steps[idx]
                 slope = (f_right - f_left) / h
@@ -297,10 +333,10 @@ def _single_frequency(disc, l_row, frequency, tol_db, window_periods,
                 k_mat = symmetrize(seg.jump @ k_mat @ seg.jump.T)
                 q_vec = seg.jump @ q_vec
         period_index += 1
+        estimate = esd / t_abs if t_abs > 0.0 else np.zeros(np.shape(esd))
         history_t.append(t_abs)
-        history_psd.append(esd / t_abs if t_abs > 0.0 else 0.0)
-        if fixed_periods is None and period_index >= max(
-                min_periods, window_periods + 1):
+        history_psd.append(float(estimate.flat[0]))
+        if period_index >= max(min_periods, window_periods + 1):
             if _window_converged(history_psd, window_periods, tol_db):
                 converged = True
                 break
@@ -312,10 +348,6 @@ def _single_frequency(disc, l_row, frequency, tol_db, window_periods,
                 iterations=period_index, frequency=float(frequency))
     runtime = time.perf_counter() - t0
 
-    if fixed_periods is not None:
-        # Replay mode: the horizon was fixed up front, there is no
-        # convergence test to pass.
-        converged = True
     if not converged:
         raise ConvergenceError(
             f"brute-force PSD at {frequency:.6g} Hz did not settle within "
@@ -325,9 +357,10 @@ def _single_frequency(disc, l_row, frequency, tol_db, window_periods,
     trace = ConvergenceTrace(
         times=np.asarray(history_t), psd_estimates=np.asarray(history_psd),
         frequency=frequency, converged=converged, periods=period_index)
-    return BruteForceResult(frequency=frequency, psd=float(history_psd[-1]),
-                            trace=trace, periods=period_index,
-                            runtime_seconds=runtime)
+    detail = BruteForceResult(frequency=frequency, psd=history_psd[-1],
+                              trace=trace, periods=period_index,
+                              runtime_seconds=runtime)
+    return detail, estimate.reshape(-1)
 
 
 def _window_converged(history, window, tol_db):
@@ -338,7 +371,7 @@ def _window_converged(history, window, tol_db):
     return swing < tol_db
 
 
-def _trapezoid_lyapunov_step(seg, k_mat, h):
+def _trapezoid_lyapunov_step(p, k_mat, bbt, h):
     """Implicit-trapezoid Lyapunov step in Cayley form.
 
     ``K+ = P K P^T + h/2 (BB^T + P BB^T P^T)`` with the propagator ``P``
@@ -346,8 +379,6 @@ def _trapezoid_lyapunov_step(seg, k_mat, h):
     the paper's prototype. Only valid when ``‖A‖h`` is modest; kept for
     the fidelity/ablation studies.
     """
-    bbt = seg.b_matrix @ seg.b_matrix.T
-    p = seg.phi
     return symmetrize(p @ k_mat @ p.T + 0.5 * h * (bbt + p @ bbt @ p.T))
 
 

@@ -2,9 +2,9 @@
 
 :func:`to_payload` maps a result object to a ``{"kind": ..., ...}``
 dict that ``json.dumps`` accepts; :func:`from_payload` inverts it.  The
-triple (failures, diagnostics, attribution budgets) round-trips
-losslessly — these are the fields the service result store must
-preserve — while free-form ``info`` metadata is kept when it is
+failures, diagnostics, attribution budgets and fallback attempt logs
+round-trip losslessly — these are the fields the service result store
+must preserve — while free-form ``info`` metadata is kept when it is
 JSON-representable and degraded to ``repr()`` strings otherwise (a
 stored payload must never fail to serialize because an engine attached
 a live object).
@@ -22,6 +22,7 @@ from typing import Any
 
 import numpy as np
 
+from ..diagnostics.fallback import AttemptRecord
 from ..diagnostics.report import DiagnosticsReport, FrequencyFailure
 from ..errors import ReproError
 
@@ -50,8 +51,8 @@ def _jsonify(value: Any) -> Any:
         return repr(value)
     if isinstance(value, DiagnosticsReport):
         return {"__diagnostics__": _jsonify(value.to_dict())}
-    if isinstance(value, FrequencyFailure):
-        return value.to_dict()
+    if isinstance(value, (FrequencyFailure, AttemptRecord)):
+        return _jsonify(value.to_dict())
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -89,6 +90,10 @@ def _info_from_payload(info: dict[str, Any]) -> dict[str, Any]:
             out[key] = [FrequencyFailure.from_dict(f) for f in value]
         elif key == "budget" and value is not None:
             out[key] = from_payload(value)
+        elif key == "fallback_attempts" and isinstance(value, list):
+            # An entry an older payload stored as its repr stays a string.
+            out[key] = [AttemptRecord.from_dict(a) if isinstance(a, dict)
+                        else a for a in value]
         else:
             out[key] = value
     return out
@@ -181,7 +186,7 @@ def from_payload(payload: dict[str, Any]) -> Any:
                 for name, failures in payload["failures"].items()},
             diagnostics=DiagnosticsReport.from_dict(
                 payload["diagnostics"]),
-            info=dict(payload.get("info", {})),
+            info=_info_from_payload(dict(payload.get("info", {}))),
             budgets=(None if budgets is None else {
                 str(name): (None if budget is None
                             else from_payload(budget))

@@ -6,10 +6,9 @@ a stdlib :mod:`sqlite3` table: ``":memory:"`` for a store that lives
 as long as its queue, a file path for one that survives restarts.
 
 The store counts hits, misses, and evictions on a
-:class:`~repro.mft.context.CacheStats` — the same telemetry shape as a
-sweep context's ``stats`` (and the opt-in context registry's
-``registry_stats``), so service dashboards read one counter schema for
-every cache layer.
+:class:`~repro.mft.context.CacheStats` — the same telemetry shape as the
+opt-in context registry's ``registry_stats`` — so service dashboards
+read one counter schema for every cache layer.
 """
 
 from __future__ import annotations

@@ -4,13 +4,14 @@ The headline satellite: for **every** circuit in the library and every
 deterministic solver (``mft``, ``spectral-batch``, ``brute-force``) the
 per-source contributions must sum to the total PSD within the shared
 ``ATTRIBUTION_CONSERVATION_RTOL`` (1e-9) at every frequency.  With the
-exactly conservative Gramian split in ``SweepContext.source_disc`` the
+exactly conservative Gramian split (``split_source_gramians``) the
 observed residuals are machine precision (~1e-15, worst ~3e-14 on the
 near-marginal ideal integrator); the 1e-9 gate leaves headroom without
 ever letting a real decomposition bug through.
 
 The rest of the file pins the contracts around the happy path: NaN
-masks stay a *union* through failed and budget-skipped chunks, labels
+masks stay a *union* through failed and budget-skipped chunks, an
+attributed brute-force sweep spends the plain sweep's budget once, labels
 resolve from the model, and the sampled Monte-Carlo estimator refuses
 to attribute at all.
 """
@@ -27,10 +28,13 @@ from repro.circuits import (
     sc_lowpass_system,
     switched_rc_system,
 )
+from repro.diagnostics import budget as budget_module
+from repro.diagnostics.budget import SweepBudget
 from repro.errors import ReproError
 from repro.metrics import ContributionBudget
 from repro.mft.context import clear_sweep_contexts
 from repro.mft.engine import MftNoiseAnalyzer
+from repro.noise import brute_force as brute_force_module
 from repro.obs import Recorder
 
 #: Every circuit the library ships, with its per-source count.
@@ -233,6 +237,65 @@ class TestNestedSweeps:
         assert np.array_equal(outer.psd, plain.psd)
         assert analyzer.inner.budget is None
         assert np.isfinite(analyzer.inner.psd[0])
+
+
+class _TickingClock:
+    """A ``time`` stand-in whose clock advances one second per read."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 1.0
+        return self.now
+
+
+class TestBruteForceBudget:
+    """Attribution never changes which frequencies fail or what they read.
+
+    The ``[total, source…]`` rows ride in one transient per frequency,
+    so an attributed brute-force sweep spends the plain sweep's periods
+    and wall clock, once.
+    """
+
+    FREQS = np.array([500.0, 1500.0])
+    OPTIONS = {"tol_db": 1.0, "on_failure": "record"}
+
+    @staticmethod
+    def _analyzer():
+        return MftNoiseAnalyzer(sc_lowpass_system().system,
+                                segments_per_phase=SPP)
+
+    def test_period_budget_of_the_plain_sweep(self):
+        analyzer = self._analyzer()
+        plain = analyzer.psd(self.FREQS, solver="brute-force",
+                             **self.OPTIONS)
+        assert np.all(np.isfinite(plain.psd))
+        budget = SweepBudget(max_total_periods=plain.info["total_periods"])
+        attributed = analyzer.psd(self.FREQS, solver="brute-force",
+                                  attribute_sources=True, budget=budget,
+                                  **self.OPTIONS)
+        assert attributed.psd.tobytes() == plain.psd.tobytes()
+        assert attributed.failures == []
+        assert attributed.info["total_periods"] == budget.spent_periods
+        attributed.budget.check_conservation()
+
+    def test_float_budget_is_one_clock(self, monkeypatch):
+        clock = _TickingClock()
+        for module in (budget_module, brute_force_module):
+            monkeypatch.setattr(module, "time", clock)
+        analyzer = self._analyzer()
+        start = clock.now
+        plain = analyzer.psd(self.FREQS, solver="brute-force",
+                             budget=1e9, **self.OPTIONS)
+        allowance = 2.0 * (clock.now - start)
+        start = clock.now
+        attributed = analyzer.psd(self.FREQS, solver="brute-force",
+                                  attribute_sources=True, budget=allowance,
+                                  **self.OPTIONS)
+        assert clock.now - start <= allowance
+        assert attributed.psd.tobytes() == plain.psd.tobytes()
+        attributed.budget.check_conservation()
 
 
 class TestObservability:

@@ -18,8 +18,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.circuits import ParameterGrid, switched_rc_system
+from repro.circuits import (
+    ParameterGrid,
+    ScIntegratorParams,
+    sc_integrator_system,
+    switched_rc_system,
+)
+from repro.diagnostics.fallback import AttemptRecord, FallbackPolicy
 from repro.errors import ReproError
+from repro.mft import corners as corners_module
 from repro.mft.context import clear_sweep_contexts
 from repro.mft.corners import corner_psd_sweep
 from repro.mft.engine import MftNoiseAnalyzer
@@ -144,6 +151,52 @@ class TestPayloadRoundTrip:
         # Compare serialized text: NaN != NaN breaks dict equality.
         assert json.dumps(psd_result.to_json()) \
             == json.dumps(to_payload(psd_result))
+
+
+class TestAttemptLogRoundTrip:
+    """A rescued sweep's attempt log comes back as ``AttemptRecord``s."""
+
+    POLICY = FallbackPolicy(condition_limit=1.0)
+    FREQS = np.linspace(200.0, 3e3, 4)
+
+    def _rescued(self, monkeypatch):
+        analyzer = MftNoiseAnalyzer(sc_integrator_system().system,
+                                    segments_per_phase=SPP,
+                                    fallback=self.POLICY)
+        plain = analyzer.psd(self.FREQS, solver="spectral-batch")
+        build = corners_module._build_roots
+
+        def build_with_policy(*args, **kwargs):
+            roots = build(*args, **kwargs)
+            for root in roots:
+                root.analyzer.fallback = self.POLICY
+            return roots
+
+        monkeypatch.setattr(corners_module, "_build_roots",
+                            build_with_policy)
+        family = ParameterGrid.cross(
+            {"nom": {}, "leaky": {"leak": 0.1}}, {"nom": 1.0},
+            builder=sc_integrator_system, base_params=ScIntegratorParams())
+        corner = corner_psd_sweep(sc_integrator_system(), family,
+                                  self.FREQS, segments_per_phase=SPP)
+        return plain, corner
+
+    def test_psd_and_corner_payloads_keep_attempt_records(self,
+                                                         monkeypatch):
+        for result in self._rescued(monkeypatch):
+            attempts = result.info["fallback_attempts"]
+            assert attempts and all(isinstance(a, AttemptRecord)
+                                    for a in attempts)
+            assert {a.strategy for a in attempts} >= {"mft-direct",
+                                                      "mft-regularized"}
+            back = from_payload(json.loads(json.dumps(to_payload(result))))
+            assert back.info["fallback_attempts"] == attempts
+
+    def test_stored_strings_stay_as_stored(self, psd_result):
+        payload = to_payload(psd_result)
+        payload["info"]["fallback_attempts"] = ["mft-direct @ 100 Hz"]
+        back = from_payload(payload)
+        assert back.info["fallback_attempts"] == ["mft-direct @ 100 Hz"]
 
 
 class TestPayloadGates:

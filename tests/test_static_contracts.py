@@ -31,6 +31,10 @@ so a file that does not parse fails the run.
   only by ``run_sweep``, the one result path of every MFT sweep, and by
   ``CornerSweepResult.corner``, which re-wraps one corner of a finished
   sweep.
+* ``per_source_solve``: no loop over ``n_sources`` calls a periodic
+  solve, the batched kernel or brute force: each engine solves
+  ``[total, source…]`` as one stacked forcing, so per-source attribution
+  is more right-hand sides, not more solves.
 
 Broad handlers and ``print`` are ruff's ``BLE`` and ``T20``; recorder
 forwarding is checked at run time by the span tests in ``test_obs.py``.
@@ -295,8 +299,38 @@ def psd_result_site(source, path):
     return findings
 
 
+#: The solves an engine makes once for every row, never once per source.
+SOLVE_CALLS = frozenset({"solve_shifted", "solve_spectral_batch", "brute_force_psd",
+                         "brute_force_rows"})
+LOOPS = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _reads_n_sources(node):
+    return any(getattr(item, "id", None) == "n_sources"
+               or getattr(item, "attr", None) == "n_sources" for item in ast.walk(node))
+
+
+def per_source_solve(source, path):
+    findings = []
+    for loop in ast.walk(_parse(source)):
+        if not isinstance(loop, LOOPS):
+            continue
+        heads = [loop.iter] if isinstance(loop, (ast.For, ast.AsyncFor)) else [
+            gen.iter for gen in loop.generators]
+        if not any(_reads_n_sources(head) for head in heads):
+            continue
+        called = {node.func.attr if isinstance(node.func, ast.Attribute)
+                  else getattr(node.func, "id", "")
+                  for node in ast.walk(loop) if isinstance(node, ast.Call)}
+        findings.extend(_finding(path, loop, f"{name}() per noise source: solve "
+                                             "[total, source…] as one stacked forcing")
+                        for name in sorted(called & SOLVE_CALLS))
+    return findings
+
+
 CHECKS = (raw_linalg, magic_tolerance, bare_ndarray_return, psd_units, replay_hygiene,
-          registry_insert, context_subclass, sweep_adapter, psd_result_site)
+          registry_insert, context_subclass, sweep_adapter, psd_result_site,
+          per_source_solve)
 
 
 @pytest.fixture(scope="module")
@@ -393,6 +427,20 @@ CASES = [
     (psd_result_site, "ignores_baselines",
      "def brute_force_psd(f):\n    return PsdResult(frequencies=f, psd=f)\n",
      "repro/noise/brute_force.py", ()),
+    (per_source_solve, "flags_solve_per_source",
+     "for s in range(context.n_sources):\n    sol = context.solve_shifted(w, pairs(s))\n",
+     None, ("module.py:1: solve_shifted() per noise source",)),
+    (per_source_solve, "flags_replay_per_source",
+     "for s in range(n_sources):\n    if ok:\n        r = brute_force_psd(system, f)\n",
+     None, ("brute_force_psd() per noise source",)),
+    (per_source_solve, "flags_comprehension",
+     "rows = [solve_spectral_batch(c, w, f[s]) for s in range(c.n_sources)]\n", None,
+     ("solve_spectral_batch()",)),
+    (per_source_solve, "allows_stacked_forcing",
+     "stack = np.stack([f] + [c.source_forcing_pairs(l, s) for s in range(c.n_sources)])\n"
+     "sol = c.solve_shifted(w, stack)\n", None, ()),
+    (per_source_solve, "allows_loop_over_frequencies",
+     "for f in freqs:\n    sol = c.solve_shifted(w, f)\n", None, ()),
 ]
 
 
